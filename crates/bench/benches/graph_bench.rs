@@ -1,10 +1,12 @@
-//! Microbenchmarks for the graph substrate: dominators (Lemma 3's engine),
-//! reachability, topological sort, and forest operations.
+//! Microbenchmarks for the graph substrate: dominators (Lemma 3's engine:
+//! the set-based oracle, the dominator-tree index, and DDAG planning on
+//! top of it), reachability, topological sort, and forest operations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slp_core::EntityId;
-use slp_graph::{dag, dominators, reach, rooted, Forest};
-use slp_sim::layered_dag;
+use slp_graph::{dag, dominators, reach, rooted, DomIndex, Forest};
+use slp_policies::{DdagEngine, PolicyKind};
+use slp_sim::{dag_access_jobs, layered_dag, planner_for};
 use std::hint::black_box;
 
 fn bench_dominators(c: &mut Criterion) {
@@ -14,6 +16,38 @@ fn bench_dominators(c: &mut Criterion) {
         let nodes = d.graph.node_count();
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
             b.iter(|| black_box(dominators::dominator_sets(&d.graph, d.root)));
+        });
+    }
+    group.finish();
+    // What `DdagEngine` pays per structural mutation in place of the
+    // per-job `dominator_sets` above.
+    let mut group = c.benchmark_group("dom_index_build");
+    for (layers, width) in [(3usize, 4usize), (5, 6), (7, 8)] {
+        let d = layered_dag(layers, width, 3, 42);
+        let nodes = d.graph.node_count();
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
+            b.iter(|| black_box(DomIndex::build(&d.graph)));
+        });
+    }
+    group.finish();
+}
+
+/// One iteration plans 64 two-target traversals against an unchanging
+/// engine with one planner, as a runtime worker does between mutations.
+fn bench_ddag_plan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ddag_plan");
+    for (layers, width) in [(3usize, 4usize), (5, 6), (7, 8)] {
+        let d = layered_dag(layers, width, 3, 42);
+        let nodes = d.graph.node_count();
+        let jobs = dag_access_jobs(&d, 64, 2, 7);
+        let engine = DdagEngine::new(d.universe.clone(), d.graph.clone());
+        let mut planner = planner_for(PolicyKind::Ddag);
+        group.bench_with_input(BenchmarkId::new("64jobs", nodes), &nodes, |b, _| {
+            b.iter(|| {
+                for job in &jobs {
+                    black_box(planner.plan(&engine, job).expect("targets are nodes"));
+                }
+            });
         });
     }
     group.finish();
@@ -78,6 +112,7 @@ fn bench_forest_ops(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dominators,
+    bench_ddag_plan,
     bench_reachability,
     bench_topo_and_rooted,
     bench_forest_ops

@@ -9,8 +9,13 @@
 //! of the transaction's start) by the first entity it locked. The safety
 //! proof, the policy validator, and the property tests all consult this
 //! module.
+//!
+//! Queries go through the dominator tree of [`crate::DomIndex`];
+//! [`dominator_sets`] is the definition spelled out as a dataflow fixpoint
+//! and is kept as the oracle the index is tested against.
 
 use crate::digraph::DiGraph;
+use crate::dom_index::DomIndex;
 use slp_core::EntityId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,7 +24,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// (including `n` and `root` themselves).
 ///
 /// Classic iterative dataflow: `dom(root) = {root}`,
-/// `dom(n) = {n} ∪ ⋂_{p ∈ preds(n)} dom(p)`, iterated to fixpoint.
+/// `dom(n) = {n} ∪ ⋂_{p ∈ preds(n)} dom(p)`, iterated to fixpoint — a
+/// whole-graph computation over sets, for tests and one-off inspection.
+/// Code that asks repeatedly builds a [`DomIndex`] once instead.
 pub fn dominator_sets(g: &DiGraph, root: EntityId) -> BTreeMap<EntityId, BTreeSet<EntityId>> {
     let reachable = crate::reach::reachable_from(g, root);
     let mut dom: BTreeMap<EntityId, BTreeSet<EntityId>> = BTreeMap::new();
@@ -68,11 +75,7 @@ pub fn dominator_sets(g: &DiGraph, root: EntityId) -> BTreeMap<EntityId, BTreeSe
 /// there are no such paths and the condition holds vacuously — callers in
 /// the DDAG policy only ask about reachable nodes of a rooted graph.
 pub fn dominates(g: &DiGraph, root: EntityId, d: EntityId, w: EntityId) -> bool {
-    let sets = dominator_sets(g, root);
-    match sets.get(&w) {
-        Some(set) => set.contains(&d),
-        None => true, // unreachable: vacuous
-    }
+    DomIndex::hung_from(g, root).dominates(d, w)
 }
 
 /// Whether `d` dominates *every* node in `ws`.
@@ -82,11 +85,8 @@ pub fn dominates_all<'a>(
     d: EntityId,
     ws: impl IntoIterator<Item = &'a EntityId>,
 ) -> bool {
-    let sets = dominator_sets(g, root);
-    ws.into_iter().all(|w| match sets.get(w) {
-        Some(set) => set.contains(&d),
-        None => true,
-    })
+    let index = DomIndex::hung_from(g, root);
+    ws.into_iter().all(|&w| index.dominates(d, w))
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@
 //!   every node);
 //! * [`dominators`] — dominator sets ("every path from the root to `w`
 //!   passes through `d`"), the engine of Lemma 3;
+//! * [`DomIndex`] — the dominator tree, topological rank and root of a
+//!   graph in dense vectors, built once per mutation and queried per job;
 //! * [`Forest`] — parent-pointer forests with the DTR policy's `join` and
 //!   `remove` mutations.
 
@@ -20,10 +22,12 @@
 
 pub mod dag;
 pub mod digraph;
+pub mod dom_index;
 pub mod dominators;
 pub mod forest;
 pub mod reach;
 pub mod rooted;
 
 pub use digraph::{DiGraph, GraphError};
+pub use dom_index::{DomIndex, RegionScratch, Unrooted};
 pub use forest::{Forest, ForestError};

@@ -42,7 +42,7 @@ use crate::ddag::DdagViolation;
 use crate::dtr::DtrViolation;
 use crate::tree::TreeLockViolation;
 use slp_core::{DataOp, EntityId, Step, TxId};
-use slp_graph::{DiGraph, Forest};
+use slp_graph::{DiGraph, DomIndex, Forest};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -103,17 +103,14 @@ impl fmt::Display for PolicyAction {
 pub enum PlanViolation {
     /// The job requests nothing.
     EmptyJob,
-    /// The policy needs a shared rooted graph to plan against, but the
-    /// engine maintains none (policy/planner mismatch).
+    /// The policy needs a shared rooted graph and its dominator index to
+    /// plan against, but the engine maintains none (policy/planner
+    /// mismatch).
     NoGraph,
     /// The shared graph has no root.
     NotRooted,
     /// A target node is not in the shared graph.
     TargetMissing(EntityId),
-    /// A target node is unreachable from the root.
-    UnreachableFromRoot(EntityId),
-    /// The targets have no common dominator to start the traversal from.
-    NoCommonDominator,
     /// The shared graph contains a cycle (no topological lock order).
     CyclicGraph,
 }
@@ -137,8 +134,6 @@ impl fmt::Display for PlanViolation {
             NoGraph => write!(f, "the policy maintains no shared graph to plan against"),
             NotRooted => write!(f, "the shared graph has no root"),
             TargetMissing(e) => write!(f, "target {e} is not in the shared graph"),
-            UnreachableFromRoot(e) => write!(f, "target {e} is unreachable from the root"),
-            NoCommonDominator => write!(f, "the targets have no common dominator"),
             CyclicGraph => write!(f, "the shared graph contains a cycle"),
         }
     }
@@ -388,6 +383,15 @@ pub trait PolicyEngine: Send + Sync {
         None
     }
 
+    /// The dominator-tree index of [`PolicyEngine::graph`], if this policy
+    /// maintains one (DDAG). The engine keeps it equal to a fresh
+    /// [`DomIndex::build`] of the graph across every structural mutation,
+    /// so planners read roots, common dominators and lock order from it
+    /// instead of recomputing them from the graph for every job.
+    fn dom_index(&self) -> Option<&DomIndex> {
+        None
+    }
+
     /// The database forest, if this policy maintains one (DTR).
     fn forest(&self) -> Option<&Forest> {
         None
@@ -451,6 +455,10 @@ impl<P: PolicyEngine + ?Sized> PolicyEngine for Box<P> {
 
     fn graph(&self) -> Option<&DiGraph> {
         (**self).graph()
+    }
+
+    fn dom_index(&self) -> Option<&DomIndex> {
+        (**self).dom_index()
     }
 
     fn forest(&self) -> Option<&Forest> {

@@ -35,7 +35,7 @@
 //! their exclusive endpoint locks.
 
 use slp_core::{EntityId, LockMode, LockTable, Step, TxId, Universe};
-use slp_graph::{dag, DiGraph};
+use slp_graph::{dag, DiGraph, DomIndex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -162,6 +162,9 @@ struct DdagTx {
 pub struct DdagEngine {
     universe: Universe,
     graph: DiGraph,
+    /// Always `DomIndex::build(&graph)`: rebuilt by the four structural
+    /// mutations, under the same `&mut self` that changed the graph.
+    index: DomIndex,
     table: LockTable,
     txs: BTreeMap<TxId, DdagTx>,
     deleted: BTreeSet<EntityId>,
@@ -178,6 +181,7 @@ impl DdagEngine {
     pub fn new(universe: Universe, graph: DiGraph) -> Self {
         let mut engine = DdagEngine {
             universe,
+            index: DomIndex::build(&graph),
             graph,
             table: LockTable::new(),
             txs: BTreeMap::new(),
@@ -217,9 +221,14 @@ impl DdagEngine {
         &self.universe
     }
 
+    /// The dominator-tree index of the current graph.
+    pub fn dom_index(&self) -> &DomIndex {
+        &self.index
+    }
+
     /// Whether the current graph is a rooted DAG.
     pub fn is_rooted_dag(&self) -> bool {
-        dag::is_acyclic(&self.graph) && slp_graph::rooted::is_rooted(&self.graph)
+        self.index.is_acyclic() && self.index.root().is_ok()
     }
 
     /// The holder of a lock on `n`, if any.
@@ -260,14 +269,13 @@ impl DdagEngine {
         if self.graph.has_node(n) {
             // L4: the first lock may be any node; afterwards L5 applies.
             if st.first.is_some() {
-                let preds: BTreeSet<EntityId> = self.graph.predecessors(n).collect();
+                let preds = || self.graph.predecessors(n);
                 if self.config.require_all_predecessors
-                    && !preds.iter().all(|p| st.locked_past.contains(p))
+                    && !preds().all(|p| st.locked_past.contains(&p))
                 {
                     return Err(DdagViolation::PredecessorsNotLocked(tx, n));
                 }
-                if self.config.require_held_predecessor
-                    && !preds.iter().any(|p| st.holding.contains(p))
+                if self.config.require_held_predecessor && !preds().any(|p| st.holding.contains(&p))
                 {
                     return Err(DdagViolation::NoHeldPredecessor(tx, n));
                 }
@@ -335,6 +343,7 @@ impl DdagEngine {
             return Err(DdagViolation::ReinsertionForbidden(n));
         }
         self.graph.add_node(n).expect("checked absent");
+        self.reindex();
         Ok(vec![Step::insert(n)])
     }
 
@@ -355,6 +364,7 @@ impl DdagEngine {
             }
             Err(_) => unreachable!("existence checked"),
         }
+        self.reindex();
         self.deleted.insert(n);
         Ok(vec![Step::delete(n)])
     }
@@ -393,6 +403,7 @@ impl DdagEngine {
             return Err(DdagViolation::WouldCreateCycle(a, b));
         }
         self.graph.add_edge(a, b).expect("checked");
+        self.reindex();
         let e = self.fresh_edge_entity(a, b);
         self.edge_entities.insert((a, b), e);
         let st = self.txs.get_mut(&tx).expect("active");
@@ -431,6 +442,7 @@ impl DdagEngine {
             steps.push(Step::lock_exclusive(e));
         }
         self.graph.remove_edge(a, b).expect("edge tracked");
+        self.reindex();
         self.edge_entities.remove(&(a, b));
         self.deleted.insert(e);
         steps.push(Step::delete(e));
@@ -460,6 +472,11 @@ impl DdagEngine {
     /// (Undo/recovery is outside the paper's model.) Emits unlock steps.
     pub fn abort(&mut self, tx: TxId) -> Vec<Step> {
         self.finish(tx).unwrap_or_default()
+    }
+
+    /// Brings the index back in line with a graph that just changed.
+    fn reindex(&mut self) {
+        self.index = DomIndex::build(&self.graph);
     }
 
     fn fresh_edge_entity(&mut self, a: EntityId, b: EntityId) -> EntityId {
@@ -521,9 +538,7 @@ impl PolicyEngine for DdagEngine {
 
     fn request(&mut self, tx: TxId, action: PolicyAction) -> PolicyResponse {
         let result = match action {
-            PolicyAction::Lock(n) => self
-                .check_lock(tx, n)
-                .map(|()| vec![self.lock(tx, n).expect("checked")]),
+            PolicyAction::Lock(n) => self.lock(tx, n).map(|s| vec![s]),
             PolicyAction::Unlock(n) => self.unlock(tx, n).map(|s| vec![s]),
             PolicyAction::Access(n) => self.access(tx, n),
             PolicyAction::InsertNode(n) => self.insert_node(tx, n),
@@ -550,6 +565,10 @@ impl PolicyEngine for DdagEngine {
 
     fn graph(&self) -> Option<&DiGraph> {
         Some(&self.graph)
+    }
+
+    fn dom_index(&self) -> Option<&DomIndex> {
+        Some(&self.index)
     }
 
     fn intern_entity(&mut self, name: &str) -> Option<EntityId> {
@@ -740,6 +759,39 @@ mod tests {
         assert!(eng.is_rooted_dag());
         let unlocks = eng.finish(t(1)).unwrap();
         assert_eq!(unlocks.len(), 3); // node 2, node 99, edge entity
+    }
+
+    #[test]
+    fn index_follows_every_structural_mutation() {
+        use slp_graph::Unrooted;
+        let (mut eng, ids) = fig3_engine();
+        let n5 = eng.intern("5");
+        let fresh = |eng: &DdagEngine| DomIndex::build(eng.graph());
+        assert_eq!(eng.dom_index().root(), Ok(ids[0]));
+        eng.begin(t(1)).unwrap();
+        eng.lock(t(1), ids[2]).unwrap();
+        eng.lock(t(1), ids[3]).unwrap();
+        eng.lock(t(1), n5).unwrap();
+        eng.insert_node(t(1), n5).unwrap();
+        // The unrooted window: 5 exists but nothing points at it yet.
+        assert_eq!(
+            eng.dom_index().root(),
+            Err(Unrooted::SeveralRoots(ids[0], n5))
+        );
+        assert!(!eng.is_rooted_dag());
+        eng.insert_edge(t(1), ids[2], n5).unwrap();
+        assert_eq!(eng.dom_index(), &fresh(&eng));
+        assert_eq!(eng.dom_index().idom(n5), Some(ids[2]));
+        eng.insert_edge(t(1), ids[3], n5).unwrap();
+        eng.delete_edge(t(1), ids[2], n5).unwrap();
+        assert_eq!(eng.dom_index(), &fresh(&eng));
+        assert_eq!(eng.dom_index().idom(n5), Some(ids[3]));
+        eng.delete_edge(t(1), ids[3], n5).unwrap();
+        eng.delete_node(t(1), n5).unwrap();
+        assert_eq!(eng.dom_index(), &fresh(&eng));
+        assert_eq!(eng.dom_index().depth(n5), None);
+        assert!(eng.is_rooted_dag());
+        assert_eq!(eng.clone().dom_index(), eng.dom_index());
     }
 
     #[test]

@@ -25,16 +25,17 @@
 //! wake" is a property of the *interleaving* (did the transaction take a
 //! donated item while the donor was still active?), not of the plan.
 
-use slp_core::EntityId;
-use slp_graph::dag;
+use slp_graph::RegionScratch;
 use slp_policies::{AccessIntent, PlanViolation, PolicyAction, PolicyEngine, PolicyViolation};
 use slp_sim::{ActionPlanner, Job};
-use std::collections::BTreeSet;
 
 /// Lock-use-release crawls over the ancestor closure (for the
 /// `DDAG-no-held-pred` negative control). Accesses every region node to
 /// maximize conflict edges between overlapping crawls.
-pub struct CrawlProbePlanner;
+#[derive(Default)]
+pub struct CrawlProbePlanner {
+    region: RegionScratch,
+}
 
 impl ActionPlanner for CrawlProbePlanner {
     fn intent(&self, _job: &Job) -> AccessIntent {
@@ -46,30 +47,25 @@ impl ActionPlanner for CrawlProbePlanner {
         engine: &dyn PolicyEngine,
         job: &Job,
     ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        let g = engine.graph().ok_or(PlanViolation::NoGraph)?;
+        let (g, index) = engine
+            .graph()
+            .zip(engine.dom_index())
+            .ok_or(PlanViolation::NoGraph)?;
         if job.targets.is_empty() {
             return Err(PlanViolation::EmptyJob.into());
         }
-        for &t in &job.targets {
-            if !g.has_node(t) {
-                return Err(PlanViolation::TargetMissing(t).into());
-            }
+        if let Some(&t) = job.targets.iter().find(|&&t| !g.has_node(t)) {
+            return Err(PlanViolation::TargetMissing(t).into());
+        }
+        if !index.is_acyclic() {
+            return Err(PlanViolation::CyclicGraph.into());
         }
         // Ancestor closure of the targets (predecessor-closed, so every
         // predecessor of a region node precedes it in topological order —
         // L5a holds along the crawl).
-        let mut region: BTreeSet<EntityId> = job.targets.iter().copied().collect();
-        let mut frontier: Vec<EntityId> = job.targets.clone();
-        while let Some(n) = frontier.pop() {
-            for p in g.predecessors(n) {
-                if region.insert(p) {
-                    frontier.push(p);
-                }
-            }
-        }
-        let topo = dag::topological_sort(g).ok_or(PlanViolation::CyclicGraph)?;
-        let mut plan = Vec::with_capacity(region.len() * 3);
-        for n in topo.into_iter().filter(|n| region.contains(n)) {
+        index.predecessor_region(g, &job.targets, None, &mut self.region);
+        let mut plan = Vec::with_capacity(self.region.order().len() * 3);
+        for &n in self.region.order() {
             plan.push(PolicyAction::Lock(n));
             plan.push(PolicyAction::Access(n));
             plan.push(PolicyAction::Unlock(n));
@@ -118,25 +114,25 @@ impl ActionPlanner for ShoulderProbePlanner {
         // shoulders).
         let mut path = vec![target];
         let mut cur = target;
-        let mut depth = 0usize;
         loop {
-            let mut preds: Vec<EntityId> = g.predecessors(cur).collect();
-            if preds.is_empty() {
+            let shoulders = g.in_degree(cur);
+            if shoulders == 0 {
                 break; // reached the root
             }
-            preds.sort_unstable();
+            let depth = path.len() - 1;
             let pick = (self
                 .salt
                 .wrapping_mul(31)
                 .wrapping_add(self.planned.wrapping_mul(13))
                 .wrapping_add(depth.wrapping_mul(7)))
-                % preds.len();
-            cur = preds[pick];
+                % shoulders;
+            cur = g
+                .predecessors(cur)
+                .nth(pick)
+                .expect("pick is below the in-degree");
             path.push(cur);
-            depth += 1;
-            if depth > g.node_count() {
-                // A cycle would already have failed topological planning;
-                // guard anyway rather than loop forever on a broken graph.
+            if depth >= g.node_count() {
+                // Only a cycle makes a climb longer than the graph.
                 return Err(PlanViolation::CyclicGraph.into());
             }
         }

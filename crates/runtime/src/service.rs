@@ -12,10 +12,14 @@
 //! such a run acquire the word *first*). Everything *around* those
 //! points is sharded or lock-free:
 //!
-//! * **planning** takes the engine's read lock (planners only read — the
-//!   DDAG planner's dominator-region layout, the expensive part of a
-//!   traversal, runs concurrently with other planners and never blocks on
-//!   a writer queueing behind it only for the duration of one request);
+//! * **planning** takes the engine's read lock (planners only read, so
+//!   they run concurrently with each other). The window is short: the
+//!   DDAG planner lays a region out from the engine's
+//!   [`slp_graph::DomIndex`] in time proportional to the region — about
+//!   a microsecond, a fraction of the grants that follow — because the
+//!   whole-graph work (dominator tree, topological ranks, root) is done
+//!   once per structural mutation, under the write lock that mutation
+//!   already holds;
 //! * **parking** is entity-striped: a conflicting transaction parks on the
 //!   stripe of the contended entity and only unlocks of entities hashing
 //!   to that stripe wake it — uncontended stripes never touch a parked

@@ -198,7 +198,7 @@ fn mutant_ddag_no_held_pred_agrees_and_flags_the_closing_edge() {
         let config = PolicyConfig::dag(dag.universe.clone(), dag.graph.clone());
         let mut rt =
             Runtime::new(PolicyKind::DdagNoHeldPredecessor, &config).expect("mutant builds");
-        rt.set_planner_factory(Arc::new(|_| Box::new(CrawlProbePlanner)));
+        rt.set_planner_factory(Arc::new(|_| Box::new(CrawlProbePlanner::default())));
         let mut jobs = deep_dag_jobs(&dag, 8, 2, seed);
         jobs.extend(deep_dag_jobs(&dag, 8, 1, seed.wrapping_add(7)));
         rt.run(&jobs, &monitor_conf(mutant_workers()))

@@ -9,8 +9,11 @@
 //! acquired. The [`DdagPlanner`] lays dominator-closed traversal regions
 //! over the engine's *current* graph (so concurrent structural changes
 //! surface later as policy violations — abort + replan, as in Fig. 3),
-//! and the [`DtrPlanner`] defers entirely to the engine, which precomputes
-//! tree-locked plans per rule DT2.
+//! reading the common dominator and the lock order from the dominator
+//! index the engine maintains ([`PolicyEngine::dom_index`]) rather than
+//! deriving them from the graph per job, and the [`DtrPlanner`] defers
+//! entirely to the engine, which precomputes tree-locked plans per rule
+//! DT2.
 //!
 //! Use [`build_adapter`] to construct the adapter for any
 //! [`PolicyKind`] through a [`PolicyRegistry`]:
@@ -33,12 +36,11 @@ use crate::adapter::{Advance, PolicyAdapter};
 use crate::job::Job;
 use rustc_hash::FxHashMap;
 use slp_core::{EntityId, Step, StructuralState, TxId};
-use slp_graph::{dag, dominators, rooted, DiGraph};
+use slp_graph::{DiGraph, DomIndex, RegionScratch};
 use slp_policies::{
     AccessIntent, PlanViolation, PolicyAction, PolicyConfig, PolicyEngine, PolicyKind,
     PolicyRegistry, PolicyResponse, PolicyViolation, RegistryError,
 };
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Translates [`Job`]s into [`PolicyAction`] plans for one policy.
 ///
@@ -54,7 +56,8 @@ pub trait ActionPlanner {
     /// engine's own precomputed plan.
     ///
     /// The engine is borrowed shared: planners only *read* engine state
-    /// (the DDAG planner lays regions over [`PolicyEngine::graph`]), which
+    /// (the DDAG planner lays regions over [`PolicyEngine::graph`] and
+    /// [`PolicyEngine::dom_index`]), which
     /// lets the threaded runtime plan under a read lock while other
     /// workers' grant decisions proceed.
     fn plan(
@@ -128,7 +131,23 @@ impl ActionPlanner for AltruisticPlanner {
 
 /// DDAG traversals and structural inserts over the engine's shared rooted
 /// DAG.
-pub struct DdagPlanner;
+///
+/// The planner reads the root, the targets' common dominator and the lock
+/// order from the engine's [`DomIndex`] and lays each region out in
+/// buffers it keeps between jobs, so a plan costs time proportional to
+/// the region it locks, not to the graph.
+#[derive(Default)]
+pub struct DdagPlanner {
+    region: RegionScratch,
+    /// Per region position `i`: the first node to unlock once `order[i]`
+    /// is locked, and the node to unlock after that one.
+    release_head: Vec<u32>,
+    release_next: Vec<u32>,
+    is_target: Vec<bool>,
+}
+
+/// End of a release list.
+const NIL: u32 = u32::MAX;
 
 impl DdagPlanner {
     /// Plans a traversal: the dominator-closed region covering `targets`,
@@ -136,75 +155,63 @@ impl DdagPlanner {
     /// the *current* graph — concurrent structural changes surface later
     /// as policy violations (abort + replan), as in Fig. 3.
     fn plan_traversal(
+        &mut self,
         g: &DiGraph,
+        index: &DomIndex,
         targets: &[EntityId],
     ) -> Result<Vec<PolicyAction>, PolicyViolation> {
-        if targets.is_empty() {
-            return Err(PlanViolation::EmptyJob.into());
+        let (&first, rest) = targets.split_first().ok_or(PlanViolation::EmptyJob)?;
+        index.root().map_err(|_| PlanViolation::NotRooted)?;
+        if let Some(&t) = targets.iter().find(|&&t| !g.has_node(t)) {
+            return Err(PlanViolation::TargetMissing(t).into());
         }
-        let root = rooted::root(g).ok_or(PlanViolation::NotRooted)?;
-        for &t in targets {
-            if !g.has_node(t) {
-                return Err(PlanViolation::TargetMissing(t).into());
-            }
+        if !index.is_acyclic() {
+            return Err(PlanViolation::CyclicGraph.into());
         }
-        // Lowest common dominator: intersect dominator sets, take the one
-        // dominated by all others in the intersection (the largest set).
-        let sets = dominators::dominator_sets(g, root);
-        let mut common: BTreeSet<EntityId> = sets
-            .get(&targets[0])
-            .ok_or(PlanViolation::UnreachableFromRoot(targets[0]))?
-            .clone();
-        for &t in &targets[1..] {
-            let s = sets.get(&t).ok_or(PlanViolation::UnreachableFromRoot(t))?;
-            common = common.intersection(s).copied().collect();
-        }
-        let start = common
-            .iter()
-            .copied()
-            .max_by_key(|d| sets[d].len())
-            .ok_or(PlanViolation::NoCommonDominator)?;
-        // Region: predecessor closure from the targets up to `start`.
-        let mut region: BTreeSet<EntityId> = targets.iter().copied().collect();
-        region.insert(start);
-        let mut frontier: Vec<EntityId> = targets.iter().copied().filter(|&t| t != start).collect();
-        while let Some(n) = frontier.pop() {
-            for p in g.predecessors(n) {
-                if p != start && region.insert(p) {
-                    frontier.push(p);
-                }
-            }
-            // `start` dominates everything in the closure (see Lemma 3),
-            // so the closure terminates at `start` without passing it.
-        }
-        // Lock order: global topological order restricted to the region.
-        let topo = dag::topological_sort(g).ok_or(PlanViolation::CyclicGraph)?;
-        let order: Vec<EntityId> = topo.into_iter().filter(|n| region.contains(n)).collect();
+        // Start at the lowest common dominator (Lemma 3: the first node
+        // locked dominates everything locked).
+        let start = rest.iter().fold(first, |d, &t| {
+            index
+                .lowest_common_dominator(d, t)
+                .expect("the root of a rooted graph dominates every node")
+        });
+        let DdagPlanner {
+            region,
+            release_head,
+            release_next,
+            is_target,
+        } = self;
+        index.predecessor_region(g, targets, Some(start), region);
+        let order = region.order();
         // Release point of n: after the last region-successor of n is
         // locked (so L5's "presently holding a predecessor" always holds).
-        let idx: BTreeMap<EntityId, usize> =
-            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut release_after: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
-        for &n in &order {
-            let last_succ = g
-                .successors(n)
-                .filter(|s| region.contains(s))
-                .filter_map(|s| idx.get(&s).copied())
-                .max();
-            let at = last_succ.unwrap_or(idx[&n]);
-            release_after.entry(at).or_default().push(n);
+        // Visiting n from last to first and pushing at the front leaves
+        // each list in lock order.
+        release_head.clear();
+        release_head.resize(order.len(), NIL);
+        release_next.clear();
+        release_next.resize(order.len(), NIL);
+        for (i, &n) in order.iter().enumerate().rev() {
+            let last_succ = g.successors(n).filter_map(|s| region.position(s)).max();
+            let at = last_succ.unwrap_or(i);
+            release_next[i] = release_head[at];
+            release_head[at] = i as u32;
         }
-        let target_set: BTreeSet<EntityId> = targets.iter().copied().collect();
-        let mut plan = Vec::new();
+        is_target.clear();
+        is_target.resize(order.len(), false);
+        for &t in targets {
+            is_target[region.position(t).expect("targets seed the region")] = true;
+        }
+        let mut plan = Vec::with_capacity(2 * order.len() + targets.len());
         for (i, &n) in order.iter().enumerate() {
             plan.push(PolicyAction::Lock(n));
-            if target_set.contains(&n) {
+            if is_target[i] {
                 plan.push(PolicyAction::Access(n));
             }
-            if let Some(done) = release_after.get(&i) {
-                for &m in done {
-                    plan.push(PolicyAction::Unlock(m));
-                }
+            let mut release = release_head[i];
+            while release != NIL {
+                plan.push(PolicyAction::Unlock(order[release as usize]));
+                release = release_next[release as usize];
             }
         }
         Ok(plan)
@@ -233,8 +240,11 @@ impl ActionPlanner for DdagPlanner {
                 PolicyAction::Unlock(ins.node),
             ]));
         }
-        let g = engine.graph().ok_or(PlanViolation::NoGraph)?;
-        Self::plan_traversal(g, &job.targets).map(Some)
+        let (g, index) = engine
+            .graph()
+            .zip(engine.dom_index())
+            .ok_or(PlanViolation::NoGraph)?;
+        self.plan_traversal(g, index, &job.targets).map(Some)
     }
 }
 
@@ -284,7 +294,7 @@ pub fn planner_for(kind: PolicyKind) -> Box<dyn ActionPlanner> {
     match kind.base() {
         PolicyKind::TwoPhase => Box::new(TwoPhasePlanner),
         PolicyKind::Altruistic => Box::new(AltruisticPlanner),
-        PolicyKind::Ddag => Box::new(DdagPlanner),
+        PolicyKind::Ddag => Box::new(DdagPlanner::default()),
         PolicyKind::Dtr => Box::new(DtrPlanner),
         mutant => unreachable!("PolicyKind::base returns safe kinds, got {mutant}"),
     }

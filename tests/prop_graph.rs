@@ -128,6 +128,45 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Arbitrary digraphs — cycles, self-loops, several roots, nodes the
+    /// start does not reach — from an arbitrary start node: the
+    /// dominator-tree answers equal the set-based definition.
+    #[test]
+    fn dominator_tree_queries_match_dominator_sets(
+        n in 1u32..8,
+        edges in prop::collection::vec((0u32..8, 0u32..8), 0..20),
+        top in 0u32..8,
+    ) {
+        let mut g = DiGraph::new();
+        for i in 0..n {
+            g.add_node(EntityId(i)).unwrap();
+        }
+        for (a, b) in edges {
+            let _ = g.add_edge(EntityId(a % n), EntityId(b % n));
+        }
+        let top = EntityId(top);
+        let sets = dominators::dominator_sets(&g, top);
+        let nodes: Vec<EntityId> = g.nodes().collect();
+        for w in (0..n + 1).map(EntityId) {
+            let doms: Vec<EntityId> = (0..n + 1)
+                .map(EntityId)
+                .filter(|&d| dominators::dominates(&g, top, d, w))
+                .collect();
+            match sets.get(&w) {
+                Some(set) => prop_assert_eq!(&doms, &set.iter().copied().collect::<Vec<_>>()),
+                None => prop_assert_eq!(doms.len(), n as usize + 1, "vacuous when unreachable"),
+            }
+            prop_assert_eq!(
+                dominators::dominates_all(&g, top, w, nodes.iter()),
+                nodes.iter().all(|x| sets.get(x).is_none_or(|s| s.contains(&w)))
+            );
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
