@@ -1,6 +1,6 @@
 //! Benchmarks for the concurrent transaction runtime (`slp-runtime`):
-//! end-to-end throughput across worker counts, the grant-batching
-//! ablation on the sharded front-end, and the offline trace-replay cost.
+//! end-to-end throughput across worker counts and the offline
+//! trace-replay cost.
 //!
 //! Results are appended to `BENCH_runtime.json` with the host CPU count
 //! noted (the PR-2/PR-4 convention): on a single-CPU container the
@@ -24,7 +24,7 @@ fn pool(n: u32) -> Vec<EntityId> {
     (0..n).map(EntityId).collect()
 }
 
-/// Throughput-oriented config: no per-step yields, batched grants. The
+/// Throughput-oriented config: no per-step yields. The
 /// grant fast path (on by default since PR 9) is pinned OFF here so the
 /// baseline groups keep measuring the engine path their historical
 /// `BENCH_runtime.json` rows measured; `bench_fast_path` is the group
@@ -32,7 +32,6 @@ fn pool(n: u32) -> Vec<EntityId> {
 fn bench_config(workers: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers,
-        grant_batch: 4,
         step_yield: false,
         grant_fast_path: false,
         max_wall: Duration::from_secs(60),
@@ -78,24 +77,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Front-end ablation: how much does batching consecutive grants under
-/// one engine-lock acquisition save at a fixed worker count?
-fn bench_grant_batching(c: &mut Criterion) {
-    let mut group = c.benchmark_group("runtime_batching");
-    let p = pool(32);
-    let jobs = hot_cold_jobs(&p, 160, 3, 4, 0.8, 7);
-    for batch in [1usize, 4, 16] {
-        group.bench_with_input(BenchmarkId::new("2pl_batch", batch), &batch, |b, &batch| {
-            let config = RuntimeConfig {
-                grant_batch: batch,
-                ..bench_config(4)
-            };
-            b.iter(|| black_box(run_flat(PolicyKind::TwoPhase, &p, &jobs, &config)));
-        });
-    }
-    group.finish();
-}
-
 /// Offline verification cost of a captured runtime trace (the conformance
 /// suite's hot loop): legality + properness + serializability replay.
 fn bench_trace_replay(c: &mut Criterion) {
@@ -131,7 +112,7 @@ fn bench_trace_replay(c: &mut Criterion) {
 /// incremental serialization-graph certifier off vs monitoring. The
 /// certifier runs outside the engine lock (one mutex around the graph,
 /// fed once per attempt at finish/abort), so the acceptance bar is
-/// ≤ 10% over the certifier-off row at grant_batch = 4.
+/// ≤ 10% over the certifier-off row.
 fn bench_certification(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime_certification");
     let p = pool(32);
@@ -424,7 +405,6 @@ fn bench_scheduler(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_worker_scaling,
-    bench_grant_batching,
     bench_trace_replay,
     bench_certification,
     bench_read_path,

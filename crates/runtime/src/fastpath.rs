@@ -1,13 +1,19 @@
-//! The sharded grant fast path: per-entity atomic lock words and the
-//! waiter-sharded waits-for graph.
+//! Per-entity atomic lock words and the waiter-sharded waits-for graph.
 //!
 //! The engine `RwLock` in `service.rs` is the runtime's serialization
-//! wall — every grant, finish, and abort takes it exclusively. For
-//! policies whose grant decision is purely per-entity
+//! wall — an engine-mode grant, finish, or abort takes it exclusively.
+//! For policies whose grant decision is purely per-entity
 //! ([`slp_policies::GrantScope::PerEntity`], i.e. a plain exclusive/
-//! shared lock manager), the common-case decision can instead be one CAS
-//! on the entity's own lock word, so uncontended transactions never
-//! serialize on anything wider than the entities they touch.
+//! shared lock manager), the decision can instead be one CAS on the
+//! entity's own lock word, so uncontended transactions never serialize
+//! on anything wider than the entities they touch.
+//!
+//! "Fast path" names a *mode of an attempt*, not a second API: this
+//! module holds only the data structures. The service has one request
+//! primitive (`LockService::request`), which takes a covered entity's
+//! word for every `Lock` — words mode and engine mode alike — through
+//! one acquire routine; in words mode the word is the whole decision,
+//! in engine mode it comes before the engine's own ruling.
 //!
 //! # Lock-word layout
 //!
@@ -51,8 +57,8 @@
 //!
 //! # Waiter-sharded waits-for graph
 //!
-//! The PR-5 waits-for map was one global mutex — on the fast path it
-//! would become the new wall. [`WaitGraph`] shards the edge map by the
+//! The PR-5 waits-for map was one global mutex — for words-mode
+//! attempts it would become the new wall. [`WaitGraph`] shards the edge map by the
 //! *waiter* (the potential deadlock victim): publishing or retracting an
 //! edge touches only the waiter's own shard, and the cycle walk crosses
 //! shards one short lock at a time. The walk is therefore not atomic
@@ -223,8 +229,8 @@ impl LockWords {
     /// frees the word when the last reader leaves. Returns `true` iff
     /// the word became free (the caller wakes that entity's stripe).
     /// A word `tx` does not hold in that mode is left untouched (the
-    /// slow path scans recorded unlock steps, which may cover entities
-    /// past the table's capacity or locks granted before a word existed).
+    /// service releases by scanning recorded unlock steps, which may
+    /// cover entities past the table's capacity).
     pub fn release(&self, e: EntityId, tx: TxId, shared: bool) -> bool {
         if !self.covers(e) {
             return false;
@@ -286,10 +292,10 @@ pub(crate) struct WaitGraph {
 }
 
 impl WaitGraph {
-    /// `shards` is clamped to 1..=64 (matching the parking stripes).
+    /// A graph over `shards` (at least one) waiter shards.
     pub fn new(shards: usize) -> Self {
         WaitGraph {
-            shards: (0..shards.clamp(1, 64))
+            shards: (0..shards.max(1))
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
         }

@@ -14,10 +14,10 @@
 //!   (or custom engine + planner factory) and [`Runtime::run`] a job
 //!   queue;
 //! * [`RuntimeConfig`] — worker count (`SLP_RUNTIME_THREADS` override via
-//!   [`RuntimeConfig::workers_from_env`]), grant batching, parking and
-//!   backoff tuning (`SLP_RUNTIME_PARK_TIMEOUT_US` /
-//!   `SLP_RUNTIME_BACKOFF_CAP_US` overrides via
-//!   [`RuntimeConfig::with_env_overrides`]), wall-clock guard;
+//!   [`RuntimeConfig::workers_from_env`]), parking and backoff tuning
+//!   (`SLP_RUNTIME_PARK_TIMEOUT_US` / `SLP_RUNTIME_BACKOFF_CAP_US`
+//!   overrides via [`RuntimeConfig::with_env_overrides`]), the mode
+//!   switches described below, wall-clock guard;
 //! * **durability** — [`Runtime::run_durable`] mirrors every granted step
 //!   and commit into a `slp-durability` write-ahead log (group-committed,
 //!   checkpointed); after a crash, [`fn@recover`] replays the surviving
@@ -63,21 +63,29 @@
 //!
 //! ## Architecture
 //!
-//! The engine is the serialization point for grants that read global
-//! policy state; everything around it is sharded: planning runs under the
-//! engine's *read* lock, conflicting transactions park on entity-striped
-//! condvars and are woken only by releases hashing to their stripe, trace
-//! recording is per-worker with one atomic sequence stamp taken inside
-//! the grant, and deadlocks are caught by a waits-for walk at conflict
-//! time (requester-victim rule, as in the simulator) — over a graph
-//! sharded by waiter — with a park-timeout backstop. For per-entity
-//! policies ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL) the
-//! common case bypasses the engine entirely: eligible plans are granted
-//! by a CAS on the entity's own atomic lock word
-//! ([`RuntimeConfig::grant_fast_path`], on by default), with the engine
-//! kept as the authority for everything outside the plain lock/access
-//! shape. The lost-wakeup and stamp-ordering arguments live in the
-//! `service` and `fastpath` module docs (source).
+//! A worker plans a job under the engine's *read* lock, classifies the
+//! attempt once, and then drives it through one loop over one request
+//! primitive: each action is granted, refused, or conflicts; a conflict
+//! publishes a waits-for edge (requester-victim rule on a closed cycle,
+//! as in the simulator — over a graph sharded by waiter), parks on the
+//! contended entity's stripe against the generation read at the
+//! conflict, retracts the edge and re-requests the same action. The
+//! wall-clock guard is checked at attempt start and at every conflict.
+//! The classification only selects where granted steps come from. In
+//! *engine mode* the engine rules under its write lock — the
+//! serialization point for grants that read global policy state — one
+//! action per section. In *words mode* — per-entity policies
+//! ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL) with
+//! [`RuntimeConfig::grant_fast_path`] on (the default), plain
+//! lock/access plans — each grant is a CAS on the entity's own atomic
+//! lock word and the engine lock is never taken. The words are the grant
+//! authority for both modes, so the two can share an entity. Everything
+//! around the decision is shared and sharded: entity-striped condvars
+//! woken only by releases hashing to their stripe, per-worker trace
+//! recording with one atomic sequence stamp taken inside the grant, one
+//! retire tail (free words → wake → log → certify → commit pipeline),
+//! and a park-timeout backstop. The lost-wakeup and stamp-ordering
+//! arguments live in the `service` and `fastpath` module docs (source).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -108,7 +108,7 @@ pub struct RuntimeReport {
     /// Number of times a request found its lock held (one per conflict
     /// observation, as in the simulator).
     pub lock_waits: u64,
-    /// Actions granted (across every batch and both grant paths):
+    /// Actions granted (words mode and engine mode together):
     /// `grants == fast_path_grants + slow_path_grants` always.
     pub grants: u64,
     /// Actions granted by a per-entity lock-word CAS, bypassing the
@@ -121,9 +121,9 @@ pub struct RuntimeReport {
     /// structural ops, uncovered entities); with the fast path off it
     /// equals [`grants`](RuntimeReport::grants).
     pub slow_path_grants: u64,
-    /// Attempts a fast-active run routed to the engine because their
-    /// plan fell outside the fast path's plain lock/access shape (one
-    /// per attempt, not per action).
+    /// Attempts that ran in engine mode in a run with a lock-word table,
+    /// because their plan fell outside words mode's plain lock/access
+    /// shape (one per attempt, not per action).
     pub fast_path_fallbacks: u64,
     /// Times a conflicting worker actually blocked on its stripe's
     /// condvar (a park whose generation check found no racing release).

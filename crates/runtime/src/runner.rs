@@ -14,16 +14,15 @@ use crate::fastpath::LockWords;
 use crate::metrics::Metrics;
 use crate::report::{Certification, LatencySummary, RuntimeReport};
 use crate::scheduler::{SchedMode, WaveDispatch, WavePlan};
-use crate::service::{BatchOutcome, FastLockOutcome, LockService, MvccState};
-use slp_core::{EntityId, Schedule, ScheduledStep, StructuralState, TxId};
+use crate::service::{LockService, MvccState, Outcome};
+use slp_core::{Schedule, ScheduledStep, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
 use slp_mvcc::VisibilityRule;
 use slp_policies::{
-    GrantScope, PolicyAction, PolicyConfig, PolicyEngine, PolicyKind, PolicyRegistry,
-    PolicyViolation, RegistryError,
+    GrantScope, PolicyConfig, PolicyEngine, PolicyKind, PolicyRegistry, PolicyViolation,
+    RegistryError,
 };
 use slp_sim::{planner_for, ActionPlanner, Disposition, Job};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,12 +64,6 @@ pub enum CertifyMode {
 pub struct RuntimeConfig {
     /// Worker threads (≥ 1).
     pub workers: usize,
-    /// Parking stripes (clamped to 1..=64 by the service).
-    pub stripes: usize,
-    /// Max actions granted per engine-lock acquisition. `1` maximizes
-    /// interleaving (conformance suites); larger values amortize the
-    /// serialization point (throughput benches).
-    pub grant_batch: usize,
     /// Park timeout: the backstop against stale waits-for edges — a parked
     /// worker re-requests (and re-runs deadlock detection) at least this
     /// often even if no wakeup arrives. Default **1 ms**; overridable via
@@ -91,7 +84,7 @@ pub struct RuntimeConfig {
     /// drain (guards against livelock in mutant policies, the threaded
     /// analogue of the simulator's `max_ticks`).
     pub max_wall: Duration,
-    /// Yield the OS scheduler after each granted batch. Costs throughput,
+    /// Yield the OS scheduler after each granted action. Costs throughput,
     /// buys interleaving diversity — on by default because the runtime's
     /// first duty here is producing adversarial traces to verify.
     pub step_yield: bool,
@@ -105,16 +98,21 @@ pub struct RuntimeConfig {
     /// default; overridable via `SLP_RUNTIME_SNAPSHOT_READS`
     /// ([`env_snapshot_reads`](RuntimeConfig::env_snapshot_reads)).
     pub snapshot_reads: bool,
-    /// The sharded grant fast path: for engines whose grants are purely
-    /// per-entity ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL),
-    /// plain lock/access plans are granted by a CAS on the entity's own
-    /// atomic lock word instead of the engine write lock; conflicts park
-    /// exactly as on the engine path, and anything outside that shape
-    /// (donations, locked points, structural ops, uncovered entities)
-    /// falls back to the engine ([`RuntimeReport::fast_path_fallbacks`]).
+    /// Whether the run builds the per-entity lock-word table — that is
+    /// all this knob selects. With a table (and only engines whose
+    /// grants are purely per-entity get one:
+    /// [`slp_policies::GrantScope::PerEntity`], e.g. 2PL) an attempt
+    /// whose plan is plain lock/access runs in *words mode*: each grant
+    /// is a CAS on the entity's own atomic word and the engine write
+    /// lock is never taken. Anything outside that shape (donations,
+    /// locked points, structural ops, uncovered entities) runs in engine
+    /// mode, counted in [`RuntimeReport::fast_path_fallbacks`]; both
+    /// modes go through the same request loop and park the same way.
     /// On by default — for [`GrantScope::Global`] engines it changes
-    /// nothing. Off is bit-compatible with the engine-only service.
-    /// Overridable via `SLP_RUNTIME_FAST_PATH`
+    /// nothing. Off is the engine-only reference the word path is
+    /// measured and checked against (`runtime.engine_path_jobs_per_s`;
+    /// width-1 schedules are byte-identical on and off). Overridable via
+    /// `SLP_RUNTIME_FAST_PATH`
     /// ([`env_fast_path`](RuntimeConfig::env_fast_path)).
     pub grant_fast_path: bool,
     /// The admission-stage batch scheduler ([`SchedMode::Off`] by
@@ -140,8 +138,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             workers: 4,
-            stripes: 16,
-            grant_batch: 1,
             park_timeout: Duration::from_millis(1),
             backoff_base: Duration::from_micros(50),
             backoff_cap: Duration::from_millis(2),
@@ -217,34 +213,26 @@ impl RuntimeConfig {
     }
 
     /// Whether the environment requests MVCC snapshot reads, if set:
-    /// `SLP_RUNTIME_SNAPSHOT_READS` ∈ {`on`, `off`}. Same contract as
-    /// [`env_workers`](RuntimeConfig::env_workers): `None` when unset,
-    /// panic on anything else — a typo'd override must not silently fall
-    /// back.
+    /// `SLP_RUNTIME_SNAPSHOT_READS` ∈ {`on`, `1`, `off`, `0`}. Same
+    /// contract as [`env_workers`](RuntimeConfig::env_workers): `None`
+    /// when unset, panic on anything else — a typo'd override must not
+    /// silently fall back.
     pub fn env_snapshot_reads() -> Option<bool> {
-        std::env::var("SLP_RUNTIME_SNAPSHOT_READS")
-            .ok()
-            .map(|v| match v.as_str() {
-                "on" => true,
-                "off" => false,
-                other => panic!("SLP_RUNTIME_SNAPSHOT_READS must be on|off, got {other:?}"),
-            })
+        Self::env_switch("SLP_RUNTIME_SNAPSHOT_READS")
     }
 
-    /// Whether the environment requests the grant fast path, if set:
+    /// Whether the environment requests the lock-word table, if set:
     /// `SLP_RUNTIME_FAST_PATH` ∈ {`on`, `1`, `off`, `0`} (the CI matrix
     /// sets `1`). Same contract as
-    /// [`env_workers`](RuntimeConfig::env_workers): `None` when unset,
-    /// panic on anything else — a typo'd override must not silently fall
-    /// back.
+    /// [`env_snapshot_reads`](RuntimeConfig::env_snapshot_reads).
     pub fn env_fast_path() -> Option<bool> {
-        std::env::var("SLP_RUNTIME_FAST_PATH")
-            .ok()
-            .map(|v| match v.as_str() {
-                "on" | "1" => true,
-                "off" | "0" => false,
-                other => panic!("SLP_RUNTIME_FAST_PATH must be on|1|off|0, got {other:?}"),
-            })
+        Self::env_switch("SLP_RUNTIME_FAST_PATH")
+    }
+
+    fn env_switch(var: &str) -> Option<bool> {
+        std::env::var(var).ok().map(|v| {
+            parse_switch(&v).unwrap_or_else(|| panic!("{var} must be on|1|off|0, got {v:?}"))
+        })
     }
 
     /// The batch-scheduler mode the environment requests, if any:
@@ -306,6 +294,17 @@ impl RuntimeConfig {
             self.scheduler = sched;
         }
         self
+    }
+}
+
+/// The one spelling rule for the boolean `SLP_*` switches: `on` / `1`
+/// and `off` / `0`; anything else is `None` (the env readers panic on
+/// it).
+fn parse_switch(value: &str) -> Option<bool> {
+    match value {
+        "on" | "1" => Some(true),
+        "off" | "0" => Some(false),
+        _ => None,
     }
 }
 
@@ -463,10 +462,10 @@ impl Runtime {
                 VisibilityRule::Correct
             })
         });
-        // The fast path activates only when the knob is on AND the engine
-        // promises per-entity grants; the word table directly indexes the
-        // flat pool (per-entity engines have a fixed universe).
-        let fast = (config.grant_fast_path && scope == GrantScope::PerEntity)
+        // The word table exists only when the knob is on AND the engine
+        // promises per-entity grants; it directly indexes the flat pool
+        // (per-entity engines have a fixed universe).
+        let words = (config.grant_fast_path && scope == GrantScope::PerEntity)
             .then(|| {
                 let capacity = self
                     .pool
@@ -477,14 +476,7 @@ impl Runtime {
                 LockWords::new(capacity)
             })
             .filter(|words| words.capacity() > 0);
-        let service = LockService::new(
-            engine,
-            config.stripes,
-            wal.clone(),
-            config.certify_online,
-            mvcc,
-            fast,
-        );
+        let service = LockService::new(engine, wal.clone(), config.certify_online, mvcc, words);
         // The batch scheduler: layer the whole admission batch into
         // conflict-free waves from the intents worker 0's planner
         // declares. In deterministic mode, global-scope engines (whose
@@ -538,7 +530,7 @@ impl Runtime {
         // (commit, abort, deadline, certification abort) — a word still
         // held after the workers joined is a leaked lock.
         assert!(
-            service.fast_quiescent(),
+            service.words_quiescent(),
             "lock words must all be free once the workers drain"
         );
 
@@ -795,37 +787,22 @@ fn run_attempt(
             AttemptEnd::Retry
         };
     }
-    // Everything this attempt records lands at or after this index; the
-    // whole range feeds the online certifier in one batch at finish/abort.
-    let cert_from = trace.len();
-
     // Plan under the read lock; a malformed job must not touch the engine.
     let planned = match service.plan(planner, job) {
         Ok(p) => p,
         Err(v) => return classify(c, &v),
     };
-    if service.fast_active() {
-        // Plain lock/access plans over covered entities bypass the engine
-        // entirely; anything else (no plan, donations, locked points,
-        // structural ops, uncovered entities) is a counted fallback to
-        // the engine path below.
-        if let Some(shared) = planned
-            .as_deref()
-            .and_then(|plan| fast_plan_mode(service, plan, job))
-        {
-            let plan = planned.expect("mode derived from this plan");
-            return run_fast_attempt(service, tx, &plan, shared, config, deadline, trace, aborted);
-        }
-        c.fast_path_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-    let intent = planner.intent(job);
-    let plan: Vec<PolicyAction> = match service.begin(tx, &intent) {
+    // Everything this attempt records lands at or after the current trace
+    // length; the whole range feeds the online certifier in one batch
+    // when the attempt retires.
+    let mut at = service.attempt(tx, planned.as_deref(), job, trace.len());
+    let plan = match service.begin(&at, &planner.intent(job)) {
         Ok(engine_plan) => match planned.or(engine_plan) {
             Some(plan) => plan,
             None => {
                 // Misconfigured pairing: retire the just-begun transaction
                 // so the engine holds no planless state (adapter rule).
-                service.abort(tx, trace, cert_from);
+                service.abort(&mut at, trace);
                 aborted.push(tx);
                 return classify(c, &PolicyViolation::NoPlan(tx));
             }
@@ -833,109 +810,76 @@ fn run_attempt(
         Err(v) => return classify(c, &v),
     };
 
+    // One loop for both grant modes: a granted action advances the
+    // cursor, a conflict parks and re-requests the same action.
     let mut cursor = 0usize;
     while cursor < plan.len() {
-        if Instant::now() > deadline || halted() {
-            service.clear_wait(tx);
-            service.abort(tx, trace, cert_from);
-            aborted.push(tx);
-            return AttemptEnd::Abandoned;
-        }
-        match service.request_batch(tx, &plan[cursor..], config.grant_batch, trace) {
-            BatchOutcome::Granted { granted } => {
-                cursor += granted;
+        match service.request(&mut at, plan[cursor], trace) {
+            Outcome::Granted => {
+                cursor += 1;
                 if config.step_yield {
                     std::thread::yield_now();
                 }
             }
-            BatchOutcome::Violation { violation } => {
-                service.abort(tx, trace, cert_from);
+            Outcome::Violation(violation) => {
+                service.abort(&mut at, trace);
                 aborted.push(tx);
                 return classify(c, &violation);
             }
-            BatchOutcome::Conflict {
-                granted,
-                mut entity,
-                mut holder,
-                mut gen,
+            Outcome::Conflict {
+                entity,
+                holder,
+                gen,
             } => {
-                cursor += granted;
-                // One iteration per conflict observation: publish the
-                // waits-for edge, park on the contended entity's stripe,
-                // retract the edge, re-request. `gen` was read inside the
-                // engine section that observed the conflict, so any
-                // release that could have invalidated it bumps the
-                // generation after that read and the park falls through —
-                // this holds equally when a re-request moves the
-                // contention to a *new* entity, which used to re-request
-                // immediately without parking and degenerated to spinning
-                // on a hot plan tail.
-                loop {
-                    // Waits-for edge discipline: publish the edge (and
-                    // walk for a cycle) at every conflict *observation*,
-                    // retract it before every re-request. The edge is
-                    // live exactly while this worker may be parked — a
-                    // published edge through a transaction that is awake
-                    // (its request was granted, or it is mid-abort with
-                    // its locks already released) manufactures phantom
-                    // cycles for every other walker, and each needless
-                    // victim feeds the churn that creates the next one.
-                    // Publishing before every park with the *current*
-                    // holder keeps detection complete: insert and walk
-                    // are atomic, so whichever transaction inserts the
-                    // edge that closes a real cycle sees it.
-                    c.lock_waits.fetch_add(1, Ordering::Relaxed);
-                    if service.note_wait(tx, holder) {
-                        // This request closed a waits-for cycle: the
-                        // requester is the victim (simulator rule).
-                        service.clear_wait(tx);
-                        service.abort(tx, trace, cert_from);
-                        aborted.push(tx);
-                        c.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
-                        return AttemptEnd::Retry;
-                    }
-                    if Instant::now() > deadline || halted() {
-                        service.clear_wait(tx);
-                        service.abort(tx, trace, cert_from);
-                        aborted.push(tx);
-                        return AttemptEnd::Abandoned;
-                    }
-                    service.park(entity, gen, config.park_timeout);
+                // Waits-for edge discipline: publish the edge (and walk
+                // for a cycle) at every conflict *observation*, retract
+                // it before every re-request. The edge is live exactly
+                // while this worker may be parked — a published edge
+                // through a transaction that is awake (its request was
+                // granted, or it is mid-abort with its locks already
+                // released) manufactures phantom cycles for every other
+                // walker, and each needless victim feeds the churn that
+                // creates the next one. Publishing before every park
+                // with the *current* holder keeps detection complete:
+                // whichever transaction inserts the edge that closes a
+                // real cycle sees it.
+                c.lock_waits.fetch_add(1, Ordering::Relaxed);
+                if service.note_wait(tx, holder) {
+                    // This request closed a waits-for cycle: the
+                    // requester is the victim (simulator rule).
                     service.clear_wait(tx);
-                    match service.request_batch(tx, &plan[cursor..], 1, trace) {
-                        BatchOutcome::Granted { granted } => {
-                            cursor += granted;
-                            break;
-                        }
-                        BatchOutcome::Violation { violation } => {
-                            service.abort(tx, trace, cert_from);
-                            aborted.push(tx);
-                            return classify(c, &violation);
-                        }
-                        BatchOutcome::Conflict {
-                            granted,
-                            entity: e2,
-                            holder: h2,
-                            gen: g2,
-                        } => {
-                            cursor += granted;
-                            entity = e2;
-                            holder = h2;
-                            gen = g2;
-                        }
-                    }
+                    service.abort(&mut at, trace);
+                    aborted.push(tx);
+                    c.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
+                    return AttemptEnd::Retry;
                 }
+                // The one deadline/halt rule: the clock is read at
+                // attempt start and here, at every conflict observation.
+                // Plans are finite, so that bounds every unbounded wait.
+                if Instant::now() > deadline || halted() {
+                    service.clear_wait(tx);
+                    service.abort(&mut at, trace);
+                    aborted.push(tx);
+                    return AttemptEnd::Abandoned;
+                }
+                // `gen` was read when the conflict was observed, so any
+                // release that could have invalidated it bumps the
+                // generation after that read and the park falls through
+                // — equally when a re-request moves the contention to a
+                // *new* entity.
+                service.park(entity, gen, config.park_timeout);
+                service.clear_wait(tx);
             }
         }
     }
-    match service.finish(tx, trace, cert_from) {
+    match service.finish(&mut at, trace) {
         Ok(true) => {
             c.committed.fetch_add(1, Ordering::Relaxed);
             AttemptEnd::Committed
         }
         Ok(false) => {
-            // Strict certification aborted the commit: the engine released
-            // the locks, the service kept the commit record out of the log
+            // Strict certification aborted the commit: the locks are
+            // released, the service kept the commit record out of the log
             // and marked the transaction aborted in the status table. The
             // job restarts as a fresh transaction.
             c.certification_aborts.fetch_add(1, Ordering::Relaxed);
@@ -943,121 +887,10 @@ fn run_attempt(
             AttemptEnd::Retry
         }
         Err(v) => {
-            service.abort(tx, trace, cert_from);
+            service.abort(&mut at, trace);
             aborted.push(tx);
             classify(c, &v)
         }
-    }
-}
-
-/// Whether `plan` qualifies for the grant fast path, and in which mode:
-/// `Some(shared)` when every action is a plain [`PolicyAction::Lock`] /
-/// [`PolicyAction::Access`] over word-covered entities, each entity is
-/// locked at most once, and every access follows its lock — the shape
-/// [`slp_policies::GrantScope::PerEntity`] promises the engine decides
-/// from per-entity state alone. `shared` (read-only job, single lock)
-/// takes the word in shared mode and emits read-only steps; everything
-/// else is exclusive. `None` routes the attempt to the engine.
-fn fast_plan_mode(service: &LockService, plan: &[PolicyAction], job: &Job) -> Option<bool> {
-    if plan.is_empty() {
-        return None;
-    }
-    let mut locked: Vec<EntityId> = Vec::with_capacity(plan.len() / 2 + 1);
-    for action in plan {
-        match *action {
-            PolicyAction::Lock(e) => {
-                if !service.fast_covers(e) || locked.contains(&e) {
-                    return None;
-                }
-                locked.push(e);
-            }
-            PolicyAction::Access(e) => {
-                if !locked.contains(&e) {
-                    return None;
-                }
-            }
-            _ => return None,
-        }
-    }
-    Some(job.read_only && locked.len() == 1)
-}
-
-/// One fast-path attempt: every grant is a CAS on the entity's lock word
-/// — the engine is never touched (not even `begin`; the words are the
-/// authority for everything the transaction holds). Conflicts run the
-/// exact engine-path discipline: publish the waits-for edge (victim rule
-/// on a closed cycle), park on the entity's stripe against the
-/// generation read at the conflict, retract, retry. The worker tracks
-/// its held locks locally and commits through
-/// [`LockService::fast_finish`], which records the same unlock steps the
-/// engine would emit.
-#[allow(clippy::too_many_arguments)]
-fn run_fast_attempt(
-    service: &LockService,
-    tx: TxId,
-    plan: &[PolicyAction],
-    shared: bool,
-    config: &RuntimeConfig,
-    deadline: Instant,
-    trace: &mut Vec<(u64, ScheduledStep)>,
-    aborted: &mut Vec<TxId>,
-) -> AttemptEnd {
-    let c = &service.counters;
-    let halted = || c.halted.load(Ordering::Relaxed);
-    let cert_from = trace.len();
-    service.fast_begin(tx);
-    let mut held: BTreeMap<EntityId, bool> = BTreeMap::new();
-    for action in plan {
-        match *action {
-            PolicyAction::Lock(e) => loop {
-                match service.fast_lock(tx, e, shared, trace) {
-                    FastLockOutcome::Granted => {
-                        held.insert(e, shared);
-                        if config.step_yield {
-                            std::thread::yield_now();
-                        }
-                        break;
-                    }
-                    FastLockOutcome::Conflict { holder, gen } => {
-                        // Same waits-for edge discipline as the engine
-                        // path: publish + walk at every conflict
-                        // observation, retract before every retry.
-                        c.lock_waits.fetch_add(1, Ordering::Relaxed);
-                        if service.note_wait(tx, holder) {
-                            service.clear_wait(tx);
-                            service.fast_abort(tx, &held, trace, cert_from);
-                            aborted.push(tx);
-                            c.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
-                            return AttemptEnd::Retry;
-                        }
-                        if Instant::now() > deadline || halted() {
-                            service.clear_wait(tx);
-                            service.fast_abort(tx, &held, trace, cert_from);
-                            aborted.push(tx);
-                            return AttemptEnd::Abandoned;
-                        }
-                        service.park(e, gen, config.park_timeout);
-                        service.clear_wait(tx);
-                    }
-                }
-            },
-            PolicyAction::Access(e) => {
-                service.fast_data(tx, e, shared, trace);
-                if config.step_yield {
-                    std::thread::yield_now();
-                }
-            }
-            // `fast_plan_mode` admits only Lock/Access.
-            _ => unreachable!("ineligible action on the fast path"),
-        }
-    }
-    if service.fast_finish(tx, &held, trace, cert_from) {
-        c.committed.fetch_add(1, Ordering::Relaxed);
-        AttemptEnd::Committed
-    } else {
-        c.certification_aborts.fetch_add(1, Ordering::Relaxed);
-        aborted.push(tx);
-        AttemptEnd::Retry
     }
 }
 
@@ -1088,4 +921,24 @@ fn backoff(attempt: u32, config: &RuntimeConfig) {
         .saturating_mul(1u32 << exp)
         .min(config.backoff_cap);
     std::thread::sleep(wait);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_switch;
+
+    /// Both boolean switches (`SLP_RUNTIME_SNAPSHOT_READS`,
+    /// `SLP_RUNTIME_FAST_PATH`) parse through this one function, so the
+    /// spellings the README documents are pinned here without touching
+    /// the process environment.
+    #[test]
+    fn switches_accept_on_1_off_0_and_nothing_else() {
+        assert_eq!(parse_switch("on"), Some(true));
+        assert_eq!(parse_switch("1"), Some(true));
+        assert_eq!(parse_switch("off"), Some(false));
+        assert_eq!(parse_switch("0"), Some(false));
+        for typo in ["", "true", "false", "ON", "yes", "2", " on"] {
+            assert_eq!(parse_switch(typo), None, "{typo:?} must be refused");
+        }
+    }
 }

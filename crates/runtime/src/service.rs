@@ -1,16 +1,27 @@
-//! The sharded lock service: one [`PolicyEngine`] serving many worker
-//! threads.
+//! The lock service: one [`PolicyEngine`] serving many worker threads
+//! through **one request primitive**.
 //!
-//! The engine is the serialization point for policies whose grants read
-//! global state — every grant/refuse decision mutates shared policy
-//! state (lock table, wakes, graph), so those decisions run under one
-//! write lock. For per-entity policies
-//! ([`slp_policies::GrantScope::PerEntity`]) the common case bypasses
-//! even that: eligible requests are decided by a CAS on the entity's own
-//! atomic lock word ([`crate::fastpath`]), and the words — not the
-//! engine table — are then the grant authority (engine-path requests in
-//! such a run acquire the word *first*). Everything *around* those
-//! points is sharded or lock-free:
+//! An attempt is classified once, after planning ([`LockService::attempt`]),
+//! and from then on every action goes through [`LockService::request`] and
+//! the attempt ends in [`LockService::finish`] or [`LockService::abort`].
+//! The classification only selects where the granted *steps* come from:
+//!
+//! * **engine mode** — the engine rules on every action under its write
+//!   lock and returns the steps. Every grant/refuse decision of a policy
+//!   that reads global state (wakes, donations, the DDAG) mutates shared
+//!   policy state, so those decisions serialize there;
+//! * **words mode** — in a run with a lock-word table
+//!   ([`slp_policies::GrantScope::PerEntity`] engines, see
+//!   [`crate::fastpath`]) a plain lock/access plan is decided by the
+//!   entities' own atomic words alone, and the service synthesizes the
+//!   steps the engine would have emitted. The engine `RwLock` is never
+//!   touched after planning.
+//!
+//! The words are the grant authority in *both* modes: a `Lock` on a
+//! covered entity first takes the entity's word through the one
+//! `acquire_word` routine, whichever mode asks, so a word grant and an
+//! engine grant can never both win the same entity. Everything around
+//! the decision is shared by the two modes, and sharded or lock-free:
 //!
 //! * **planning** takes the engine's read lock (planners only read, so
 //!   they run concurrently with each other). The window is short: the
@@ -26,23 +37,29 @@
 //!   worker's condvar;
 //! * **trace recording** is per-worker: granted steps are stamped from one
 //!   global atomic sequence counter *while the granting context is held*
-//!   — the engine lock, or (fast path) the touched entities' lock words.
+//!   — the engine lock, or the touched entities' lock words.
 //!   The stamp-ordering contract: an acquire's stamp is fetched after the
 //!   acquire, a release's before the release, data stamps in between —
 //!   so for every entity the counter's monotonicity orders conflicting
-//!   steps exactly as the grants serialized, whichever path granted
+//!   steps exactly as the grants serialized, whichever mode granted
 //!   them, and the buffers merged by
 //!   [`slp_core::Schedule::from_sequenced`] are a faithful schedule
 //!   without any runtime coordination;
+//! * **the tail** after every recorded batch is one routine: free the
+//!   words whose release was just recorded, then bump and notify their
+//!   stripes, then append to the log — and, when the attempt retires,
+//!   certify and resolve the commit pipeline;
 //! * **accounting** is plain atomics.
 //!
 //! Lost wakeups are impossible by construction: the stripe generation a
-//! worker will park on is read *inside* the engine section that observed
-//! its conflict ([`BatchOutcome::Conflict`]), and the worker parks only
-//! if that generation is still unchanged under the stripe lock — any
-//! release that could invalidate the conflict is recorded after that
-//! engine section and bumps the generation first (releases bump under
-//! the stripe lock, before `notify_all`). Deadlock detection is complete because a
+//! worker will park on is read *after* the conflict was observed and
+//! before it is confirmed ([`Outcome::Conflict`]) — inside the engine
+//! section for an engine conflict, between the failed CAS and the word
+//! recheck for a word conflict — and the worker parks only if that
+//! generation is still unchanged under the stripe lock. Any release that
+//! could invalidate the conflict frees its word first and bumps the
+//! generation second (under the stripe lock, before `notify_all`), so
+//! its bump strictly follows the read. Deadlock detection is complete because a
 //! waiter refreshes its waits-for edge to the current holder before every
 //! park (see [`LockService::note_wait`]), so with a generous timeout the
 //! park-timeout backstop never fires on a healthy run — firings are
@@ -58,9 +75,16 @@ use slp_core::{
 use slp_durability::Wal;
 use slp_mvcc::{CommitPipeline, MvccStore, VisibilityRule};
 use slp_policies::{AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation};
+use slp_sim::Job;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
+
+/// Parking stripes, and waits-for shards. A constant rather than a knob
+/// — no caller ever set it — and bounded by the width of the bitmap the
+/// wake path dedupes released stripes in.
+const STRIPES: usize = 16;
+const _: () = assert!(STRIPES <= u64::BITS as usize);
 
 /// One parking stripe: a generation counter advanced on every unlock of an
 /// entity hashing here, plus the condvar parked workers wait on.
@@ -69,41 +93,96 @@ struct Stripe {
     cv: Condvar,
 }
 
-/// The outcome of [`LockService::request_batch`].
-pub(crate) enum BatchOutcome {
-    /// All attempted actions were granted.
-    Granted { granted: usize },
-    /// `granted` actions ran, then the next conflicted.
-    Conflict {
-        granted: usize,
-        entity: EntityId,
-        holder: TxId,
-        /// The conflicting entity's stripe generation, read *inside* the
-        /// engine section that observed the conflict. Any release that
-        /// could invalidate the conflict is recorded after that section,
-        /// so its generation bump strictly follows this read — parking on
-        /// `gen` can never miss it.
-        gen: u64,
-    },
-    /// Some actions may have run, then the policy refused the next
-    /// outright (the requester aborts, so the count doesn't matter).
-    Violation { violation: PolicyViolation },
+fn stripe_index(e: EntityId) -> usize {
+    e.0 as usize % STRIPES
 }
 
-/// The outcome of one [`LockService::fast_lock`] attempt.
-pub(crate) enum FastLockOutcome {
-    /// The word CAS won: the lock is held and its step recorded.
+fn lock_mode(shared: bool) -> LockMode {
+    if shared {
+        LockMode::Shared
+    } else {
+        LockMode::Exclusive
+    }
+}
+
+/// Where an attempt's granted steps come from (see the module docs).
+#[derive(Clone, Copy)]
+enum GrantMode {
+    /// The lock words decide and the service synthesizes the steps;
+    /// `shared` (a read-only single-lock plan) takes its word in shared
+    /// mode and emits read-only steps.
+    Words { shared: bool },
+    /// The engine rules under its write lock and returns the steps.
+    Engine,
+}
+
+/// The per-attempt state [`LockService::request`] / [`finish`] / [`abort`]
+/// work on, opened by [`LockService::attempt`].
+///
+/// [`finish`]: LockService::finish
+/// [`abort`]: LockService::abort
+pub(crate) struct Attempt {
+    tx: TxId,
+    mode: GrantMode,
+    /// Words mode: the entities whose words `tx` holds, i.e. the unlock
+    /// steps still owed (the engine tracks an engine-mode attempt's).
+    held: Vec<EntityId>,
+    /// The trace index where the attempt began: everything it recorded
+    /// (`trace[cert_from..]`) feeds the online certifier in one batch
+    /// when it retires.
+    cert_from: usize,
+}
+
+/// The outcome of [`LockService::request`].
+pub(crate) enum Outcome {
+    /// The action was granted and its steps recorded.
     Granted,
-    /// The word is held against us; park on `gen` (read with the same
-    /// discipline as [`BatchOutcome::Conflict`]) and retry.
+    /// `entity` is held against the requester by `holder` (for a shared
+    /// word, the episode's representative reader).
     Conflict {
-        /// The holder (or shared-episode representative) to publish a
-        /// waits-for edge against.
+        entity: EntityId,
         holder: TxId,
         /// The entity's stripe generation, read after the conflict was
-        /// observed and rechecked — see [`LockService::fast_lock`].
+        /// observed and before it was confirmed. Any release that could
+        /// invalidate the conflict bumps the generation strictly after
+        /// this read, so parking on `gen` can never miss it.
         gen: u64,
     },
+    /// The policy refused the action outright; the requester aborts.
+    Violation(PolicyViolation),
+}
+
+/// Whether `plan` can run in words mode, and how: `Some(shared)` when
+/// every action is a plain [`PolicyAction::Lock`] / [`PolicyAction::Access`]
+/// over word-covered entities, each entity is locked at most once, and
+/// every access follows its lock — the shape
+/// [`slp_policies::GrantScope::PerEntity`] promises the engine decides
+/// from per-entity state alone. `shared` (read-only job, single lock)
+/// takes the word in shared mode; everything else is exclusive. `None`
+/// (no plan, donations, locked points, structural ops, relocks, uncovered
+/// entities) leaves the attempt in engine mode.
+fn fast_plan_mode(words: &LockWords, plan: &[PolicyAction], job: &Job) -> Option<bool> {
+    if plan.is_empty() {
+        return None;
+    }
+    let mut locked: Vec<EntityId> = Vec::with_capacity(plan.len() / 2 + 1);
+    for action in plan {
+        match *action {
+            PolicyAction::Lock(e) => {
+                if !words.covers(e) || locked.contains(&e) {
+                    return None;
+                }
+                locked.push(e);
+            }
+            PolicyAction::Access(e) => {
+                if !locked.contains(&e) {
+                    return None;
+                }
+            }
+            _ => return None,
+        }
+    }
+    Some(job.read_only && locked.len() == 1)
 }
 
 /// Shared accounting, all atomics (no lock on the hot path).
@@ -166,16 +245,14 @@ impl MvccState {
 /// The shared front-end the worker threads drive.
 pub(crate) struct LockService {
     engine: RwLock<Box<dyn PolicyEngine>>,
-    stripes: Vec<Stripe>,
+    stripes: [Stripe; STRIPES],
     waits_for: WaitGraph,
-    /// The per-entity atomic lock-word table, when the run's policy
-    /// qualifies for the sharded grant fast path
-    /// ([`slp_policies::GrantScope::PerEntity`] and the knob is on). When
-    /// present, the words — not the engine's lock table — are the grant
-    /// authority for covered entities: engine-path transactions acquire
-    /// the word *before* asking the engine, so a fast-path CAS and a
-    /// slow-path engine grant can never both win the same entity.
-    fast: Option<LockWords>,
+    /// The per-entity atomic lock-word table, when the run has one
+    /// ([`slp_policies::GrantScope::PerEntity`] engine and
+    /// [`crate::RuntimeConfig::grant_fast_path`] on). When present, the
+    /// words — not the engine's lock table — are the grant authority for
+    /// covered entities, for attempts in either mode.
+    words: Option<LockWords>,
     seq: AtomicU64,
     /// Write-ahead log, when the run is durable. Appends happen *after*
     /// the engine lock is dropped (same position as the wake pass) so the
@@ -200,26 +277,25 @@ pub(crate) struct LockService {
     pub counters: Counters,
 }
 
-/// A batch parked in the spill lane, with the transaction to seal after
-/// feeding it (and whether it aborted) when the attempt ended.
-enum SpilledBatch {
-    /// A stamped step batch (locked accesses).
-    Steps(Vec<(u64, ScheduledStep)>, Option<(TxId, bool)>),
+/// One monitor-mode batch for the certifier — fed at once or parked in
+/// the spill lane — with the transaction to seal after feeding it.
+enum CertBatch {
+    /// An attempt's stamped steps (locked accesses), its transaction,
+    /// and whether it aborted.
+    Steps(Vec<(u64, ScheduledStep)>, TxId, bool),
     /// A snapshot-read batch with explicit pivots; the reader seals
     /// (committed) after feeding.
     Reads(Vec<VersionedRead>, TxId),
 }
 
 /// Feeds one batch — spilled or fresh — to the certifier.
-fn feed(cert: &mut IncrementalCertifier, batch: SpilledBatch) {
+fn feed(cert: &mut IncrementalCertifier, batch: CertBatch) {
     match batch {
-        SpilledBatch::Steps(steps, seal) => {
+        CertBatch::Steps(steps, tx, aborted) => {
             cert.observe_trace(&steps);
-            if let Some((tx, aborted)) = seal {
-                cert.seal_with(tx, aborted);
-            }
+            cert.seal_with(tx, aborted);
         }
-        SpilledBatch::Reads(reads, tx) => {
+        CertBatch::Reads(reads, tx) => {
             cert.observe_snapshot_reads(&reads);
             cert.seal_with(tx, false);
         }
@@ -235,39 +311,33 @@ fn feed(cert: &mut IncrementalCertifier, batch: SpilledBatch) {
 /// changes the verdict.
 struct CertChannel {
     graph: Mutex<IncrementalCertifier>,
-    spill: Mutex<Vec<SpilledBatch>>,
+    spill: Mutex<Vec<CertBatch>>,
     /// Number of batches sitting in `spill`; lets the drain loop skip the
     /// spill mutex entirely on the (overwhelmingly common) empty case.
     spilled: AtomicUsize,
 }
 
 impl LockService {
-    /// `stripes` is clamped to 1..=64 (the wake path dedupes released
-    /// stripes in a fixed bitmap). `wal`, when present, receives every
-    /// recorded step batch and commit. `certify` builds the online
-    /// certifier ([`CertifyMode::Off`] costs nothing on the hot path).
-    /// `fast`, when present, activates the sharded grant fast path (the
-    /// runner builds the word table only for
-    /// [`slp_policies::GrantScope::PerEntity`] engines).
+    /// `wal`, when present, receives every recorded step batch and
+    /// commit. `certify` builds the online certifier
+    /// ([`CertifyMode::Off`] costs nothing on the hot path). `words`,
+    /// when present, makes words mode available (the runner builds the
+    /// table only for [`slp_policies::GrantScope::PerEntity`] engines).
     pub fn new(
         engine: Box<dyn PolicyEngine>,
-        stripes: usize,
         wal: Option<Arc<Wal>>,
         certify: CertifyMode,
         mvcc: Option<MvccState>,
-        fast: Option<LockWords>,
+        words: Option<LockWords>,
     ) -> Self {
-        let stripes = stripes.clamp(1, 64);
         LockService {
             engine: RwLock::new(engine),
-            stripes: (0..stripes)
-                .map(|_| Stripe {
-                    gen: Mutex::new(0),
-                    cv: Condvar::new(),
-                })
-                .collect(),
-            waits_for: WaitGraph::new(stripes),
-            fast,
+            stripes: std::array::from_fn(|_| Stripe {
+                gen: Mutex::new(0),
+                cv: Condvar::new(),
+            }),
+            waits_for: WaitGraph::new(STRIPES),
+            words,
             seq: AtomicU64::new(0),
             wal,
             certifier: (certify != CertifyMode::Off).then(|| CertChannel {
@@ -314,7 +384,7 @@ impl LockService {
     }
 
     fn stripe(&self, e: EntityId) -> &Stripe {
-        &self.stripes[e.0 as usize % self.stripes.len()]
+        &self.stripes[stripe_index(e)]
     }
 
     /// Parks until the entity's stripe generation moves past `seen` or the
@@ -351,31 +421,38 @@ impl LockService {
         }
     }
 
-    /// Bumps the stripe generation of every entity released in
-    /// `trace[from..]` — the steps the current call recorded — and wakes
-    /// their parked workers. The one wake rule, shared by the grant,
-    /// finish, and abort paths: callers snapshot `trace.len()` before
-    /// taking the engine lock and call this after dropping it, so woken
-    /// workers contend on the engine, not on us.
-    fn wake_recorded(&self, trace: &[(u64, ScheduledStep)], from: usize) {
-        // Dedupe stripes per batch: one bump + notify per stripe. The
-        // bound is load-bearing in release builds — indexing `bumped`
-        // past it would skip wakes (a lost-wakeup bug), not just panic.
-        let mut bumped = [false; 64];
-        assert!(self.stripes.len() <= 64, "stripe count exceeds wake bitmap");
+    /// Advances one stripe's generation and wakes its parked workers.
+    fn bump(&self, stripe: usize) {
+        let stripe = &self.stripes[stripe];
+        *stripe.gen.lock().expect("stripe lock") += 1;
+        stripe.cv.notify_all();
+    }
+
+    /// The tail every call that recorded steps runs on `trace[from..]`,
+    /// after dropping the engine lock (so woken workers contend on the
+    /// engine, not on us): free the lock word of every recorded unlock —
+    /// explicit, donated, or final — then bump and notify the released
+    /// entities' stripes, then append the steps to the log. The order is
+    /// the no-lost-wakeup protocol's release half: every word is free
+    /// before any generation moves, because a woken waiter re-reads the
+    /// word. A word `tx` does not hold (an entity past the table, an
+    /// engine that runs without words) is left untouched by `release`.
+    fn publish(&self, tx: TxId, trace: &[(u64, ScheduledStep)], from: usize) {
+        // One bump + notify per stripe per batch.
+        let mut released = 0u64;
         for (_, s) in &trace[from..] {
-            if !s.step.is_unlock() {
-                continue;
+            if let Operation::Unlock(mode) = s.step.op {
+                if let Some(words) = &self.words {
+                    words.release(s.step.entity, tx, mode == LockMode::Shared);
+                }
+                released |= 1 << stripe_index(s.step.entity);
             }
-            let idx = s.step.entity.0 as usize % self.stripes.len();
-            if bumped[idx] {
-                continue;
-            }
-            bumped[idx] = true;
-            let stripe = &self.stripes[idx];
-            *stripe.gen.lock().expect("stripe lock") += 1;
-            stripe.cv.notify_all();
         }
+        while released != 0 {
+            self.bump(released.trailing_zeros() as usize);
+            released &= released - 1;
+        }
+        self.log_recorded(trace, from);
     }
 
     /// Appends the steps this call recorded (`trace[from..]`) to the
@@ -409,68 +486,38 @@ impl LockService {
         }
     }
 
-    /// Feeds an attempt's recorded steps (`trace[from..]`) to the online
-    /// certifier, sealing `seal` afterwards when the attempt retired its
-    /// transaction (commit or abort — either way it takes no further
-    /// steps, which is what makes it truncatable). Called from
-    /// [`finish`](LockService::finish) / [`abort`](LockService::abort)
-    /// after the engine lock is dropped, once per attempt rather than per
-    /// engine section — the certifier orders edges by stamp, so feeding
-    /// late (and in arbitrary order across workers) never changes the
-    /// verdict, and one graph acquisition per attempt keeps the certifier
-    /// off the grant path. The acquisition is a `try_lock`: a worker that
-    /// loses the race spills a copy of its batch instead of blocking (see
-    /// [`CertChannel`]), so certification never convoys the workers.
-    /// Monitor mode only — strict mode certifies through
-    /// [`certify_strict`](LockService::certify_strict).
-    fn certify_recorded(
-        &self,
-        trace: &[(u64, ScheduledStep)],
-        from: usize,
-        seal: Option<(TxId, bool)>,
-    ) {
+    /// Monitor-mode certification of one batch — a retired attempt's
+    /// recorded steps (sealing its transaction: commit or abort, either
+    /// way it takes no further steps, which is what makes it
+    /// truncatable) or a read-only job's snapshot reads (the
+    /// explicit-pivot feed: workers publish out of order, so the
+    /// certifier cannot reconstruct observed versions from arrival
+    /// state). Fed after the engine lock is dropped, once per attempt
+    /// rather than per engine section — the certifier orders edges by
+    /// stamp, so feeding late (and in arbitrary order across workers)
+    /// never changes the verdict, and one graph acquisition per attempt
+    /// keeps the certifier off the grant path. The acquisition is a
+    /// `try_lock`: a worker that loses the race spills its batch instead
+    /// of blocking (see [`CertChannel`]), so certification never convoys
+    /// the workers. `batch` is only built when the run certifies. Strict
+    /// mode certifies through
+    /// [`certify_strict`](LockService::certify_strict) instead.
+    fn certify_monitor(&self, batch: impl FnOnce() -> CertBatch) {
         let Some(ch) = &self.certifier else {
             return;
         };
-        if trace.len() == from && seal.is_none() {
-            return;
-        }
-        let mut cert = match ch.graph.try_lock() {
-            Ok(cert) => cert,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.spill(ch, SpilledBatch::Steps(trace[from..].to_vec(), seal));
-                return;
+        let batch = batch();
+        match ch.graph.try_lock() {
+            Ok(mut cert) => {
+                feed(&mut cert, batch);
+                self.drain_spill(ch, &mut cert);
             }
+            Err(std::sync::TryLockError::WouldBlock) => self.spill(ch, batch),
             Err(std::sync::TryLockError::Poisoned(_)) => panic!("certifier lock poisoned"),
-        };
-        feed(&mut cert, SpilledBatch::Steps(trace[from..].to_vec(), seal));
-        self.drain_spill(ch, &mut cert);
+        }
     }
 
-    /// Feeds a read-only job's snapshot reads (monitor mode): same
-    /// try-lock-or-spill discipline as [`certify_recorded`], with the
-    /// explicit-pivot feed path — workers publish out of order, so the
-    /// certifier cannot reconstruct observed versions from arrival state.
-    fn certify_reads(&self, reads: Vec<VersionedRead>, tx: TxId) {
-        let Some(ch) = &self.certifier else {
-            return;
-        };
-        if reads.is_empty() {
-            return;
-        }
-        let mut cert = match ch.graph.try_lock() {
-            Ok(cert) => cert,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.spill(ch, SpilledBatch::Reads(reads, tx));
-                return;
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("certifier lock poisoned"),
-        };
-        feed(&mut cert, SpilledBatch::Reads(reads, tx));
-        self.drain_spill(ch, &mut cert);
-    }
-
-    fn spill(&self, ch: &CertChannel, batch: SpilledBatch) {
+    fn spill(&self, ch: &CertChannel, batch: CertBatch) {
         let mut spill = ch.spill.lock().expect("spill lock poisoned");
         spill.push(batch);
         // Updated under the spill lock, so the counter always agrees
@@ -553,8 +600,8 @@ impl LockService {
 
     /// Stamps `steps` for `tx` into `trace` with consecutive global
     /// sequence numbers. Must be called while holding the serialization
-    /// context that granted the steps — the engine write lock, or (fast
-    /// path) the touched entities' lock words. Either way the stamps for
+    /// context that granted the steps — the engine write lock, or the
+    /// touched entities' lock words. Either way the stamps for
     /// one entity are fetched strictly between that entity's acquire and
     /// release, so the merged trace orders conflicting steps exactly as
     /// the grants serialized them (the stamp-ordering contract; see the
@@ -562,9 +609,14 @@ impl LockService {
     /// installs versions (writes/inserts/deletes) into the store and
     /// registers lock grants with the commit pipeline — so version
     /// install order matches the serialization order the stamps record.
-    fn record(&self, tx: TxId, steps: Vec<Step>, trace: &mut Vec<(u64, ScheduledStep)>) {
+    fn record<I>(&self, tx: TxId, steps: I, trace: &mut Vec<(u64, ScheduledStep)>)
+    where
+        I: IntoIterator<Item = Step>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let steps = steps.into_iter();
         let base = self.seq.fetch_add(steps.len() as u64, Ordering::Relaxed);
-        for (i, s) in steps.into_iter().enumerate() {
+        for (i, s) in steps.enumerate() {
             let stamp = base + i as u64;
             if let Some(m) = &self.mvcc {
                 match s.op {
@@ -583,63 +635,45 @@ impl LockService {
         }
     }
 
-    /// Frees every lock word whose release `trace[from..]` just recorded
-    /// (no-op when the fast path is inactive). Must run *before*
-    /// [`wake_recorded`](LockService::wake_recorded) for the same range:
-    /// a woken waiter re-reads the word, so the word must be free by the
-    /// time the generation bumps.
-    fn release_recorded_words(&self, tx: TxId, trace: &[(u64, ScheduledStep)], from: usize) {
-        let Some(words) = &self.fast else {
-            return;
-        };
-        for (_, s) in &trace[from..] {
-            if let Operation::Unlock(mode) = s.step.op {
-                words.release(s.step.entity, tx, mode == LockMode::Shared);
-            }
-        }
-    }
-
-    /// Releases a lock word acquired by [`sync_word_acquire`] whose
-    /// engine request was then refused — no unlock step will ever be
-    /// recorded for it, so the word (and any waiter parked on it) must be
-    /// handled here. Safe under the engine write lock (stripe-lock
-    /// holders never take the engine lock).
-    fn drop_sync_word(&self, e: EntityId, tx: TxId) {
-        if let Some(words) = &self.fast {
-            if words.release(e, tx, false) {
-                let stripe = self.stripe(e);
-                *stripe.gen.lock().expect("stripe lock") += 1;
-                stripe.cv.notify_all();
-            }
-        }
-    }
-
-    /// Acquires `e`'s lock word for engine-path transaction `tx` (always
-    /// exclusive — the engine's lock manager grants exclusively). In a
-    /// fast-active run the words are the grant authority, so the word
-    /// comes *before* the engine's own table: `Ok(true)` means freshly
-    /// acquired, `Ok(false)` means `tx` already held it (a relock — the
-    /// engine rules on it, and the word must NOT be released on that
-    /// verdict), `Err` carries the conflicting holder and the stripe
-    /// generation to park on, read with the same recheck discipline as
-    /// the fast path ([`fast_lock`](LockService::fast_lock)).
-    fn sync_word_acquire(&self, e: EntityId, tx: TxId) -> Result<bool, (TxId, u64)> {
-        let words = self.fast.as_ref().expect("fast path inactive");
+    /// Takes `e`'s lock word for `tx` — the acquire half of the
+    /// no-lost-wakeup protocol, and its only copy. `Ok(true)`: freshly
+    /// acquired. `Ok(false)`: `tx` already holds it (a relock, engine
+    /// mode only — the engine rules on it, and the word must NOT be
+    /// handed back on that verdict). `Err`: the conflicting holder and
+    /// the stripe generation to park on. The generation is read *between*
+    /// the failed CAS and a recheck of the word: a releaser frees the
+    /// word before bumping the generation, so a conflict re-observed
+    /// after the read cannot have its wakeup already behind us, and a
+    /// word found free on the recheck is simply tried again.
+    fn acquire_word(
+        &self,
+        words: &LockWords,
+        e: EntityId,
+        tx: TxId,
+        shared: bool,
+    ) -> Result<bool, (TxId, u64)> {
         loop {
-            match words.try_acquire(e, tx, false) {
-                Ok(()) => return Ok(true),
-                Err(h) if h == tx => return Ok(false),
-                Err(_) => {
-                    let gen = *self.stripe(e).gen.lock().expect("stripe lock");
-                    // Recheck after the generation read: a release that
-                    // freed the word before the read would otherwise be
-                    // parked past (its bump precedes the read).
-                    match words.conflicting_holder(e, false) {
-                        None => continue,
-                        Some(h) if h == tx => return Ok(false),
-                        Some(h) => return Err((h, gen)),
-                    }
-                }
+            if words.try_acquire(e, tx, shared).is_ok() {
+                return Ok(true);
+            }
+            let gen = *self.stripe(e).gen.lock().expect("stripe lock");
+            match words.conflicting_holder(e, shared) {
+                None => continue,
+                Some(holder) if holder == tx => return Ok(false),
+                Some(holder) => return Err((holder, gen)),
+            }
+        }
+    }
+
+    /// Gives back a word [`acquire_word`](LockService::acquire_word) took
+    /// fresh for an engine-mode `Lock` the engine then refused: no unlock
+    /// step will ever be recorded for it, so the word and any waiter
+    /// parked on it are handled here. Safe under the engine write lock
+    /// (stripe-lock holders never take the engine lock).
+    fn hand_back(&self, fresh: Option<EntityId>, tx: TxId) {
+        if let (Some(e), Some(words)) = (fresh, &self.words) {
+            if words.release(e, tx, false) {
+                self.bump(stripe_index(e));
             }
         }
     }
@@ -648,192 +682,243 @@ impl LockService {
     pub fn plan(
         &self,
         planner: &mut dyn slp_sim::ActionPlanner,
-        job: &slp_sim::Job,
+        job: &Job,
     ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
         let engine = self.engine.read().expect("engine lock poisoned");
         planner.plan(&**engine, job)
     }
 
-    /// Begins `tx`; returns the engine's precomputed plan if any. With
-    /// MVCC enabled the transaction also registers as a writer with the
+    /// Opens `tx`'s attempt at `job` and classifies it, once: words mode
+    /// when the run has a word table and [`fast_plan_mode`] accepts
+    /// `plan`, engine mode otherwise — which, in a run with a word table,
+    /// is a counted fallback ([`Counters::fast_path_fallbacks`]).
+    /// `cert_from` is the worker's trace length as the attempt begins.
+    pub fn attempt(
+        &self,
+        tx: TxId,
+        plan: Option<&[PolicyAction]>,
+        job: &Job,
+        cert_from: usize,
+    ) -> Attempt {
+        let mode = match &self.words {
+            None => GrantMode::Engine,
+            Some(words) => match plan.and_then(|plan| fast_plan_mode(words, plan, job)) {
+                Some(shared) => GrantMode::Words { shared },
+                None => {
+                    self.counters
+                        .fast_path_fallbacks
+                        .fetch_add(1, Ordering::Relaxed);
+                    GrantMode::Engine
+                }
+            },
+        };
+        Attempt {
+            tx,
+            mode,
+            held: Vec::new(),
+            cert_from,
+        }
+    }
+
+    /// Begins the attempt's transaction; returns the engine's precomputed
+    /// plan if any. The engine never learns that a words-mode transaction
+    /// exists — the words are the authority for everything it touches.
+    /// With MVCC enabled the transaction registers as a writer with the
     /// commit pipeline (its status-table flip orders behind lock-order
     /// predecessors).
     pub fn begin(
         &self,
-        tx: TxId,
+        at: &Attempt,
         intent: &AccessIntent,
     ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        let mut engine = self.engine.write().expect("engine lock poisoned");
-        let plan = engine.begin(tx, intent)?;
+        let plan = match at.mode {
+            GrantMode::Words { .. } => None,
+            GrantMode::Engine => {
+                let mut engine = self.engine.write().expect("engine lock poisoned");
+                engine.begin(at.tx, intent)?
+            }
+        };
         if let Some(m) = &self.mvcc {
-            m.pipeline.begin_writer(tx);
+            m.pipeline.begin_writer(at.tx);
         }
         Ok(plan)
     }
 
-    /// Requests up to `max` consecutive actions of `plan` for `tx` under
-    /// ONE engine-lock acquisition, recording granted steps into `trace`.
-    /// Stops early at the first conflict or violation. Batching amortizes
-    /// the serialization point; `max == 1` maximizes interleaving (the
-    /// conformance suites run there).
-    pub fn request_batch(
+    /// Decides one `action` of the attempt and records the granted steps
+    /// into `trace`. A `Lock` on a word-covered entity takes the word
+    /// first, in either mode; then words mode synthesizes exactly the
+    /// steps the engine would emit (`lock`; `read`+`write` under an
+    /// exclusive hold, `read` under a shared one — so traces stay
+    /// step-for-step comparable across modes) without touching the engine
+    /// lock, and engine mode asks the engine under its write lock, one
+    /// action per section, handing a freshly taken word back if the
+    /// engine refuses.
+    pub fn request(
         &self,
-        tx: TxId,
-        plan: &[PolicyAction],
-        max: usize,
+        at: &mut Attempt,
+        action: PolicyAction,
         trace: &mut Vec<(u64, ScheduledStep)>,
-    ) -> BatchOutcome {
-        let mut granted = 0usize;
+    ) -> Outcome {
+        let tx = at.tx;
         let from = trace.len();
-        let outcome = {
-            let mut engine = self.engine.write().expect("engine lock poisoned");
-            loop {
-                if granted >= max.max(1) || granted >= plan.len() {
-                    break BatchOutcome::Granted { granted };
-                }
-                let action = plan[granted];
-                // In a fast-active run the lock words are the grant
-                // authority even here: acquire the word before asking the
-                // engine, so an engine grant can never race a fast-path
-                // CAS on the same entity.
-                let mut fresh_word = None;
-                if let PolicyAction::Lock(e) = action {
-                    if self.fast.as_ref().is_some_and(|w| w.covers(e)) {
-                        match self.sync_word_acquire(e, tx) {
-                            Ok(fresh) => fresh_word = fresh.then_some(e),
-                            Err((holder, gen)) => {
-                                break BatchOutcome::Conflict {
-                                    granted,
-                                    entity: e,
-                                    holder,
-                                    gen,
-                                };
-                            }
+        let shared = matches!(at.mode, GrantMode::Words { shared: true });
+        let mut fresh = None;
+        if let (PolicyAction::Lock(e), Some(words)) = (action, &self.words) {
+            if words.covers(e) {
+                match self.acquire_word(words, e, tx, shared) {
+                    Ok(taken) => fresh = taken.then_some(e),
+                    Err((holder, gen)) => {
+                        return Outcome::Conflict {
+                            entity: e,
+                            holder,
+                            gen,
                         }
                     }
                 }
-                match engine.request(tx, action) {
+            }
+        }
+        let (outcome, path) = match at.mode {
+            GrantMode::Words { .. } => {
+                match action {
+                    PolicyAction::Lock(e) => {
+                        at.held.push(e);
+                        self.record(tx, [Step::lock(lock_mode(shared), e)], trace);
+                    }
+                    PolicyAction::Access(e) if shared => self.record(tx, [Step::read(e)], trace),
+                    PolicyAction::Access(e) => {
+                        self.record(tx, [Step::read(e), Step::write(e)], trace)
+                    }
+                    _ => unreachable!("fast_plan_mode admits only Lock/Access"),
+                }
+                (Outcome::Granted, &self.counters.fast_path_grants)
+            }
+            GrantMode::Engine => {
+                let mut engine = self.engine.write().expect("engine lock poisoned");
+                let outcome = match engine.request(tx, action) {
                     PolicyResponse::Granted(steps) => {
                         self.record(tx, steps, trace);
-                        granted += 1;
+                        Outcome::Granted
                     }
                     PolicyResponse::Conflict { entity, holder } => {
                         // Unreachable for a word-covered entity (holding
-                        // the word means no engine-path transaction holds
-                        // the engine entry) — but if the engine disagrees,
-                        // its verdict stands and the word goes back.
-                        if let Some(e) = fresh_word {
-                            self.drop_sync_word(e, tx);
-                        }
-                        // Nested stripe-lock acquisition under the engine
-                        // write lock is deadlock-free: stripe-lock holders
-                        // never take the engine lock.
+                        // the word means nobody holds the engine entry) —
+                        // but if the engine disagrees, its verdict stands.
+                        self.hand_back(fresh, tx);
+                        // Read inside the engine section that observed
+                        // the conflict: every engine release is recorded
+                        // in a later section and bumps after it. (Nested
+                        // stripe-lock acquisition is deadlock-free:
+                        // stripe-lock holders never take the engine lock.)
                         let gen = *self.stripe(entity).gen.lock().expect("stripe lock");
-                        break BatchOutcome::Conflict {
-                            granted,
+                        Outcome::Conflict {
                             entity,
                             holder,
                             gen,
-                        };
+                        }
                     }
                     PolicyResponse::Violation(violation) => {
-                        // A freshly taken word whose engine request was
-                        // refused will never see an unlock step: release
-                        // it here. (A relock kept `fresh_word` empty — the
-                        // original grant's word stays held to the end.)
-                        if let Some(e) = fresh_word {
-                            self.drop_sync_word(e, tx);
-                        }
-                        break BatchOutcome::Violation { violation };
+                        self.hand_back(fresh, tx);
+                        Outcome::Violation(violation)
                     }
-                }
+                };
+                (outcome, &self.counters.slow_path_grants)
             }
         };
-        if granted > 0 {
-            self.counters
-                .grants
-                .fetch_add(granted as u64, Ordering::Relaxed);
-            self.counters
-                .slow_path_grants
-                .fetch_add(granted as u64, Ordering::Relaxed);
+        if matches!(outcome, Outcome::Granted) {
+            self.counters.grants.fetch_add(1, Ordering::Relaxed);
+            path.fetch_add(1, Ordering::Relaxed);
         }
-        self.release_recorded_words(tx, trace, from);
-        self.wake_recorded(trace, from);
-        self.log_recorded(trace, from);
+        // An engine-mode grant may have recorded unlocks (explicit
+        // releases, altruistic donations); a words-mode one never does.
+        self.publish(tx, trace, from);
         outcome
     }
 
-    /// Finishes `tx`, recording its final unlocks. `cert_from` is the
-    /// trace index where the attempt began: everything the attempt
-    /// recorded (`trace[cert_from..]`) is fed to the online certifier in
-    /// one batch. Returns `Ok(true)` on commit; `Ok(false)` when strict
-    /// certification recovered by aborting `tx` instead (no commit
-    /// record, no visibility flip — the caller retries the job as a
-    /// fresh transaction).
+    /// Finishes the attempt's transaction, recording its final unlocks.
+    /// Returns `Ok(true)` on commit; `Ok(false)` when strict
+    /// certification recovered by aborting it instead (no commit record,
+    /// no visibility flip — the caller retries the job as a fresh
+    /// transaction).
     pub fn finish(
         &self,
-        tx: TxId,
+        at: &mut Attempt,
         trace: &mut Vec<(u64, ScheduledStep)>,
-        cert_from: usize,
     ) -> Result<bool, PolicyViolation> {
-        let from = trace.len();
-        {
-            let mut engine = self.engine.write().expect("engine lock poisoned");
-            let steps = engine.finish(tx)?;
-            self.record(tx, steps, trace);
-        }
-        self.release_recorded_words(tx, trace, from);
-        self.wake_recorded(trace, from);
-        self.log_recorded(trace, from);
-        if self.strict_certify && self.certify_strict(tx, trace, cert_from, None, false) {
-            // Certification abort: the transaction's recorded steps stay
-            // in the trace and the log (like any aborted transaction's),
-            // but it gets no commit record and its versions never become
-            // visible.
-            if let Some(m) = &self.mvcc {
-                m.pipeline.abort(tx);
-            }
-            return Ok(false);
-        }
-        self.log_commit(tx, trace);
-        if let Some(m) = &self.mvcc {
-            // Visibility flip strictly after the commit record: a
-            // snapshot never observes a writer the log could lose.
-            m.pipeline.commit(tx);
-        }
-        if !self.strict_certify {
-            self.certify_recorded(trace, cert_from, Some((tx, false)));
-        }
-        Ok(true)
+        self.retire(at, trace, false)
     }
 
-    /// Aborts `tx`, recording the unlocks it still held. `cert_from` as
-    /// in [`finish`](LockService::finish).
-    pub fn abort(&self, tx: TxId, trace: &mut Vec<(u64, ScheduledStep)>, cert_from: usize) {
+    /// Aborts the attempt's transaction, recording the unlocks it still
+    /// held.
+    pub fn abort(&self, at: &mut Attempt, trace: &mut Vec<(u64, ScheduledStep)>) {
+        self.retire(at, trace, true)
+            .expect("an abort is never refused");
+    }
+
+    /// The one way an attempt ends. The modes differ only in where the
+    /// unlock steps come from: the held set in ascending entity order
+    /// (matching the engine's emission) in words mode,
+    /// [`PolicyEngine::finish`] / [`PolicyEngine::abort`] under the write
+    /// lock in engine mode — stamped, either way, before
+    /// [`publish`](LockService::publish) frees the words, so the next
+    /// holder's acquire stamp lands strictly later. Then the shared tail:
+    /// publish, certify the whole attempt, make the outcome durable and
+    /// visible. Returns whether `tx` committed — `aborting` never does,
+    /// and neither does a commit that strict certification turned into
+    /// an abort. In every case the recorded steps stay in the trace and
+    /// the log (the replica must stay lossless); only a commit gets a
+    /// commit record, strictly before its visibility flip, so a snapshot
+    /// never observes a writer the log could lose. An abort resolves in
+    /// the pipeline at once — nothing becomes visible, and dependents
+    /// waiting on `tx` are released — and is sealed in the certifier as
+    /// *aborted*: it takes no further steps (all truncation needs) and
+    /// parked snapshot-read edges against its versions dissolve instead
+    /// of materializing.
+    fn retire(
+        &self,
+        at: &mut Attempt,
+        trace: &mut Vec<(u64, ScheduledStep)>,
+        aborting: bool,
+    ) -> Result<bool, PolicyViolation> {
+        let tx = at.tx;
         let from = trace.len();
-        {
-            let mut engine = self.engine.write().expect("engine lock poisoned");
-            let steps = engine.abort(tx);
-            self.record(tx, steps, trace);
+        match at.mode {
+            GrantMode::Words { shared } => {
+                at.held.sort_unstable();
+                let unlocks = at.held.drain(..);
+                self.record(
+                    tx,
+                    unlocks.map(|e| Step::unlock(lock_mode(shared), e)),
+                    trace,
+                );
+            }
+            GrantMode::Engine => {
+                let mut engine = self.engine.write().expect("engine lock poisoned");
+                let steps = if aborting {
+                    engine.abort(tx)
+                } else {
+                    engine.finish(tx)?
+                };
+                self.record(tx, steps, trace);
+            }
         }
-        self.release_recorded_words(tx, trace, from);
-        self.wake_recorded(trace, from);
+        self.publish(tx, trace, from);
+        let certified_out =
+            self.strict_certify && self.certify_strict(tx, trace, at.cert_from, None, aborting);
+        let committed = !aborting && !certified_out;
+        if committed {
+            self.log_commit(tx, trace);
+        }
         if let Some(m) = &self.mvcc {
-            // Aborts resolve immediately (nothing becomes visible) and
-            // release any commit-pipeline dependents waiting on `tx`.
-            m.pipeline.abort(tx);
+            if committed {
+                m.pipeline.commit(tx);
+            } else {
+                m.pipeline.abort(tx);
+            }
         }
-        // Aborted transactions log their unlock steps (the trace replica
-        // must stay lossless) but never a commit record. The certifier
-        // seals them as *aborted*: they take no further steps (all
-        // truncation needs) and parked snapshot-read edges against their
-        // versions dissolve instead of materializing.
-        self.log_recorded(trace, from);
-        if self.strict_certify {
-            let _ = self.certify_strict(tx, trace, cert_from, None, true);
-        } else {
-            self.certify_recorded(trace, cert_from, Some((tx, true)));
+        if !self.strict_certify {
+            self.certify_monitor(|| CertBatch::Steps(trace[at.cert_from..].to_vec(), tx, aborting));
         }
+        Ok(committed)
     }
 
     /// Serves a read-only job from an MVCC snapshot: captures a read
@@ -884,191 +969,17 @@ impl LockService {
         if self.strict_certify {
             !self.certify_strict(tx, trace, from, Some(&reads), false)
         } else {
-            self.certify_reads(reads, tx);
+            if !reads.is_empty() {
+                self.certify_monitor(|| CertBatch::Reads(reads, tx));
+            }
             true
         }
     }
 
-    /// Whether this run has the sharded grant fast path active.
-    pub fn fast_active(&self) -> bool {
-        self.fast.is_some()
-    }
-
-    /// Whether `e` has a lock word (fast-path plan eligibility).
-    pub fn fast_covers(&self, e: EntityId) -> bool {
-        self.fast.as_ref().is_some_and(|w| w.covers(e))
-    }
-
     /// Whether every lock word is free (end-of-run quiescence — vacuously
-    /// true with the fast path off).
-    pub fn fast_quiescent(&self) -> bool {
-        self.fast.as_ref().is_none_or(LockWords::quiescent)
-    }
-
-    /// Begins a fast-path transaction: no engine interaction at all (the
-    /// engine never learns fast-path transactions exist — the lock words
-    /// are the authority for everything they touch), but MVCC writers
-    /// still register with the commit pipeline before their first
-    /// `note_lock`.
-    pub fn fast_begin(&self, tx: TxId) {
-        if let Some(m) = &self.mvcc {
-            m.pipeline.begin_writer(tx);
-        }
-    }
-
-    /// One fast-path lock attempt on `e` for `tx`: optimistic CAS on the
-    /// entity's word; on success the lock step is stamped *while the word
-    /// is held* (the stamp-ordering contract — see the module docs) and
-    /// logged. On conflict the stripe generation is read under the stripe
-    /// lock and the word *rechecked*: a releaser frees the word before
-    /// bumping the generation, so a conflict re-observed after the
-    /// generation read cannot have its wakeup already behind us — parking
-    /// on `gen` is safe exactly as on the engine path.
-    pub fn fast_lock(
-        &self,
-        tx: TxId,
-        e: EntityId,
-        shared: bool,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-    ) -> FastLockOutcome {
-        let words = self.fast.as_ref().expect("fast path inactive");
-        loop {
-            match words.try_acquire(e, tx, shared) {
-                Ok(()) => {
-                    let from = trace.len();
-                    let mode = if shared {
-                        LockMode::Shared
-                    } else {
-                        LockMode::Exclusive
-                    };
-                    self.record(tx, vec![Step::lock(mode, e)], trace);
-                    self.counters.grants.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .fast_path_grants
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.log_recorded(trace, from);
-                    return FastLockOutcome::Granted;
-                }
-                Err(_) => {
-                    let gen = *self.stripe(e).gen.lock().expect("stripe lock");
-                    match words.conflicting_holder(e, shared) {
-                        // Freed between the CAS and the recheck: take
-                        // another optimistic swing instead of parking.
-                        None => continue,
-                        Some(holder) => return FastLockOutcome::Conflict { holder, gen },
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a fast-path data access on an entity whose word `tx`
-    /// holds: the engine would emit `[read, write]` under an exclusive
-    /// lock and `[read]` under a shared one, and the fast path emits the
-    /// identical steps so fast-on and fast-off traces stay step-for-step
-    /// comparable.
-    pub fn fast_data(
-        &self,
-        tx: TxId,
-        e: EntityId,
-        shared: bool,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-    ) {
-        let from = trace.len();
-        let steps = if shared {
-            vec![Step::read(e)]
-        } else {
-            vec![Step::read(e), Step::write(e)]
-        };
-        self.record(tx, steps, trace);
-        self.counters.grants.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .fast_path_grants
-            .fetch_add(1, Ordering::Relaxed);
-        self.log_recorded(trace, from);
-    }
-
-    /// Commits a fast-path transaction: records its unlocks in ascending
-    /// entity order (matching the engine's finish emission), frees the
-    /// words *after* stamping (release stamps precede the release CAS, so
-    /// the next holder's acquire stamp lands strictly later), wakes and
-    /// logs, then runs the same certification/durability/visibility tail
-    /// as [`finish`](LockService::finish). `held` maps each held entity
-    /// to whether the hold is shared. Returns `false` when strict
-    /// certification recovered by aborting `tx`.
-    pub fn fast_finish(
-        &self,
-        tx: TxId,
-        held: &std::collections::BTreeMap<EntityId, bool>,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-        cert_from: usize,
-    ) -> bool {
-        let from = trace.len();
-        let steps = held
-            .iter()
-            .map(|(&e, &shared)| {
-                let mode = if shared {
-                    LockMode::Shared
-                } else {
-                    LockMode::Exclusive
-                };
-                Step::unlock(mode, e)
-            })
-            .collect();
-        self.record(tx, steps, trace);
-        self.release_recorded_words(tx, trace, from);
-        self.wake_recorded(trace, from);
-        self.log_recorded(trace, from);
-        if self.strict_certify && self.certify_strict(tx, trace, cert_from, None, false) {
-            if let Some(m) = &self.mvcc {
-                m.pipeline.abort(tx);
-            }
-            return false;
-        }
-        self.log_commit(tx, trace);
-        if let Some(m) = &self.mvcc {
-            m.pipeline.commit(tx);
-        }
-        if !self.strict_certify {
-            self.certify_recorded(trace, cert_from, Some((tx, false)));
-        }
-        true
-    }
-
-    /// Aborts a fast-path transaction: records the unlocks it still
-    /// held, frees the words, wakes, and runs the same pipeline/log/
-    /// certifier tail as [`abort`](LockService::abort).
-    pub fn fast_abort(
-        &self,
-        tx: TxId,
-        held: &std::collections::BTreeMap<EntityId, bool>,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-        cert_from: usize,
-    ) {
-        let from = trace.len();
-        let steps = held
-            .iter()
-            .map(|(&e, &shared)| {
-                let mode = if shared {
-                    LockMode::Shared
-                } else {
-                    LockMode::Exclusive
-                };
-                Step::unlock(mode, e)
-            })
-            .collect();
-        self.record(tx, steps, trace);
-        self.release_recorded_words(tx, trace, from);
-        self.wake_recorded(trace, from);
-        if let Some(m) = &self.mvcc {
-            m.pipeline.abort(tx);
-        }
-        self.log_recorded(trace, from);
-        if self.strict_certify {
-            let _ = self.certify_strict(tx, trace, cert_from, None, true);
-        } else {
-            self.certify_recorded(trace, cert_from, Some((tx, true)));
-        }
+    /// true without a word table).
+    pub fn words_quiescent(&self) -> bool {
+        self.words.as_ref().is_none_or(LockWords::quiescent)
     }
 
     /// Records that `tx` waits for `holder` and walks the waits-for chain:
@@ -1111,11 +1022,14 @@ mod tests {
     use super::*;
     use slp_policies::{PolicyConfig, PolicyKind, PolicyRegistry};
 
-    fn one_stripe_service() -> LockService {
+    /// A 2PL service over `EntityId(0)` alone — stripe 0 — with or
+    /// without a lock-word table.
+    fn service_over_e0(words: bool) -> LockService {
         let engine = PolicyRegistry::new()
             .build(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![EntityId(0)]))
             .expect("2PL builds");
-        LockService::new(engine, 1, None, CertifyMode::Off, None, None)
+        let words = words.then(|| LockWords::new(1));
+        LockService::new(engine, None, CertifyMode::Off, None, words)
     }
 
     /// Forces one instance of the race the fix targets: a parker whose
@@ -1153,7 +1067,7 @@ mod tests {
     /// timed-out `wait_timeout`, even with the generation already moved).
     #[test]
     fn park_timeout_racing_a_wakeup_is_not_counted() {
-        let service = one_stripe_service();
+        let service = service_over_e0(false);
         race_timeout_against_wakeup(&service, Duration::from_millis(40));
         assert_eq!(
             service.counters.park_timeouts.load(Ordering::Relaxed),
@@ -1162,12 +1076,12 @@ mod tests {
         );
     }
 
-    /// The same race hammered on the 1-stripe service, park timeout
+    /// The same race hammered on one stripe, park timeout
     /// shorter than the hold time on every iteration: the counter must
     /// stay exactly zero across all of them.
     #[test]
     fn park_timeout_hammer_stays_clean() {
-        let service = one_stripe_service();
+        let service = service_over_e0(false);
         for _ in 0..25 {
             race_timeout_against_wakeup(&service, Duration::from_millis(4));
         }
@@ -1179,10 +1093,74 @@ mod tests {
     /// unmoved is real lost-wakeup evidence and must not be suppressed.
     #[test]
     fn park_timeout_with_generation_unmoved_still_counts() {
-        let service = one_stripe_service();
+        let service = service_over_e0(false);
         let seen = *service.stripes[0].gen.lock().expect("stripe lock");
         service.park(EntityId(0), seen, Duration::from_millis(5));
         assert_eq!(service.counters.park_timeouts.load(Ordering::Relaxed), 1);
         assert_eq!(service.counters.parks.load(Ordering::Relaxed), 1);
+    }
+
+    /// The no-lost-wakeup handshake, once, from both callers of the one
+    /// `acquire_word`: tx1 holds `e`; tx2's request conflicts and names
+    /// tx1 and a generation; tx1 finishes (word freed, *then* generation
+    /// bumped); parking on the stale generation falls through at once;
+    /// the re-request is granted with a stamp above tx1's unlock.
+    #[test]
+    fn a_conflict_generation_never_outlives_the_release() {
+        let e = EntityId(0);
+        let job = Job::access(vec![e]);
+        let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
+        // `None` for a plan leaves the attempt in engine mode.
+        for tx2_plan in [Some(&plan[..]), None] {
+            let service = service_over_e0(true);
+            let mut trace = Vec::new();
+            let mut tx1 = service.attempt(TxId(1), Some(&plan), &job, 0);
+            service.begin(&tx1, &AccessIntent::empty()).expect("begin");
+            assert!(matches!(
+                service.request(&mut tx1, plan[0], &mut trace),
+                Outcome::Granted
+            ));
+
+            let mut tx2 = service.attempt(TxId(2), tx2_plan, &job, trace.len());
+            assert_eq!(
+                matches!(tx2.mode, GrantMode::Words { .. }),
+                tx2_plan.is_some()
+            );
+            service.begin(&tx2, &AccessIntent::empty()).expect("begin");
+            let Outcome::Conflict {
+                entity,
+                holder,
+                gen,
+            } = service.request(&mut tx2, plan[0], &mut trace)
+            else {
+                panic!("a held word must conflict");
+            };
+            assert_eq!((entity, holder), (e, TxId(1)));
+
+            assert!(service.finish(&mut tx1, &mut trace).expect("finish"));
+            let (unlock_stamp, unlock) = *trace.last().expect("tx1 recorded steps");
+            assert!(unlock.step.is_unlock());
+
+            service.park(e, gen, Duration::from_secs(10));
+            let c = &service.counters;
+            assert_eq!(c.parks.load(Ordering::Relaxed), 0, "fell through");
+            assert_eq!(c.park_timeouts.load(Ordering::Relaxed), 0);
+
+            assert!(matches!(
+                service.request(&mut tx2, plan[0], &mut trace),
+                Outcome::Granted
+            ));
+            let (lock_stamp, lock) = *trace.last().expect("tx2 recorded its lock");
+            assert_eq!(
+                (lock.tx, lock.step),
+                (TxId(2), Step::lock(LockMode::Exclusive, e))
+            );
+            assert!(
+                lock_stamp > unlock_stamp,
+                "acquire stamped after the release"
+            );
+            assert!(service.finish(&mut tx2, &mut trace).expect("finish"));
+            assert!(service.words_quiescent());
+        }
     }
 }

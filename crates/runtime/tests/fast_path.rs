@@ -26,6 +26,7 @@ use slp_policies::{
 };
 use slp_runtime::{Runtime, RuntimeConfig, RuntimeReport};
 use slp_sim::{planner_for, uniform_jobs, ActionPlanner, Job};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn conf(workers: usize, fast: bool) -> RuntimeConfig {
@@ -218,6 +219,88 @@ fn fast_and_slow_paths_interleave_on_one_hot_entity() {
         report.fast_path_fallbacks > 0,
         "locked-point plans must fall back"
     );
+}
+
+/// A 2PL planner whose every other plan is refused *after* it took a
+/// lock word: `[Lock(A), Access(A), LockedPoint, Lock(B)]` — the engine
+/// rules `PastLockedPoint` on `Lock(B)` once the attempt (engine mode,
+/// because of the locked point) already holds `B`'s word. That word goes
+/// back with no unlock step recorded, the one release the trace never
+/// sees. The refusal is transient, so the job retries; the planner's
+/// next plan is a well-formed engine-mode one on `B`, so every job ends.
+struct RefusedAfterWordPlanner {
+    next_is_refused: bool,
+    refusals: Arc<AtomicUsize>,
+}
+
+const A: EntityId = EntityId(0);
+const B: EntityId = EntityId(1);
+
+impl ActionPlanner for RefusedAfterWordPlanner {
+    fn intent(&self, _job: &Job) -> AccessIntent {
+        AccessIntent::empty()
+    }
+
+    fn plan(
+        &mut self,
+        _engine: &dyn PolicyEngine,
+        _job: &Job,
+    ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
+        self.next_is_refused = !self.next_is_refused;
+        Ok(Some(if self.next_is_refused {
+            self.refusals.fetch_add(1, Ordering::Relaxed);
+            vec![
+                PolicyAction::Lock(A),
+                PolicyAction::Access(A),
+                PolicyAction::LockedPoint,
+                PolicyAction::Lock(B),
+            ]
+        } else {
+            vec![
+                PolicyAction::Lock(B),
+                PolicyAction::Access(B),
+                PolicyAction::LockedPoint,
+            ]
+        }))
+    }
+}
+
+#[test]
+fn a_refused_engine_mode_lock_gives_its_word_back() {
+    // Odd workers run the refused-then-retried planner above; even
+    // workers run plain words-mode jobs on B, so the handed-back word is
+    // always contended: a hand-back that forgot the word would trip the
+    // end-of-run "words all free" assert (or wedge the run), one that
+    // forgot the wakeup would fire the 10 s park backstop.
+    let refusals = Arc::new(AtomicUsize::new(0));
+    let jobs: Vec<Job> = (0..240).map(|_| Job::access(vec![B])).collect();
+    let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![A, B])).unwrap();
+    let counter = Arc::clone(&refusals);
+    rt.set_planner_factory(Arc::new(move |w| {
+        if w % 2 == 1 {
+            Box::new(RefusedAfterWordPlanner {
+                next_is_refused: false,
+                refusals: Arc::clone(&counter),
+            }) as Box<dyn ActionPlanner>
+        } else {
+            planner_for(PolicyKind::TwoPhase)
+        }
+    }));
+    let report = rt.run(&jobs, &conf(8, true));
+    verify(&report, jobs.len(), "refused lock hand-back");
+    let refused = refusals.load(Ordering::Relaxed);
+    assert!(refused > 0, "the refused shape never ran");
+    assert_eq!(
+        report.policy_aborts, refused,
+        "every refused plan is one counted policy abort"
+    );
+    assert_eq!(report.rejected, 0, "the refusal is transient");
+    assert_eq!(
+        report.deadlock_aborts, 0,
+        "A is always taken before B and B-holders never wait"
+    );
+    assert!(report.fast_path_grants > 0, "words mode never ran");
+    assert!(report.slow_path_grants > 0, "engine mode never ran");
 }
 
 #[test]

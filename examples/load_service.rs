@@ -42,12 +42,11 @@ const DEFAULT_JOBS: usize = 2_000;
 const SMOKE_JOBS: usize = 10_000;
 
 /// A throughput-oriented config with the online certifier monitoring:
-/// batched grants and no per-step yield (the generator measures volume,
-/// not interleaving diversity). Env overrides still apply, so the CI
+/// no per-step yield (the generator measures volume, not interleaving
+/// diversity). Env overrides still apply, so the CI
 /// matrix can pin workers and certification mode.
 fn load_config(workers: usize) -> RuntimeConfig {
     let mut config = RuntimeConfig {
-        grant_batch: 8,
         step_yield: false,
         certify_online: CertifyMode::Monitor,
         max_wall: std::time::Duration::from_secs(120),
