@@ -26,8 +26,11 @@
 //! * [`RuntimeReport`] — the simulator's accounting shape (committed /
 //!   policy aborts / deadlock aborts / rejected; attempts always balance)
 //!   plus wall-clock throughput, commit-latency percentiles, and the
-//!   merged [`slp_core::Schedule`] trace with its initial structural
-//!   state, ready for legality / properness / serializability replay;
+//!   merged [`slp_core::Schedule`] trace (the workers' stamp-ordered
+//!   runs, merged in linear time by
+//!   [`slp_core::Schedule::from_sequenced_runs`]) with its initial
+//!   structural state, ready for legality / properness /
+//!   serializability replay;
 //! * **online certification** — [`RuntimeConfig::certify_online`] feeds
 //!   every stamped step batch to an incremental serialization-graph
 //!   certifier ([`slp_core::IncrementalCertifier`]) as the run executes:
@@ -84,14 +87,20 @@
 //! woken only by releases hashing to their stripe, per-worker trace
 //! recording with one atomic sequence stamp taken inside the grant, one
 //! retire tail (free words → wake → log → certify → commit pipeline),
-//! and a park-timeout backstop. The lost-wakeup and stamp-ordering
-//! arguments live in the `service` and `fastpath` module docs (source).
+//! and a park-timeout backstop. What a worker counts and records it
+//! owns: tallies are plain integers summed after the join, and the
+//! attempt it is running lives in a small reused buffer that is sealed
+//! into fixed-size chunks when the attempt ends — however it ends — so
+//! a worker's trace never regrows and is already in stamp order when
+//! the runs are merged. The lost-wakeup and stamp-ordering arguments
+//! live in the `service` and `fastpath` module docs (source).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fastpath;
 mod service;
+mod trace;
 
 pub mod metrics;
 pub mod probes;

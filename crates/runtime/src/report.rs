@@ -159,9 +159,12 @@ pub struct RuntimeReport {
     pub elapsed: Duration,
     /// Whether the wall-clock guard expired before the job queue drained.
     pub timed_out: bool,
-    /// The total-ordered trace of every granted step, reconstructed from
-    /// the per-worker sequence-stamped buffers. Replay it through
-    /// `slp_core` (legal / proper / serializable) to verify the run.
+    /// The total-ordered trace of every granted step: the workers'
+    /// sequence-stamped runs, each already in stamp order, merged after
+    /// the join by [`Schedule::from_sequenced_runs`] — which accepts
+    /// only a dense, duplicate-free stamp sequence, so a step a worker
+    /// recorded cannot be silently missing. Replay it through `slp_core`
+    /// (legal / proper / serializable) to verify the run.
     pub schedule: Schedule,
     /// The structural state when the run started (for properness replay).
     pub initial: StructuralState,

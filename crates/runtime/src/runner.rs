@@ -14,8 +14,9 @@ use crate::fastpath::LockWords;
 use crate::metrics::Metrics;
 use crate::report::{Certification, LatencySummary, RuntimeReport};
 use crate::scheduler::{SchedMode, WaveDispatch, WavePlan};
-use crate::service::{LockService, MvccState, Outcome};
-use slp_core::{Schedule, ScheduledStep, StructuralState, TxId};
+use crate::service::{LockService, MvccState, Outcome, Recorder, Tally};
+use crate::trace::TraceRun;
+use slp_core::{Schedule, SequenceError, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
 use slp_mvcc::VisibilityRule;
 use slp_policies::{
@@ -408,7 +409,8 @@ impl Runtime {
     }
 
     /// Runs `jobs` to completion on `config.workers` threads and returns
-    /// the report with the merged, totally ordered trace.
+    /// the report with the merged, totally ordered trace (the workers'
+    /// stamp-ordered runs, merged — not sorted — after the join).
     pub fn run(&mut self, jobs: &[Job], config: &RuntimeConfig) -> RuntimeReport {
         self.run_inner(jobs, config, None)
     }
@@ -542,57 +544,66 @@ impl Runtime {
             wal.summary()
         });
 
-        let mut entries: Vec<(u64, ScheduledStep)> = Vec::new();
+        let mut runs = Vec::with_capacity(workers);
         let mut latencies: Vec<u64> = Vec::new();
         let mut aborted: Vec<TxId> = Vec::new();
+        let mut tally = Tally::default();
         for out in outputs {
-            entries.extend(out.trace);
+            runs.push(out.trace.into_chunks());
             latencies.extend(out.latencies_us);
             aborted.extend(out.aborted);
+            tally.add(&out.tally);
         }
+        // The one trace assembly: each worker's run is ascending in the
+        // stamps it drew, so the total order is a merge — which consumes
+        // (and frees) the runs chunk by chunk and succeeds only if it saw
+        // every stamp from 0 exactly once. A gap or a duplicate is a
+        // recorder bug; steps lost off the *end* of the trace would leave
+        // no gap, so the length is held against the stamp counter too.
+        let mut schedule = match Schedule::from_sequenced_runs(runs) {
+            Ok(schedule) => schedule,
+            // No step was ever granted (e.g. an already-expired deadline).
+            Err(SequenceError::Empty) => Schedule::empty(),
+            Err(e) => panic!("worker stamps are dense and unique by construction: {e}"),
+        };
+        assert_eq!(
+            schedule.len() as u64,
+            service.stamps_drawn(),
+            "every step a worker recorded must reach the schedule"
+        );
         if let Some(n) = det_jobs.filter(|&n| n > 0) {
             // Deterministic renumbering: regroup the trace per job in
             // admission order (the deterministic tx ids encode the job
-            // index) and restamp densely. Conflicting transactions are
-            // wave-ordered — waves are completion barriers, so their
-            // steps never trade places here; only non-conflicting steps
-            // are reordered, and the result is conflict-equivalent to
-            // the executed interleaving but byte-identical across
-            // worker counts.
-            entries.sort_unstable_by_key(|&(stamp, s)| ((s.tx.0 - 1) % n, stamp));
-            for (i, entry) in entries.iter_mut().enumerate() {
-                entry.0 = i as u64;
-            }
+            // index), each job's steps staying in stamp order — the sort
+            // is stable. Conflicting transactions are wave-ordered —
+            // waves are completion barriers, so their steps never trade
+            // places here; only non-conflicting steps are reordered, and
+            // the result is conflict-equivalent to the executed
+            // interleaving but byte-identical across worker counts.
+            let mut steps = schedule.steps().to_vec();
+            steps.sort_by_key(|s| (s.tx.0 - 1) % n);
+            schedule = Schedule::from_steps(steps);
         }
-        let schedule = if entries.is_empty() {
-            // No step was ever granted (e.g. an already-expired deadline):
-            // `from_sequenced` treats empty input as an error, but here it
-            // just means an empty trace.
-            Schedule::empty()
-        } else {
-            Schedule::from_sequenced(entries)
-                .expect("worker stamps are dense and unique by construction")
-        };
         self.metrics.observe_latencies(&latencies);
         let c = &service.counters;
         let mut report = RuntimeReport {
             policy: self.name,
             workers,
-            committed: c.committed.load(Ordering::Relaxed),
-            policy_aborts: c.policy_aborts.load(Ordering::Relaxed),
-            deadlock_aborts: c.deadlock_aborts.load(Ordering::Relaxed),
-            certification_aborts: c.certification_aborts.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            abandoned: c.abandoned.load(Ordering::Relaxed),
-            attempts: c.attempts.load(Ordering::Relaxed),
-            lock_waits: c.lock_waits.load(Ordering::Relaxed),
-            grants: c.grants.load(Ordering::Relaxed),
-            fast_path_grants: c.fast_path_grants.load(Ordering::Relaxed),
-            slow_path_grants: c.slow_path_grants.load(Ordering::Relaxed),
-            fast_path_fallbacks: c.fast_path_fallbacks.load(Ordering::Relaxed),
+            committed: tally.committed,
+            policy_aborts: tally.policy_aborts,
+            deadlock_aborts: tally.deadlock_aborts,
+            certification_aborts: tally.certification_aborts,
+            rejected: tally.rejected,
+            abandoned: tally.abandoned,
+            attempts: tally.attempts,
+            lock_waits: tally.lock_waits,
+            grants: tally.grants,
+            fast_path_grants: tally.fast_path_grants,
+            slow_path_grants: tally.slow_path_grants,
+            fast_path_fallbacks: tally.fast_path_fallbacks,
             parks: c.parks.load(Ordering::Relaxed),
             park_timeouts: c.park_timeouts.load(Ordering::Relaxed),
-            snapshot_reads: c.snapshot_reads.load(Ordering::Relaxed),
+            snapshot_reads: tally.snapshot_reads,
             waves: wave_plan.as_ref().map_or(0, |p| p.waves.len()),
             wave_widths: wave_plan.as_ref().map_or_else(Vec::new, |p| {
                 p.waves.iter().map(|w| w.len() as u32).collect()
@@ -623,14 +634,15 @@ impl Runtime {
     }
 }
 
-/// What one worker brings home: its slice of the sequence-stamped trace,
-/// the latencies of the jobs it committed, and the transactions it
-/// aborted (the report's input to
-/// [`slp_core::is_serializable_with_aborts`]).
+/// What one worker brings home: its run of the sequence-stamped trace,
+/// the latencies of the jobs it committed, the transactions it aborted
+/// (the report's input to [`slp_core::is_serializable_with_aborts`]) and
+/// its tallies.
 struct WorkerOutput {
-    trace: Vec<(u64, ScheduledStep)>,
+    trace: TraceRun,
     latencies_us: Vec<u64>,
     aborted: Vec<TxId>,
+    tally: Tally,
 }
 
 /// How one attempt ended (the worker decides what happens to the job).
@@ -704,11 +716,10 @@ fn worker_loop(
     factory: PlannerFactory,
 ) -> WorkerOutput {
     let mut planner = factory(worker);
-    let mut out = WorkerOutput {
-        trace: Vec::new(),
-        latencies_us: Vec::new(),
-        aborted: Vec::new(),
-    };
+    let mut rec = Recorder::default();
+    let mut trace = TraceRun::default();
+    let mut latencies_us = Vec::new();
+    let mut aborted = Vec::new();
     while let Some(ji) = source.claim() {
         let job = &jobs[ji];
         let dispatched = Instant::now();
@@ -723,12 +734,15 @@ fn worker_loop(
                 tx,
                 config,
                 deadline,
-                &mut out,
+                &mut rec,
+                &mut aborted,
             );
+            // The one place an attempt's steps leave the recorder, so no
+            // exit path can skip it.
+            trace.seal(&mut rec.steps);
             match end {
                 AttemptEnd::Committed => {
-                    out.latencies_us
-                        .push(dispatched.elapsed().as_micros() as u64);
+                    latencies_us.push(dispatched.elapsed().as_micros() as u64);
                     break;
                 }
                 AttemptEnd::Dropped => break,
@@ -739,7 +753,7 @@ fn worker_loop(
                     if Instant::now() > deadline {
                         service.counters.timed_out.store(true, Ordering::Relaxed);
                     }
-                    service.counters.abandoned.fetch_add(1, Ordering::Relaxed);
+                    rec.tally.abandoned += 1;
                     break;
                 }
                 AttemptEnd::Retry => backoff(attempt, config),
@@ -748,13 +762,19 @@ fn worker_loop(
         // Whatever the outcome, the wave fence counts this job done.
         source.complete();
     }
-    out
+    WorkerOutput {
+        trace,
+        latencies_us,
+        aborted,
+        tally: rec.tally,
+    }
 }
 
-/// One fresh-transaction attempt at `job`. Exactly one accounting counter
-/// is bumped per call (the invariant behind
+/// One fresh-transaction attempt at `job`, recorded into `rec` (empty on
+/// entry; the caller seals it whichever way the attempt ends). Exactly
+/// one accounting tally is bumped per call (the invariant behind
 /// [`RuntimeReport::accounting_balances`]); `Abandoned` is the exception —
-/// its counter is bumped by the caller, which also flags the timeout.
+/// its tally is bumped by the caller, which also flags the timeout.
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
     service: &LockService,
@@ -763,14 +783,13 @@ fn run_attempt(
     tx: TxId,
     config: &RuntimeConfig,
     deadline: Instant,
-    out: &mut WorkerOutput,
+    rec: &mut Recorder,
+    aborted: &mut Vec<TxId>,
 ) -> AttemptEnd {
-    let WorkerOutput { trace, aborted, .. } = out;
-    let c = &service.counters;
     // Count the attempt before anything can cut it short, so every exit
     // path (commit, abort, reject, abandon) balances against it.
-    c.attempts.fetch_add(1, Ordering::Relaxed);
-    let halted = || c.halted.load(Ordering::Relaxed);
+    rec.tally.attempts += 1;
+    let halted = || service.counters.halted.load(Ordering::Relaxed);
     if Instant::now() > deadline || halted() {
         return AttemptEnd::Abandoned;
     }
@@ -778,11 +797,11 @@ fn run_attempt(
         // The MVCC read path: capture a snapshot and read versions — no
         // lock service, no engine lock, no waits-for edges. The only way
         // this fails is a strict-mode certification abort.
-        return if service.snapshot_read(tx, &job.targets, trace) {
-            c.committed.fetch_add(1, Ordering::Relaxed);
+        return if service.snapshot_read(tx, &job.targets, rec) {
+            rec.tally.committed += 1;
             AttemptEnd::Committed
         } else {
-            c.certification_aborts.fetch_add(1, Ordering::Relaxed);
+            rec.tally.certification_aborts += 1;
             aborted.push(tx);
             AttemptEnd::Retry
         };
@@ -790,31 +809,28 @@ fn run_attempt(
     // Plan under the read lock; a malformed job must not touch the engine.
     let planned = match service.plan(planner, job) {
         Ok(p) => p,
-        Err(v) => return classify(c, &v),
+        Err(v) => return classify(&mut rec.tally, &v),
     };
-    // Everything this attempt records lands at or after the current trace
-    // length; the whole range feeds the online certifier in one batch
-    // when the attempt retires.
-    let mut at = service.attempt(tx, planned.as_deref(), job, trace.len());
+    let mut at = service.attempt(tx, planned.as_deref(), job, &mut rec.tally);
     let plan = match service.begin(&at, &planner.intent(job)) {
         Ok(engine_plan) => match planned.or(engine_plan) {
             Some(plan) => plan,
             None => {
                 // Misconfigured pairing: retire the just-begun transaction
                 // so the engine holds no planless state (adapter rule).
-                service.abort(&mut at, trace);
+                service.abort(&mut at, rec);
                 aborted.push(tx);
-                return classify(c, &PolicyViolation::NoPlan(tx));
+                return classify(&mut rec.tally, &PolicyViolation::NoPlan(tx));
             }
         },
-        Err(v) => return classify(c, &v),
+        Err(v) => return classify(&mut rec.tally, &v),
     };
 
     // One loop for both grant modes: a granted action advances the
     // cursor, a conflict parks and re-requests the same action.
     let mut cursor = 0usize;
     while cursor < plan.len() {
-        match service.request(&mut at, plan[cursor], trace) {
+        match service.request(&mut at, plan[cursor], rec) {
             Outcome::Granted => {
                 cursor += 1;
                 if config.step_yield {
@@ -822,9 +838,9 @@ fn run_attempt(
                 }
             }
             Outcome::Violation(violation) => {
-                service.abort(&mut at, trace);
+                service.abort(&mut at, rec);
                 aborted.push(tx);
-                return classify(c, &violation);
+                return classify(&mut rec.tally, &violation);
             }
             Outcome::Conflict {
                 entity,
@@ -843,14 +859,14 @@ fn run_attempt(
                 // with the *current* holder keeps detection complete:
                 // whichever transaction inserts the edge that closes a
                 // real cycle sees it.
-                c.lock_waits.fetch_add(1, Ordering::Relaxed);
+                rec.tally.lock_waits += 1;
                 if service.note_wait(tx, holder) {
                     // This request closed a waits-for cycle: the
                     // requester is the victim (simulator rule).
                     service.clear_wait(tx);
-                    service.abort(&mut at, trace);
+                    service.abort(&mut at, rec);
                     aborted.push(tx);
-                    c.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
+                    rec.tally.deadlock_aborts += 1;
                     return AttemptEnd::Retry;
                 }
                 // The one deadline/halt rule: the clock is read at
@@ -858,7 +874,7 @@ fn run_attempt(
                 // Plans are finite, so that bounds every unbounded wait.
                 if Instant::now() > deadline || halted() {
                     service.clear_wait(tx);
-                    service.abort(&mut at, trace);
+                    service.abort(&mut at, rec);
                     aborted.push(tx);
                     return AttemptEnd::Abandoned;
                 }
@@ -872,9 +888,9 @@ fn run_attempt(
             }
         }
     }
-    match service.finish(&mut at, trace) {
+    match service.finish(&mut at, rec) {
         Ok(true) => {
-            c.committed.fetch_add(1, Ordering::Relaxed);
+            rec.tally.committed += 1;
             AttemptEnd::Committed
         }
         Ok(false) => {
@@ -882,27 +898,27 @@ fn run_attempt(
             // released, the service kept the commit record out of the log
             // and marked the transaction aborted in the status table. The
             // job restarts as a fresh transaction.
-            c.certification_aborts.fetch_add(1, Ordering::Relaxed);
+            rec.tally.certification_aborts += 1;
             aborted.push(tx);
             AttemptEnd::Retry
         }
         Err(v) => {
-            service.abort(&mut at, trace);
+            service.abort(&mut at, rec);
             aborted.push(tx);
-            classify(c, &v)
+            classify(&mut rec.tally, &v)
         }
     }
 }
 
-/// Applies the shared fatal/transient rule and bumps the matching counter.
-fn classify(c: &crate::service::Counters, v: &PolicyViolation) -> AttemptEnd {
+/// Applies the shared fatal/transient rule and bumps the matching tally.
+fn classify(tally: &mut Tally, v: &PolicyViolation) -> AttemptEnd {
     match Disposition::of(v) {
         Disposition::Reject => {
-            c.rejected.fetch_add(1, Ordering::Relaxed);
+            tally.rejected += 1;
             AttemptEnd::Dropped
         }
         Disposition::Retry => {
-            c.policy_aborts.fetch_add(1, Ordering::Relaxed);
+            tally.policy_aborts += 1;
             AttemptEnd::Retry
         }
     }

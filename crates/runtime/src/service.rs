@@ -34,22 +34,33 @@
 //! * **parking** is entity-striped: a conflicting transaction parks on the
 //!   stripe of the contended entity and only unlocks of entities hashing
 //!   to that stripe wake it — uncontended stripes never touch a parked
-//!   worker's condvar;
+//!   worker's condvar. A held lock *word* is first watched for about one
+//!   holding time ([`WORD_POLLS`] loads), so on free cores a word
+//!   conflict rarely reaches the futex at all;
 //! * **trace recording** is per-worker: granted steps are stamped from one
 //!   global atomic sequence counter *while the granting context is held*
-//!   — the engine lock, or the touched entities' lock words.
-//!   The stamp-ordering contract: an acquire's stamp is fetched after the
-//!   acquire, a release's before the release, data stamps in between —
-//!   so for every entity the counter's monotonicity orders conflicting
-//!   steps exactly as the grants serialized, whichever mode granted
-//!   them, and the buffers merged by
-//!   [`slp_core::Schedule::from_sequenced`] are a faithful schedule
-//!   without any runtime coordination;
+//!   — the engine lock, or the touched entities' lock words — into the
+//!   worker's own [`Recorder`], which holds exactly the running attempt's
+//!   steps (the slice the wake pass, the log and the certifier each
+//!   need) and is sealed into the worker's chunked run when the attempt
+//!   ends. The stamp-ordering contract: an acquire's stamp is fetched
+//!   after the acquire, a release's before the release, data stamps in
+//!   between — so for every entity the counter's monotonicity orders
+//!   conflicting steps exactly as the grants serialized, whichever mode
+//!   granted them. One thread draws a worker's stamps, so its run is
+//!   strictly ascending, and the runs merged by
+//!   [`slp_core::Schedule::from_sequenced_runs`] — linear, no sort, and
+//!   its own proof that no stamp is missing or doubled — are a faithful
+//!   schedule without any runtime coordination;
 //! * **the tail** after every recorded batch is one routine: free the
 //!   words whose release was just recorded, then bump and notify their
 //!   stripes, then append to the log — and, when the attempt retires,
 //!   certify and resolve the commit pipeline;
-//! * **accounting** is plain atomics.
+//! * **accounting** is per-worker: every per-grant and per-attempt count
+//!   is a plain integer in the worker's [`Tally`], summed after the join;
+//!   the shared [`Counters`] hold only what another thread must read
+//!   mid-run (the halt and timeout flags) and the park counts, which sit
+//!   behind a futex wait anyway.
 //!
 //! Lost wakeups are impossible by construction: the stripe generation a
 //! worker will park on is read *after* the conflict was observed and
@@ -68,6 +79,7 @@
 
 use crate::fastpath::{LockWords, WaitGraph};
 use crate::runner::CertifyMode;
+use crate::trace::Stamped;
 use slp_core::{
     CertViolation, DataOp, EntityId, IncrementalCertifier, LockMode, Operation, ScheduledStep,
     Step, TxId, VersionedRead,
@@ -77,7 +89,7 @@ use slp_mvcc::{CommitPipeline, MvccStore, VisibilityRule};
 use slp_policies::{AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation};
 use slp_sim::Job;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
 use std::time::Duration;
 
 /// Parking stripes, and waits-for shards. A constant rather than a knob
@@ -85,6 +97,28 @@ use std::time::Duration;
 /// wake path dedupes released stripes in.
 const STRIPES: usize = 16;
 const _: () = assert!(STRIPES <= u64::BITS as usize);
+
+/// Loads a requester spends watching a held lock word before it reads the
+/// stripe generation and takes the park path
+/// ([`LockService::acquire_word`]): a few microseconds, about what a
+/// words-mode transaction holds a word for.
+const WORD_POLLS: u32 = 256;
+
+/// How a strict feeder waits for the certifier graph
+/// ([`CertChannel::wait_for_graph`]): this many `try_lock` polls — far
+/// longer than a feed holds the graph while its window is healthy —
+/// before it queues.
+const CERT_POLL_BURST: u32 = 4096;
+/// The certifier window (resident nodes) at every multiple of which a
+/// strict feeder stands aside for the workers behind it
+/// ([`LockService::certify_strict`]): several times the tens a healthy
+/// run keeps resident, far below the thousands one descheduled worker
+/// used to leave.
+const CERT_WINDOW: usize = 128;
+/// How long a strict feeder stands aside — for a queued feeder, or for
+/// the window: long enough for the scheduler to run someone else, short
+/// against anything a caller can see.
+const CERT_NAP: Duration = Duration::from_micros(50);
 
 /// One parking stripe: a generation counter advanced on every unlock of an
 /// entity hashing here, plus the condvar parked workers wait on.
@@ -127,10 +161,6 @@ pub(crate) struct Attempt {
     /// Words mode: the entities whose words `tx` holds, i.e. the unlock
     /// steps still owed (the engine tracks an engine-mode attempt's).
     held: Vec<EntityId>,
-    /// The trace index where the attempt began: everything it recorded
-    /// (`trace[cert_from..]`) feeds the online certifier in one batch
-    /// when it retires.
-    cert_from: usize,
 }
 
 /// The outcome of [`LockService::request`].
@@ -185,33 +215,71 @@ fn fast_plan_mode(words: &LockWords, plan: &[PolicyAction], job: &Job) -> Option
     Some(job.read_only && locked.len() == 1)
 }
 
-/// Shared accounting, all atomics (no lock on the hot path).
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub attempts: AtomicUsize,
-    pub committed: AtomicUsize,
-    pub policy_aborts: AtomicUsize,
-    pub deadlock_aborts: AtomicUsize,
-    pub rejected: AtomicUsize,
-    pub abandoned: AtomicUsize,
+/// One worker's accounting: plain integers only it touches, summed
+/// across workers after the join ([`Tally::add`]). A shared atomic here
+/// would be a cache line bouncing between cores on every grant.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub attempts: usize,
+    pub committed: usize,
+    pub policy_aborts: usize,
+    pub deadlock_aborts: usize,
+    pub rejected: usize,
+    pub abandoned: usize,
     /// Transactions aborted by strict-mode certification recovery (the
     /// cycle victim was retracted and its job retried).
-    pub certification_aborts: AtomicUsize,
-    pub lock_waits: AtomicU64,
-    pub park_timeouts: AtomicU64,
-    pub grants: AtomicU64,
+    pub certification_aborts: usize,
+    pub lock_waits: u64,
+    pub grants: u64,
     /// Grants decided by a per-entity lock-word CAS, bypassing the engine
     /// lock entirely (subset of `grants`).
-    pub fast_path_grants: AtomicU64,
+    pub fast_path_grants: u64,
     /// Grants decided under the engine write lock (subset of `grants`;
     /// with the fast path off this equals `grants`).
-    pub slow_path_grants: AtomicU64,
+    pub slow_path_grants: u64,
     /// Attempts routed to the engine in a fast-capable run because their
     /// plan fell outside the fast path's plain lock/access shape.
-    pub fast_path_fallbacks: AtomicU64,
-    pub parks: AtomicU64,
+    pub fast_path_fallbacks: u64,
     /// MVCC snapshot read steps served without touching the lock service.
-    pub snapshot_reads: AtomicU64,
+    pub snapshot_reads: u64,
+}
+
+impl Tally {
+    /// Folds another worker's counts into this one.
+    pub fn add(&mut self, other: &Tally) {
+        self.attempts += other.attempts;
+        self.committed += other.committed;
+        self.policy_aborts += other.policy_aborts;
+        self.deadlock_aborts += other.deadlock_aborts;
+        self.rejected += other.rejected;
+        self.abandoned += other.abandoned;
+        self.certification_aborts += other.certification_aborts;
+        self.lock_waits += other.lock_waits;
+        self.grants += other.grants;
+        self.fast_path_grants += other.fast_path_grants;
+        self.slow_path_grants += other.slow_path_grants;
+        self.fast_path_fallbacks += other.fast_path_fallbacks;
+        self.snapshot_reads += other.snapshot_reads;
+    }
+}
+
+/// What a worker hands the service with every call: the stamped steps of
+/// the attempt it is running, and its tallies. `steps` holds one attempt
+/// at a time — the worker seals it into its trace run
+/// ([`crate::trace::TraceRun::seal`]) whichever way the attempt ends —
+/// so the whole buffer is the attempt's certifier batch and its last
+/// entry the attempt's newest stamp.
+#[derive(Default)]
+pub(crate) struct Recorder {
+    pub steps: Vec<Stamped>,
+    pub tally: Tally,
+}
+
+/// The accounting other threads read while the run is in flight.
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub parks: AtomicU64,
+    pub park_timeouts: AtomicU64,
     pub timed_out: AtomicBool,
     /// Backstop only: set when strict certification latches a cycle it
     /// cannot recover from by retracting the feeding transaction (which
@@ -282,7 +350,7 @@ pub(crate) struct LockService {
 enum CertBatch {
     /// An attempt's stamped steps (locked accesses), its transaction,
     /// and whether it aborted.
-    Steps(Vec<(u64, ScheduledStep)>, TxId, bool),
+    Steps(Vec<Stamped>, TxId, bool),
     /// A snapshot-read batch with explicit pivots; the reader seals
     /// (committed) after feeding.
     Reads(Vec<VersionedRead>, TxId),
@@ -315,6 +383,65 @@ struct CertChannel {
     /// Number of batches sitting in `spill`; lets the drain loop skip the
     /// spill mutex entirely on the (overwhelmingly common) empty case.
     spilled: AtomicUsize,
+    /// Strict feeders asleep on `graph` ([`CertChannel::wait_for_graph`]).
+    queued: AtomicUsize,
+}
+
+impl CertChannel {
+    fn new() -> Self {
+        CertChannel {
+            graph: Mutex::new(IncrementalCertifier::new()),
+            spill: Mutex::new(Vec::new()),
+            spilled: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+        }
+    }
+
+    /// A strict feeder's acquisition of the graph: poll, then queue, and
+    /// never overtake a queued feeder.
+    ///
+    /// A feeder that waits has stamped steps the certifier has not seen,
+    /// and those pin the truncation watermark: while it waits the graph
+    /// grows by a node per rival commit and every feed holds the graph
+    /// longer. So the wait must be short on every machine, and three
+    /// rules make it so. *Poll first*: a feed holds the graph for about a
+    /// microsecond, and a poller is awake when it lets go — whereas a
+    /// feeder asleep on the unfair `Mutex` has lost it again by the time
+    /// it wakes, to a rival that re-takes it at once. *Queue when the
+    /// burst is spent*: by then the holder is off-CPU (fewer free cores
+    /// than workers), and polling on — even with a yield, which need not
+    /// switch — burns the very time slice the holder needs; asleep on
+    /// the mutex, the feeder is woken by the release itself. *Make way
+    /// for the queue*: a feeder that finds one queued naps instead of
+    /// taking the graph, so the woken sleeper finds it free.
+    ///
+    /// Measured on 10 k-job strict runs, 2 workers: a plain `lock()` has
+    /// taken 48 s for one run (a sleeper losing every race); an endless
+    /// `try_lock` + `yield_now` poll takes 3–17 s for *every* run once a
+    /// third busy thread shares the two cores, against 15 ms alone;
+    /// polling and queueing without making way still leaves a run in a
+    /// thousand over 0.3 s. With all three the run takes 15–18 ms on two
+    /// free cores and 23 ms on one or beside a busy neighbour, none of
+    /// 3 000 over 0.1 s.
+    fn wait_for_graph(&self) -> MutexGuard<'_, IncrementalCertifier> {
+        let mut polls = 0;
+        while polls < CERT_POLL_BURST {
+            if self.queued.load(Ordering::Relaxed) > 0 {
+                std::thread::sleep(CERT_NAP);
+                continue;
+            }
+            match self.graph.try_lock() {
+                Ok(cert) => return cert,
+                Err(TryLockError::WouldBlock) => std::hint::spin_loop(),
+                Err(TryLockError::Poisoned(_)) => panic!("certifier lock poisoned"),
+            }
+            polls += 1;
+        }
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        let cert = self.graph.lock().expect("certifier lock poisoned");
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        cert
+    }
 }
 
 impl LockService {
@@ -340,11 +467,7 @@ impl LockService {
             words,
             seq: AtomicU64::new(0),
             wal,
-            certifier: (certify != CertifyMode::Off).then(|| CertChannel {
-                graph: Mutex::new(IncrementalCertifier::new()),
-                spill: Mutex::new(Vec::new()),
-                spilled: AtomicUsize::new(0),
-            }),
+            certifier: (certify != CertifyMode::Off).then(CertChannel::new),
             strict_certify: certify == CertifyMode::Strict,
             mvcc,
             first_violation: Mutex::new(None),
@@ -428,7 +551,7 @@ impl LockService {
         stripe.cv.notify_all();
     }
 
-    /// The tail every call that recorded steps runs on `trace[from..]`,
+    /// The tail every call that recorded steps runs on them (`recorded`),
     /// after dropping the engine lock (so woken workers contend on the
     /// engine, not on us): free the lock word of every recorded unlock —
     /// explicit, donated, or final — then bump and notify the released
@@ -437,10 +560,10 @@ impl LockService {
     /// before any generation moves, because a woken waiter re-reads the
     /// word. A word `tx` does not hold (an entity past the table, an
     /// engine that runs without words) is left untouched by `release`.
-    fn publish(&self, tx: TxId, trace: &[(u64, ScheduledStep)], from: usize) {
+    fn publish(&self, tx: TxId, recorded: &[Stamped]) {
         // One bump + notify per stripe per batch.
         let mut released = 0u64;
-        for (_, s) in &trace[from..] {
+        for (_, s) in recorded {
             if let Operation::Unlock(mode) = s.step.op {
                 if let Some(words) = &self.words {
                     words.release(s.step.entity, tx, mode == LockMode::Shared);
@@ -452,35 +575,31 @@ impl LockService {
             self.bump(released.trailing_zeros() as usize);
             released &= released - 1;
         }
-        self.log_recorded(trace, from);
+        self.log_recorded(recorded);
     }
 
-    /// Appends the steps this call recorded (`trace[from..]`) to the
-    /// write-ahead log, if the run is durable. Called after the engine
-    /// lock is dropped. A failed log is skipped silently here — the run
-    /// completes in memory and the failure surfaces in the report's
+    /// Appends the steps this call recorded to the write-ahead log, if
+    /// the run is durable. Called after the engine lock is dropped. A
+    /// failed log is skipped silently here — the run completes in memory
+    /// and the failure surfaces in the report's
     /// [`slp_durability::WalSummary`].
-    fn log_recorded(&self, trace: &[(u64, ScheduledStep)], from: usize) {
+    fn log_recorded(&self, recorded: &[Stamped]) {
         if let Some(wal) = &self.wal {
             if !wal.is_failed() {
-                let _ = wal.append_steps(&trace[from..]);
+                let _ = wal.append_steps(recorded);
             }
         }
     }
 
     /// Appends `tx`'s commit record: it is durably committed once the
-    /// contiguous-stamp watermark covers its last step. The worker's own
-    /// trace holds every step of its transaction, so the requirement is
-    /// one past the newest stamp attributed to `tx` (0 if it never took a
-    /// step — such a commit is durable from the start).
-    fn log_commit(&self, tx: TxId, trace: &[(u64, ScheduledStep)]) {
+    /// contiguous-stamp watermark covers its last step. `attempt` holds
+    /// every step of the transaction and nothing else, so the requirement
+    /// is one past its newest stamp (0 if it never took a step — such a
+    /// commit is durable from the start).
+    fn log_commit(&self, tx: TxId, attempt: &[Stamped]) {
         if let Some(wal) = &self.wal {
             if !wal.is_failed() {
-                let required = trace
-                    .iter()
-                    .rev()
-                    .find(|(_, s)| s.tx == tx)
-                    .map_or(0, |&(stamp, _)| stamp + 1);
+                let required = attempt.last().map_or(0, |&(stamp, _)| stamp + 1);
                 let _ = wal.append_commit(tx, required);
             }
         }
@@ -512,8 +631,8 @@ impl LockService {
                 feed(&mut cert, batch);
                 self.drain_spill(ch, &mut cert);
             }
-            Err(std::sync::TryLockError::WouldBlock) => self.spill(ch, batch),
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("certifier lock poisoned"),
+            Err(TryLockError::WouldBlock) => self.spill(ch, batch),
+            Err(TryLockError::Poisoned(_)) => panic!("certifier lock poisoned"),
         }
     }
 
@@ -543,8 +662,8 @@ impl LockService {
     }
 
     /// Strict-mode certification of one finished attempt: feed + seal
-    /// under a **blocking** graph acquisition (strict mode never spills —
-    /// the latch-and-recover step must be atomic with the feed), and
+    /// under a **waited-for** graph acquisition (strict mode never spills
+    /// — the latch-and-recover step must be atomic with the feed), and
     /// *recover* from a latched violation instead of halting. Every edge
     /// a feed inserts touches the feeding transaction (its own steps, or
     /// parked edges flushed at its seal), so a cycle latched here always
@@ -557,48 +676,64 @@ impl LockService {
     fn certify_strict(
         &self,
         tx: TxId,
-        trace: &[(u64, ScheduledStep)],
-        from: usize,
+        attempt: &[Stamped],
         reads: Option<&[VersionedRead]>,
         aborted: bool,
     ) -> bool {
         let Some(ch) = &self.certifier else {
             return false;
         };
-        let mut cert = ch.graph.lock().expect("certifier lock poisoned");
+        let mut cert = ch.wait_for_graph();
         match reads {
             Some(r) => cert.observe_snapshot_reads(r),
-            None => cert.observe_trace(&trace[from..]),
+            None => cert.observe_trace(attempt),
         }
         if cert.violation().is_none() {
             cert.seal_with(tx, aborted);
         }
-        let Some(v) = cert.violation().cloned() else {
-            return false;
-        };
-        if v.cycle.contains(&tx) {
-            // Latch the autopsy before recovering: the report must still
-            // show what was caught even though the run continues.
-            let mut first = self
-                .first_violation
-                .lock()
-                .expect("violation latch poisoned");
-            if first.is_none() {
-                *first = Some(v);
+        let certified_out = match cert.violation().cloned() {
+            None => false,
+            Some(v) if v.cycle.contains(&tx) => {
+                // Latch the autopsy before recovering: the report must
+                // still show what was caught even though the run continues.
+                let mut first = self
+                    .first_violation
+                    .lock()
+                    .expect("violation latch poisoned");
+                if first.is_none() {
+                    *first = Some(v);
+                }
+                drop(first);
+                cert.retract(tx);
+                !aborted
             }
-            drop(first);
-            cert.retract(tx);
-            !aborted
-        } else {
-            // A cycle not through the feeder cannot be recovered here; it
-            // should be impossible (see above). Halt rather than
-            // mis-certify.
-            self.counters.halted.store(true, Ordering::Relaxed);
-            false
+            Some(_) => {
+                // A cycle not through the feeder cannot be recovered here;
+                // it should be impossible (see above). Halt rather than
+                // mis-certify.
+                self.counters.halted.store(true, Ordering::Relaxed);
+                false
+            }
+        };
+        // Back-pressure on the certifier's window. Resident nodes are the
+        // feeds truncation could not retire, and what holds truncation
+        // back is a worker that stamped steps and has not fed them yet —
+        // for a moment on a healthy run (a window of tens), for a whole
+        // time slice when it is off-CPU, and then every feed scans a
+        // window a node longer than the last. The feeder that finds the
+        // window at a multiple of `CERT_WINDOW` is the one running ahead:
+        // it naps, once per `CERT_WINDOW` nodes of growth, so the laggard
+        // gets a core and the window — and with it a feed's cost — stays
+        // bounded by scheduling we do, not scheduling that happens to us.
+        let live = cert.stats().live_nodes;
+        drop(cert);
+        if live >= CERT_WINDOW && live % CERT_WINDOW == 0 {
+            std::thread::sleep(CERT_NAP);
         }
+        certified_out
     }
 
-    /// Stamps `steps` for `tx` into `trace` with consecutive global
+    /// Stamps `steps` for `tx` into `out` with consecutive global
     /// sequence numbers. Must be called while holding the serialization
     /// context that granted the steps — the engine write lock, or the
     /// touched entities' lock words. Either way the stamps for
@@ -609,7 +744,29 @@ impl LockService {
     /// installs versions (writes/inserts/deletes) into the store and
     /// registers lock grants with the commit pipeline — so version
     /// install order matches the serialization order the stamps record.
-    fn record<I>(&self, tx: TxId, steps: I, trace: &mut Vec<(u64, ScheduledStep)>)
+    ///
+    /// **Why the stamps are not drawn in one block per attempt**
+    /// (ROADMAP 1(c)'s question). A block reserved when the attempt
+    /// starts would hand an acquire a stamp fetched *before* its grant.
+    /// Say `t1` holds `e`, and `t2` reserves its block and then waits for
+    /// `e`: `t1`'s unlock is stamped after `t2`'s reservation, so in the
+    /// merged trace `t2`'s lock of `e` would precede the unlock that made
+    /// it possible — an illegal schedule, and serialization-graph edges
+    /// pointing the wrong way. The contract needs every stamp fetched
+    /// while the step's entity is held, so one fetch can only cover steps
+    /// taken inside one uninterrupted holding section — which is what
+    /// the single `fetch_add` per call below already does for an engine
+    /// section's steps. The coalescing that *is* legal goes one step
+    /// further in words mode: consecutive [`PolicyAction::Access`]
+    /// grants have no acquire between them, so nothing can park and every
+    /// word they touch stays held across the run — they could share one
+    /// fetch, and the plan's last such run could share it with the final
+    /// unlocks too, which are stamped before any word is freed (for a
+    /// lock-everything-then-access plan: one shared RMW for the whole
+    /// data phase instead of one per access plus one). Not implemented:
+    /// do it only if a traced pass shows `seq` still matters now that the
+    /// per-grant tallies are off the shared lines.
+    fn record<I>(&self, tx: TxId, steps: I, out: &mut Vec<Stamped>)
     where
         I: IntoIterator<Item = Step>,
         I::IntoIter: ExactSizeIterator,
@@ -631,7 +788,7 @@ impl LockService {
                     _ => {}
                 }
             }
-            trace.push((stamp, ScheduledStep::new(tx, s)));
+            out.push((stamp, ScheduledStep::new(tx, s)));
         }
     }
 
@@ -644,7 +801,13 @@ impl LockService {
     /// the failed CAS and a recheck of the word: a releaser frees the
     /// word before bumping the generation, so a conflict re-observed
     /// after the read cannot have its wakeup already behind us, and a
-    /// word found free on the recheck is simply tried again.
+    /// word found free on the recheck is simply tried again. Before any
+    /// of that a word held by another transaction is watched for
+    /// [`WORD_POLLS`] loads (`try_acquire` reads before it CASes, so a
+    /// poll writes nothing): a words-mode holder is gone within
+    /// microseconds unless it is off-CPU or the pair is deadlocked, and
+    /// both of those fall through to the park path, where the waits-for
+    /// walk and the futex are.
     fn acquire_word(
         &self,
         words: &LockWords,
@@ -652,9 +815,16 @@ impl LockService {
         tx: TxId,
         shared: bool,
     ) -> Result<bool, (TxId, u64)> {
+        let mut polls = WORD_POLLS;
         loop {
-            if words.try_acquire(e, tx, shared).is_ok() {
-                return Ok(true);
+            match words.try_acquire(e, tx, shared) {
+                Ok(()) => return Ok(true),
+                Err(holder) if holder != tx && polls > 0 => {
+                    polls -= 1;
+                    std::hint::spin_loop();
+                    continue;
+                }
+                Err(_) => {}
             }
             let gen = *self.stripe(e).gen.lock().expect("stripe lock");
             match words.conflicting_holder(e, shared) {
@@ -691,23 +861,20 @@ impl LockService {
     /// Opens `tx`'s attempt at `job` and classifies it, once: words mode
     /// when the run has a word table and [`fast_plan_mode`] accepts
     /// `plan`, engine mode otherwise — which, in a run with a word table,
-    /// is a counted fallback ([`Counters::fast_path_fallbacks`]).
-    /// `cert_from` is the worker's trace length as the attempt begins.
+    /// is a counted fallback ([`Tally::fast_path_fallbacks`]).
     pub fn attempt(
         &self,
         tx: TxId,
         plan: Option<&[PolicyAction]>,
         job: &Job,
-        cert_from: usize,
+        tally: &mut Tally,
     ) -> Attempt {
         let mode = match &self.words {
             None => GrantMode::Engine,
             Some(words) => match plan.and_then(|plan| fast_plan_mode(words, plan, job)) {
                 Some(shared) => GrantMode::Words { shared },
                 None => {
-                    self.counters
-                        .fast_path_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
+                    tally.fast_path_fallbacks += 1;
                     GrantMode::Engine
                 }
             },
@@ -716,7 +883,6 @@ impl LockService {
             tx,
             mode,
             held: Vec::new(),
-            cert_from,
         }
     }
 
@@ -745,7 +911,7 @@ impl LockService {
     }
 
     /// Decides one `action` of the attempt and records the granted steps
-    /// into `trace`. A `Lock` on a word-covered entity takes the word
+    /// into `rec`. A `Lock` on a word-covered entity takes the word
     /// first, in either mode; then words mode synthesizes exactly the
     /// steps the engine would emit (`lock`; `read`+`write` under an
     /// exclusive hold, `read` under a shared one — so traces stay
@@ -753,13 +919,12 @@ impl LockService {
     /// lock, and engine mode asks the engine under its write lock, one
     /// action per section, handing a freshly taken word back if the
     /// engine refuses.
-    pub fn request(
-        &self,
-        at: &mut Attempt,
-        action: PolicyAction,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-    ) -> Outcome {
+    pub fn request(&self, at: &mut Attempt, action: PolicyAction, rec: &mut Recorder) -> Outcome {
         let tx = at.tx;
+        let Recorder {
+            steps: trace,
+            tally,
+        } = rec;
         let from = trace.len();
         let shared = matches!(at.mode, GrantMode::Words { shared: true });
         let mut fresh = None;
@@ -790,7 +955,7 @@ impl LockService {
                     }
                     _ => unreachable!("fast_plan_mode admits only Lock/Access"),
                 }
-                (Outcome::Granted, &self.counters.fast_path_grants)
+                (Outcome::Granted, &mut tally.fast_path_grants)
             }
             GrantMode::Engine => {
                 let mut engine = self.engine.write().expect("engine lock poisoned");
@@ -821,16 +986,16 @@ impl LockService {
                         Outcome::Violation(violation)
                     }
                 };
-                (outcome, &self.counters.slow_path_grants)
+                (outcome, &mut tally.slow_path_grants)
             }
         };
         if matches!(outcome, Outcome::Granted) {
-            self.counters.grants.fetch_add(1, Ordering::Relaxed);
-            path.fetch_add(1, Ordering::Relaxed);
+            tally.grants += 1;
+            *path += 1;
         }
         // An engine-mode grant may have recorded unlocks (explicit
         // releases, altruistic donations); a words-mode one never does.
-        self.publish(tx, trace, from);
+        self.publish(tx, &trace[from..]);
         outcome
     }
 
@@ -839,18 +1004,14 @@ impl LockService {
     /// certification recovered by aborting it instead (no commit record,
     /// no visibility flip — the caller retries the job as a fresh
     /// transaction).
-    pub fn finish(
-        &self,
-        at: &mut Attempt,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-    ) -> Result<bool, PolicyViolation> {
-        self.retire(at, trace, false)
+    pub fn finish(&self, at: &mut Attempt, rec: &mut Recorder) -> Result<bool, PolicyViolation> {
+        self.retire(at, &mut rec.steps, false)
     }
 
     /// Aborts the attempt's transaction, recording the unlocks it still
     /// held.
-    pub fn abort(&self, at: &mut Attempt, trace: &mut Vec<(u64, ScheduledStep)>) {
-        self.retire(at, trace, true)
+    pub fn abort(&self, at: &mut Attempt, rec: &mut Recorder) {
+        self.retire(at, &mut rec.steps, true)
             .expect("an abort is never refused");
     }
 
@@ -861,10 +1022,10 @@ impl LockService {
     /// lock in engine mode — stamped, either way, before
     /// [`publish`](LockService::publish) frees the words, so the next
     /// holder's acquire stamp lands strictly later. Then the shared tail:
-    /// publish, certify the whole attempt, make the outcome durable and
-    /// visible. Returns whether `tx` committed — `aborting` never does,
-    /// and neither does a commit that strict certification turned into
-    /// an abort. In every case the recorded steps stay in the trace and
+    /// publish, certify the whole attempt (`attempt` is exactly its
+    /// steps), make the outcome durable and visible. Returns whether `tx`
+    /// committed — `aborting` never does, and neither does a commit that
+    /// strict certification turned into an abort. In every case the recorded steps stay in the trace and
     /// the log (the replica must stay lossless); only a commit gets a
     /// commit record, strictly before its visibility flip, so a snapshot
     /// never observes a writer the log could lose. An abort resolves in
@@ -876,11 +1037,11 @@ impl LockService {
     fn retire(
         &self,
         at: &mut Attempt,
-        trace: &mut Vec<(u64, ScheduledStep)>,
+        attempt: &mut Vec<Stamped>,
         aborting: bool,
     ) -> Result<bool, PolicyViolation> {
         let tx = at.tx;
-        let from = trace.len();
+        let from = attempt.len();
         match at.mode {
             GrantMode::Words { shared } => {
                 at.held.sort_unstable();
@@ -888,7 +1049,7 @@ impl LockService {
                 self.record(
                     tx,
                     unlocks.map(|e| Step::unlock(lock_mode(shared), e)),
-                    trace,
+                    attempt,
                 );
             }
             GrantMode::Engine => {
@@ -898,15 +1059,14 @@ impl LockService {
                 } else {
                     engine.finish(tx)?
                 };
-                self.record(tx, steps, trace);
+                self.record(tx, steps, attempt);
             }
         }
-        self.publish(tx, trace, from);
-        let certified_out =
-            self.strict_certify && self.certify_strict(tx, trace, at.cert_from, None, aborting);
+        self.publish(tx, &attempt[from..]);
+        let certified_out = self.strict_certify && self.certify_strict(tx, attempt, None, aborting);
         let committed = !aborting && !certified_out;
         if committed {
-            self.log_commit(tx, trace);
+            self.log_commit(tx, attempt);
         }
         if let Some(m) = &self.mvcc {
             if committed {
@@ -916,7 +1076,7 @@ impl LockService {
             }
         }
         if !self.strict_certify {
-            self.certify_monitor(|| CertBatch::Steps(trace[at.cert_from..].to_vec(), tx, aborting));
+            self.certify_monitor(|| CertBatch::Steps(attempt.clone(), tx, aborting));
         }
         Ok(committed)
     }
@@ -929,17 +1089,12 @@ impl LockService {
     /// the lock table, or a parking stripe**. Returns `false` when strict
     /// certification recovered by retracting the reader (the caller
     /// retries with a fresh snapshot).
-    pub fn snapshot_read(
-        &self,
-        tx: TxId,
-        targets: &[EntityId],
-        trace: &mut Vec<(u64, ScheduledStep)>,
-    ) -> bool {
+    pub fn snapshot_read(&self, tx: TxId, targets: &[EntityId], rec: &mut Recorder) -> bool {
         let m = self
             .mvcc
             .as_ref()
             .expect("snapshot read without an MVCC store");
-        let from = trace.len();
+        let trace = &mut rec.steps;
         let snap = m.pipeline.capture(targets.len(), |n| {
             self.seq.fetch_add(n as u64, Ordering::Relaxed)
         });
@@ -960,20 +1115,24 @@ impl LockService {
                 pivot: obs.pivot,
             });
         }
-        self.counters
-            .snapshot_reads
-            .fetch_add(targets.len() as u64, Ordering::Relaxed);
+        rec.tally.snapshot_reads += targets.len() as u64;
         // Reader steps are logged (the recovered trace must stay dense)
         // but a read-only transaction needs no commit record.
-        self.log_recorded(trace, from);
+        self.log_recorded(trace);
         if self.strict_certify {
-            !self.certify_strict(tx, trace, from, Some(&reads), false)
+            !self.certify_strict(tx, trace, Some(&reads), false)
         } else {
             if !reads.is_empty() {
                 self.certify_monitor(|| CertBatch::Reads(reads, tx));
             }
             true
         }
+    }
+
+    /// How many stamps the run has drawn: the number of steps its workers
+    /// recorded, and one past the newest stamp.
+    pub fn stamps_drawn(&self) -> u64 {
+        self.seq.load(Ordering::Relaxed)
     }
 
     /// Whether every lock word is free (end-of-run quiescence — vacuously
@@ -1030,6 +1189,34 @@ mod tests {
             .expect("2PL builds");
         let words = words.then(|| LockWords::new(1));
         LockService::new(engine, None, CertifyMode::Off, None, words)
+    }
+
+    /// The make-way rule of [`CertChannel::wait_for_graph`]: once a
+    /// feeder has spent its polls and queued on the graph, a later
+    /// arrival stands aside until the queued one has been through — it
+    /// never takes the graph the sleeper was just woken for.
+    #[test]
+    fn a_strict_feeder_never_overtakes_a_queued_one() {
+        let ch = CertChannel::new();
+        let order = Mutex::new(Vec::new());
+        let enter = |name: &'static str| {
+            let _cert = ch.wait_for_graph();
+            order.lock().expect("order").push(name);
+        };
+        std::thread::scope(|s| {
+            let held = ch.graph.lock().expect("graph");
+            s.spawn(|| enter("queued"));
+            while ch.queued.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            s.spawn(|| enter("late"));
+            // Give the late arrival every chance to barge: it is polling
+            // (or napping) by now, and the graph is about to come free.
+            std::thread::sleep(CERT_NAP * 20);
+            drop(held);
+        });
+        assert_eq!(*order.lock().expect("order"), ["queued", "late"]);
+        assert_eq!(ch.queued.load(Ordering::Relaxed), 0);
     }
 
     /// Forces one instance of the race the fix targets: a parker whose
@@ -1113,15 +1300,16 @@ mod tests {
         // `None` for a plan leaves the attempt in engine mode.
         for tx2_plan in [Some(&plan[..]), None] {
             let service = service_over_e0(true);
-            let mut trace = Vec::new();
-            let mut tx1 = service.attempt(TxId(1), Some(&plan), &job, 0);
+            // One recorder per attempt, as if two workers ran them.
+            let (mut rec1, mut rec2) = (Recorder::default(), Recorder::default());
+            let mut tx1 = service.attempt(TxId(1), Some(&plan), &job, &mut rec1.tally);
             service.begin(&tx1, &AccessIntent::empty()).expect("begin");
             assert!(matches!(
-                service.request(&mut tx1, plan[0], &mut trace),
+                service.request(&mut tx1, plan[0], &mut rec1),
                 Outcome::Granted
             ));
 
-            let mut tx2 = service.attempt(TxId(2), tx2_plan, &job, trace.len());
+            let mut tx2 = service.attempt(TxId(2), tx2_plan, &job, &mut rec2.tally);
             assert_eq!(
                 matches!(tx2.mode, GrantMode::Words { .. }),
                 tx2_plan.is_some()
@@ -1131,14 +1319,14 @@ mod tests {
                 entity,
                 holder,
                 gen,
-            } = service.request(&mut tx2, plan[0], &mut trace)
+            } = service.request(&mut tx2, plan[0], &mut rec2)
             else {
                 panic!("a held word must conflict");
             };
             assert_eq!((entity, holder), (e, TxId(1)));
 
-            assert!(service.finish(&mut tx1, &mut trace).expect("finish"));
-            let (unlock_stamp, unlock) = *trace.last().expect("tx1 recorded steps");
+            assert!(service.finish(&mut tx1, &mut rec1).expect("finish"));
+            let (unlock_stamp, unlock) = *rec1.steps.last().expect("tx1 recorded steps");
             assert!(unlock.step.is_unlock());
 
             service.park(e, gen, Duration::from_secs(10));
@@ -1147,10 +1335,10 @@ mod tests {
             assert_eq!(c.park_timeouts.load(Ordering::Relaxed), 0);
 
             assert!(matches!(
-                service.request(&mut tx2, plan[0], &mut trace),
+                service.request(&mut tx2, plan[0], &mut rec2),
                 Outcome::Granted
             ));
-            let (lock_stamp, lock) = *trace.last().expect("tx2 recorded its lock");
+            let (lock_stamp, lock) = *rec2.steps.last().expect("tx2 recorded its lock");
             assert_eq!(
                 (lock.tx, lock.step),
                 (TxId(2), Step::lock(LockMode::Exclusive, e))
@@ -1159,8 +1347,17 @@ mod tests {
                 lock_stamp > unlock_stamp,
                 "acquire stamped after the release"
             );
-            assert!(service.finish(&mut tx2, &mut trace).expect("finish"));
+            assert!(service.finish(&mut tx2, &mut rec2).expect("finish"));
             assert!(service.words_quiescent());
+            // Grants are tallied by the worker that was granted them, on
+            // the path that granted them.
+            assert_eq!((rec1.tally.grants, rec1.tally.fast_path_grants), (1, 1));
+            assert_eq!(rec2.tally.grants, 1);
+            assert_eq!(rec2.tally.slow_path_grants, u64::from(tx2_plan.is_none()));
+            assert_eq!(
+                rec2.tally.fast_path_fallbacks,
+                u64::from(tx2_plan.is_none())
+            );
         }
     }
 }

@@ -16,9 +16,9 @@
 //! The stamp-ordering contract under test throughout: an acquire's stamp
 //! is fetched after the word CAS, a release's before it, so per entity
 //! the global counter orders conflicting steps exactly as the word
-//! serialized them — `Schedule::from_sequenced` (which rejects duplicate
-//! or gapped stamps outright) then merges the per-worker buffers into a
-//! schedule that replays legal + serializable.
+//! serialized them — `Schedule::from_sequenced_runs` (which rejects
+//! duplicate or gapped stamps outright) then merges the per-worker runs
+//! into a schedule that replays legal + serializable.
 
 use slp_core::{is_serializable, EntityId};
 use slp_policies::{
