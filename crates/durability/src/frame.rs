@@ -14,11 +14,22 @@
 //! decodes to either a record or a typed [`TornReason`] — crash recovery
 //! feeds arbitrary truncations and corruptions through this path, so there
 //! is no input on which it may panic.
+//!
+//! Encoding writes a frame in place at the end of a buffer the caller
+//! owns and reuses: the header is reserved, the payload encoded behind
+//! it, then length and checksum are filled in — no second payload
+//! buffer. A worker encodes and checksums its attempt's frames
+//! ([`encode_steps`], [`encode_commit`]) *before* it takes the log's
+//! mutex; only a checkpoint ([`encode_checkpoint`]) is encoded under it,
+//! because it is the log's own replica that is being written. The writer
+//! never emits a frame the decoder would refuse: see [`MAX_FRAME_BYTES`].
 
 use crate::crc::crc32;
+use crate::WalError;
 use slp_core::wire::{
     get_lock_entry, get_stamped_step, get_state, get_u32, get_u64, put_lock_entry,
-    put_stamped_step, put_state, put_u32, put_u64,
+    put_stamped_step, put_state, put_u32, put_u64, LockEntry, LOCK_ENTRY_BYTES,
+    SNAPSHOT_STEP_BYTES,
 };
 use slp_core::{EntityId, LockMode, ScheduledStep, StructuralState, TxId};
 use std::fmt;
@@ -27,11 +38,22 @@ use std::fmt;
 /// truncated-magic file obviously non-binary garbage in a hex dump.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"SLPWAL1\n";
 
-/// Frames larger than this are rejected as torn/corrupt: no writer
-/// produces them (a steps batch is bounded by the group-commit flush), so
-/// a bigger length field is a corrupted length field, and trusting it
-/// would make recovery attempt an absurd allocation.
+/// Frames larger than this are rejected as torn/corrupt: a bigger length
+/// field is a corrupted length field, and trusting it would make recovery
+/// attempt an absurd allocation. The writer holds itself to the same
+/// bound — a frame it wrote and recovery refused would silently end the
+/// log there: a step batch of any length is split into frames of at most
+/// [`MAX_FRAME_STEPS`] steps ([`encode_steps`]), and a checkpoint that
+/// would not fit is a typed error ([`encode_checkpoint`]), never a frame.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Most steps one `Steps` frame carries. A batch is a whole attempt (or
+/// the part of one taken before a park), so its length is the job's, not
+/// the log's, to choose; 4096 steps is ~70 KiB — about a default segment
+/// — and far inside [`MAX_FRAME_BYTES`] even if every step is a snapshot
+/// read.
+pub const MAX_FRAME_STEPS: usize = 4096;
+const _: () = assert!(1 + 4 + MAX_FRAME_STEPS * SNAPSHOT_STEP_BYTES <= MAX_FRAME_BYTES);
 
 /// One durable log record.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -110,44 +132,101 @@ const KIND_STEPS: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 const KIND_CHECKPOINT: u8 = 3;
 
-/// Appends `record` to `out` as one frame; returns the frame's size.
+/// Opens a frame of `kind` at the end of `out`: the header is reserved
+/// and filled in by [`close_frame`], so the payload is encoded in place.
+fn open_frame(out: &mut Vec<u8>, kind: u8) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    out.push(kind);
+    at
+}
+
+/// Writes the length and checksum of the frame opened at `at`.
+fn close_frame(out: &mut [u8], at: usize) {
+    let (header, payload) = out[at..].split_at_mut(8);
+    assert!(payload.len() <= MAX_FRAME_BYTES, "frame exceeds the bound");
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// One `Steps` frame; the caller bounds `entries` by [`MAX_FRAME_STEPS`].
+fn steps_frame(out: &mut Vec<u8>, entries: &[(u64, ScheduledStep)]) {
+    let at = open_frame(out, KIND_STEPS);
+    put_u32(out, entries.len() as u32);
+    for (stamp, step) in entries {
+        put_stamped_step(out, *stamp, step);
+    }
+    close_frame(out, at);
+}
+
+/// Appends `entries` to `out` as `Steps` frames of at most
+/// [`MAX_FRAME_STEPS`] steps each — none for an empty batch — and returns
+/// how many frames that took.
+pub fn encode_steps(out: &mut Vec<u8>, entries: &[(u64, ScheduledStep)]) -> usize {
+    out.reserve(entries.len() * SNAPSHOT_STEP_BYTES + 16);
+    let frames = entries.chunks(MAX_FRAME_STEPS);
+    let count = frames.len();
+    frames.for_each(|frame| steps_frame(out, frame));
+    count
+}
+
+/// Appends a `Commit` frame to `out`.
+pub fn encode_commit(out: &mut Vec<u8>, tx: TxId, required_watermark: u64) {
+    let at = open_frame(out, KIND_COMMIT);
+    put_u32(out, tx.0);
+    put_u64(out, required_watermark);
+    close_frame(out, at);
+}
+
+/// Appends a `Checkpoint` frame to `out` from the parts of a
+/// [`Checkpoint`], borrowed. A state too large for one frame
+/// (> ~262 k entities) is [`WalError::OversizeCheckpoint`] and writes
+/// nothing.
+pub fn encode_checkpoint(
+    out: &mut Vec<u8>,
+    watermark: u64,
+    committed: u64,
+    state: &StructuralState,
+    locks: &[LockEntry],
+) -> Result<(), WalError> {
+    let payload = 1 + 8 + 8 + 4 + 4 * state.len() + 4 + LOCK_ENTRY_BYTES * locks.len();
+    if payload > MAX_FRAME_BYTES {
+        return Err(WalError::OversizeCheckpoint(payload));
+    }
+    out.reserve(8 + payload);
+    let at = open_frame(out, KIND_CHECKPOINT);
+    put_u64(out, watermark);
+    put_u64(out, committed);
+    put_state(out, state);
+    put_u32(out, locks.len() as u32);
+    for entry in locks {
+        put_lock_entry(out, entry);
+    }
+    close_frame(out, at);
+    Ok(())
+}
+
+/// Appends `record` to `out` as exactly one frame — the inverse of
+/// [`decode_frame`] — and returns the frame's size. Panics on a record
+/// one frame cannot hold; the log's writer goes through [`encode_steps`]
+/// and [`encode_checkpoint`], which split or refuse instead.
 pub fn encode_frame(out: &mut Vec<u8>, record: &Record) -> usize {
-    let mut payload = Vec::new();
+    let at = out.len();
     match record {
         Record::Steps(entries) => {
-            payload.push(KIND_STEPS);
-            put_u32(&mut payload, entries.len() as u32);
-            for (stamp, step) in entries {
-                put_stamped_step(&mut payload, *stamp, step);
-            }
+            assert!(entries.len() <= MAX_FRAME_STEPS, "split the batch");
+            steps_frame(out, entries);
         }
         Record::Commit {
             tx,
             required_watermark,
-        } => {
-            payload.push(KIND_COMMIT);
-            put_u32(&mut payload, tx.0);
-            put_u64(&mut payload, *required_watermark);
-        }
+        } => encode_commit(out, *tx, *required_watermark),
         Record::Checkpoint(c) => {
-            payload.push(KIND_CHECKPOINT);
-            put_u64(&mut payload, c.watermark);
-            put_u64(&mut payload, c.committed);
-            put_state(&mut payload, &c.state);
-            put_u32(&mut payload, c.locks.len() as u32);
-            for entry in &c.locks {
-                put_lock_entry(&mut payload, entry);
-            }
+            encode_checkpoint(out, c.watermark, c.committed, &c.state, &c.locks)
+                .expect("checkpoint fits one frame")
         }
     }
-    debug_assert!(
-        payload.len() <= MAX_FRAME_BYTES,
-        "frame exceeds writer bound"
-    );
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    8 + payload.len()
+    out.len() - at
 }
 
 /// The outcome of decoding one frame off the front of `buf`.
@@ -288,6 +367,103 @@ mod tests {
             }
         }
         assert_eq!(decoded, records);
+    }
+
+    /// The wire format, pinned byte for byte: these are the frames the
+    /// log's first writer (one payload `Vec` per record, bytewise CRC)
+    /// produced for a steps batch with a snapshot read in it, a commit
+    /// and a checkpoint. Today's encoders must write exactly them and
+    /// today's decoder must read them back, so a log written before the
+    /// in-place encoders recovers after them and the other way round.
+    #[test]
+    fn the_wire_format_is_byte_for_byte_the_first_writers() {
+        const FIXTURE: &str = "3c000000cd28e92001030000000700000000000000010000000300000005\
+            0800000000000000020000000300000008010000000900000000000000010000000300000007\
+            0d0000006ea34d6502010000000a00000000000000\
+            2a0000000961fbc2030a00000000000000010000000000000002000000030000000900000001\
+            000000090000000400000000";
+        let fixture: Vec<u8> = (0..FIXTURE.len() / 2)
+            .map(|i| u8::from_str_radix(&FIXTURE[2 * i..2 * i + 2], 16).expect("hex"))
+            .collect();
+        let steps = vec![
+            (
+                7,
+                ScheduledStep::new(TxId(1), Step::lock_exclusive(EntityId(3))),
+            ),
+            (
+                8,
+                ScheduledStep::snapshot_read(TxId(2), EntityId(3), Some(TxId(1))),
+            ),
+            (
+                9,
+                ScheduledStep::new(TxId(1), Step::unlock_exclusive(EntityId(3))),
+            ),
+        ];
+        let checkpoint = Checkpoint {
+            watermark: 10,
+            committed: 1,
+            state: StructuralState::from_entities([EntityId(3), EntityId(9)]),
+            locks: vec![(EntityId(9), TxId(4), LockMode::Shared)],
+        };
+        let mut buf = Vec::new();
+        assert_eq!(encode_steps(&mut buf, &steps), 1);
+        encode_commit(&mut buf, TxId(1), 10);
+        encode_checkpoint(&mut buf, 10, 1, &checkpoint.state, &checkpoint.locks).unwrap();
+        assert_eq!(buf, fixture);
+
+        let mut rest: &[u8] = &fixture;
+        let mut decoded = Vec::new();
+        while let FrameOutcome::Record(r, tail) = decode_frame(rest) {
+            decoded.push(r);
+            rest = tail;
+        }
+        assert!(rest.is_empty());
+        assert_eq!(
+            decoded,
+            [
+                Record::Steps(steps),
+                Record::Commit {
+                    tx: TxId(1),
+                    required_watermark: 10
+                },
+                Record::Checkpoint(checkpoint)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_long_batch_is_split_into_frames_the_decoder_accepts() {
+        let entries: Vec<(u64, ScheduledStep)> = (0..2 * MAX_FRAME_STEPS as u64 + 5)
+            .map(|i| (i, ScheduledStep::new(TxId(1), Step::read(EntityId(0)))))
+            .collect();
+        let mut buf = Vec::new();
+        assert_eq!(encode_steps(&mut buf, &entries), 3);
+        assert_eq!(encode_steps(&mut buf, &[]), 0, "an empty batch is no frame");
+        let mut rest: &[u8] = &buf;
+        let mut decoded = Vec::new();
+        while let FrameOutcome::Record(Record::Steps(frame), tail) = decode_frame(rest) {
+            assert!(frame.len() <= MAX_FRAME_STEPS);
+            decoded.extend(frame);
+            rest = tail;
+        }
+        assert!(rest.is_empty(), "every frame decoded");
+        assert_eq!(decoded, entries);
+    }
+
+    #[test]
+    fn a_checkpoint_past_the_frame_bound_is_an_error_not_a_frame() {
+        // 4 bytes an entity: the bound falls between these two states.
+        let fits = StructuralState::from_entities((0..262_000).map(EntityId));
+        let too_big = StructuralState::from_entities((0..263_000).map(EntityId));
+        let mut buf = Vec::new();
+        encode_checkpoint(&mut buf, 0, 0, &fits, &[]).unwrap();
+        assert!(matches!(decode_frame(&buf), FrameOutcome::Record(_, [])));
+        let len = buf.len();
+        assert!(matches!(
+            encode_checkpoint(&mut buf, 0, 0, &too_big, &[]),
+            Err(WalError::OversizeCheckpoint(bytes)) if bytes > MAX_FRAME_BYTES
+        ));
+        assert_eq!(buf.len(), len, "a refused checkpoint writes nothing");
     }
 
     #[test]

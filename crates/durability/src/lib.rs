@@ -8,7 +8,8 @@
 //! steps (each carrying a dense sequence stamp — see
 //! `slp_runtime::LockService`). Durability is a replica of that trace:
 //!
-//! - [`frame::Record::Steps`] — a group-commit batch of stamped steps;
+//! - [`frame::Record::Steps`] — a batch of stamped steps: an attempt, or
+//!   the part of one taken before its worker parked;
 //! - [`frame::Record::Commit`] — a transaction finished, durable once the
 //!   contiguous-stamp watermark covers its last step;
 //! - [`frame::Record::Checkpoint`] — the replayed [`StructuralState`] plus
@@ -46,7 +47,7 @@ pub use crc::crc32;
 pub use frame::{Checkpoint, Record, TornReason, SEGMENT_MAGIC};
 pub use recover::{recover, RecoverError, Recovered, RecoveryMode, Truncation};
 pub use store::{DirStore, FaultyStore, MemStore, SharedMemStore, Store};
-pub use wal::{Wal, WalConfig, WalSummary, WatermarkTracker};
+pub use wal::{Wal, WalConfig, WalSummary};
 
 /// Why a log operation failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -59,6 +60,14 @@ pub enum WalError {
     /// [`Wal::create`] was given a store that already holds segments; a
     /// log is created exactly once per run (recover from it instead).
     LogNotEmpty,
+    /// The checkpoint replica outgrew one frame: its payload would be
+    /// this many bytes, past [`frame::MAX_FRAME_BYTES`], and recovery
+    /// refuses such a frame — so it is not written and logging stops.
+    OversizeCheckpoint(usize),
+    /// A step's stamp lies this far past the watermark — further than
+    /// any run's out-of-order overhang, so the stamps are not the dense
+    /// sequence the log is a replica of.
+    StampGap(u64),
 }
 
 impl fmt::Display for WalError {
@@ -67,6 +76,10 @@ impl fmt::Display for WalError {
             WalError::Io(e) => write!(f, "log i/o error: {e}"),
             WalError::Crashed => f.write_str("log store crashed"),
             WalError::LogNotEmpty => f.write_str("store already contains a log"),
+            WalError::OversizeCheckpoint(bytes) => {
+                write!(f, "checkpoint of {bytes} bytes exceeds one frame")
+            }
+            WalError::StampGap(gap) => write!(f, "stamp {gap} past the watermark: not dense"),
         }
     }
 }

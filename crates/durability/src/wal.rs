@@ -1,43 +1,74 @@
 //! The write-ahead log: group-committed appends, segment rotation, and
 //! automatic fuzzy checkpoints.
 //!
-//! One [`Wal`] records one runtime run. Appends land in the current
-//! segment immediately; [`Store::sync`] is called every
-//! [`WalConfig::group_commit`] records (and on [`Wal::flush`]), so the
+//! One [`Wal`] records one runtime run, and it is fed **once per
+//! attempt**: a worker hands over the stamped steps its attempt took and
+//! — if the attempt committed — the commit record, in one
+//! [`Wal::append_attempt`] call, after the attempt's locks are free (and
+//! the not-yet-logged part of an attempt just before its worker parks, so
+//! a sleeping waiter never holds the watermark back). The frames and
+//! their checksums are encoded into a buffer the caller owns and reuses,
+//! *before* the log's one mutex is taken; under it the log only appends
+//! those bytes to the current segment, updates its replica, and applies
+//! the sync / rotate / checkpoint policy. [`Store::sync`] is called every
+//! [`WalConfig::group_commit`] frames (and on [`Wal::flush`]), so the
 //! fsync cost is amortised across a group. Before rotating to a new
 //! segment the old one is synced — the *sync-before-rotate* invariant —
 //! so only the newest segment can lose a suffix in a crash.
 //!
-//! The log maintains its own replica of the replayed state: stamped steps
-//! pass through [`Wal::append_steps`] anyway, so once the contiguous
-//! watermark advances past them they are folded into an in-log
-//! [`StructuralState`] + held-locks replica. When
+//! The log maintains its own replica of the replayed state. Stamps are
+//! dense and unique, but workers append out of stamp order, so steps at
+//! or above the contiguous watermark wait in a dense window indexed by
+//! `stamp − watermark`; once the watermark advances past them they are
+//! folded into an in-log [`StructuralState`] + held-locks replica. When
 //! [`WalConfig::checkpoint_every`] steps have been folded since the last
-//! checkpoint, the log emits a [`Checkpoint`] record by itself — callers
-//! never compute checkpoint state.
+//! checkpoint, the log emits a [`Checkpoint`](crate::Checkpoint) record
+//! by itself — callers never compute checkpoint state.
 //!
-//! Any store error marks the log failed: every later call returns
+//! Any error marks the log failed: every later call returns
 //! [`WalError::Crashed`] without touching the store, and the runtime
 //! finishes the run in memory, reporting the failure in its summary.
 
-use crate::frame::{encode_frame, Checkpoint, Record};
+use crate::frame::{encode_checkpoint, encode_commit, encode_steps};
 use crate::recover::replay_step;
 use crate::store::Store;
 use crate::{WalError, SEGMENT_MAGIC};
 use slp_core::{EntityId, LockMode, ScheduledStep, StructuralState, TxId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, TryLockError};
+
+/// `try_lock` polls an appender spends on the log's mutex before it
+/// queues on it ([`Wal::lock_core`]). A critical section is a memcpy and
+/// a fold, a few microseconds when it also writes a checkpoint: a
+/// neighbour's section ends within the burst, and the appender does not
+/// pay a futex sleep and wake for it. A holder that is off-CPU, or inside
+/// a real `fsync`, outlasts any burst, and then polling on would only
+/// burn the time slice it needs — so the burst is bounded. A constant,
+/// not a knob, chosen on `bench-report`'s `twopl_durable` (two workers,
+/// two cores, k jobs/s alone / on one core / beside a busy neighbour):
+/// 0 polls 200 / 475 / 470, 32 polls 255 / 450 / 445, 128 polls 260 / 445
+/// / 430, 512 polls 340 / 460 / 430, 4096 polls 360–400 / 455 / 460 —
+/// 512 is where two free cores stop paying for sleeps, at an eighth of
+/// the spinning 4096 does beside a descheduled holder.
+const LOCK_POLL_BURST: u32 = 512;
+
+/// The widest out-of-order overhang the window accepts
+/// ([`WalError::StampGap`] past it): a bound on memory against a stamp
+/// that is not part of a dense sequence at all.
+const MAX_WINDOW: u64 = 1 << 22;
 
 /// Tuning knobs for the log.
 #[derive(Clone, Copy, Debug)]
 pub struct WalConfig {
     /// Rotate to a fresh segment once the current one reaches this many
-    /// bytes (the final frame may overshoot; rotation happens after it).
+    /// bytes (the final append may overshoot; rotation happens after it).
     pub segment_bytes: usize,
-    /// Sync after this many appended records — the group-commit boundary.
-    /// `1` syncs every record; larger groups amortise the fsync.
+    /// Sync after this many appended frames — the group-commit boundary.
+    /// `1` syncs every append; larger groups amortise the fsync. A
+    /// committed attempt is two frames (its steps, its commit record), so
+    /// the default of `2` syncs at least once per committed transaction.
     pub group_commit: usize,
     /// Emit a checkpoint after this many steps have been folded into the
     /// watermark since the previous checkpoint. `0` disables automatic
@@ -57,7 +88,7 @@ impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             segment_bytes: 64 * 1024,
-            group_commit: 8,
+            group_commit: 2,
             checkpoint_every: 256,
             keep_checkpoints: 0,
         }
@@ -76,7 +107,7 @@ impl WalConfig {
 /// Counters describing what a [`Wal`] has written, for run reports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WalSummary {
-    /// Records appended (step batches + commits + checkpoints).
+    /// Frames appended (step batches + commits + checkpoints).
     pub records: u64,
     /// Frame bytes appended (excludes segment magic).
     pub bytes: u64,
@@ -88,46 +119,65 @@ pub struct WalSummary {
     pub checkpoints: u64,
     /// Contiguous-stamp watermark reached.
     pub watermark: u64,
+    /// The largest out-of-order overhang the run saw: the most steps
+    /// held above the watermark after an append was folded — appended,
+    /// but behind a stamp some worker had drawn and not handed over yet.
+    /// How far durability lagged the run.
+    pub peak_window: u64,
     /// Whether a store error stopped logging before the run ended.
     pub failed: bool,
 }
 
-/// Tracks the contiguous-stamp watermark over an out-of-order stamp feed.
+/// The out-of-order overhang: appended steps at or above the contiguous
+/// watermark, slot `i` holding stamp `base + i`.
 ///
-/// Workers append their batches after dropping the engine lock, so the
+/// Workers hand their attempts over after dropping their locks, so the
 /// byte order of batches across workers is arbitrary even though stamps
-/// are dense. The watermark is the first stamp not yet seen: everything
-/// below it is in the log with no gaps.
-#[derive(Clone, Debug)]
-pub struct WatermarkTracker {
-    next: u64,
-    parked: BinaryHeap<Reverse<u64>>,
+/// are dense and unique. The watermark (`base`) is the first stamp not
+/// yet seen: everything below it is in the log with no gaps, and has been
+/// folded, in stamp order, by [`admit`](Window::admit).
+#[derive(Default)]
+struct Window {
+    base: u64,
+    slots: VecDeque<Option<ScheduledStep>>,
+    /// Occupied slots.
+    held: usize,
 }
 
-impl WatermarkTracker {
-    /// A tracker whose watermark starts at `base` (first expected stamp).
-    pub fn new(base: u64) -> Self {
-        WatermarkTracker {
-            next: base,
-            parked: BinaryHeap::new(),
+impl Window {
+    /// Takes a batch in, then advances the watermark over every step
+    /// that became contiguous, passing each to `fold` in stamp order;
+    /// returns how many were folded. A stamp below the watermark was
+    /// folded already and is skipped.
+    fn admit(
+        &mut self,
+        entries: &[(u64, ScheduledStep)],
+        mut fold: impl FnMut(&ScheduledStep),
+    ) -> Result<u64, WalError> {
+        for &(stamp, step) in entries {
+            let Some(ahead) = stamp.checked_sub(self.base) else {
+                continue;
+            };
+            if ahead >= MAX_WINDOW {
+                return Err(WalError::StampGap(ahead));
+            }
+            let slot = ahead as usize;
+            if slot >= self.slots.len() {
+                self.slots.resize(slot + 1, None);
+            }
+            if self.slots[slot].replace(step).is_none() {
+                self.held += 1;
+            }
         }
-    }
-
-    /// Records `stamp` as seen; stamps below the watermark are ignored.
-    pub fn record(&mut self, stamp: u64) {
-        if stamp < self.next {
-            return;
+        let before = self.base;
+        while let Some(Some(step)) = self.slots.front() {
+            fold(step);
+            self.slots.pop_front();
+            self.base += 1;
         }
-        self.parked.push(Reverse(stamp));
-        while self.parked.peek() == Some(&Reverse(self.next)) {
-            self.parked.pop();
-            self.next += 1;
-        }
-    }
-
-    /// One past the largest stamp below which every stamp has been seen.
-    pub fn watermark(&self) -> u64 {
-        self.next
+        let folded = self.base - before;
+        self.held -= folded as usize;
+        Ok(folded)
     }
 }
 
@@ -136,12 +186,9 @@ struct WalCore {
     config: WalConfig,
     current_segment: u64,
     current_len: usize,
-    /// Records appended since the last sync (group-commit counter).
+    /// Frames appended since the last sync (group-commit counter).
     unsynced: usize,
-    tracker: WatermarkTracker,
-    /// Stamped steps at or above the watermark, not yet folded into the
-    /// checkpoint replica. Bounded by the out-of-order overhang.
-    retained: BTreeMap<u64, ScheduledStep>,
+    window: Window,
     /// Replica of the replayed run at the watermark.
     state: StructuralState,
     locks: Vec<(EntityId, TxId, LockMode)>,
@@ -155,13 +202,16 @@ struct WalCore {
     /// Segments holding the newest checkpoints, oldest first (bounded to
     /// [`WalConfig::keep_checkpoints`] when retention is on; the
     /// retention boundary is the front).
-    checkpoint_segments: std::collections::VecDeque<u64>,
+    checkpoint_segments: VecDeque<u64>,
+    /// The checkpoint frame's encode buffer, reused.
+    scratch: Vec<u8>,
     stats: WalSummary,
 }
 
 /// A live write-ahead log. Shared across worker threads by reference;
-/// all appends serialise on an internal mutex (they are off the hot path:
-/// the runtime appends after releasing the engine lock).
+/// all appends serialise on an internal mutex, which a worker takes once
+/// per attempt, with its frames already encoded and its locks already
+/// free.
 pub struct Wal {
     core: Mutex<WalCore>,
     failed: AtomicBool,
@@ -183,15 +233,15 @@ impl Wal {
             current_segment: 0,
             current_len: 0,
             unsynced: 0,
-            tracker: WatermarkTracker::new(0),
-            retained: BTreeMap::new(),
+            window: Window::default(),
             state: g0.clone(),
             locks: Vec::new(),
             pending_commits: BinaryHeap::new(),
             durable_commits: 0,
             steps_since_checkpoint: 0,
             checkpoint_segment: 0,
-            checkpoint_segments: std::collections::VecDeque::new(),
+            checkpoint_segments: VecDeque::new(),
+            scratch: Vec::new(),
             stats: WalSummary::default(),
         };
         if !core.store.list()?.is_empty() {
@@ -208,59 +258,73 @@ impl Wal {
         })
     }
 
-    /// Whether a store error has permanently stopped this log.
+    /// Whether an error has permanently stopped this log.
     pub fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Relaxed)
     }
 
     /// The contiguous-stamp watermark: every step below it is appended.
     pub fn watermark(&self) -> u64 {
-        self.core.lock().expect("wal lock").tracker.watermark()
+        self.lock_core().window.base
     }
 
     /// Counters for the run report (watermark and failure flag included).
     pub fn summary(&self) -> WalSummary {
-        let core = self.core.lock().expect("wal lock");
+        let core = self.lock_core();
         let mut s = core.stats;
-        s.watermark = core.tracker.watermark();
+        s.watermark = core.window.base;
         s.failed = self.is_failed();
         s
     }
 
-    /// Appends a batch of stamped steps (one group-commit unit), folding
-    /// newly contiguous steps into the checkpoint replica and emitting an
-    /// automatic checkpoint when one is due.
-    pub fn append_steps(&self, entries: &[(u64, ScheduledStep)]) -> Result<(), WalError> {
-        if entries.is_empty() {
+    /// Appends what one attempt hands over — its stamped `steps` (all of
+    /// them, or the part not handed over at an earlier park) and, for an
+    /// attempt that committed, `commit`: the transaction and the
+    /// watermark at which it is durable — as `Steps` frames followed by
+    /// the `Commit` frame, in one critical section. `buf` is the
+    /// caller's reusable encode buffer (overwritten): framing and
+    /// checksums are done into it before the log's mutex is taken.
+    /// Newly contiguous steps are folded into the checkpoint replica and
+    /// an automatic checkpoint is written when one is due. Nothing to
+    /// hand over is not a call on the log at all.
+    pub fn append_attempt(
+        &self,
+        buf: &mut Vec<u8>,
+        steps: &[(u64, ScheduledStep)],
+        commit: Option<(TxId, u64)>,
+    ) -> Result<(), WalError> {
+        if steps.is_empty() && commit.is_none() {
             return Ok(());
         }
-        self.with_core(|core| {
-            core.append_record(&Record::Steps(entries.to_vec()))?;
-            for &(stamp, step) in entries {
-                core.tracker.record(stamp);
-                core.retained.insert(stamp, step);
-            }
-            core.fold_to_watermark();
-            core.maybe_sync()?;
-            core.maybe_checkpoint()
-        })
+        if self.is_failed() {
+            return Err(WalError::Crashed);
+        }
+        buf.clear();
+        let mut frames = encode_steps(buf, steps);
+        if let Some((tx, required_watermark)) = commit {
+            encode_commit(buf, tx, required_watermark);
+            frames += 1;
+        }
+        self.with_core(|core| core.append_encoded(buf, frames, steps, commit))
+    }
+
+    /// Appends a batch of stamped steps: [`append_attempt`] without a
+    /// commit, for callers with no buffer to reuse.
+    ///
+    /// [`append_attempt`]: Wal::append_attempt
+    pub fn append_steps(&self, entries: &[(u64, ScheduledStep)]) -> Result<(), WalError> {
+        self.append_attempt(&mut Vec::new(), entries, None)
     }
 
     /// Appends a commit record for `tx`, durable once the watermark
-    /// reaches `required_watermark`.
+    /// reaches `required_watermark`: [`append_attempt`] without steps.
+    ///
+    /// [`append_attempt`]: Wal::append_attempt
     pub fn append_commit(&self, tx: TxId, required_watermark: u64) -> Result<(), WalError> {
-        self.with_core(|core| {
-            core.append_record(&Record::Commit {
-                tx,
-                required_watermark,
-            })?;
-            core.pending_commits.push(Reverse((required_watermark, tx)));
-            core.drain_durable_commits();
-            core.maybe_sync()
-        })
+        self.append_attempt(&mut Vec::new(), &[], Some((tx, required_watermark)))
     }
 
-    /// Syncs any unsynced records — the end-of-run barrier that makes the
+    /// Syncs any unsynced frames — the end-of-run barrier that makes the
     /// final group durable.
     pub fn flush(&self) -> Result<(), WalError> {
         self.with_core(|core| {
@@ -293,6 +357,19 @@ impl Wal {
         })
     }
 
+    /// Takes the log's mutex: a bounded burst of polls, then the queue
+    /// (see [`LOCK_POLL_BURST`]).
+    fn lock_core(&self) -> MutexGuard<'_, WalCore> {
+        for _ in 0..LOCK_POLL_BURST {
+            match self.core.try_lock() {
+                Ok(core) => return core,
+                Err(TryLockError::WouldBlock) => std::hint::spin_loop(),
+                Err(TryLockError::Poisoned(_)) => break,
+            }
+        }
+        self.core.lock().expect("wal lock poisoned")
+    }
+
     fn with_core<R>(
         &self,
         f: impl FnOnce(&mut WalCore) -> Result<R, WalError>,
@@ -300,7 +377,7 @@ impl Wal {
         if self.is_failed() {
             return Err(WalError::Crashed);
         }
-        let mut core = self.core.lock().expect("wal lock");
+        let mut core = self.lock_core();
         let result = f(&mut core);
         if result.is_err() {
             self.failed.store(true, Ordering::Relaxed);
@@ -310,14 +387,36 @@ impl Wal {
 }
 
 impl WalCore {
-    fn append_record(&mut self, record: &Record) -> Result<(), WalError> {
-        let mut buf = Vec::new();
-        let len = encode_frame(&mut buf, record);
-        self.store.append(&buf)?;
-        self.current_len += len;
-        self.unsynced += 1;
-        self.stats.records += 1;
-        self.stats.bytes += len as u64;
+    /// The one critical section of an append: `bytes` — `frames` encoded
+    /// frames carrying `steps` and `commit` — go to the store as they
+    /// are, the replica takes the steps in, and the policy runs.
+    fn append_encoded(
+        &mut self,
+        bytes: &[u8],
+        frames: usize,
+        steps: &[(u64, ScheduledStep)],
+        commit: Option<(TxId, u64)>,
+    ) -> Result<(), WalError> {
+        self.append_bytes(bytes, frames)?;
+        let (state, locks) = (&mut self.state, &mut self.locks);
+        self.steps_since_checkpoint += self
+            .window
+            .admit(steps, |step| replay_step(state, locks, step))?;
+        self.stats.peak_window = self.stats.peak_window.max(self.window.held as u64);
+        if let Some((tx, required_watermark)) = commit {
+            self.pending_commits.push(Reverse((required_watermark, tx)));
+        }
+        self.drain_durable_commits();
+        self.maybe_sync()?;
+        self.maybe_checkpoint()
+    }
+
+    fn append_bytes(&mut self, bytes: &[u8], frames: usize) -> Result<(), WalError> {
+        self.store.append(bytes)?;
+        self.current_len += bytes.len();
+        self.unsynced += frames;
+        self.stats.records += frames as u64;
+        self.stats.bytes += bytes.len() as u64;
         if self.current_len >= self.config.segment_bytes {
             self.rotate()?;
         }
@@ -350,22 +449,8 @@ impl WalCore {
         Ok(())
     }
 
-    /// Folds retained steps below the watermark into the state replica.
-    fn fold_to_watermark(&mut self) {
-        let watermark = self.tracker.watermark();
-        while let Some(entry) = self.retained.first_entry() {
-            if *entry.key() >= watermark {
-                break;
-            }
-            let step = entry.remove();
-            replay_step(&mut self.state, &mut self.locks, &step);
-            self.steps_since_checkpoint += 1;
-        }
-        self.drain_durable_commits();
-    }
-
     fn drain_durable_commits(&mut self) {
-        let watermark = self.tracker.watermark();
+        let watermark = self.window.base;
         while let Some(&Reverse((required, _))) = self.pending_commits.peek() {
             if required > watermark {
                 break;
@@ -386,17 +471,22 @@ impl WalCore {
 
     /// Writes and syncs a checkpoint of the replica at the watermark.
     fn write_checkpoint(&mut self) -> Result<(), WalError> {
-        let record = Record::Checkpoint(Checkpoint {
-            watermark: self.tracker.watermark(),
-            committed: self.durable_commits,
-            state: self.state.clone(),
-            locks: self.locks.clone(),
-        });
+        let mut frame = std::mem::take(&mut self.scratch);
+        frame.clear();
+        encode_checkpoint(
+            &mut frame,
+            self.window.base,
+            self.durable_commits,
+            &self.state,
+            &self.locks,
+        )?;
         // The record lands in the segment current *now*; appending it may
         // rotate afterwards, and pruning must keep the segment that holds
         // the checkpoint, not the fresh one.
         let segment_holding_checkpoint = self.current_segment;
-        self.append_record(&record)?;
+        let appended = self.append_bytes(&frame, 1);
+        self.scratch = frame;
+        appended?;
         self.sync()?;
         self.stats.checkpoints += 1;
         self.steps_since_checkpoint = 0;
@@ -435,9 +525,116 @@ impl WalCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{decode_frame, FrameOutcome};
+    use crate::frame::{decode_frame, encode_frame, Checkpoint, FrameOutcome, Record};
     use crate::store::{FaultyStore, MemStore, SharedMemStore};
+    use crate::{recover, RecoveryMode};
+    use proptest::test_runner::TestRng;
     use slp_core::Step;
+    use std::collections::BTreeMap;
+
+    /// The log's first watermark tracker — a min-heap of the stamps seen
+    /// at or above the watermark — kept as the oracle the dense
+    /// [`Window`] is checked against. One repair: it used to pop only a
+    /// top *equal* to the watermark, so a stamp recorded twice sat on top
+    /// of the heap for good and the watermark never moved again.
+    struct WatermarkTracker {
+        next: u64,
+        parked: BinaryHeap<Reverse<u64>>,
+    }
+
+    impl WatermarkTracker {
+        fn new(base: u64) -> Self {
+            WatermarkTracker {
+                next: base,
+                parked: BinaryHeap::new(),
+            }
+        }
+
+        /// Records `stamp` as seen; stamps below the watermark are ignored.
+        fn record(&mut self, stamp: u64) {
+            if stamp < self.next {
+                return;
+            }
+            self.parked.push(Reverse(stamp));
+            while let Some(&Reverse(top)) = self.parked.peek() {
+                if top > self.next {
+                    break;
+                }
+                self.parked.pop();
+                if top == self.next {
+                    self.next += 1;
+                }
+            }
+        }
+
+        fn watermark(&self) -> u64 {
+            self.next
+        }
+    }
+
+    /// The first writer's replica, whole: the tracker, a `BTreeMap` of
+    /// the steps retained above the watermark, the folded state, and the
+    /// commit bookkeeping.
+    struct OracleReplica {
+        tracker: WatermarkTracker,
+        retained: BTreeMap<u64, ScheduledStep>,
+        folded: Vec<ScheduledStep>,
+        state: StructuralState,
+        locks: Vec<(EntityId, TxId, LockMode)>,
+        pending_commits: Vec<u64>,
+        durable_commits: u64,
+    }
+
+    impl OracleReplica {
+        fn new(base: u64, state: StructuralState) -> Self {
+            OracleReplica {
+                tracker: WatermarkTracker::new(base),
+                retained: BTreeMap::new(),
+                folded: Vec::new(),
+                state,
+                locks: Vec::new(),
+                pending_commits: Vec::new(),
+                durable_commits: 0,
+            }
+        }
+
+        fn append(&mut self, entries: &[(u64, ScheduledStep)], commit: Option<u64>) {
+            for &(stamp, step) in entries {
+                if stamp >= self.tracker.watermark() {
+                    self.retained.insert(stamp, step);
+                    self.tracker.record(stamp);
+                }
+            }
+            let watermark = self.tracker.watermark();
+            while let Some(entry) = self.retained.first_entry() {
+                if *entry.key() >= watermark {
+                    break;
+                }
+                let step = entry.remove();
+                replay_step(&mut self.state, &mut self.locks, &step);
+                self.folded.push(step);
+            }
+            self.pending_commits.extend(commit);
+            let pending = self.pending_commits.len();
+            self.pending_commits
+                .retain(|&required| required > watermark);
+            self.durable_commits += (pending - self.pending_commits.len()) as u64;
+        }
+
+        fn checkpoint_frame(&self) -> Vec<u8> {
+            let mut frame = Vec::new();
+            encode_frame(
+                &mut frame,
+                &Record::Checkpoint(Checkpoint {
+                    watermark: self.tracker.watermark(),
+                    committed: self.durable_commits,
+                    state: self.state.clone(),
+                    locks: self.locks.clone(),
+                }),
+            );
+            frame
+        }
+    }
 
     fn e(i: u32) -> EntityId {
         EntityId(i)
@@ -781,5 +978,215 @@ mod tests {
         let before = wal.summary().records;
         wal.append_steps(&[]).unwrap();
         assert_eq!(wal.summary().records, before);
+    }
+
+    /// A dense run of `n` stamps from `base`, dealt to 1–5 workers and cut
+    /// into batches, in the order the log will see them: shuffled, with
+    /// here and there a copy of an entry an earlier batch carried (same
+    /// stamp, same step — above the watermark or below it by then) and a
+    /// stale stamp below `base` carrying a step of its own, which must
+    /// be ignored.
+    fn dealt_batches(rng: &mut TestRng, base: u64, n: u64) -> Vec<Vec<(u64, ScheduledStep)>> {
+        let workers = 1 + rng.below(5);
+        let mut hands: Vec<Vec<(u64, ScheduledStep)>> = vec![Vec::new(); workers as usize];
+        for stamp in base..base + n {
+            let w = rng.below(workers);
+            let entity = e(rng.below(6) as u32);
+            let s = match rng.below(5) {
+                0 => Step::lock_shared(entity),
+                1 => Step::unlock_shared(entity),
+                2 => Step::insert(entity),
+                3 => Step::delete(entity),
+                _ => Step::read(entity),
+            };
+            hands[w as usize].push((stamp, step(w as u32 + 1, s)));
+        }
+        let mut batches: Vec<Vec<(u64, ScheduledStep)>> = Vec::new();
+        for hand in hands {
+            let mut rest = hand.as_slice();
+            while !rest.is_empty() {
+                let (batch, more) = rest.split_at(1 + rng.below(rest.len().min(9) as u64) as usize);
+                batches.push(batch.to_vec());
+                rest = more;
+            }
+        }
+        for i in (1..batches.len()).rev() {
+            batches.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        for i in 1..batches.len() {
+            if rng.below(3) == 0 {
+                let earlier = &batches[rng.below(i as u64) as usize];
+                let copy = earlier[rng.below(earlier.len() as u64) as usize];
+                batches[i].push(copy);
+            }
+            if base > 0 && rng.below(4) == 0 {
+                let stale = (rng.below(base), step(9, Step::insert(e(7))));
+                batches[i].insert(0, stale);
+            }
+        }
+        batches
+    }
+
+    /// The dense window against the heap-and-`BTreeMap` tracker it
+    /// replaced, from a zero and a checkpoint-like non-zero base: after
+    /// every batch the same watermark, the same steps folded in the same
+    /// order, the same number still held.
+    #[test]
+    fn window_matches_the_tracker_oracle_on_out_of_order_batches() {
+        let mut rng = TestRng::deterministic("wal/window-vs-tracker");
+        for case in 0..200u64 {
+            let base = if case % 2 == 0 {
+                0
+            } else {
+                1 + rng.below(5000)
+            };
+            let n = 1 + rng.below(160);
+            let mut window = Window {
+                base,
+                ..Window::default()
+            };
+            let mut folded = Vec::new();
+            let mut oracle = OracleReplica::new(base, StructuralState::empty());
+            for batch in dealt_batches(&mut rng, base, n) {
+                let advanced = window.admit(&batch, |s| folded.push(*s)).unwrap();
+                let before = oracle.folded.len();
+                oracle.append(&batch, None);
+                let ctx = format!("case {case}, base {base}, batch {batch:?}");
+                assert_eq!(window.base, oracle.tracker.watermark(), "{ctx}");
+                assert_eq!(advanced as usize, oracle.folded.len() - before, "{ctx}");
+                assert_eq!(folded, oracle.folded, "{ctx}");
+                assert_eq!(window.held, oracle.retained.len(), "{ctx}");
+            }
+            assert_eq!(window.base, base + n, "case {case}: every stamp arrived");
+            assert!(window.slots.is_empty() && window.held == 0);
+        }
+    }
+
+    /// The same feed through the log's one append call, commits riding
+    /// along: after every batch the watermark and a forced checkpoint's
+    /// bytes — watermark, durable-commit count, state, locks in
+    /// acquisition order — are the oracle replica's.
+    #[test]
+    fn the_log_replica_matches_the_oracle_after_every_batch() {
+        let mut rng = TestRng::deterministic("wal/replica-vs-oracle");
+        for case in 0..60u64 {
+            let g0 = StructuralState::from_entities([e(1), e(4)]);
+            let n = 1 + rng.below(120);
+            let handle = SharedMemStore::new();
+            let config = WalConfig {
+                checkpoint_every: 0,
+                group_commit: 1 + rng.below(4) as usize,
+                ..WalConfig::default()
+            };
+            let wal = Wal::create(Box::new(handle.clone()), config, &g0).unwrap();
+            let mut oracle = OracleReplica::new(0, g0);
+            let mut buf = Vec::new();
+            for (i, batch) in dealt_batches(&mut rng, 0, n).into_iter().enumerate() {
+                let commit = (rng.below(2) == 0).then(|| (t(i as u32), rng.below(n + 2)));
+                wal.append_attempt(&mut buf, &batch, commit).unwrap();
+                oracle.append(&batch, commit.map(|(_, required)| required));
+                assert_eq!(wal.watermark(), oracle.tracker.watermark(), "case {case}");
+                wal.checkpoint().unwrap();
+                let expected = oracle.checkpoint_frame();
+                let segments = handle.snapshot();
+                let newest = *segments.list().unwrap().last().unwrap();
+                let log = segments.read(newest).unwrap();
+                // A checkpoint that filled its segment rotated: then the
+                // newest segment is bare and the frame ends the one before.
+                let log = if log.len() == SEGMENT_MAGIC.len() {
+                    segments.read(newest - 1).unwrap()
+                } else {
+                    log
+                };
+                assert!(log.ends_with(&expected), "case {case}, batch {i}");
+            }
+            assert_eq!(wal.watermark(), n);
+            assert!(wal.summary().peak_window <= n);
+        }
+    }
+
+    /// The bug this guards: one batch is a whole attempt now, and a
+    /// 100 000-step attempt in one frame is 1.7 MB — a frame the first
+    /// writer would have written in a release build and recovery refuses
+    /// as `OversizeLength`, silently ending the log there.
+    #[test]
+    fn a_hundred_thousand_step_attempt_round_trips_recovery() {
+        let handle = SharedMemStore::new();
+        let wal = Wal::create(
+            Box::new(handle.clone()),
+            WalConfig::default(),
+            &StructuralState::empty(),
+        )
+        .unwrap();
+        let attempt: Vec<(u64, ScheduledStep)> = (0..100_000u64)
+            .map(|i| (i, step(1, Step::read(e((i % 50) as u32)))))
+            .collect();
+        wal.append_attempt(&mut Vec::new(), &attempt, Some((t(1), 100_000)))
+            .unwrap();
+        wal.flush().unwrap();
+        let summary = wal.summary();
+        assert_eq!(summary.watermark, 100_000);
+        assert!(summary.records > 100_000 / crate::frame::MAX_FRAME_STEPS as u64);
+        let r = recover(&handle.snapshot(), RecoveryMode::Oldest).unwrap();
+        assert_eq!(r.truncation, None);
+        assert_eq!(r.watermark, 100_000);
+        assert_eq!(r.tail, attempt);
+        assert_eq!(r.committed, vec![t(1)]);
+    }
+
+    #[test]
+    fn an_oversize_checkpoint_is_a_typed_latched_error_and_the_log_still_recovers() {
+        // 262 000 entities fit one checkpoint frame; a few hundred more
+        // do not (see `frame::encode_checkpoint`).
+        let g0 = StructuralState::from_entities((0..262_000).map(EntityId));
+        let handle = SharedMemStore::new();
+        let config = WalConfig {
+            checkpoint_every: 64,
+            ..WalConfig::default()
+        };
+        let wal = Wal::create(Box::new(handle.clone()), config, &g0).unwrap();
+        let inserts: Vec<(u64, ScheduledStep)> = (0..400u64)
+            .map(|i| (i, step(1, Step::insert(e(300_000 + i as u32)))))
+            .collect();
+        assert!(matches!(
+            wal.append_steps(&inserts),
+            Err(WalError::OversizeCheckpoint(_))
+        ));
+        assert!(wal.is_failed() && wal.summary().failed);
+        assert_eq!(wal.append_steps(&[]), Ok(()), "nothing to log is no call");
+        assert_eq!(wal.append_commit(t(1), 400), Err(WalError::Crashed));
+        // The steps went in before the checkpoint was refused, and no
+        // unreadable frame followed them.
+        let r = recover(&handle.snapshot(), RecoveryMode::Oldest).unwrap();
+        assert_eq!((r.truncation, r.watermark), (None, 400));
+
+        let too_big = StructuralState::from_entities((0..263_000).map(EntityId));
+        assert!(matches!(
+            Wal::create(Box::new(MemStore::new()), WalConfig::default(), &too_big),
+            Err(WalError::OversizeCheckpoint(_))
+        ));
+    }
+
+    #[test]
+    fn peak_window_is_the_most_steps_held_above_the_watermark() {
+        let wal = Wal::create(
+            Box::new(MemStore::new()),
+            WalConfig::default(),
+            &StructuralState::empty(),
+        )
+        .unwrap();
+        let read = |stamp: u64| (stamp, step(1, Step::read(e(0))));
+        wal.append_steps(&[read(0), read(1)]).unwrap();
+        assert_eq!(wal.summary().peak_window, 0, "in order: nothing is held");
+        wal.append_steps(&[read(3), read(4), read(5)]).unwrap();
+        wal.append_steps(&[read(7)]).unwrap();
+        assert_eq!((wal.watermark(), wal.summary().peak_window), (2, 4));
+        wal.append_steps(&[read(2), read(6)]).unwrap();
+        assert_eq!((wal.watermark(), wal.summary().peak_window), (8, 4));
+        // Not a dense sequence at all: refused before it sizes the window.
+        assert_eq!(
+            wal.append_steps(&[read(8 + MAX_WINDOW)]),
+            Err(WalError::StampGap(MAX_WINDOW))
+        );
     }
 }

@@ -20,7 +20,8 @@
 //!   switches described below, wall-clock guard;
 //! * **durability** — [`Runtime::run_durable`] mirrors every granted step
 //!   and commit into a `slp-durability` write-ahead log (group-committed,
-//!   checkpointed); after a crash, [`fn@recover`] replays the surviving
+//!   checkpointed), handed over one attempt at a time once the attempt
+//!   holds no lock; after a crash, [`fn@recover`] replays the surviving
 //!   prefix into a certified execution. Key log types are re-exported
 //!   here so durable runs need no direct `slp-durability` dependency;
 //! * [`RuntimeReport`] — the simulator's accounting shape (committed /
@@ -86,7 +87,7 @@
 //! around the decision is shared and sharded: entity-striped condvars
 //! woken only by releases hashing to their stripe, per-worker trace
 //! recording with one atomic sequence stamp taken inside the grant, one
-//! retire tail (free words → wake → log → certify → commit pipeline),
+//! retire tail (free words → wake → certify → log → commit pipeline),
 //! and a park-timeout backstop. What a worker counts and records it
 //! owns: tallies are plain integers summed after the join, and the
 //! attempt it is running lives in a small reused buffer that is sealed

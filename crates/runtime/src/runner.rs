@@ -425,9 +425,14 @@ impl Runtime {
 
     /// [`run`](Runtime::run), with every granted step and commit mirrored
     /// into `wal` (created by [`create_wal`](Runtime::create_wal) on the
-    /// same runtime). Appends ride behind the engine lock and are group
-    /// committed, checkpoints are automatic, and the log is flushed when
-    /// the workers drain; [`RuntimeReport::wal`] carries the counters.
+    /// same runtime). A worker hands an attempt to the log once, when it
+    /// retires and holds no lock any more — its steps and, if it
+    /// committed, its commit record in one append, before the commit
+    /// becomes visible to snapshots — and hands over what it has so far
+    /// before it parks. Appends are group committed, checkpoints are
+    /// automatic, and the log is flushed when the workers drain;
+    /// [`RuntimeReport::wal`] carries the counters. A crash loses the
+    /// unsynced tail and the attempts in flight since their last park.
     /// After a crash, rebuild the durable prefix with
     /// [`fn@slp_durability::recover`] — the crash-recovery suites and
     /// `examples/crash_recovery.rs` walk the full cycle.
@@ -739,7 +744,7 @@ fn worker_loop(
             );
             // The one place an attempt's steps leave the recorder, so no
             // exit path can skip it.
-            trace.seal(&mut rec.steps);
+            rec.seal(&mut trace);
             match end {
                 AttemptEnd::Committed => {
                     latencies_us.push(dispatched.elapsed().as_micros() as u64);
@@ -882,7 +887,10 @@ fn run_attempt(
                 // release that could have invalidated it bumps the
                 // generation after that read and the park falls through
                 // — equally when a re-request moves the contention to a
-                // *new* entity.
+                // *new* entity. Whatever this attempt has recorded goes to
+                // the log first: asleep, its unlogged stamps would hold the
+                // log's watermark where they are.
+                service.log(rec, None);
                 service.park(entity, gen, config.park_timeout);
                 service.clear_wait(tx);
             }
@@ -941,7 +949,104 @@ fn backoff(attempt: u32, config: &RuntimeConfig) {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_switch;
+    use super::*;
+    use crate::service::Attempt;
+    use slp_core::EntityId;
+    use slp_durability::SharedMemStore;
+    use slp_policies::{AccessIntent, PolicyAction};
+
+    /// The pre-park hand-over, read off the log at the moment of the
+    /// park. A holder driven by hand sits on the hot entity with its lock
+    /// step unlogged; a worker runs the real attempt loop over *cold,
+    /// hot*: three steps on cold, then the conflict. Once it is parked
+    /// the log already has those three steps — above the watermark, which
+    /// the holder's unlogged stamp 0 holds — and when the holder retires
+    /// everything folds. Without the hand-over the sleeper's steps would
+    /// reach the log only after it woke, and every commit in between
+    /// would wait on them to become durable.
+    #[test]
+    fn a_worker_hands_its_steps_to_the_log_before_it_parks() {
+        let (hot, cold) = (EntityId(0), EntityId(1));
+        let engine = PolicyRegistry::new()
+            .build(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![hot, cold]))
+            .expect("2PL builds");
+        let wal = Arc::new(
+            Wal::create(
+                Box::new(SharedMemStore::new()),
+                WalConfig::default(),
+                &StructuralState::from_entities([hot, cold]),
+            )
+            .expect("fresh store"),
+        );
+        let service = LockService::new(
+            engine,
+            Some(Arc::clone(&wal)),
+            CertifyMode::Off,
+            None,
+            Some(LockWords::new(2)),
+        );
+        let config = RuntimeConfig {
+            park_timeout: Duration::from_secs(30),
+            ..RuntimeConfig::with_workers(1)
+        };
+        let deadline = Instant::now() + config.max_wall;
+
+        let holder_plan = [PolicyAction::Lock(hot), PolicyAction::Access(hot)];
+        let mut holder_rec = Recorder::default();
+        let mut holder: Attempt = service.attempt(
+            TxId(1),
+            Some(&holder_plan),
+            &Job::access(vec![hot]),
+            &mut holder_rec.tally,
+        );
+        service
+            .begin(&holder, &AccessIntent::empty())
+            .expect("begin");
+        assert!(matches!(
+            service.request(&mut holder, holder_plan[0], &mut holder_rec),
+            Outcome::Granted
+        ));
+
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let mut rec = Recorder::default();
+                let end = run_attempt(
+                    &service,
+                    planner_for(PolicyKind::TwoPhase).as_mut(),
+                    &Job::access(vec![cold, hot]),
+                    TxId(2),
+                    &config,
+                    deadline,
+                    &mut rec,
+                    &mut Vec::new(),
+                );
+                assert!(matches!(end, AttemptEnd::Committed));
+            });
+            while service.counters.parks.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            let parked = wal.summary();
+            assert_eq!(parked.records, 2, "base checkpoint + the waiter's steps");
+            assert_eq!((parked.watermark, parked.peak_window), (0, 3));
+
+            assert!(matches!(
+                service.request(&mut holder, holder_plan[1], &mut holder_rec),
+                Outcome::Granted
+            ));
+            assert!(service
+                .finish(&mut holder, &mut holder_rec)
+                .expect("finish"));
+            waiter.join().expect("waiter panicked");
+        });
+        let done = wal.summary();
+        assert_eq!(done.watermark, service.stamps_drawn());
+        assert_eq!(
+            done.peak_window, 3,
+            "the holder's steps folded straight through"
+        );
+        // Two commits of two frames each, and the one pre-park hand-over.
+        assert_eq!(done.records, 1 + 2 + 2 + 1);
+    }
 
     /// Both boolean switches (`SLP_RUNTIME_SNAPSHOT_READS`,
     /// `SLP_RUNTIME_FAST_PATH`) parse through this one function, so the

@@ -52,10 +52,22 @@
 //!   [`slp_core::Schedule::from_sequenced_runs`] — linear, no sort, and
 //!   its own proof that no stamp is missing or doubled — are a faithful
 //!   schedule without any runtime coordination;
-//! * **the tail** after every recorded batch is one routine: free the
-//!   words whose release was just recorded, then bump and notify their
-//!   stripes, then append to the log — and, when the attempt retires,
-//!   certify and resolve the commit pipeline;
+//! * **the tail** after every recorded batch is one routine
+//!   ([`LockService::publish`]): free the words whose release was just
+//!   recorded, then bump and notify their stripes. It never touches the
+//!   log. When the attempt retires ([`LockService::retire`]) the tail goes
+//!   on: certify, hand the attempt to the log, resolve the commit
+//!   pipeline;
+//! * **the log** is fed once per attempt, after the words are free
+//!   ([`LockService::log`]): the attempt's steps and — only if it
+//!   committed — its commit record go to the write-ahead log in one
+//!   append, framed and checksummed into the worker's own buffer before
+//!   the log's mutex is taken. The one other hand-over is just before a
+//!   worker parks: the steps it has taken so far, so that a sleeping
+//!   waiter never pins the log's watermark. A worker never waits for the
+//!   log while another transaction waits for a word it holds, except in
+//!   that pre-park call — and there every waiter on its words would sleep
+//!   at least as long anyway;
 //! * **accounting** is per-worker: every per-grant and per-attempt count
 //!   is a plain integer in the worker's [`Tally`], summed after the join;
 //!   the shared [`Counters`] hold only what another thread must read
@@ -79,7 +91,7 @@
 
 use crate::fastpath::{LockWords, WaitGraph};
 use crate::runner::CertifyMode;
-use crate::trace::Stamped;
+use crate::trace::{Stamped, TraceRun};
 use slp_core::{
     CertViolation, DataOp, EntityId, IncrementalCertifier, LockMode, Operation, ScheduledStep,
     Step, TxId, VersionedRead,
@@ -272,7 +284,22 @@ impl Tally {
 #[derive(Default)]
 pub(crate) struct Recorder {
     pub steps: Vec<Stamped>,
+    /// How many of `steps` the log already has — a prefix, handed over
+    /// before a park ([`LockService::log`]).
+    logged: usize,
+    /// The log frames of the hand-over in progress, encoded here before
+    /// the log's mutex is taken; reused.
+    frames: Vec<u8>,
     pub tally: Tally,
+}
+
+impl Recorder {
+    /// Seals the finished attempt's steps into the worker's `run`,
+    /// leaving the recorder empty for the next attempt.
+    pub fn seal(&mut self, run: &mut TraceRun) {
+        run.seal(&mut self.steps);
+        self.logged = 0;
+    }
 }
 
 /// The accounting other threads read while the run is in flight.
@@ -322,10 +349,11 @@ pub(crate) struct LockService {
     /// covered entities, for attempts in either mode.
     words: Option<LockWords>,
     seq: AtomicU64,
-    /// Write-ahead log, when the run is durable. Appends happen *after*
-    /// the engine lock is dropped (same position as the wake pass) so the
-    /// fsync cost never sits on the serialization point; stamps — taken
-    /// inside the lock — arbitrate the cross-worker byte order on replay.
+    /// Write-ahead log, when the run is durable. An attempt is handed
+    /// over when it retires, its words already free
+    /// ([`log`](LockService::log)), so neither the log's mutex nor an
+    /// fsync ever sits on a serialization point; stamps — taken while the
+    /// words were held — arbitrate the cross-worker byte order on replay.
     wal: Option<Arc<Wal>>,
     /// Online serialization-graph certifier, when the run certifies.
     /// Fed *after* the engine lock is dropped (same position as the wake
@@ -445,7 +473,7 @@ impl CertChannel {
 }
 
 impl LockService {
-    /// `wal`, when present, receives every recorded step batch and
+    /// `wal`, when present, receives every attempt's steps and every
     /// commit. `certify` builds the online certifier
     /// ([`CertifyMode::Off`] costs nothing on the hot path). `words`,
     /// when present, makes words mode available (the runner builds the
@@ -555,11 +583,14 @@ impl LockService {
     /// after dropping the engine lock (so woken workers contend on the
     /// engine, not on us): free the lock word of every recorded unlock —
     /// explicit, donated, or final — then bump and notify the released
-    /// entities' stripes, then append the steps to the log. The order is
-    /// the no-lost-wakeup protocol's release half: every word is free
-    /// before any generation moves, because a woken waiter re-reads the
-    /// word. A word `tx` does not hold (an entity past the table, an
-    /// engine that runs without words) is left untouched by `release`.
+    /// entities' stripes. The order is the no-lost-wakeup protocol's
+    /// release half: every word is free before any generation moves,
+    /// because a woken waiter re-reads the word. A word `tx` does not hold
+    /// (an entity past the table, an engine that runs without words) is
+    /// left untouched by `release`. The log is not fed here: a grant in
+    /// the growing phase publishes while the transaction holds its words,
+    /// and a wait for the log's mutex there is a wait every transaction
+    /// queued on those words inherits.
     fn publish(&self, tx: TxId, recorded: &[Stamped]) {
         // One bump + notify per stripe per batch.
         let mut released = 0u64;
@@ -575,34 +606,34 @@ impl LockService {
             self.bump(released.trailing_zeros() as usize);
             released &= released - 1;
         }
-        self.log_recorded(recorded);
     }
 
-    /// Appends the steps this call recorded to the write-ahead log, if
-    /// the run is durable. Called after the engine lock is dropped. A
-    /// failed log is skipped silently here — the run completes in memory
-    /// and the failure surfaces in the report's
-    /// [`slp_durability::WalSummary`].
-    fn log_recorded(&self, recorded: &[Stamped]) {
-        if let Some(wal) = &self.wal {
-            if !wal.is_failed() {
-                let _ = wal.append_steps(recorded);
-            }
-        }
-    }
-
-    /// Appends `tx`'s commit record: it is durably committed once the
-    /// contiguous-stamp watermark covers its last step. `attempt` holds
-    /// every step of the transaction and nothing else, so the requirement
-    /// is one past its newest stamp (0 if it never took a step — such a
-    /// commit is durable from the start).
-    fn log_commit(&self, tx: TxId, attempt: &[Stamped]) {
-        if let Some(wal) = &self.wal {
-            if !wal.is_failed() {
-                let required = attempt.last().map_or(0, |&(stamp, _)| stamp + 1);
-                let _ = wal.append_commit(tx, required);
-            }
-        }
+    /// Hands the running attempt to the write-ahead log, if the run is
+    /// durable: the steps in `rec` the log does not have yet and, with
+    /// `commit`, the transaction's commit record — one append, one
+    /// critical section on the log, the frames encoded into the worker's
+    /// own buffer beforehand. A commit is durable once the
+    /// contiguous-stamp watermark covers the attempt's newest stamp: `rec`
+    /// holds every step of the transaction and nothing else, so that is
+    /// one past its last entry (0 if it never took a step — durable from
+    /// the start).
+    ///
+    /// Called where a worker leaves the grant path: by
+    /// [`retire`](LockService::retire), the words already free, and by
+    /// the attempt loop just before it parks — an attempt asleep on a
+    /// stripe with unlogged steps would hold the log's watermark, and with
+    /// it every later commit's durability, for as long as it sleeps. A
+    /// failed log refuses the call at once and the error is dropped here
+    /// — the run completes in memory and the failure surfaces in the
+    /// report's [`slp_durability::WalSummary`].
+    pub fn log(&self, rec: &mut Recorder, commit: Option<TxId>) {
+        let Some(wal) = &self.wal else {
+            return;
+        };
+        let required = rec.steps.last().map_or(0, |&(stamp, _)| stamp + 1);
+        let commit = commit.map(|tx| (tx, required));
+        let _ = wal.append_attempt(&mut rec.frames, &rec.steps[rec.logged..], commit);
+        rec.logged = rec.steps.len();
     }
 
     /// Monitor-mode certification of one batch — a retired attempt's
@@ -924,6 +955,7 @@ impl LockService {
         let Recorder {
             steps: trace,
             tally,
+            ..
         } = rec;
         let from = trace.len();
         let shared = matches!(at.mode, GrantMode::Words { shared: true });
@@ -1005,13 +1037,13 @@ impl LockService {
     /// no visibility flip — the caller retries the job as a fresh
     /// transaction).
     pub fn finish(&self, at: &mut Attempt, rec: &mut Recorder) -> Result<bool, PolicyViolation> {
-        self.retire(at, &mut rec.steps, false)
+        self.retire(at, rec, false)
     }
 
     /// Aborts the attempt's transaction, recording the unlocks it still
     /// held.
     pub fn abort(&self, at: &mut Attempt, rec: &mut Recorder) {
-        self.retire(at, &mut rec.steps, true)
+        self.retire(at, rec, true)
             .expect("an abort is never refused");
     }
 
@@ -1022,25 +1054,28 @@ impl LockService {
     /// lock in engine mode — stamped, either way, before
     /// [`publish`](LockService::publish) frees the words, so the next
     /// holder's acquire stamp lands strictly later. Then the shared tail:
-    /// publish, certify the whole attempt (`attempt` is exactly its
-    /// steps), make the outcome durable and visible. Returns whether `tx`
-    /// committed — `aborting` never does, and neither does a commit that
-    /// strict certification turned into an abort. In every case the recorded steps stay in the trace and
-    /// the log (the replica must stay lossless); only a commit gets a
-    /// commit record, strictly before its visibility flip, so a snapshot
-    /// never observes a writer the log could lose. An abort resolves in
-    /// the pipeline at once — nothing becomes visible, and dependents
-    /// waiting on `tx` are released — and is sealed in the certifier as
-    /// *aborted*: it takes no further steps (all truncation needs) and
-    /// parked snapshot-read edges against its versions dissolve instead
-    /// of materializing.
+    /// publish — from here on `tx` holds nothing — certify the whole
+    /// attempt (`rec.steps` is exactly its steps), hand it to the log,
+    /// make the outcome visible. Returns whether `tx` committed —
+    /// `aborting` never does, and neither does a commit that strict
+    /// certification turned into an abort. In every case the recorded
+    /// steps stay in the trace and go to the log (the replica must stay
+    /// lossless); only a commit carries a commit record, in the same
+    /// append as its steps and strictly before its visibility flip, so a
+    /// snapshot never observes a writer the log could lose. An abort
+    /// resolves in the pipeline at once — nothing becomes visible, and
+    /// dependents waiting on `tx` are released — and is sealed in the
+    /// certifier as *aborted*: it takes no further steps (all truncation
+    /// needs) and parked snapshot-read edges against its versions
+    /// dissolve instead of materializing.
     fn retire(
         &self,
         at: &mut Attempt,
-        attempt: &mut Vec<Stamped>,
+        rec: &mut Recorder,
         aborting: bool,
     ) -> Result<bool, PolicyViolation> {
         let tx = at.tx;
+        let attempt = &mut rec.steps;
         let from = attempt.len();
         match at.mode {
             GrantMode::Words { shared } => {
@@ -1065,9 +1100,7 @@ impl LockService {
         self.publish(tx, &attempt[from..]);
         let certified_out = self.strict_certify && self.certify_strict(tx, attempt, None, aborting);
         let committed = !aborting && !certified_out;
-        if committed {
-            self.log_commit(tx, attempt);
-        }
+        self.log(rec, committed.then_some(tx));
         if let Some(m) = &self.mvcc {
             if committed {
                 m.pipeline.commit(tx);
@@ -1076,7 +1109,7 @@ impl LockService {
             }
         }
         if !self.strict_certify {
-            self.certify_monitor(|| CertBatch::Steps(attempt.clone(), tx, aborting));
+            self.certify_monitor(|| CertBatch::Steps(rec.steps.clone(), tx, aborting));
         }
         Ok(committed)
     }
@@ -1118,9 +1151,9 @@ impl LockService {
         rec.tally.snapshot_reads += targets.len() as u64;
         // Reader steps are logged (the recovered trace must stay dense)
         // but a read-only transaction needs no commit record.
-        self.log_recorded(trace);
+        self.log(rec, None);
         if self.strict_certify {
-            !self.certify_strict(tx, trace, Some(&reads), false)
+            !self.certify_strict(tx, &rec.steps, Some(&reads), false)
         } else {
             if !reads.is_empty() {
                 self.certify_monitor(|| CertBatch::Reads(reads, tx));
@@ -1217,6 +1250,127 @@ mod tests {
         });
         assert_eq!(*order.lock().expect("order"), ["queued", "late"]);
         assert_eq!(ch.queued.load(Ordering::Relaxed), 0);
+    }
+
+    /// A store that shows each append to a probe before it forwards it:
+    /// what the rest of the service looked like at the moment the log was
+    /// written.
+    type Probe = Arc<Mutex<Option<Box<dyn FnMut(&[u8]) + Send>>>>;
+    struct ProbedStore(slp_durability::MemStore, Probe);
+
+    impl slp_durability::Store for ProbedStore {
+        fn open_segment(&mut self, index: u64) -> Result<(), slp_durability::WalError> {
+            self.0.open_segment(index)
+        }
+        fn append(&mut self, bytes: &[u8]) -> Result<(), slp_durability::WalError> {
+            if let Some(probe) = self.1.lock().expect("probe").as_mut() {
+                probe(bytes);
+            }
+            self.0.append(bytes)
+        }
+        fn sync(&mut self) -> Result<(), slp_durability::WalError> {
+            self.0.sync()
+        }
+        fn list(&self) -> Result<Vec<u64>, slp_durability::WalError> {
+            self.0.list()
+        }
+        fn read(&self, index: u64) -> Result<Vec<u8>, slp_durability::WalError> {
+            self.0.read(index)
+        }
+        fn remove(&mut self, index: u64) -> Result<(), slp_durability::WalError> {
+            self.0.remove(index)
+        }
+    }
+
+    /// Where the log is fed, held against the two things it must not
+    /// overlap: a grant writes nothing (the words are still held), and
+    /// the one append of a commit — steps and commit record together —
+    /// happens with every word already free and the writer still
+    /// invisible to snapshots.
+    #[test]
+    fn the_log_is_fed_once_after_the_words_are_free_and_before_the_flip() {
+        use slp_durability::frame::{decode_frame, FrameOutcome};
+        use slp_durability::{Record, WalConfig};
+        use slp_mvcc::TxStatus;
+
+        let (e, tx) = (EntityId(0), TxId(1));
+        let probe: Probe = Arc::default();
+        let engine = PolicyRegistry::new()
+            .build(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![e]))
+            .expect("2PL builds");
+        let wal = Wal::create(
+            Box::new(ProbedStore(Default::default(), Arc::clone(&probe))),
+            WalConfig::default(),
+            &slp_core::StructuralState::from_entities([e]),
+        )
+        .expect("fresh store");
+        let service = Arc::new(LockService::new(
+            engine,
+            Some(Arc::new(wal)),
+            CertifyMode::Off,
+            Some(MvccState::new(VisibilityRule::Correct)),
+            Some(LockWords::new(1)),
+        ));
+        // Per append: the records it carried, whether the words were all
+        // free, and the writer's status.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        *probe.lock().expect("probe") = Some(Box::new({
+            let (service, seen) = (Arc::clone(&service), Arc::clone(&seen));
+            move |mut bytes: &[u8]| {
+                let mut records = Vec::new();
+                while let FrameOutcome::Record(r, rest) = decode_frame(bytes) {
+                    records.push(r);
+                    bytes = rest;
+                }
+                let m = service.mvcc.as_ref().expect("mvcc on");
+                let status = m.pipeline.status_table().status(tx);
+                let quiescent = service.words_quiescent();
+                seen.lock()
+                    .expect("seen")
+                    .push((records, quiescent, status));
+            }
+        }));
+
+        let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
+        let mut rec = Recorder::default();
+        let mut at = service.attempt(tx, Some(&plan), &Job::access(vec![e]), &mut rec.tally);
+        service.begin(&at, &AccessIntent::empty()).expect("begin");
+        for action in plan {
+            assert!(matches!(
+                service.request(&mut at, action, &mut rec),
+                Outcome::Granted
+            ));
+        }
+        assert!(
+            seen.lock().expect("seen").is_empty(),
+            "a grant logs nothing"
+        );
+        assert!(service.finish(&mut at, &mut rec).expect("finish"));
+
+        // Nothing is left to hand over, and handing nothing over is not
+        // an append.
+        service.log(&mut rec, None);
+        let seen = seen.lock().expect("seen");
+        let [(records, quiescent, status)] = &seen[..] else {
+            panic!("one attempt, {} appends", seen.len());
+        };
+        assert_eq!(
+            records[..],
+            [
+                Record::Steps(rec.steps.clone()),
+                Record::Commit {
+                    tx,
+                    required_watermark: rec.steps.len() as u64
+                }
+            ]
+        );
+        assert!(quiescent, "the append waited for no word");
+        assert_eq!(*status, TxStatus::InProgress, "logged before visible");
+        let m = service.mvcc.as_ref().expect("mvcc on");
+        assert!(matches!(
+            m.pipeline.status_table().status(tx),
+            TxStatus::Committed(_)
+        ));
     }
 
     /// Forces one instance of the race the fix targets: a parker whose

@@ -21,14 +21,18 @@
 //! `.github/workflows/ci.yml`).
 
 use proptest::test_runner::TestRng;
-use slp_core::{EntityId, StructuralState};
-use slp_durability::{FaultyStore, Recovered};
+use slp_core::{
+    is_serializable_with_aborts, Access, EntityId, Operation, ScheduledStep, StructuralState, TxId,
+};
+use slp_durability::frame::{decode_frame, FrameOutcome};
+use slp_durability::{FaultyStore, Record, Recovered, SEGMENT_MAGIC};
 use slp_policies::{PolicyConfig, PolicyKind};
 use slp_runtime::{
-    recover, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SharedMemStore, Store, Wal,
-    WalConfig,
+    recover, MemStore, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SharedMemStore, Store,
+    Wal, WalConfig,
 };
-use slp_sim::{dag_mixed_jobs, layered_dag, uniform_jobs, Job};
+use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs, uniform_jobs, Job};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Runs `jobs` durably against a fresh in-memory store; returns the run
@@ -40,14 +44,58 @@ fn durable_run(
     workers: usize,
     wal_config: WalConfig,
 ) -> (RuntimeReport, SharedMemStore) {
+    let run = RuntimeConfig::with_workers(workers);
+    durable_run_with(kind, config, jobs, &run, wal_config)
+}
+
+/// [`durable_run`] under an arbitrary runtime configuration.
+fn durable_run_with(
+    kind: PolicyKind,
+    config: &PolicyConfig,
+    jobs: &[Job],
+    run: &RuntimeConfig,
+    wal_config: WalConfig,
+) -> (RuntimeReport, SharedMemStore) {
     let mut rt = Runtime::new(kind, config).expect("buildable kind");
     let handle = SharedMemStore::new();
     let wal = Arc::new(
         rt.create_wal(Box::new(handle.clone()), wal_config)
             .expect("fresh store"),
     );
-    let report = rt.run_durable(jobs, &RuntimeConfig::with_workers(workers), wal);
+    let report = rt.run_durable(jobs, run, wal);
     (report, handle)
+}
+
+/// The transactions the run committed: everyone in the trace who did not
+/// abort.
+fn committed_set(report: &RuntimeReport) -> BTreeSet<TxId> {
+    let aborted: BTreeSet<TxId> = report.aborted.iter().copied().collect();
+    report
+        .schedule
+        .participants()
+        .into_iter()
+        .filter(|tx| !aborted.contains(tx))
+        .collect()
+}
+
+/// Every record of a clean log, in the byte order the log wrote them.
+fn records_in_byte_order(store: &MemStore) -> Vec<Record> {
+    let mut records = Vec::new();
+    for index in store.list().expect("memory store lists") {
+        let data = store.read(index).expect("listed segment reads");
+        let mut rest = &data[SEGMENT_MAGIC.len()..];
+        loop {
+            match decode_frame(rest) {
+                FrameOutcome::Record(r, tail) => {
+                    records.push(r);
+                    rest = tail;
+                }
+                FrameOutcome::End => break,
+                FrameOutcome::Torn(reason) => panic!("clean log is torn: {reason}"),
+            }
+        }
+    }
+    records
 }
 
 /// The structural state the run ended in, derived by independent replay.
@@ -373,4 +421,224 @@ fn ddag_insert_mix_durable_run_recovers() {
         assert_eq!(r.state, final_state(&report), "{ctx}: structural drift");
         r.certify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
     }
+}
+
+/// The log is fed once per attempt: a steps frame and — for a commit — a
+/// commit frame when the attempt retires, one more steps frame at most
+/// for every conflict it waited out (the pre-park hand-over), and the
+/// log's own checkpoints. Late as that is, nothing is lost: the flushed
+/// log recovers every stamp the run drew and exactly its committed set,
+/// aborted attempts (2PL deadlock victims at 2 and 4 workers) included
+/// as steps without a commit record.
+#[test]
+fn one_append_per_attempt_still_logs_every_step_and_every_commit() {
+    for kind in [PolicyKind::TwoPhase, PolicyKind::Altruistic] {
+        for workers in [1usize, 2, 4] {
+            let pool: Vec<EntityId> = (0..10).map(EntityId).collect();
+            let jobs = uniform_jobs(&pool, 40, 3, 17 + workers as u64);
+            let wal_config = WalConfig {
+                checkpoint_every: 64,
+                ..WalConfig::default()
+            };
+            let (report, handle) =
+                durable_run(kind, &PolicyConfig::flat(pool), &jobs, workers, wal_config);
+            let ctx = format!("{} @ {workers}w", report.policy);
+            assert_eq!(report.committed, jobs.len(), "{ctx}");
+            assert!(report.accounting_balances(), "{ctx}");
+            let wal = report.wal.expect("durable run reports its log");
+            assert!(!wal.failed, "{ctx}");
+            assert!(
+                wal.records <= 2 * report.attempts as u64 + report.lock_waits + wal.checkpoints,
+                "{ctx}: {} frames for {} attempts, {} waits, {} checkpoints",
+                wal.records,
+                report.attempts,
+                report.lock_waits,
+                wal.checkpoints
+            );
+            assert!(
+                wal.syncs >= report.committed as u64,
+                "{ctx}: a sync per commit"
+            );
+
+            let r = recover(&handle.snapshot(), RecoveryMode::Oldest).expect("clean log");
+            assert_eq!(r.truncation, None, "{ctx}");
+            assert_eq!(r.watermark, report.schedule.len() as u64, "{ctx}");
+            assert_prefix_of_run(&r, &report, &ctx);
+            let durable: BTreeSet<TxId> = r.committed.iter().copied().collect();
+            assert_eq!(
+                durable.len(),
+                r.committed.len(),
+                "{ctx}: one record a commit"
+            );
+            assert_eq!(durable, committed_set(&report), "{ctx}");
+            r.certify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        }
+    }
+}
+
+/// One hot entity, every job shaped *own cold entity, hot, a long private
+/// tail*: whoever holds hot holds it for a thousand steps while the other
+/// workers — each with three steps on its cold entity already stamped —
+/// wait for it. A waiter hands those steps to the log before it parks:
+/// its first steps frame lies, in the log's byte order, before the frame
+/// in which the holder it waited for released hot. (The byte order is the
+/// mid-run read of the store made independent of when the reader gets to
+/// run; `runner::tests` reads the log at the moment of the park, with
+/// the holder driven by hand, and holds `peak_window` to the exact count
+/// there — in a free-running pool a waiter descheduled between stamping
+/// and handing over pins a holder's worth of steps, by accident rather
+/// than by design.)
+#[test]
+fn a_parked_waiter_has_handed_its_steps_to_the_log() {
+    const JOBS: u32 = 12;
+    const TAIL: u32 = 300;
+    let hot = EntityId(0);
+    let pool: Vec<EntityId> = (0..1 + JOBS * (TAIL + 1)).map(EntityId).collect();
+    let jobs: Vec<Job> = (0..JOBS)
+        .map(|j| {
+            let cold = 1 + j * (TAIL + 1);
+            let tail = (cold + 1..=cold + TAIL).map(EntityId);
+            Job::access([EntityId(cold), hot].into_iter().chain(tail).collect())
+        })
+        .collect();
+    for grant_fast_path in [true, false] {
+        let run = RuntimeConfig {
+            grant_fast_path,
+            ..RuntimeConfig::with_workers(3)
+        };
+        let (report, handle) = durable_run_with(
+            PolicyKind::TwoPhase,
+            &PolicyConfig::flat(pool.clone()),
+            &jobs,
+            &run,
+            WalConfig::default(),
+        );
+        let ctx = format!("fast path {grant_fast_path}");
+        assert_eq!(report.committed, jobs.len(), "{ctx}");
+        assert_eq!(
+            report.deadlock_aborts, 0,
+            "{ctx}: the plans cannot deadlock"
+        );
+        assert!(report.parks > 0, "{ctx}: nobody ever waited for hot");
+        let wal = report.wal.expect("durable run reports its log");
+        assert_eq!(wal.watermark, report.schedule.len() as u64, "{ctx}");
+
+        // Where, in byte order, each transaction's steps frames lie; and
+        // when and in which frame hot was locked and released.
+        let mut frames_of: BTreeMap<TxId, Vec<usize>> = BTreeMap::new();
+        let mut hot_locked_at: BTreeMap<TxId, u64> = BTreeMap::new();
+        let mut hot_released: Vec<(u64, usize)> = Vec::new();
+        for (at, record) in records_in_byte_order(&handle.snapshot()).iter().enumerate() {
+            let Record::Steps(entries) = record else {
+                continue;
+            };
+            frames_of.entry(entries[0].1.tx).or_default().push(at);
+            for &(stamp, ScheduledStep { tx, step, .. }) in entries {
+                match step.op {
+                    Operation::Lock(_) if step.entity == hot => {
+                        hot_locked_at.insert(tx, stamp);
+                    }
+                    Operation::Unlock(_) if step.entity == hot => hot_released.push((stamp, at)),
+                    _ => {}
+                }
+            }
+        }
+        let mut handed_over_before_parking = 0;
+        for (tx, frames) in &frames_of {
+            if frames.len() < 2 {
+                continue;
+            }
+            // The holder `tx` waited for last: the newest release of hot
+            // older than its own lock of hot.
+            let &(_, holder_retired) = hot_released
+                .iter()
+                .filter(|&&(stamp, _)| stamp < hot_locked_at[tx])
+                .max()
+                .unwrap_or_else(|| panic!("{ctx}: {tx:?} parked with hot free"));
+            assert!(
+                frames[0] < holder_retired,
+                "{ctx}: {tx:?} logged nothing until the holder it waited for had retired"
+            );
+            handed_over_before_parking += 1;
+        }
+        assert!(
+            handed_over_before_parking > 0,
+            "{ctx}: {} parks and not one pre-park hand-over in the log",
+            report.parks
+        );
+    }
+}
+
+/// The byte-prefix sweep with snapshot reads on. A reader observes only
+/// writers whose visibility flip it saw, and a writer flips only after
+/// the one append that carried its steps *and* its commit record — so in
+/// whatever prefix of the log survives, a recovered snapshot read that
+/// observed a writer's version finds that writer durably committed. (A
+/// flip ahead of the append, or a commit record appended apart from the
+/// steps, leaves a cut where the read survives and the commit does not.)
+#[test]
+fn a_recovered_snapshot_read_never_observes_a_writer_the_log_lost() {
+    let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
+    let jobs = read_heavy_jobs(&pool, 40, 2, 3, 0.5, 29);
+    let read_only_jobs = jobs.iter().filter(|j| j.read_only).count() as u64;
+    let run = RuntimeConfig {
+        snapshot_reads: true,
+        ..RuntimeConfig::with_workers(3)
+    };
+    let wal_config = WalConfig {
+        group_commit: 1,
+        checkpoint_every: 32,
+        segment_bytes: 2048,
+        ..WalConfig::default()
+    };
+    let (report, handle) = durable_run_with(
+        PolicyKind::TwoPhase,
+        &PolicyConfig::flat(pool),
+        &jobs,
+        &run,
+        wal_config,
+    );
+    assert_eq!(report.committed, jobs.len());
+    assert!(report.snapshot_reads > 0, "the mix has read-only jobs");
+    let wal = report.wal.expect("durable run reports its log");
+    let writer_attempts = report.attempts as u64 - read_only_jobs;
+    assert!(
+        wal.records <= 2 * writer_attempts + report.lock_waits + read_only_jobs + wal.checkpoints,
+        "a read-only job is one steps frame and no commit record"
+    );
+
+    let full = handle.snapshot();
+    let total = full.total_bytes();
+    let mut observed_writers = 0;
+    let mut cut = 0;
+    while cut <= total {
+        let ctx = format!("cut at {cut}/{total}");
+        if let Ok(r) = recover(&full.prefix(cut), RecoveryMode::Oldest) {
+            assert_prefix_of_run(&r, &report, &ctx);
+            let schedule = r.schedule().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert!(schedule.is_legal(), "{ctx}");
+            assert!(schedule.is_proper(&r.base_state), "{ctx}");
+            // Aborted writers are phantoms to a snapshot reader: the
+            // mixed-run oracle, not `certify`'s plain one.
+            assert!(
+                is_serializable_with_aborts(&schedule, &report.aborted),
+                "{ctx}"
+            );
+            for (stamp, step) in &r.tail {
+                if let Access::Snapshot {
+                    observed: Some(writer),
+                } = step.via
+                {
+                    observed_writers += 1;
+                    assert!(
+                        r.committed.contains(&writer),
+                        "{ctx}: the read at stamp {stamp} observed {writer:?}, \
+                         whose commit record is not in the recovered prefix"
+                    );
+                }
+            }
+        }
+        cut += 5;
+    }
+    assert!(observed_writers > 0, "no read ever observed a writer");
 }
