@@ -13,11 +13,10 @@
 //! * [`Runtime`] — build a service for any [`slp_policies::PolicyKind`]
 //!   (or custom engine + planner factory) and [`Runtime::run`] a job
 //!   queue;
-//! * [`RuntimeConfig`] — worker count (`SLP_RUNTIME_THREADS` override via
-//!   [`RuntimeConfig::workers_from_env`]), parking and backoff tuning
-//!   (`SLP_RUNTIME_PARK_TIMEOUT_US` / `SLP_RUNTIME_BACKOFF_CAP_US`
-//!   overrides via [`RuntimeConfig::with_env_overrides`]), the mode
-//!   switches described below, wall-clock guard;
+//! * [`RuntimeConfig`] — worker count (test harnesses read
+//!   `SLP_RUNTIME_THREADS` through [`RuntimeConfig::workers_from_env`]),
+//!   parking and backoff tuning, the mode switches described below,
+//!   wall-clock guard;
 //! * **durability** — [`Runtime::run_durable`] mirrors every granted step
 //!   and commit into a `slp-durability` write-ahead log (group-committed,
 //!   checkpointed), handed over one attempt at a time once the attempt

@@ -67,9 +67,7 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Park timeout: the backstop against stale waits-for edges — a parked
     /// worker re-requests (and re-runs deadlock detection) at least this
-    /// often even if no wakeup arrives. Default **1 ms**; overridable via
-    /// `SLP_RUNTIME_PARK_TIMEOUT_US`
-    /// ([`env_park_timeout`](RuntimeConfig::env_park_timeout)). Timeout
+    /// often even if no wakeup arrives. Default **1 ms**. Timeout
     /// firings are counted in [`RuntimeReport::park_timeouts`].
     pub park_timeout: Duration,
     /// Base backoff after an abort; attempt `n` waits `min(base · 2ⁿ,
@@ -77,9 +75,7 @@ pub struct RuntimeConfig {
     /// the simulator). Default **50 µs**.
     pub backoff_base: Duration,
     /// Backoff ceiling (caps the exponential growth after deadlock and
-    /// policy aborts). Default **2 ms**; overridable via
-    /// `SLP_RUNTIME_BACKOFF_CAP_US`
-    /// ([`env_backoff_cap`](RuntimeConfig::env_backoff_cap)).
+    /// policy aborts). Default **2 ms**.
     pub backoff_cap: Duration,
     /// Wall-clock guard: past this deadline workers abandon their jobs and
     /// drain (guards against livelock in mutant policies, the threaded
@@ -90,14 +86,12 @@ pub struct RuntimeConfig {
     /// first duty here is producing adversarial traces to verify.
     pub step_yield: bool,
     /// Online serializability certification ([`CertifyMode::Off`] by
-    /// default; overridable via `SLP_RUNTIME_CERTIFY`
-    /// ([`env_certify`](RuntimeConfig::env_certify))).
+    /// default).
     pub certify_online: CertifyMode,
     /// Serve read-only jobs from MVCC snapshots: writers install
     /// versions at grant time and flip visibility at commit, readers
     /// capture a snapshot and never touch the lock service. Off by
-    /// default; overridable via `SLP_RUNTIME_SNAPSHOT_READS`
-    /// ([`env_snapshot_reads`](RuntimeConfig::env_snapshot_reads)).
+    /// default.
     pub snapshot_reads: bool,
     /// Whether the run builds the per-entity lock-word table — that is
     /// all this knob selects. With a table (and only engines whose
@@ -112,9 +106,7 @@ pub struct RuntimeConfig {
     /// On by default — for [`GrantScope::Global`] engines it changes
     /// nothing. Off is the engine-only reference the word path is
     /// measured and checked against (`runtime.engine_path_jobs_per_s`;
-    /// width-1 schedules are byte-identical on and off). Overridable via
-    /// `SLP_RUNTIME_FAST_PATH`
-    /// ([`env_fast_path`](RuntimeConfig::env_fast_path)).
+    /// width-1 schedules are byte-identical on and off).
     pub grant_fast_path: bool,
     /// The admission-stage batch scheduler ([`SchedMode::Off`] by
     /// default): [`SchedMode::Waves`] layers the job queue into
@@ -124,9 +116,7 @@ pub struct RuntimeConfig {
     /// additionally pins transaction ids and the merged trace to
     /// admission order so the run is byte-identical across worker
     /// counts (and ignores [`snapshot_reads`](RuntimeConfig::snapshot_reads)
-    /// — snapshot contents are timing-dependent by design). Overridable
-    /// via `SLP_RUNTIME_SCHED`
-    /// ([`env_sched`](RuntimeConfig::env_sched)).
+    /// — snapshot contents are timing-dependent by design).
     pub scheduler: SchedMode,
     /// **Scripted negative control**: apply the deliberately broken
     /// visibility rule (snapshots dirty-read in-progress writers) so the
@@ -167,7 +157,8 @@ impl RuntimeConfig {
     /// `SLP_VERIFIER_THREADS`). `None` when unset; panics on a value that
     /// is not a positive integer — a typo'd override must not silently
     /// fall back. This is the single definition of the override's
-    /// parse/validate rule (the stress matrix keys off set-vs-unset).
+    /// parse/validate rule (the runtime suites' width ladders key off
+    /// set-vs-unset).
     pub fn env_workers() -> Option<usize> {
         std::env::var("SLP_RUNTIME_THREADS").ok().map(|v| {
             v.parse::<usize>()
@@ -180,132 +171,6 @@ impl RuntimeConfig {
     /// [`env_workers`](RuntimeConfig::env_workers) with a fallback.
     pub fn workers_from_env(default: usize) -> usize {
         Self::env_workers().unwrap_or(default)
-    }
-
-    /// The park timeout the environment requests, if any:
-    /// `SLP_RUNTIME_PARK_TIMEOUT_US`, in microseconds. Same contract as
-    /// [`env_workers`](RuntimeConfig::env_workers): `None` when unset,
-    /// panic on a value that is not a positive integer.
-    pub fn env_park_timeout() -> Option<Duration> {
-        Self::env_micros("SLP_RUNTIME_PARK_TIMEOUT_US")
-    }
-
-    /// The backoff ceiling the environment requests, if any:
-    /// `SLP_RUNTIME_BACKOFF_CAP_US`, in microseconds. Same contract as
-    /// [`env_workers`](RuntimeConfig::env_workers).
-    pub fn env_backoff_cap() -> Option<Duration> {
-        Self::env_micros("SLP_RUNTIME_BACKOFF_CAP_US")
-    }
-
-    /// The certification mode the environment requests, if any:
-    /// `SLP_RUNTIME_CERTIFY` ∈ {`off`, `monitor`, `strict`}. Same
-    /// contract as [`env_workers`](RuntimeConfig::env_workers): `None`
-    /// when unset, panic on anything else — a typo'd override must not
-    /// silently fall back.
-    pub fn env_certify() -> Option<CertifyMode> {
-        std::env::var("SLP_RUNTIME_CERTIFY")
-            .ok()
-            .map(|v| match v.as_str() {
-                "off" => CertifyMode::Off,
-                "monitor" => CertifyMode::Monitor,
-                "strict" => CertifyMode::Strict,
-                other => panic!("SLP_RUNTIME_CERTIFY must be off|monitor|strict, got {other:?}"),
-            })
-    }
-
-    /// Whether the environment requests MVCC snapshot reads, if set:
-    /// `SLP_RUNTIME_SNAPSHOT_READS` ∈ {`on`, `1`, `off`, `0`}. Same
-    /// contract as [`env_workers`](RuntimeConfig::env_workers): `None`
-    /// when unset, panic on anything else — a typo'd override must not
-    /// silently fall back.
-    pub fn env_snapshot_reads() -> Option<bool> {
-        Self::env_switch("SLP_RUNTIME_SNAPSHOT_READS")
-    }
-
-    /// Whether the environment requests the lock-word table, if set:
-    /// `SLP_RUNTIME_FAST_PATH` ∈ {`on`, `1`, `off`, `0`} (the CI matrix
-    /// sets `1`). Same contract as
-    /// [`env_snapshot_reads`](RuntimeConfig::env_snapshot_reads).
-    pub fn env_fast_path() -> Option<bool> {
-        Self::env_switch("SLP_RUNTIME_FAST_PATH")
-    }
-
-    fn env_switch(var: &str) -> Option<bool> {
-        std::env::var(var).ok().map(|v| {
-            parse_switch(&v).unwrap_or_else(|| panic!("{var} must be on|1|off|0, got {v:?}"))
-        })
-    }
-
-    /// The batch-scheduler mode the environment requests, if any:
-    /// `SLP_RUNTIME_SCHED` ∈ {`off`, `waves`, `deterministic`}. Same
-    /// contract as [`env_workers`](RuntimeConfig::env_workers): `None`
-    /// when unset, panic on anything else — a typo'd override must not
-    /// silently fall back.
-    pub fn env_sched() -> Option<SchedMode> {
-        std::env::var("SLP_RUNTIME_SCHED")
-            .ok()
-            .map(|v| match v.as_str() {
-                "off" => SchedMode::Off,
-                "waves" => SchedMode::Waves,
-                "deterministic" => SchedMode::Deterministic,
-                other => {
-                    panic!("SLP_RUNTIME_SCHED must be off|waves|deterministic, got {other:?}")
-                }
-            })
-    }
-
-    fn env_micros(var: &str) -> Option<Duration> {
-        std::env::var(var).ok().map(|v| {
-            let us = v
-                .parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| panic!("{var} must be a positive integer (microseconds)"));
-            Duration::from_micros(us)
-        })
-    }
-
-    /// This config with every environment override applied
-    /// (`SLP_RUNTIME_THREADS`, `SLP_RUNTIME_PARK_TIMEOUT_US`,
-    /// `SLP_RUNTIME_BACKOFF_CAP_US`, `SLP_RUNTIME_CERTIFY`,
-    /// `SLP_RUNTIME_SNAPSHOT_READS`, `SLP_RUNTIME_FAST_PATH`,
-    /// `SLP_RUNTIME_SCHED`). The
-    /// examples and stress suites run their configs through this so a CI
-    /// matrix can retune the runtime without touching code.
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(workers) = Self::env_workers() {
-            self.workers = workers;
-        }
-        if let Some(park) = Self::env_park_timeout() {
-            self.park_timeout = park;
-        }
-        if let Some(cap) = Self::env_backoff_cap() {
-            self.backoff_cap = cap;
-        }
-        if let Some(certify) = Self::env_certify() {
-            self.certify_online = certify;
-        }
-        if let Some(snapshot) = Self::env_snapshot_reads() {
-            self.snapshot_reads = snapshot;
-        }
-        if let Some(fast) = Self::env_fast_path() {
-            self.grant_fast_path = fast;
-        }
-        if let Some(sched) = Self::env_sched() {
-            self.scheduler = sched;
-        }
-        self
-    }
-}
-
-/// The one spelling rule for the boolean `SLP_*` switches: `on` / `1`
-/// and `off` / `0`; anything else is `None` (the env readers panic on
-/// it).
-fn parse_switch(value: &str) -> Option<bool> {
-    match value {
-        "on" | "1" => Some(true),
-        "off" | "0" => Some(false),
-        _ => None,
     }
 }
 
@@ -1046,20 +911,5 @@ mod tests {
         );
         // Two commits of two frames each, and the one pre-park hand-over.
         assert_eq!(done.records, 1 + 2 + 2 + 1);
-    }
-
-    /// Both boolean switches (`SLP_RUNTIME_SNAPSHOT_READS`,
-    /// `SLP_RUNTIME_FAST_PATH`) parse through this one function, so the
-    /// spellings the README documents are pinned here without touching
-    /// the process environment.
-    #[test]
-    fn switches_accept_on_1_off_0_and_nothing_else() {
-        assert_eq!(parse_switch("on"), Some(true));
-        assert_eq!(parse_switch("1"), Some(true));
-        assert_eq!(parse_switch("off"), Some(false));
-        assert_eq!(parse_switch("0"), Some(false));
-        for typo in ["", "true", "false", "ON", "yes", "2", " on"] {
-            assert_eq!(parse_switch(typo), None, "{typo:?} must be refused");
-        }
     }
 }

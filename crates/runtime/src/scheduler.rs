@@ -71,9 +71,7 @@ use slp_core::{DataOp, EntityId};
 use slp_sim::{ActionPlanner, Job};
 use std::sync::{Condvar, Mutex};
 
-/// Batch-scheduler mode ([`crate::RuntimeConfig::scheduler`], env
-/// override `SLP_RUNTIME_SCHED` via
-/// [`crate::RuntimeConfig::env_sched`]).
+/// Batch-scheduler mode ([`crate::RuntimeConfig::scheduler`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedMode {
     /// No scheduler: workers claim jobs off the shared cursor (the

@@ -251,8 +251,8 @@ fn crash_point_property_suite() {
     }
 }
 
-/// `SLP_DURABILITY_SEED`: the rolling CI seed. Same contract as the
-/// runtime's env overrides — malformed panics — except empty counts as
+/// `SLP_DURABILITY_SEED`: the rolling CI seed. Same contract as
+/// `SLP_RUNTIME_THREADS` — malformed panics — except empty counts as
 /// unset (a CI matrix passes "no seed" as an empty string).
 fn env_seed() -> Option<u64> {
     std::env::var("SLP_DURABILITY_SEED")

@@ -18,8 +18,7 @@
 //!   `sched_parks_avoided`, and strictly fewer grant-time lock waits
 //!   than the unscheduled runtime accumulates over the same seeds.
 //!
-//! Worker count honors `SLP_RUNTIME_THREADS` and the mode sweep honors
-//! `SLP_RUNTIME_SCHED` (CI matrix convention).
+//! Worker count honors `SLP_RUNTIME_THREADS` (CI matrix convention).
 
 use slp_core::{is_serializable, EntityId};
 use slp_policies::{PolicyConfig, PolicyKind};
@@ -41,18 +40,9 @@ fn conf(width: usize, sched: SchedMode) -> RuntimeConfig {
 /// The widths a sweep covers: the env-pinned width under the CI matrix,
 /// the full 1/2/4/8 ladder otherwise.
 fn widths() -> Vec<usize> {
-    if std::env::var("SLP_RUNTIME_THREADS").is_ok() {
-        vec![workers()]
-    } else {
-        vec![1, 2, 4, 8]
-    }
-}
-
-/// The modes a sweep covers (env-pinned under the CI matrix).
-fn modes() -> Vec<SchedMode> {
-    match RuntimeConfig::env_sched() {
-        Some(m) => vec![m],
-        None => vec![SchedMode::Off, SchedMode::Waves, SchedMode::Deterministic],
+    match RuntimeConfig::env_workers() {
+        Some(w) => vec![w],
+        None => vec![1, 2, 4, 8],
     }
 }
 
@@ -96,7 +86,7 @@ fn verify(report: &RuntimeReport, jobs: usize, sched: SchedMode, ctx: &str) {
 #[test]
 fn scheduled_runs_conform_across_policies_modes_and_widths() {
     let pool: Vec<EntityId> = (0..24).map(EntityId).collect();
-    for sched in modes() {
+    for sched in [SchedMode::Off, SchedMode::Waves, SchedMode::Deterministic] {
         for &width in &widths() {
             for seed in 0..3u64 {
                 // Flat-pool policies on the contended workload.

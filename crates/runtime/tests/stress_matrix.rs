@@ -26,15 +26,6 @@ fn widths() -> Vec<usize> {
     }
 }
 
-/// The grant-path modes to sweep: `SLP_RUNTIME_FAST_PATH` pins one (the
-/// CI fast-path matrix), else both.
-fn fast_modes() -> Vec<bool> {
-    match RuntimeConfig::env_fast_path() {
-        Some(f) => vec![f],
-        None => vec![true, false],
-    }
-}
-
 fn run_once(
     kind: PolicyKind,
     config: &PolicyConfig,
@@ -50,9 +41,7 @@ fn run_once(
     // preemption of lock holders and make that assertion meaningless.
     let config = RuntimeConfig {
         park_timeout: std::time::Duration::from_secs(10),
-        // The env pin (CI fast-path matrix) wins over the caller's sweep
-        // value, mirroring how `widths()` collapses under the width pin.
-        grant_fast_path: RuntimeConfig::env_fast_path().unwrap_or(fast),
+        grant_fast_path: fast,
         ..RuntimeConfig::with_workers(workers)
     };
     rt.run(jobs, &config)
@@ -148,7 +137,7 @@ fn stress_ladder_holds_invariants_at_every_width() {
                 // Both grant paths at every cell: the fast path is inert
                 // for Global-scope engines, but 2PL genuinely bypasses
                 // the engine lock when `fast` is on.
-                for fast in fast_modes() {
+                for fast in [true, false] {
                     let ctx = format!("{} / seed {seed} / {w} workers / fast {fast}", kind.name());
                     let report = run_once(kind, &PolicyConfig::flat(pool.clone()), &jobs, w, fast);
                     assert_eq!(report.workers, w, "{ctx}: width not honored");

@@ -34,9 +34,6 @@ fn workers() -> usize {
 fn conf() -> RuntimeConfig {
     RuntimeConfig {
         workers: workers(),
-        // The CI fast-path matrix pins the grant path; unset, the
-        // default (fast on) applies.
-        grant_fast_path: RuntimeConfig::env_fast_path().unwrap_or(true),
         ..Default::default()
     }
 }
@@ -108,16 +105,11 @@ fn fast_path_on_and_off_conform_at_every_width() {
     // legal + proper + serializable, and the grant accounting split
     // exactly between the two paths.
     let pool: Vec<EntityId> = (0..24).map(EntityId).collect();
-    let widths: Vec<usize> = if std::env::var("SLP_RUNTIME_THREADS").is_ok() {
-        vec![workers()]
-    } else {
-        vec![1, 2, 4, 8]
+    let widths = match RuntimeConfig::env_workers() {
+        Some(w) => vec![w],
+        None => vec![1, 2, 4, 8],
     };
-    let modes = match RuntimeConfig::env_fast_path() {
-        Some(f) => vec![f],
-        None => vec![true, false],
-    };
-    for fast in modes {
+    for fast in [true, false] {
         for &width in &widths {
             for seed in 0..5u64 {
                 let workloads: [(&str, Vec<Job>); 2] = [

@@ -41,7 +41,6 @@ impl Default for CanonicalBudget {
             max_candidates: 500_000,
             completion: SearchBudget {
                 max_states: 200_000,
-                use_memo: true,
             },
         }
     }

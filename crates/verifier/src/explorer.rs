@@ -44,8 +44,8 @@
 //!   state space is the only limit".
 //!
 //! The pre-optimization clone-per-node DFS is retained verbatim in
-//! [`crate::reference`] as the agreement baseline; `verifier_bench`'s
-//! `dfs_throughput` group tracks the speedup. [`crate::parallel`] runs this
+//! [`crate::reference`] as the agreement baseline; `bench-report`'s
+//! `verifier.seq_s` row times this search. [`crate::parallel`] runs this
 //! same search as a work-stealing fleet over per-worker L1 memos and a
 //! shared lock-free word table;
 //! `verifier/tests/parallel_agreement.rs` locks the two to identical
@@ -74,17 +74,12 @@ pub(crate) use slp_core::mask_has_cycle;
 pub struct SearchBudget {
     /// Maximum number of search states to visit before giving up.
     pub max_states: usize,
-    /// Whether to memoize fully explored (positions, D-edges) states.
-    /// Disabling turns the search into a plain DFS — exposed for the
-    /// memoization ablation in `verifier_bench`.
-    pub use_memo: bool,
 }
 
 impl Default for SearchBudget {
     fn default() -> Self {
         SearchBudget {
             max_states: 2_000_000,
-            use_memo: true,
         }
     }
 }
@@ -454,7 +449,7 @@ impl<'a> Search<'a> {
             // successor state was necessarily reached by applying this very
             // step legally — an illegal candidate can never hit.
             self.book.take(positions, i);
-            if self.budget.use_memo && self.memo.contains(self.book.packed, positions, edges) {
+            if self.memo.contains(self.book.packed, positions, edges) {
                 self.stats.memo_hits += 1;
                 self.book.untake(positions, i);
                 if let Some(a) = &added {
@@ -492,9 +487,7 @@ impl<'a> Search<'a> {
                 }
                 // Only fully explored subtrees may be memoized.
                 Dfs::NotFound => {
-                    if self.budget.use_memo {
-                        self.memo.insert(self.book.packed, positions, edges);
-                    }
+                    self.memo.insert(self.book.packed, positions, edges);
                 }
                 Dfs::BudgetExhausted => {
                     budget_hit = true;
@@ -705,13 +698,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let verdict = verify_safety(
-            &two_phase_system(),
-            SearchBudget {
-                max_states: 3,
-                ..Default::default()
-            },
-        );
+        let verdict = verify_safety(&two_phase_system(), SearchBudget { max_states: 3 });
         assert!(matches!(verdict, Verdict::Exhausted(_)));
     }
 

@@ -66,9 +66,8 @@
 //! miss (duplicated search work, never unsound pruning); callers that need
 //! the id use `probe_or_intern`, which retries through the CAS path.
 //!
-//! This module is `pub` so the memo-storm stress test and the
-//! `memo_contention` microbenchmark can drive the table directly; it is
-//! not a stable API surface.
+//! This module is `pub` so the memo-storm stress test can drive the
+//! table directly; it is not a stable API surface.
 
 use rustc_hash::FxHasher;
 use slp_core::EdgeSet;
@@ -285,7 +284,7 @@ impl AtomicWordTable {
     }
 
     /// Upper bound on interned entries: claims, including the few
-    /// abandoned by lost same-key races. (Exposed for tests/benches; the
+    /// abandoned by lost same-key races. (Exposed for tests; the
     /// verifier tracks its statistics separately.)
     pub fn claimed_entries(&self) -> u64 {
         self.next_entry.load(Ordering::Relaxed)

@@ -391,14 +391,14 @@ impl<'j> Worker<'j> {
         );
         // The node may have been memoized between donation and pickup by a
         // worker that reached the same (positions, edges) state elsewhere.
-        if job.budget.use_memo && !self.path.is_empty() && self.memo_contains() {
+        if !self.path.is_empty() && self.memo_contains() {
             self.stats.memo_hits += 1;
             return;
         }
         if let Dfs::NotFound = self.dfs() {
             // Mirror of the sequential parent's post-recursion insert: the
             // subtree root is now fully explored with no witness.
-            if job.budget.use_memo && !self.path.is_empty() {
+            if !self.path.is_empty() {
                 self.memo_insert();
             }
         }
@@ -464,7 +464,7 @@ impl<'j> Worker<'j> {
             // sequential explorer (see its comment for the soundness
             // argument — it holds across workers because the simulator
             // state is a function of positions alone).
-            if job.budget.use_memo && self.memo_contains() {
+            if self.memo_contains() {
                 self.stats.memo_hits += 1;
                 self.book.untake(&mut self.positions, i);
                 if let Some(a) = &added {
@@ -522,9 +522,7 @@ impl<'j> Worker<'j> {
                 }
                 Dfs::NotFound => {
                     explored_locally = true;
-                    if job.budget.use_memo {
-                        self.memo_insert();
-                    }
+                    self.memo_insert();
                 }
                 Dfs::Donated => {
                     explored_locally = true;
@@ -693,14 +691,8 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let verdict = verify_safety_parallel(
-            &two_phase_system(),
-            SearchBudget {
-                max_states: 3,
-                ..Default::default()
-            },
-            2,
-        );
+        let verdict =
+            verify_safety_parallel(&two_phase_system(), SearchBudget { max_states: 3 }, 2);
         assert!(matches!(verdict, Verdict::Exhausted(_)), "{verdict:?}");
     }
 
@@ -719,7 +711,6 @@ mod tests {
         // sequential explorer only exhausts attempting state max + 1).
         let budget = SearchBudget {
             max_states: 4 * true_states,
-            ..Default::default()
         };
         for run in 0..20 {
             let verdict = verifier.verify(&system, budget);
@@ -727,7 +718,6 @@ mod tests {
         }
         let exact = SearchBudget {
             max_states: true_states,
-            ..Default::default()
         };
         let single = ParallelVerifier::new(1);
         let verdict = single.verify(&system, exact);

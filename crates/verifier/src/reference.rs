@@ -8,8 +8,7 @@
 //! position vectors. It is deliberately **not** optimized further —
 //! its value is that it is small, obviously faithful to the definition,
 //! and independent of the optimized search's undo/index machinery, which
-//! makes it the agreement baseline for `verifier/tests/agreement.rs` and
-//! the "naive-clone" arm of `verifier_bench`'s `dfs_throughput` group.
+//! makes it the agreement baseline for `verifier/tests/agreement.rs`.
 //!
 //! Both explorers visit candidate transactions in the same dense order, so
 //! on agreement they return *identical* verdicts, witnesses included.
@@ -96,7 +95,7 @@ impl<'a> NaiveSearch<'a> {
             let next_edges = edges | self.new_edges(schedule, &sstep);
             positions[i] += 1;
             let key = (positions.clone(), next_edges);
-            if self.budget.use_memo && self.memo.contains(&key) {
+            if self.memo.contains(&key) {
                 self.stats.memo_hits += 1;
                 positions[i] -= 1;
                 continue;
@@ -110,9 +109,7 @@ impl<'a> NaiveSearch<'a> {
             match result {
                 Dfs::Found(s) => return Dfs::Found(s),
                 Dfs::NotFound => {
-                    if self.budget.use_memo {
-                        self.memo.insert(key);
-                    }
+                    self.memo.insert(key);
                 }
                 Dfs::BudgetExhausted => {
                     budget_hit = true;

@@ -43,22 +43,14 @@ const SMOKE_JOBS: usize = 10_000;
 
 /// A throughput-oriented config with the online certifier monitoring:
 /// no per-step yield (the generator measures volume, not interleaving
-/// diversity). Env overrides still apply, so the CI
-/// matrix can pin workers and certification mode.
+/// diversity).
 fn load_config(workers: usize) -> RuntimeConfig {
-    let mut config = RuntimeConfig {
+    RuntimeConfig {
         step_yield: false,
         certify_online: CertifyMode::Monitor,
         max_wall: std::time::Duration::from_secs(120),
         ..RuntimeConfig::with_workers(workers)
     }
-    .with_env_overrides();
-    // The generator's whole point is the online verdict: keep the
-    // certifier on even if the environment says `off`.
-    if config.certify_online == CertifyMode::Off {
-        config.certify_online = CertifyMode::Monitor;
-    }
-    config
 }
 
 /// Checks a safe scenario's run: balanced accounting, no lost jobs, and
@@ -193,10 +185,11 @@ fn read_heavy(jobs: usize, workers: usize) -> bool {
         .filter(|j| j.read_only)
         .map(|j| j.targets.len() as u64)
         .sum();
-    let mut config = load_config(workers);
-    // Pin snapshot reads on after env overrides: the scenario *is* the
-    // snapshot read path.
-    config.snapshot_reads = true;
+    // The scenario *is* the snapshot read path.
+    let config = RuntimeConfig {
+        snapshot_reads: true,
+        ..load_config(workers)
+    };
     let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool)).expect("2PL builds");
     let report = rt.run(&work, &config);
     describe(&report, "read-heavy");
@@ -231,10 +224,12 @@ fn read_heavy(jobs: usize, workers: usize) -> bool {
 fn wave_scheduled_storm(jobs: usize, workers: usize) -> bool {
     let pool: Vec<EntityId> = (0..64).map(EntityId).collect();
     let work = hot_cold_jobs(&pool, jobs, 3, 4, 0.9, 0xB0A7);
-    let mut config = load_config(workers);
-    // Pin waves mode after env overrides: the scenario *is* the batch
-    // scheduler (the CI matrix still varies workers underneath it).
-    config.scheduler = SchedMode::Waves;
+    // The scenario *is* the batch scheduler (the CI matrix still varies
+    // workers underneath it).
+    let mut config = RuntimeConfig {
+        scheduler: SchedMode::Waves,
+        ..load_config(workers)
+    };
     let mut rt =
         Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone())).expect("2PL builds");
     let report = rt.run(&work, &config);
@@ -308,13 +303,13 @@ fn wave_scheduled_storm(jobs: usize, workers: usize) -> bool {
 /// schedule small).
 fn mutant_probe(workers: usize) -> bool {
     let pool: Vec<EntityId> = (0..12).map(EntityId).collect();
-    // Apply env overrides first, then pin what the probe needs: strict
-    // certification (the halt is the point), and ≥ 4 workers — a single
-    // worker cannot interleave, so the mutant cannot misbehave when the
-    // CI matrix pins SLP_RUNTIME_THREADS=1.
-    let mut config = RuntimeConfig::with_workers(workers).with_env_overrides();
-    config.workers = config.workers.max(4);
-    config.certify_online = CertifyMode::Strict;
+    // Strict certification (the halt is the point), and ≥ 4 workers — a
+    // single worker cannot interleave, so the mutant cannot misbehave when
+    // the CI matrix pins SLP_RUNTIME_THREADS=1.
+    let config = RuntimeConfig {
+        certify_online: CertifyMode::Strict,
+        ..RuntimeConfig::with_workers(workers.max(4))
+    };
     for seed in 0..80u64 {
         let work = long_short_jobs(&pool, 8, 30, 2, seed);
         for _ in 0..3 {
@@ -369,7 +364,7 @@ fn main() {
         }
     }
 
-    let workers = RuntimeConfig::env_workers().unwrap_or(4);
+    let workers = RuntimeConfig::workers_from_env(4);
     println!("== slp-runtime load generator: {jobs} jobs/scenario, {workers} workers ==\n");
 
     let mut all_ok = true;

@@ -64,7 +64,7 @@ fn main() {
     for workers in [1usize, 4] {
         let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone()))
             .expect("2PL builds");
-        let config = RuntimeConfig::with_workers(workers).with_env_overrides();
+        let config = RuntimeConfig::with_workers(RuntimeConfig::workers_from_env(workers));
         let report = rt.run(&jobs, &config);
         all_certified &= describe(&report);
     }
@@ -79,7 +79,7 @@ fn main() {
     let mut rt = Runtime::new(PolicyKind::Ddag, &config).expect("DDAG builds");
     let report = rt.run(
         &dag_jobs,
-        &RuntimeConfig::with_workers(4).with_env_overrides(),
+        &RuntimeConfig::with_workers(RuntimeConfig::workers_from_env(4)),
     );
     all_certified &= describe(&report);
 

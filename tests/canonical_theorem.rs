@@ -122,10 +122,7 @@ fn exhaustive_witnesses_are_genuine() {
 #[test]
 fn budget_exhaustion_degrades_gracefully() {
     let system = random_system(GenParams::default(), 3);
-    let tiny = SearchBudget {
-        max_states: 5,
-        ..Default::default()
-    };
+    let tiny = SearchBudget { max_states: 5 };
     let verdict = verify_safety(&system, tiny);
     // Must never claim Safe with an exhausted budget.
     match verdict {

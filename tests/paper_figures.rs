@@ -3,8 +3,8 @@
 //! Each experiment module of `slp-bench` asserts its own claims
 //! internally; these tests run them end-to-end so `cargo test` regenerates
 //! and re-validates the entire evaluation section (E9's full sweeps are
-//! exercised by the `paper-experiments` binary and `cargo bench`; here we
-//! run a reduced version for time).
+//! exercised by the `paper-experiments` binary; here we run a reduced
+//! version for time).
 
 use slp_bench::experiments;
 

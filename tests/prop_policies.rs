@@ -109,7 +109,7 @@ proptest! {
             StructuralState::from_entities((0..4).map(EntityId)),
             vec![LockedTransaction::new(TxId(1), a.steps), b],
         );
-        let verdict = verify_safety(&system, SearchBudget { max_states: 300_000, ..Default::default() });
+        let verdict = verify_safety(&system, SearchBudget { max_states: 300_000 });
         // Either proven safe or the budget ran out — never unsafe.
         prop_assert!(!verdict.is_unsafe(), "2PL pair found unsafe!");
     }
