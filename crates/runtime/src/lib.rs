@@ -15,7 +15,7 @@
 //!   queue;
 //! * [`RuntimeConfig`] — worker count (test harnesses read
 //!   `SLP_RUNTIME_THREADS` through [`RuntimeConfig::workers_from_env`]),
-//!   parking and backoff tuning, the mode switches described below,
+//!   park timeout, per-step yield, the mode switches described below,
 //!   wall-clock guard;
 //! * **durability** — [`Runtime::run_durable`] mirrors every granted step
 //!   and commit into a `slp-durability` write-ahead log (group-committed,
@@ -31,14 +31,14 @@
 //!   [`slp_core::Schedule::from_sequenced_runs`]) with its initial
 //!   structural state, ready for legality / properness /
 //!   serializability replay;
-//! * **online certification** — [`RuntimeConfig::certify_online`] feeds
-//!   every stamped step batch to an incremental serialization-graph
-//!   certifier ([`slp_core::IncrementalCertifier`]) as the run executes:
-//!   cycles are detected at the closing edge and surfaced in
-//!   [`RuntimeReport::certification`] ([`CertifyMode::Monitor`]) or
-//!   broken by aborting the transaction that closed them
-//!   ([`CertifyMode::Strict`], counted in
-//!   [`RuntimeReport::certification_aborts`]), with committed-prefix
+//! * **online certification** — [`RuntimeConfig::certify_online`]
+//!   ([`CertifyMode::Strict`]) feeds every attempt's stamped steps to an
+//!   incremental serialization-graph certifier
+//!   ([`slp_core::IncrementalCertifier`]) before the attempt takes
+//!   effect: a cycle is detected at the closing edge and broken by
+//!   aborting the transaction that closed it (counted in
+//!   [`RuntimeReport::certification_aborts`], the first caught cycle kept
+//!   in [`RuntimeReport::certification`]), with committed-prefix
 //!   truncation keeping graph memory bounded on million-job runs;
 //! * **MVCC snapshot reads** — [`RuntimeConfig::snapshot_reads`] serves
 //!   read-only jobs from an `slp-mvcc` versioned store: writers install
@@ -119,7 +119,7 @@ pub use slp_core::{CertStats, CertViolation, IncrementalCertifier};
 
 // The MVCC surface a snapshot-read run touches (the store internals stay
 // in `slp_mvcc`).
-pub use slp_mvcc::{Snapshot, TxStatus, VisibilityRule};
+pub use slp_mvcc::{Snapshot, TxStatus};
 
 // The durability surface a durable run touches: create a log, run against
 // it, recover after a crash. (The fault-injection stores and frame-level

@@ -51,15 +51,13 @@ impl LatencySummary {
 
 /// The online certifier's verdict on a run
 /// ([`RuntimeReport::certification`], present when
-/// [`crate::RuntimeConfig::certify_online`] was not
-/// [`Off`](crate::CertifyMode::Off)).
+/// [`crate::RuntimeConfig::certify_online`] was
+/// [`Strict`](crate::CertifyMode::Strict)).
 #[derive(Clone, Debug)]
 pub struct Certification {
-    /// Whether the run was configured to halt on the first violation
-    /// ([`Strict`](crate::CertifyMode::Strict) mode).
-    pub strict: bool,
-    /// The first serialization-graph cycle the certifier latched, `None`
-    /// on a certified-serializable run.
+    /// The first serialization-graph cycle the certifier caught — the
+    /// transaction that closed it was aborted, not committed — `None` on
+    /// a certified-serializable run.
     pub violation: Option<CertViolation>,
     /// Certifier counters at end of run (steps observed, edges inserted,
     /// committed-prefix truncations, live/peak graph size).

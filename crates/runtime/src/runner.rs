@@ -18,7 +18,6 @@ use crate::service::{LockService, MvccState, Outcome, Recorder, Tally};
 use crate::trace::TraceRun;
 use slp_core::{Schedule, SequenceError, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
-use slp_mvcc::VisibilityRule;
 use slp_policies::{
     GrantScope, PolicyConfig, PolicyEngine, PolicyKind, PolicyRegistry, PolicyViolation,
     RegistryError,
@@ -47,9 +46,6 @@ pub enum CertifyMode {
     /// No certifier: zero overhead (the default).
     #[default]
     Off,
-    /// Certify and report: a detected cycle is latched into the report
-    /// but the run completes normally.
-    Monitor,
     /// Certify and recover: every commit (and snapshot read) is certified
     /// *before* it takes effect; one that would close a
     /// serialization-graph cycle is aborted instead — its node retracted,
@@ -70,13 +66,6 @@ pub struct RuntimeConfig {
     /// often even if no wakeup arrives. Default **1 ms**. Timeout
     /// firings are counted in [`RuntimeReport::park_timeouts`].
     pub park_timeout: Duration,
-    /// Base backoff after an abort; attempt `n` waits `min(base · 2ⁿ,
-    /// cap)` (growing backoff breaks symmetric restart livelocks, as in
-    /// the simulator). Default **50 µs**.
-    pub backoff_base: Duration,
-    /// Backoff ceiling (caps the exponential growth after deadlock and
-    /// policy aborts). Default **2 ms**.
-    pub backoff_cap: Duration,
     /// Wall-clock guard: past this deadline workers abandon their jobs and
     /// drain (guards against livelock in mutant policies, the threaded
     /// analogue of the simulator's `max_ticks`).
@@ -118,11 +107,6 @@ pub struct RuntimeConfig {
     /// counts (and ignores [`snapshot_reads`](RuntimeConfig::snapshot_reads)
     /// — snapshot contents are timing-dependent by design).
     pub scheduler: SchedMode,
-    /// **Scripted negative control**: apply the deliberately broken
-    /// visibility rule (snapshots dirty-read in-progress writers) so the
-    /// online certifier's detection path can be exercised end to end.
-    /// Never set outside mutant tests.
-    pub broken_visibility: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -130,15 +114,12 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: 4,
             park_timeout: Duration::from_millis(1),
-            backoff_base: Duration::from_micros(50),
-            backoff_cap: Duration::from_millis(2),
             max_wall: Duration::from_secs(30),
             step_yield: true,
             certify_online: CertifyMode::Off,
             snapshot_reads: false,
             grant_fast_path: true,
             scheduler: SchedMode::Off,
-            broken_visibility: false,
         }
     }
 }
@@ -327,13 +308,7 @@ impl Runtime {
         // contents are timing-dependent by design (a reader observes
         // whatever committed first), so the read path stays locked there.
         let snapshot_reads = config.snapshot_reads && config.scheduler != SchedMode::Deterministic;
-        let mvcc = snapshot_reads.then(|| {
-            MvccState::new(if config.broken_visibility {
-                VisibilityRule::Broken
-            } else {
-                VisibilityRule::Correct
-            })
-        });
+        let mvcc = snapshot_reads.then(MvccState::default);
         // The word table exists only when the knob is on AND the engine
         // promises per-entity grants; it directly indexes the flat pool
         // (per-entity engines have a fixed universe).
@@ -492,7 +467,6 @@ impl Runtime {
         let (engine, certifier) = service.into_parts();
         self.engine = Some(engine);
         report.certification = certifier.map(|cert| Certification {
-            strict: config.certify_online == CertifyMode::Strict,
             // A strict run that recovered cleared the certifier's own
             // latch; the service kept the first caught cycle for the
             // report.
@@ -626,7 +600,7 @@ fn worker_loop(
                     rec.tally.abandoned += 1;
                     break;
                 }
-                AttemptEnd::Retry => backoff(attempt, config),
+                AttemptEnd::Retry => backoff(attempt),
             }
         }
         // Whatever the outcome, the wave fence counts this job done.
@@ -797,19 +771,18 @@ fn classify(tally: &mut Tally, v: &PolicyViolation) -> AttemptEnd {
     }
 }
 
+/// Base backoff after an abort.
+const BACKOFF_BASE: Duration = Duration::from_micros(50);
+/// Backoff ceiling (caps the exponential growth after deadlock, policy
+/// and certification aborts).
+const BACKOFF_CAP: Duration = Duration::from_millis(2);
+
 /// Exponential backoff with a ceiling: attempt `n` sleeps
-/// `min(base · 2ⁿ⁻¹, cap)` (yields instead of sleeping when base is zero).
-fn backoff(attempt: u32, config: &RuntimeConfig) {
-    if config.backoff_base.is_zero() {
-        std::thread::yield_now();
-        return;
-    }
+/// `min(BACKOFF_BASE · 2ⁿ⁻¹, BACKOFF_CAP)` (growing backoff breaks
+/// symmetric restart livelocks, as in the simulator).
+fn backoff(attempt: u32) {
     let exp = attempt.saturating_sub(1).min(16);
-    let wait = config
-        .backoff_base
-        .saturating_mul(1u32 << exp)
-        .min(config.backoff_cap);
-    std::thread::sleep(wait);
+    std::thread::sleep(BACKOFF_BASE.saturating_mul(1u32 << exp).min(BACKOFF_CAP));
 }
 
 #[cfg(test)]

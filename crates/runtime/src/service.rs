@@ -316,25 +316,13 @@ pub(crate) struct Counters {
 }
 
 /// The MVCC side of a run with snapshot reads enabled: the versioned
-/// store writers install into at grant time, the commit pipeline that
-/// orders status-table flips into serialization order, and the
-/// visibility rule snapshot reads apply ([`VisibilityRule::Broken`] only
-/// in the scripted negative control).
+/// store writers install into at grant time, and the commit pipeline that
+/// orders status-table flips into serialization order. Snapshot reads
+/// always apply [`VisibilityRule::Correct`].
+#[derive(Default)]
 pub(crate) struct MvccState {
     pub store: MvccStore,
     pub pipeline: CommitPipeline,
-    pub rule: VisibilityRule,
-}
-
-impl MvccState {
-    /// A fresh store + pipeline applying `rule`.
-    pub fn new(rule: VisibilityRule) -> Self {
-        MvccState {
-            store: MvccStore::new(),
-            pipeline: CommitPipeline::new(),
-            rule,
-        }
-    }
 }
 
 /// The shared front-end the worker threads drive.
@@ -355,13 +343,14 @@ pub(crate) struct LockService {
     /// fsync ever sits on a serialization point; stamps — taken while the
     /// words were held — arbitrate the cross-worker byte order on replay.
     wal: Option<Arc<Wal>>,
-    /// Online serialization-graph certifier, when the run certifies.
-    /// Fed *after* the engine lock is dropped (same position as the wake
-    /// pass): the stamps taken inside the lock already fix the edge
-    /// directions, so the certifier tolerates out-of-order arrival and
-    /// its mutex never sits on the serialization point.
+    /// Online serialization-graph certifier, when the run certifies
+    /// ([`CertifyMode::Strict`]). Fed once per retiring attempt, after
+    /// its words are free and the engine lock is dropped: the stamps
+    /// taken at grant time already fix the edge directions, so the
+    /// certifier tolerates out-of-order arrival and its mutex never sits
+    /// on a serialization point. Each feed is certified before the
+    /// attempt takes effect ([`certify_strict`](LockService::certify_strict)).
     certifier: Option<CertChannel>,
-    strict_certify: bool,
     /// Versioned store + commit pipeline when the run serves snapshot
     /// reads ([`crate::RuntimeConfig::snapshot_reads`]), else `None` and
     /// the MVCC paths cost nothing.
@@ -373,44 +362,13 @@ pub(crate) struct LockService {
     pub counters: Counters,
 }
 
-/// One monitor-mode batch for the certifier — fed at once or parked in
-/// the spill lane — with the transaction to seal after feeding it.
-enum CertBatch {
-    /// An attempt's stamped steps (locked accesses), its transaction,
-    /// and whether it aborted.
-    Steps(Vec<Stamped>, TxId, bool),
-    /// A snapshot-read batch with explicit pivots; the reader seals
-    /// (committed) after feeding.
-    Reads(Vec<VersionedRead>, TxId),
-}
-
-/// Feeds one batch — spilled or fresh — to the certifier.
-fn feed(cert: &mut IncrementalCertifier, batch: CertBatch) {
-    match batch {
-        CertBatch::Steps(steps, tx, aborted) => {
-            cert.observe_trace(&steps);
-            cert.seal_with(tx, aborted);
-        }
-        CertBatch::Reads(reads, tx) => {
-            cert.observe_snapshot_reads(&reads);
-            cert.seal_with(tx, false);
-        }
-    }
-}
-
-/// The certifier and its overflow lane. Feeding never blocks on the
-/// graph: a worker that loses the `try_lock` race copies its batch into
-/// `spill` (a push under a lock held for nanoseconds) and moves on; the
-/// graph holder drains the spill before releasing, and
-/// [`LockService::into_parts`] drains whatever the last holder missed.
-/// Edges are ordered by stamps, not arrival, so the deferred feed never
-/// changes the verdict.
+/// The certifier graph and the feeders queued on it. Every feed waits
+/// for the graph ([`CertChannel::wait_for_graph`]): the latch-and-recover
+/// step of [`LockService::certify_strict`] must be atomic with the feed.
+/// Edges are ordered by stamps, not arrival, so the order in which
+/// workers get the graph never changes the verdict.
 struct CertChannel {
     graph: Mutex<IncrementalCertifier>,
-    spill: Mutex<Vec<CertBatch>>,
-    /// Number of batches sitting in `spill`; lets the drain loop skip the
-    /// spill mutex entirely on the (overwhelmingly common) empty case.
-    spilled: AtomicUsize,
     /// Strict feeders asleep on `graph` ([`CertChannel::wait_for_graph`]).
     queued: AtomicUsize,
 }
@@ -419,8 +377,6 @@ impl CertChannel {
     fn new() -> Self {
         CertChannel {
             graph: Mutex::new(IncrementalCertifier::new()),
-            spill: Mutex::new(Vec::new()),
-            spilled: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
         }
     }
@@ -495,8 +451,7 @@ impl LockService {
             words,
             seq: AtomicU64::new(0),
             wal,
-            certifier: (certify != CertifyMode::Off).then(CertChannel::new),
-            strict_certify: certify == CertifyMode::Strict,
+            certifier: (certify == CertifyMode::Strict).then(CertChannel::new),
             mvcc,
             first_violation: Mutex::new(None),
             counters: Counters::default(),
@@ -523,14 +478,8 @@ impl LockService {
     pub fn into_parts(self) -> (Box<dyn PolicyEngine>, Option<IncrementalCertifier>) {
         (
             self.engine.into_inner().expect("engine lock poisoned"),
-            self.certifier.map(|ch| {
-                let mut cert = ch.graph.into_inner().expect("certifier lock poisoned");
-                // Batches spilled after the last holder's drain pass.
-                for batch in ch.spill.into_inner().expect("spill lock poisoned") {
-                    feed(&mut cert, batch);
-                }
-                cert
-            }),
+            self.certifier
+                .map(|ch| ch.graph.into_inner().expect("certifier lock poisoned")),
         )
     }
 
@@ -636,66 +585,21 @@ impl LockService {
         rec.logged = rec.steps.len();
     }
 
-    /// Monitor-mode certification of one batch — a retired attempt's
-    /// recorded steps (sealing its transaction: commit or abort, either
-    /// way it takes no further steps, which is what makes it
-    /// truncatable) or a read-only job's snapshot reads (the
+    /// Certification of one finished attempt, when the run certifies
+    /// (`false` at once when it does not). The batch is a retired
+    /// attempt's recorded steps, or a read-only job's snapshot reads (the
     /// explicit-pivot feed: workers publish out of order, so the
     /// certifier cannot reconstruct observed versions from arrival
-    /// state). Fed after the engine lock is dropped, once per attempt
-    /// rather than per engine section — the certifier orders edges by
-    /// stamp, so feeding late (and in arbitrary order across workers)
-    /// never changes the verdict, and one graph acquisition per attempt
-    /// keeps the certifier off the grant path. The acquisition is a
-    /// `try_lock`: a worker that loses the race spills its batch instead
-    /// of blocking (see [`CertChannel`]), so certification never convoys
-    /// the workers. `batch` is only built when the run certifies. Strict
-    /// mode certifies through
-    /// [`certify_strict`](LockService::certify_strict) instead.
-    fn certify_monitor(&self, batch: impl FnOnce() -> CertBatch) {
-        let Some(ch) = &self.certifier else {
-            return;
-        };
-        let batch = batch();
-        match ch.graph.try_lock() {
-            Ok(mut cert) => {
-                feed(&mut cert, batch);
-                self.drain_spill(ch, &mut cert);
-            }
-            Err(TryLockError::WouldBlock) => self.spill(ch, batch),
-            Err(TryLockError::Poisoned(_)) => panic!("certifier lock poisoned"),
-        }
-    }
-
-    fn spill(&self, ch: &CertChannel, batch: CertBatch) {
-        let mut spill = ch.spill.lock().expect("spill lock poisoned");
-        spill.push(batch);
-        // Updated under the spill lock, so the counter always agrees
-        // with the contents.
-        ch.spilled.store(spill.len(), Ordering::Release);
-    }
-
-    /// Drains batches spilled while the caller held (or raced for) the
-    /// graph. Looping until the spill is observed empty shrinks the
-    /// window a concurrent spill can land in; anything that still slips
-    /// through is drained by the next holder or by `into_parts`.
-    fn drain_spill(&self, ch: &CertChannel, cert: &mut IncrementalCertifier) {
-        while ch.spilled.load(Ordering::Acquire) != 0 {
-            let drained = {
-                let mut spill = ch.spill.lock().expect("spill lock poisoned");
-                ch.spilled.store(0, Ordering::Release);
-                std::mem::take(&mut *spill)
-            };
-            for batch in drained {
-                feed(cert, batch);
-            }
-        }
-    }
-
-    /// Strict-mode certification of one finished attempt: feed + seal
-    /// under a **waited-for** graph acquisition (strict mode never spills
-    /// — the latch-and-recover step must be atomic with the feed), and
-    /// *recover* from a latched violation instead of halting. Every edge
+    /// state); either way the transaction is sealed after it — commit or
+    /// abort, it takes no further steps, which is what makes it
+    /// truncatable. One graph acquisition per attempt keeps the certifier
+    /// off the grant path, and the certifier orders edges by stamp, so
+    /// feeding late and in any order across workers never changes the
+    /// verdict.
+    ///
+    /// Feed + seal happen under a **waited-for** graph acquisition — the
+    /// latch-and-recover step must be atomic with the feed — and a
+    /// latched violation is *recovered* from instead of halting. Every edge
     /// a feed inserts touches the feeding transaction (its own steps, or
     /// parked edges flushed at its seal), so a cycle latched here always
     /// runs through `tx`: retracting `tx` from the graph breaks the
@@ -1098,7 +1002,7 @@ impl LockService {
             }
         }
         self.publish(tx, &attempt[from..]);
-        let certified_out = self.strict_certify && self.certify_strict(tx, attempt, None, aborting);
+        let certified_out = self.certify_strict(tx, attempt, None, aborting);
         let committed = !aborting && !certified_out;
         self.log(rec, committed.then_some(tx));
         if let Some(m) = &self.mvcc {
@@ -1107,9 +1011,6 @@ impl LockService {
             } else {
                 m.pipeline.abort(tx);
             }
-        }
-        if !self.strict_certify {
-            self.certify_monitor(|| CertBatch::Steps(rec.steps.clone(), tx, aborting));
         }
         Ok(committed)
     }
@@ -1134,7 +1035,7 @@ impl LockService {
         let tst = m.pipeline.status_table();
         let mut reads = Vec::with_capacity(targets.len());
         for (i, &entity) in targets.iter().enumerate() {
-            let obs = m.store.read(entity, &snap, tst, m.rule);
+            let obs = m.store.read(entity, &snap, tst, VisibilityRule::Correct);
             let stamp = snap.base_stamp + i as u64;
             trace.push((
                 stamp,
@@ -1152,14 +1053,7 @@ impl LockService {
         // Reader steps are logged (the recovered trace must stay dense)
         // but a read-only transaction needs no commit record.
         self.log(rec, None);
-        if self.strict_certify {
-            !self.certify_strict(tx, &rec.steps, Some(&reads), false)
-        } else {
-            if !reads.is_empty() {
-                self.certify_monitor(|| CertBatch::Reads(reads, tx));
-            }
-            true
-        }
+        !self.certify_strict(tx, &rec.steps, Some(&reads), false)
     }
 
     /// How many stamps the run has drawn: the number of steps its workers
@@ -1308,7 +1202,7 @@ mod tests {
             engine,
             Some(Arc::new(wal)),
             CertifyMode::Off,
-            Some(MvccState::new(VisibilityRule::Correct)),
+            Some(MvccState::default()),
             Some(LockWords::new(1)),
         ));
         // Per append: the records it carried, whether the words were all

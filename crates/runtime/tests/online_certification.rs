@@ -2,15 +2,19 @@
 //! offline serializability checker.
 //!
 //! * **Safe agreement** — every safe kind × seeded workload runs with
-//!   the certifier in monitor mode: the live verdict must be "no cycle"
+//!   the certifier in strict mode: the live verdict must be "no cycle"
 //!   and the offline replay (`is_serializable`) must agree, with the
 //!   certifier having observed every recorded step.
 //! * **Mutant agreement** — the unsafe mutants run under the same
 //!   sweep as the trace-conformance negative controls: on *every* swept
-//!   run the live verdict must equal the offline verdict, and each
-//!   caught nonserializable trace must be flagged at its closing edge —
-//!   the in-stamp-order replay latches its violation at exactly the
-//!   last step of the minimal nonserializable prefix.
+//!   run the live verdict must equal the offline verdict, a caught cycle
+//!   must come with certification aborts, and the committed projection
+//!   must be serializable (strict mode's recovery claim). Each caught
+//!   nonserializable trace must be flagged at its closing edge — the
+//!   in-stamp-order replay latches its violation at exactly the last
+//!   step of the minimal nonserializable prefix.
+//! * **Strict recovery** — a run that caught a cycle still drains its
+//!   whole queue, the victims retried as fresh transactions.
 //! * **Truncation properties** — sealing transactions at random points
 //!   (forcing committed-prefix truncation at different watermarks) and
 //!   feeding steps in random arrival orders never changes a verdict.
@@ -25,10 +29,10 @@ use slp_sim::{deep_dag_jobs, hot_cold_jobs, layered_dag, long_short_jobs, unifor
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn monitor_conf(workers: usize) -> RuntimeConfig {
+fn strict_conf(workers: usize) -> RuntimeConfig {
     RuntimeConfig {
         workers,
-        certify_online: CertifyMode::Monitor,
+        certify_online: CertifyMode::Strict,
         ..Default::default()
     }
 }
@@ -38,13 +42,28 @@ fn mutant_workers() -> usize {
     RuntimeConfig::workers_from_env(4).max(4)
 }
 
-/// Asserts the live verdict equals the offline one on `report` and
-/// returns whether the trace is nonserializable.
+/// The trace with every aborted transaction's steps removed wholesale.
+fn committed_projection(report: &RuntimeReport) -> Schedule {
+    Schedule::from_steps(
+        report
+            .schedule
+            .steps()
+            .iter()
+            .filter(|s| !report.aborted.contains(&s.tx))
+            .copied()
+            .collect(),
+    )
+}
+
+/// Asserts, on `report`, that the live verdict equals the offline one,
+/// that a caught cycle came with certification aborts (and only then),
+/// and that the committed projection is serializable; returns whether
+/// the raw trace is nonserializable.
 fn assert_agreement(report: &RuntimeReport, ctx: &str) -> bool {
     let cert = report
         .certification
         .as_ref()
-        .unwrap_or_else(|| panic!("{ctx}: monitor run must carry a certification"));
+        .unwrap_or_else(|| panic!("{ctx}: strict run must carry a certification"));
     let offline_bad = !is_serializable(&report.schedule);
     assert_eq!(
         cert.violation.is_some(),
@@ -52,6 +71,19 @@ fn assert_agreement(report: &RuntimeReport, ctx: &str) -> bool {
         "{ctx}: online certifier ({:?}) disagrees with offline checker (nonserializable: \
          {offline_bad})",
         cert.violation
+    );
+    assert_eq!(
+        cert.violation.is_some(),
+        report.certification_aborts > 0,
+        "{ctx}: the preserved first violation and the abort count must agree"
+    );
+    // The certifier excised every cycle it caught by aborting the
+    // transaction that closed it, so the committed projection is
+    // serializable no matter what the policy admitted. (The raw trace
+    // keeps the victims' locked steps and so keeps the caught cycle.)
+    assert!(
+        is_serializable(&committed_projection(report)),
+        "{ctx}: committed set nonserializable after strict recovery"
     );
     offline_bad
 }
@@ -74,7 +106,7 @@ fn safe_kinds_certify_live_and_agree_with_offline_replay() {
                 let ctx = format!("{} / {name} / seed {seed}", kind.name());
                 let mut rt =
                     Runtime::new(kind, &PolicyConfig::flat(pool.clone())).expect("buildable kind");
-                let report = rt.run(&jobs, &monitor_conf(workers));
+                let report = rt.run(&jobs, &strict_conf(workers));
                 assert!(!report.timed_out, "{ctx}: timed out");
                 assert!(report.accounting_balances(), "{ctx}: unbalanced");
                 assert_eq!(report.committed, jobs.len(), "{ctx}: lost jobs");
@@ -102,7 +134,7 @@ fn ddag_certifies_live_across_traversal_workloads() {
         let jobs = deep_dag_jobs(&dag, 14, 2, seed);
         let ctx = format!("DDAG / deep / seed {seed}");
         let mut rt = Runtime::new(PolicyKind::Ddag, &config).expect("DDAG builds");
-        let report = rt.run(&jobs, &monitor_conf(workers));
+        let report = rt.run(&jobs, &strict_conf(workers));
         assert!(!report.timed_out, "{ctx}: timed out");
         assert_eq!(report.committed, jobs.len(), "{ctx}: lost jobs");
         assert!(!assert_agreement(&report, &ctx), "{ctx}: safe DDAG flagged");
@@ -186,7 +218,7 @@ fn mutant_altruistic_no_wake_agrees_and_flags_the_closing_edge() {
         .expect("mutant builds");
         rt.run(
             &long_short_jobs(&pool, 10, 10, 2, seed),
-            &monitor_conf(mutant_workers()),
+            &strict_conf(mutant_workers()),
         )
     });
 }
@@ -201,7 +233,7 @@ fn mutant_ddag_no_held_pred_agrees_and_flags_the_closing_edge() {
         rt.set_planner_factory(Arc::new(|_| Box::new(CrawlProbePlanner::default())));
         let mut jobs = deep_dag_jobs(&dag, 8, 2, seed);
         jobs.extend(deep_dag_jobs(&dag, 8, 1, seed.wrapping_add(7)));
-        rt.run(&jobs, &monitor_conf(mutant_workers()))
+        rt.run(&jobs, &strict_conf(mutant_workers()))
     });
 }
 
@@ -215,7 +247,7 @@ fn mutant_ddag_no_all_preds_agrees_and_flags_the_closing_edge() {
         rt.set_planner_factory(Arc::new(|w| Box::new(ShoulderProbePlanner::new(w))));
         rt.run(
             &deep_dag_jobs(&dag, 20, 1, seed),
-            &monitor_conf(mutant_workers().max(8)),
+            &strict_conf(mutant_workers().max(8)),
         )
     });
 }
@@ -231,52 +263,19 @@ fn strict_mode_recovers_by_aborting_the_cycle_victim_and_running_on() {
                 &PolicyConfig::flat(pool.clone()),
             )
             .expect("mutant builds");
-            let config = RuntimeConfig {
-                workers: mutant_workers(),
-                certify_online: CertifyMode::Strict,
-                ..Default::default()
-            };
             let jobs = long_short_jobs(&pool, 10, 10, 2, seed);
-            let report = rt.run(&jobs, &config);
-            let cert = report.certification.as_ref().expect("strict run certifies");
-            assert!(cert.strict);
+            let report = rt.run(&jobs, &strict_conf(mutant_workers()));
             // Recovery means the run *finishes*: no halt, no timeout,
             // and the accounting (including certification aborts)
             // balances.
             assert!(!report.timed_out, "strict recovery must not hang");
             assert!(report.accounting_balances(), "unbalanced after recovery");
-            assert_eq!(
-                cert.violation.is_some(),
-                report.certification_aborts > 0,
-                "the preserved first violation and the abort count must agree"
-            );
-            // The certifier excised every cycle it caught by aborting
-            // the transaction that closed it, so the *committed
-            // projection* — the victims' steps removed wholesale — is
-            // serializable no matter what the mutant admitted. (The raw
-            // trace keeps the victims' locked steps and so keeps the
-            // caught cycle; excision is the recovery claim.)
-            let committed_only = Schedule::from_steps(
-                report
-                    .schedule
-                    .steps()
-                    .iter()
-                    .filter(|s| !report.aborted.contains(&s.tx))
-                    .copied()
-                    .collect(),
-            );
-            assert!(
-                is_serializable(&committed_only),
-                "seed {seed}: committed set nonserializable after strict recovery"
-            );
-            if report.certification_aborts > 0 {
+            // A certification abort implies the raw trace had a cycle,
+            // and the committed set is serializable all the same.
+            if assert_agreement(&report, &format!("strict recovery / seed {seed}")) {
                 // The victims were retried as fresh transactions and the
                 // run still drained the whole queue.
                 assert_eq!(report.committed, jobs.len(), "jobs lost after recovery");
-                assert!(
-                    !is_serializable(&report.schedule),
-                    "a certification abort implies the raw trace had a cycle"
-                );
                 recovered_once = true;
                 break 'sweep;
             }
@@ -301,7 +300,7 @@ fn base_schedules() -> Vec<Schedule> {
         let mut rt =
             Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone())).expect("2PL");
         out.push(
-            rt.run(&hot_cold_jobs(&pool, 16, 3, 4, 0.8, seed), &monitor_conf(4))
+            rt.run(&hot_cold_jobs(&pool, 16, 3, 4, 0.8, seed), &strict_conf(4))
                 .schedule,
         );
     }
@@ -312,7 +311,7 @@ fn base_schedules() -> Vec<Schedule> {
                 &PolicyConfig::flat(pool.clone()),
             )
             .expect("mutant builds");
-            let report = rt.run(&long_short_jobs(&pool, 8, 8, 2, seed), &monitor_conf(4));
+            let report = rt.run(&long_short_jobs(&pool, 8, 8, 2, seed), &strict_conf(4));
             if !is_serializable(&report.schedule) {
                 out.push(report.schedule);
                 break 'mutant;

@@ -25,11 +25,11 @@ use slp_policies::{PolicyConfig, PolicyKind};
 use slp_runtime::{CertifyMode, Runtime, RuntimeConfig, RuntimeReport};
 use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs, Job};
 
-fn snapshot_conf(certify: CertifyMode) -> RuntimeConfig {
+fn snapshot_conf() -> RuntimeConfig {
     RuntimeConfig {
         workers: RuntimeConfig::workers_from_env(4),
         snapshot_reads: true,
-        certify_online: certify,
+        certify_online: CertifyMode::Strict,
         ..Default::default()
     }
 }
@@ -59,13 +59,12 @@ fn verify_mixed(report: &RuntimeReport, jobs: &[Job], ctx: &str) {
         report.snapshot_reads, expected_reads,
         "{ctx}: snapshot read count off"
     );
-    if let Some(cert) = &report.certification {
-        assert!(
-            cert.violation.is_none(),
-            "{ctx}: online certifier flagged a safe mixed run: {:?}",
-            cert.violation
-        );
-    }
+    let cert = report.certification.as_ref().expect("strict run certifies");
+    assert!(
+        cert.violation.is_none(),
+        "{ctx}: online certifier flagged a safe mixed run: {:?}",
+        cert.violation
+    );
     assert!(
         is_serializable_with_aborts(&report.schedule, &report.aborted),
         "{ctx}: NONSERIALIZABLE mixed trace from a safe policy"
@@ -85,7 +84,7 @@ fn read_heavy_mixes_conform_across_safe_flat_pool_policies() {
             let ctx = format!("{} / read-heavy / seed {seed}", kind.name());
             let mut rt =
                 Runtime::new(kind, &PolicyConfig::flat(pool.clone())).expect("buildable kind");
-            let report = rt.run(&jobs, &snapshot_conf(CertifyMode::Monitor));
+            let report = rt.run(&jobs, &snapshot_conf());
             verify_mixed(&report, &jobs, &ctx);
             assert!(
                 report.snapshot_reads > 0,
@@ -103,7 +102,7 @@ fn strict_certification_never_aborts_a_safe_mixed_run() {
         let ctx = format!("2PL strict / read-heavy / seed {seed}");
         let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone()))
             .expect("2PL builds");
-        let report = rt.run(&jobs, &snapshot_conf(CertifyMode::Strict));
+        let report = rt.run(&jobs, &snapshot_conf());
         verify_mixed(&report, &jobs, &ctx);
         assert_eq!(
             report.certification_aborts, 0,
@@ -128,7 +127,7 @@ fn ddag_insert_mix_with_concurrent_readers_conforms() {
             jobs.extend(read_heavy_jobs(&base, 14, 2, 4, 1.0, seed.wrapping_add(99)));
             jobs
         };
-        let report = rt.run(&jobs, &snapshot_conf(CertifyMode::Monitor));
+        let report = rt.run(&jobs, &snapshot_conf());
         let ctx = format!("DDAG / insert-mix + readers / seed {seed}");
         verify_mixed(&report, &jobs, &ctx);
         assert!(report.snapshot_reads > 0, "{ctx}: readers never ran");
@@ -145,7 +144,7 @@ fn pure_read_workload_never_touches_the_lock_service() {
     );
     let mut rt =
         Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone())).expect("2PL builds");
-    let report = rt.run(&jobs, &snapshot_conf(CertifyMode::Monitor));
+    let report = rt.run(&jobs, &snapshot_conf());
     assert_eq!(report.committed, jobs.len(), "reads lost");
     assert_eq!(report.snapshot_reads, 40 * 3, "three reads per job");
     // The headline claim: the read path performs zero lock-service work.

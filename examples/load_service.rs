@@ -18,18 +18,21 @@
 //!   conflict-DAG batch scheduler (waves mode), plus a deterministic-mode
 //!   double run that must produce byte-identical schedules;
 //! * **mutant probe** — a negative control: `AltruisticNoWake` (a policy
-//!   with its safety rule ablated) runs in strict certification mode
-//!   until the certifier halts a run at a serialization-graph cycle, and
-//!   the halted schedule is re-checked offline.
+//!   with its safety rule ablated) runs under strict certification until
+//!   the certifier catches a serialization-graph cycle and recovers by
+//!   aborting the transaction that closed it. Offline, the raw schedule
+//!   must replay nonserializable and the committed projection (the
+//!   aborted transactions' steps removed) serializable.
 //!
-//! Safe scenarios must certify online with **zero** violations and
-//! balanced accounting; the probe must be *caught*. Any miss exits
+//! Every scenario runs with strict online certification. Safe scenarios
+//! must certify with **zero** violations and balanced accounting; the
+//! probe must be *caught* and recover. Any miss exits
 //! nonzero, so the generator doubles as a CI smoke check.
 //!
 //! Run with: `cargo run --release --example load_service -- --smoke`
 //! (10 000 jobs per scenario) or `-- --jobs N` for a custom volume.
 
-use safe_locking::core::{is_serializable, EntityId};
+use safe_locking::core::{is_serializable, EntityId, Schedule};
 use safe_locking::policies::{PolicyConfig, PolicyKind};
 use safe_locking::runtime::{CertifyMode, Runtime, RuntimeConfig, RuntimeReport, SchedMode};
 use safe_locking::sim::{
@@ -41,13 +44,13 @@ const DEFAULT_JOBS: usize = 2_000;
 /// Jobs per safe scenario under `--smoke` (the CI configuration).
 const SMOKE_JOBS: usize = 10_000;
 
-/// A throughput-oriented config with the online certifier monitoring:
-/// no per-step yield (the generator measures volume, not interleaving
+/// A throughput-oriented config with strict online certification: no
+/// per-step yield (the generator measures volume, not interleaving
 /// diversity).
 fn load_config(workers: usize) -> RuntimeConfig {
     RuntimeConfig {
         step_yield: false,
-        certify_online: CertifyMode::Monitor,
+        certify_online: CertifyMode::Strict,
         max_wall: std::time::Duration::from_secs(120),
         ..RuntimeConfig::with_workers(workers)
     }
@@ -296,16 +299,17 @@ fn wave_scheduled_storm(jobs: usize, workers: usize) -> bool {
 }
 
 /// Scenario 6: mutant probe. `AltruisticNoWake` drops the wake rule that
-/// makes altruistic locking safe; strict-mode certification must halt a
-/// run at the closing edge of a serialization-graph cycle within the
-/// seed sweep, and the halted schedule must replay nonserializable
-/// offline (the differential check is cheap — strict halt keeps the
-/// schedule small).
+/// makes altruistic locking safe; strict-mode certification must catch a
+/// serialization-graph cycle within the seed sweep and recover by
+/// aborting the transaction that closed it, the run going on to drain
+/// its queue. Offline, the raw schedule (the victims' steps included)
+/// must replay nonserializable and the committed projection serializable
+/// (the differential check is cheap — the probe's runs are small).
 fn mutant_probe(workers: usize) -> bool {
     let pool: Vec<EntityId> = (0..12).map(EntityId).collect();
-    // Strict certification (the halt is the point), and ≥ 4 workers — a
-    // single worker cannot interleave, so the mutant cannot misbehave when
-    // the CI matrix pins SLP_RUNTIME_THREADS=1.
+    // Strict certification (the recovery is the point), and ≥ 4 workers —
+    // a single worker cannot interleave, so the mutant cannot misbehave
+    // when the CI matrix pins SLP_RUNTIME_THREADS=1.
     let config = RuntimeConfig {
         certify_online: CertifyMode::Strict,
         ..RuntimeConfig::with_workers(workers.max(4))
@@ -325,10 +329,14 @@ fn mutant_probe(workers: usize) -> bool {
                     .as_ref()
                     .expect("violation implies certification");
                 println!(
-                    "  mutant probe: CAUGHT at seed {seed} — cycle {:?} at stamp {}, \
-                     run halted after {} steps",
+                    "  mutant probe: CAUGHT at seed {seed} — cycle {:?} at stamp {}; \
+                     recovered with {} certification aborts, {} of {} jobs committed \
+                     in {} steps",
                     cert.violation.as_ref().map(|v| &v.cycle),
                     cert.violation.as_ref().map(|v| v.stamp).unwrap_or(0),
+                    report.certification_aborts,
+                    report.committed,
+                    work.len(),
                     report.schedule.len()
                 );
                 if is_serializable(&report.schedule) {
@@ -339,6 +347,23 @@ fn mutant_probe(workers: usize) -> bool {
                     return false;
                 }
                 println!("  mutant probe: offline replay agrees — nonserializable");
+                let committed = Schedule::from_steps(
+                    report
+                        .schedule
+                        .steps()
+                        .iter()
+                        .filter(|s| !report.aborted.contains(&s.tx))
+                        .copied()
+                        .collect(),
+                );
+                if !is_serializable(&committed) {
+                    eprintln!(
+                        "  mutant probe: FAILED — the committed projection is \
+                         nonserializable after strict recovery"
+                    );
+                    return false;
+                }
+                println!("  mutant probe: committed projection serializable — recovered");
                 return true;
             }
         }
@@ -387,7 +412,8 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nEvery safe scenario certified serializable online with balanced");
-    println!("accounting, and the mutant was halted at the closing edge.");
+    println!("accounting, and the mutant's cycles were caught and aborted out of");
+    println!("the committed set.");
 }
 
 fn usage() -> ! {
