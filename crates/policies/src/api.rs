@@ -428,64 +428,6 @@ pub trait PolicyEngine: Send + Sync {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<P: PolicyEngine + ?Sized> PolicyEngine for Box<P> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn begin(
-        &mut self,
-        tx: TxId,
-        intent: &AccessIntent,
-    ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        (**self).begin(tx, intent)
-    }
-
-    fn request(&mut self, tx: TxId, action: PolicyAction) -> PolicyResponse {
-        (**self).request(tx, action)
-    }
-
-    fn finish(&mut self, tx: TxId) -> Result<Vec<Step>, PolicyViolation> {
-        (**self).finish(tx)
-    }
-
-    fn abort(&mut self, tx: TxId) -> Vec<Step> {
-        (**self).abort(tx)
-    }
-
-    fn graph(&self) -> Option<&DiGraph> {
-        (**self).graph()
-    }
-
-    fn dom_index(&self) -> Option<&DomIndex> {
-        (**self).dom_index()
-    }
-
-    fn forest(&self) -> Option<&Forest> {
-        (**self).forest()
-    }
-
-    fn intern_entity(&mut self, name: &str) -> Option<EntityId> {
-        (**self).intern_entity(name)
-    }
-
-    fn structural_entities(&self) -> Option<Vec<EntityId>> {
-        (**self).structural_entities()
-    }
-
-    fn grant_scope(&self) -> GrantScope {
-        (**self).grant_scope()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        (**self).as_any()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        (**self).as_any_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

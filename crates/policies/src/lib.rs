@@ -12,6 +12,7 @@
 //! | [`altruistic`] | altruistic locking engine (rules AL1–AL3) \[SGMS94\] | Section 5 |
 //! | [`dtr`] | dynamic tree policy engine (rules DT0–DT3) \[CM86\] | Section 6 |
 //! | [`mutants`] | deliberately unsafe lockers (negative controls) | — |
+//! | [`plan`] | jobs and the per-policy planners that turn them into action plans | Sections 4–6 |
 //!
 //! The engines share one shape, made explicit by the [`api`] module: they
 //! maintain the shared structure (graph / wake sets / forest), enforce
@@ -35,6 +36,12 @@
 //!     .expect_granted();
 //! assert_eq!(steps.len(), 1);
 //! ```
+//!
+//! An engine holds a policy's rules; [`plan`] holds the other half, the
+//! plan a transaction follows: a [`Job`] says what a transaction wants,
+//! and the policy's [`ActionPlanner`] ([`planner_for`]) says how it locks
+//! for it. Both executors — the `slp-sim` simulator and the `slp-runtime`
+//! service — drive every job through these two halves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +51,7 @@ pub mod api;
 pub mod ddag;
 pub mod dtr;
 pub mod mutants;
+pub mod plan;
 pub mod registry;
 pub mod tree;
 pub mod two_phase;
@@ -55,6 +63,10 @@ pub use api::{
 };
 pub use ddag::{DdagConfig, DdagEngine, DdagViolation};
 pub use dtr::{DtrEngine, DtrViolation};
+pub use plan::{
+    initial_state, planner_for, ActionPlanner, AltruisticPlanner, DdagPlanner, DtrPlanner,
+    InsertUnder, Job, TwoPhasePlanner,
+};
 pub use registry::{PolicyBuilder, PolicyConfig, PolicyKind, PolicyRegistry, RegistryError};
 pub use tree::{is_tree_locked, tree_lock_plan, PlanError, TreeLockViolation};
 pub use two_phase::TwoPhaseEngine;

@@ -4,7 +4,7 @@
 //! legal, proper schedule a safe policy admits is serializable. The
 //! discrete-event simulator (`slp-sim`) produces such executions one
 //! deterministic interleaving at a time; this crate produces them the way
-//! a database would — N worker threads submitting [`slp_sim::Job`]s
+//! a database would — N worker threads submitting [`slp_policies::Job`]s
 //! against one shared [`slp_policies::PolicyEngine`], with real blocking,
 //! real wakeups, and real races — and captures a lossless total order of
 //! every granted step so each run can be re-verified offline against the

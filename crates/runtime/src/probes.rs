@@ -1,7 +1,7 @@
 //! Probe planners: plan shapes that *exercise the ablated rule* of each
 //! DDAG mutant engine.
 //!
-//! The standard [`slp_sim::DdagPlanner`] emits plans that satisfy every
+//! The standard [`slp_policies::DdagPlanner`] emits plans that satisfy every
 //! DDAG rule by construction — the paper's point is that any interleaving
 //! of rule-conforming transactions is serializable, so driving a mutant
 //! engine with conforming plans can never surface the ablated rule. The
@@ -26,8 +26,9 @@
 //! donated item while the donor was still active?), not of the plan.
 
 use slp_graph::RegionScratch;
-use slp_policies::{AccessIntent, PlanViolation, PolicyAction, PolicyEngine, PolicyViolation};
-use slp_sim::{ActionPlanner, Job};
+use slp_policies::{
+    AccessIntent, ActionPlanner, Job, PlanViolation, PolicyAction, PolicyEngine, PolicyViolation,
+};
 
 /// Lock-use-release crawls over the ancestor closure (for the
 /// `DDAG-no-held-pred` negative control). Accesses every region node to

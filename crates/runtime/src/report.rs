@@ -1,5 +1,6 @@
-//! Run accounting: the same shape as [`slp_sim::SimReport`] plus
-//! wall-clock throughput and latency percentiles.
+//! Run accounting: the simulator's accounting shape (committed / policy
+//! aborts / deadlock aborts / rejected) plus wall-clock throughput and
+//! latency percentiles.
 
 use slp_core::{CertStats, CertViolation, Schedule, StructuralState, TxId};
 use slp_durability::WalSummary;
@@ -66,7 +67,7 @@ pub struct Certification {
 
 /// The result of a [`crate::Runtime::run`].
 ///
-/// Accounting mirrors the simulator's [`slp_sim::SimReport`]: every
+/// Accounting mirrors the simulator's report: every
 /// attempt (a `begin`ed — or planned-then-refused — fresh transaction)
 /// ends in exactly one of committed / policy abort / deadlock abort /
 /// certification abort / rejected / abandoned, so
@@ -96,7 +97,7 @@ pub struct RuntimeReport {
     /// [`certification`](RuntimeReport::certification).
     pub certification_aborts: usize,
     /// Jobs dropped on a fatal violation (malformed request — retrying
-    /// can never succeed; the shared [`slp_sim::Disposition`] rule).
+    /// can never succeed; [`slp_policies::PolicyViolation::is_fatal`]).
     pub rejected: usize,
     /// Attempts cut short by the wall-clock guard (their jobs neither
     /// committed nor were rejected; nonzero only on timeout).

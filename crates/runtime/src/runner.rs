@@ -7,8 +7,9 @@
 //! waits-for cycles abort the requester that closed the cycle (the
 //! simulator's victim rule) and restart the job as a fresh transaction
 //! after a growing backoff; policy violations abort and are classified by
-//! the shared [`Disposition`] rule — fatal violations drop the job,
-//! transient ones restart it. A wall-clock guard bounds mutant livelocks.
+//! [`PolicyViolation::is_fatal`], as in the simulator — fatal violations
+//! drop the job, transient ones restart it. A wall-clock guard bounds
+//! mutant livelocks.
 
 use crate::fastpath::LockWords;
 use crate::metrics::Metrics;
@@ -19,10 +20,9 @@ use crate::trace::TraceRun;
 use slp_core::{Schedule, SequenceError, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
 use slp_policies::{
-    GrantScope, PolicyConfig, PolicyEngine, PolicyKind, PolicyRegistry, PolicyViolation,
-    RegistryError,
+    initial_state, planner_for, ActionPlanner, GrantScope, Job, PolicyConfig, PolicyEngine,
+    PolicyKind, PolicyRegistry, PolicyViolation, RegistryError,
 };
-use slp_sim::{planner_for, ActionPlanner, Disposition, Job};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -159,12 +159,13 @@ impl RuntimeConfig {
 ///
 /// ```
 /// use slp_core::EntityId;
-/// use slp_policies::{PolicyConfig, PolicyKind};
+/// use slp_policies::{Job, PolicyConfig, PolicyKind};
 /// use slp_runtime::{Runtime, RuntimeConfig};
-/// use slp_sim::uniform_jobs;
 ///
 /// let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
-/// let jobs = uniform_jobs(&pool, 12, 2, 7);
+/// let jobs: Vec<Job> = (0..12)
+///     .map(|i| Job::access(vec![pool[i % 8], pool[(i + 3) % 8]]))
+///     .collect();
 /// let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool)).unwrap();
 /// let report = rt.run(&jobs, &RuntimeConfig::with_workers(2));
 /// assert_eq!(report.committed, 12);
@@ -202,7 +203,7 @@ impl Runtime {
 
     /// A runtime over an arbitrary engine and planner factory. `pool` is
     /// the initially existing entities for policies that do not track
-    /// existence themselves (mirrors [`slp_sim::EngineAdapter::new`]).
+    /// existence themselves (see [`initial_state`](Runtime::initial_state)).
     pub fn from_engine(
         engine: Box<dyn PolicyEngine>,
         planner_factory: PlannerFactory,
@@ -244,14 +245,11 @@ impl Runtime {
             .intern_entity(name)
     }
 
-    /// The initial structural state for properness replay: the engine's
-    /// own existence tracking when present, else the flat pool. Captured
-    /// automatically at the start of every [`run`](Runtime::run).
+    /// The initial structural state for properness replay
+    /// ([`slp_policies::initial_state`]). Captured automatically at the
+    /// start of every [`run`](Runtime::run).
     pub fn initial_state(&self) -> StructuralState {
-        match self.engine().structural_entities() {
-            Some(entities) => StructuralState::from_entities(entities),
-            None => StructuralState::from_entities(self.pool.iter().copied()),
-        }
+        initial_state(self.engine(), &self.pool)
     }
 
     /// Runs `jobs` to completion on `config.workers` threads and returns
@@ -757,17 +755,14 @@ fn run_attempt(
     }
 }
 
-/// Applies the shared fatal/transient rule and bumps the matching tally.
+/// Applies the fatal/transient rule and bumps the matching tally.
 fn classify(tally: &mut Tally, v: &PolicyViolation) -> AttemptEnd {
-    match Disposition::of(v) {
-        Disposition::Reject => {
-            tally.rejected += 1;
-            AttemptEnd::Dropped
-        }
-        Disposition::Retry => {
-            tally.policy_aborts += 1;
-            AttemptEnd::Retry
-        }
+    if v.is_fatal() {
+        tally.rejected += 1;
+        AttemptEnd::Dropped
+    } else {
+        tally.policy_aborts += 1;
+        AttemptEnd::Retry
     }
 }
 

@@ -68,7 +68,7 @@
 
 use rustc_hash::FxHashMap;
 use slp_core::{DataOp, EntityId};
-use slp_sim::{ActionPlanner, Job};
+use slp_policies::{ActionPlanner, Job};
 use std::sync::{Condvar, Mutex};
 
 /// Batch-scheduler mode ([`crate::RuntimeConfig::scheduler`]).

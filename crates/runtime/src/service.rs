@@ -98,8 +98,9 @@ use slp_core::{
 };
 use slp_durability::Wal;
 use slp_mvcc::{CommitPipeline, MvccStore, VisibilityRule};
-use slp_policies::{AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation};
-use slp_sim::Job;
+use slp_policies::{
+    AccessIntent, ActionPlanner, Job, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
 use std::time::Duration;
@@ -786,7 +787,7 @@ impl LockService {
     /// Plans `job` under the engine's *read* lock (planners only read).
     pub fn plan(
         &self,
-        planner: &mut dyn slp_sim::ActionPlanner,
+        planner: &mut dyn ActionPlanner,
         job: &Job,
     ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
         let engine = self.engine.read().expect("engine lock poisoned");

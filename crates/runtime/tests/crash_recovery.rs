@@ -26,12 +26,12 @@ use slp_core::{
 };
 use slp_durability::frame::{decode_frame, FrameOutcome};
 use slp_durability::{FaultyStore, Record, Recovered, SEGMENT_MAGIC};
-use slp_policies::{PolicyConfig, PolicyKind};
+use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{
     recover, MemStore, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SharedMemStore, Store,
     Wal, WalConfig,
 };
-use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs, uniform_jobs, Job};
+use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs, uniform_jobs};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

@@ -22,10 +22,11 @@
 
 use slp_core::{is_serializable, EntityId};
 use slp_policies::{
-    AccessIntent, PolicyAction, PolicyConfig, PolicyEngine, PolicyKind, PolicyViolation,
+    planner_for, AccessIntent, ActionPlanner, Job, PolicyAction, PolicyConfig, PolicyEngine,
+    PolicyKind, PolicyViolation,
 };
 use slp_runtime::{Runtime, RuntimeConfig, RuntimeReport};
-use slp_sim::{planner_for, uniform_jobs, ActionPlanner, Job};
+use slp_sim::uniform_jobs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 

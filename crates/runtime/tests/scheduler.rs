@@ -21,9 +21,9 @@
 //! Worker count honors `SLP_RUNTIME_THREADS` (CI matrix convention).
 
 use slp_core::{is_serializable, EntityId};
-use slp_policies::{PolicyConfig, PolicyKind};
+use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{Runtime, RuntimeConfig, RuntimeReport, SchedMode};
-use slp_sim::{dag_mixed_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag, Job};
+use slp_sim::{dag_mixed_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag};
 
 fn workers() -> usize {
     RuntimeConfig::workers_from_env(4)

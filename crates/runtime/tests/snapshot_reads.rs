@@ -21,9 +21,9 @@ use slp_core::{
     VersionedRead,
 };
 use slp_mvcc::{CommitPipeline, MvccStore, ObservedRead, VisibilityRule};
-use slp_policies::{PolicyConfig, PolicyKind};
+use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{CertifyMode, Runtime, RuntimeConfig, RuntimeReport};
-use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs, Job};
+use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs};
 
 fn snapshot_conf() -> RuntimeConfig {
     RuntimeConfig {

@@ -14,9 +14,9 @@
 //! accounting and the full step trace must be bit-identical.
 
 use slp_core::{is_serializable, EntityId};
-use slp_policies::{PolicyConfig, PolicyKind};
+use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{Runtime, RuntimeConfig, RuntimeReport};
-use slp_sim::{deep_dag_jobs, hot_cold_jobs, layered_dag, uniform_jobs, Job};
+use slp_sim::{deep_dag_jobs, hot_cold_jobs, layered_dag, uniform_jobs};
 
 /// The worker widths to sweep: the env override pins one, else the ladder.
 fn widths() -> Vec<usize> {

@@ -19,11 +19,11 @@
 //! The worker count honors `SLP_RUNTIME_THREADS` (CI matrix convention).
 
 use slp_core::{is_serializable, EntityId};
-use slp_policies::{PolicyConfig, PolicyKind};
+use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{CrawlProbePlanner, Runtime, RuntimeConfig, ShoulderProbePlanner};
 use slp_sim::{
     dag_access_jobs, dag_mixed_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag, long_short_jobs,
-    uniform_jobs, Job,
+    uniform_jobs,
 };
 use std::sync::Arc;
 

@@ -1,19 +1,23 @@
 //! The discrete-event simulation loop.
 //!
 //! `workers` concurrent slots execute a queue of [`Job`]s against one
-//! policy adapter. Each emitted step costs ticks per the latency model.
-//! Blocked transactions **park** on the contended entity and are woken in
-//! FIFO order when it is unlocked; waits-for cycles (deadlocks) abort the
-//! requester that closed the cycle, with a backoff that grows per restart
-//! (this breaks symmetric livelocks); policy violations abort and restart
-//! the job as a *fresh* transaction (the paper's Fig. 3 "abort and start
-//! from node 2" behavior). The complete interleaved step trace is recorded
-//! for post-hoc verification (legality, properness, serializability).
+//! [`EngineAdapter`]: each slot plans its job once, then requests the
+//! plan's actions one at a time. Each emitted step costs ticks per the
+//! latency model. Blocked transactions **park** on the contended entity
+//! and are woken in FIFO order when it is unlocked; waits-for cycles
+//! (deadlocks) abort the requester that closed the cycle, with a backoff
+//! that grows per restart (this breaks symmetric livelocks); policy
+//! violations abort and restart the job as a *fresh* transaction (the
+//! paper's Fig. 3 "abort and start from node 2" behavior), or drop it
+//! when the violation is fatal
+//! ([`slp_policies::PolicyViolation::is_fatal`], the rule the runtime
+//! applies too). The complete interleaved step trace is recorded for
+//! post-hoc verification (legality, properness, serializability).
 
-use crate::adapter::{Advance, Disposition, PolicyAdapter};
-use crate::job::Job;
+use crate::adapters::EngineAdapter;
 use rustc_hash::FxHashMap;
 use slp_core::{Schedule, ScheduledStep, Step, TxId};
+use slp_policies::{Job, PolicyAction, PolicyResponse};
 
 /// Tick costs of the simulated operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -122,22 +126,58 @@ impl SimReport {
     }
 }
 
+/// A job waiting for a slot: fresh, or restarting after an abort.
+#[derive(Clone, Copy)]
+struct Queued {
+    job_idx: usize,
+    /// The job's first dispatch: its response time runs from here across
+    /// every restart.
+    dispatched_at: u64,
+    /// Aborts the job has suffered so far (scales its restart backoff).
+    restarts: u64,
+}
+
 struct Run {
     tx: TxId,
-    job_idx: usize,
+    job: Queued,
+    /// The attempt's plan and the index of its next action.
+    plan: Vec<PolicyAction>,
+    cursor: usize,
     ready_at: u64,
-    dispatched_at: u64,
     /// When blocked, the entity this transaction is parked on. Parked
     /// workers do not poll; they are woken in FIFO order when the entity
     /// is unlocked.
     parked_on: Option<(slp_core::EntityId, u64)>,
 }
 
+/// Queues `job` to restart after a backoff that grows with its restarts
+/// (this breaks symmetric livelocks).
+fn requeue(retry_queue: &mut Vec<(u64, Queued)>, mut job: Queued, now: u64, config: &SimConfig) {
+    job.restarts += 1;
+    retry_queue.push((now + config.latency.restart_backoff * job.restarts, job));
+}
+
+/// Aborts `tx`: drops its waits-for edge, releases its locks and records
+/// the unlock steps, which it returns for waking their waiters.
+fn abort(
+    adapter: &mut EngineAdapter,
+    waits_for: &mut FxHashMap<TxId, TxId>,
+    schedule: &mut Schedule,
+    tx: TxId,
+) -> Vec<Step> {
+    waits_for.remove(&tx);
+    let unlocks = adapter.engine.abort(tx);
+    for s in &unlocks {
+        schedule.push(ScheduledStep::new(tx, *s));
+    }
+    unlocks
+}
+
 /// Runs `jobs` through `adapter` under `config`. Deterministic: no RNG is
 /// used by the engine itself (ties break by worker index).
-pub fn run_sim(adapter: &mut dyn PolicyAdapter, jobs: &[Job], config: &SimConfig) -> SimReport {
+pub fn run_sim(adapter: &mut EngineAdapter, jobs: &[Job], config: &SimConfig) -> SimReport {
     let mut report = SimReport {
-        policy: adapter.name(),
+        policy: adapter.engine.name(),
         committed: 0,
         policy_aborts: 0,
         rejected: 0,
@@ -151,13 +191,9 @@ pub fn run_sim(adapter: &mut dyn PolicyAdapter, jobs: &[Job], config: &SimConfig
     };
     let mut next_tx = 1u32;
     let mut next_job = 0usize;
-    // Jobs whose attempt aborted, awaiting a restart: (job_idx, not_before,
-    // original dispatch time).
-    let mut retry_queue: Vec<(usize, u64, u64)> = Vec::new();
+    // Jobs whose attempt aborted, awaiting a restart not before the tick.
+    let mut retry_queue: Vec<(u64, Queued)> = Vec::new();
     let mut workers: Vec<Option<Run>> = (0..config.workers).map(|_| None).collect();
-    let mut dispatch_times: FxHashMap<usize, u64> = FxHashMap::default();
-    // Restart counts per job (scales the backoff to break livelocks).
-    let mut attempts_of: FxHashMap<usize, u64> = FxHashMap::default();
     // tx -> (blocked-on holder) for deadlock detection.
     let mut waits_for: FxHashMap<TxId, TxId> = FxHashMap::default();
     // FIFO park sequence counter (first parked, first woken).
@@ -213,68 +249,56 @@ pub fn run_sim(adapter: &mut dyn PolicyAdapter, jobs: &[Job], config: &SimConfig
                 continue;
             }
             // Prefer restarts whose backoff has expired, then fresh jobs.
-            let job_idx = if let Some(pos) = retry_queue
+            let job = if let Some(pos) = retry_queue
                 .iter()
-                .position(|&(_, not_before, _)| not_before <= now)
+                .position(|&(not_before, _)| not_before <= now)
             {
-                let (idx, _, orig) = retry_queue.remove(pos);
-                dispatch_times.insert(idx, orig);
-                Some(idx)
+                retry_queue.remove(pos).1
             } else if next_job < jobs.len() {
-                let idx = next_job;
                 next_job += 1;
-                dispatch_times.insert(idx, now);
-                Some(idx)
+                Queued {
+                    job_idx: next_job - 1,
+                    dispatched_at: now,
+                    restarts: 0,
+                }
             } else {
-                None
+                continue;
             };
-            let Some(job_idx) = job_idx else { continue };
             let tx = TxId(next_tx);
             next_tx += 1;
             report.attempts += 1;
-            match adapter.begin(tx, &jobs[job_idx]) {
-                Ok(()) => {
+            match adapter.begin(tx, &jobs[job.job_idx]) {
+                Ok(plan) => {
                     *w = Some(Run {
                         tx,
-                        job_idx,
+                        job,
+                        plan,
+                        cursor: 0,
                         ready_at: now,
-                        dispatched_at: dispatch_times[&job_idx],
                         parked_on: None,
                     });
                 }
-                // Fatal violations (malformed plan, unsupported action —
-                // see `Disposition::of`) can never succeed on retry: drop
-                // the job. Transient rule violations restart it with
-                // backoff.
-                Err(v) if Disposition::of(&v) == Disposition::Reject => {
+                // Fatal violations (malformed plan, unsupported action)
+                // can never succeed on retry: drop the job. Transient rule
+                // violations restart it with backoff.
+                Err(v) if v.is_fatal() => {
                     report.rejected += 1;
                 }
                 Err(_) => {
                     report.policy_aborts += 1;
-                    let n = attempts_of.entry(job_idx).or_insert(0);
-                    *n += 1;
-                    retry_queue.push((
-                        job_idx,
-                        now + config.latency.restart_backoff * *n,
-                        dispatch_times[&job_idx],
-                    ));
+                    requeue(&mut retry_queue, job, now, config);
                 }
             }
         }
-        // Termination: nothing running and nothing left to dispatch.
-        let any_running = workers.iter().any(Option::is_some);
-        if !any_running {
-            if next_job >= jobs.len() && retry_queue.is_empty() {
-                break;
-            }
-            // Idle but restarts are pending: jump to the earliest backoff.
-            if next_job >= jobs.len() {
-                now = retry_queue
-                    .iter()
-                    .map(|&(_, t, _)| t)
-                    .min()
-                    .unwrap_or(now + 1);
+        // Termination: nothing running and nothing left to dispatch. Idle
+        // with only restarts pending: jump to the earliest backoff.
+        if workers.iter().all(Option::is_none) {
+            if next_job < jobs.len() {
                 continue;
+            }
+            match retry_queue.iter().map(|&(not_before, _)| not_before).min() {
+                Some(t) => now = t,
+                None => break,
             }
             continue;
         }
@@ -298,48 +322,45 @@ pub fn run_sim(adapter: &mut dyn PolicyAdapter, jobs: &[Job], config: &SimConfig
                 .expect("a parked worker exists");
             let run = workers[stalled].take().expect("parked");
             report.deadlock_aborts += 1;
-            waits_for.remove(&run.tx);
-            let unlocks = adapter.abort(run.tx);
-            for s in &unlocks {
-                report.schedule.push(ScheduledStep::new(run.tx, *s));
-            }
+            let unlocks = abort(adapter, &mut waits_for, &mut report.schedule, run.tx);
             wake_parked(&mut workers, &unlocks, now);
-            let n = attempts_of.entry(run.job_idx).or_insert(0);
-            *n += 1;
-            retry_queue.push((
-                run.job_idx,
-                now + config.latency.restart_backoff * *n,
-                run.dispatched_at,
-            ));
-            dispatch_times.insert(run.job_idx, run.dispatched_at);
+            requeue(&mut retry_queue, run.job, now, config);
             now += 1;
             continue;
         }
         let run = workers[wi].as_mut().expect("selected");
         now = now.max(run.ready_at);
         let tx = run.tx;
-        match adapter.advance(tx) {
-            Advance::Progress(steps) => {
-                waits_for.remove(&tx);
-                for s in &steps {
-                    report.schedule.push(ScheduledStep::new(tx, *s));
-                }
-                run.ready_at = now + step_cost(&config.latency, &steps).max(1);
-                wake_parked(&mut workers, &steps, now);
+        // The next action of the plan, or — once the plan is spent — the
+        // commit, whose unlock steps count as a grant too.
+        let done = run.cursor == run.plan.len();
+        let response = if done {
+            match adapter.engine.finish(tx) {
+                Ok(steps) => PolicyResponse::Granted(steps),
+                Err(v) => PolicyResponse::Violation(v),
             }
-            Advance::Done(steps) => {
+        } else {
+            adapter.engine.request(tx, run.plan[run.cursor])
+        };
+        let unlocks = match response {
+            PolicyResponse::Granted(steps) => {
                 waits_for.remove(&tx);
                 for s in &steps {
                     report.schedule.push(ScheduledStep::new(tx, *s));
                 }
                 let finish = now + step_cost(&config.latency, &steps).max(1);
-                report.committed += 1;
-                report.total_response += finish - run.dispatched_at;
-                report.makespan = report.makespan.max(finish);
-                workers[wi] = None;
-                wake_parked(&mut workers, &steps, now);
+                if done {
+                    report.committed += 1;
+                    report.total_response += finish - run.job.dispatched_at;
+                    report.makespan = report.makespan.max(finish);
+                    workers[wi] = None;
+                } else {
+                    run.cursor += 1;
+                    run.ready_at = finish;
+                }
+                steps
             }
-            Advance::Blocked { entity, holder } => {
+            PolicyResponse::Conflict { entity, holder } => {
                 report.lock_waits += 1;
                 waits_for.insert(tx, holder);
                 // Deadlock detection: does the waits-for chain from the
@@ -359,65 +380,35 @@ pub fn run_sim(adapter: &mut dyn PolicyAdapter, jobs: &[Job], config: &SimConfig
                         None => break false,
                     }
                 };
-                if deadlock {
-                    // Abort the requester that closed the cycle, with a
-                    // backoff that grows per restart (breaks symmetric
-                    // livelocks).
-                    report.deadlock_aborts += 1;
-                    waits_for.remove(&tx);
-                    let unlocks = adapter.abort(tx);
-                    for s in &unlocks {
-                        report.schedule.push(ScheduledStep::new(tx, *s));
-                    }
-                    let job_idx = run.job_idx;
-                    let dispatched = run.dispatched_at;
-                    let n = attempts_of.entry(job_idx).or_insert(0);
-                    *n += 1;
-                    retry_queue.push((
-                        job_idx,
-                        now + config.latency.restart_backoff * *n,
-                        dispatched,
-                    ));
-                    dispatch_times.insert(job_idx, dispatched);
-                    workers[wi] = None;
-                    wake_parked(&mut workers, &unlocks, now);
-                } else {
+                if !deadlock {
                     // Park until the entity is unlocked (FIFO).
                     run.parked_on = Some((entity, park_seq));
                     park_seq += 1;
                     run.ready_at = u64::MAX;
+                    continue;
                 }
+                // Abort the requester that closed the cycle.
+                report.deadlock_aborts += 1;
+                requeue(&mut retry_queue, run.job, now, config);
+                workers[wi] = None;
+                abort(adapter, &mut waits_for, &mut report.schedule, tx)
             }
-            Advance::Violation(v) => {
-                waits_for.remove(&tx);
-                let unlocks = adapter.abort(tx);
-                for s in &unlocks {
-                    report.schedule.push(ScheduledStep::new(tx, *s));
-                }
-                let job_idx = run.job_idx;
-                let dispatched = run.dispatched_at;
-                // Classification keys off the violation enum (the shared
-                // `Disposition` rule): fatal violations drop the job;
-                // retryable rule violations (e.g. a Fig. 3 plan
-                // invalidation) restart it as a fresh transaction after
-                // backoff.
-                if Disposition::of(&v) == Disposition::Reject {
+            PolicyResponse::Violation(v) => {
+                // Classification keys off the violation enum: fatal
+                // violations drop the job; retryable rule violations (e.g.
+                // a Fig. 3 plan invalidation) restart it as a fresh
+                // transaction after backoff.
+                if v.is_fatal() {
                     report.rejected += 1;
                 } else {
                     report.policy_aborts += 1;
-                    let n = attempts_of.entry(job_idx).or_insert(0);
-                    *n += 1;
-                    retry_queue.push((
-                        job_idx,
-                        now + config.latency.restart_backoff * *n,
-                        dispatched,
-                    ));
-                    dispatch_times.insert(job_idx, dispatched);
+                    requeue(&mut retry_queue, run.job, now, config);
                 }
                 workers[wi] = None;
-                wake_parked(&mut workers, &unlocks, now);
+                abort(adapter, &mut waits_for, &mut report.schedule, tx)
             }
-        }
+        };
+        wake_parked(&mut workers, &unlocks, now);
     }
     report.makespan = report.makespan.max(now);
     report
@@ -426,7 +417,7 @@ pub fn run_sim(adapter: &mut dyn PolicyAdapter, jobs: &[Job], config: &SimConfig
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapters::{build_adapter, PolicyInstance};
+    use crate::adapters::build_adapter;
     use slp_core::EntityId;
     use slp_policies::{PolicyConfig, PolicyKind, PolicyRegistry};
 
@@ -434,7 +425,7 @@ mod tests {
         (0..n).map(EntityId).collect()
     }
 
-    fn two_phase(n: u32) -> PolicyInstance {
+    fn two_phase(n: u32) -> EngineAdapter {
         build_adapter(
             &PolicyRegistry::new(),
             PolicyKind::TwoPhase,

@@ -8,33 +8,33 @@
 //! and full trace capture for post-hoc verification (legality, properness,
 //! serializability).
 //!
-//! * [`job`] — the policy-agnostic unit of work;
-//! * [`adapter`] — the simulator ↔ policy interface ([`Advance`] carries
-//!   typed [`slp_policies::PolicyViolation`]s, never strings);
-//! * [`adapters`] — the one generic [`EngineAdapter`] over any
-//!   [`slp_policies::PolicyEngine`], per-policy [`ActionPlanner`]s, and
-//!   [`build_adapter`] for registry-driven construction by
-//!   [`slp_policies::PolicyKind`];
+//! * [`adapters`] — [`EngineAdapter`]: one [`slp_policies::PolicyEngine`]
+//!   with the policy's planner, and [`build_adapter`] for registry-driven
+//!   construction by [`slp_policies::PolicyKind`];
 //! * [`engine`] — the simulation loop and [`SimReport`] metrics;
 //! * [`workload`] — seeded generators (layered DAGs, uniform/long-short
 //!   jobs, traversal/insert mixes, hot-set contention).
+//!
+//! Jobs and the planners that turn them into lock plans live with the
+//! engines, in [`slp_policies::plan`]; [`Job`] and [`InsertUnder`] are
+//! re-exported here because the generators return them. No source file of
+//! the threaded runtime (`slp-runtime`) uses this crate; its tests use the
+//! generators. The simulator's own users are E7 and E9 of the paper
+//! experiments, four examples
+//! (`dynamic_forest`, `knowledge_base_traversal`, `long_lived_transactions`,
+//! `policy_catalog`) and `bench-report`'s `policies.sim_jobs_per_s` and
+//! `sim.steps_per_job` rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod adapters;
 pub mod engine;
-pub mod job;
 pub mod workload;
 
-pub use adapter::{Advance, Disposition, PolicyAdapter};
-pub use adapters::{
-    build_adapter, planner_for, ActionPlanner, AltruisticPlanner, DdagPlanner, DtrPlanner,
-    EngineAdapter, PolicyInstance, TwoPhasePlanner,
-};
+pub use adapters::{build_adapter, EngineAdapter};
 pub use engine::{run_sim, LatencyModel, SimConfig, SimReport};
-pub use job::{InsertUnder, Job};
+pub use slp_policies::{InsertUnder, Job};
 pub use workload::{
     dag_access_jobs, dag_mixed_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag, long_short_jobs,
     read_heavy_jobs, uniform_jobs, LayeredDag,

@@ -3,11 +3,11 @@
 //!
 //! All generators are seeded and deterministic.
 
-use crate::job::Job;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slp_core::{EntityId, Universe};
 use slp_graph::DiGraph;
+use slp_policies::Job;
 
 /// A layered rooted DAG: one root, `layers` layers of `width` nodes, each
 /// non-root node with 1..=`max_parents` parents drawn from the previous

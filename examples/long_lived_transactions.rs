@@ -48,7 +48,7 @@ fn main() {
     println!("T1 donates item 1 before reaching its locked point");
     eng.request(t2, PolicyAction::Lock(i1)).expect_granted();
     println!("T2 locks item 1 -> T2 is now in the wake of T1");
-    assert!(in_wake(&eng, t2, t1));
+    assert!(in_wake(eng.as_ref(), t2, t1));
     match eng.request(t2, PolicyAction::Lock(i4)) {
         PolicyResponse::Violation(PolicyViolation::Altruistic(
             AltruisticViolation::OutsideWake { .. },
@@ -61,7 +61,7 @@ fn main() {
     eng.request(t1, PolicyAction::Lock(i3)).expect_granted();
     eng.request(t1, PolicyAction::LockedPoint).expect_granted();
     println!("T1 reaches its locked point (locks item 3): the wake dissolves");
-    assert!(!in_wake(&eng, t2, t1));
+    assert!(!in_wake(eng.as_ref(), t2, t1));
     eng.request(t2, PolicyAction::Lock(i4)).expect_granted();
     println!("T2 locks item 4 freely now");
     eng.finish(t1).unwrap();

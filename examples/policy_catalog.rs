@@ -13,9 +13,11 @@
 //! Run with: `cargo run --example policy_catalog`
 
 use safe_locking::core::{is_serializable, EntityId};
-use safe_locking::policies::{PolicyConfig, PolicyKind, PolicyRegistry, TwoPhaseEngine};
+use safe_locking::policies::{
+    planner_for, PolicyConfig, PolicyKind, PolicyRegistry, TwoPhaseEngine,
+};
 use safe_locking::sim::{
-    build_adapter, hot_cold_jobs, layered_dag, planner_for, run_sim, EngineAdapter, SimConfig,
+    build_adapter, hot_cold_jobs, layered_dag, run_sim, EngineAdapter, SimConfig,
 };
 
 fn main() {

@@ -316,7 +316,8 @@ fn verifier_outcome_displays() {
 
 #[test]
 fn job_and_workload_api() {
-    use safe_locking::sim::{layered_dag, Job};
+    use safe_locking::policies::Job;
+    use safe_locking::sim::layered_dag;
     let j = Job::access(vec![EntityId(1)]);
     assert_eq!(j.size(), 1);
     let j = Job::insert(EntityId(0), EntityId(9));

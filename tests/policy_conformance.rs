@@ -14,12 +14,13 @@ use safe_locking::graph::DiGraph;
 use safe_locking::policies::altruistic::AltruisticViolation;
 use safe_locking::policies::ddag::DdagViolation;
 use safe_locking::policies::{
-    AccessIntent, PolicyAction, PolicyConfig, PolicyEngine, PolicyKind, PolicyRegistry,
+    AccessIntent, Job, PolicyAction, PolicyConfig, PolicyEngine, PolicyKind, PolicyRegistry,
     PolicyResponse, PolicyViolation,
 };
+use safe_locking::runtime::{Runtime, RuntimeConfig};
 use safe_locking::sim::{
-    build_adapter, dag_access_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag, long_short_jobs,
-    run_sim, uniform_jobs, Job, SimConfig,
+    build_adapter, dag_access_jobs, dag_mixed_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag,
+    long_short_jobs, run_sim, uniform_jobs, SimConfig,
 };
 
 /// One shared workload: jobs plus the config to run them under.
@@ -106,6 +107,134 @@ fn every_registered_policy_emits_legal_proper_traces() {
                 }
             }
         }
+    }
+}
+
+/// Runs `jobs` through the simulator at one worker and through the
+/// runtime at width one, with the word path on and off, and requires one
+/// trace. `fresh` names are interned into each engine first, in order.
+fn assert_width_one_traces_agree(
+    kind: PolicyKind,
+    config: &PolicyConfig,
+    fresh: &[String],
+    jobs: &[Job],
+    ctx: &str,
+) {
+    let mut adapter = build_adapter(&PolicyRegistry::new(), kind, config).expect("buildable kind");
+    for name in fresh {
+        adapter.intern(name).expect("policy interns fresh names");
+    }
+    let sim = run_sim(
+        &mut adapter,
+        jobs,
+        &SimConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    );
+    assert!(!sim.timed_out, "{ctx}: simulator timed out");
+    assert_eq!(sim.committed, jobs.len(), "{ctx}: lost jobs");
+    for grant_fast_path in [true, false] {
+        let mut rt = Runtime::new(kind, config).expect("buildable kind");
+        for name in fresh {
+            rt.intern(name).expect("policy interns fresh names");
+        }
+        let report = rt.run(
+            jobs,
+            &RuntimeConfig {
+                workers: 1,
+                grant_fast_path,
+                ..Default::default()
+            },
+        );
+        let ctx = format!("{ctx} / grant_fast_path {grant_fast_path}");
+        assert_eq!(report.committed, sim.committed, "{ctx}: committed");
+        assert_eq!(report.schedule, sim.schedule, "{ctx}: traces differ");
+    }
+}
+
+/// One plan, two executors, one trace: with a single worker neither the
+/// simulator nor the runtime interleaves anything, so both must emit
+/// exactly the steps the planner and engine produce, job by job.
+#[test]
+fn width_one_simulator_and_runtime_emit_the_same_trace() {
+    for seed in 0..5u64 {
+        let pool: Vec<EntityId> = (0..24).map(EntityId).collect();
+        let flat = PolicyConfig::flat(pool.clone());
+        for kind in [
+            PolicyKind::TwoPhase,
+            PolicyKind::Altruistic,
+            PolicyKind::Dtr,
+        ] {
+            for w in flat_workloads(&pool, seed) {
+                let ctx = format!("{} / {} / seed {seed}", kind.name(), w.name);
+                assert_width_one_traces_agree(kind, &flat, &[], &w.jobs, &ctx);
+            }
+        }
+
+        let dag = layered_dag(5, 4, 2, seed);
+        let config = PolicyConfig::dag(dag.universe.clone(), dag.graph.clone());
+        let traversals = dag_access_jobs(&dag, 30, 2, seed);
+        let ctx = format!("DDAG / traversals / seed {seed}");
+        assert_width_one_traces_agree(PolicyKind::Ddag, &config, &[], &traversals, &ctx);
+        let mut universe = dag.universe.clone();
+        let mut fresh = Vec::new();
+        let mixed = dag_mixed_jobs(
+            &dag,
+            30,
+            2,
+            0.3,
+            &mut |name| {
+                fresh.push(name.to_owned());
+                universe.entity(name)
+            },
+            seed,
+        );
+        let ctx = format!("DDAG / insert-mix / seed {seed}");
+        assert_width_one_traces_agree(PolicyKind::Ddag, &config, &fresh, &mixed, &ctx);
+    }
+}
+
+/// A job a flat-pool planner cannot carry out — nothing to access, or a
+/// structural insert — is a fatal plan error, so both executors reject
+/// it and emit nothing for it, instead of committing a zero-step success.
+#[test]
+fn both_executors_reject_jobs_a_flat_pool_planner_cannot_carry_out() {
+    let pool: Vec<EntityId> = (0..4).map(EntityId).collect();
+    let config = PolicyConfig::flat(pool.clone());
+    let jobs = vec![
+        Job::access(vec![]),
+        Job::insert(pool[0], EntityId(9)),
+        Job::access(vec![pool[1]]),
+    ];
+    for kind in [
+        PolicyKind::TwoPhase,
+        PolicyKind::Altruistic,
+        PolicyKind::Dtr,
+    ] {
+        let mut adapter = build_adapter(&PolicyRegistry::new(), kind, &config).expect("flat kind");
+        let sim = run_sim(&mut adapter, &jobs, &SimConfig::default());
+        assert_eq!(
+            (sim.committed, sim.rejected, sim.policy_aborts),
+            (1, 2, 0),
+            "{}: simulator",
+            kind.name()
+        );
+        let mut rt = Runtime::new(kind, &config).expect("flat kind");
+        let report = rt.run(&jobs, &RuntimeConfig::with_workers(1));
+        assert_eq!(
+            (report.committed, report.rejected, report.policy_aborts),
+            (1, 2, 0),
+            "{}: runtime",
+            kind.name()
+        );
+        assert!(report.accounting_balances());
+        assert_eq!(report.schedule, sim.schedule, "{}", kind.name());
+        assert!(sim
+            .schedule
+            .steps()
+            .iter()
+            .all(|s| s.step.entity == pool[1]));
     }
 }
 

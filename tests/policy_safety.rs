@@ -8,10 +8,10 @@ use safe_locking::core::{is_serializable, EntityId};
 use safe_locking::policies::{PolicyConfig, PolicyKind, PolicyRegistry};
 use safe_locking::sim::{
     build_adapter, dag_access_jobs, dag_mixed_jobs, layered_dag, long_short_jobs, run_sim,
-    uniform_jobs, PolicyInstance, SimConfig,
+    uniform_jobs, EngineAdapter, SimConfig,
 };
 
-fn flat(kind: PolicyKind, pool: &[EntityId]) -> PolicyInstance {
+fn flat(kind: PolicyKind, pool: &[EntityId]) -> EngineAdapter {
     build_adapter(
         &PolicyRegistry::new(),
         kind,
@@ -113,7 +113,7 @@ fn ddag_traces_serializable_under_structural_churn() {
         assert_trace_ok(&report, &initial);
         // The graph must remain a rooted DAG after all the churn.
         assert!(safe_locking::graph::dag::is_acyclic(
-            a.graph().expect("DDAG has a graph")
+            a.engine().graph().expect("DDAG has a graph")
         ));
     }
 }
@@ -202,11 +202,11 @@ fn deadlocks_are_detected_and_resolved_under_2pl() {
     let mut jobs = Vec::new();
     for i in 0..10 {
         if i % 2 == 0 {
-            jobs.push(safe_locking::sim::Job::access(vec![
+            jobs.push(safe_locking::policies::Job::access(vec![
                 pool[0], pool[1], pool[2],
             ]));
         } else {
-            jobs.push(safe_locking::sim::Job::access(vec![
+            jobs.push(safe_locking::policies::Job::access(vec![
                 pool[2], pool[1], pool[0],
             ]));
         }

@@ -15,8 +15,10 @@ use proptest::prelude::*;
 use safe_locking::core::{EntityId, TxId};
 use safe_locking::graph::{dag, dominators, rooted, DiGraph, DomIndex};
 use safe_locking::policies::ddag::DdagEngine;
-use safe_locking::policies::{PlanViolation, PolicyAction, PolicyEngine, PolicyViolation};
-use safe_locking::sim::{layered_dag, ActionPlanner, DdagPlanner, Job};
+use safe_locking::policies::{
+    ActionPlanner, DdagPlanner, Job, PlanViolation, PolicyAction, PolicyEngine, PolicyViolation,
+};
+use safe_locking::sim::layered_dag;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The planner as it was before the index: root, dominator sets and a

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use safe_locking::core::{is_serializable, EntityId};
 use safe_locking::policies::{PolicyConfig, PolicyKind, PolicyRegistry};
 use safe_locking::sim::{
-    build_adapter, dag_access_jobs, layered_dag, run_sim, uniform_jobs, LatencyModel,
-    PolicyInstance, SimConfig,
+    build_adapter, dag_access_jobs, layered_dag, run_sim, uniform_jobs, EngineAdapter,
+    LatencyModel, SimConfig,
 };
 
 fn arb_config() -> impl Strategy<Value = SimConfig> {
@@ -24,7 +24,7 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
     })
 }
 
-fn flat(kind: PolicyKind, pool: &[EntityId]) -> PolicyInstance {
+fn flat(kind: PolicyKind, pool: &[EntityId]) -> EngineAdapter {
     build_adapter(
         &PolicyRegistry::new(),
         kind,
@@ -121,7 +121,7 @@ proptest! {
         let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
         let jobs = uniform_jobs(&pool, 10, 3, seed);
         let config = SimConfig { workers, ..Default::default() };
-        let run = |jobs: &[safe_locking::sim::Job]| {
+        let run = |jobs: &[safe_locking::policies::Job]| {
             let mut a = flat(PolicyKind::TwoPhase, &pool);
             run_sim(&mut a, jobs, &config)
         };
