@@ -15,8 +15,7 @@
 //!   verifiers drive: dense-index edge *sets* with a `u128` fast path
 //!   (k ≤ [`EdgeSet::MAX_SMALL_TXS`]) and a fixed-stride `[u64]`-words
 //!   fallback for arbitrary k, maintained through an apply/undo trail and
-//!   shared (by value) between the sequential explorer's memo keys and the
-//!   parallel explorer's sharded memo. Before the words fallback,
+//!   used (by value) as the explorer's memo keys. Before the words fallback,
 //!   exhaustive safety search was hard-capped at 11 transactions.
 
 use crate::entity::EntityId;
@@ -704,36 +703,6 @@ impl EdgeSet {
                 }
                 (0..k).any(|i| reach[i * stride + i / 64] & (1u64 << (i % 64)) != 0)
             }
-        }
-    }
-
-    /// Number of `u64` words [`EdgeSet::store_words`] emits for a set over
-    /// `k` nodes: 2 for the small (`u128`) representation, `stride * k` for
-    /// the words one. Memo tables size their fixed-width keys off this.
-    pub fn encoded_len(k: usize) -> usize {
-        if k <= Self::MAX_SMALL_TXS {
-            2
-        } else {
-            k.div_ceil(64) * k
-        }
-    }
-
-    /// Writes this set's canonical `u64`-word encoding into `out` (whose
-    /// length must be exactly [`EdgeSet::encoded_len`] for this set's
-    /// width): the `u128` mask as (low, high) for the small
-    /// representation, the raw row words for the wide one. Injective per
-    /// representation — the verifier's memo tables hash and compare these
-    /// words instead of the `EdgeSet` itself, so one codec serves every
-    /// memo-key shape. Taking a slice (not a `Vec`) keeps the verifier's
-    /// per-probe encode free of length bookkeeping and capacity checks.
-    #[inline]
-    pub fn store_words(&self, out: &mut [u64]) {
-        match &self.repr {
-            Repr::Small { mask, .. } => {
-                out[0] = *mask as u64;
-                out[1] = (*mask >> 64) as u64;
-            }
-            Repr::Wide { words, .. } => out.copy_from_slice(words),
         }
     }
 

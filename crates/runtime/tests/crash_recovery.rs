@@ -504,6 +504,8 @@ fn a_parked_waiter_has_handed_its_steps_to_the_log() {
     for grant_fast_path in [true, false] {
         let run = RuntimeConfig {
             grant_fast_path,
+            // A yield per grant lets a waiter park on hot mid-tail.
+            step_yield: true,
             ..RuntimeConfig::with_workers(3)
         };
         let (report, handle) = durable_run_with(

@@ -23,6 +23,15 @@ fn pool(n: u32) -> Vec<EntityId> {
     (0..n).map(EntityId).collect()
 }
 
+/// A run at `workers` workers.
+fn config(workers: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        // Cut-short paths need overlapping attempts: yield after each grant.
+        step_yield: true,
+        ..RuntimeConfig::with_workers(workers)
+    }
+}
+
 fn twopl(pool: &[EntityId]) -> Runtime {
     Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.to_vec())).expect("2PL builds")
 }
@@ -68,7 +77,7 @@ fn an_expired_deadline_abandons_every_job_and_still_balances() {
         let ctx = format!("expired deadline / {workers} workers");
         let config = RuntimeConfig {
             max_wall: Duration::ZERO,
-            ..RuntimeConfig::with_workers(workers)
+            ..config(workers)
         };
         let report = twopl(&pool).run(&jobs, &config);
         assert_nothing_lost(&report, 0, &ctx);
@@ -96,7 +105,7 @@ fn a_deadline_that_expires_mid_run_keeps_the_steps_of_what_it_cut_short() {
             let ctx = format!("{micros} µs deadline / {workers} workers");
             let config = RuntimeConfig {
                 max_wall: Duration::from_micros(micros),
-                ..RuntimeConfig::with_workers(workers)
+                ..config(workers)
             };
             let report = twopl(&pool).run(&jobs, &config);
             assert_nothing_lost(&report, twopl_steps(&report), &ctx);
@@ -125,7 +134,7 @@ fn deadlock_victims_on_a_hot_set_keep_their_steps_and_release_their_locks() {
         for seed in 0..6u64 {
             let ctx = format!("hot set / {workers} workers / seed {seed}");
             let jobs = uniform_jobs(&pool, 60, 3, seed);
-            let report = twopl(&pool).run(&jobs, &RuntimeConfig::with_workers(workers));
+            let report = twopl(&pool).run(&jobs, &config(workers));
             assert_nothing_lost(&report, twopl_steps(&report), &ctx);
             assert!(!report.timed_out, "{ctx}: timed out");
             assert_eq!(report.committed, jobs.len(), "{ctx}: lost jobs");
@@ -165,7 +174,7 @@ fn strict_certification_victims_keep_their_steps_and_release_their_locks() {
             .expect("mutant builds");
             let config = RuntimeConfig {
                 certify_online: CertifyMode::Strict,
-                ..RuntimeConfig::with_workers(workers)
+                ..config(workers)
             };
             let jobs = long_short_jobs(&pool, 10, 10, 2, seed);
             let report = rt.run(&jobs, &config);

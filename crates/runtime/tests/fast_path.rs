@@ -37,6 +37,8 @@ fn conf(workers: usize, fast: bool) -> RuntimeConfig {
         // assertion (see stress_matrix.rs).
         park_timeout: std::time::Duration::from_secs(10),
         grant_fast_path: fast,
+        // Mixed-planner tests need words and engine mode to meet on one word.
+        step_yield: true,
         ..Default::default()
     }
 }

@@ -37,37 +37,43 @@
 //!   transaction longer than 255 steps) fall back to interned `Vec<u16>`
 //!   key halves, and edge sets beyond
 //!   [`slp_core::ConflictIndex::MAX_TXS`] (11) transactions fall back to
-//!   interned [`slp_core::EdgeSet`] words (`crate::memo::Interner`, the
-//!   sequential twin of the parallel table's probe-or-intern). Probes
-//!   stay allocation-free — a value is cloned once, on first insertion —
-//!   and the old hard `k <= 11` panic became "any `k` verifies; the
-//!   state space is the only limit".
+//!   interned [`slp_core::EdgeSet`] words (the crate-private `memo`
+//!   module). Probes stay allocation-free — a value is cloned once, on
+//!   first insertion — so any `k` verifies; the state space is the only
+//!   limit.
 //!
-//! The pre-optimization clone-per-node DFS is retained verbatim in
-//! [`crate::reference`] as the agreement baseline; `bench-report`'s
-//! `verifier.seq_s` row times this search. [`crate::parallel`] runs this
-//! same search as a work-stealing fleet over per-worker L1 memos and a
-//! shared lock-free word table;
-//! `verifier/tests/parallel_agreement.rs` locks the two to identical
-//! verdicts.
+//! The pre-optimization clone-per-node DFS is retained verbatim as a test
+//! oracle (`verifier/tests/reference/`, used by `verifier/tests/agreement.rs`);
+//! `bench-report`'s `verifier.seq_s` row times this search.
+//!
+//! # One search, two drivers
+//!
+//! The crate has one DFS, in this module. It takes a driver that supplies
+//! what only a parallel run needs: a cancel poll, a share of a state
+//! budget counted across workers, and donation of sibling subtrees to
+//! idle workers. The sequential driver is a zero-sized no-op;
+//! [`crate::parallel`]'s pool workers run the same DFS with the pool
+//! driver. The budget rule and the rule that turns a finished search into
+//! a [`Verdict`] are the same for both. One prefix replay
+//! starts every search: the empty prefix for [`verify_safety`], the
+//! caller's partial schedule for [`complete_schedule`], and a donated
+//! subtree's prefix for a pool worker. `verifier/tests/parallel_agreement.rs`
+//! pins a one-worker pool to [`verify_safety`]'s verdict, witness and
+//! statistics.
 //!
 //! The randomized corpus-generation mode ([`complete_schedule_randomized`])
 //! shuffles the candidate order at each node, which allocates the shuffled
 //! order vector; only that mode pays the allocation.
 
-use crate::memo::Interner;
+use crate::memo::Memo;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rustc_hash::FxHashSet;
 use slp_core::{
-    ConflictIndex, EdgeSet, Schedule, ScheduleSimulator, ScheduledStep, TransactionSystem, TxId,
+    ConflictIndex, EdgeSet, LockedTransaction, Schedule, ScheduleSimulator, ScheduledStep,
+    TransactionSystem, TxId,
 };
 use std::fmt;
-
-/// Re-exported for the retained reference explorer, which keeps raw `u128`
-/// masks (it predates [`EdgeSet`] and is kept byte-for-byte faithful).
-pub(crate) use slp_core::mask_has_cycle;
 
 /// Limits on the search.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -149,106 +155,20 @@ impl Verdict {
             Verdict::Safe(s) | Verdict::Exhausted(s) | Verdict::Unsafe { stats: s, .. } => *s,
         }
     }
-}
 
-/// The visited-state set, keyed on (positions, `D(S)` edges). Two key
-/// shapes:
-///
-/// * `Packed` — positions bit-packed into a `u128` **and** edges in
-///   [`EdgeSet`]'s `u128` representation: one `(u128, u128)` probe, no
-///   allocation. This is every system exhaustive search can realistically
-///   cover.
-/// * `PackedEdges` — positions still pack (k ≤ 16, steps ≤ 255) but edges
-///   are words (k > 11): edge sets are interned through the shared
-///   [`Interner`] (the sequential twin of the parallel table's
-///   probe-or-intern — one key-interning API across explorers), so keys
-///   are small `(u128, u32)` pairs, probes are allocation-free, and the
-///   hit-heavy memo set never compares 100+-byte word strings.
-/// * `Wide` — positions exceed the pack bound too: both halves interned,
-///   `(u32, u32)` keys, allocation-free probes.
-///
-/// The parallel explorer's *shared* memo instead encodes whole keys into
-/// the lock-free word table (one synchronized op per probe); this enum
-/// doubles as the parallel workers' private L1 memo, which is what
-/// guarantees the L1's per-probe cost equals the sequential explorer's.
-pub(crate) enum Memo {
-    Packed(FxHashSet<(u128, u128)>),
-    PackedEdges {
-        set: FxHashSet<(u128, u32)>,
-        edges: Interner<EdgeSet>,
-    },
-    Wide {
-        set: FxHashSet<(u32, u32)>,
-        positions: Interner<Vec<u16>>,
-        edges: Interner<EdgeSet>,
-    },
-}
-
-impl Memo {
-    /// Picks the key shape for a system of `k` transactions whose
-    /// positions do (not) pack, with `small_edges` saying whether edge
-    /// sets use the `u128` representation.
-    pub(crate) fn for_system(packable: bool, small_edges: bool) -> Memo {
-        match (packable, small_edges) {
-            (true, true) => Memo::Packed(FxHashSet::default()),
-            (true, false) => Memo::PackedEdges {
-                set: FxHashSet::default(),
-                edges: Interner::new(),
-            },
-            (false, _) => Memo::Wide {
-                set: FxHashSet::default(),
-                positions: Interner::new(),
-                edges: Interner::new(),
-            },
-        }
-    }
-
-    pub(crate) fn contains(&self, packed: u128, positions: &[u16], edges: &EdgeSet) -> bool {
-        match self {
-            Memo::Packed(set) => {
-                set.contains(&(packed, edges.as_small_mask().expect("small edges")))
-            }
-            // An un-interned value was never part of an inserted key, so
-            // the memo cannot contain the state: answer without cloning.
-            Memo::PackedEdges { set, edges: ids } => {
-                ids.get(edges).is_some_and(|e| set.contains(&(packed, e)))
-            }
-            Memo::Wide {
-                set,
-                positions: pos_ids,
-                edges: edge_ids,
-            } => match (pos_ids.get(positions), edge_ids.get(edges)) {
-                (Some(p), Some(e)) => set.contains(&(p, e)),
-                _ => false,
-            },
-        }
-    }
-
-    pub(crate) fn insert(&mut self, packed: u128, positions: &[u16], edges: &EdgeSet) {
-        match self {
-            Memo::Packed(set) => {
-                set.insert((packed, edges.as_small_mask().expect("small edges")));
-            }
-            Memo::PackedEdges { set, edges: ids } => {
-                let e = ids.probe_or_intern(edges);
-                set.insert((packed, e));
-            }
-            Memo::Wide {
-                set,
-                positions: pos_ids,
-                edges: edge_ids,
-            } => {
-                let p = pos_ids.probe_or_intern(positions);
-                let e = edge_ids.probe_or_intern(edges);
-                set.insert((p, e));
-            }
+    /// How every driver turns a finished run into a verdict: a witness
+    /// makes the system unsafe; without one, a run the budget rule
+    /// stopped is exhausted and any other run is safe.
+    pub(crate) fn decide(witness: Option<Schedule>, exhausted: bool, stats: SearchStats) -> Self {
+        match witness {
+            Some(witness) => Verdict::Unsafe { witness, stats },
+            None if exhausted => Verdict::Exhausted(stats),
+            None => Verdict::Safe(stats),
         }
     }
 }
 
-/// Incrementally maintained per-position bookkeeping, shared by the
-/// sequential [`Search`] and the parallel explorer's workers so the two
-/// searches cannot drift apart on it:
+/// Incrementally maintained per-position bookkeeping:
 ///
 /// * `packed` — positions bit-packed 8 bits per transaction (the position
 ///   half of the fast-path memo key, definitionally equal to
@@ -260,18 +180,17 @@ impl Memo {
 ///   counters: they can never start, and pre-counting them as finished
 ///   would let `started == finished` accept nodes where a started
 ///   transaction is still mid-flight.
-#[derive(Clone)]
-pub(crate) struct PositionBook {
+struct PositionBook {
     /// Per-transaction step counts, densely indexed.
-    pub(crate) lens: Vec<u16>,
-    pub(crate) packable: bool,
-    pub(crate) packed: u128,
-    pub(crate) started: usize,
-    pub(crate) finished: usize,
+    lens: Vec<u16>,
+    packable: bool,
+    packed: u128,
+    started: usize,
+    finished: usize,
 }
 
 impl PositionBook {
-    pub(crate) fn new(lens: Vec<u16>) -> Self {
+    fn new(lens: Vec<u16>) -> Self {
         let packable = lens.len() <= 16 && lens.iter().all(|&l| l <= u8::MAX as u16);
         PositionBook {
             lens,
@@ -282,9 +201,8 @@ impl PositionBook {
         }
     }
 
-    /// Back to the all-zero-positions state (the parallel workers reuse
-    /// one book across task replays).
-    pub(crate) fn reset(&mut self) {
+    /// Back to the all-zero-positions state.
+    fn reset(&mut self) {
         self.packed = 0;
         self.started = 0;
         self.finished = 0;
@@ -292,7 +210,7 @@ impl PositionBook {
 
     /// Advances dense transaction `i` by one step: positions, the packed
     /// word, and the started/finished counters, all O(1).
-    pub(crate) fn take(&mut self, positions: &mut [u16], i: usize) {
+    fn take(&mut self, positions: &mut [u16], i: usize) {
         positions[i] += 1;
         if self.packable {
             self.packed += 1u128 << (8 * i);
@@ -306,7 +224,7 @@ impl PositionBook {
     }
 
     /// Reverses [`take`](PositionBook::take) for dense transaction `i`.
-    pub(crate) fn untake(&mut self, positions: &mut [u16], i: usize) {
+    fn untake(&mut self, positions: &mut [u16], i: usize) {
         if positions[i] == self.lens[i] {
             self.finished -= 1;
         }
@@ -320,12 +238,90 @@ impl PositionBook {
     }
 }
 
-struct Search<'a> {
+/// What a caller adds to the one DFS. Every hook defaults to the
+/// sequential search's behaviour, so [`Sequential`] is an empty impl.
+///
+/// The DFS takes its driver as `&mut dyn Driver`: a DFS generic over the
+/// driver, instantiated once per driver, stopped inlining the simulator
+/// and edge-set calls into the loop and ran ~3% slower sequentially on the
+/// `verifier_sweep` catalog, while the sequential driver's empty virtual
+/// calls measured no cost.
+pub(crate) trait Driver {
+    /// Nodes a search may visit between two calls of
+    /// [`visited`](Driver::visited): all of them when it runs alone.
+    fn chunk(&self) -> usize {
+        usize::MAX
+    }
+
+    /// Whether the run was stopped from outside; polled once per node.
+    fn cancelled(&self) -> bool {
+        false
+    }
+
+    /// States the whole run has visited, given that this search has
+    /// visited `mine`.
+    fn visited(&mut self, mine: usize) -> usize {
+        mine
+    }
+
+    /// Whether another worker waits for work, i.e. whether donating a
+    /// subtree is worth its replay; asked after each locally explored
+    /// child.
+    fn wants_work(&self) -> bool {
+        false
+    }
+
+    /// Hands the subtree below `prefix` to another worker.
+    fn donate(&mut self, _prefix: Schedule) {}
+
+    /// Publishes donations held back for batching; called before a local
+    /// descent and at node end when the node has donated since.
+    fn flush(&mut self) {}
+}
+
+/// The sequential explorer's driver: nothing cancels it, nobody takes its
+/// work, and the whole budget is its own.
+pub(crate) struct Sequential;
+
+impl Driver for Sequential {}
+
+/// Outcome of exploring one node.
+pub(crate) enum Dfs {
+    /// An accepted schedule (the search is back at the node).
+    Found(Schedule),
+    /// Fully explored, nothing accepted below: memoizable.
+    NotFound,
+    /// Nothing accepted here, but some children were donated, so the
+    /// node is not fully explored by this search and may not be memoized.
+    Donated,
+    /// Unwound early (budget or cancel): nothing may be memoized.
+    Stopped,
+}
+
+impl Dfs {
+    /// The accepted schedule, if one was found.
+    pub(crate) fn found(self) -> Option<Schedule> {
+        match self {
+            Dfs::Found(schedule) => Some(schedule),
+            _ => None,
+        }
+    }
+}
+
+/// One search over one system: the fixed per-system tables, the memo and
+/// statistics (kept across [`explore`](Search::explore) calls), and the
+/// current node, mutated in place by apply/undo.
+pub(crate) struct Search<'a> {
+    system: &'a TransactionSystem,
     budget: SearchBudget,
-    stats: SearchStats,
+    pub(crate) stats: SearchStats,
+    /// `stats.states` at which the budget rule runs next.
+    limit: usize,
+    /// Set when the budget rule refused a node.
+    pub(crate) exhausted: bool,
     /// Transactions in dense-index order (index `i` ↔ `ids[i]`).
     ids: Vec<TxId>,
-    txs: Vec<&'a slp_core::LockedTransaction>,
+    txs: Vec<&'a LockedTransaction>,
     memo: Memo,
     /// Position bookkeeping (packed memo-key word, started/finished).
     book: PositionBook,
@@ -336,7 +332,7 @@ struct Search<'a> {
     /// edges (`want_cycle`), absent for plain completion searches.
     index: Option<ConflictIndex>,
     /// Search goal: when all started transactions have finished, accept if
-    /// the accumulated `D(S)` edge mask satisfies this predicate.
+    /// the accumulated `D(S)` edge set has a cycle.
     want_cycle: bool,
     /// When set, candidate transactions are tried in a shuffled order at
     /// each node, so the first completion found is a *random interleaved*
@@ -345,17 +341,18 @@ struct Search<'a> {
     /// When true, acceptance requires *every* transaction of the system to
     /// have run to completion (not just the started subset).
     require_all: bool,
-}
-
-/// Outcome of the internal DFS.
-enum Dfs {
-    Found(Schedule),
-    NotFound,
-    BudgetExhausted,
+    positions: Vec<u16>,
+    sim: ScheduleSimulator,
+    schedule: Schedule,
+    edges: EdgeSet,
 }
 
 impl<'a> Search<'a> {
-    fn new(system: &'a TransactionSystem, budget: SearchBudget, want_cycle: bool) -> Self {
+    pub(crate) fn new(
+        system: &'a TransactionSystem,
+        budget: SearchBudget,
+        want_cycle: bool,
+    ) -> Self {
         let ids = system.ids();
         let txs: Vec<_> = ids
             .iter()
@@ -366,13 +363,17 @@ impl<'a> Search<'a> {
         let zero_len = lens.iter().filter(|&&l| l == 0).count();
         let book = PositionBook::new(lens);
         // Completion searches never accumulate edges, so their keys always
-        // qualify for the small-edge shape.
+        // qualify for the small-edge shape (their edge set stays empty and
+        // zero-width).
         let small_edges = !want_cycle || k <= ConflictIndex::MAX_TXS;
         let memo = Memo::for_system(book.packable, small_edges);
         let index = want_cycle.then(|| ConflictIndex::new(k));
         Search {
+            system,
             budget,
             stats: SearchStats::default(),
+            limit: 0,
+            exhausted: false,
             ids,
             txs,
             memo,
@@ -382,18 +383,93 @@ impl<'a> Search<'a> {
             want_cycle,
             rng: None,
             require_all: false,
+            positions: vec![0; k],
+            sim: ScheduleSimulator::new(system.initial_state().clone()),
+            schedule: Schedule::empty(),
+            edges: EdgeSet::empty(if want_cycle { k } else { 0 }),
         }
     }
 
-    fn dfs(
-        &mut self,
-        positions: &mut [u16],
-        sim: &mut ScheduleSimulator,
-        schedule: &mut Schedule,
-        edges: &mut EdgeSet,
-    ) -> Dfs {
-        if self.stats.states >= self.budget.max_states {
-            return Dfs::BudgetExhausted;
+    /// Searches below `prefix`: back to the empty schedule, replay
+    /// `prefix` (`None` if it is not a legal & proper partial schedule of
+    /// the system), then the DFS. A non-empty prefix's node is probed and
+    /// memoized like any child.
+    pub(crate) fn explore(&mut self, prefix: &Schedule, driver: &mut dyn Driver) -> Option<Dfs> {
+        if !self.schedule.is_empty() {
+            self.rewind();
+        }
+        for s in prefix.steps() {
+            let i = self.ids.iter().position(|&t| t == s.tx)?;
+            if self.txs[i].steps.get(self.positions[i] as usize) != Some(&s.step) {
+                return None; // not a partial schedule of the system
+            }
+            self.sim.apply(s.tx, &s.step).ok()?;
+            if let Some(index) = &mut self.index {
+                if let Some(delta) = index.edge_delta(i, &s.step) {
+                    self.edges.union_with(&delta);
+                }
+                index.push(i, s.step);
+            }
+            self.schedule.push(*s);
+            self.book.take(&mut self.positions, i);
+        }
+        debug_assert!(
+            !self.book.packable
+                || Some(self.book.packed) == slp_core::pack_positions(&self.positions),
+            "incrementally maintained packed key diverged from pack_positions"
+        );
+        if prefix.is_empty() {
+            return Some(self.dfs(driver));
+        }
+        if self
+            .memo
+            .contains(self.book.packed, &self.positions, &self.edges)
+        {
+            self.stats.memo_hits += 1;
+            return Some(Dfs::NotFound);
+        }
+        let result = self.dfs(driver);
+        if let Dfs::NotFound = result {
+            self.memo
+                .insert(self.book.packed, &self.positions, &self.edges);
+        }
+        Some(result)
+    }
+
+    /// Back to the empty schedule; the memo and the statistics stay.
+    fn rewind(&mut self) {
+        self.positions.fill(0);
+        self.book.reset();
+        self.sim = ScheduleSimulator::new(self.system.initial_state().clone());
+        self.schedule = Schedule::empty();
+        if let Some(index) = &mut self.index {
+            *index = ConflictIndex::new(self.ids.len());
+        }
+        self.edges = EdgeSet::empty(self.edges.width());
+    }
+
+    /// The budget rule, the same for every driver: a node may be visited
+    /// only while the whole run has visited fewer than `max_states`
+    /// states. The run-wide count is asked for once per
+    /// [`chunk`](Driver::chunk) nodes, so a count shared across workers
+    /// never stops a run that fits its budget; the price is that each
+    /// worker may overshoot by a chunk.
+    fn admit(&mut self, driver: &mut dyn Driver) -> bool {
+        if self.stats.states < self.limit {
+            return true;
+        }
+        let visited = driver.visited(self.stats.states);
+        if visited >= self.budget.max_states {
+            self.exhausted = true;
+            return false;
+        }
+        self.limit = self.stats.states + driver.chunk().min(self.budget.max_states - visited);
+        true
+    }
+
+    fn dfs(&mut self, driver: &mut dyn Driver) -> Dfs {
+        if driver.cancelled() || !self.admit(driver) {
+            return Dfs::Stopped;
         }
         self.stats.states += 1;
 
@@ -408,13 +484,8 @@ impl<'a> Search<'a> {
         };
         if all_started_finished && self.book.started > 0 {
             self.stats.completions += 1;
-            let accept = if self.want_cycle {
-                edges.has_cycle()
-            } else {
-                true
-            };
-            if accept {
-                return Dfs::Found(schedule.clone());
+            if !self.want_cycle || self.edges.has_cycle() {
+                return Dfs::Found(self.schedule.clone());
             }
         }
 
@@ -426,12 +497,15 @@ impl<'a> Search<'a> {
             order.shuffle(rng);
             order
         });
-        let mut budget_hit = false;
+        // `hand_off`: whether viable siblings go to idle workers, asked
+        // after each locally explored child; `unflushed`: whether this
+        // node holds donations the driver has not published.
+        let (mut hand_off, mut unflushed) = (false, false);
+        let (mut donated, mut stopped) = (false, false);
         for idx in 0..k {
             let i = shuffled.as_ref().map_or(idx, |order| order[idx]);
             let id = self.ids[i];
-            let pos = positions[i] as usize;
-            let Some(&step) = self.txs[i].steps.get(pos) else {
+            let Some(&step) = self.txs[i].steps.get(self.positions[i] as usize) else {
                 continue;
             };
             // OR the candidate's edge delta into the running set; `added`
@@ -443,66 +517,75 @@ impl<'a> Search<'a> {
                 .index
                 .as_ref()
                 .and_then(|index| index.edge_delta(i, &step))
-                .map(|delta| edges.apply(&delta));
+                .map(|delta| self.edges.apply(&delta));
+            self.book.take(&mut self.positions, i);
             // Memo probe before the legality/properness gate: the
             // simulator state is a function of `positions`, so a memoized
             // successor state was necessarily reached by applying this very
             // step legally — an illegal candidate can never hit.
-            self.book.take(positions, i);
-            if self.memo.contains(self.book.packed, positions, edges) {
+            let result = if self
+                .memo
+                .contains(self.book.packed, &self.positions, &self.edges)
+            {
                 self.stats.memo_hits += 1;
-                self.book.untake(positions, i);
-                if let Some(a) = &added {
-                    edges.undo(a);
+                None
+            } else if hand_off && self.sim.check(id, &step).is_ok() {
+                let mut prefix = self.schedule.clone();
+                prefix.push(ScheduledStep::new(id, step));
+                driver.donate(prefix);
+                (donated, unflushed) = (true, true);
+                None
+            } else if let Ok(token) = self.sim.apply_undoable(id, &step) {
+                // Legality + properness gate and application in one pass
+                // (apply_undoable checks, then mutates only on success).
+                // Donated siblings must reach the queue before the descent,
+                // or idle workers would starve for its whole length.
+                if unflushed {
+                    driver.flush();
+                    unflushed = false;
                 }
-                continue;
-            }
-            // Legality + properness gate and application in one pass
-            // (apply_undoable checks, then mutates only on success).
-            let Ok(token) = sim.apply_undoable(id, &step) else {
-                self.book.untake(positions, i);
-                if let Some(a) = &added {
-                    edges.undo(a);
+                self.schedule.push(ScheduledStep::new(id, step));
+                if let Some(index) = &mut self.index {
+                    index.push(i, step);
                 }
-                continue;
-            };
-            schedule.push(ScheduledStep::new(id, step));
-            if let Some(index) = &mut self.index {
-                index.push(i, step);
-            }
-            let result = self.dfs(positions, sim, schedule, edges);
-            if let Some(index) = &mut self.index {
-                index.pop();
-            }
-            schedule.pop();
-            sim.undo(token);
-            self.stats.undo_ops += 1;
-            match result {
-                Dfs::Found(s) => {
-                    self.book.untake(positions, i);
-                    if let Some(a) = &added {
-                        edges.undo(a);
-                    }
-                    return Dfs::Found(s);
+                let result = self.dfs(driver);
+                if let Some(index) = &mut self.index {
+                    index.pop();
                 }
+                self.schedule.pop();
+                self.sim.undo(token);
+                self.stats.undo_ops += 1;
                 // Only fully explored subtrees may be memoized.
-                Dfs::NotFound => {
-                    self.memo.insert(self.book.packed, positions, edges);
+                if let Dfs::NotFound = result {
+                    self.memo
+                        .insert(self.book.packed, &self.positions, &self.edges);
                 }
-                Dfs::BudgetExhausted => {
-                    budget_hit = true;
-                }
-            }
-            self.book.untake(positions, i);
+                Some(result)
+            } else {
+                None
+            };
+            self.book.untake(&mut self.positions, i);
             if let Some(a) = &added {
-                edges.undo(a);
+                self.edges.undo(a);
             }
-            if budget_hit {
-                break;
+            match result {
+                Some(Dfs::Found(s)) => return Dfs::Found(s),
+                Some(Dfs::NotFound) => hand_off = driver.wants_work(),
+                Some(Dfs::Donated) => (hand_off, donated) = (driver.wants_work(), true),
+                Some(Dfs::Stopped) => {
+                    stopped = true;
+                    break;
+                }
+                None => {}
             }
         }
-        if budget_hit {
-            Dfs::BudgetExhausted
+        if unflushed {
+            driver.flush();
+        }
+        if stopped {
+            Dfs::Stopped
+        } else if donated {
+            Dfs::Donated
         } else {
             Dfs::NotFound
         }
@@ -513,18 +596,10 @@ impl<'a> Search<'a> {
 /// (over the started subset), legal, proper, nonserializable schedule.
 pub fn verify_safety(system: &TransactionSystem, budget: SearchBudget) -> Verdict {
     let mut search = Search::new(system, budget, true);
-    let mut positions = vec![0u16; search.ids.len()];
-    let mut sim = ScheduleSimulator::new(system.initial_state().clone());
-    let mut schedule = Schedule::empty();
-    let mut edges = EdgeSet::empty(search.ids.len());
-    match search.dfs(&mut positions, &mut sim, &mut schedule, &mut edges) {
-        Dfs::Found(witness) => Verdict::Unsafe {
-            witness,
-            stats: search.stats,
-        },
-        Dfs::NotFound => Verdict::Safe(search.stats),
-        Dfs::BudgetExhausted => Verdict::Exhausted(search.stats),
-    }
+    let witness = search
+        .explore(&Schedule::empty(), &mut Sequential)
+        .and_then(Dfs::found);
+    Verdict::decide(witness, search.exhausted, search.stats)
 }
 
 /// Extends a legal & proper partial schedule `prefix` of `system` to any
@@ -561,30 +636,7 @@ fn complete_with(
     let mut search = Search::new(system, budget, false);
     search.rng = seed.map(StdRng::seed_from_u64);
     search.require_all = seed.is_some();
-    let mut positions = vec![0u16; search.ids.len()];
-    let mut sim = ScheduleSimulator::new(system.initial_state().clone());
-    let mut schedule = Schedule::empty();
-    for s in prefix.steps() {
-        let i = search.ids.iter().position(|&t| t == s.tx)?;
-        let tx = system.get(s.tx)?;
-        if tx.steps.get(positions[i] as usize) != Some(&s.step) {
-            return None; // not a partial schedule of the system
-        }
-        sim.apply(s.tx, &s.step).ok()?;
-        schedule.push(*s);
-        search.book.take(&mut positions, i);
-    }
-    debug_assert!(
-        !search.book.packable || Some(search.book.packed) == slp_core::pack_positions(&positions),
-        "incrementally maintained packed key diverged from pack_positions"
-    );
-    // Completion searches accept any completion regardless of `D(S)`, so
-    // the edge set stays empty (and zero-width).
-    let mut edges = EdgeSet::empty(0);
-    match search.dfs(&mut positions, &mut sim, &mut schedule, &mut edges) {
-        Dfs::Found(s) => Some(s),
-        _ => None,
-    }
+    search.explore(prefix, &mut Sequential)?.found()
 }
 
 #[cfg(test)]
@@ -792,6 +844,7 @@ mod tests {
 
     #[test]
     fn mask_cycle_detection() {
+        use slp_core::mask_has_cycle;
         // 3 nodes, edges 0->1, 1->2: acyclic.
         let k = 3;
         let edge = |i: usize, j: usize| 1u128 << (i * k + j);

@@ -14,18 +14,18 @@
 //!   deciders on randomized systems.
 //!
 //! The exhaustive decider also runs **in parallel**:
-//! [`parallel::verify_safety_parallel`] spreads the same apply/undo DFS
-//! over a work-stealing thread pool with batched work donation,
-//! per-worker L1 memos (the sequential explorer's own memo shape), a
-//! **lock-free** shared memo table ([`memo::AtomicWordTable`] keyed
-//! through the [`memo::KeyShape`] codec), and early cancellation;
+//! [`parallel::ParallelVerifier`] runs the explorer's one DFS on a
+//! work-stealing thread pool, each worker with its own memo (the
+//! sequential explorer's), with batched work donation, a state budget
+//! counted across workers, and early cancellation;
 //! `verifier/tests/parallel_agreement.rs` pins its verdicts to the
-//! sequential explorer's differentially.
+//! sequential explorer's differentially, and a one-worker pool to its
+//! exact result.
 //!
-//! Supporting modules: [`minimize`] (witness shrinking), [`gen`] (seeded
-//! random system generation), and [`mod@reference`] — the retained
-//! clone-per-node explorer, kept as the agreement oracle for the
-//! optimized apply/undo DFS.
+//! Supporting modules: [`minimize`] (witness shrinking) and [`gen`]
+//! (seeded random system generation). The retained clone-per-node
+//! explorer, the agreement oracle for the optimized apply/undo DFS, lives
+//! with the tests (`verifier/tests/reference/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,10 +33,9 @@
 pub mod canonical_search;
 pub mod explorer;
 pub mod gen;
-pub mod memo;
+mod memo;
 pub mod minimize;
 pub mod parallel;
-pub mod reference;
 
 pub use canonical_search::{find_canonical_witness, CanonicalBudget, CanonicalOutcome};
 pub use explorer::{
@@ -45,5 +44,4 @@ pub use explorer::{
 };
 pub use gen::{random_system, GenParams};
 pub use minimize::minimize_witness;
-pub use parallel::{verify_safety_parallel, ParallelVerifier};
-pub use reference::verify_safety_reference;
+pub use parallel::ParallelVerifier;

@@ -1,90 +1,66 @@
-//! Work-stealing parallel safety verification on a lock-free memo core.
+//! Work-stealing parallel safety verification.
 //!
-//! [`verify_safety_parallel`] decides the same question as
+//! [`ParallelVerifier::verify`] decides the same question as
 //! [`crate::explorer::verify_safety`] — *does a legal, proper,
-//! nonserializable complete schedule exist?* — by running the apply/undo
-//! DFS on a fixed pool of `std::thread` workers (the vendored
-//! [`workpool`] shim; no crates.io access) that cooperate through three
-//! pieces of shared state:
+//! nonserializable complete schedule exist?* — by running the explorer's
+//! own DFS on a fixed pool of `std::thread` workers (the vendored
+//! [`workpool`] shim; no crates.io access). Each worker owns a private
+//! search — simulator, conflict index, edge set and memo — and the DFS
+//! reaches the three pieces of shared state through the pool's driver:
 //!
-//! * **A task queue of subtree roots** ([`workpool::DonationQueue`]). A
-//!   task is the *path* (dense transaction indices) from the empty
-//!   schedule to a search node; the receiving worker replays it through
-//!   its private simulator / [`ConflictIndex`] / [`EdgeSet`] and explores
-//!   the subtree. Work *stealing* is donation-based: whenever a worker is
-//!   about to descend into sibling subtrees while other workers sit idle,
-//!   it donates the siblings as tasks instead of recursing. Donations are
-//!   **batched**: viable siblings of one node accumulate in a private
-//!   buffer and are pushed in chunks (`DONATE_BATCH`, plus a flush
-//!   before any local descent and at node end) — one queue lock and one
-//!   wakeup per chunk instead of one per subtree.
-//! * **A lock-free shared memo.** The visited-state set is a single
-//!   [`crate::memo::AtomicWordTable`]: every memo key — packed or wide
-//!   positions, `u128`-mask or words edges — is encoded by the shared
-//!   [`crate::memo::KeyShape`] codec into a fixed-width `[u64]` word
-//!   string and probed/inserted with atomic loads and a CAS. There are
-//!   **no mutexes on the search hot path**, and a wide (`k > 11`) key
-//!   performs exactly **one** synchronized probe-or-intern operation —
-//!   the previous design sharded `Mutex<FxHashSet>` tables and interned
-//!   each wide key half behind its own shard lock, so a wide probe took
-//!   two locks and every probe paid lock traffic. Sharing the table
-//!   across workers preserves the sequential search's pruning: a state
-//!   fully explored by *any* worker is skipped by all. Soundness is
-//!   unchanged — entries are only inserted for subtrees explored to
-//!   exhaustion with no witness, and a frame whose children were donated
-//!   or truncated (cancel/budget) inserts nothing, so a memo hit always
-//!   means "no witness below".
+//! * **A task queue of subtrees** ([`workpool::DonationQueue`]). A task is
+//!   the schedule prefix leading from the empty schedule to a search node;
+//!   the receiving worker replays it (the explorer's one prefix replay,
+//!   which also serves `complete_schedule`) and explores the subtree.
+//!   Work *stealing* is donation-based: once a node has one locally
+//!   explored child and other workers sit idle, its remaining viable
+//!   children are donated instead of explored. Donations are **batched**:
+//!   they accumulate in a private buffer and are pushed in chunks
+//!   (`DONATE_BATCH`, plus a flush before any local descent and at node
+//!   end) — one queue lock and one wakeup per chunk instead of one per
+//!   subtree.
 //! * **An early-cancel flag** (inside the queue). The first worker to
 //!   reach a nonserializable completion records it and cancels; every
 //!   worker polls the flag once per node and unwinds.
+//! * **A chunked state budget.** Each worker adds its visited-state count
+//!   to one shared counter once per `STATE_CHUNK` nodes, and the
+//!   explorer's budget rule runs against that total.
 //!
-//! In front of the shared table, each worker keeps a **private L1
-//! memo** — literally the sequential explorer's `Memo` shape
-//! (`FxHashSet`-backed, identical per-probe cost), built fresh per
-//! verify run and dropped with it (memo entries are system-specific, so
-//! nothing could soundly carry over; a per-run local also pins no memory
-//! in pool threads between runs).
-//! The L1 is the worker's *primary* memo: states this worker explored or
-//! already confirmed shared-hits are answered with zero synchronization,
-//! so only first-sight probes and inserts ever reach the shared table.
-//! The L1 only caches *positive* facts (state fully explored), which are
-//! immutable, so it can never un-soundly prune. A single-worker pool's L1
-//! is total — every probe its search could repeat is answered privately —
-//! so the shared table is not even built at `threads == 1`: the memo path
-//! degenerates to exactly the sequential explorer's, and the measured
-//! single-thread pool overhead is dispatch + task-loop cost alone.
+//! Workers share no memo entries, so a state one worker explored may be
+//! explored again by another. On `bench-report`'s `verifier_sweep`
+//! catalog at two threads a shared table cost more time than that
+//! duplicated work (`BENCH_verifier.json`). Each worker's memo is built
+//! fresh per verify run and dropped with it: entries are system-specific,
+//! so nothing could soundly carry over, and a per-run local pins no
+//! memory in pool threads between runs. An entry is only inserted for a
+//! subtree the worker explored to exhaustion with no witness; a node
+//! whose children were donated or cut short (cancel, budget) inserts
+//! nothing, so a memo hit always means "no witness below".
 //!
 //! # What is (and is not) deterministic
 //!
 //! With an ample budget the **verdict** is deterministic and identical to
 //! the sequential explorer's: the task queue partitions the search space
 //! exactly (every donated subtree is explored before termination), so a
-//! witness is found iff one exists. The *witness schedule* and the search
-//! statistics may vary run to run — which subtree reaches a witness first
-//! is a race, and memo-race duplication can revisit states. When the
-//! budget trips, `Exhausted` frontiers are likewise race-dependent.
-//! `verifier/tests/parallel_agreement.rs` locks the verdict guarantees
-//! down differentially (155+ systems, thread counts 1–8, repeated runs),
-//! and its memo-storm stress hammers the table's probe-or-intern from
-//! many threads to pin id stability and lost-insert freedom.
+//! witness is found iff one exists. With more than one worker the
+//! *witness schedule* and the search statistics may vary run to run —
+//! which subtree reaches a witness first is a race, and workers revisit
+//! each other's states. When the budget trips, `Exhausted` frontiers are
+//! likewise race-dependent. A one-worker pool never donates (no worker is
+//! idle while it searches), so it *is* the sequential search: same
+//! verdict, witness and statistics. `verifier/tests/parallel_agreement.rs`
+//! pins both guarantees down differentially (155+ systems, thread counts
+//! 1–8, repeated runs).
 
-use crate::explorer::{Memo, PositionBook, SearchBudget, SearchStats, Verdict};
-use crate::memo::{AtomicWordTable, KeyShape};
-use slp_core::{
-    pack_positions, ConflictIndex, EdgeSet, LockedTransaction, Schedule, ScheduleSimulator,
-    ScheduledStep, TransactionSystem, TxId,
-};
+use crate::explorer::{Driver, Search, SearchBudget, SearchStats, Verdict};
+use slp_core::{Schedule, TransactionSystem};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use workpool::{DonationQueue, PoolJob, ThreadPool};
 
-/// Workers flush their *consumed* state counts into the shared total (and
-/// check it against the budget) every this many nodes — one atomic RMW
-/// per chunk instead of per node. Exhaustion triggers only when states
-/// actually visited reach `max_states`, so a search that fits its budget
-/// can never spuriously report `Exhausted`; the cost is overshoot — up to
-/// `threads * STATE_CHUNK` states may be visited past the limit before
-/// every worker notices. Budgets smaller than the chunk are flushed at
+/// Workers add their visited-state counts into the shared total (and the
+/// budget rule checks it) every this many nodes — one atomic RMW per chunk
+/// instead of per node. Budgets smaller than the chunk are checked at
 /// budget granularity, keeping tiny-budget exhaustion prompt.
 const STATE_CHUNK: usize = 256;
 
@@ -94,460 +70,99 @@ const STATE_CHUNK: usize = 256;
 /// lock/notify cost of donation.
 const DONATE_BATCH: usize = 8;
 
-/// The shared visited-state set: the [`KeyShape`] codec (shared with the
-/// sequential explorer, so the two searches' keys cannot drift apart)
-/// over one lock-free [`AtomicWordTable`]. Only built for pools of more
-/// than one worker — a single worker's L1 memo is already total, so the
-/// shared table would have no reader.
-struct SharedMemo {
-    shape: KeyShape,
-    table: Option<AtomicWordTable>,
-}
-
-impl SharedMemo {
-    fn for_system(packable: bool, k: usize, small_edges: bool, share: bool) -> SharedMemo {
-        let shape = KeyShape::new(packable, k, small_edges);
-        let table = share.then(|| AtomicWordTable::new(shape.width().max(1)));
-        SharedMemo { shape, table }
-    }
-}
-
-/// A subtree of the search space: the dense-index path from the empty
-/// schedule to its root node. Compact to donate, cheap to replay
-/// (`O(path)` step applications).
-struct Task {
-    path: Vec<u32>,
-}
-
 /// All state shared by the workers of one verification run.
 struct VerifyJob {
     system: TransactionSystem,
-    ids: Vec<TxId>,
-    /// Template position bookkeeping (zeroed counters) cloned by each
-    /// worker — the packability bound is thereby derived in exactly one
-    /// place, `PositionBook::new`, for both explorers.
-    book: PositionBook,
-    k: usize,
-    /// Whether edge sets use the `u128` representation (cached for the
-    /// workers' L1 memo construction).
-    small_edges: bool,
     budget: SearchBudget,
-    memo: SharedMemo,
-    queue: DonationQueue<Task>,
+    queue: DonationQueue<Schedule>,
+    /// States visited across all workers, added in chunks (see
+    /// [`STATE_CHUNK`]).
+    visited: AtomicUsize,
     budget_hit: AtomicBool,
-    /// Search states consumed across all workers, flushed in chunks (see
-    /// [`STATE_CHUNK`]); compared against `budget.max_states`.
-    states_counted: AtomicUsize,
     witness: Mutex<Option<Schedule>>,
-    // Aggregated statistics, flushed once per worker at the end.
-    states: AtomicUsize,
-    memo_hits: AtomicUsize,
-    completions: AtomicUsize,
-    undo_ops: AtomicUsize,
-}
-
-impl VerifyJob {
-    fn new(system: TransactionSystem, budget: SearchBudget, share: bool) -> Self {
-        let ids = system.ids();
-        let lens: Vec<u16> = ids
-            .iter()
-            .map(|&id| system.get(id).expect("listed id").len() as u16)
-            .collect();
-        let k = ids.len();
-        let book = PositionBook::new(lens);
-        let small_edges = k <= ConflictIndex::MAX_TXS;
-        let memo = SharedMemo::for_system(book.packable, k, small_edges, share);
-        let queue = DonationQueue::new();
-        queue.push_batch(&mut vec![Task { path: Vec::new() }]);
-        VerifyJob {
-            system,
-            ids,
-            book,
-            k,
-            small_edges,
-            budget,
-            memo,
-            queue,
-            budget_hit: AtomicBool::new(false),
-            states_counted: AtomicUsize::new(0),
-            witness: Mutex::new(None),
-            states: AtomicUsize::new(0),
-            memo_hits: AtomicUsize::new(0),
-            completions: AtomicUsize::new(0),
-            undo_ops: AtomicUsize::new(0),
-        }
-    }
-
-    fn stats(&self) -> SearchStats {
-        SearchStats {
-            states: self.states.load(Ordering::SeqCst),
-            memo_hits: self.memo_hits.load(Ordering::SeqCst),
-            completions: self.completions.load(Ordering::SeqCst),
-            undo_ops: self.undo_ops.load(Ordering::SeqCst),
-        }
-    }
+    /// Aggregated statistics, folded in once per worker at the end.
+    stats: Mutex<SearchStats>,
 }
 
 impl PoolJob for VerifyJob {
     fn run(&self, _worker: usize) {
-        // One fresh L1 per worker per run, dropped when the run ends: a
-        // worker's run is the L1's only consumer (states are
-        // system-specific, so nothing could soundly survive into another
-        // verify), and a plain local keeps no memory pinned afterwards.
-        let mut l1 = Memo::for_system(self.book.packable, self.small_edges);
-        Worker::new(self, &mut l1).run();
-    }
-}
-
-/// Outcome of one worker's exploration of a subtree node.
-enum Dfs {
-    /// A witness was found (already recorded on the job).
-    Found,
-    /// Fully explored by this worker: no witness below; memoizable.
-    NotFound,
-    /// Some children were donated to other workers: no witness found
-    /// *here*, but the frame is not fully explored by this worker, so
-    /// neither it nor its ancestors may be memoized.
-    Donated,
-    /// Unwound early (cancel or budget): nothing may be memoized.
-    Pruned,
-}
-
-/// One worker's private search state, rebuilt per task by path replay.
-struct Worker<'j> {
-    job: &'j VerifyJob,
-    txs: Vec<&'j LockedTransaction>,
-    positions: Vec<u16>,
-    /// Dense-index path to the current node — the donation currency.
-    path: Vec<u32>,
-    /// Position bookkeeping (packed memo-key word, started/finished) —
-    /// the same [`PositionBook`] the sequential explorer maintains.
-    book: PositionBook,
-    sim: ScheduleSimulator,
-    schedule: Schedule,
-    index: ConflictIndex,
-    edges: EdgeSet,
-    /// Reusable encode buffer for shared-table keys (no allocation per
-    /// probe).
-    scratch: Box<[u64]>,
-    /// Sibling subtrees awaiting a batched donation flush.
-    donate_buf: Vec<Task>,
-    /// This worker's private L1 memo — the worker's *primary* memo, in
-    /// the sequential explorer's own shape, fresh per run.
-    l1: &'j mut Memo,
-    stats: SearchStats,
-    /// States visited since the last flush into `VerifyJob::states_counted`.
-    unflushed: usize,
-    /// Precomputed flush granularity (`STATE_CHUNK` capped by the budget).
-    flush_chunk: usize,
-}
-
-impl<'j> Worker<'j> {
-    fn new(job: &'j VerifyJob, l1: &'j mut Memo) -> Self {
-        let txs = job
-            .ids
-            .iter()
-            .map(|&id| job.system.get(id).expect("listed id"))
-            .collect();
-        Worker {
-            job,
-            txs,
-            positions: vec![0; job.k],
-            path: Vec::new(),
-            book: job.book.clone(),
-            sim: ScheduleSimulator::new(job.system.initial_state().clone()),
-            schedule: Schedule::empty(),
-            index: ConflictIndex::new(job.k),
-            edges: EdgeSet::empty(job.k),
-            scratch: job.memo.shape.scratch(),
-            donate_buf: Vec::new(),
-            l1,
-            stats: SearchStats::default(),
-            unflushed: 0,
-            flush_chunk: STATE_CHUNK.min(job.budget.max_states.max(1)),
-        }
-    }
-
-    /// Flushes this worker's unflushed state count into the shared total,
-    /// returning the updated total.
-    fn flush_states(&mut self) -> usize {
-        let total = self
-            .job
-            .states_counted
-            .fetch_add(self.unflushed, Ordering::Relaxed)
-            + self.unflushed;
-        self.unflushed = 0;
-        total
-    }
-
-    /// Probes the current (positions, edges) state: the private L1 first
-    /// (sequential-explorer cost, no synchronization), then — only when a
-    /// shared table exists, i.e. the pool has >1 worker — one synchronized
-    /// probe of the lock-free table, recording shared hits into the L1 so
-    /// repeat probes never reach the table again.
-    fn memo_contains(&mut self) -> bool {
-        if self
-            .l1
-            .contains(self.book.packed, &self.positions, &self.edges)
-        {
-            return true;
-        }
-        let Some(table) = &self.job.memo.table else {
-            return false;
+        let mut search = Search::new(&self.system, self.budget, true);
+        let mut driver = PoolDriver {
+            job: self,
+            counted: 0,
+            donations: Vec::new(),
         };
-        self.job.memo.shape.encode(
-            &mut self.scratch,
-            self.book.packed,
-            &self.positions,
-            &self.edges,
-        );
-        let hit = table.contains(&self.scratch);
-        if hit {
-            self.l1
-                .insert(self.book.packed, &self.positions, &self.edges);
-        }
-        hit
-    }
-
-    /// Records the current state as fully explored: into the private L1,
-    /// and — when the pool shares — via exactly one synchronized
-    /// probe-or-intern on the lock-free table so every other worker can
-    /// prune it.
-    fn memo_insert(&mut self) {
-        self.l1
-            .insert(self.book.packed, &self.positions, &self.edges);
-        if let Some(table) = &self.job.memo.table {
-            self.job.memo.shape.encode(
-                &mut self.scratch,
-                self.book.packed,
-                &self.positions,
-                &self.edges,
-            );
-            table.probe_or_intern(&self.scratch);
-        }
-    }
-
-    /// Pushes the buffered donated subtrees in one queue operation.
-    #[inline]
-    fn flush_donations(&mut self) {
-        if !self.donate_buf.is_empty() {
-            self.job.queue.push_batch(&mut self.donate_buf);
-        }
-    }
-
-    fn run(&mut self) {
-        while let Some(task) = self.job.queue.pop() {
-            self.run_task(task);
+        while let Some(prefix) = self.queue.pop() {
+            let result = search
+                .explore(&prefix, &mut driver)
+                .expect("donated prefixes are legal and proper by construction");
             debug_assert!(
-                self.donate_buf.is_empty(),
+                driver.donations.is_empty(),
                 "donations must flush by node end"
             );
-            self.flush_states();
-            self.job.queue.complete();
-        }
-        // Flush private statistics into the shared totals.
-        self.job
-            .states
-            .fetch_add(self.stats.states, Ordering::SeqCst);
-        self.job
-            .memo_hits
-            .fetch_add(self.stats.memo_hits, Ordering::SeqCst);
-        self.job
-            .completions
-            .fetch_add(self.stats.completions, Ordering::SeqCst);
-        self.job
-            .undo_ops
-            .fetch_add(self.stats.undo_ops, Ordering::SeqCst);
-    }
-
-    /// Replays `task`'s path from the empty schedule, then explores the
-    /// subtree rooted there.
-    fn run_task(&mut self, task: Task) {
-        let job = self.job;
-        self.positions.fill(0);
-        self.book.reset();
-        self.sim = ScheduleSimulator::new(job.system.initial_state().clone());
-        self.schedule = Schedule::empty();
-        self.index = ConflictIndex::new(job.k);
-        self.edges = EdgeSet::empty(job.k);
-        self.path = task.path;
-        for pi in 0..self.path.len() {
-            let i = self.path[pi] as usize;
-            let id = job.ids[i];
-            let step = self.txs[i].steps[self.positions[i] as usize];
-            if let Some(d) = self.index.edge_delta(i, &step) {
-                self.edges.union_with(&d);
+            if let Some(witness) = result.found() {
+                // The first witness recorded wins.
+                self.witness
+                    .lock()
+                    .expect("witness slot")
+                    .get_or_insert(witness);
+                self.queue.cancel();
             }
-            self.index.push(i, step);
-            self.sim
-                .apply(id, &step)
-                .expect("donated paths are legal and proper by construction");
-            self.schedule.push(ScheduledStep::new(id, step));
-            self.book.take(&mut self.positions, i);
-        }
-        debug_assert!(
-            !job.book.packable || Some(self.book.packed) == pack_positions(&self.positions),
-            "incrementally maintained packed key diverged from pack_positions"
-        );
-        // The node may have been memoized between donation and pickup by a
-        // worker that reached the same (positions, edges) state elsewhere.
-        if !self.path.is_empty() && self.memo_contains() {
-            self.stats.memo_hits += 1;
-            return;
-        }
-        if let Dfs::NotFound = self.dfs() {
-            // Mirror of the sequential parent's post-recursion insert: the
-            // subtree root is now fully explored with no witness.
-            if !self.path.is_empty() {
-                self.memo_insert();
-            }
-        }
-    }
-
-    /// Records the first witness found and cancels all workers.
-    fn offer_witness(&self) {
-        {
-            let mut w = self.job.witness.lock().expect("witness slot");
-            if w.is_none() {
-                *w = Some(self.schedule.clone());
-            }
-        }
-        self.job.queue.cancel();
-    }
-
-    fn dfs(&mut self) -> Dfs {
-        let job = self.job;
-        if job.queue.is_cancelled() {
-            return Dfs::Pruned;
-        }
-        self.stats.states += 1;
-        self.unflushed += 1;
-        if self.unflushed >= self.flush_chunk {
-            // Strictly greater: a search space of exactly `max_states`
-            // states completes (the sequential explorer only exhausts when
-            // it attempts state `max_states + 1`).
-            if self.flush_states() > job.budget.max_states {
-                job.budget_hit.store(true, Ordering::SeqCst);
+            if search.exhausted {
+                self.budget_hit.store(true, Ordering::SeqCst);
                 // Cancel the whole run so queued tasks are abandoned
-                // instead of each being explored up to its own flush
-                // boundary, keeping post-exhaustion overshoot bounded.
-                job.queue.cancel();
-                return Dfs::Pruned;
+                // instead of each being explored up to its own budget
+                // check, keeping post-exhaustion overshoot bounded.
+                self.queue.cancel();
             }
+            self.queue.complete();
         }
+        let s = search.stats;
+        let mut total = self.stats.lock().expect("statistics");
+        total.states += s.states;
+        total.memo_hits += s.memo_hits;
+        total.completions += s.completions;
+        total.undo_ops += s.undo_ops;
+    }
+}
 
-        if self.book.started == self.book.finished && self.book.started > 0 {
-            self.stats.completions += 1;
-            if self.edges.has_cycle() {
-                self.offer_witness();
-                return Dfs::Found;
-            }
-        }
+/// A pool worker's driver for the explorer's DFS.
+struct PoolDriver<'j> {
+    job: &'j VerifyJob,
+    /// How many of this worker's states are already in `job.visited`.
+    counted: usize,
+    /// Sibling subtrees awaiting a batched donation flush.
+    donations: Vec<Schedule>,
+}
 
-        let mut donated_any = false;
-        let mut explored_locally = false;
-        let mut pruned = false;
-        for i in 0..job.k {
-            let id = job.ids[i];
-            let pos = self.positions[i] as usize;
-            let Some(&step) = self.txs[i].steps.get(pos) else {
-                continue;
-            };
-            // Empty deltas — the common case — are `None` end to end, so
-            // they skip the apply/undo pair and every allocation.
-            let added = self
-                .index
-                .edge_delta(i, &step)
-                .map(|delta| self.edges.apply(&delta));
-            self.book.take(&mut self.positions, i);
-            // Memo probe before the legality gate, exactly as in the
-            // sequential explorer (see its comment for the soundness
-            // argument — it holds across workers because the simulator
-            // state is a function of positions alone).
-            if self.memo_contains() {
-                self.stats.memo_hits += 1;
-                self.book.untake(&mut self.positions, i);
-                if let Some(a) = &added {
-                    self.edges.undo(a);
-                }
-                continue;
-            }
-            // Donation ("stealing" from the donor's side): once this node
-            // has one locally explored child, viable siblings go to the
-            // batch buffer for idle workers instead of being explored
-            // here; the buffer flushes in chunks, before any local
-            // descent, and at node end.
-            if explored_locally && job.queue.idle_workers() > 0 && self.sim.check(id, &step).is_ok()
-            {
-                let mut child = self.path.clone();
-                child.push(i as u32);
-                self.donate_buf.push(Task { path: child });
-                donated_any = true;
-                if self.donate_buf.len() >= DONATE_BATCH {
-                    self.flush_donations();
-                }
-                self.book.untake(&mut self.positions, i);
-                if let Some(a) = &added {
-                    self.edges.undo(a);
-                }
-                continue;
-            }
-            let Ok(token) = self.sim.apply_undoable(id, &step) else {
-                self.book.untake(&mut self.positions, i);
-                if let Some(a) = &added {
-                    self.edges.undo(a);
-                }
-                continue;
-            };
-            // About to explore locally: donated siblings must reach the
-            // queue first, or idle workers would starve for the whole
-            // descent.
-            self.flush_donations();
-            self.schedule.push(ScheduledStep::new(id, step));
-            self.path.push(i as u32);
-            self.index.push(i, step);
-            let result = self.dfs();
-            self.index.pop();
-            self.path.pop();
-            self.schedule.pop();
-            self.sim.undo(token);
-            self.stats.undo_ops += 1;
-            match result {
-                Dfs::Found => {
-                    self.book.untake(&mut self.positions, i);
-                    if let Some(a) = &added {
-                        self.edges.undo(a);
-                    }
-                    return Dfs::Found;
-                }
-                Dfs::NotFound => {
-                    explored_locally = true;
-                    self.memo_insert();
-                }
-                Dfs::Donated => {
-                    explored_locally = true;
-                    donated_any = true;
-                }
-                Dfs::Pruned => {
-                    pruned = true;
-                }
-            }
-            self.book.untake(&mut self.positions, i);
-            if let Some(a) = &added {
-                self.edges.undo(a);
-            }
-            if pruned {
-                break;
-            }
+impl Driver for PoolDriver<'_> {
+    fn chunk(&self) -> usize {
+        STATE_CHUNK
+    }
+
+    fn cancelled(&self) -> bool {
+        self.job.queue.is_cancelled()
+    }
+
+    fn visited(&mut self, mine: usize) -> usize {
+        let new = mine - self.counted;
+        self.counted = mine;
+        self.job.visited.fetch_add(new, Ordering::Relaxed) + new
+    }
+
+    fn wants_work(&self) -> bool {
+        self.job.queue.idle_workers() > 0
+    }
+
+    fn donate(&mut self, prefix: Schedule) {
+        self.donations.push(prefix);
+        if self.donations.len() >= DONATE_BATCH {
+            self.flush();
         }
-        self.flush_donations();
-        if pruned {
-            Dfs::Pruned
-        } else if donated_any {
-            Dfs::Donated
-        } else {
-            Dfs::NotFound
-        }
+    }
+
+    fn flush(&mut self) {
+        self.job.queue.push_batch(&mut self.donations);
     }
 }
 
@@ -578,28 +193,22 @@ impl ParallelVerifier {
     /// identical to the sequential explorer's whenever neither run trips
     /// the budget; see the module docs for the determinism contract.
     pub fn verify(&self, system: &TransactionSystem, budget: SearchBudget) -> Verdict {
-        let share = self.pool.threads() > 1;
-        let job = Arc::new(VerifyJob::new(system.clone(), budget, share));
+        let queue = DonationQueue::new();
+        queue.push_batch(&mut vec![Schedule::empty()]);
+        let job = Arc::new(VerifyJob {
+            system: system.clone(),
+            budget,
+            queue,
+            visited: AtomicUsize::new(0),
+            budget_hit: AtomicBool::new(false),
+            witness: Mutex::new(None),
+            stats: Mutex::new(SearchStats::default()),
+        });
         self.pool.run(job.clone());
-        let stats = job.stats();
         let witness = job.witness.lock().expect("witness slot").take();
-        match witness {
-            Some(witness) => Verdict::Unsafe { witness, stats },
-            None if job.budget_hit.load(Ordering::SeqCst) => Verdict::Exhausted(stats),
-            None => Verdict::Safe(stats),
-        }
+        let stats = *job.stats.lock().expect("statistics");
+        Verdict::decide(witness, job.budget_hit.load(Ordering::SeqCst), stats)
     }
-}
-
-/// One-shot convenience over [`ParallelVerifier`]: spawns a pool of
-/// `threads` workers, verifies, and tears the pool down. Callers verifying
-/// many systems should hold a [`ParallelVerifier`] instead.
-pub fn verify_safety_parallel(
-    system: &TransactionSystem,
-    budget: SearchBudget,
-    threads: usize,
-) -> Verdict {
-    ParallelVerifier::new(threads).verify(system, budget)
 }
 
 #[cfg(test)]
@@ -692,7 +301,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_reported() {
         let verdict =
-            verify_safety_parallel(&two_phase_system(), SearchBudget { max_states: 3 }, 2);
+            ParallelVerifier::new(2).verify(&two_phase_system(), SearchBudget { max_states: 3 });
         assert!(matches!(verdict, Verdict::Exhausted(_)), "{verdict:?}");
     }
 
@@ -706,9 +315,10 @@ mod tests {
             .stats()
             .states;
         let verifier = ParallelVerifier::new(4);
-        // 4x headroom absorbs memo-race duplication; the single-thread
-        // exact-fit budget has no duplication and must complete too (the
-        // sequential explorer only exhausts attempting state max + 1).
+        // 4x headroom absorbs states the workers revisit; the
+        // single-thread exact-fit budget has no duplication and must
+        // complete too (the sequential explorer only exhausts attempting
+        // state max + 1).
         let budget = SearchBudget {
             max_states: 4 * true_states,
         };
@@ -726,12 +336,12 @@ mod tests {
 
     #[test]
     fn parallel_states_stay_in_the_sequential_ballpark() {
-        // Memo races may duplicate a little work, but sharing the table
+        // Workers may revisit each other's states, but their private memos
         // must keep the parallel search from degenerating to memo-less
         // exponential blowup.
         let system = two_phase_system();
         let seq = verify_safety(&system, SearchBudget::default());
-        let par = verify_safety_parallel(&system, SearchBudget::default(), 4);
+        let par = ParallelVerifier::new(4).verify(&system, SearchBudget::default());
         assert!(par.is_safe());
         assert!(
             par.stats().states <= 10 * seq.stats().states.max(1),
@@ -744,8 +354,8 @@ mod tests {
     #[test]
     fn l1_memo_state_does_not_leak_across_runs() {
         // Back-to-back verifies on the same pooled threads with different
-        // systems of the same key width: stale L1 entries from run 1 must
-        // not prune run 2 (each run builds its workers fresh L1s).
+        // systems of the same key width: stale memo entries from run 1
+        // must not prune run 2 (each run builds its workers fresh memos).
         let verifier = ParallelVerifier::new(2);
         for _ in 0..10 {
             assert!(verifier

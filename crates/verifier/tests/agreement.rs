@@ -5,9 +5,11 @@
 //! the same verdict: a legal & proper nonserializable schedule exists iff
 //! a canonical witness exists.
 
+mod reference;
+
+use reference::verify_safety_reference;
 use slp_verifier::{
-    find_canonical_witness, random_system, verify_safety, verify_safety_reference, CanonicalBudget,
-    GenParams, SearchBudget,
+    find_canonical_witness, random_system, verify_safety, CanonicalBudget, GenParams, SearchBudget,
 };
 
 fn check_agreement(params: GenParams, seeds: std::ops::Range<u64>) -> (usize, usize) {

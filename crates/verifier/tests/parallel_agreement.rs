@@ -1,25 +1,23 @@
 //! Differential harness for the work-stealing parallel safety verifier.
 //!
-//! The parallel explorer re-implements the sequential apply/undo DFS over
-//! shared state (task queue, lock-free memo table, early-cancel), which is
-//! the kind of rewrite that breeds silent divergence. This suite locks the
-//! two down:
+//! The parallel verifier runs the explorer's one DFS on a thread pool,
+//! with work donation, a budget counted across workers and early cancel —
+//! shared state that could make it drift from the sequential search. This
+//! suite locks the two down:
 //!
+//! * **One search**: a one-worker pool returns exactly
+//!   [`verify_safety`]'s verdict — witness and search statistics included
+//!   — on 156 systems.
 //! * **Verdict agreement** on 155+ seeded [`random_system`] instances
 //!   spanning the `k <= 11` (u128 edge masks, packed memo keys) and the
-//!   new `k > 11` (words edge sets, wide memo keys) regimes.
+//!   `k > 11` (words edge sets, wide memo keys) regimes.
 //! * **Witness validity**: every parallel witness replays through the
 //!   independent one-shot predicates *and* through
 //!   [`complete_schedule`]'s simulator-driven prefix replay, and is
 //!   nonserializable.
 //! * **Determinism**: repeated runs across thread counts {1, 2, 4, 8}
-//!   return a stable verdict — the canary for memo races, lost wakeups,
-//!   and early-cancel bugs.
-//! * **Memo storm**: many workers hammering concurrent `probe_or_intern`
-//!   on overlapping key sets against the lock-free
-//!   [`slp_verifier::memo::AtomicWordTable`] directly, asserting
-//!   interned-id stability (same value → same id across workers) and no
-//!   lost inserts.
+//!   return a stable verdict — the canary for lost donations, lost
+//!   wakeups, and early-cancel bugs.
 //!
 //! The differential thread count honors `SLP_VERIFIER_THREADS` (set by the
 //! CI matrix); the determinism stress always sweeps its fixed ladder.
@@ -176,6 +174,33 @@ fn parallel_agrees_with_sequential_on_150_plus_systems() {
     assert!(unsafe_seen < checked, "corpus never produced a safe system");
 }
 
+/// A one-worker pool is the sequential search: nobody is idle to take a
+/// donation, so its one worker runs the explorer's DFS over the whole
+/// space in the same order — same verdict, witness and statistics.
+#[test]
+fn a_one_worker_pool_is_the_sequential_search() {
+    let verifier = ParallelVerifier::new(1);
+    let budget = SearchBudget::default();
+    let wide_13 = GenParams {
+        transactions: 3,
+        sessions_per_tx: 1,
+        padding_txs: 10,
+        ..GenParams::default()
+    };
+    let systems = (0..150)
+        .map(|seed| (GenParams::default(), seed))
+        .chain((1000..1006).map(|seed| (wide_13, seed)));
+    for (params, seed) in systems {
+        let system = random_system(params, seed);
+        assert_eq!(
+            verifier.verify(&system, budget),
+            verify_safety(&system, budget),
+            "seed {seed} (k = {})",
+            system.ids().len()
+        );
+    }
+}
+
 /// `k = 17` exceeds the position-packing bound too, pushing both searches
 /// onto `Vec<u16>`-keyed memo tables. Built directly so the padding
 /// transactions contend on one entity and the state space stays tiny.
@@ -251,81 +276,9 @@ fn verdict_is_deterministic_across_runs_and_thread_counts() {
     }
 }
 
-/// Memo storm: 8 workers hammer concurrent `probe_or_intern` on heavily
-/// overlapping key sets (every worker walks the full key list, each in a
-/// different order, twice). The lock-free table must assign **one stable
-/// id per distinct key** no matter which worker's CAS wins, lose no
-/// insert, and answer read-only probes consistently afterwards — the
-/// direct unit-level guarantee behind the shared-memo soundness the
-/// differential suites check end-to-end.
-#[test]
-fn memo_storm_probe_or_intern_is_stable_and_lossless() {
-    use slp_verifier::memo::AtomicWordTable;
-    const KEYS: usize = 6000; // overflows the first slot + entry segments
-    const WORKERS: usize = 8;
-    let width = 3;
-    let table = AtomicWordTable::new(width);
-    // Overlapping keys with adversarially similar words (low entropy in
-    // the high word, sequential low word).
-    let keys: Vec<[u64; 3]> = (0..KEYS as u64)
-        .map(|i| [i, i.wrapping_mul(0x9e37_79b9), i % 7])
-        .collect();
-    let per_worker_ids: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|w| {
-                let table = &table;
-                let keys = &keys;
-                scope.spawn(move || {
-                    let mut ids = vec![u64::MAX; keys.len()];
-                    // A different stride per worker scrambles the visit
-                    // order, maximizing same-key CAS races; each stride is
-                    // coprime with KEYS so every worker covers every key.
-                    let stride = [1, 7, 11, 13, 17, 19, 23, 29][w];
-                    for round in 0..2 {
-                        for j in 0..keys.len() {
-                            let idx = (j * stride + round * 17) % keys.len();
-                            let (id, _) = table.probe_or_intern(&keys[idx]);
-                            if ids[idx] == u64::MAX {
-                                ids[idx] = id;
-                            } else {
-                                assert_eq!(
-                                    ids[idx], id,
-                                    "worker {w}: key {idx} changed id between rounds"
-                                );
-                            }
-                        }
-                    }
-                    ids
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    // Same value → same id across workers.
-    for w in 1..WORKERS {
-        assert_eq!(
-            per_worker_ids[0], per_worker_ids[w],
-            "worker {w} disagrees on interned ids"
-        );
-    }
-    // No lost inserts, stable under read-only probes, ids distinct.
-    let mut seen = std::collections::HashSet::new();
-    for (idx, key) in keys.iter().enumerate() {
-        let id = table.probe(key).unwrap_or_else(|| panic!("key {idx} lost"));
-        assert_eq!(id, per_worker_ids[0][idx], "probe id drifted for key {idx}");
-        assert!(seen.insert(id), "id {id} assigned to two keys");
-    }
-    // Never-inserted keys must not false-positive.
-    for i in 0..KEYS as u64 {
-        assert_eq!(table.probe(&[i, i, i.wrapping_add(1)]), None);
-    }
-    // Claims may exceed published entries only by lost same-key races.
-    assert!(table.claimed_entries() >= KEYS as u64);
-}
-
-/// The `k = 16` promise from the issue, end-to-end through the *parallel*
-/// verifier as well (the sequential arm lives in the explorer's unit
-/// tests): wide edge sets, packed positions, shared lock-free memo. Two
+/// `k = 16` end-to-end through the *parallel* verifier as well (the
+/// sequential arm lives in the explorer's unit tests): wide edge sets,
+/// packed positions, interned memo keys. Two
 /// fixed systems pin both verdict directions; one generated system with
 /// fully independent padding exercises the combinatorially larger space.
 #[test]

@@ -1,20 +1,23 @@
 //! The pre-optimization exhaustive explorer, retained as an oracle.
 //!
 //! This is the clone-per-node DFS the apply/undo explorer in
-//! [`crate::explorer`] replaced: it clones the whole [`ScheduleSimulator`]
+//! `slp_verifier::explorer` replaced: it clones the whole [`ScheduleSimulator`]
 //! at every expansion, rebuilds the schedule vector on every backtrack,
 //! rescans the entire schedule per candidate step to compute conflict
 //! edges, and keys its memo table on freshly allocated `Vec<u16>`
 //! position vectors. It is deliberately **not** optimized further —
 //! its value is that it is small, obviously faithful to the definition,
 //! and independent of the optimized search's undo/index machinery, which
-//! makes it the agreement baseline for `verifier/tests/agreement.rs`.
+//! makes it the agreement baseline for `verifier/tests/agreement.rs`, the
+//! test that includes this module.
 //!
 //! Both explorers visit candidate transactions in the same dense order, so
 //! on agreement they return *identical* verdicts, witnesses included.
 
-use crate::explorer::{SearchBudget, SearchStats, Verdict};
-use slp_core::{Schedule, ScheduleSimulator, ScheduledStep, TransactionSystem, TxId};
+use slp_core::{
+    mask_has_cycle, Schedule, ScheduleSimulator, ScheduledStep, TransactionSystem, TxId,
+};
+use slp_verifier::{SearchBudget, SearchStats, Verdict};
 use std::collections::HashSet;
 
 struct NaiveSearch<'a> {
@@ -75,7 +78,7 @@ impl<'a> NaiveSearch<'a> {
         let started_any = positions.iter().any(|&p| p > 0);
         if all_started_finished && started_any {
             self.stats.completions += 1;
-            if crate::explorer::mask_has_cycle(edges, k) {
+            if mask_has_cycle(edges, k) {
                 return Dfs::Found(schedule.clone());
             }
         }
@@ -134,7 +137,7 @@ fn schedule_pop(s: &mut Schedule) {
 }
 
 /// Decides safety of `system` exactly like
-/// [`verify_safety`](crate::explorer::verify_safety), using the retained
+/// [`verify_safety`](slp_verifier::verify_safety), using the retained
 /// clone-per-node reference DFS. Slow; use only as an oracle.
 ///
 /// # Panics
@@ -143,7 +146,7 @@ fn schedule_pop(s: &mut Schedule) {
 /// transactions: the oracle is kept byte-for-byte at its pre-`EdgeSet`
 /// state, so its raw `u128` edge masks still carry the old hard cap that
 /// the production explorers have since lifted. Wide-`k` cross-checks use
-/// the sequential [`verify_safety`](crate::explorer::verify_safety)
+/// the sequential [`verify_safety`](slp_verifier::verify_safety)
 /// instead (see `verifier/tests/parallel_agreement.rs`).
 pub fn verify_safety_reference(system: &TransactionSystem, budget: SearchBudget) -> Verdict {
     assert!(
