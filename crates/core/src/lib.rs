@@ -18,7 +18,8 @@
 //! | [`txn`] | [`Transaction`], [`LockedTransaction`], well-formedness |
 //! | [`state`] | [`StructuralState`], [`ValueState`], step definedness |
 //! | [`schedule`] | [`Schedule`], properness/legality, [`ScheduleSimulator`] |
-//! | [`sgraph`] | [`SerializationGraph`] `D(S)` with witnesses |
+//! | [`sgraph`] | [`SerializationGraph`] `D(S)` with witnesses, the batch model |
+//! | [`certifier`] | [`IncrementalCertifier`] — `D(S)` maintained online from stamped steps |
 //! | [`serializability`] | conflict-serializability tests and witnesses |
 //! | [`interaction`] | interaction multigraph + chordless cycles (Fig. 2) |
 //! | [`transform`] | Lemma 1 [`transpose`], Lemma 2 [`move_to_back`] |
@@ -53,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod canonical;
+pub mod certifier;
 pub mod display;
 pub mod entity;
 pub mod explain;
@@ -69,22 +71,20 @@ pub mod txn;
 pub mod wire;
 
 pub use canonical::{CanonicalViolation, CanonicalWitness};
+pub use certifier::{CertStats, CertViolation, IncrementalCertifier, VersionedRead};
 pub use entity::{EntityId, Universe};
 pub use explain::{explain, explain_nonserializable, Explanation};
 pub use interaction::InteractionGraph;
 pub use ops::{DataOp, LockMode, Operation};
 pub use schedule::{
-    pack_positions, Access, LegalViolation, LockTable, ProperViolation, Schedule,
-    ScheduleSimulator, ScheduledStep, SequenceError, StepError, UndoToken,
+    Access, LegalViolation, LockTable, ProperViolation, Schedule, ScheduleSimulator, ScheduledStep,
+    SequenceError, StepError, UndoToken,
 };
 pub use serializability::{
     are_conflict_equivalent, equivalent_serial_schedule, is_serializable,
     is_serializable_with_aborts,
 };
-pub use sgraph::{
-    mask_has_cycle, CertStats, CertViolation, ConflictEdge, ConflictIndex, EdgeSet,
-    IncrementalCertifier, SerializationGraph, VersionedRead,
-};
+pub use sgraph::{ConflictEdge, SerializationGraph};
 pub use state::{StructuralState, UndefinedStep, ValueState};
 pub use step::Step;
 pub use system::{SystemBuilder, TransactionSystem, TxBuilder};

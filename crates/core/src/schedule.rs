@@ -563,29 +563,6 @@ impl FromIterator<ScheduledStep> for Schedule {
     }
 }
 
-/// Packs per-transaction step counts into a `u128` memo key, 8 bits per
-/// transaction — the position half of the safety verifiers' fast-path memo
-/// keys (the edge half is an `EdgeSet` mask). `None` when the positions do
-/// not fit: more than 16 transactions or a count above 255; callers fall
-/// back to `Vec<u16>` keys.
-///
-/// Both the sequential and the parallel verifier maintain this key
-/// incrementally during search; this helper is the from-scratch definition
-/// they cross-check against (and use when seeding a search mid-schedule).
-pub fn pack_positions(positions: &[u16]) -> Option<u128> {
-    if positions.len() > 16 {
-        return None;
-    }
-    let mut packed = 0u128;
-    for (i, &p) in positions.iter().enumerate() {
-        if p > u8::MAX as u16 {
-            return None;
-        }
-        packed |= (p as u128) << (8 * i);
-    }
-    Some(packed)
-}
-
 /// A lock table tracking, per entity, the current holders and mode.
 ///
 /// Invariant (when driven only through legal grants): an entity is held

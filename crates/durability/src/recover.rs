@@ -600,27 +600,36 @@ mod tests {
 
     #[test]
     fn pruned_log_still_recovers_from_the_newest_checkpoint() {
-        let handle = SharedMemStore::new();
-        let wal = Wal::create(
-            Box::new(handle.clone()),
-            WalConfig {
+        // Two logs from identical appends; only one keeps just the newest
+        // checkpoint, dropping the segments before it.
+        let log = |keep| {
+            let handle = SharedMemStore::new();
+            let config = WalConfig {
                 segment_bytes: 128,
                 group_commit: 1,
                 checkpoint_every: 4,
                 ..WalConfig::default()
-            },
-            &StructuralState::empty(),
-        )
-        .unwrap();
-        for i in 0..20u64 {
-            wal.append_steps(&[(i, step(1, Step::insert(e(i as u32))))])
-                .unwrap();
-        }
-        wal.flush().unwrap();
-        let unpruned = recover(&handle.snapshot(), RecoveryMode::Oldest).unwrap();
-        let removed = wal.prune().unwrap();
-        assert!(removed > 0, "log must actually shrink");
-        let pruned = recover(&handle.snapshot(), RecoveryMode::Newest).unwrap();
+            };
+            let wal = Wal::create(
+                Box::new(handle.clone()),
+                config.retain_checkpoints(keep),
+                &StructuralState::empty(),
+            )
+            .unwrap();
+            for i in 0..20u64 {
+                wal.append_steps(&[(i, step(1, Step::insert(e(i as u32))))])
+                    .unwrap();
+            }
+            wal.flush().unwrap();
+            handle.snapshot()
+        };
+        let (full_log, pruned_log) = (log(0), log(1));
+        assert!(
+            pruned_log.list().unwrap().len() < full_log.list().unwrap().len(),
+            "log must actually shrink"
+        );
+        let unpruned = recover(&full_log, RecoveryMode::Oldest).unwrap();
+        let pruned = recover(&pruned_log, RecoveryMode::Newest).unwrap();
         assert_eq!(pruned.watermark, unpruned.watermark);
         assert_eq!(pruned.state, unpruned.state);
         assert!(pruned.committed_floor >= unpruned.committed_floor);

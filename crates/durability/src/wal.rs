@@ -77,8 +77,7 @@ pub struct WalConfig {
     /// Automatic retention: every time a checkpoint is written, keep only
     /// the segments anchored by the newest `n` checkpoints and remove
     /// everything older (the log-size bound for long runs). `0` — the
-    /// default — never removes anything; [`Wal::prune`] remains the
-    /// manual, keep-newest-only alternative. With `n ≥ 1` recovery from
+    /// default — never removes anything. With `n ≥ 1` recovery from
     /// any retained checkpoint still works: segments at or after the
     /// oldest retained checkpoint's segment are never touched.
     pub keep_checkpoints: usize,
@@ -197,8 +196,6 @@ struct WalCore {
     /// Commit records durable at the current watermark.
     durable_commits: u64,
     steps_since_checkpoint: u64,
-    /// Segment holding the newest checkpoint (pruning keeps it and later).
-    checkpoint_segment: u64,
     /// Segments holding the newest checkpoints, oldest first (bounded to
     /// [`WalConfig::keep_checkpoints`] when retention is on; the
     /// retention boundary is the front).
@@ -239,7 +236,6 @@ impl Wal {
             pending_commits: BinaryHeap::new(),
             durable_commits: 0,
             steps_since_checkpoint: 0,
-            checkpoint_segment: 0,
             checkpoint_segments: VecDeque::new(),
             scratch: Vec::new(),
             stats: WalSummary::default(),
@@ -338,23 +334,6 @@ impl Wal {
     /// Forces a checkpoint now (regardless of `checkpoint_every`).
     pub fn checkpoint(&self) -> Result<(), WalError> {
         self.with_core(|core| core.write_checkpoint())
-    }
-
-    /// Removes segments wholly before the newest checkpoint's segment;
-    /// returns how many were deleted. Recovery only needs the checkpoint
-    /// and the tail after it.
-    pub fn prune(&self) -> Result<u64, WalError> {
-        self.with_core(|core| {
-            let boundary = core.checkpoint_segment;
-            let mut removed = 0;
-            for index in core.store.list()? {
-                if index < boundary {
-                    core.store.remove(index)?;
-                    removed += 1;
-                }
-            }
-            Ok(removed)
-        })
     }
 
     /// Takes the log's mutex: a bounded burst of polls, then the queue
@@ -481,7 +460,7 @@ impl WalCore {
             &self.locks,
         )?;
         // The record lands in the segment current *now*; appending it may
-        // rotate afterwards, and pruning must keep the segment that holds
+        // rotate afterwards, and retention must keep the segment that holds
         // the checkpoint, not the fresh one.
         let segment_holding_checkpoint = self.current_segment;
         let appended = self.append_bytes(&frame, 1);
@@ -490,7 +469,6 @@ impl WalCore {
         self.sync()?;
         self.stats.checkpoints += 1;
         self.steps_since_checkpoint = 0;
-        self.checkpoint_segment = segment_holding_checkpoint;
         self.checkpoint_segments
             .push_back(segment_holding_checkpoint);
         self.retain()
@@ -866,35 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_drops_segments_before_the_newest_checkpoint() {
-        let handle = SharedMemStore::new();
-        let config = WalConfig {
-            segment_bytes: 96,
-            group_commit: 1,
-            checkpoint_every: 0,
-            ..WalConfig::default()
-        };
-        let wal = Wal::create(Box::new(handle.clone()), config, &StructuralState::empty()).unwrap();
-        for i in 0..40u64 {
-            wal.append_steps(&[(i, step(1, Step::lock_shared(e(i as u32))))])
-                .unwrap();
-        }
-        assert!(handle.snapshot().list().unwrap().len() > 2);
-        wal.checkpoint().unwrap();
-        // Writing the checkpoint may itself rotate; count segments after.
-        let segments_before = handle.snapshot().list().unwrap().len();
-        let removed = wal.prune().unwrap();
-        assert!(removed > 0);
-        let remaining = handle.snapshot().list().unwrap();
-        assert_eq!(remaining.len(), segments_before - removed as usize);
-        // The newest checkpoint's segment survives.
-        assert!(records_in_tail_has_checkpoint(
-            &handle.snapshot(),
-            &remaining
-        ));
-    }
-
-    #[test]
     fn retention_keeps_newest_checkpoints_and_recovery_still_works() {
         let handle = SharedMemStore::new();
         let config = WalConfig {
@@ -913,7 +862,7 @@ mod tests {
         let store = handle.snapshot();
         let segments = store.list().unwrap();
         // Checkpoint-time retention removed the oldest segments by
-        // itself (no prune() call anywhere in this test)...
+        // itself...
         assert!(segments[0] > 0, "retention must drop the oldest segments");
         // ...and the surviving tail recovers from the newest retained
         // checkpoint all the way to the full watermark.
@@ -928,18 +877,42 @@ mod tests {
         assert_eq!(oldest.state, newest.state);
     }
 
-    fn records_in_tail_has_checkpoint(store: &MemStore, segments: &[u64]) -> bool {
-        segments.iter().any(|&index| {
-            let data = store.read(index).unwrap();
-            let mut rest = &data[8..];
-            loop {
-                match decode_frame(rest) {
-                    FrameOutcome::Record(Record::Checkpoint(_), _) => return true,
-                    FrameOutcome::Record(_, tail) => rest = tail,
-                    _ => return false,
-                }
+    #[test]
+    fn prune_drops_segments_before_the_newest_checkpoint() {
+        // Keeping only the newest checkpoint: a forced checkpoint drops
+        // every segment before the one holding it, and that segment
+        // survives.
+        let handle = SharedMemStore::new();
+        let config = WalConfig {
+            segment_bytes: 96,
+            group_commit: 1,
+            checkpoint_every: 0,
+            ..WalConfig::default()
+        }
+        .retain_checkpoints(1);
+        let wal = Wal::create(Box::new(handle.clone()), config, &StructuralState::empty()).unwrap();
+        for i in 0..40u64 {
+            wal.append_steps(&[(i, step(1, Step::lock_shared(e(i as u32))))])
+                .unwrap();
+        }
+        assert!(handle.snapshot().list().unwrap().len() > 2);
+        wal.checkpoint().unwrap();
+        let store = handle.snapshot();
+        let remaining = store.list().unwrap();
+        assert!(remaining[0] > 0, "retention must drop the oldest segments");
+        assert!(segment_has_checkpoint(&store, remaining[0]));
+    }
+
+    fn segment_has_checkpoint(store: &MemStore, index: u64) -> bool {
+        let data = store.read(index).unwrap();
+        let mut rest = &data[8..];
+        loop {
+            match decode_frame(rest) {
+                FrameOutcome::Record(Record::Checkpoint(_), _) => return true,
+                FrameOutcome::Record(_, tail) => rest = tail,
+                _ => return false,
             }
-        })
+        }
     }
 
     #[test]

@@ -190,8 +190,9 @@ fn sweep_mutant_for_agreement(
             // transactions sealed at their last step) must latch its
             // violation exactly where the offline minimal prefix closes.
             let edge = closing_edge(&report.schedule);
-            let replayed = IncrementalCertifier::certify_schedule(&report.schedule)
-                .unwrap_or_else(|| panic!("{ctx}: replay must flag a nonserializable trace"));
+            let replayed =
+                IncrementalCertifier::certify_schedule_with_aborts(&report.schedule, &[])
+                    .unwrap_or_else(|| panic!("{ctx}: replay must flag a nonserializable trace"));
             assert_eq!(
                 replayed.stamp, edge,
                 "{ctx}: replay flagged at stamp {} but the minimal nonserializable prefix \
@@ -342,13 +343,13 @@ fn verdict_with_random_seals(schedule: &Schedule, rng: &mut TestRng) -> bool {
     }
     let mut cert = IncrementalCertifier::new();
     for (i, s) in steps.iter().enumerate() {
-        cert.observe(i as u64, s.tx, s.step);
+        cert.observe_trace(&[(i as u64, ScheduledStep::new(s.tx, s.step))]);
         for &tx in &seal_at[i] {
-            cert.seal(tx);
+            cert.seal_with(tx, false);
         }
     }
     for tx in seal_tail {
-        cert.seal(tx);
+        cert.seal_with(tx, false);
     }
     assert!(
         cert.stats().live_nodes < last_pos.len() || cert.violation().is_some(),
@@ -373,11 +374,11 @@ fn verdict_with_random_arrival(schedule: &Schedule, rng: &mut TestRng) -> bool {
     let mut cert = IncrementalCertifier::new();
     for idx in order {
         let s = steps[idx];
-        cert.observe(idx as u64, s.tx, s.step);
+        cert.observe_trace(&[(idx as u64, ScheduledStep::new(s.tx, s.step))]);
         let left = remaining.get_mut(&s.tx).expect("counted");
         *left -= 1;
         if *left == 0 {
-            cert.seal(s.tx);
+            cert.seal_with(s.tx, false);
         }
     }
     cert.violation().is_some()
@@ -391,7 +392,7 @@ fn truncation_and_arrival_order_never_change_a_verdict() {
         let offline_bad = !is_serializable(schedule);
         // The deterministic replay agrees before any randomization.
         assert_eq!(
-            IncrementalCertifier::certify_schedule(schedule).is_some(),
+            IncrementalCertifier::certify_schedule_with_aborts(schedule, &[]).is_some(),
             offline_bad,
             "schedule {si}: baseline replay disagrees"
         );

@@ -18,12 +18,10 @@
 //! experiment E6 cross-validates exactly that against the exhaustive
 //! explorer on randomized systems.
 
+use crate::edges::{ConflictIndex, EdgeSet};
 use crate::explorer::{complete_schedule, SearchBudget};
 use slp_core::canonical::CanonicalWitness;
-use slp_core::{
-    ConflictIndex, EdgeSet, Operation, Schedule, ScheduleSimulator, ScheduledStep,
-    TransactionSystem, TxId,
-};
+use slp_core::{Operation, Schedule, ScheduleSimulator, ScheduledStep, TransactionSystem, TxId};
 use std::fmt;
 
 /// Budget for the canonical search.

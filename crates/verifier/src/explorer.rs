@@ -22,22 +22,22 @@
 //!   [`ScheduleSimulator::undo`], restoring the simulator bit-for-bit
 //!   (LIFO discipline). [`SearchStats::undo_ops`] counts these reversals.
 //! * **O(1) schedule backtracking** via [`Schedule::pop`].
-//! * **Incremental conflict edges.** A [`slp_core::ConflictIndex`] keeps
+//! * **Incremental conflict edges.** A [`ConflictIndex`] keeps
 //!   per-entity accessor lists keyed by dense transaction indices, so the
 //!   `D(S)`-edge delta of a candidate step scans only that entity's prior
 //!   accessors instead of the whole schedule. The accumulated edge set is
-//!   **one** [`slp_core::EdgeSet`] mutated in place through its
+//!   **one** [`EdgeSet`] mutated in place through its
 //!   `apply`/`undo` pair, mirroring the simulator discipline.
 //! * **Packed memo keys.** Positions are bit-packed 8 bits per transaction
 //!   into a `u128` (maintained incrementally, definitionally equal to
-//!   [`slp_core::pack_positions`]), and probed alongside the `u128` edge
+//!   [`crate::pack_positions`]), and probed alongside the `u128` edge
 //!   mask in an `FxHashSet<(u128, u128)>` — no allocation per probe.
 //!   Systems exceeding a bound degrade gracefully instead of failing:
 //!   positions beyond the pack bound (more than 16 transactions or a
 //!   transaction longer than 255 steps) fall back to interned `Vec<u16>`
 //!   key halves, and edge sets beyond
-//!   [`slp_core::ConflictIndex::MAX_TXS`] (11) transactions fall back to
-//!   interned [`slp_core::EdgeSet`] words (the crate-private `memo`
+//!   [`EdgeSet::MAX_SMALL_TXS`] (11) transactions fall back to
+//!   interned [`EdgeSet`] words (the crate-private `memo`
 //!   module). Probes stay allocation-free — a value is cloned once, on
 //!   first insertion — so any `k` verifies; the state space is the only
 //!   limit.
@@ -65,13 +65,13 @@
 //! shuffles the candidate order at each node, which allocates the shuffled
 //! order vector; only that mode pays the allocation.
 
+use crate::edges::{ConflictIndex, EdgeSet};
 use crate::memo::Memo;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use slp_core::{
-    ConflictIndex, EdgeSet, LockedTransaction, Schedule, ScheduleSimulator, ScheduledStep,
-    TransactionSystem, TxId,
+    LockedTransaction, Schedule, ScheduleSimulator, ScheduledStep, TransactionSystem, TxId,
 };
 use std::fmt;
 
@@ -172,7 +172,7 @@ impl Verdict {
 ///
 /// * `packed` — positions bit-packed 8 bits per transaction (the position
 ///   half of the fast-path memo key, definitionally equal to
-///   [`slp_core::pack_positions`]), maintained only when `packable` (k ≤
+///   [`crate::pack_positions`]), maintained only when `packable` (k ≤
 ///   16, all |T| ≤ 255) so wide systems never shift out of range;
 /// * `started` / `finished` — how many transactions have taken at least
 ///   one step resp. run to completion, so acceptance checks need no O(k)
@@ -365,7 +365,7 @@ impl<'a> Search<'a> {
         // Completion searches never accumulate edges, so their keys always
         // qualify for the small-edge shape (their edge set stays empty and
         // zero-width).
-        let small_edges = !want_cycle || k <= ConflictIndex::MAX_TXS;
+        let small_edges = !want_cycle || k <= EdgeSet::MAX_SMALL_TXS;
         let memo = Memo::for_system(book.packable, small_edges);
         let index = want_cycle.then(|| ConflictIndex::new(k));
         Search {
@@ -414,8 +414,7 @@ impl<'a> Search<'a> {
             self.book.take(&mut self.positions, i);
         }
         debug_assert!(
-            !self.book.packable
-                || Some(self.book.packed) == slp_core::pack_positions(&self.positions),
+            !self.book.packable || Some(self.book.packed) == crate::pack_positions(&self.positions),
             "incrementally maintained packed key diverged from pack_positions"
         );
         if prefix.is_empty() {
@@ -844,7 +843,7 @@ mod tests {
 
     #[test]
     fn mask_cycle_detection() {
-        use slp_core::mask_has_cycle;
+        use crate::mask_has_cycle;
         // 3 nodes, edges 0->1, 1->2: acyclic.
         let k = 3;
         let edge = |i: usize, j: usize| 1u128 << (i * k + j);

@@ -22,6 +22,13 @@
 //! sequential explorer's differentially, and a one-worker pool to its
 //! exact result.
 //!
+//! The search state both exhaustive modes share lives in [`edges`]: the
+//! `D(S)` edge sets ([`EdgeSet`], with a `u128` fast path and a words
+//! fallback for any transaction count), the per-entity [`ConflictIndex`]
+//! that yields each step's edge delta, and the packed memo key
+//! ([`pack_positions`]). The batch graph they are tested against is
+//! [`slp_core::SerializationGraph`].
+//!
 //! Supporting modules: [`minimize`] (witness shrinking) and [`gen`]
 //! (seeded random system generation). The retained clone-per-node
 //! explorer, the agreement oracle for the optimized apply/undo DFS, lives
@@ -31,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod canonical_search;
+pub mod edges;
 pub mod explorer;
 pub mod gen;
 mod memo;
@@ -38,6 +46,7 @@ pub mod minimize;
 pub mod parallel;
 
 pub use canonical_search::{find_canonical_witness, CanonicalBudget, CanonicalOutcome};
+pub use edges::{mask_has_cycle, pack_positions, ConflictIndex, EdgeSet};
 pub use explorer::{
     complete_schedule, complete_schedule_randomized, verify_safety, SearchBudget, SearchStats,
     Verdict,

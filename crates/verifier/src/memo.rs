@@ -9,8 +9,8 @@
 //! ~25% slower on the wide k = 13 bench. Each parallel pool worker keeps
 //! its own `Memo`, so there is no synchronization here.
 
+use crate::edges::EdgeSet;
 use rustc_hash::{FxHashMap, FxHashSet};
-use slp_core::EdgeSet;
 
 /// Interns values behind dense `u32` ids so compound memo keys stay
 /// fixed-size and *small*. Probes borrow the value (`FxHashMap::get` with

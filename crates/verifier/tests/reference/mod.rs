@@ -14,10 +14,8 @@
 //! Both explorers visit candidate transactions in the same dense order, so
 //! on agreement they return *identical* verdicts, witnesses included.
 
-use slp_core::{
-    mask_has_cycle, Schedule, ScheduleSimulator, ScheduledStep, TransactionSystem, TxId,
-};
-use slp_verifier::{SearchBudget, SearchStats, Verdict};
+use slp_core::{Schedule, ScheduleSimulator, ScheduledStep, TransactionSystem, TxId};
+use slp_verifier::{mask_has_cycle, EdgeSet, SearchBudget, SearchStats, Verdict};
 use std::collections::HashSet;
 
 struct NaiveSearch<'a> {
@@ -142,7 +140,7 @@ fn schedule_pop(s: &mut Schedule) {
 ///
 /// # Panics
 ///
-/// If the system has more than [`slp_core::ConflictIndex::MAX_TXS`] (11)
+/// If the system has more than [`EdgeSet::MAX_SMALL_TXS`] (11)
 /// transactions: the oracle is kept byte-for-byte at its pre-`EdgeSet`
 /// state, so its raw `u128` edge masks still carry the old hard cap that
 /// the production explorers have since lifted. Wide-`k` cross-checks use
@@ -150,9 +148,9 @@ fn schedule_pop(s: &mut Schedule) {
 /// instead (see `verifier/tests/parallel_agreement.rs`).
 pub fn verify_safety_reference(system: &TransactionSystem, budget: SearchBudget) -> Verdict {
     assert!(
-        system.ids().len() <= slp_core::ConflictIndex::MAX_TXS,
+        system.ids().len() <= EdgeSet::MAX_SMALL_TXS,
         "the reference oracle's u128 edge masks address at most {} transactions, got {}",
-        slp_core::ConflictIndex::MAX_TXS,
+        EdgeSet::MAX_SMALL_TXS,
         system.ids().len()
     );
     let mut search = NaiveSearch {

@@ -9,7 +9,8 @@
 //! machinery the DFS leans on.
 
 use proptest::prelude::*;
-use safe_locking::core::{ConflictEdge, EdgeSet, SerializationGraph, TxId};
+use safe_locking::core::{ConflictEdge, SerializationGraph, TxId};
+use safe_locking::verifier::EdgeSet;
 
 /// Builds the equivalent `SerializationGraph` (the trusted, slow model).
 fn graph_of(k: usize, edges: &[(usize, usize)]) -> SerializationGraph {
@@ -140,14 +141,14 @@ proptest! {
     }
 
     /// `pack_positions` is the from-scratch definition of the packed memo
-    /// key both verifiers maintain incrementally: packing must equal the
+    /// key the explorer maintains incrementally: packing must equal the
     /// sum of per-transaction shifted contributions, and must refuse
     /// exactly the out-of-range shapes.
     #[test]
     fn pack_positions_matches_incremental_definition(
         positions in prop::collection::vec(0u16..300, 0..20),
     ) {
-        let packed = safe_locking::core::pack_positions(&positions);
+        let packed = safe_locking::verifier::pack_positions(&positions);
         let fits = positions.len() <= 16 && positions.iter().all(|&p| p <= 255);
         prop_assert_eq!(packed.is_some(), fits);
         if let Some(p) = packed {
