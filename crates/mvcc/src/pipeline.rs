@@ -57,9 +57,8 @@ struct Gate {
 
 #[derive(Default)]
 struct Lockers {
-    /// Unresolved writers that locked each entity, in grant order, with
-    /// their strongest mode (`true` = exclusive).
-    by_entity: FxHashMap<u32, Vec<(TxId, bool)>>,
+    /// Unresolved writers that locked each entity, in grant order.
+    by_entity: FxHashMap<u32, Vec<TxId>>,
     /// Reverse index for purging on resolution.
     footprint: FxHashMap<TxId, Vec<u32>>,
 }
@@ -72,13 +71,14 @@ struct Lockers {
 /// flipped in raw commit order, a snapshot could see the successor's
 /// version but not the predecessor's — an inconsistent cut. The pipeline
 /// records, at each lock grant, a dependency on every unresolved prior
-/// *conflicting* locker of the entity; a writer's flip is deferred until
-/// those predecessors resolve, cascading when they do. Dependencies point
-/// along the conflict order, which safe policies keep acyclic — so under
-/// a safe policy every deferred flip eventually executes. (An unsafe
-/// mutant can strand flips in a dependency cycle; that is deliberate and
-/// non-blocking — the writers stay durably committed, invisible to
-/// snapshots, and the run completes.)
+/// locker of the entity (every lock is exclusive, so every one of them
+/// conflicts); a writer's flip is deferred until those predecessors
+/// resolve, cascading when they do. Dependencies point along the conflict
+/// order, which safe policies keep acyclic — so under a safe policy every
+/// deferred flip eventually executes. (An unsafe mutant can strand flips
+/// in a dependency cycle; that is deliberate and non-blocking — the
+/// writers stay durably committed, invisible to snapshots, and the run
+/// completes.)
 ///
 /// Flips and captures share one gate mutex, so a capture never observes a
 /// half-applied cascade. The gate's `commit_clock` is distinct from the
@@ -110,30 +110,19 @@ impl CommitPipeline {
         gate.pending.insert(tx, Pending::default());
     }
 
-    /// Records that `tx` was granted a lock on `entity` (`exclusive` for
-    /// X-mode). The flip of `tx` will wait on every unresolved prior
-    /// locker of `entity` whose mode conflicts.
-    pub fn note_lock(&self, tx: TxId, entity: EntityId, exclusive: bool) {
-        let mut deps: Vec<TxId> = Vec::new();
-        {
+    /// Records that `tx` was granted a lock on `entity`. The flip of `tx`
+    /// will wait on every unresolved prior locker of `entity`.
+    pub fn note_lock(&self, tx: TxId, entity: EntityId) {
+        let deps: Vec<TxId> = {
             let mut lockers = self.lockers.lock().expect("lockers poisoned");
             let list = lockers.by_entity.entry(entity.0).or_default();
-            for &(prior, prior_exclusive) in list.iter() {
-                if prior != tx && (exclusive || prior_exclusive) {
-                    deps.push(prior);
-                }
+            let deps = list.iter().copied().filter(|&prior| prior != tx).collect();
+            if !list.contains(&tx) {
+                list.push(tx);
+                lockers.footprint.entry(tx).or_default().push(entity.0);
             }
-            match list.iter_mut().find(|(t, _)| *t == tx) {
-                Some(entry) => entry.1 |= exclusive,
-                None => {
-                    list.push((tx, exclusive));
-                    let fp = lockers.footprint.entry(tx).or_default();
-                    if !fp.contains(&entity.0) {
-                        fp.push(entity.0);
-                    }
-                }
-            }
-        }
+            deps
+        };
         if deps.is_empty() {
             return;
         }
@@ -261,7 +250,7 @@ impl CommitPipeline {
             };
             for e in fp {
                 if let Some(list) = lockers.by_entity.get_mut(&e) {
-                    list.retain(|(t, _)| t != tx);
+                    list.retain(|t| t != tx);
                 }
             }
         }
@@ -286,10 +275,10 @@ mod tests {
         let p = CommitPipeline::new();
         p.begin_writer(t(1));
         p.begin_writer(t(2));
-        p.note_lock(t(1), e(0), true);
+        p.note_lock(t(1), e(0));
         // t2 locked e0 after t1 (early release let it in) — its flip
         // must wait for t1 even though it commits first.
-        p.note_lock(t(2), e(0), true);
+        p.note_lock(t(2), e(0));
         assert_eq!(p.commit(t(2)), CommitOutcome::Deferred);
         assert_eq!(p.status_table().status(t(2)), TxStatus::InProgress);
         let s = p.capture(0, |_| 0);
@@ -308,8 +297,8 @@ mod tests {
         let p = CommitPipeline::new();
         p.begin_writer(t(1));
         p.begin_writer(t(2));
-        p.note_lock(t(1), e(0), true);
-        p.note_lock(t(2), e(0), true);
+        p.note_lock(t(1), e(0));
+        p.note_lock(t(2), e(0));
         assert_eq!(p.commit(t(2)), CommitOutcome::Deferred);
         p.abort(t(1));
         assert_eq!(p.status_table().status(t(1)), TxStatus::Aborted);
@@ -318,17 +307,6 @@ mod tests {
             TxStatus::Committed(1),
             "the abort unblocked the deferred flip"
         );
-    }
-
-    #[test]
-    fn shared_lockers_do_not_depend_on_each_other() {
-        let p = CommitPipeline::new();
-        p.begin_writer(t(1));
-        p.begin_writer(t(2));
-        p.note_lock(t(1), e(0), false);
-        p.note_lock(t(2), e(0), false);
-        assert_eq!(p.commit(t(2)), CommitOutcome::Flipped);
-        assert_eq!(p.commit(t(1)), CommitOutcome::Flipped);
     }
 
     #[test]

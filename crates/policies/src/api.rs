@@ -231,7 +231,7 @@ impl From<TreeLockViolation> for PolicyViolation {
 /// promises that, for the plain lock/access vocabulary
 /// ([`PolicyAction::Lock`] / [`PolicyAction::Access`] /
 /// [`PolicyAction::Read`] / [`PolicyAction::Write`]), granting is purely
-/// a function of the requested entity's *current holder set* — so an
+/// a function of the requested entity's *current holder* — so an
 /// atomic per-entity lock word can take the decision without consulting
 /// the engine at all. The promise extends to release discipline:
 /// fast-path transactions hold every lock to commit (no early release,
@@ -245,7 +245,7 @@ pub enum GrantScope {
     #[default]
     Global,
     /// A grant for the plain lock/access vocabulary depends only on the
-    /// requested entity's holder set: eligible requests may be decided by
+    /// requested entity's holder: eligible requests may be decided by
     /// a per-entity atomic lock word, bypassing the engine entirely.
     PerEntity,
 }
@@ -414,7 +414,7 @@ pub trait PolicyEngine: Send + Sync {
     /// How much shared state this engine's grant decisions read — see
     /// [`GrantScope`]. Defaults to [`GrantScope::Global`] (every request
     /// serializes on the engine); only engines whose grants are purely
-    /// per-entity (a plain exclusive/shared lock manager) should return
+    /// per-entity (a plain exclusive lock manager) should return
     /// [`GrantScope::PerEntity`].
     fn grant_scope(&self) -> GrantScope {
         GrantScope::Global

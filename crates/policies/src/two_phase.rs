@@ -85,7 +85,7 @@ use slp_core::TxId;
 ///
 /// Internally this is an [`AltruisticEngine`]: strict 2PL is altruistic
 /// locking whose plans never donate, so AL2 never fires and the engine
-/// serves as a plain exclusive/shared lock manager with at-most-once
+/// serves as a plain exclusive lock manager with at-most-once
 /// bookkeeping. The newtype exists so the registry and reports can tell
 /// the two policies apart — the *planner* is what makes 2PL two-phase.
 #[derive(Clone, Debug, Default)]

@@ -653,7 +653,7 @@ fn run_attempt(
         Ok(p) => p,
         Err(v) => return classify(&mut rec.tally, &v),
     };
-    let mut at = service.attempt(tx, planned.as_deref(), job, &mut rec.tally);
+    let mut at = service.attempt(tx, planned.as_deref(), &mut rec.tally);
     let plan = match service.begin(&at, &planner.intent(job)) {
         Ok(engine_plan) => match planned.or(engine_plan) {
             Some(plan) => plan,
@@ -826,12 +826,8 @@ mod tests {
 
         let holder_plan = [PolicyAction::Lock(hot), PolicyAction::Access(hot)];
         let mut holder_rec = Recorder::default();
-        let mut holder: Attempt = service.attempt(
-            TxId(1),
-            Some(&holder_plan),
-            &Job::access(vec![hot]),
-            &mut holder_rec.tally,
-        );
+        let mut holder: Attempt =
+            service.attempt(TxId(1), Some(&holder_plan), &mut holder_rec.tally);
         service
             .begin(&holder, &AccessIntent::empty())
             .expect("begin");

@@ -13,14 +13,15 @@
 //! # DAG construction
 //!
 //! Vertices are jobs in admission order. Two jobs get an edge iff they
-//! declare operations on a common entity and the operations are not both
-//! read-class ([`DataOp::conflicts_with`] — the data-op projection of
-//! the paper's benign set `{R, LS, US}`); the edge always points from
-//! the lower admission index to the higher, so the DAG is acyclic by
-//! construction. A job's *wave* is its longest-path depth: wave 0 is the
-//! conflict-free frontier, wave `n + 1` everything whose newest
-//! conflicting predecessor sits in wave `n`. Jobs inside one wave are
-//! pairwise conflict-free **by declared intent** and run concurrently.
+//! declare a common entity, whatever they declare doing with it: every
+//! engine the runtime serves, and the word path in front of them, locks
+//! exclusively, so two jobs on one entity always conflict at grant time.
+//! The edge always points from the lower admission index to the higher,
+//! so the DAG is acyclic by construction. A job's *wave* is its
+//! longest-path depth: wave 0 is the conflict-free frontier, wave `n + 1`
+//! everything whose newest conflicting predecessor sits in wave `n`.
+//! Jobs inside one wave are pairwise conflict-free **by declared intent**
+//! and run concurrently.
 //!
 //! Structural jobs (inserts/deletes — anything that changes what exists)
 //! *fence* the batch: the fence runs in a wave of its own, strictly
@@ -51,9 +52,9 @@
 //!   shared racing counter),
 //! * per-entity engines run waves concurrently (their plain lock/access
 //!   plans cover exactly the declared set, so waves are genuinely
-//!   conflict-free); global-scope engines — whose lock footprint may
-//!   exceed the declared intent — execute each wave's jobs one at a
-//!   time, in admission order,
+//!   conflict-free, with the grant fast path on and off); global-scope
+//!   engines — whose lock footprint may exceed the declared intent —
+//!   execute each wave's jobs one at a time, in admission order,
 //! * and the merged trace is *renumbered* after the run: steps are
 //!   regrouped per job in admission order and restamped densely. Only
 //!   steps of non-conflicting transactions ever trade places (a
@@ -67,7 +68,7 @@
 //! fence together.
 
 use rustc_hash::FxHashMap;
-use slp_core::{DataOp, EntityId};
+use slp_core::EntityId;
 use slp_policies::{ActionPlanner, Job};
 use std::sync::{Condvar, Mutex};
 
@@ -95,50 +96,31 @@ pub(crate) struct WavePlan {
     /// Job indices per wave, admission-ordered within each wave.
     pub waves: Vec<Vec<usize>>,
     /// Conflict edges resolved by wave ordering instead of parking: one
-    /// per immediate predecessor relation (latest mutator → next
-    /// accessor, readers-since → next mutator) on each shared entity,
-    /// plus the admission-order edges a structural fence pins.
+    /// per touched entity an earlier job already touched (its latest
+    /// toucher → this job). The admission-order edges a structural fence
+    /// pins are not counted.
     pub conflict_edges: u64,
 }
 
-/// Per-entity layering state while the batch is scanned in admission
-/// order.
-#[derive(Default)]
-struct EntityTrack {
-    /// Wave of the latest mutate-class job touching the entity.
-    last_mut_wave: Option<usize>,
-    /// Highest wave among read-class jobs since that mutator.
-    max_read_wave: Option<usize>,
-    /// How many read-class jobs accessed the entity since the last
-    /// mutator (each is an edge source for the next mutator).
-    readers_since: u64,
-}
-
 impl WavePlan {
-    /// Layers `jobs` into conflict-free waves from the access classes
-    /// `planner` declares (falling back to the job's own shape when the
-    /// planner declares nothing — on-demand policies like 2PL).
+    /// Layers `jobs` into conflict-free waves from the entities `planner`
+    /// declares (falling back to the job's own shape when the planner
+    /// declares nothing — on-demand policies like 2PL).
     pub fn build(jobs: &[Job], planner: &dyn ActionPlanner) -> WavePlan {
         let mut waves: Vec<Vec<usize>> = Vec::new();
-        let mut tracks: FxHashMap<EntityId, EntityTrack> = FxHashMap::default();
+        // The wave of the latest job touching each entity.
+        let mut last_wave: FxHashMap<EntityId, usize> = FxHashMap::default();
         let mut conflict_edges = 0u64;
         // Jobs admitted after a structural fence start at `floor`; the
         // fence itself occupies `max_wave + 1` alone.
         let mut floor = 0usize;
         for (ji, job) in jobs.iter().enumerate() {
-            let (accesses, structural) = job_access_classes(planner, job);
+            let (touched, structural) = job_access_classes(planner, job);
             let mut wave = floor;
-            for &(e, mutates) in &accesses {
-                let t = tracks.entry(e).or_default();
-                if let Some(w) = t.last_mut_wave {
+            for e in &touched {
+                if let Some(&w) = last_wave.get(e) {
                     wave = wave.max(w + 1);
                     conflict_edges += 1;
-                }
-                if mutates {
-                    if let Some(w) = t.max_read_wave {
-                        wave = wave.max(w + 1);
-                    }
-                    conflict_edges += t.readers_since;
                 }
             }
             if structural {
@@ -148,16 +130,8 @@ impl WavePlan {
                 wave = wave.max(waves.len());
                 floor = wave + 1;
             }
-            for &(e, mutates) in &accesses {
-                let t = tracks.entry(e).or_default();
-                if mutates {
-                    t.last_mut_wave = Some(t.last_mut_wave.map_or(wave, |w| w.max(wave)));
-                    t.max_read_wave = None;
-                    t.readers_since = 0;
-                } else {
-                    t.max_read_wave = Some(t.max_read_wave.map_or(wave, |w| w.max(wave)));
-                    t.readers_since += 1;
-                }
+            for e in touched {
+                last_wave.insert(e, wave);
             }
             if wave >= waves.len() {
                 waves.resize_with(wave + 1, Vec::new);
@@ -171,38 +145,24 @@ impl WavePlan {
     }
 }
 
-/// The access classes one job declares: `(entity, mutate-class)` pairs
-/// plus whether the job is structural (fences the batch).
+/// The entities one job declares it touches, plus whether the job is
+/// structural (fences the batch).
 ///
 /// The planner's [`AccessIntent`](slp_policies::AccessIntent) is the
-/// source of truth when non-empty. On-demand planners declare nothing,
-/// so the classes fall back to the job's own shape — with one deliberate
-/// asymmetry: a read-only job is read-class only when single-target,
-/// because that is the only shape the runtime guarantees a *shared*
-/// lock for (the fast path's shared mode); a multi-target read job may
-/// be locked exclusively and must be scheduled as a mutator.
-fn job_access_classes(planner: &dyn ActionPlanner, job: &Job) -> (Vec<(EntityId, bool)>, bool) {
+/// source of truth when non-empty; on-demand planners declare nothing, so
+/// the entities fall back to the job's own shape. What the job does with
+/// an entity — read-only or not — never matters: every lock is exclusive.
+fn job_access_classes(planner: &dyn ActionPlanner, job: &Job) -> (Vec<EntityId>, bool) {
     let intent = planner.intent(job);
-    let mut structural = job.insert_under.is_some();
     if !intent.is_empty() {
-        let accesses = intent
-            .ops
-            .iter()
-            .map(|(&e, ops)| {
-                structural |= ops.iter().any(|o| o.is_structural());
-                (e, ops.iter().any(|&o| o.conflicts_with(DataOp::Read)))
-            })
-            .collect();
-        return (accesses, structural);
+        let structural =
+            job.insert_under.is_some() || intent.ops.values().flatten().any(|o| o.is_structural());
+        return (intent.ops.into_keys().collect(), structural);
     }
-    if let Some(ins) = job.insert_under {
-        return (vec![(ins.parent, true), (ins.node, true)], true);
+    match job.insert_under {
+        Some(ins) => (vec![ins.parent, ins.node], true),
+        None => (job.targets.clone(), false),
     }
-    let shared = job.read_only && job.targets.len() == 1;
-    (
-        job.targets.iter().map(|&t| (t, !shared)).collect(),
-        structural,
-    )
 }
 
 /// The wave-dispatch cursor the workers claim jobs from: hands out the
@@ -281,6 +241,7 @@ impl WaveDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slp_core::DataOp;
     use slp_policies::{AccessIntent, PolicyAction, PolicyEngine, PolicyViolation};
 
     /// Declares exactly the job's targets (read+write, or read for
@@ -360,9 +321,9 @@ mod tests {
     }
 
     #[test]
-    fn readers_share_a_wave_and_fan_into_the_next_writer() {
-        // W(0) ; R(0) R(0) R(0) ; W(0) — the stratus read-class rule:
-        // the readers pack one wave, the next writer waits for them all.
+    fn read_declared_intents_chain_one_wave_each_like_writers() {
+        // W(0) ; R(0) R(0) R(0) ; W(0): declared reads still lock
+        // exclusively, so every job on e(0) waits for the one before.
         let jobs = vec![
             Job::access(vec![e(0)]),
             Job::read(vec![e(0)]),
@@ -371,9 +332,11 @@ mod tests {
             Job::access(vec![e(0)]),
         ];
         let plan = WavePlan::build(&jobs, &DeclaringPlanner);
-        assert_eq!(plan.waves, vec![vec![0], vec![1, 2, 3], vec![4]]);
-        // writer→reader ×3, reader→writer ×3, writer→writer ×1.
-        assert_eq!(plan.conflict_edges, 7);
+        assert_eq!(
+            plan.waves,
+            vec![vec![0], vec![1], vec![2], vec![3], vec![4]]
+        );
+        assert_eq!(plan.conflict_edges, 4, "one edge per adjacent pair");
     }
 
     #[test]
@@ -395,17 +358,17 @@ mod tests {
     fn silent_planners_fall_back_to_the_job_shape() {
         let jobs = vec![
             Job::access(vec![e(0), e(1)]),
-            // Single-target read: the only shape guaranteed a shared
-            // lock — read-class, shares the writer's *next* wave with
-            // nothing on e(0) until the writer is done.
+            // Single-target reads lock exclusively, like writers: one
+            // wave each.
             Job::read(vec![e(0)]),
             Job::read(vec![e(0)]),
-            // Multi-target read: may be locked exclusively, so it is
-            // scheduled as a mutator.
             Job::read(vec![e(0), e(1)]),
+            // Disjoint from everything: the frontier.
+            Job::read(vec![e(2)]),
         ];
         let plan = WavePlan::build(&jobs, &SilentPlanner);
-        assert_eq!(plan.waves, vec![vec![0], vec![1, 2], vec![3]]);
+        assert_eq!(plan.waves, vec![vec![0, 4], vec![1], vec![2], vec![3]]);
+        assert_eq!(plan.conflict_edges, 4);
     }
 
     #[test]

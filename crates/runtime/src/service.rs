@@ -14,8 +14,10 @@
 //!   ([`slp_policies::GrantScope::PerEntity`] engines, see
 //!   [`crate::fastpath`]) a plain lock/access plan is decided by the
 //!   entities' own atomic words alone, and the service synthesizes the
-//!   steps the engine would have emitted. The engine `RwLock` is never
-//!   touched after planning.
+//!   steps the engine would have emitted. Every word is taken
+//!   exclusively, as every engine lock is, so a job locks the same way in
+//!   both modes, read-only or not. The engine `RwLock` is never touched
+//!   after planning.
 //!
 //! The words are the grant authority in *both* modes: a `Lock` on a
 //! covered entity first takes the entity's word through the one
@@ -144,21 +146,11 @@ fn stripe_index(e: EntityId) -> usize {
     e.0 as usize % STRIPES
 }
 
-fn lock_mode(shared: bool) -> LockMode {
-    if shared {
-        LockMode::Shared
-    } else {
-        LockMode::Exclusive
-    }
-}
-
 /// Where an attempt's granted steps come from (see the module docs).
 #[derive(Clone, Copy)]
 enum GrantMode {
-    /// The lock words decide and the service synthesizes the steps;
-    /// `shared` (a read-only single-lock plan) takes its word in shared
-    /// mode and emits read-only steps.
-    Words { shared: bool },
+    /// The lock words decide and the service synthesizes the steps.
+    Words,
     /// The engine rules under its write lock and returns the steps.
     Engine,
 }
@@ -180,8 +172,7 @@ pub(crate) struct Attempt {
 pub(crate) enum Outcome {
     /// The action was granted and its steps recorded.
     Granted,
-    /// `entity` is held against the requester by `holder` (for a shared
-    /// word, the episode's representative reader).
+    /// `entity` is held against the requester by `holder`.
     Conflict {
         entity: EntityId,
         holder: TxId,
@@ -195,37 +186,35 @@ pub(crate) enum Outcome {
     Violation(PolicyViolation),
 }
 
-/// Whether `plan` can run in words mode, and how: `Some(shared)` when
-/// every action is a plain [`PolicyAction::Lock`] / [`PolicyAction::Access`]
-/// over word-covered entities, each entity is locked at most once, and
-/// every access follows its lock — the shape
-/// [`slp_policies::GrantScope::PerEntity`] promises the engine decides
-/// from per-entity state alone. `shared` (read-only job, single lock)
-/// takes the word in shared mode; everything else is exclusive. `None`
-/// (no plan, donations, locked points, structural ops, relocks, uncovered
+/// Whether `plan` can run in words mode: every action is a plain
+/// [`PolicyAction::Lock`] / [`PolicyAction::Access`] over word-covered
+/// entities, each entity is locked at most once, and every access follows
+/// its lock — the shape [`slp_policies::GrantScope::PerEntity`] promises
+/// the engine decides from per-entity state alone. Anything else (no
+/// plan, donations, locked points, structural ops, relocks, uncovered
 /// entities) leaves the attempt in engine mode.
-fn fast_plan_mode(words: &LockWords, plan: &[PolicyAction], job: &Job) -> Option<bool> {
+fn fast_plan_mode(words: &LockWords, plan: &[PolicyAction]) -> bool {
     if plan.is_empty() {
-        return None;
+        return false;
     }
     let mut locked: Vec<EntityId> = Vec::with_capacity(plan.len() / 2 + 1);
     for action in plan {
         match *action {
             PolicyAction::Lock(e) => {
                 if !words.covers(e) || locked.contains(&e) {
-                    return None;
+                    return false;
                 }
                 locked.push(e);
             }
             PolicyAction::Access(e) => {
                 if !locked.contains(&e) {
-                    return None;
+                    return false;
                 }
             }
-            _ => return None,
+            _ => return false,
         }
     }
-    Some(job.read_only && locked.len() == 1)
+    true
 }
 
 /// One worker's accounting: plain integers only it touches, summed
@@ -545,9 +534,9 @@ impl LockService {
         // One bump + notify per stripe per batch.
         let mut released = 0u64;
         for (_, s) in recorded {
-            if let Operation::Unlock(mode) = s.step.op {
+            if s.step.is_unlock() {
                 if let Some(words) = &self.words {
-                    words.release(s.step.entity, tx, mode == LockMode::Shared);
+                    words.release(s.step.entity, tx);
                 }
                 released |= 1 << stripe_index(s.step.entity);
             }
@@ -713,10 +702,7 @@ impl LockService {
             let stamp = base + i as u64;
             if let Some(m) = &self.mvcc {
                 match s.op {
-                    Operation::Lock(mode) => {
-                        m.pipeline
-                            .note_lock(tx, s.entity, mode == LockMode::Exclusive)
-                    }
+                    Operation::Lock(_) => m.pipeline.note_lock(tx, s.entity),
                     Operation::Data(DataOp::Write) | Operation::Data(DataOp::Insert) => {
                         m.store.install(s.entity, tx, stamp)
                     }
@@ -744,16 +730,10 @@ impl LockService {
     /// microseconds unless it is off-CPU or the pair is deadlocked, and
     /// both of those fall through to the park path, where the waits-for
     /// walk and the futex are.
-    fn acquire_word(
-        &self,
-        words: &LockWords,
-        e: EntityId,
-        tx: TxId,
-        shared: bool,
-    ) -> Result<bool, (TxId, u64)> {
+    fn acquire_word(&self, words: &LockWords, e: EntityId, tx: TxId) -> Result<bool, (TxId, u64)> {
         let mut polls = WORD_POLLS;
         loop {
-            match words.try_acquire(e, tx, shared) {
+            match words.try_acquire(e, tx) {
                 Ok(()) => return Ok(true),
                 Err(holder) if holder != tx && polls > 0 => {
                     polls -= 1;
@@ -763,7 +743,7 @@ impl LockService {
                 Err(_) => {}
             }
             let gen = *self.stripe(e).gen.lock().expect("stripe lock");
-            match words.conflicting_holder(e, shared) {
+            match words.conflicting_holder(e) {
                 None => continue,
                 Some(holder) if holder == tx => return Ok(false),
                 Some(holder) => return Err((holder, gen)),
@@ -778,7 +758,7 @@ impl LockService {
     /// (stripe-lock holders never take the engine lock).
     fn hand_back(&self, fresh: Option<EntityId>, tx: TxId) {
         if let (Some(e), Some(words)) = (fresh, &self.words) {
-            if words.release(e, tx, false) {
+            if words.release(e, tx) {
                 self.bump(stripe_index(e));
             }
         }
@@ -798,22 +778,14 @@ impl LockService {
     /// when the run has a word table and [`fast_plan_mode`] accepts
     /// `plan`, engine mode otherwise — which, in a run with a word table,
     /// is a counted fallback ([`Tally::fast_path_fallbacks`]).
-    pub fn attempt(
-        &self,
-        tx: TxId,
-        plan: Option<&[PolicyAction]>,
-        job: &Job,
-        tally: &mut Tally,
-    ) -> Attempt {
+    pub fn attempt(&self, tx: TxId, plan: Option<&[PolicyAction]>, tally: &mut Tally) -> Attempt {
         let mode = match &self.words {
             None => GrantMode::Engine,
-            Some(words) => match plan.and_then(|plan| fast_plan_mode(words, plan, job)) {
-                Some(shared) => GrantMode::Words { shared },
-                None => {
-                    tally.fast_path_fallbacks += 1;
-                    GrantMode::Engine
-                }
-            },
+            Some(words) if plan.is_some_and(|plan| fast_plan_mode(words, plan)) => GrantMode::Words,
+            Some(_) => {
+                tally.fast_path_fallbacks += 1;
+                GrantMode::Engine
+            }
         };
         Attempt {
             tx,
@@ -834,7 +806,7 @@ impl LockService {
         intent: &AccessIntent,
     ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
         let plan = match at.mode {
-            GrantMode::Words { .. } => None,
+            GrantMode::Words => None,
             GrantMode::Engine => {
                 let mut engine = self.engine.write().expect("engine lock poisoned");
                 engine.begin(at.tx, intent)?
@@ -849,12 +821,11 @@ impl LockService {
     /// Decides one `action` of the attempt and records the granted steps
     /// into `rec`. A `Lock` on a word-covered entity takes the word
     /// first, in either mode; then words mode synthesizes exactly the
-    /// steps the engine would emit (`lock`; `read`+`write` under an
-    /// exclusive hold, `read` under a shared one — so traces stay
-    /// step-for-step comparable across modes) without touching the engine
-    /// lock, and engine mode asks the engine under its write lock, one
-    /// action per section, handing a freshly taken word back if the
-    /// engine refuses.
+    /// steps the engine would emit (`lock`, then `read`+`write` per
+    /// access, whatever the job declares — so traces stay step-for-step
+    /// comparable across modes) without touching the engine lock, and
+    /// engine mode asks the engine under its write lock, one action per
+    /// section, handing a freshly taken word back if the engine refuses.
     pub fn request(&self, at: &mut Attempt, action: PolicyAction, rec: &mut Recorder) -> Outcome {
         let tx = at.tx;
         let Recorder {
@@ -863,11 +834,10 @@ impl LockService {
             ..
         } = rec;
         let from = trace.len();
-        let shared = matches!(at.mode, GrantMode::Words { shared: true });
         let mut fresh = None;
         if let (PolicyAction::Lock(e), Some(words)) = (action, &self.words) {
             if words.covers(e) {
-                match self.acquire_word(words, e, tx, shared) {
+                match self.acquire_word(words, e, tx) {
                     Ok(taken) => fresh = taken.then_some(e),
                     Err((holder, gen)) => {
                         return Outcome::Conflict {
@@ -880,13 +850,12 @@ impl LockService {
             }
         }
         let (outcome, path) = match at.mode {
-            GrantMode::Words { .. } => {
+            GrantMode::Words => {
                 match action {
                     PolicyAction::Lock(e) => {
                         at.held.push(e);
-                        self.record(tx, [Step::lock(lock_mode(shared), e)], trace);
+                        self.record(tx, [Step::lock(LockMode::Exclusive, e)], trace);
                     }
-                    PolicyAction::Access(e) if shared => self.record(tx, [Step::read(e)], trace),
                     PolicyAction::Access(e) => {
                         self.record(tx, [Step::read(e), Step::write(e)], trace)
                     }
@@ -983,12 +952,12 @@ impl LockService {
         let attempt = &mut rec.steps;
         let from = attempt.len();
         match at.mode {
-            GrantMode::Words { shared } => {
+            GrantMode::Words => {
                 at.held.sort_unstable();
                 let unlocks = at.held.drain(..);
                 self.record(
                     tx,
-                    unlocks.map(|e| Step::unlock(lock_mode(shared), e)),
+                    unlocks.map(|e| Step::unlock(LockMode::Exclusive, e)),
                     attempt,
                 );
             }
@@ -1228,7 +1197,7 @@ mod tests {
 
         let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
         let mut rec = Recorder::default();
-        let mut at = service.attempt(tx, Some(&plan), &Job::access(vec![e]), &mut rec.tally);
+        let mut at = service.attempt(tx, Some(&plan), &mut rec.tally);
         service.begin(&at, &AccessIntent::empty()).expect("begin");
         for action in plan {
             assert!(matches!(
@@ -1344,25 +1313,21 @@ mod tests {
     #[test]
     fn a_conflict_generation_never_outlives_the_release() {
         let e = EntityId(0);
-        let job = Job::access(vec![e]);
         let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
         // `None` for a plan leaves the attempt in engine mode.
         for tx2_plan in [Some(&plan[..]), None] {
             let service = service_over_e0(true);
             // One recorder per attempt, as if two workers ran them.
             let (mut rec1, mut rec2) = (Recorder::default(), Recorder::default());
-            let mut tx1 = service.attempt(TxId(1), Some(&plan), &job, &mut rec1.tally);
+            let mut tx1 = service.attempt(TxId(1), Some(&plan), &mut rec1.tally);
             service.begin(&tx1, &AccessIntent::empty()).expect("begin");
             assert!(matches!(
                 service.request(&mut tx1, plan[0], &mut rec1),
                 Outcome::Granted
             ));
 
-            let mut tx2 = service.attempt(TxId(2), tx2_plan, &job, &mut rec2.tally);
-            assert_eq!(
-                matches!(tx2.mode, GrantMode::Words { .. }),
-                tx2_plan.is_some()
-            );
+            let mut tx2 = service.attempt(TxId(2), tx2_plan, &mut rec2.tally);
+            assert_eq!(matches!(tx2.mode, GrantMode::Words), tx2_plan.is_some());
             service.begin(&tx2, &AccessIntent::empty()).expect("begin");
             let Outcome::Conflict {
                 entity,

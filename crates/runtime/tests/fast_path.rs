@@ -6,11 +6,12 @@
 //! * **Width-1 equivalence** — with one worker, fast-on and fast-off
 //!   runs of the same jobs produce *byte-identical* schedules: the fast
 //!   path emits exactly the steps the engine would (lock / read+write /
-//!   ascending unlocks), stamped by the same counter in the same order.
+//!   ascending unlocks) for every job shape, read-only jobs included,
+//!   stamped by the same counter in the same order.
 //! * **Fast/slow interleaving** — a hot single entity hammered by
-//!   fast-path workers, engine-path workers (their planner emits a
-//!   locked point, which is fast-ineligible by design), and shared-mode
-//!   readers at once: both grant paths must agree on one lock word with
+//!   fast-path workers and engine-path workers (their planner emits a
+//!   locked point, which is fast-ineligible by design), with read-only
+//!   jobs among them: both grant paths must agree on one lock word with
 //!   no lost wakeups, no double grants, and a serializable merged trace.
 //!
 //! The stamp-ordering contract under test throughout: an acquire's stamp
@@ -128,10 +129,19 @@ fn global_scope_engines_ignore_the_knob() {
 fn width_one_schedules_are_identical_fast_on_and_off() {
     // At one worker there is no interleaving: the fast path must emit
     // byte-for-byte the schedule the engine path emits — same steps,
-    // same stamps, same outcomes — across several seeds.
+    // same stamps, same outcomes — across several seeds. Every other job
+    // is a single-target read, which the engine locks `LX R W UX` like
+    // any other job: the words must take it the same way.
     let pool: Vec<EntityId> = (0..16).map(EntityId).collect();
     for seed in 0..6u64 {
-        let jobs = uniform_jobs(&pool, 30, 3, seed);
+        let jobs: Vec<Job> = uniform_jobs(&pool, 30, 3, seed)
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, job)| {
+                let read = pool[(i * 5 + seed as usize) % pool.len()];
+                [job, Job::read(vec![read])]
+            })
+            .collect();
         let run = |fast: bool| {
             let mut rt =
                 Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone())).unwrap();
@@ -185,11 +195,11 @@ fn fast_and_slow_paths_interleave_on_one_hot_entity() {
     // The dual-path stress the tentpole demands: ONE entity, 8 workers.
     // Even workers plan plain lock/access (fast path); odd workers plan
     // through LockedPointPlanner (engine path, counted as fallbacks);
-    // every third job is read-only (shared-mode fast grants). Both paths
-    // contend on the same lock word, so a coherence bug — a double
-    // grant, a lost wakeup, a release the other path missed — surfaces
-    // as an illegal or nonserializable trace, a stuck run (10 s park
-    // backstop), or a leaked lock.
+    // every third job is read-only, and takes the word exclusively like
+    // the writers do. Both paths contend on the same lock word, so a
+    // coherence bug — a double grant, a lost wakeup, a release the other
+    // path missed — surfaces as an illegal or nonserializable trace, a
+    // stuck run (10 s park backstop), or a leaked lock.
     let pool = vec![EntityId(0)];
     let jobs: Vec<Job> = (0..240)
         .map(|i| {
@@ -304,30 +314,4 @@ fn a_refused_engine_mode_lock_gives_its_word_back() {
     );
     assert!(report.fast_path_grants > 0, "words mode never ran");
     assert!(report.slow_path_grants > 0, "engine mode never ran");
-}
-
-#[test]
-fn shared_mode_readers_overlap_on_the_word() {
-    // Pure single-target readers, fast on: every grant takes the word in
-    // shared mode, emits read-only steps, and the run stays serializable
-    // with zero conflicts only if readers genuinely share (an exclusive
-    // mis-grant would serialize them and a word-count bug would leak).
-    let pool = vec![EntityId(0)];
-    let jobs: Vec<Job> = (0..120).map(|_| Job::read(vec![EntityId(0)])).collect();
-    let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool)).unwrap();
-    let report = rt.run(&jobs, &conf(8, true));
-    verify(&report, jobs.len(), "shared readers");
-    assert_eq!(report.slow_path_grants, 0);
-    assert_eq!(
-        report.lock_waits, 0,
-        "shared locks on one entity never conflict with each other"
-    );
-    assert!(
-        report
-            .schedule
-            .steps()
-            .iter()
-            .all(|s| !s.step.op.is_mutation()),
-        "read-only jobs must emit no writes on the shared fast path"
-    );
 }

@@ -20,7 +20,7 @@ use safe_locking::policies::{
 use safe_locking::runtime::{Runtime, RuntimeConfig};
 use safe_locking::sim::{
     build_adapter, dag_access_jobs, dag_mixed_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag,
-    long_short_jobs, run_sim, uniform_jobs, SimConfig,
+    long_short_jobs, read_heavy_jobs, run_sim, uniform_jobs, SimConfig,
 };
 
 /// One shared workload: jobs plus the config to run them under.
@@ -31,7 +31,8 @@ struct Workload {
 }
 
 /// The shared flat-pool workloads (seeded, deterministic): a uniform mix,
-/// the long-scan regime, and the large-contention hot set.
+/// the long-scan regime, the large-contention hot set, and single-target
+/// jobs half of which are read-only.
 fn flat_workloads(pool: &[EntityId], seed: u64) -> Vec<Workload> {
     vec![
         Workload {
@@ -48,6 +49,11 @@ fn flat_workloads(pool: &[EntityId], seed: u64) -> Vec<Workload> {
             name: "large-contention",
             jobs: hot_cold_jobs(pool, 80, 3, 4, 0.8, seed),
             workers: 8,
+        },
+        Workload {
+            name: "read-heavy",
+            jobs: read_heavy_jobs(pool, 30, 1, 4, 0.5, seed),
+            workers: 4,
         },
     ]
 }
