@@ -19,13 +19,13 @@
 //! | [`state`] | [`StructuralState`], [`ValueState`], step definedness |
 //! | [`schedule`] | [`Schedule`], properness/legality, [`ScheduleSimulator`] |
 //! | [`sgraph`] | [`SerializationGraph`] `D(S)` with witnesses, the batch model |
-//! | [`certifier`] | [`IncrementalCertifier`] — `D(S)` maintained online from stamped steps |
 //! | [`serializability`] | conflict-serializability tests and witnesses |
 //! | [`interaction`] | interaction multigraph + chordless cycles (Fig. 2) |
 //! | [`transform`] | Lemma 1 [`transpose`], Lemma 2 [`move_to_back`] |
 //! | [`canonical`] | [`CanonicalWitness`] — Theorem 1 certificates |
 //! | [`system`] | [`TransactionSystem`], [`SystemBuilder`] |
 //! | [`display`] | paper-style schedule rendering |
+//! | [`explain`](mod@explain) | [`Explanation`] — a `D(S)` cycle or serial order, in words |
 //!
 //! ## Quick start
 //!
@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod canonical;
-pub mod certifier;
 pub mod display;
 pub mod entity;
 pub mod explain;
@@ -68,10 +67,8 @@ pub mod step;
 pub mod system;
 pub mod transform;
 pub mod txn;
-pub mod wire;
 
 pub use canonical::{CanonicalViolation, CanonicalWitness};
-pub use certifier::{CertStats, CertViolation, IncrementalCertifier, VersionedRead};
 pub use entity::{EntityId, Universe};
 pub use explain::{explain, explain_nonserializable, Explanation};
 pub use interaction::InteractionGraph;

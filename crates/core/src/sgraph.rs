@@ -8,8 +8,9 @@
 //!
 //! [`SerializationGraph`] is the retained, witness-carrying batch form,
 //! built from a whole schedule: the trusted model everything else is tested
-//! against. The online form is [`crate::certifier`]; the exhaustive
-//! verifier keeps its own dense edge sets in `slp-verifier`.
+//! against. The online form is `slp-runtime`'s incremental certifier;
+//! the exhaustive verifier keeps its own dense edge sets in
+//! `slp-verifier`.
 
 use crate::schedule::Schedule;
 use crate::txn::TxId;
@@ -438,21 +439,21 @@ impl fmt::Display for SerializationGraph {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::entity::EntityId;
     use crate::schedule::ScheduledStep;
     use crate::step::Step;
 
-    pub(crate) fn e(i: u32) -> EntityId {
+    fn e(i: u32) -> EntityId {
         EntityId(i)
     }
 
-    pub(crate) fn t(i: u32) -> TxId {
+    fn t(i: u32) -> TxId {
         TxId(i)
     }
 
-    pub(crate) fn sched(steps: Vec<(u32, Step)>) -> Schedule {
+    fn sched(steps: Vec<(u32, Step)>) -> Schedule {
         Schedule::from_steps(
             steps
                 .into_iter()
@@ -656,13 +657,5 @@ pub(crate) mod tests {
         ]);
         assert!(!SerializationGraph::of(&s).is_acyclic());
         assert!(SerializationGraph::of_with_aborts(&s, &[t(2)]).is_acyclic());
-        // The incremental certifier agrees when the writer aborted. (On
-        // the cyclic variant it returns no violation: W2 committed and
-        // truncated before the reader's steps arrive, and anti-
-        // dependencies into committed-truncated writers are dropped —
-        // sound for runtime feeds, where a capture after a writer's
-        // commit flip observes that writer, so this trace is
-        // unproducible; the batch graph above stays the trusted model.)
-        assert!(crate::IncrementalCertifier::certify_schedule_with_aborts(&s, &[t(2)]).is_none());
     }
 }

@@ -10,7 +10,7 @@
 //! and every segment file starts with the 8-byte [`SEGMENT_MAGIC`]. The
 //! length field bounds the read, the checksum vouches for the payload, and
 //! the kind byte dispatches the body codec (the body codecs themselves
-//! live in [`slp_core::wire`]). Decoding is *total*: any byte sequence
+//! live in the private `wire` module). Decoding is *total*: any byte sequence
 //! decodes to either a record or a typed [`TornReason`] — crash recovery
 //! feeds arbitrary truncations and corruptions through this path, so there
 //! is no input on which it may panic.
@@ -25,12 +25,12 @@
 //! never emits a frame the decoder would refuse: see [`MAX_FRAME_BYTES`].
 
 use crate::crc::crc32;
-use crate::WalError;
-use slp_core::wire::{
+use crate::wire::{
     get_lock_entry, get_stamped_step, get_state, get_u32, get_u64, put_lock_entry,
     put_stamped_step, put_state, put_u32, put_u64, LockEntry, LOCK_ENTRY_BYTES,
     SNAPSHOT_STEP_BYTES,
 };
+use crate::WalError;
 use slp_core::{EntityId, LockMode, ScheduledStep, StructuralState, TxId};
 use std::fmt;
 
@@ -272,31 +272,31 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
     let (&kind, body) = payload.split_first()?;
     match kind {
         KIND_STEPS => {
-            let (count, mut body) = get_u32(body).ok()?;
+            let (count, mut body) = get_u32(body)?;
             let mut entries = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let (entry, rest) = get_stamped_step(body).ok()?;
+                let (entry, rest) = get_stamped_step(body)?;
                 entries.push(entry);
                 body = rest;
             }
             body.is_empty().then_some(Record::Steps(entries))
         }
         KIND_COMMIT => {
-            let (tx, body) = get_u32(body).ok()?;
-            let (required_watermark, body) = get_u64(body).ok()?;
+            let (tx, body) = get_u32(body)?;
+            let (required_watermark, body) = get_u64(body)?;
             body.is_empty().then_some(Record::Commit {
                 tx: TxId(tx),
                 required_watermark,
             })
         }
         KIND_CHECKPOINT => {
-            let (watermark, body) = get_u64(body).ok()?;
-            let (committed, body) = get_u64(body).ok()?;
-            let (state, body) = get_state(body).ok()?;
-            let (count, mut body) = get_u32(body).ok()?;
+            let (watermark, body) = get_u64(body)?;
+            let (committed, body) = get_u64(body)?;
+            let (state, body) = get_state(body)?;
+            let (count, mut body) = get_u32(body)?;
             let mut locks = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let (entry, rest) = get_lock_entry(body).ok()?;
+                let (entry, rest) = get_lock_entry(body)?;
                 locks.push(entry);
                 body = rest;
             }
@@ -524,16 +524,48 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unknown_kind_with_valid_checksum_is_bad_payload() {
-        let payload = [99u8, 1, 2, 3];
+    /// A checksum-valid frame around `payload`.
+    fn framed(payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u32(&mut buf, payload.len() as u32);
-        put_u32(&mut buf, crc32(&payload));
-        buf.extend_from_slice(&payload);
+        put_u32(&mut buf, crc32(payload));
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    #[test]
+    fn unknown_kind_with_valid_checksum_is_bad_payload() {
         assert_eq!(
-            decode_frame(&buf),
+            decode_frame(&framed(&[99u8, 1, 2, 3])),
             FrameOutcome::Torn(TornReason::BadPayload)
         );
+    }
+
+    /// A bad tag inside a checksum-valid body ends the log like any other
+    /// malformed payload. The last byte of each record below is a tag: a
+    /// step's op byte (8 is the snapshot-read tag, whose observed-writer
+    /// field is then missing; 9 is no tag at all) and a lock entry's mode
+    /// byte.
+    #[test]
+    fn unknown_op_or_mode_tag_with_valid_checksum_is_bad_payload() {
+        let step = Record::Steps(vec![(
+            4,
+            ScheduledStep::new(TxId(1), Step::write(EntityId(2))),
+        )]);
+        for (record, tag) in [(&step, 8), (&step, 9), (&checkpoint_record(), 9)] {
+            let mut buf = Vec::new();
+            encode_frame(&mut buf, record);
+            let mut payload = buf.split_off(8);
+            assert!(matches!(
+                decode_frame(&framed(&payload)),
+                FrameOutcome::Record(..)
+            ));
+            *payload.last_mut().expect("nonempty") = tag;
+            assert_eq!(
+                decode_frame(&framed(&payload)),
+                FrameOutcome::Torn(TornReason::BadPayload),
+                "{record:?} with tag {tag}"
+            );
+        }
     }
 }

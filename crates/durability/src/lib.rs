@@ -42,6 +42,7 @@ pub mod frame;
 pub mod recover;
 pub mod store;
 pub mod wal;
+mod wire;
 
 pub use crc::crc32;
 pub use frame::{Checkpoint, Record, TornReason, SEGMENT_MAGIC};

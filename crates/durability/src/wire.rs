@@ -1,118 +1,69 @@
-//! Binary codecs for the model types that cross a durability boundary:
-//! sequence-stamped [`ScheduledStep`]s, [`StructuralState`] snapshots, and
-//! lock-table entries.
-//!
-//! These are the *payload* codecs of the write-ahead log (`slp-durability`
-//! frames them with length + checksum); they live in `slp-core` because the
-//! encoding is part of the model types' contract — a recovered step must be
-//! bit-for-bit the step that executed, and the round-trip tests here pin
-//! that without dragging log machinery into the core crate.
+//! The payload codecs of the log's frames ([`crate::frame`] adds length
+//! and checksum): sequence-stamped [`ScheduledStep`]s, [`StructuralState`]
+//! snapshots, and lock-table entries. A recovered step must be bit for bit
+//! the step that executed; the round-trip tests here pin that.
 //!
 //! Encoding conventions: all integers little-endian, no padding, no
 //! self-description — framing, versioning, and integrity are the log's job.
-//! Every decoder is total: malformed bytes return a [`WireError`], never
-//! panic, because the decoders' one production caller is crash recovery,
-//! where the input is by definition untrusted.
+//! Every decoder is total: malformed bytes decode to `None`, never a
+//! panic, because the decoders' one caller is crash recovery, where the
+//! input is by definition untrusted.
 
-use crate::entity::EntityId;
-use crate::ops::{DataOp, LockMode, Operation};
-use crate::schedule::ScheduledStep;
-use crate::state::StructuralState;
-use crate::step::Step;
-use crate::txn::TxId;
-use std::fmt;
-
-/// Why a decode failed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WireError {
-    /// The buffer ended before the value did.
-    Truncated {
-        /// Bytes the decoder needed.
-        needed: usize,
-        /// Bytes the buffer still had.
-        have: usize,
-    },
-    /// An operation byte outside the eight known tags.
-    BadOpTag(u8),
-    /// A lock-mode byte outside the two known tags.
-    BadModeTag(u8),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated { needed, have } => {
-                write!(f, "truncated: needed {needed} bytes, have {have}")
-            }
-            WireError::BadOpTag(t) => write!(f, "unknown operation tag {t:#04x}"),
-            WireError::BadModeTag(t) => write!(f, "unknown lock-mode tag {t:#04x}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
+use slp_core::{
+    Access, DataOp, EntityId, LockMode, Operation, ScheduledStep, Step, StructuralState, TxId,
+};
 
 /// Encoded size of one locked stamped step: stamp (8) + tx (4) + entity
 /// (4) + op (1). Snapshot reads are [`SNAPSHOT_STEP_BYTES`] instead; the
 /// step codec is streaming, so mixed batches decode without a fixed width.
-pub const STAMPED_STEP_BYTES: usize = 17;
+const STAMPED_STEP_BYTES: usize = 17;
 
 /// Encoded size of one stamped snapshot read: [`STAMPED_STEP_BYTES`] plus
 /// the observed writer (4).
-pub const SNAPSHOT_STEP_BYTES: usize = STAMPED_STEP_BYTES + 4;
+pub(crate) const SNAPSHOT_STEP_BYTES: usize = STAMPED_STEP_BYTES + 4;
 
 /// The tag marking a snapshot read (a read that bypassed the lock service
 /// and observed a specific version). Not an [`Operation`] tag — the record
 /// carries an extra trailing `u32` naming the observed writer, with
 /// `u32::MAX` standing for "observed the initial value" (no real
 /// transaction ever gets id `u32::MAX`).
-pub const SNAPSHOT_READ_TAG: u8 = 8;
+const SNAPSHOT_READ_TAG: u8 = 8;
 
 /// The `u32` encoding of "observed the initial value" in a snapshot-read
 /// record.
 const OBSERVED_NONE: u32 = u32::MAX;
 
 /// Encoded size of one lock-table entry: entity (4) + tx (4) + mode (1).
-pub const LOCK_ENTRY_BYTES: usize = 9;
+pub(crate) const LOCK_ENTRY_BYTES: usize = 9;
 
 /// One lock-table entry as it crosses the durability boundary.
-pub type LockEntry = (EntityId, TxId, LockMode);
+pub(crate) type LockEntry = (EntityId, TxId, LockMode);
 
 /// Appends a `u32` little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a `u64` little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Reads a `u32` little-endian, returning the remaining buffer.
-pub fn get_u32(buf: &[u8]) -> Result<(u32, &[u8]), WireError> {
-    let (head, rest) = split(buf, 4)?;
-    Ok((u32::from_le_bytes(head.try_into().expect("4 bytes")), rest))
+pub(crate) fn get_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
+    let (head, rest) = buf.split_first_chunk()?;
+    Some((u32::from_le_bytes(*head), rest))
 }
 
 /// Reads a `u64` little-endian, returning the remaining buffer.
-pub fn get_u64(buf: &[u8]) -> Result<(u64, &[u8]), WireError> {
-    let (head, rest) = split(buf, 8)?;
-    Ok((u64::from_le_bytes(head.try_into().expect("8 bytes")), rest))
-}
-
-fn split(buf: &[u8], n: usize) -> Result<(&[u8], &[u8]), WireError> {
-    if buf.len() < n {
-        return Err(WireError::Truncated {
-            needed: n,
-            have: buf.len(),
-        });
-    }
-    Ok(buf.split_at(n))
+pub(crate) fn get_u64(buf: &[u8]) -> Option<(u64, &[u8])> {
+    let (head, rest) = buf.split_first_chunk()?;
+    Some((u64::from_le_bytes(*head), rest))
 }
 
 /// The one-byte operation tag (stable across versions; new operations get
 /// new tags, existing tags are never reused).
-pub fn op_tag(op: Operation) -> u8 {
+fn op_tag(op: Operation) -> u8 {
     match op {
         Operation::Data(DataOp::Read) => 0,
         Operation::Data(DataOp::Write) => 1,
@@ -126,8 +77,8 @@ pub fn op_tag(op: Operation) -> u8 {
 }
 
 /// Decodes an operation tag.
-pub fn op_from_tag(tag: u8) -> Result<Operation, WireError> {
-    Ok(match tag {
+fn op_from_tag(tag: u8) -> Option<Operation> {
+    Some(match tag {
         0 => Operation::Data(DataOp::Read),
         1 => Operation::Data(DataOp::Write),
         2 => Operation::Data(DataOp::Insert),
@@ -136,19 +87,19 @@ pub fn op_from_tag(tag: u8) -> Result<Operation, WireError> {
         5 => Operation::Lock(LockMode::Exclusive),
         6 => Operation::Unlock(LockMode::Shared),
         7 => Operation::Unlock(LockMode::Exclusive),
-        t => return Err(WireError::BadOpTag(t)),
+        _ => return None,
     })
 }
 
 /// Encodes one sequence-stamped scheduled step ([`STAMPED_STEP_BYTES`],
 /// or [`SNAPSHOT_STEP_BYTES`] for a snapshot read).
-pub fn put_stamped_step(out: &mut Vec<u8>, stamp: u64, s: &ScheduledStep) {
+pub(crate) fn put_stamped_step(out: &mut Vec<u8>, stamp: u64, s: &ScheduledStep) {
     put_u64(out, stamp);
     put_u32(out, s.tx.0);
     put_u32(out, s.step.entity.0);
     match s.via {
-        crate::schedule::Access::Locked => out.push(op_tag(s.step.op)),
-        crate::schedule::Access::Snapshot { observed } => {
+        Access::Locked => out.push(op_tag(s.step.op)),
+        Access::Snapshot { observed } => {
             out.push(SNAPSHOT_READ_TAG);
             put_u32(out, observed.map_or(OBSERVED_NONE, |w| w.0));
         }
@@ -156,17 +107,15 @@ pub fn put_stamped_step(out: &mut Vec<u8>, stamp: u64, s: &ScheduledStep) {
 }
 
 /// Decodes one sequence-stamped scheduled step.
-pub fn get_stamped_step(buf: &[u8]) -> Result<((u64, ScheduledStep), &[u8]), WireError> {
+pub(crate) fn get_stamped_step(buf: &[u8]) -> Option<((u64, ScheduledStep), &[u8])> {
     let (stamp, buf) = get_u64(buf)?;
     let (tx, buf) = get_u32(buf)?;
     let (entity, buf) = get_u32(buf)?;
-    let (&tag, buf) = buf
-        .split_first()
-        .ok_or(WireError::Truncated { needed: 1, have: 0 })?;
+    let (&tag, buf) = buf.split_first()?;
     if tag == SNAPSHOT_READ_TAG {
         let (observed, buf) = get_u32(buf)?;
         let observed = (observed != OBSERVED_NONE).then_some(TxId(observed));
-        return Ok((
+        return Some((
             (
                 stamp,
                 ScheduledStep::snapshot_read(TxId(tx), EntityId(entity), observed),
@@ -175,7 +124,7 @@ pub fn get_stamped_step(buf: &[u8]) -> Result<((u64, ScheduledStep), &[u8]), Wir
         ));
     }
     let op = op_from_tag(tag)?;
-    Ok((
+    Some((
         (
             stamp,
             ScheduledStep::new(TxId(tx), Step::new(op, EntityId(entity))),
@@ -187,7 +136,7 @@ pub fn get_stamped_step(buf: &[u8]) -> Result<((u64, ScheduledStep), &[u8]), Wir
 /// Encodes a structural state as an id-sorted entity list (count + ids).
 /// The sorted order makes the encoding canonical: equal states encode to
 /// equal bytes, which is what lets recovery compare snapshots bitwise.
-pub fn put_state(out: &mut Vec<u8>, state: &StructuralState) {
+pub(crate) fn put_state(out: &mut Vec<u8>, state: &StructuralState) {
     put_u32(out, state.len() as u32);
     for e in state.iter() {
         put_u32(out, e.0);
@@ -195,7 +144,7 @@ pub fn put_state(out: &mut Vec<u8>, state: &StructuralState) {
 }
 
 /// Decodes a structural state.
-pub fn get_state(buf: &[u8]) -> Result<(StructuralState, &[u8]), WireError> {
+pub(crate) fn get_state(buf: &[u8]) -> Option<(StructuralState, &[u8])> {
     let (count, mut buf) = get_u32(buf)?;
     let mut state = StructuralState::empty();
     for _ in 0..count {
@@ -203,11 +152,11 @@ pub fn get_state(buf: &[u8]) -> Result<(StructuralState, &[u8]), WireError> {
         state.insert(EntityId(id));
         buf = rest;
     }
-    Ok((state, buf))
+    Some((state, buf))
 }
 
 /// Encodes one lock-table entry ([`LOCK_ENTRY_BYTES`]).
-pub fn put_lock_entry(out: &mut Vec<u8>, entry: &LockEntry) {
+pub(crate) fn put_lock_entry(out: &mut Vec<u8>, entry: &LockEntry) {
     put_u32(out, entry.0 .0);
     put_u32(out, entry.1 .0);
     out.push(match entry.2 {
@@ -217,18 +166,16 @@ pub fn put_lock_entry(out: &mut Vec<u8>, entry: &LockEntry) {
 }
 
 /// Decodes one lock-table entry.
-pub fn get_lock_entry(buf: &[u8]) -> Result<(LockEntry, &[u8]), WireError> {
+pub(crate) fn get_lock_entry(buf: &[u8]) -> Option<(LockEntry, &[u8])> {
     let (entity, buf) = get_u32(buf)?;
     let (tx, buf) = get_u32(buf)?;
-    let (&tag, buf) = buf
-        .split_first()
-        .ok_or(WireError::Truncated { needed: 1, have: 0 })?;
+    let (&tag, buf) = buf.split_first()?;
     let mode = match tag {
         0 => LockMode::Shared,
         1 => LockMode::Exclusive,
-        t => return Err(WireError::BadModeTag(t)),
+        _ => return None,
     };
-    Ok(((EntityId(entity), TxId(tx), mode), buf))
+    Some(((EntityId(entity), TxId(tx), mode), buf))
 }
 
 #[cfg(test)]
@@ -257,10 +204,10 @@ mod tests {
         ];
         for (i, op) in ops.into_iter().enumerate() {
             assert_eq!(op_tag(op) as usize, i);
-            assert_eq!(op_from_tag(op_tag(op)), Ok(op));
+            assert_eq!(op_from_tag(op_tag(op)), Some(op));
         }
-        assert_eq!(op_from_tag(8), Err(WireError::BadOpTag(8)));
-        assert_eq!(op_from_tag(255), Err(WireError::BadOpTag(255)));
+        assert_eq!(op_from_tag(8), None);
+        assert_eq!(op_from_tag(255), None);
     }
 
     #[test]
@@ -311,7 +258,7 @@ mod tests {
             rest = tail;
         }
         assert!(rest.is_empty());
-        // Truncating the observed field is a decode error, not a panic.
+        // Truncating the observed field decodes to `None`, not a panic.
         let mut out = Vec::new();
         put_stamped_step(
             &mut out,
@@ -319,7 +266,7 @@ mod tests {
             &ScheduledStep::snapshot_read(t(2), e(2), Some(t(1))),
         );
         for cut in 0..out.len() {
-            assert!(get_stamped_step(&out[..cut]).is_err());
+            assert!(get_stamped_step(&out[..cut]).is_none());
         }
     }
 
@@ -329,13 +276,13 @@ mod tests {
         put_stamped_step(&mut out, 5, &ScheduledStep::new(t(1), Step::write(e(2))));
         for cut in 0..out.len() {
             assert!(
-                get_stamped_step(&out[..cut]).is_err(),
+                get_stamped_step(&out[..cut]).is_none(),
                 "prefix of {cut} bytes decoded"
             );
         }
-        assert!(get_u32(&[1, 2]).is_err());
-        assert!(get_u64(&[1, 2, 3, 4, 5, 6, 7]).is_err());
-        assert!(get_state(&[2, 0, 0, 0, 9]).is_err()); // claims 2 ids, has 1 byte
+        assert!(get_u32(&[1, 2]).is_none());
+        assert!(get_u64(&[1, 2, 3, 4, 5, 6, 7]).is_none());
+        assert!(get_state(&[2, 0, 0, 0, 9]).is_none()); // claims 2 ids, has 1 byte
     }
 
     #[test]
@@ -374,6 +321,6 @@ mod tests {
             assert!(rest.is_empty());
         }
         let bad = [0, 0, 0, 0, 0, 0, 0, 0, 9];
-        assert_eq!(get_lock_entry(&bad), Err(WireError::BadModeTag(9)));
+        assert_eq!(get_lock_entry(&bad), None);
     }
 }

@@ -2,14 +2,12 @@
 //! incrementally as sequence-stamped steps stream in from a running
 //! system, with the first cycle caught at the edge that closes it.
 //!
-//! The batch form it is pinned to is [`crate::SerializationGraph`]; see
-//! [`IncrementalCertifier`] for the feeding discipline, the incremental
-//! cycle check and committed-prefix truncation.
+//! The batch form it is pinned to is [`slp_core::SerializationGraph`];
+//! see [`IncrementalCertifier`] for the feeding discipline, the
+//! incremental cycle check and committed-prefix truncation.
 
-use crate::entity::EntityId;
-use crate::schedule::{Access, Schedule, ScheduledStep};
-use crate::txn::TxId;
 use rustc_hash::{FxHashMap, FxHashSet};
+use slp_core::{Access, EntityId, Schedule, ScheduledStep, TxId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -20,7 +18,7 @@ use std::fmt;
 pub struct CertViolation {
     /// The cycle as a transaction sequence `v0 -> v1 -> … -> v0` (first
     /// node repeated at the end, matching
-    /// [`SerializationGraph::find_cycle`](crate::SerializationGraph::find_cycle)).
+    /// [`SerializationGraph::find_cycle`](slp_core::SerializationGraph::find_cycle)).
     pub cycle: Vec<TxId>,
     /// Sequence stamp of the step whose edge closed the cycle — "the run
     /// stopped being serializable *here*".
@@ -51,7 +49,7 @@ pub struct CertStats {
     /// Nodes removed by committed-prefix truncation.
     pub truncations: u64,
     /// Nodes retracted after a certification abort
-    /// ([`IncrementalCertifier::retract`]): the victim's edges and
+    /// (`IncrementalCertifier::retract`): the victim's edges and
     /// accessor footprint were surgically removed and the run continued.
     pub retractions: u64,
     /// Transactions currently resident in the graph.
@@ -253,7 +251,7 @@ impl CertNode {
 /// [`IncrementalCertifier::certify_schedule_with_aborts`]
 /// replays a finished [`Schedule`] through the same machinery; the
 /// differential suite pins its verdict to
-/// [`is_serializable`](crate::serializability::is_serializable).
+/// [`is_serializable`](slp_core::is_serializable).
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalCertifier {
     slots: Vec<CertNode>,
@@ -308,6 +306,10 @@ pub struct IncrementalCertifier {
     visit_mark: Vec<u32>,
     visit_epoch: u32,
     violation: Option<CertViolation>,
+    /// The first latched cycle [`retract`](Self::retract) cleared: the
+    /// run went on without the victim, but the report still shows what
+    /// was caught.
+    retracted: Option<CertViolation>,
     stats: CertStats,
 }
 
@@ -317,23 +319,22 @@ impl IncrementalCertifier {
         Self::default()
     }
 
-    /// The first cycle caught, if any. Latched: once set it never clears,
-    /// and subsequent observations are no-ops beyond stamp tracking.
+    /// The cycle latched now, if any. Once set only a retraction clears
+    /// it; until then observations are no-ops beyond stamp tracking.
     pub fn violation(&self) -> Option<&CertViolation> {
         self.violation.as_ref()
+    }
+
+    /// The first cycle caught over the whole run: the first one a
+    /// retraction cleared, else the one latched now.
+    pub fn first_violation(&self) -> Option<&CertViolation> {
+        self.retracted.as_ref().or(self.violation.as_ref())
     }
 
     /// Work and footprint counters (live/peak node counts, edges,
     /// truncations).
     pub fn stats(&self) -> CertStats {
         self.stats
-    }
-
-    /// The contiguous-stamp watermark: every stamp below it has been
-    /// observed, so the committed prefix up to here is truncatable.
-    pub fn watermark(&mut self) -> u64 {
-        self.advance_watermark();
-        self.next_stamp
     }
 
     /// Feeds a stamped batch — the runtime's unit of arrival (one
@@ -726,9 +727,10 @@ impl IncrementalCertifier {
     /// continues without it. Drops the victim's edges in both
     /// directions, its accessor and snapshot-reader footprint, and its
     /// parked edges in both roles; clears the violation latch when the
-    /// victim appears in the latched cycle. Returns `false` when `tx` is
-    /// not resident.
-    pub fn retract(&mut self, tx: TxId) -> bool {
+    /// victim appears in the latched cycle, keeping the first cycle so
+    /// cleared for [`first_violation`](Self::first_violation). Returns
+    /// `false` when `tx` is not resident.
+    pub(crate) fn retract(&mut self, tx: TxId) -> bool {
         let Some(slot) = self.live_slot(tx) else {
             return false;
         };
@@ -747,10 +749,13 @@ impl IncrementalCertifier {
         self.detach(slot, &mut pending);
         self.sealed_pending = pending;
         self.stats.retractions += 1;
-        if let Some(v) = &self.violation {
-            if v.cycle.contains(&tx) {
-                self.violation = None;
-            }
+        if self
+            .violation
+            .as_ref()
+            .is_some_and(|v| v.cycle.contains(&tx))
+        {
+            let cleared = self.violation.take();
+            self.retracted = self.retracted.take().or(cleared);
         }
         self.truncate();
         true
@@ -758,11 +763,11 @@ impl IncrementalCertifier {
 
     /// Removes every sealed transaction whose footprint lies wholly below
     /// the contiguous-stamp watermark and which has no incoming edges —
-    /// provably cycle-free forever (see the type docs). Runs automatically
-    /// on every [`seal_with`](IncrementalCertifier::seal_with); exposed so
-    /// tests can force truncation at arbitrary points and check the verdict
-    /// is unaffected. A no-op after a violation latched.
-    pub fn truncate(&mut self) {
+    /// provably cycle-free forever (see the type docs). Runs on every
+    /// [`seal_with`](IncrementalCertifier::seal_with) and
+    /// [`retract`](IncrementalCertifier::retract). A no-op after a
+    /// violation latched.
+    fn truncate(&mut self) {
         if self.violation.is_some() {
             return;
         }
@@ -1002,9 +1007,9 @@ impl IncrementalCertifier {
     /// edges against aborted writers dissolve exactly as the online path
     /// dissolves them. Returns the first caught cycle, or `None` — by
     /// construction the same verdict as
-    /// [`is_serializable_with_aborts`](crate::serializability::is_serializable_with_aborts)
+    /// [`is_serializable_with_aborts`](slp_core::is_serializable_with_aborts)
     /// (mirrors
-    /// [`SerializationGraph::of_with_aborts`](crate::SerializationGraph::of_with_aborts)).
+    /// [`SerializationGraph::of_with_aborts`](slp_core::SerializationGraph::of_with_aborts)).
     pub fn certify_schedule_with_aborts(
         schedule: &Schedule,
         aborted: &[TxId],
@@ -1031,15 +1036,30 @@ impl IncrementalCertifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sgraph::tests::{e, sched, t};
-    use crate::step::Step;
+    use slp_core::{is_serializable, Step};
+
+    fn e(i: u32) -> EntityId {
+        EntityId(i)
+    }
+
+    fn t(i: u32) -> TxId {
+        TxId(i)
+    }
+
+    fn sched(steps: Vec<(u32, Step)>) -> Schedule {
+        Schedule::from_steps(
+            steps
+                .into_iter()
+                .map(|(i, s)| ScheduledStep::new(t(i), s))
+                .collect(),
+        )
+    }
 
     /// Replaying whole schedules through the incremental certifier must
     /// agree with the batch checker, and flag the cycle at the position
     /// where the prefix first becomes nonserializable.
     #[test]
     fn certifier_agrees_with_batch_checker() {
-        use crate::serializability::is_serializable;
         let serializable = sched(vec![
             (1, Step::write(e(0))),
             (1, Step::write(e(1))),
@@ -1114,7 +1134,8 @@ mod tests {
         );
         assert_eq!(stats.truncations, 1000);
         assert_eq!(stats.live_nodes, 0);
-        assert_eq!(cert.watermark(), 2000);
+        cert.advance_watermark();
+        assert_eq!(cert.next_stamp, 2000);
     }
 
     /// A sealed transaction must NOT be pruned while a straggler below the
@@ -1214,10 +1235,12 @@ mod tests {
         cert.seal_with(t(1), false);
         let v = cert
             .violation()
+            .cloned()
             .expect("dirty read becomes a cycle at commit");
         assert!(v.cycle.contains(&t(1)) && v.cycle.contains(&t(2)));
         assert!(cert.retract(t(1)), "victim is resident");
         assert!(cert.violation().is_none(), "retraction clears the latch");
+        assert_eq!(cert.first_violation(), Some(&v), "but keeps the cycle");
         assert_eq!(cert.stats().retractions, 1);
         // The certifier keeps running: an unrelated committed write is fine.
         cert.observe_trace(&[(4, ScheduledStep::new(t(4), Step::write(e(2))))]);

@@ -34,7 +34,7 @@
 //! * **online certification** — [`RuntimeConfig::certify_online`]
 //!   ([`CertifyMode::Strict`]) feeds every attempt's stamped steps to an
 //!   incremental serialization-graph certifier
-//!   ([`slp_core::IncrementalCertifier`]) before the attempt takes
+//!   ([`IncrementalCertifier`]) before the attempt takes
 //!   effect: a cycle is detected at the closing edge and broken by
 //!   aborting the transaction that closed it (counted in
 //!   [`RuntimeReport::certification_aborts`], the first caught cycle kept
@@ -98,6 +98,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod certifier;
 mod fastpath;
 mod service;
 mod trace;
@@ -114,8 +115,7 @@ pub use report::{Certification, LatencySummary, RuntimeReport};
 pub use runner::{CertifyMode, PlannerFactory, Runtime, RuntimeConfig};
 pub use scheduler::SchedMode;
 
-// The certifier types a certification verdict exposes.
-pub use slp_core::{CertStats, CertViolation, IncrementalCertifier};
+pub use certifier::{CertStats, CertViolation, IncrementalCertifier, VersionedRead};
 
 // The MVCC surface a snapshot-read run touches (the store internals stay
 // in `slp_mvcc`).

@@ -2,7 +2,8 @@
 //! aborts / deadlock aborts / rejected) plus wall-clock throughput and
 //! latency percentiles.
 
-use slp_core::{CertStats, CertViolation, Schedule, StructuralState, TxId};
+use crate::certifier::{CertStats, CertViolation};
+use slp_core::{Schedule, StructuralState, TxId};
 use slp_durability::WalSummary;
 use std::time::Duration;
 

@@ -461,14 +461,10 @@ impl Runtime {
             wal: wal_summary,
             certification: None,
         };
-        let recovered = service.recovered_violation();
         let (engine, certifier) = service.into_parts();
         self.engine = Some(engine);
         report.certification = certifier.map(|cert| Certification {
-            // A strict run that recovered cleared the certifier's own
-            // latch; the service kept the first caught cycle for the
-            // report.
-            violation: cert.violation().cloned().or(recovered),
+            violation: cert.first_violation().cloned(),
             stats: cert.stats(),
         });
         self.metrics.record_run(&report);

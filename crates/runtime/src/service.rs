@@ -91,13 +91,11 @@
 //! counted ([`Counters::park_timeouts`]) and surfaced in the report as
 //! lost-wakeup evidence.
 
+use crate::certifier::{IncrementalCertifier, VersionedRead};
 use crate::fastpath::{LockWords, WaitGraph};
 use crate::runner::CertifyMode;
 use crate::trace::{Stamped, TraceRun};
-use slp_core::{
-    CertViolation, DataOp, EntityId, IncrementalCertifier, LockMode, Operation, ScheduledStep,
-    Step, TxId, VersionedRead,
-};
+use slp_core::{DataOp, EntityId, LockMode, Operation, ScheduledStep, Step, TxId};
 use slp_durability::Wal;
 use slp_mvcc::{CommitPipeline, MvccStore, VisibilityRule};
 use slp_policies::{
@@ -345,10 +343,6 @@ pub(crate) struct LockService {
     /// reads ([`crate::RuntimeConfig::snapshot_reads`]), else `None` and
     /// the MVCC paths cost nothing.
     mvcc: Option<MvccState>,
-    /// The first cycle strict-mode certification caught and recovered
-    /// from by retraction — kept for the report (the certifier's own
-    /// latch is cleared by the recovery).
-    first_violation: Mutex<Option<CertViolation>>,
     pub counters: Counters,
 }
 
@@ -443,7 +437,6 @@ impl LockService {
             wal,
             certifier: (certify == CertifyMode::Strict).then(CertChannel::new),
             mvcc,
-            first_violation: Mutex::new(None),
             counters: Counters::default(),
         }
     }
@@ -451,16 +444,6 @@ impl LockService {
     /// Whether this run serves read-only jobs from MVCC snapshots.
     pub fn snapshot_reads_enabled(&self) -> bool {
         self.mvcc.is_some()
-    }
-
-    /// The first cycle strict-mode certification caught (and recovered
-    /// from by retracting the victim) — the certifier's own latch is
-    /// cleared by the recovery, so the report reads it from here.
-    pub fn recovered_violation(&self) -> Option<CertViolation> {
-        self.first_violation
-            .lock()
-            .expect("violation latch poisoned")
-            .clone()
     }
 
     /// Recovers the engine and the certifier after the run (all workers
@@ -616,23 +599,15 @@ impl LockService {
         if cert.violation().is_none() {
             cert.seal_with(tx, aborted);
         }
-        let certified_out = match cert.violation().cloned() {
+        let certified_out = match cert.violation().map(|v| v.cycle.contains(&tx)) {
             None => false,
-            Some(v) if v.cycle.contains(&tx) => {
-                // Latch the autopsy before recovering: the report must
-                // still show what was caught even though the run continues.
-                let mut first = self
-                    .first_violation
-                    .lock()
-                    .expect("violation latch poisoned");
-                if first.is_none() {
-                    *first = Some(v);
-                }
-                drop(first);
+            Some(true) => {
+                // The certifier keeps the first cycle it clears, so the
+                // report still shows what was caught.
                 cert.retract(tx);
                 !aborted
             }
-            Some(_) => {
+            Some(false) => {
                 // A cycle not through the feeder cannot be recovered here;
                 // it should be impossible (see above). Halt rather than
                 // mis-certify.

@@ -20,10 +20,13 @@
 //!   feeding steps in random arrival orders never changes a verdict.
 
 use proptest::test_runner::TestRng;
-use slp_core::{is_serializable, EntityId, IncrementalCertifier, Schedule, ScheduledStep, TxId};
+use slp_core::{
+    is_serializable, EntityId, Schedule, ScheduledStep, SerializationGraph, Step, TxId,
+};
 use slp_policies::{PolicyConfig, PolicyKind};
 use slp_runtime::{
-    CertifyMode, CrawlProbePlanner, Runtime, RuntimeConfig, RuntimeReport, ShoulderProbePlanner,
+    CertifyMode, CrawlProbePlanner, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport,
+    ShoulderProbePlanner,
 };
 use slp_sim::{deep_dag_jobs, hot_cold_jobs, layered_dag, long_short_jobs, uniform_jobs};
 use std::collections::HashMap;
@@ -410,4 +413,32 @@ fn truncation_and_arrival_order_never_change_a_verdict() {
             );
         }
     }
+}
+
+/// A dirty-read anomaly whose missed writer aborted: offline, the
+/// aborted writer's versions are phantoms and the anti-dependency
+/// dissolves; the replayed certifier agrees. (On the committed variant
+/// it reports no cycle either, where the batch graph has one: W2
+/// committed and truncated before the reader's steps arrive, and
+/// anti-dependencies into committed-truncated writers are dropped. That
+/// is sound for runtime feeds, where a capture after a writer's commit
+/// flip observes that writer, so the trace is unproducible; the batch
+/// graph stays the trusted model.)
+#[test]
+fn certifier_dissolves_the_anti_dependency_on_an_aborted_writer() {
+    // W2 writes e0 and e1 first; W1 then writes e0 (so W2 -> W1); the
+    // reader observes W1 on e0 but the *initial* version on e1 —
+    // missing W2's e1 write, hence R -> W2, closing the cycle
+    // W2 -> W1 -> R -> W2 unless W2 aborted.
+    let (e, t) = (EntityId, TxId);
+    let s = Schedule::from_steps(vec![
+        ScheduledStep::new(t(2), Step::write(e(0))),
+        ScheduledStep::new(t(2), Step::write(e(1))),
+        ScheduledStep::new(t(1), Step::write(e(0))),
+        ScheduledStep::snapshot_read(t(3), e(0), Some(t(1))),
+        ScheduledStep::snapshot_read(t(3), e(1), None),
+    ]);
+    assert!(!SerializationGraph::of(&s).is_acyclic());
+    assert!(SerializationGraph::of_with_aborts(&s, &[t(2)]).is_acyclic());
+    assert!(IncrementalCertifier::certify_schedule_with_aborts(&s, &[t(2)]).is_none());
 }

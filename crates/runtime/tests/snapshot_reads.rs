@@ -16,13 +16,12 @@
 //!   must flag the dirty snapshot as nonserializable at the closing
 //!   edge, and the correct rule on the same script must not.
 
-use slp_core::{
-    is_serializable_with_aborts, EntityId, IncrementalCertifier, ScheduledStep, Step, TxId,
-    VersionedRead,
-};
+use slp_core::{is_serializable_with_aborts, EntityId, ScheduledStep, Step, TxId};
 use slp_mvcc::{CommitPipeline, MvccStore, ObservedRead, VisibilityRule};
 use slp_policies::{Job, PolicyConfig, PolicyKind};
-use slp_runtime::{CertifyMode, Runtime, RuntimeConfig, RuntimeReport};
+use slp_runtime::{
+    CertifyMode, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport, VersionedRead,
+};
 use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs};
 
 fn snapshot_conf() -> RuntimeConfig {
