@@ -197,12 +197,14 @@ impl RuntimeReport {
         }
     }
 
-    /// Abort rate over all attempts.
+    /// Abort rate over all attempts: policy, deadlock and certification
+    /// aborts together.
     pub fn abort_rate(&self) -> f64 {
         if self.attempts == 0 {
             0.0
         } else {
-            (self.policy_aborts + self.deadlock_aborts) as f64 / self.attempts as f64
+            (self.policy_aborts + self.deadlock_aborts + self.certification_aborts) as f64
+                / self.attempts as f64
         }
     }
 

@@ -6,11 +6,18 @@
 //! join — on *every* exit path, not just commit. These runs end attempts
 //! the other ways (abandoned on the wall-clock guard, deadlock victim,
 //! strict-certification victim) at 1, 2 and 4 workers and hold the report
-//! to what the workers did: the attempts balance, every grant is on one
-//! of the two paths, the trace has exactly the steps that were recorded
-//! (counted independently of the trace, per scenario), and every lock an
-//! aborted or abandoned attempt held was released in the trace.
+//! to what the workers did: `common::check_run` (the attempts balance,
+//! every grant is on one of the two paths, and every lock an aborted or
+//! abandoned attempt held was released in the trace), and the trace has
+//! exactly the steps that were recorded (counted independently of the
+//! trace, per scenario). Cut-short paths need overlapping attempts, so
+//! `step_yield` stays on (the default). These runs keep the default 1 ms
+//! park backstop: a parked waiter sees the deadline only when its park
+//! returns.
 
+mod common;
+
+use common::{check_run, pool};
 use slp_core::EntityId;
 use slp_policies::{PolicyConfig, PolicyKind};
 use slp_runtime::{CertifyMode, Runtime, RuntimeConfig, RuntimeReport};
@@ -19,46 +26,8 @@ use std::time::Duration;
 
 const WIDTHS: [usize; 3] = [1, 2, 4];
 
-fn pool(n: u32) -> Vec<EntityId> {
-    (0..n).map(EntityId).collect()
-}
-
-/// A run at `workers` workers.
-fn config(workers: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        // Cut-short paths need overlapping attempts: yield after each grant.
-        step_yield: true,
-        ..RuntimeConfig::with_workers(workers)
-    }
-}
-
 fn twopl(pool: &[EntityId]) -> Runtime {
     Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.to_vec())).expect("2PL builds")
-}
-
-/// What must hold however the attempts ended. `recorded` is the number of
-/// steps the workers recorded, counted without looking at the trace.
-fn assert_nothing_lost(report: &RuntimeReport, recorded: u64, ctx: &str) {
-    assert!(
-        report.accounting_balances(),
-        "{ctx}: unbalanced: {report:?}"
-    );
-    assert_eq!(
-        report.grants,
-        report.fast_path_grants + report.slow_path_grants,
-        "{ctx}: a grant on neither path"
-    );
-    assert_eq!(
-        report.schedule.len() as u64,
-        recorded,
-        "{ctx}: the trace lost (or grew) steps"
-    );
-    assert!(report.schedule.is_legal(), "{ctx}: illegal trace");
-    assert!(
-        report.lock_table_quiescent(),
-        "{ctx}: a cut-short attempt left a lock in the trace: {:?}",
-        report.schedule.locks_held_at_end()
-    );
 }
 
 /// Under 2PL every granted action of a write job is two steps whichever
@@ -77,10 +46,11 @@ fn an_expired_deadline_abandons_every_job_and_still_balances() {
         let ctx = format!("expired deadline / {workers} workers");
         let config = RuntimeConfig {
             max_wall: Duration::ZERO,
-            ..config(workers)
+            ..RuntimeConfig::with_workers(workers)
         };
         let report = twopl(&pool).run(&jobs, &config);
-        assert_nothing_lost(&report, 0, &ctx);
+        check_run(&config, &jobs, &report, &ctx);
+        assert_eq!(report.schedule.len() as u64, 0, "{ctx}: steps lost");
         assert!(report.timed_out, "{ctx}: not flagged");
         assert_eq!(
             (report.attempts, report.abandoned, report.committed),
@@ -105,15 +75,14 @@ fn a_deadline_that_expires_mid_run_keeps_the_steps_of_what_it_cut_short() {
             let ctx = format!("{micros} µs deadline / {workers} workers");
             let config = RuntimeConfig {
                 max_wall: Duration::from_micros(micros),
-                ..config(workers)
+                ..RuntimeConfig::with_workers(workers)
             };
             let report = twopl(&pool).run(&jobs, &config);
-            assert_nothing_lost(&report, twopl_steps(&report), &ctx);
-            assert_eq!(report.abandoned > 0, report.timed_out, "{ctx}");
+            check_run(&config, &jobs, &report, &ctx);
             assert_eq!(
-                report.committed + report.abandoned,
-                jobs.len(),
-                "{ctx}: a job neither committed nor abandoned"
+                report.schedule.len() as u64,
+                twopl_steps(&report),
+                "{ctx}: steps lost"
             );
             cut_short += report.abandoned;
         }
@@ -134,10 +103,14 @@ fn deadlock_victims_on_a_hot_set_keep_their_steps_and_release_their_locks() {
         for seed in 0..6u64 {
             let ctx = format!("hot set / {workers} workers / seed {seed}");
             let jobs = uniform_jobs(&pool, 60, 3, seed);
-            let report = twopl(&pool).run(&jobs, &config(workers));
-            assert_nothing_lost(&report, twopl_steps(&report), &ctx);
-            assert!(!report.timed_out, "{ctx}: timed out");
-            assert_eq!(report.committed, jobs.len(), "{ctx}: lost jobs");
+            let config = RuntimeConfig::with_workers(workers);
+            let report = twopl(&pool).run(&jobs, &config);
+            check_run(&config, &jobs, &report, &ctx);
+            assert_eq!(
+                report.schedule.len() as u64,
+                twopl_steps(&report),
+                "{ctx}: steps lost"
+            );
             assert_eq!(
                 report.aborted.len(),
                 report.deadlock_aborts,
@@ -174,7 +147,7 @@ fn strict_certification_victims_keep_their_steps_and_release_their_locks() {
             .expect("mutant builds");
             let config = RuntimeConfig {
                 certify_online: CertifyMode::Strict,
-                ..config(workers)
+                ..RuntimeConfig::with_workers(workers)
             };
             let jobs = long_short_jobs(&pool, 10, 10, 2, seed);
             let report = rt.run(&jobs, &config);
@@ -184,9 +157,8 @@ fn strict_certification_victims_keep_their_steps_and_release_their_locks() {
                 .expect("strict run certifies")
                 .stats
                 .steps;
-            assert_nothing_lost(&report, fed, &ctx);
-            assert!(!report.timed_out, "{ctx}: timed out");
-            assert_eq!(report.committed, jobs.len(), "{ctx}: lost jobs");
+            check_run(&config, &jobs, &report, &ctx);
+            assert_eq!(report.schedule.len() as u64, fed, "{ctx}: steps lost");
             victims += report.certification_aborts;
         }
         // Every width has run this seed; stop at the first seed that

@@ -1,128 +1,67 @@
 //! Differential suite: the online incremental certifier against the
 //! offline serializability checker.
 //!
-//! * **Safe agreement** — every safe kind × seeded workload runs with
-//!   the certifier in strict mode: the live verdict must be "no cycle"
-//!   and the offline replay (`is_serializable`) must agree, with the
-//!   certifier having observed every recorded step.
-//! * **Mutant agreement** — the unsafe mutants run under the same
-//!   sweep as the trace-conformance negative controls: on *every* swept
-//!   run the live verdict must equal the offline verdict, a caught cycle
-//!   must come with certification aborts, and the committed projection
-//!   must be serializable (strict mode's recovery claim). Each caught
-//!   nonserializable trace must be flagged at its closing edge — the
+//! * **Safe agreement** — every safe kind × the shared workload tables
+//!   runs with the certifier in strict mode: the live verdict must be
+//!   "no cycle" and the offline replay (`is_serializable`) must agree,
+//!   with the certifier having observed every recorded step.
+//! * **Mutant agreement** — the repo's negative controls, through
+//!   `common::sweep_mutant` under strict certification (with it off, the
+//!   same sweep is `trace_conformance.rs`'s): each unsafe mutant, driven
+//!   by the probe planners that exercise its ablated rule, must yield a
+//!   caught nonserializable trace. On *every* swept run the
+//!   trace is legal and proper, the live verdict equals the offline
+//!   verdict, a caught cycle comes with certification aborts, and the
+//!   committed projection is serializable (strict mode's recovery
+//!   claim). Each caught trace must be flagged at its closing edge — the
 //!   in-stamp-order replay latches its violation at exactly the last
 //!   step of the minimal nonserializable prefix.
 //! * **Strict recovery** — a run that caught a cycle still drains its
-//!   whole queue, the victims retried as fresh transactions.
+//!   whole queue, the victims retried as fresh transactions and counted
+//!   in the abort rate.
 //! * **Truncation properties** — sealing transactions at random points
 //!   (forcing committed-prefix truncation at different watermarks) and
 //!   feeding steps in random arrival orders never changes a verdict.
 
+mod common;
+
+use common::{
+    check_run, ddag_workloads, flat_workloads, mutant_run, mutant_workers, pool, sweep_mutant,
+    workers, FLAT_KINDS,
+};
 use proptest::test_runner::TestRng;
 use slp_core::{
     is_serializable, EntityId, Schedule, ScheduledStep, SerializationGraph, Step, TxId,
 };
 use slp_policies::{PolicyConfig, PolicyKind};
-use slp_runtime::{
-    CertifyMode, CrawlProbePlanner, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport,
-    ShoulderProbePlanner,
-};
-use slp_sim::{deep_dag_jobs, hot_cold_jobs, layered_dag, long_short_jobs, uniform_jobs};
+use slp_runtime::{CertifyMode, IncrementalCertifier, Runtime, RuntimeConfig};
+use slp_sim::{hot_cold_jobs, long_short_jobs};
 use std::collections::HashMap;
-use std::sync::Arc;
 
-fn strict_conf(workers: usize) -> RuntimeConfig {
+/// Strict certification at `workers` under the shared base config.
+fn strict(workers: usize) -> RuntimeConfig {
     RuntimeConfig {
-        workers,
         certify_online: CertifyMode::Strict,
-        ..Default::default()
+        ..common::conf(workers)
     }
 }
 
-/// Mutant sweeps need actual concurrency (see trace_conformance.rs).
-fn mutant_workers() -> usize {
-    RuntimeConfig::workers_from_env(4).max(4)
-}
-
-/// The trace with every aborted transaction's steps removed wholesale.
-fn committed_projection(report: &RuntimeReport) -> Schedule {
-    Schedule::from_steps(
-        report
-            .schedule
-            .steps()
-            .iter()
-            .filter(|s| !report.aborted.contains(&s.tx))
-            .copied()
-            .collect(),
-    )
-}
-
-/// Asserts, on `report`, that the live verdict equals the offline one,
-/// that a caught cycle came with certification aborts (and only then),
-/// and that the committed projection is serializable; returns whether
-/// the raw trace is nonserializable.
-fn assert_agreement(report: &RuntimeReport, ctx: &str) -> bool {
-    let cert = report
-        .certification
-        .as_ref()
-        .unwrap_or_else(|| panic!("{ctx}: strict run must carry a certification"));
-    let offline_bad = !is_serializable(&report.schedule);
-    assert_eq!(
-        cert.violation.is_some(),
-        offline_bad,
-        "{ctx}: online certifier ({:?}) disagrees with offline checker (nonserializable: \
-         {offline_bad})",
-        cert.violation
-    );
-    assert_eq!(
-        cert.violation.is_some(),
-        report.certification_aborts > 0,
-        "{ctx}: the preserved first violation and the abort count must agree"
-    );
-    // The certifier excised every cycle it caught by aborting the
-    // transaction that closed it, so the committed projection is
-    // serializable no matter what the policy admitted. (The raw trace
-    // keeps the victims' locked steps and so keeps the caught cycle.)
-    assert!(
-        is_serializable(&committed_projection(report)),
-        "{ctx}: committed set nonserializable after strict recovery"
-    );
-    offline_bad
+/// Strict certification for a mutant run at `workers`. Mutant runs keep
+/// the default 1 ms park backstop, at which the catch rates on
+/// `common::sweep_mutant` were measured.
+fn mutant_conf(workers: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        certify_online: CertifyMode::Strict,
+        ..RuntimeConfig::with_workers(workers)
+    }
 }
 
 #[test]
 fn safe_kinds_certify_live_and_agree_with_offline_replay() {
-    let pool: Vec<EntityId> = (0..20).map(EntityId).collect();
-    let workers = RuntimeConfig::workers_from_env(4);
-    for kind in [
-        PolicyKind::TwoPhase,
-        PolicyKind::Altruistic,
-        PolicyKind::Dtr,
-    ] {
+    for kind in FLAT_KINDS {
         for seed in 0..6u64 {
-            for (name, jobs) in [
-                ("uniform", uniform_jobs(&pool, 18, 3, seed)),
-                ("hot-cold", hot_cold_jobs(&pool, 24, 3, 4, 0.8, seed)),
-                ("long-short", long_short_jobs(&pool, 8, 10, 2, seed)),
-            ] {
-                let ctx = format!("{} / {name} / seed {seed}", kind.name());
-                let mut rt =
-                    Runtime::new(kind, &PolicyConfig::flat(pool.clone())).expect("buildable kind");
-                let report = rt.run(&jobs, &strict_conf(workers));
-                assert!(!report.timed_out, "{ctx}: timed out");
-                assert!(report.accounting_balances(), "{ctx}: unbalanced");
-                assert_eq!(report.committed, jobs.len(), "{ctx}: lost jobs");
-                assert!(!assert_agreement(&report, &ctx), "{ctx}: safe kind flagged");
-                let stats = report.certification.as_ref().expect("certified").stats;
-                assert_eq!(
-                    stats.steps,
-                    report.schedule.len() as u64,
-                    "{ctx}: certifier missed steps"
-                );
-                // Every transaction retires (commit or abort), so by
-                // quiescence truncation has reclaimed the whole graph.
-                assert_eq!(stats.live_nodes, 0, "{ctx}: unreclaimed certifier nodes");
+            for w in flat_workloads(seed) {
+                w.run(kind, &strict(workers()), &format!("seed {seed}"));
             }
         }
     }
@@ -130,165 +69,63 @@ fn safe_kinds_certify_live_and_agree_with_offline_replay() {
 
 #[test]
 fn ddag_certifies_live_across_traversal_workloads() {
-    let workers = RuntimeConfig::workers_from_env(4);
     for seed in 0..6u64 {
-        let dag = layered_dag(4, 3, 2, seed);
-        let config = PolicyConfig::dag(dag.universe.clone(), dag.graph.clone());
-        let jobs = deep_dag_jobs(&dag, 14, 2, seed);
-        let ctx = format!("DDAG / deep / seed {seed}");
-        let mut rt = Runtime::new(PolicyKind::Ddag, &config).expect("DDAG builds");
-        let report = rt.run(&jobs, &strict_conf(workers));
-        assert!(!report.timed_out, "{ctx}: timed out");
-        assert_eq!(report.committed, jobs.len(), "{ctx}: lost jobs");
-        assert!(!assert_agreement(&report, &ctx), "{ctx}: safe DDAG flagged");
-    }
-}
-
-/// The last position of the minimal nonserializable prefix of
-/// `schedule` — the closing edge of the first cycle in stamp order.
-/// Serialization-graph edges only accumulate as steps append, so
-/// nonserializability is monotone in the prefix length and binary
-/// search finds the boundary.
-fn closing_edge(schedule: &Schedule) -> u64 {
-    let steps = schedule.steps();
-    let prefix_bad = |k: usize| {
-        let entries: Vec<(u64, ScheduledStep)> = steps[..k]
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (i as u64, s))
-            .collect();
-        !is_serializable(&Schedule::from_sequenced(entries).expect("dense prefix stamps"))
-    };
-    let (mut lo, mut hi) = (1usize, steps.len());
-    assert!(prefix_bad(hi), "whole schedule must be nonserializable");
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if prefix_bad(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    (lo - 1) as u64
-}
-
-/// Sweeps a mutant until the runtime emits a nonserializable trace
-/// (asserting online/offline agreement on *every* swept run), then
-/// checks the caught trace is flagged at its closing edge by an
-/// in-stamp-order replay.
-fn sweep_mutant_for_agreement(
-    mutant: PolicyKind,
-    seeds: std::ops::Range<u64>,
-    mut run_one: impl FnMut(u64) -> RuntimeReport,
-) {
-    const RUNS_PER_SEED: usize = 3;
-    for seed in seeds {
-        for _ in 0..RUNS_PER_SEED {
-            let report = run_one(seed);
-            let ctx = format!("{} / seed {seed}", mutant.name());
-            if !assert_agreement(&report, &ctx) {
-                continue;
-            }
-            // Caught: the deterministic replay (stamps fed in order,
-            // transactions sealed at their last step) must latch its
-            // violation exactly where the offline minimal prefix closes.
-            let edge = closing_edge(&report.schedule);
-            let replayed =
-                IncrementalCertifier::certify_schedule_with_aborts(&report.schedule, &[])
-                    .unwrap_or_else(|| panic!("{ctx}: replay must flag a nonserializable trace"));
-            assert_eq!(
-                replayed.stamp, edge,
-                "{ctx}: replay flagged at stamp {} but the minimal nonserializable prefix \
-                 closes at {edge}",
-                replayed.stamp
+        for w in ddag_workloads(seed) {
+            w.run(
+                PolicyKind::Ddag,
+                &strict(workers()),
+                &format!("seed {seed}"),
             );
-            return;
         }
     }
-    panic!(
-        "{}: no nonserializable trace caught across the sweep — mutant workload lost its teeth",
-        mutant.name()
-    );
 }
 
 #[test]
 fn mutant_altruistic_no_wake_agrees_and_flags_the_closing_edge() {
-    let pool: Vec<EntityId> = (0..16).map(EntityId).collect();
-    sweep_mutant_for_agreement(PolicyKind::AltruisticNoWake, 0..80, |seed| {
-        let mut rt = Runtime::new(
-            PolicyKind::AltruisticNoWake,
-            &PolicyConfig::flat(pool.clone()),
-        )
-        .expect("mutant builds");
-        rt.run(
-            &long_short_jobs(&pool, 10, 10, 2, seed),
-            &strict_conf(mutant_workers()),
-        )
-    });
+    sweep_mutant(PolicyKind::AltruisticNoWake, CertifyMode::Strict);
 }
 
 #[test]
 fn mutant_ddag_no_held_pred_agrees_and_flags_the_closing_edge() {
-    sweep_mutant_for_agreement(PolicyKind::DdagNoHeldPredecessor, 0..80, |seed| {
-        let dag = layered_dag(4, 3, 2, seed);
-        let config = PolicyConfig::dag(dag.universe.clone(), dag.graph.clone());
-        let mut rt =
-            Runtime::new(PolicyKind::DdagNoHeldPredecessor, &config).expect("mutant builds");
-        rt.set_planner_factory(Arc::new(|_| Box::new(CrawlProbePlanner::default())));
-        let mut jobs = deep_dag_jobs(&dag, 8, 2, seed);
-        jobs.extend(deep_dag_jobs(&dag, 8, 1, seed.wrapping_add(7)));
-        rt.run(&jobs, &strict_conf(mutant_workers()))
-    });
+    sweep_mutant(PolicyKind::DdagNoHeldPredecessor, CertifyMode::Strict);
 }
 
 #[test]
 fn mutant_ddag_no_all_preds_agrees_and_flags_the_closing_edge() {
-    sweep_mutant_for_agreement(PolicyKind::DdagNoAllPredecessors, 0..60, |seed| {
-        let dag = layered_dag(5, 4, 2, seed);
-        let config = PolicyConfig::dag(dag.universe.clone(), dag.graph.clone());
-        let mut rt =
-            Runtime::new(PolicyKind::DdagNoAllPredecessors, &config).expect("mutant builds");
-        rt.set_planner_factory(Arc::new(|w| Box::new(ShoulderProbePlanner::new(w))));
-        rt.run(
-            &deep_dag_jobs(&dag, 20, 1, seed),
-            &strict_conf(mutant_workers().max(8)),
-        )
-    });
+    sweep_mutant(PolicyKind::DdagNoAllPredecessors, CertifyMode::Strict);
 }
 
 #[test]
 fn strict_mode_recovers_by_aborting_the_cycle_victim_and_running_on() {
-    let pool: Vec<EntityId> = (0..16).map(EntityId).collect();
-    let mut recovered_once = false;
-    'sweep: for seed in 0..80u64 {
+    // Recovery means the run *finishes*: `check_run` holds every run to
+    // no halt, no timeout, balanced accounting (certification aborts
+    // included), every job committed, and a serializable committed set.
+    let config = mutant_conf(mutant_workers());
+    for seed in 0..80u64 {
         for _ in 0..3 {
-            let mut rt = Runtime::new(
-                PolicyKind::AltruisticNoWake,
-                &PolicyConfig::flat(pool.clone()),
-            )
-            .expect("mutant builds");
-            let jobs = long_short_jobs(&pool, 10, 10, 2, seed);
-            let report = rt.run(&jobs, &strict_conf(mutant_workers()));
-            // Recovery means the run *finishes*: no halt, no timeout,
-            // and the accounting (including certification aborts)
-            // balances.
-            assert!(!report.timed_out, "strict recovery must not hang");
-            assert!(report.accounting_balances(), "unbalanced after recovery");
-            // A certification abort implies the raw trace had a cycle,
-            // and the committed set is serializable all the same.
-            if assert_agreement(&report, &format!("strict recovery / seed {seed}")) {
-                // The victims were retried as fresh transactions and the
-                // run still drained the whole queue.
-                assert_eq!(report.committed, jobs.len(), "jobs lost after recovery");
-                recovered_once = true;
-                break 'sweep;
+            let (mut rt, jobs) = mutant_run(PolicyKind::AltruisticNoWake, seed);
+            let report = rt.run(&jobs, &config);
+            check_run(
+                &config,
+                &jobs,
+                &report,
+                &format!("strict recovery / seed {seed}"),
+            );
+            if report.certification_aborts > 0 {
+                // The victims were retried as fresh transactions; the
+                // abort rate counts them with every other abort.
+                let aborts =
+                    report.policy_aborts + report.deadlock_aborts + report.certification_aborts;
+                assert_eq!(
+                    (report.abort_rate() * report.attempts as f64).round() as usize,
+                    aborts,
+                    "abort_rate must count certification aborts"
+                );
+                return;
             }
         }
     }
-    assert!(
-        recovered_once,
-        "strict mode never caught a violation across the mutant sweep"
-    );
+    panic!("strict mode never caught a violation across the mutant sweep");
 }
 
 // ---------------------------------------------------------------------
@@ -298,13 +135,13 @@ fn strict_mode_recovers_by_aborting_the_cycle_victim_and_running_on() {
 /// A few base schedules with varied shapes: safe concurrent captures
 /// plus one caught mutant trace when the sweep yields one.
 fn base_schedules() -> Vec<Schedule> {
-    let pool: Vec<EntityId> = (0..12).map(EntityId).collect();
+    let pool = pool(12);
     let mut out = Vec::new();
     for seed in [3u64, 8] {
         let mut rt =
             Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone())).expect("2PL");
         out.push(
-            rt.run(&hot_cold_jobs(&pool, 16, 3, 4, 0.8, seed), &strict_conf(4))
+            rt.run(&hot_cold_jobs(&pool, 16, 3, 4, 0.8, seed), &strict(4))
                 .schedule,
         );
     }
@@ -315,7 +152,7 @@ fn base_schedules() -> Vec<Schedule> {
                 &PolicyConfig::flat(pool.clone()),
             )
             .expect("mutant builds");
-            let report = rt.run(&long_short_jobs(&pool, 8, 8, 2, seed), &strict_conf(4));
+            let report = rt.run(&long_short_jobs(&pool, 8, 8, 2, seed), &mutant_conf(4));
             if !is_serializable(&report.schedule) {
                 out.push(report.schedule);
                 break 'mutant;

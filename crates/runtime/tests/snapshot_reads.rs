@@ -4,10 +4,10 @@
 //! read-only jobs never touch the lock service.
 //!
 //! * **Mixed sweep** — read-heavy hot-set workloads on every safe
-//!   flat-pool kind, and a DDAG insert mix with concurrent readers:
-//!   snapshot reads enter the trace as stamped steps, the online
+//!   flat-pool kind, and the shared DDAG insert mix with concurrent
+//!   readers: snapshot reads enter the trace as stamped steps, the online
 //!   certifier sees them, and the offline replay (aborted transactions
-//!   excised) agrees.
+//!   excised) agrees — all checked by `common::check_run`.
 //! * **Reader isolation** — a pure-read workload records zero grants and
 //!   zero lock waits: the snapshot path is the entire read path.
 //! * **Negative control** — the deliberately broken visibility rule
@@ -16,75 +16,43 @@
 //!   must flag the dirty snapshot as nonserializable at the closing
 //!   edge, and the correct rule on the same script must not.
 
-use slp_core::{is_serializable_with_aborts, EntityId, ScheduledStep, Step, TxId};
+mod common;
+
+use common::{check_run, ddag_workloads, pool, workers, FLAT_KINDS};
+use slp_core::{EntityId, ScheduledStep, Step, TxId};
 use slp_mvcc::{CommitPipeline, MvccStore, ObservedRead, VisibilityRule};
 use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{
     CertifyMode, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport, VersionedRead,
 };
-use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs};
+use slp_sim::read_heavy_jobs;
 
-fn snapshot_conf() -> RuntimeConfig {
-    RuntimeConfig {
-        workers: RuntimeConfig::workers_from_env(4),
+/// Runs `jobs` on `rt` with snapshot reads and strict certification on,
+/// and holds the run to `common::check_run`: for this config that is
+/// the exact snapshot-read count, a clean online verdict, and offline
+/// serializability with the aborted set excised.
+fn run_mixed(rt: &mut Runtime, jobs: &[Job], ctx: &str) -> RuntimeReport {
+    let config = RuntimeConfig {
         snapshot_reads: true,
         certify_online: CertifyMode::Strict,
-        ..Default::default()
-    }
+        ..common::conf(workers())
+    };
+    let report = rt.run(jobs, &config);
+    check_run(&config, jobs, &report, ctx);
+    report
 }
 
-/// The full replay check for a mixed snapshot/locked run: accounting,
-/// legality, properness, online certification, offline serializability
-/// with the aborted set excised.
-fn verify_mixed(report: &RuntimeReport, jobs: &[Job], ctx: &str) {
-    assert!(!report.timed_out, "{ctx}: timed out");
-    assert!(report.accounting_balances(), "{ctx}: unbalanced accounting");
-    assert_eq!(report.rejected, 0, "{ctx}: well-formed jobs rejected");
-    assert_eq!(report.committed, jobs.len(), "{ctx}: lost jobs");
-    assert!(report.lock_table_quiescent(), "{ctx}: locks leaked");
-    assert!(report.schedule.is_legal(), "{ctx}: illegal trace");
-    assert!(
-        report.schedule.is_proper(&report.initial),
-        "{ctx}: improper trace"
-    );
-    let expected_reads: u64 = jobs
-        .iter()
-        .filter(|j| j.read_only)
-        .map(|j| j.targets.len() as u64)
-        .sum();
-    // Every read-only job commits exactly once through the snapshot
-    // path, so the counter is exact even across writer retries.
-    assert_eq!(
-        report.snapshot_reads, expected_reads,
-        "{ctx}: snapshot read count off"
-    );
-    let cert = report.certification.as_ref().expect("strict run certifies");
-    assert!(
-        cert.violation.is_none(),
-        "{ctx}: online certifier flagged a safe mixed run: {:?}",
-        cert.violation
-    );
-    assert!(
-        is_serializable_with_aborts(&report.schedule, &report.aborted),
-        "{ctx}: NONSERIALIZABLE mixed trace from a safe policy"
-    );
+fn flat_runtime(kind: PolicyKind) -> Runtime {
+    Runtime::new(kind, &PolicyConfig::flat(pool(20))).expect("buildable kind")
 }
 
 #[test]
 fn read_heavy_mixes_conform_across_safe_flat_pool_policies() {
-    let pool: Vec<EntityId> = (0..20).map(EntityId).collect();
-    for kind in [
-        PolicyKind::TwoPhase,
-        PolicyKind::Altruistic,
-        PolicyKind::Dtr,
-    ] {
+    for kind in FLAT_KINDS {
         for seed in 0..8u64 {
-            let jobs = read_heavy_jobs(&pool, 28, 3, 4, 0.95, seed);
+            let jobs = read_heavy_jobs(&pool(20), 28, 3, 4, 0.95, seed);
             let ctx = format!("{} / read-heavy / seed {seed}", kind.name());
-            let mut rt =
-                Runtime::new(kind, &PolicyConfig::flat(pool.clone())).expect("buildable kind");
-            let report = rt.run(&jobs, &snapshot_conf());
-            verify_mixed(&report, &jobs, &ctx);
+            let report = run_mixed(&mut flat_runtime(kind), &jobs, &ctx);
             assert!(
                 report.snapshot_reads > 0,
                 "{ctx}: 95% read probability produced no snapshot reads"
@@ -95,14 +63,10 @@ fn read_heavy_mixes_conform_across_safe_flat_pool_policies() {
 
 #[test]
 fn strict_certification_never_aborts_a_safe_mixed_run() {
-    let pool: Vec<EntityId> = (0..20).map(EntityId).collect();
     for seed in 0..4u64 {
-        let jobs = read_heavy_jobs(&pool, 24, 3, 4, 0.9, seed);
+        let jobs = read_heavy_jobs(&pool(20), 24, 3, 4, 0.9, seed);
         let ctx = format!("2PL strict / read-heavy / seed {seed}");
-        let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone()))
-            .expect("2PL builds");
-        let report = rt.run(&jobs, &snapshot_conf());
-        verify_mixed(&report, &jobs, &ctx);
+        let report = run_mixed(&mut flat_runtime(PolicyKind::TwoPhase), &jobs, &ctx);
         assert_eq!(
             report.certification_aborts, 0,
             "{ctx}: strict mode aborted a correctly-visible snapshot run"
@@ -113,44 +77,36 @@ fn strict_certification_never_aborts_a_safe_mixed_run() {
 #[test]
 fn ddag_insert_mix_with_concurrent_readers_conforms() {
     for seed in 0..8u64 {
-        let dag = layered_dag(4, 3, 2, seed);
-        let config = PolicyConfig::dag(dag.universe.clone(), dag.graph.clone());
-        let mut rt = Runtime::new(PolicyKind::Ddag, &config).expect("DDAG builds");
-        let jobs = {
-            let mut intern = |name: &str| rt.intern(name).expect("DDAG interns");
-            let mut jobs = dag_mixed_jobs(&dag, 14, 2, 0.3, &mut intern, seed);
-            // Readers target the pre-existing universe only (never the
-            // interned fresh nodes), so every snapshot read stays proper
-            // whatever the insert timing.
-            let base: Vec<EntityId> = dag.universe.iter().collect();
-            jobs.extend(read_heavy_jobs(&base, 14, 2, 4, 1.0, seed.wrapping_add(99)));
-            jobs
-        };
-        let report = rt.run(&jobs, &snapshot_conf());
+        let mix = ddag_workloads(seed)
+            .into_iter()
+            .find(|w| w.name == "insert-mix")
+            .expect("the DDAG table has an insert mix");
+        // Readers target the pre-existing universe only (never the
+        // interned fresh nodes), so every snapshot read stays proper
+        // whatever the insert timing.
+        let (universe, _) = mix.policy.dag.as_ref().expect("a DDAG config");
+        let base: Vec<EntityId> = universe.iter().collect();
+        let mut jobs = mix.jobs.clone();
+        jobs.extend(read_heavy_jobs(&base, 14, 2, 4, 1.0, seed.wrapping_add(99)));
         let ctx = format!("DDAG / insert-mix + readers / seed {seed}");
-        verify_mixed(&report, &jobs, &ctx);
+        let report = run_mixed(&mut mix.runtime(PolicyKind::Ddag), &jobs, &ctx);
         assert!(report.snapshot_reads > 0, "{ctx}: readers never ran");
     }
 }
 
 #[test]
 fn pure_read_workload_never_touches_the_lock_service() {
-    let pool: Vec<EntityId> = (0..16).map(EntityId).collect();
-    let jobs = read_heavy_jobs(&pool, 40, 3, 4, 1.0, 7);
+    let jobs = read_heavy_jobs(&pool(16), 40, 3, 4, 1.0, 7);
     assert!(
         jobs.iter().all(|j| j.read_only),
         "read_prob 1.0 is all reads"
     );
-    let mut rt =
-        Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone())).expect("2PL builds");
-    let report = rt.run(&jobs, &snapshot_conf());
-    assert_eq!(report.committed, jobs.len(), "reads lost");
+    let report = run_mixed(&mut flat_runtime(PolicyKind::TwoPhase), &jobs, "pure-read");
     assert_eq!(report.snapshot_reads, 40 * 3, "three reads per job");
     // The headline claim: the read path performs zero lock-service work.
     assert_eq!(report.grants, 0, "snapshot reads requested locks");
     assert_eq!(report.lock_waits, 0, "snapshot reads waited on locks");
     assert_eq!(report.parks, 0, "snapshot reads parked");
-    verify_mixed(&report, &jobs, "pure-read");
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //! agreement: witness anatomy, the exclusive-locks specialization
 //! (Section 3.3), minimization, and the if-direction implication.
 
-use safe_locking::core::{is_serializable, LockMode, Operation, SerializationGraph};
+use safe_locking::core::{is_serializable, EntityId, LockMode, Operation, SerializationGraph};
 use safe_locking::verifier::{
     find_canonical_witness, minimize_witness, random_system, verify_safety, CanonicalBudget,
     GenParams, SearchBudget,
@@ -133,5 +133,41 @@ fn budget_exhaustion_degrades_gracefully() {
             assert!(!is_serializable(&witness));
         }
         safe_locking::verifier::Verdict::Exhausted(_) => {}
+    }
+}
+
+#[test]
+fn policy_generators_from_policies_crate_are_safe_under_verifier() {
+    // Lock random transactions with the 2PL generators and verify the
+    // systems with the exhaustive verifier: always safe.
+    use safe_locking::core::Step;
+    use safe_locking::core::{SystemBuilder, Transaction, TxId};
+    use safe_locking::policies::two_phase;
+    use safe_locking::verifier::{verify_safety, SearchBudget};
+
+    for seed in 0..5u32 {
+        let mut b = SystemBuilder::new();
+        for i in 0..4 {
+            b.exists(&format!("x{i}"));
+        }
+        let mk = |id: u32, order: &[u32]| {
+            Transaction::new(
+                TxId(id),
+                order
+                    .iter()
+                    .flat_map(|&i| [Step::read(EntityId(i)), Step::write(EntityId(i))])
+                    .collect(),
+            )
+        };
+        let t1 = mk(1, &[seed % 4, (seed + 1) % 4]);
+        let t2 = mk(2, &[(seed + 2) % 4, (seed + 3) % 4]);
+        b.add_transaction(two_phase::lock_strict(&t1));
+        b.add_transaction(two_phase::lock_conservative(&t2));
+        let system = b.build();
+        let verdict = verify_safety(&system, SearchBudget::default());
+        assert!(
+            verdict.is_safe(),
+            "2PL-locked system must verify safe (seed {seed})"
+        );
     }
 }

@@ -1,12 +1,16 @@
-//! Trait-conformance suite for the unified policy API: every
-//! [`PolicyKind`] the registry exposes runs through shared seeded
-//! workloads — including the large-contention regime — and every emitted
-//! trace must be legal and proper; the safe policies' traces must also be
-//! serializable (Theorems 2–4). The mutant kinds serve as negative
-//! controls: scripted interleavings show each one admits a legal, proper,
+//! Conformance suite for the unified policy API on the simulator: every
+//! [`PolicyKind`] the registry exposes runs the shared table-driven sweep
+//! (`common/mod.rs`), whose cells are split between this file's tests
+//! and `policy_safety.rs`'s, and every emitted trace must pass one sim
+//! check. At one worker the simulator and the runtime must emit the
+//! same trace. The mutant kinds also serve as negative controls:
+//! scripted interleavings show each one admits a legal, proper,
 //! **non**serializable execution that its safe base policy refuses at a
 //! typed violation.
 
+mod common;
+
+use common::{rows, run_row, sweep, Row, Slice};
 use safe_locking::core::{
     is_serializable, EntityId, Schedule, ScheduledStep, StructuralState, TxId, Universe,
 };
@@ -18,142 +22,52 @@ use safe_locking::policies::{
     PolicyResponse, PolicyViolation,
 };
 use safe_locking::runtime::{Runtime, RuntimeConfig};
-use safe_locking::sim::{
-    build_adapter, dag_access_jobs, dag_mixed_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag,
-    long_short_jobs, read_heavy_jobs, run_sim, uniform_jobs, SimConfig,
-};
+use safe_locking::sim::{build_adapter, run_sim, SimConfig};
 
-/// One shared workload: jobs plus the config to run them under.
-struct Workload {
-    name: &'static str,
-    jobs: Vec<Job>,
-    workers: usize,
-}
-
-/// The shared flat-pool workloads (seeded, deterministic): a uniform mix,
-/// the long-scan regime, the large-contention hot set, and single-target
-/// jobs half of which are read-only.
-fn flat_workloads(pool: &[EntityId], seed: u64) -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "uniform",
-            jobs: uniform_jobs(pool, 30, 3, seed),
-            workers: 4,
-        },
-        Workload {
-            name: "long-short",
-            jobs: long_short_jobs(pool, 12, 20, 2, seed),
-            workers: 6,
-        },
-        Workload {
-            name: "large-contention",
-            jobs: hot_cold_jobs(pool, 80, 3, 4, 0.8, seed),
-            workers: 8,
-        },
-        Workload {
-            name: "read-heavy",
-            jobs: read_heavy_jobs(pool, 30, 1, 4, 0.5, seed),
-            workers: 4,
-        },
-    ]
-}
-
+/// Every registered policy's traces pass the sim check. The sweep's
+/// cells are split between named tests (`common::Slice`): the per-kind
+/// and per-column slices run in `policy_safety.rs` and below; this test
+/// runs the rest, the mutants' cells.
 #[test]
 fn every_registered_policy_emits_legal_proper_traces() {
-    let registry = PolicyRegistry::new();
-    for &kind in registry.kinds() {
-        for seed in [3u64, 17] {
-            let (config, workloads) = if kind.needs_graph() {
-                let dag = layered_dag(5, 4, 2, seed);
-                let workloads = vec![
-                    Workload {
-                        name: "traversals",
-                        jobs: dag_access_jobs(&dag, 30, 2, seed),
-                        workers: 4,
-                    },
-                    Workload {
-                        name: "large-contention",
-                        jobs: deep_dag_jobs(&dag, 50, 2, seed + 1),
-                        workers: 8,
-                    },
-                ];
-                (
-                    PolicyConfig::dag(dag.universe.clone(), dag.graph.clone()),
-                    workloads,
-                )
-            } else {
-                let pool: Vec<EntityId> = (0..24).map(EntityId).collect();
-                (
-                    PolicyConfig::flat(pool.clone()),
-                    flat_workloads(&pool, seed),
-                )
-            };
-            for w in workloads {
-                let mut adapter = build_adapter(&registry, kind, &config).expect("buildable kind");
-                let initial = adapter.initial_state();
-                let report = run_sim(
-                    &mut adapter,
-                    &w.jobs,
-                    &SimConfig {
-                        workers: w.workers,
-                        ..Default::default()
-                    },
-                );
-                let ctx = format!("{} / {} / seed {}", kind.name(), w.name, seed);
-                assert!(!report.timed_out, "{ctx}: timed out");
-                assert_eq!(report.rejected, 0, "{ctx}: well-formed jobs rejected");
-                assert_eq!(report.committed, w.jobs.len(), "{ctx}: lost jobs");
-                assert!(report.schedule.is_legal(), "{ctx}: illegal trace");
-                assert!(report.schedule.is_proper(&initial), "{ctx}: improper trace");
-                if kind.is_safe() {
-                    assert!(
-                        is_serializable(&report.schedule),
-                        "{ctx}: NONSERIALIZABLE trace from a safe policy"
-                    );
-                }
-            }
-        }
-    }
+    sweep(Slice::Rest);
 }
 
-/// Runs `jobs` through the simulator at one worker and through the
+/// The large-contention rows of every kind; on the flat pool the
+/// generator must keep real contention (more than 50 lock waits at MPL
+/// 8), a guard against its turning conflict-free.
+#[test]
+fn large_contention_workloads_actually_contend() {
+    sweep(Slice::Contention);
+}
+
+/// Runs `row`'s jobs through the simulator at one worker and through the
 /// runtime at width one, with the word path on and off, and requires one
-/// trace. `fresh` names are interned into each engine first, in order.
-fn assert_width_one_traces_agree(
-    kind: PolicyKind,
-    config: &PolicyConfig,
-    fresh: &[String],
-    jobs: &[Job],
-    ctx: &str,
-) {
-    let mut adapter = build_adapter(&PolicyRegistry::new(), kind, config).expect("buildable kind");
-    for name in fresh {
-        adapter.intern(name).expect("policy interns fresh names");
-    }
-    let sim = run_sim(
-        &mut adapter,
-        jobs,
-        &SimConfig {
-            workers: 1,
-            ..Default::default()
-        },
-    );
-    assert!(!sim.timed_out, "{ctx}: simulator timed out");
-    assert_eq!(sim.committed, jobs.len(), "{ctx}: lost jobs");
+/// trace.
+fn assert_width_one_traces_agree(kind: PolicyKind, row: &Row, ctx: &str) {
+    let config = SimConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let sim = run_row(kind, row, &config, ctx);
     for grant_fast_path in [true, false] {
-        let mut rt = Runtime::new(kind, config).expect("buildable kind");
-        for name in fresh {
+        let mut rt = Runtime::new(kind, &row.config).expect("buildable kind");
+        for name in &row.fresh {
             rt.intern(name).expect("policy interns fresh names");
         }
         let report = rt.run(
-            jobs,
+            &row.jobs,
             &RuntimeConfig {
                 workers: 1,
                 grant_fast_path,
                 ..Default::default()
             },
         );
-        let ctx = format!("{ctx} / grant_fast_path {grant_fast_path}");
+        let ctx = format!(
+            "{} / {} / {ctx} / grant_fast_path {grant_fast_path}",
+            kind.name(),
+            row.name
+        );
         assert_eq!(report.committed, sim.committed, "{ctx}: committed");
         assert_eq!(report.schedule, sim.schedule, "{ctx}: traces differ");
     }
@@ -161,43 +75,16 @@ fn assert_width_one_traces_agree(
 
 /// One plan, two executors, one trace: with a single worker neither the
 /// simulator nor the runtime interleaves anything, so both must emit
-/// exactly the steps the planner and engine produce, job by job.
+/// exactly the steps the planner and engine produce, job by job, on
+/// every row of the sweep's tables.
 #[test]
 fn width_one_simulator_and_runtime_emit_the_same_trace() {
     for seed in 0..5u64 {
-        let pool: Vec<EntityId> = (0..24).map(EntityId).collect();
-        let flat = PolicyConfig::flat(pool.clone());
-        for kind in [
-            PolicyKind::TwoPhase,
-            PolicyKind::Altruistic,
-            PolicyKind::Dtr,
-        ] {
-            for w in flat_workloads(&pool, seed) {
-                let ctx = format!("{} / {} / seed {seed}", kind.name(), w.name);
-                assert_width_one_traces_agree(kind, &flat, &[], &w.jobs, &ctx);
+        for kind in PolicyKind::SAFE {
+            for row in rows(kind, seed) {
+                assert_width_one_traces_agree(kind, &row, &format!("seed {seed}"));
             }
         }
-
-        let dag = layered_dag(5, 4, 2, seed);
-        let config = PolicyConfig::dag(dag.universe.clone(), dag.graph.clone());
-        let traversals = dag_access_jobs(&dag, 30, 2, seed);
-        let ctx = format!("DDAG / traversals / seed {seed}");
-        assert_width_one_traces_agree(PolicyKind::Ddag, &config, &[], &traversals, &ctx);
-        let mut universe = dag.universe.clone();
-        let mut fresh = Vec::new();
-        let mixed = dag_mixed_jobs(
-            &dag,
-            30,
-            2,
-            0.3,
-            &mut |name| {
-                fresh.push(name.to_owned());
-                universe.entity(name)
-            },
-            seed,
-        );
-        let ctx = format!("DDAG / insert-mix / seed {seed}");
-        assert_width_one_traces_agree(PolicyKind::Ddag, &config, &fresh, &mixed, &ctx);
     }
 }
 
@@ -241,37 +128,6 @@ fn both_executors_reject_jobs_a_flat_pool_planner_cannot_carry_out() {
             .steps()
             .iter()
             .all(|s| s.step.entity == pool[1]));
-    }
-}
-
-#[test]
-fn large_contention_workloads_actually_contend() {
-    // The point of the E9d-style workload: heavy lock traffic. Guard the
-    // generator against accidentally becoming conflict-free.
-    let registry = PolicyRegistry::new();
-    let pool: Vec<EntityId> = (0..24).map(EntityId).collect();
-    let jobs = hot_cold_jobs(&pool, 80, 3, 4, 0.8, 5);
-    for kind in [
-        PolicyKind::TwoPhase,
-        PolicyKind::Altruistic,
-        PolicyKind::Dtr,
-    ] {
-        let mut adapter =
-            build_adapter(&registry, kind, &PolicyConfig::flat(pool.clone())).expect("flat kind");
-        let report = run_sim(
-            &mut adapter,
-            &jobs,
-            &SimConfig {
-                workers: 8,
-                ..Default::default()
-            },
-        );
-        assert!(
-            report.lock_waits > 50,
-            "{}: expected heavy contention, saw {} waits",
-            kind.name(),
-            report.lock_waits
-        );
     }
 }
 

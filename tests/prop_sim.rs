@@ -1,14 +1,18 @@
 //! Property-based end-to-end simulation tests: for arbitrary seeded
-//! workloads, MPLs, and latency models, every sound policy's trace is
-//! legal, proper, and serializable, and the engine's accounting is
-//! consistent. Every adapter is constructed through the policy registry.
+//! workloads, MPLs and latency models, every safe policy's trace passes
+//! the shared sim check (`common::run_row`): legal, proper,
+//! serializable, and the engine's accounting consistent. The simulator
+//! is also deterministic. Every adapter is built through the policy
+//! registry.
 
+mod common;
+
+use common::{dag_config, run_row, Row};
 use proptest::prelude::*;
-use safe_locking::core::{is_serializable, EntityId};
+use safe_locking::core::EntityId;
 use safe_locking::policies::{PolicyConfig, PolicyKind, PolicyRegistry};
 use safe_locking::sim::{
-    build_adapter, dag_access_jobs, layered_dag, run_sim, uniform_jobs, EngineAdapter,
-    LatencyModel, SimConfig,
+    build_adapter, dag_access_jobs, layered_dag, run_sim, uniform_jobs, LatencyModel, SimConfig,
 };
 
 fn arb_config() -> impl Strategy<Value = SimConfig> {
@@ -24,13 +28,11 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
     })
 }
 
-fn flat(kind: PolicyKind, pool: &[EntityId]) -> EngineAdapter {
-    build_adapter(
-        &PolicyRegistry::new(),
-        kind,
-        &PolicyConfig::flat(pool.to_vec()),
-    )
-    .expect("flat kind")
+/// Twelve uniform jobs of `per_job` targets over entities `0..pool_size`.
+fn uniform_row(pool_size: u32, per_job: usize, seed: u64) -> Row {
+    let pool: Vec<EntityId> = (0..pool_size).map(EntityId).collect();
+    let jobs = uniform_jobs(&pool, 12, per_job, seed);
+    Row::new("uniform", PolicyConfig::flat(pool), jobs)
 }
 
 proptest! {
@@ -43,50 +45,21 @@ proptest! {
         pool_size in 4u32..12,
         per_job in 1usize..4,
     ) {
-        let pool: Vec<EntityId> = (0..pool_size).map(EntityId).collect();
-        let jobs = uniform_jobs(&pool, 12, per_job, seed);
-
-        let mut a = flat(PolicyKind::TwoPhase, &pool);
-        let initial = a.initial_state();
-        let report = run_sim(&mut a, &jobs, &config);
-        prop_assert!(!report.timed_out);
-        prop_assert_eq!(report.committed, 12);
-        prop_assert!(report.schedule.is_legal());
-        prop_assert!(report.schedule.is_proper(&initial));
-        prop_assert!(is_serializable(&report.schedule));
-        prop_assert_eq!(
-            report.attempts,
-            report.committed + report.policy_aborts + report.deadlock_aborts + report.rejected
-        );
-        prop_assert_eq!(report.rejected, 0, "well-formed jobs are never rejected");
-
-        let mut a = flat(PolicyKind::Altruistic, &pool);
-        let initial = a.initial_state();
-        let report = run_sim(&mut a, &jobs, &config);
-        prop_assert!(!report.timed_out);
-        prop_assert_eq!(report.committed, 12);
-        prop_assert!(report.schedule.is_legal());
-        prop_assert!(report.schedule.is_proper(&initial));
-        prop_assert!(is_serializable(&report.schedule));
+        let row = uniform_row(pool_size, per_job, seed);
+        for kind in [PolicyKind::TwoPhase, PolicyKind::Altruistic] {
+            run_row(kind, &row, &config, &format!("seed {seed}"));
+        }
     }
 
+    /// `run_row` also holds every DTR run to zero deadlocks.
     #[test]
     fn dtr_always_serializable_and_deadlock_free(
         seed in 0u64..10_000,
         config in arb_config(),
         pool_size in 4u32..12,
     ) {
-        let pool: Vec<EntityId> = (0..pool_size).map(EntityId).collect();
-        let jobs = uniform_jobs(&pool, 12, 3, seed);
-        let mut a = flat(PolicyKind::Dtr, &pool);
-        let initial = a.initial_state();
-        let report = run_sim(&mut a, &jobs, &config);
-        prop_assert!(!report.timed_out);
-        prop_assert_eq!(report.committed, 12);
-        prop_assert_eq!(report.deadlock_aborts, 0, "tree locking is deadlock-free");
-        prop_assert!(report.schedule.is_legal());
-        prop_assert!(report.schedule.is_proper(&initial));
-        prop_assert!(is_serializable(&report.schedule));
+        let row = uniform_row(pool_size, 3, seed);
+        run_row(PolicyKind::Dtr, &row, &config, &format!("seed {seed}"));
     }
 
     #[test]
@@ -97,20 +70,8 @@ proptest! {
         width in 2usize..4,
     ) {
         let dag = layered_dag(layers, width, 2, seed);
-        let jobs = dag_access_jobs(&dag, 12, 2, seed);
-        let mut a = build_adapter(
-            &PolicyRegistry::new(),
-            PolicyKind::Ddag,
-            &PolicyConfig::dag(dag.universe.clone(), dag.graph.clone()),
-        )
-        .expect("DAG provided");
-        let initial = a.initial_state();
-        let report = run_sim(&mut a, &jobs, &config);
-        prop_assert!(!report.timed_out);
-        prop_assert_eq!(report.committed, 12);
-        prop_assert!(report.schedule.is_legal());
-        prop_assert!(report.schedule.is_proper(&initial));
-        prop_assert!(is_serializable(&report.schedule));
+        let row = Row::new("traversals", dag_config(&dag), dag_access_jobs(&dag, 12, 2, seed));
+        run_row(PolicyKind::Ddag, &row, &config, &format!("seed {seed}"));
     }
 
     #[test]
@@ -121,12 +82,16 @@ proptest! {
         let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
         let jobs = uniform_jobs(&pool, 10, 3, seed);
         let config = SimConfig { workers, ..Default::default() };
-        let run = |jobs: &[safe_locking::policies::Job]| {
-            let mut a = flat(PolicyKind::TwoPhase, &pool);
-            run_sim(&mut a, jobs, &config)
+        let run = || {
+            let mut a = build_adapter(
+                &PolicyRegistry::new(),
+                PolicyKind::TwoPhase,
+                &PolicyConfig::flat(pool.clone()),
+            )
+            .expect("flat kind");
+            run_sim(&mut a, &jobs, &config)
         };
-        let r1 = run(&jobs);
-        let r2 = run(&jobs);
+        let (r1, r2) = (run(), run());
         prop_assert_eq!(r1.schedule, r2.schedule);
         prop_assert_eq!(r1.makespan, r2.makespan);
         prop_assert_eq!(r1.committed, r2.committed);
