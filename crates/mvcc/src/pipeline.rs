@@ -6,16 +6,13 @@ use slp_core::{EntityId, TxId};
 use std::sync::Mutex;
 
 /// A consistent read view captured by a read-only job: every writer whose
-/// commit stamp is at or below `read_stamp` is visible, everything else —
-/// including the writers listed `in_progress` at capture — is not.
+/// commit stamp is at or below `read_stamp` is visible, everything else is
+/// not. Nothing else is needed, because commit stamps are issued
+/// monotonically under the same gate captures run under.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// The commit clock at capture.
     pub read_stamp: u64,
-    /// Writers begun but not yet flipped at capture (diagnostic — the
-    /// visibility rule needs only `read_stamp`, because commit stamps are
-    /// issued monotonically under the same gate captures run under).
-    pub in_progress: Vec<TxId>,
     /// First trace stamp claimed for this snapshot's read steps (the
     /// steps occupy a dense block starting here, keeping the recorded
     /// trace gap-free).
@@ -50,8 +47,6 @@ struct Pending {
 struct Gate {
     /// Last issued commit stamp; snapshots capture it as `read_stamp`.
     commit_clock: u64,
-    /// Writers begun and not yet flipped.
-    live: Vec<TxId>,
     pending: FxHashMap<TxId, Pending>,
 }
 
@@ -106,7 +101,6 @@ impl CommitPipeline {
     /// Registers a writer. Must precede its `note_lock` calls.
     pub fn begin_writer(&self, tx: TxId) {
         let mut gate = self.gate.lock().expect("gate poisoned");
-        gate.live.push(tx);
         gate.pending.insert(tx, Pending::default());
     }
 
@@ -186,15 +180,13 @@ impl CommitPipeline {
         self.purge_lockers(&resolved);
     }
 
-    /// Captures a snapshot: the commit clock and live-writer set, frozen
-    /// under the gate, plus a dense block of trace stamps for the
+    /// Captures a snapshot: the commit clock, read under the gate, plus a dense block of trace stamps for the
     /// snapshot's read steps claimed via `claim` (called with the gate
     /// held, so the capture point is well-defined against every flip).
     pub fn capture(&self, reads: usize, claim: impl FnOnce(usize) -> u64) -> Snapshot {
         let gate = self.gate.lock().expect("gate poisoned");
         Snapshot {
             read_stamp: gate.commit_clock,
-            in_progress: gate.live.clone(),
             base_stamp: claim(reads),
         }
     }
@@ -223,9 +215,6 @@ impl CommitPipeline {
                 tst.commit(t, gate.commit_clock);
             } else {
                 tst.abort(t);
-            }
-            if let Some(i) = gate.live.iter().position(|&l| l == t) {
-                gate.live.swap_remove(i);
             }
             resolved.push(t);
             for dep in p.dependents {
@@ -281,15 +270,13 @@ mod tests {
         p.note_lock(t(2), e(0));
         assert_eq!(p.commit(t(2)), CommitOutcome::Deferred);
         assert_eq!(p.status_table().status(t(2)), TxStatus::InProgress);
-        let s = p.capture(0, |_| 0);
-        assert_eq!(s.read_stamp, 0);
-        assert_eq!(s.in_progress.len(), 2);
+        assert_eq!(p.capture(0, |_| 0).read_stamp, 0);
         // t1's commit flips both, in serialization order.
         assert_eq!(p.commit(t(1)), CommitOutcome::Flipped);
         assert_eq!(p.status_table().status(t(1)), TxStatus::Committed(1));
         assert_eq!(p.status_table().status(t(2)), TxStatus::Committed(2));
         assert_eq!(p.stranded(), 0);
-        assert!(p.capture(0, |_| 0).in_progress.is_empty());
+        assert_eq!(p.capture(0, |_| 0).read_stamp, 2);
     }
 
     #[test]

@@ -205,7 +205,6 @@ mod tests {
     fn snap(read_stamp: u64) -> Snapshot {
         Snapshot {
             read_stamp,
-            in_progress: Vec::new(),
             base_stamp: 0,
         }
     }

@@ -145,7 +145,6 @@ fn model_read(
 fn snap(read_stamp: u64) -> Snapshot {
     Snapshot {
         read_stamp,
-        in_progress: Vec::new(),
         base_stamp: 0,
     }
 }

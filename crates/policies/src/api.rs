@@ -175,16 +175,19 @@ pub enum PolicyViolation {
 impl PolicyViolation {
     /// Whether retrying the whole transaction can never succeed: the
     /// failure is in the request's *shape* (malformed job, action outside
-    /// the policy's vocabulary, plan deviation), not in transient
-    /// lock-table or rule state. Schedulers should drop fatal jobs instead
-    /// of abort-and-retrying them forever.
+    /// the policy's vocabulary, plan deviation, a plan that locks one
+    /// entity twice — every retry replans it the same way), not in
+    /// transient lock-table or rule state. Schedulers should drop fatal
+    /// jobs instead of abort-and-retrying them forever.
     pub fn is_fatal(&self) -> bool {
         match self {
             PolicyViolation::NoPlan(_)
             | PolicyViolation::OffPlan(..)
-            | PolicyViolation::Unsupported { .. } => true,
+            | PolicyViolation::Unsupported { .. }
+            | PolicyViolation::Altruistic(AltruisticViolation::Relock(..))
+            | PolicyViolation::Ddag(DdagViolation::Relock(..))
+            | PolicyViolation::Dtr(DtrViolation::Plan(_)) => true,
             PolicyViolation::Plan(p) => p.is_fatal(),
-            PolicyViolation::Dtr(DtrViolation::Plan(_)) => true,
             _ => false,
         }
     }
@@ -236,8 +239,8 @@ impl From<TreeLockViolation> for PolicyViolation {
 /// the engine at all. The promise extends to release discipline:
 /// fast-path transactions hold every lock to commit (no early release,
 /// no donation wake sets), request no structural mutations, and never
-/// relock — any plan outside that shape must be routed through the
-/// engine, which remains the authority for it.
+/// relock — any plan outside that shape is refused in a word run; run it
+/// with the fast path off.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GrantScope {
     /// A grant may read global policy state (wake sets, the shared graph,
@@ -438,8 +441,19 @@ mod tests {
         assert!(v.is_fatal());
         assert_eq!(v.to_string(), "T3 has no plan");
         let v = PolicyViolation::Altruistic(AltruisticViolation::Relock(TxId(1), EntityId(2)));
-        assert!(!v.is_fatal(), "rule violations are retryable");
+        assert!(
+            v.is_fatal(),
+            "a relock is in the plan: every retry repeats it"
+        );
         assert!(v.to_string().contains("AL3"));
+        let v = PolicyViolation::Ddag(DdagViolation::Relock(TxId(1), EntityId(2)));
+        assert!(v.is_fatal());
+        let v = PolicyViolation::Altruistic(AltruisticViolation::OutsideWake {
+            tx: TxId(1),
+            wake_of: TxId(2),
+            item: EntityId(3),
+        });
+        assert!(!v.is_fatal(), "rule violations are retryable");
         let v = PolicyViolation::Unsupported {
             policy: "2PL",
             action: PolicyAction::InsertEdge(EntityId(0), EntityId(1)),

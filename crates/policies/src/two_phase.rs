@@ -137,8 +137,8 @@ impl PolicyEngine for TwoPhaseEngine {
     /// engine is a plain lock manager, the two-phase planner never
     /// donates, so AL2 wake checks are vacuous and a per-entity lock word
     /// can take the decision. Plans outside the plain lock/access shape
-    /// (donations, locked points, structural ops) still route through the
-    /// engine — see [`GrantScope`].
+    /// (donations, locked points, structural ops) are refused in a word
+    /// run and need the fast path off — see [`GrantScope`].
     fn grant_scope(&self) -> GrantScope {
         GrantScope::PerEntity
     }

@@ -1,19 +1,20 @@
 //! Per-entity atomic lock words and the waiter-sharded waits-for graph.
 //!
 //! The engine `RwLock` in `service.rs` is the runtime's serialization
-//! wall — an engine-mode grant, finish, or abort takes it exclusively.
+//! wall — in an engine run every grant, finish, or abort takes it
+//! exclusively.
 //! For policies whose grant decision is purely per-entity
 //! ([`slp_policies::GrantScope::PerEntity`], i.e. a plain exclusive lock
 //! manager), the decision can instead be one CAS on the entity's own
 //! lock word, so uncontended transactions never serialize on anything
 //! wider than the entities they touch.
 //!
-//! "Fast path" names a *mode of an attempt*, not a second API: this
-//! module holds only the data structures. The service has one request
-//! primitive (`LockService::request`), which takes a covered entity's
-//! word for every `Lock` — words mode and engine mode alike — through
-//! one acquire routine; in words mode the word is the whole decision,
-//! in engine mode it comes before the engine's own ruling.
+//! "Fast path" names a *kind of run*, not a second API: this module holds
+//! only the data structures. A run with a word table is a word run: the
+//! service's one request primitive (`LockService::request`) takes the
+//! entity's word for every `Lock` through one acquire routine, the word
+//! is the whole decision, and the engine is never asked for a lock. A
+//! run without one is an engine run and never touches a word.
 //!
 //! # The lock word
 //!
@@ -32,8 +33,8 @@
 //!
 //! # Waiter-sharded waits-for graph
 //!
-//! The PR-5 waits-for map was one global mutex — for words-mode
-//! attempts it would become the new wall. [`WaitGraph`] shards the edge map by the
+//! A waits-for map behind one global mutex would be a word run's new
+//! wall. [`WaitGraph`] shards the edge map by the
 //! *waiter* (the potential deadlock victim): publishing or retracting an
 //! edge touches only the waiter's own shard, and the cycle walk crosses
 //! shards one short lock at a time. The walk is therefore not atomic
@@ -53,8 +54,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 /// The per-entity atomic lock-word table. Entity ids index the table
-/// directly; ids at or past the capacity are simply not covered (their
-/// requests must take the engine path).
+/// directly; ids at or past the capacity are simply not covered (a word
+/// run refuses a plan that names one).
 pub(crate) struct LockWords {
     words: Vec<AtomicU32>,
 }
@@ -84,9 +85,8 @@ impl LockWords {
     /// One attempt at acquiring `e` for `tx`: the CAS `0 → tx`, tried
     /// only when a load saw the word free. Returns the holder on
     /// conflict — which is `tx` itself if `tx` already holds the word (a
-    /// relock the caller must route to the engine for the policy's own
-    /// verdict). A failed CAS saw another holder, so it is a conflict
-    /// too, never a retry.
+    /// relock, which a word run refuses before it starts). A failed CAS
+    /// saw another holder, so it is a conflict too, never a retry.
     pub fn try_acquire(&self, e: EntityId, tx: TxId) -> Result<(), TxId> {
         let word = self.word(e);
         match word.load(Ordering::SeqCst) {

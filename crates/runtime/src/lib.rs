@@ -11,8 +11,7 @@
 //! formal model.
 //!
 //! * [`Runtime`] — build a service for any [`slp_policies::PolicyKind`]
-//!   (or custom engine + planner factory) and [`Runtime::run`] a job
-//!   queue;
+//!   and [`Runtime::run`] a job queue;
 //! * [`RuntimeConfig`] — worker count (test harnesses read
 //!   `SLP_RUNTIME_THREADS` through [`RuntimeConfig::workers_from_env`]),
 //!   park timeout, per-step yield, the mode switches described below,
@@ -66,23 +65,23 @@
 //!
 //! ## Architecture
 //!
-//! A worker plans a job under the engine's *read* lock, classifies the
-//! attempt once, and then drives it through one loop over one request
+//! A worker plans a job under the engine's *read* lock, opens the
+//! attempt, and then drives it through one loop over one request
 //! primitive: each action is granted, refused, or conflicts; a conflict
 //! publishes a waits-for edge (requester-victim rule on a closed cycle,
 //! as in the simulator — over a graph sharded by waiter), parks on the
 //! contended entity's stripe against the generation read at the
 //! conflict, retracts the edge and re-requests the same action. The
 //! wall-clock guard is checked at attempt start and at every conflict.
-//! The classification only selects where granted steps come from. In
-//! *engine mode* the engine rules under its write lock — the
+//! Where granted steps come from is fixed for the whole run. In an
+//! *engine run* the engine rules under its write lock — the
 //! serialization point for grants that read global policy state — one
-//! action per section. In *words mode* — per-entity policies
+//! action per section. In a *word run* — per-entity policies
 //! ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL) with
-//! [`RuntimeConfig::grant_fast_path`] on (the default), plain
-//! lock/access plans — each grant is a CAS on the entity's own atomic
-//! lock word and the engine lock is never taken. The words are the grant
-//! authority for both modes, so the two can share an entity. Everything
+//! [`RuntimeConfig::grant_fast_path`] on (the default) — each grant is
+//! a CAS on the entity's own atomic lock word, the engine's write lock
+//! is never taken, and a plan outside the plain lock/access shape is refused.
+//! A run has one grant authority, words or engine, never both. Everything
 //! around the decision is shared and sharded: entity-striped condvars
 //! woken only by releases hashing to their stripe, per-worker trace
 //! recording with one atomic sequence stamp taken inside the grant, one

@@ -108,7 +108,7 @@ pub struct RuntimeReport {
     /// Number of times a request found its lock held (one per conflict
     /// observation, as in the simulator).
     pub lock_waits: u64,
-    /// Actions granted (words mode and engine mode together):
+    /// Actions granted (by words or by the engine — one per run):
     /// `grants == fast_path_grants + slow_path_grants` always.
     pub grants: u64,
     /// Actions granted by a per-entity lock-word CAS, bypassing the
@@ -116,14 +116,12 @@ pub struct RuntimeReport {
     /// zero with the fast path off or a
     /// [`slp_policies::GrantScope::Global`] engine).
     pub fast_path_grants: u64,
-    /// Actions granted under the engine write lock. In a fast-active run
-    /// this counts the fallback shapes (donations, locked points,
-    /// structural ops, uncovered entities); with the fast path off it
-    /// equals [`grants`](RuntimeReport::grants).
+    /// Actions granted under the engine write lock: zero in a word run,
+    /// [`grants`](RuntimeReport::grants) in an engine run.
     pub slow_path_grants: u64,
-    /// Attempts that ran in engine mode in a run with a lock-word table,
-    /// because their plan fell outside words mode's plain lock/access
-    /// shape (one per attempt, not per action).
+    /// Attempts a word run refused because their plan fell outside the
+    /// plain lock/access shape (each also counted in
+    /// [`rejected`](RuntimeReport::rejected)).
     pub fast_path_fallbacks: u64,
     /// Times a conflicting worker actually blocked on its stripe's
     /// condvar (a park whose generation check found no racing release).

@@ -85,17 +85,20 @@ pub struct RuntimeConfig {
     /// Whether the run builds the per-entity lock-word table — that is
     /// all this knob selects. With a table (and only engines whose
     /// grants are purely per-entity get one:
-    /// [`slp_policies::GrantScope::PerEntity`], e.g. 2PL) an attempt
-    /// whose plan is plain lock/access runs in *words mode*: each grant
-    /// is a CAS on the entity's own atomic word and the engine write
-    /// lock is never taken. Anything outside that shape (donations,
-    /// locked points, structural ops, uncovered entities) runs in engine
-    /// mode, counted in [`RuntimeReport::fast_path_fallbacks`]; both
-    /// modes go through the same request loop and park the same way.
-    /// On by default — for [`GrantScope::Global`] engines it changes
-    /// nothing. Off is the engine-only reference the word path is
-    /// measured and checked against (`runtime.engine_path_jobs_per_s`;
-    /// width-1 schedules are byte-identical on and off).
+    /// [`slp_policies::GrantScope::PerEntity`], e.g. 2PL) the run is a
+    /// *word run*: each grant is a CAS on the entity's own atomic word
+    /// and the engine write lock is never taken. A plan outside the plain
+    /// lock/access shape (donations, locked points, structural ops,
+    /// relocks, uncovered entities) is refused as a fatal violation,
+    /// counted in [`RuntimeReport::fast_path_fallbacks`] and in
+    /// [`RuntimeReport::rejected`]; run such planners with the knob off.
+    /// Without a table the run is an *engine run*: the engine grants
+    /// everything and no word exists. Both go through the same request
+    /// loop and park the same way. On by default — for
+    /// [`GrantScope::Global`] engines it changes nothing. Off is the
+    /// engine-only reference the word path is measured and checked
+    /// against (`runtime.engine_path_jobs_per_s`; width-1 schedules are
+    /// byte-identical on and off).
     pub grant_fast_path: bool,
     /// The admission-stage batch scheduler ([`SchedMode::Off`] by
     /// default): [`SchedMode::Waves`] layers the job queue into
@@ -184,39 +187,14 @@ impl Runtime {
     /// A runtime for `kind`, with the engine from the default registry and
     /// the policy's standard planner.
     pub fn new(kind: PolicyKind, config: &PolicyConfig) -> Result<Runtime, RegistryError> {
-        Self::with_registry(&PolicyRegistry::new(), kind, config)
-    }
-
-    /// A runtime for `kind` built through `registry`.
-    pub fn with_registry(
-        registry: &PolicyRegistry,
-        kind: PolicyKind,
-        config: &PolicyConfig,
-    ) -> Result<Runtime, RegistryError> {
-        let engine = registry.build(kind, config)?;
-        Ok(Self::from_engine(
-            engine,
-            Arc::new(move |_worker| planner_for(kind)),
-            config.pool.clone(),
-        ))
-    }
-
-    /// A runtime over an arbitrary engine and planner factory. `pool` is
-    /// the initially existing entities for policies that do not track
-    /// existence themselves (see [`initial_state`](Runtime::initial_state)).
-    pub fn from_engine(
-        engine: Box<dyn PolicyEngine>,
-        planner_factory: PlannerFactory,
-        pool: Vec<slp_core::EntityId>,
-    ) -> Runtime {
-        let name = engine.name();
-        Runtime {
+        let engine = PolicyRegistry::new().build(kind, config)?;
+        Ok(Runtime {
+            name: engine.name(),
             engine: Some(engine),
-            name,
-            pool,
-            planner_factory,
+            pool: config.pool.clone(),
+            planner_factory: Arc::new(move |_worker| planner_for(kind)),
             metrics: Metrics::new(),
-        }
+        })
     }
 
     /// The metrics registry, accumulated across every run this runtime
@@ -649,7 +627,10 @@ fn run_attempt(
         Ok(p) => p,
         Err(v) => return classify(&mut rec.tally, &v),
     };
-    let mut at = service.attempt(tx, planned.as_deref(), &mut rec.tally);
+    let mut at = match service.attempt(tx, planned.as_deref(), &mut rec.tally) {
+        Ok(at) => at,
+        Err(v) => return classify(&mut rec.tally, &v),
+    };
     let plan = match service.begin(&at, &planner.intent(job)) {
         Ok(engine_plan) => match planned.or(engine_plan) {
             Some(plan) => plan,
@@ -664,7 +645,7 @@ fn run_attempt(
         Err(v) => return classify(&mut rec.tally, &v),
     };
 
-    // One loop for both grant modes: a granted action advances the
+    // One loop for both kinds of run: a granted action advances the
     // cursor, a conflict parks and re-requests the same action.
     let mut cursor = 0usize;
     while cursor < plan.len() {
@@ -779,97 +760,107 @@ fn backoff(attempt: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::Attempt;
     use slp_core::EntityId;
     use slp_durability::SharedMemStore;
     use slp_policies::{AccessIntent, PolicyAction};
 
     /// The pre-park hand-over, read off the log at the moment of the
-    /// park. A holder driven by hand sits on the hot entity with its lock
-    /// step unlogged; a worker runs the real attempt loop over *cold,
-    /// hot*: three steps on cold, then the conflict. Once it is parked
-    /// the log already has those three steps — above the watermark, which
-    /// the holder's unlogged stamp 0 holds — and when the holder retires
-    /// everything folds. Without the hand-over the sleeper's steps would
-    /// reach the log only after it woke, and every commit in between
-    /// would wait on them to become durable.
+    /// park, in a word run and in an engine run. A holder driven by hand
+    /// sits on the hot entity with its lock step unlogged; a worker runs
+    /// the real attempt loop over *cold, hot*: three steps on cold, then
+    /// the conflict. Once it is parked the log already has those three
+    /// steps — above the watermark, which the holder's unlogged stamp 0
+    /// holds — and when the holder retires everything folds. Without the
+    /// hand-over the sleeper's steps would reach the log only after it
+    /// woke, and every commit in between would wait on them to become
+    /// durable.
     #[test]
     fn a_worker_hands_its_steps_to_the_log_before_it_parks() {
         let (hot, cold) = (EntityId(0), EntityId(1));
-        let engine = PolicyRegistry::new()
-            .build(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![hot, cold]))
-            .expect("2PL builds");
-        let wal = Arc::new(
-            Wal::create(
-                Box::new(SharedMemStore::new()),
-                WalConfig::default(),
-                &StructuralState::from_entities([hot, cold]),
-            )
-            .expect("fresh store"),
-        );
-        let service = LockService::new(
-            engine,
-            Some(Arc::clone(&wal)),
-            CertifyMode::Off,
-            None,
-            Some(LockWords::new(2)),
-        );
-        let config = RuntimeConfig {
-            park_timeout: Duration::from_secs(30),
-            ..RuntimeConfig::with_workers(1)
-        };
-        let deadline = Instant::now() + config.max_wall;
+        for words in [true, false] {
+            let engine = PolicyRegistry::new()
+                .build(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![hot, cold]))
+                .expect("2PL builds");
+            let wal = Arc::new(
+                Wal::create(
+                    Box::new(SharedMemStore::new()),
+                    WalConfig::default(),
+                    &StructuralState::from_entities([hot, cold]),
+                )
+                .expect("fresh store"),
+            );
+            let service = LockService::new(
+                engine,
+                Some(Arc::clone(&wal)),
+                CertifyMode::Off,
+                None,
+                words.then(|| LockWords::new(2)),
+            );
+            let config = RuntimeConfig {
+                park_timeout: Duration::from_secs(30),
+                ..RuntimeConfig::with_workers(1)
+            };
+            let deadline = Instant::now() + config.max_wall;
 
-        let holder_plan = [PolicyAction::Lock(hot), PolicyAction::Access(hot)];
-        let mut holder_rec = Recorder::default();
-        let mut holder: Attempt =
-            service.attempt(TxId(1), Some(&holder_plan), &mut holder_rec.tally);
-        service
-            .begin(&holder, &AccessIntent::empty())
-            .expect("begin");
-        assert!(matches!(
-            service.request(&mut holder, holder_plan[0], &mut holder_rec),
-            Outcome::Granted
-        ));
-
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| {
-                let mut rec = Recorder::default();
-                let end = run_attempt(
-                    &service,
-                    planner_for(PolicyKind::TwoPhase).as_mut(),
-                    &Job::access(vec![cold, hot]),
-                    TxId(2),
-                    &config,
-                    deadline,
-                    &mut rec,
-                    &mut Vec::new(),
-                );
-                assert!(matches!(end, AttemptEnd::Committed));
-            });
-            while service.counters.parks.load(Ordering::Relaxed) == 0 {
-                std::thread::yield_now();
-            }
-            let parked = wal.summary();
-            assert_eq!(parked.records, 2, "base checkpoint + the waiter's steps");
-            assert_eq!((parked.watermark, parked.peak_window), (0, 3));
-
+            let holder_plan = [PolicyAction::Lock(hot), PolicyAction::Access(hot)];
+            let mut holder_rec = Recorder::default();
+            let mut holder = service
+                .attempt(TxId(1), Some(&holder_plan), &mut holder_rec.tally)
+                .expect("a plain plan");
+            service
+                .begin(&holder, &AccessIntent::empty())
+                .expect("begin");
             assert!(matches!(
-                service.request(&mut holder, holder_plan[1], &mut holder_rec),
+                service.request(&mut holder, holder_plan[0], &mut holder_rec),
                 Outcome::Granted
             ));
-            assert!(service
-                .finish(&mut holder, &mut holder_rec)
-                .expect("finish"));
-            waiter.join().expect("waiter panicked");
-        });
-        let done = wal.summary();
-        assert_eq!(done.watermark, service.stamps_drawn());
-        assert_eq!(
-            done.peak_window, 3,
-            "the holder's steps folded straight through"
-        );
-        // Two commits of two frames each, and the one pre-park hand-over.
-        assert_eq!(done.records, 1 + 2 + 2 + 1);
+
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| {
+                    let mut rec = Recorder::default();
+                    let end = run_attempt(
+                        &service,
+                        planner_for(PolicyKind::TwoPhase).as_mut(),
+                        &Job::access(vec![cold, hot]),
+                        TxId(2),
+                        &config,
+                        deadline,
+                        &mut rec,
+                        &mut Vec::new(),
+                    );
+                    assert!(matches!(end, AttemptEnd::Committed), "words {words}");
+                });
+                while service.counters.parks.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                let parked = wal.summary();
+                assert_eq!(
+                    parked.records, 2,
+                    "words {words}: base checkpoint + the waiter's steps"
+                );
+                assert_eq!(
+                    (parked.watermark, parked.peak_window),
+                    (0, 3),
+                    "words {words}"
+                );
+
+                assert!(matches!(
+                    service.request(&mut holder, holder_plan[1], &mut holder_rec),
+                    Outcome::Granted
+                ));
+                assert!(service
+                    .finish(&mut holder, &mut holder_rec)
+                    .expect("finish"));
+                waiter.join().expect("waiter panicked");
+            });
+            let done = wal.summary();
+            assert_eq!(done.watermark, service.stamps_drawn(), "words {words}");
+            assert_eq!(
+                done.peak_window, 3,
+                "words {words}: the holder's steps folded straight through"
+            );
+            // Two commits of two frames each, and the one pre-park hand-over.
+            assert_eq!(done.records, 1 + 2 + 2 + 1, "words {words}");
+        }
     }
 }

@@ -1,29 +1,29 @@
 //! The lock service: one [`PolicyEngine`] serving many worker threads
 //! through **one request primitive**.
 //!
-//! An attempt is classified once, after planning ([`LockService::attempt`]),
-//! and from then on every action goes through [`LockService::request`] and
-//! the attempt ends in [`LockService::finish`] or [`LockService::abort`].
-//! The classification only selects where the granted *steps* come from:
+//! An attempt is opened after planning ([`LockService::attempt`]), every
+//! action goes through [`LockService::request`], and the attempt ends in
+//! [`LockService::finish`] or [`LockService::abort`]. Where the granted
+//! *steps* come from is a property of the run, not of the attempt:
 //!
-//! * **engine mode** — the engine rules on every action under its write
-//!   lock and returns the steps. Every grant/refuse decision of a policy
-//!   that reads global state (wakes, donations, the DDAG) mutates shared
-//!   policy state, so those decisions serialize there;
-//! * **words mode** — in a run with a lock-word table
-//!   ([`slp_policies::GrantScope::PerEntity`] engines, see
-//!   [`crate::fastpath`]) a plain lock/access plan is decided by the
-//!   entities' own atomic words alone, and the service synthesizes the
-//!   steps the engine would have emitted. Every word is taken
-//!   exclusively, as every engine lock is, so a job locks the same way in
-//!   both modes, read-only or not. The engine `RwLock` is never touched
-//!   after planning.
+//! * **an engine run** — a [`slp_policies::GrantScope::Global`] engine,
+//!   or any run with [`crate::RuntimeConfig::grant_fast_path`] off: the
+//!   engine rules on every action under its write lock and returns the
+//!   steps. Every grant/refuse decision of a policy that reads global
+//!   state (wakes, donations, the DDAG) mutates shared policy state, so
+//!   those decisions serialize there;
+//! * **a word run** — a [`slp_policies::GrantScope::PerEntity`] engine
+//!   with the fast path on (see [`crate::fastpath`]): a plain lock/access
+//!   plan is decided by the entities' own atomic words alone, and the
+//!   service synthesizes the steps the engine would have emitted. Every
+//!   word is taken exclusively, as every engine lock is, so a job locks
+//!   the same way in both kinds of run, read-only or not. A plan outside
+//!   that shape is refused before anything is taken.
 //!
-//! The words are the grant authority in *both* modes: a `Lock` on a
-//! covered entity first takes the entity's word through the one
-//! `acquire_word` routine, whichever mode asks, so a word grant and an
-//! engine grant can never both win the same entity. Everything around
-//! the decision is shared by the two modes, and sharded or lock-free:
+//! A word run never takes the engine's write lock: its words are the only
+//! lock table it has. An engine run never touches a word: the engine's
+//! lock table is the only one it has. Everything around the decision is
+//! shared by the two kinds of run, and sharded or lock-free:
 //!
 //! * **planning** takes the engine's read lock (planners only read, so
 //!   they run concurrently with each other). The window is short: the
@@ -48,9 +48,9 @@
 //!   ends. The stamp-ordering contract: an acquire's stamp is fetched
 //!   after the acquire, a release's before the release, data stamps in
 //!   between — so for every entity the counter's monotonicity orders
-//!   conflicting steps exactly as the grants serialized, whichever mode
-//!   granted them. One thread draws a worker's stamps, so its run is
-//!   strictly ascending, and the runs merged by
+//!   conflicting steps exactly as the grants serialized, whichever
+//!   authority granted them. One thread draws a worker's stamps, so its
+//!   run is strictly ascending, and the runs merged by
 //!   [`slp_core::Schedule::from_sequenced_runs`] — linear, no sort, and
 //!   its own proof that no stamp is missing or doubled — are a faithful
 //!   schedule without any runtime coordination;
@@ -114,7 +114,7 @@ const _: () = assert!(STRIPES <= u64::BITS as usize);
 /// Loads a requester spends watching a held lock word before it reads the
 /// stripe generation and takes the park path
 /// ([`LockService::acquire_word`]): a few microseconds, about what a
-/// words-mode transaction holds a word for.
+/// word run's transaction holds a word for.
 const WORD_POLLS: u32 = 256;
 
 /// How a strict feeder waits for the certifier graph
@@ -144,15 +144,6 @@ fn stripe_index(e: EntityId) -> usize {
     e.0 as usize % STRIPES
 }
 
-/// Where an attempt's granted steps come from (see the module docs).
-#[derive(Clone, Copy)]
-enum GrantMode {
-    /// The lock words decide and the service synthesizes the steps.
-    Words,
-    /// The engine rules under its write lock and returns the steps.
-    Engine,
-}
-
 /// The per-attempt state [`LockService::request`] / [`finish`] / [`abort`]
 /// work on, opened by [`LockService::attempt`].
 ///
@@ -160,9 +151,8 @@ enum GrantMode {
 /// [`abort`]: LockService::abort
 pub(crate) struct Attempt {
     tx: TxId,
-    mode: GrantMode,
-    /// Words mode: the entities whose words `tx` holds, i.e. the unlock
-    /// steps still owed (the engine tracks an engine-mode attempt's).
+    /// In a word run: the entities whose words `tx` holds, i.e. the
+    /// unlock steps still owed (the engine tracks an engine run's).
     held: Vec<EntityId>,
 }
 
@@ -184,35 +174,24 @@ pub(crate) enum Outcome {
     Violation(PolicyViolation),
 }
 
-/// Whether `plan` can run in words mode: every action is a plain
-/// [`PolicyAction::Lock`] / [`PolicyAction::Access`] over word-covered
-/// entities, each entity is locked at most once, and every access follows
-/// its lock — the shape [`slp_policies::GrantScope::PerEntity`] promises
-/// the engine decides from per-entity state alone. Anything else (no
-/// plan, donations, locked points, structural ops, relocks, uncovered
-/// entities) leaves the attempt in engine mode.
-fn fast_plan_mode(words: &LockWords, plan: &[PolicyAction]) -> bool {
-    if plan.is_empty() {
-        return false;
-    }
+/// The first action of `plan` a word run cannot grant, if any. A word
+/// run grants only plain [`PolicyAction::Lock`] / [`PolicyAction::Access`]
+/// over word-covered entities, each entity locked at most once and every
+/// access after its lock — the shape
+/// [`slp_policies::GrantScope::PerEntity`] promises the engine decides
+/// from per-entity state alone. Anything else (a relock, an uncovered
+/// entity, an unlock, a locked point, a donation, a structural op) is the
+/// answer.
+fn fast_plan_mode(words: &LockWords, plan: &[PolicyAction]) -> Option<PolicyAction> {
     let mut locked: Vec<EntityId> = Vec::with_capacity(plan.len() / 2 + 1);
-    for action in plan {
-        match *action {
-            PolicyAction::Lock(e) => {
-                if !words.covers(e) || locked.contains(&e) {
-                    return false;
-                }
-                locked.push(e);
-            }
-            PolicyAction::Access(e) => {
-                if !locked.contains(&e) {
-                    return false;
-                }
-            }
-            _ => return false,
+    plan.iter().copied().find(|&action| match action {
+        PolicyAction::Lock(e) if words.covers(e) && !locked.contains(&e) => {
+            locked.push(e);
+            false
         }
-    }
-    true
+        PolicyAction::Access(e) => !locked.contains(&e),
+        _ => true,
+    })
 }
 
 /// One worker's accounting: plain integers only it touches, summed
@@ -237,8 +216,8 @@ pub(crate) struct Tally {
     /// Grants decided under the engine write lock (subset of `grants`;
     /// with the fast path off this equals `grants`).
     pub slow_path_grants: u64,
-    /// Attempts routed to the engine in a fast-capable run because their
-    /// plan fell outside the fast path's plain lock/access shape.
+    /// Attempts a word run refused because their plan fell outside the
+    /// plain lock/access shape (each also counted in `rejected`).
     pub fast_path_fallbacks: u64,
     /// MVCC snapshot read steps served without touching the lock service.
     pub snapshot_reads: u64,
@@ -318,11 +297,10 @@ pub(crate) struct LockService {
     engine: RwLock<Box<dyn PolicyEngine>>,
     stripes: [Stripe; STRIPES],
     waits_for: WaitGraph,
-    /// The per-entity atomic lock-word table, when the run has one
+    /// The per-entity atomic lock-word table of a word run
     /// ([`slp_policies::GrantScope::PerEntity`] engine and
-    /// [`crate::RuntimeConfig::grant_fast_path`] on). When present, the
-    /// words — not the engine's lock table — are the grant authority for
-    /// covered entities, for attempts in either mode.
+    /// [`crate::RuntimeConfig::grant_fast_path`] on); `None` in an engine
+    /// run. It selects the grant authority for the whole run.
     words: Option<LockWords>,
     seq: AtomicU64,
     /// Write-ahead log, when the run is durable. An attempt is handed
@@ -416,8 +394,8 @@ impl LockService {
     /// `wal`, when present, receives every attempt's steps and every
     /// commit. `certify` builds the online certifier
     /// ([`CertifyMode::Off`] costs nothing on the hot path). `words`,
-    /// when present, makes words mode available (the runner builds the
-    /// table only for [`slp_policies::GrantScope::PerEntity`] engines).
+    /// when present, makes this a word run (the runner builds the table
+    /// only for [`slp_policies::GrantScope::PerEntity`] engines).
     pub fn new(
         engine: Box<dyn PolicyEngine>,
         wal: Option<Arc<Wal>>,
@@ -507,9 +485,8 @@ impl LockService {
     /// explicit, donated, or final — then bump and notify the released
     /// entities' stripes. The order is the no-lost-wakeup protocol's
     /// release half: every word is free before any generation moves,
-    /// because a woken waiter re-reads the word. A word `tx` does not hold
-    /// (an entity past the table, an engine that runs without words) is
-    /// left untouched by `release`. The log is not fed here: a grant in
+    /// because a woken waiter re-reads the word. An engine run has no
+    /// words, only stripes to wake. The log is not fed here: a grant in
     /// the growing phase publishes while the transaction holds its words,
     /// and a wait for the log's mutex there is a wait every transaction
     /// queued on those words inherits.
@@ -657,7 +634,7 @@ impl LockService {
     /// taken inside one uninterrupted holding section — which is what
     /// the single `fetch_add` per call below already does for an engine
     /// section's steps. The coalescing that *is* legal goes one step
-    /// further in words mode: consecutive [`PolicyAction::Access`]
+    /// further in a word run: consecutive [`PolicyAction::Access`]
     /// grants have no acquire between them, so nothing can park and every
     /// word they touch stays held across the run — they could share one
     /// fetch, and the plan's last such run could share it with the final
@@ -690,27 +667,24 @@ impl LockService {
     }
 
     /// Takes `e`'s lock word for `tx` — the acquire half of the
-    /// no-lost-wakeup protocol, and its only copy. `Ok(true)`: freshly
-    /// acquired. `Ok(false)`: `tx` already holds it (a relock, engine
-    /// mode only — the engine rules on it, and the word must NOT be
-    /// handed back on that verdict). `Err`: the conflicting holder and
-    /// the stripe generation to park on. The generation is read *between*
-    /// the failed CAS and a recheck of the word: a releaser frees the
-    /// word before bumping the generation, so a conflict re-observed
-    /// after the read cannot have its wakeup already behind us, and a
-    /// word found free on the recheck is simply tried again. Before any
-    /// of that a word held by another transaction is watched for
-    /// [`WORD_POLLS`] loads (`try_acquire` reads before it CASes, so a
-    /// poll writes nothing): a words-mode holder is gone within
-    /// microseconds unless it is off-CPU or the pair is deadlocked, and
-    /// both of those fall through to the park path, where the waits-for
-    /// walk and the futex are.
-    fn acquire_word(&self, words: &LockWords, e: EntityId, tx: TxId) -> Result<bool, (TxId, u64)> {
+    /// no-lost-wakeup protocol, and its only copy. `Err`: the holder and
+    /// the stripe generation to park on (never `tx` itself: a word run
+    /// refuses a relock before it starts). The generation is read
+    /// *between* the failed CAS and a recheck of the word: a releaser
+    /// frees the word before bumping the generation, so a conflict
+    /// re-observed after the read cannot have its wakeup already behind
+    /// us, and a word found free on the recheck is simply tried again.
+    /// Before any of that a held word is watched for [`WORD_POLLS`] loads
+    /// (`try_acquire` reads before it CASes, so a poll writes nothing): a
+    /// word run's holder is gone within microseconds unless it is off-CPU
+    /// or the pair is deadlocked, and both of those fall through to the
+    /// park path, where the waits-for walk and the futex are.
+    fn acquire_word(&self, words: &LockWords, e: EntityId, tx: TxId) -> Result<(), (TxId, u64)> {
         let mut polls = WORD_POLLS;
         loop {
             match words.try_acquire(e, tx) {
-                Ok(()) => return Ok(true),
-                Err(holder) if holder != tx && polls > 0 => {
+                Ok(()) => return Ok(()),
+                Err(_) if polls > 0 => {
                     polls -= 1;
                     std::hint::spin_loop();
                     continue;
@@ -718,23 +692,8 @@ impl LockService {
                 Err(_) => {}
             }
             let gen = *self.stripe(e).gen.lock().expect("stripe lock");
-            match words.conflicting_holder(e) {
-                None => continue,
-                Some(holder) if holder == tx => return Ok(false),
-                Some(holder) => return Err((holder, gen)),
-            }
-        }
-    }
-
-    /// Gives back a word [`acquire_word`](LockService::acquire_word) took
-    /// fresh for an engine-mode `Lock` the engine then refused: no unlock
-    /// step will ever be recorded for it, so the word and any waiter
-    /// parked on it are handled here. Safe under the engine write lock
-    /// (stripe-lock holders never take the engine lock).
-    fn hand_back(&self, fresh: Option<EntityId>, tx: TxId) {
-        if let (Some(e), Some(words)) = (fresh, &self.words) {
-            if words.release(e, tx) {
-                self.bump(stripe_index(e));
+            if let Some(holder) = words.conflicting_holder(e) {
+                return Err((holder, gen));
             }
         }
     }
@@ -749,40 +708,53 @@ impl LockService {
         planner.plan(&**engine, job)
     }
 
-    /// Opens `tx`'s attempt at `job` and classifies it, once: words mode
-    /// when the run has a word table and [`fast_plan_mode`] accepts
-    /// `plan`, engine mode otherwise — which, in a run with a word table,
-    /// is a counted fallback ([`Tally::fast_path_fallbacks`]).
-    pub fn attempt(&self, tx: TxId, plan: Option<&[PolicyAction]>, tally: &mut Tally) -> Attempt {
-        let mode = match &self.words {
-            None => GrantMode::Engine,
-            Some(words) if plan.is_some_and(|plan| fast_plan_mode(words, plan)) => GrantMode::Words,
-            Some(_) => {
+    /// Opens `tx`'s attempt at `plan`. A word run refuses, before it
+    /// takes anything, a plan it cannot grant: `NoPlan` without one,
+    /// [`PolicyViolation::Unsupported`] naming the first action outside
+    /// the plain lock/access shape otherwise — both fatal, and counted in
+    /// [`Tally::fast_path_fallbacks`].
+    pub fn attempt(
+        &self,
+        tx: TxId,
+        plan: Option<&[PolicyAction]>,
+        tally: &mut Tally,
+    ) -> Result<Attempt, PolicyViolation> {
+        if let Some(words) = &self.words {
+            let refusal = match plan {
+                None => Some(PolicyViolation::NoPlan(tx)),
+                Some(plan) => fast_plan_mode(words, plan).map(|action| {
+                    let engine = self.engine.read().expect("engine lock poisoned");
+                    PolicyViolation::Unsupported {
+                        policy: engine.name(),
+                        action,
+                    }
+                }),
+            };
+            if let Some(violation) = refusal {
                 tally.fast_path_fallbacks += 1;
-                GrantMode::Engine
+                return Err(violation);
             }
-        };
-        Attempt {
-            tx,
-            mode,
-            held: Vec::new(),
         }
+        Ok(Attempt {
+            tx,
+            held: Vec::new(),
+        })
     }
 
     /// Begins the attempt's transaction; returns the engine's precomputed
-    /// plan if any. The engine never learns that a words-mode transaction
-    /// exists — the words are the authority for everything it touches.
-    /// With MVCC enabled the transaction registers as a writer with the
-    /// commit pipeline (its status-table flip orders behind lock-order
-    /// predecessors).
+    /// plan if any. In a word run the engine never learns that the
+    /// transaction exists — the words are the authority for everything
+    /// it touches. With MVCC enabled the transaction registers as a
+    /// writer with the commit pipeline (its status-table flip orders
+    /// behind lock-order predecessors).
     pub fn begin(
         &self,
         at: &Attempt,
         intent: &AccessIntent,
     ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        let plan = match at.mode {
-            GrantMode::Words => None,
-            GrantMode::Engine => {
+        let plan = match &self.words {
+            Some(_) => None,
+            None => {
                 let mut engine = self.engine.write().expect("engine lock poisoned");
                 engine.begin(at.tx, intent)?
             }
@@ -794,13 +766,12 @@ impl LockService {
     }
 
     /// Decides one `action` of the attempt and records the granted steps
-    /// into `rec`. A `Lock` on a word-covered entity takes the word
-    /// first, in either mode; then words mode synthesizes exactly the
-    /// steps the engine would emit (`lock`, then `read`+`write` per
-    /// access, whatever the job declares — so traces stay step-for-step
-    /// comparable across modes) without touching the engine lock, and
-    /// engine mode asks the engine under its write lock, one action per
-    /// section, handing a freshly taken word back if the engine refuses.
+    /// into `rec`. A word run takes the word for a `Lock` and synthesizes
+    /// exactly the steps the engine would emit (`lock`, then
+    /// `read`+`write` per access, whatever the job declares — so traces
+    /// stay step-for-step comparable across runs) without touching the
+    /// engine lock; an engine run asks the engine under its write lock,
+    /// one action per section.
     pub fn request(&self, at: &mut Attempt, action: PolicyAction, rec: &mut Recorder) -> Outcome {
         let tx = at.tx;
         let Recorder {
@@ -809,47 +780,34 @@ impl LockService {
             ..
         } = rec;
         let from = trace.len();
-        let mut fresh = None;
-        if let (PolicyAction::Lock(e), Some(words)) = (action, &self.words) {
-            if words.covers(e) {
-                match self.acquire_word(words, e, tx) {
-                    Ok(taken) => fresh = taken.then_some(e),
-                    Err((holder, gen)) => {
-                        return Outcome::Conflict {
-                            entity: e,
-                            holder,
-                            gen,
-                        }
-                    }
-                }
-            }
-        }
-        let (outcome, path) = match at.mode {
-            GrantMode::Words => {
-                match action {
-                    PolicyAction::Lock(e) => {
+        let outcome = match &self.words {
+            Some(words) => match action {
+                PolicyAction::Lock(e) => match self.acquire_word(words, e, tx) {
+                    Ok(()) => {
                         at.held.push(e);
                         self.record(tx, [Step::lock(LockMode::Exclusive, e)], trace);
+                        Outcome::Granted
                     }
-                    PolicyAction::Access(e) => {
-                        self.record(tx, [Step::read(e), Step::write(e)], trace)
-                    }
-                    _ => unreachable!("fast_plan_mode admits only Lock/Access"),
+                    Err((holder, gen)) => Outcome::Conflict {
+                        entity: e,
+                        holder,
+                        gen,
+                    },
+                },
+                PolicyAction::Access(e) => {
+                    self.record(tx, [Step::read(e), Step::write(e)], trace);
+                    Outcome::Granted
                 }
-                (Outcome::Granted, &mut tally.fast_path_grants)
-            }
-            GrantMode::Engine => {
+                _ => unreachable!("a word run admits only Lock/Access plans"),
+            },
+            None => {
                 let mut engine = self.engine.write().expect("engine lock poisoned");
-                let outcome = match engine.request(tx, action) {
+                match engine.request(tx, action) {
                     PolicyResponse::Granted(steps) => {
                         self.record(tx, steps, trace);
                         Outcome::Granted
                     }
                     PolicyResponse::Conflict { entity, holder } => {
-                        // Unreachable for a word-covered entity (holding
-                        // the word means nobody holds the engine entry) —
-                        // but if the engine disagrees, its verdict stands.
-                        self.hand_back(fresh, tx);
                         // Read inside the engine section that observed
                         // the conflict: every engine release is recorded
                         // in a later section and bumps after it. (Nested
@@ -862,20 +820,19 @@ impl LockService {
                             gen,
                         }
                     }
-                    PolicyResponse::Violation(violation) => {
-                        self.hand_back(fresh, tx);
-                        Outcome::Violation(violation)
-                    }
-                };
-                (outcome, &mut tally.slow_path_grants)
+                    PolicyResponse::Violation(violation) => Outcome::Violation(violation),
+                }
             }
         };
         if matches!(outcome, Outcome::Granted) {
             tally.grants += 1;
-            *path += 1;
+            match self.words {
+                Some(_) => tally.fast_path_grants += 1,
+                None => tally.slow_path_grants += 1,
+            }
         }
-        // An engine-mode grant may have recorded unlocks (explicit
-        // releases, altruistic donations); a words-mode one never does.
+        // An engine grant may have recorded unlocks (explicit releases,
+        // altruistic donations); a word grant never does.
         self.publish(tx, &trace[from..]);
         outcome
     }
@@ -896,11 +853,11 @@ impl LockService {
             .expect("an abort is never refused");
     }
 
-    /// The one way an attempt ends. The modes differ only in where the
-    /// unlock steps come from: the held set in ascending entity order
-    /// (matching the engine's emission) in words mode,
+    /// The one way an attempt ends. The two kinds of run differ only in
+    /// where the unlock steps come from: the held set in ascending entity
+    /// order (matching the engine's emission) in a word run,
     /// [`PolicyEngine::finish`] / [`PolicyEngine::abort`] under the write
-    /// lock in engine mode — stamped, either way, before
+    /// lock in an engine run — stamped, either way, before
     /// [`publish`](LockService::publish) frees the words, so the next
     /// holder's acquire stamp lands strictly later. Then the shared tail:
     /// publish — from here on `tx` holds nothing — certify the whole
@@ -926,8 +883,8 @@ impl LockService {
         let tx = at.tx;
         let attempt = &mut rec.steps;
         let from = attempt.len();
-        match at.mode {
-            GrantMode::Words => {
+        match &self.words {
+            Some(_) => {
                 at.held.sort_unstable();
                 let unlocks = at.held.drain(..);
                 self.record(
@@ -936,7 +893,7 @@ impl LockService {
                     attempt,
                 );
             }
-            GrantMode::Engine => {
+            None => {
                 let mut engine = self.engine.write().expect("engine lock poisoned");
                 let steps = if aborting {
                     engine.abort(tx)
@@ -1172,7 +1129,9 @@ mod tests {
 
         let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
         let mut rec = Recorder::default();
-        let mut at = service.attempt(tx, Some(&plan), &mut rec.tally);
+        let mut at = service
+            .attempt(tx, Some(&plan), &mut rec.tally)
+            .expect("a plain plan");
         service.begin(&at, &AccessIntent::empty()).expect("begin");
         for action in plan {
             assert!(matches!(
@@ -1280,37 +1239,38 @@ mod tests {
         assert_eq!(service.counters.parks.load(Ordering::Relaxed), 1);
     }
 
-    /// The no-lost-wakeup handshake, once, from both callers of the one
-    /// `acquire_word`: tx1 holds `e`; tx2's request conflicts and names
-    /// tx1 and a generation; tx1 finishes (word freed, *then* generation
+    /// The no-lost-wakeup handshake, once per kind of run: tx1 holds `e`;
+    /// tx2's request conflicts and names tx1 and a generation; tx1
+    /// finishes (word freed or engine entry dropped, *then* generation
     /// bumped); parking on the stale generation falls through at once;
     /// the re-request is granted with a stamp above tx1's unlock.
     #[test]
     fn a_conflict_generation_never_outlives_the_release() {
         let e = EntityId(0);
         let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
-        // `None` for a plan leaves the attempt in engine mode.
-        for tx2_plan in [Some(&plan[..]), None] {
-            let service = service_over_e0(true);
+        for words in [true, false] {
+            let service = service_over_e0(words);
             // One recorder per attempt, as if two workers ran them.
             let (mut rec1, mut rec2) = (Recorder::default(), Recorder::default());
-            let mut tx1 = service.attempt(TxId(1), Some(&plan), &mut rec1.tally);
-            service.begin(&tx1, &AccessIntent::empty()).expect("begin");
+            let open = |tx, rec: &mut Recorder| {
+                let at = service
+                    .attempt(tx, Some(&plan), &mut rec.tally)
+                    .expect("a plain plan");
+                service.begin(&at, &AccessIntent::empty()).expect("begin");
+                at
+            };
+            let (mut tx1, mut tx2) = (open(TxId(1), &mut rec1), open(TxId(2), &mut rec2));
             assert!(matches!(
                 service.request(&mut tx1, plan[0], &mut rec1),
                 Outcome::Granted
             ));
-
-            let mut tx2 = service.attempt(TxId(2), tx2_plan, &mut rec2.tally);
-            assert_eq!(matches!(tx2.mode, GrantMode::Words), tx2_plan.is_some());
-            service.begin(&tx2, &AccessIntent::empty()).expect("begin");
             let Outcome::Conflict {
                 entity,
                 holder,
                 gen,
             } = service.request(&mut tx2, plan[0], &mut rec2)
             else {
-                panic!("a held word must conflict");
+                panic!("words {words}: a held lock must conflict");
             };
             assert_eq!((entity, holder), (e, TxId(1)));
 
@@ -1339,14 +1299,16 @@ mod tests {
             assert!(service.finish(&mut tx2, &mut rec2).expect("finish"));
             assert!(service.words_quiescent());
             // Grants are tallied by the worker that was granted them, on
-            // the path that granted them.
-            assert_eq!((rec1.tally.grants, rec1.tally.fast_path_grants), (1, 1));
-            assert_eq!(rec2.tally.grants, 1);
-            assert_eq!(rec2.tally.slow_path_grants, u64::from(tx2_plan.is_none()));
-            assert_eq!(
-                rec2.tally.fast_path_fallbacks,
-                u64::from(tx2_plan.is_none())
-            );
+            // the run's one path.
+            for tally in [rec1.tally, rec2.tally] {
+                let path = if words {
+                    (tally.fast_path_grants, tally.slow_path_grants)
+                } else {
+                    (tally.slow_path_grants, tally.fast_path_grants)
+                };
+                assert_eq!((tally.grants, path), (1, (1, 0)), "words {words}");
+                assert_eq!(tally.fast_path_fallbacks, 0);
+            }
         }
     }
 }

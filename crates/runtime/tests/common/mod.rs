@@ -356,6 +356,19 @@ pub fn check_run(config: &RuntimeConfig, jobs: &[Job], report: &RuntimeReport, c
         report.fast_path_grants + report.slow_path_grants,
         "{ctx}: every grant must be attributed to exactly one path"
     );
+    // A run grants through one authority: words or the engine, never both.
+    assert!(
+        report.fast_path_grants == 0 || report.slow_path_grants == 0,
+        "{ctx}: {} word grants and {} engine grants in one run",
+        report.fast_path_grants,
+        report.slow_path_grants
+    );
+    if kind == PolicyKind::TwoPhase && config.grant_fast_path {
+        assert_eq!(
+            report.slow_path_grants, 0,
+            "{ctx}: a 2PL word run asked the engine for a lock"
+        );
+    }
     assert_eq!(
         report.latency.count, report.committed,
         "{ctx}: one latency sample per committed job"

@@ -24,18 +24,15 @@ mod common;
 
 use common::check_run;
 use proptest::test_runner::TestRng;
-use slp_core::{
-    is_serializable_with_aborts, Access, EntityId, Operation, ScheduledStep, StructuralState, TxId,
-};
-use slp_durability::frame::{decode_frame, FrameOutcome};
-use slp_durability::{FaultyStore, Record, Recovered, SEGMENT_MAGIC};
+use slp_core::{is_serializable_with_aborts, Access, EntityId, StructuralState, TxId};
+use slp_durability::{FaultyStore, Recovered};
 use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{
-    recover, MemStore, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SharedMemStore, Store,
-    Wal, WalConfig,
+    recover, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SharedMemStore, Store, Wal,
+    WalConfig,
 };
 use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs, uniform_jobs};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Runs `jobs` durably against a fresh in-memory store; returns the run
@@ -82,26 +79,6 @@ fn committed_set(report: &RuntimeReport) -> BTreeSet<TxId> {
         .into_iter()
         .filter(|tx| !aborted.contains(tx))
         .collect()
-}
-
-/// Every record of a clean log, in the byte order the log wrote them.
-fn records_in_byte_order(store: &MemStore) -> Vec<Record> {
-    let mut records = Vec::new();
-    for index in store.list().expect("memory store lists") {
-        let data = store.read(index).expect("listed segment reads");
-        let mut rest = &data[SEGMENT_MAGIC.len()..];
-        loop {
-            match decode_frame(rest) {
-                FrameOutcome::Record(r, tail) => {
-                    records.push(r);
-                    rest = tail;
-                }
-                FrameOutcome::End => break,
-                FrameOutcome::Torn(reason) => panic!("clean log is torn: {reason}"),
-            }
-        }
-    }
-    records
 }
 
 /// The structural state the run ended in, derived by independent replay.
@@ -477,100 +454,6 @@ fn one_append_per_attempt_still_logs_every_step_and_every_commit() {
             assert_eq!(durable, committed_set(&report), "{ctx}");
             r.certify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
         }
-    }
-}
-
-/// One hot entity, every job shaped *own cold entity, hot, a long private
-/// tail*: whoever holds hot holds it for a thousand steps while the other
-/// workers — each with three steps on its cold entity already stamped —
-/// wait for it. A waiter hands those steps to the log before it parks:
-/// its first steps frame lies, in the log's byte order, before the frame
-/// in which the holder it waited for released hot. (The byte order is the
-/// mid-run read of the store made independent of when the reader gets to
-/// run; `runner::tests` reads the log at the moment of the park, with
-/// the holder driven by hand, and holds `peak_window` to the exact count
-/// there — in a free-running pool a waiter descheduled between stamping
-/// and handing over pins a holder's worth of steps, by accident rather
-/// than by design.)
-#[test]
-fn a_parked_waiter_has_handed_its_steps_to_the_log() {
-    const JOBS: u32 = 12;
-    const TAIL: u32 = 300;
-    let hot = EntityId(0);
-    let pool: Vec<EntityId> = (0..1 + JOBS * (TAIL + 1)).map(EntityId).collect();
-    let jobs: Vec<Job> = (0..JOBS)
-        .map(|j| {
-            let cold = 1 + j * (TAIL + 1);
-            let tail = (cold + 1..=cold + TAIL).map(EntityId);
-            Job::access([EntityId(cold), hot].into_iter().chain(tail).collect())
-        })
-        .collect();
-    for grant_fast_path in [true, false] {
-        let run = RuntimeConfig {
-            grant_fast_path,
-            // A yield per grant lets a waiter park on hot mid-tail.
-            step_yield: true,
-            ..RuntimeConfig::with_workers(3)
-        };
-        let (report, handle) = durable_run_with(
-            PolicyKind::TwoPhase,
-            &PolicyConfig::flat(pool.clone()),
-            &jobs,
-            &run,
-            WalConfig::default(),
-        );
-        let ctx = format!("fast path {grant_fast_path}");
-        assert_eq!(
-            report.deadlock_aborts, 0,
-            "{ctx}: the plans cannot deadlock"
-        );
-        assert!(report.parks > 0, "{ctx}: nobody ever waited for hot");
-        let wal = report.wal.expect("durable run reports its log");
-        assert_eq!(wal.watermark, report.schedule.len() as u64, "{ctx}");
-
-        // Where, in byte order, each transaction's steps frames lie; and
-        // when and in which frame hot was locked and released.
-        let mut frames_of: BTreeMap<TxId, Vec<usize>> = BTreeMap::new();
-        let mut hot_locked_at: BTreeMap<TxId, u64> = BTreeMap::new();
-        let mut hot_released: Vec<(u64, usize)> = Vec::new();
-        for (at, record) in records_in_byte_order(&handle.snapshot()).iter().enumerate() {
-            let Record::Steps(entries) = record else {
-                continue;
-            };
-            frames_of.entry(entries[0].1.tx).or_default().push(at);
-            for &(stamp, ScheduledStep { tx, step, .. }) in entries {
-                match step.op {
-                    Operation::Lock(_) if step.entity == hot => {
-                        hot_locked_at.insert(tx, stamp);
-                    }
-                    Operation::Unlock(_) if step.entity == hot => hot_released.push((stamp, at)),
-                    _ => {}
-                }
-            }
-        }
-        let mut handed_over_before_parking = 0;
-        for (tx, frames) in &frames_of {
-            if frames.len() < 2 {
-                continue;
-            }
-            // The holder `tx` waited for last: the newest release of hot
-            // older than its own lock of hot.
-            let &(_, holder_retired) = hot_released
-                .iter()
-                .filter(|&&(stamp, _)| stamp < hot_locked_at[tx])
-                .max()
-                .unwrap_or_else(|| panic!("{ctx}: {tx:?} parked with hot free"));
-            assert!(
-                frames[0] < holder_retired,
-                "{ctx}: {tx:?} logged nothing until the holder it waited for had retired"
-            );
-            handed_over_before_parking += 1;
-        }
-        assert!(
-            handed_over_before_parking > 0,
-            "{ctx}: {} parks and not one pre-park hand-over in the log",
-            report.parks
-        );
     }
 }
 

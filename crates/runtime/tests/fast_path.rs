@@ -8,11 +8,10 @@
 //!   path emits exactly the steps the engine would (lock / read+write /
 //!   ascending unlocks) for every job shape, read-only jobs included,
 //!   stamped by the same counter in the same order.
-//! * **Fast/slow interleaving** — a hot single entity hammered by
-//!   fast-path workers and engine-path workers (their planner emits a
-//!   locked point, which is fast-ineligible by design), with read-only
-//!   jobs among them: both grant paths must agree on one lock word with
-//!   no lost wakeups, no double grants, and a serializable merged trace.
+//! * **One grant authority per run** — a planner that emits a locked
+//!   point (outside the plain lock/access shape) is refused outright in a
+//!   word run, before it takes a word, and runs through the engine with
+//!   the fast path off.
 //!
 //! The stamp-ordering contract under test throughout: an acquire's stamp
 //! is fetched after the word CAS, a release's before it, so per entity
@@ -24,20 +23,16 @@
 mod common;
 
 use common::{check_run, pool};
-use slp_core::EntityId;
 use slp_policies::{
-    planner_for, AccessIntent, ActionPlanner, Job, PolicyAction, PolicyConfig, PolicyEngine,
-    PolicyKind, PolicyViolation,
+    AccessIntent, ActionPlanner, Job, PolicyAction, PolicyConfig, PolicyEngine, PolicyKind,
+    PolicyViolation,
 };
 use slp_runtime::{Runtime, RuntimeConfig, RuntimeReport};
 use slp_sim::uniform_jobs;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Runs `jobs` on `rt` at `workers` with the fast path `fast` under the
-/// shared base config, and holds the run to `common::check_run`. The
-/// base keeps `step_yield` on: the mixed-planner tests need words mode
-/// and engine mode to meet on one word.
+/// shared base config, and holds the run to `common::check_run`.
 fn run(rt: &mut Runtime, jobs: &[Job], workers: usize, fast: bool, ctx: &str) -> RuntimeReport {
     let config = RuntimeConfig {
         grant_fast_path: fast,
@@ -130,11 +125,9 @@ fn width_one_schedules_are_identical_fast_on_and_off() {
     }
 }
 
-/// A 2PL planner whose plans are deliberately fast-ineligible: it
-/// appends a [`PolicyAction::LockedPoint`] (after every lock, so the
-/// engine accepts it), forcing the attempt down the engine path even in
-/// a fast-active run — the tool for pitting both grant paths against the
-/// same lock word.
+/// A 2PL planner whose plans are deliberately outside the word run's
+/// shape: it appends a [`PolicyAction::LockedPoint`] (after every lock,
+/// so the engine accepts it).
 struct LockedPointPlanner;
 
 impl ActionPlanner for LockedPointPlanner {
@@ -158,124 +151,28 @@ impl ActionPlanner for LockedPointPlanner {
 }
 
 #[test]
-fn fast_and_slow_paths_interleave_on_one_hot_entity() {
-    // The dual-path stress the tentpole demands: ONE entity, 8 workers.
-    // Even workers plan plain lock/access (fast path); odd workers plan
-    // through LockedPointPlanner (engine path, counted as fallbacks);
-    // every third job is read-only, and takes the word exclusively like
-    // the writers do. Both paths contend on the same lock word, so a
-    // coherence bug — a double grant, a lost wakeup, a release the other
-    // path missed — surfaces as an illegal or nonserializable trace, a
-    // stuck run (10 s park backstop), or a leaked lock.
-    let pool = vec![EntityId(0)];
-    let jobs: Vec<Job> = (0..240)
-        .map(|i| {
-            if i % 3 == 0 {
-                Job::read(vec![EntityId(0)])
-            } else {
-                Job::access(vec![EntityId(0)])
-            }
-        })
-        .collect();
-    let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool)).unwrap();
-    rt.set_planner_factory(Arc::new(|w| {
-        if w % 2 == 1 {
-            Box::new(LockedPointPlanner) as Box<dyn ActionPlanner>
-        } else {
-            planner_for(PolicyKind::TwoPhase)
-        }
-    }));
-    let report = run(&mut rt, &jobs, 8, true, "hot-entity interleaving");
-    assert_eq!(
-        report.deadlock_aborts, 0,
-        "single-lock transactions cannot cycle — a victim here is a phantom"
-    );
-    // Both paths must actually have been exercised (8 workers, half per
-    // planner, every worker claims many of the 240 jobs).
-    assert!(report.fast_path_grants > 0, "fast path never ran");
-    assert!(report.slow_path_grants > 0, "engine path never ran");
+fn a_word_run_refuses_a_plan_outside_the_plain_shape() {
+    // Every plan ends in a locked point. A word run refuses each one
+    // before it takes a word — a fatal violation, so the job is dropped —
+    // and grants nothing; with the fast path off the engine runs them all.
+    let pool = pool(8);
+    let jobs = uniform_jobs(&pool, 40, 2, 7);
+    let runtime = || {
+        let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone())).unwrap();
+        rt.set_planner_factory(Arc::new(|_| Box::new(LockedPointPlanner)));
+        rt
+    };
+    let config = common::conf(4);
+    let refused = runtime().run(&jobs, &config);
+    assert_eq!(refused.rejected, jobs.len(), "every plan refused");
+    assert_eq!(refused.fast_path_fallbacks, jobs.len() as u64);
+    assert_eq!((refused.grants, refused.committed), (0, 0));
+    assert!(refused.accounting_balances());
+    assert!(refused.lock_table_quiescent());
     assert!(
-        report.fast_path_fallbacks > 0,
-        "locked-point plans must fall back"
+        refused.schedule.is_empty(),
+        "a refused attempt took no step"
     );
-}
 
-/// A 2PL planner whose every other plan is refused *after* it took a
-/// lock word: `[Lock(A), Access(A), LockedPoint, Lock(B)]` — the engine
-/// rules `PastLockedPoint` on `Lock(B)` once the attempt (engine mode,
-/// because of the locked point) already holds `B`'s word. That word goes
-/// back with no unlock step recorded, the one release the trace never
-/// sees. The refusal is transient, so the job retries; the planner's
-/// next plan is a well-formed engine-mode one on `B`, so every job ends.
-struct RefusedAfterWordPlanner {
-    next_is_refused: bool,
-    refusals: Arc<AtomicUsize>,
-}
-
-const A: EntityId = EntityId(0);
-const B: EntityId = EntityId(1);
-
-impl ActionPlanner for RefusedAfterWordPlanner {
-    fn intent(&self, _job: &Job) -> AccessIntent {
-        AccessIntent::empty()
-    }
-
-    fn plan(
-        &mut self,
-        _engine: &dyn PolicyEngine,
-        _job: &Job,
-    ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        self.next_is_refused = !self.next_is_refused;
-        Ok(Some(if self.next_is_refused {
-            self.refusals.fetch_add(1, Ordering::Relaxed);
-            vec![
-                PolicyAction::Lock(A),
-                PolicyAction::Access(A),
-                PolicyAction::LockedPoint,
-                PolicyAction::Lock(B),
-            ]
-        } else {
-            vec![
-                PolicyAction::Lock(B),
-                PolicyAction::Access(B),
-                PolicyAction::LockedPoint,
-            ]
-        }))
-    }
-}
-
-#[test]
-fn a_refused_engine_mode_lock_gives_its_word_back() {
-    // Odd workers run the refused-then-retried planner above; even
-    // workers run plain words-mode jobs on B, so the handed-back word is
-    // always contended: a hand-back that forgot the word would trip the
-    // end-of-run "words all free" assert (or wedge the run), one that
-    // forgot the wakeup would fire the 10 s park backstop.
-    let refusals = Arc::new(AtomicUsize::new(0));
-    let jobs: Vec<Job> = (0..240).map(|_| Job::access(vec![B])).collect();
-    let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![A, B])).unwrap();
-    let counter = Arc::clone(&refusals);
-    rt.set_planner_factory(Arc::new(move |w| {
-        if w % 2 == 1 {
-            Box::new(RefusedAfterWordPlanner {
-                next_is_refused: false,
-                refusals: Arc::clone(&counter),
-            }) as Box<dyn ActionPlanner>
-        } else {
-            planner_for(PolicyKind::TwoPhase)
-        }
-    }));
-    let report = run(&mut rt, &jobs, 8, true, "refused lock hand-back");
-    let refused = refusals.load(Ordering::Relaxed);
-    assert!(refused > 0, "the refused shape never ran");
-    assert_eq!(
-        report.policy_aborts, refused,
-        "every refused plan is one counted policy abort"
-    );
-    assert_eq!(
-        report.deadlock_aborts, 0,
-        "A is always taken before B and B-holders never wait"
-    );
-    assert!(report.fast_path_grants > 0, "words mode never ran");
-    assert!(report.slow_path_grants > 0, "engine mode never ran");
+    run(&mut runtime(), &jobs, 4, false, "locked points / fast off");
 }

@@ -6,7 +6,11 @@ use safe_locking::graph::DiGraph;
 use safe_locking::policies::altruistic::{AltruisticEngine, AltruisticViolation};
 use safe_locking::policies::ddag::{DdagEngine, DdagViolation};
 use safe_locking::policies::dtr::{DtrEngine, DtrViolation};
+use safe_locking::policies::{Job, PolicyConfig, PolicyKind, PolicyRegistry};
+use safe_locking::runtime::{Runtime, RuntimeConfig};
+use safe_locking::sim::{build_adapter, run_sim, SimConfig};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 fn access() -> Vec<DataOp> {
     vec![DataOp::Read, DataOp::Write]
@@ -186,4 +190,50 @@ fn dtr_abort_midway_releases_locks() {
     // A successor transaction can now take the same entities.
     eng.begin(TxId(2), &ops).unwrap();
     assert!(eng.run_to_end(TxId(2)).is_ok());
+}
+
+/// A job that names a target twice plans a relock, and every retry
+/// replans it the same way. 2PL and altruistic reject it once instead of
+/// retrying it until a guard fires: in the simulator, and in the runtime
+/// with the fast path on and off alike.
+#[test]
+fn a_job_naming_a_target_twice_is_rejected_not_retried() {
+    let (a, b) = (EntityId(0), EntityId(1));
+    let jobs = vec![Job::access(vec![a, b, a])];
+    let policy = PolicyConfig::flat(vec![a, b]);
+    for kind in [PolicyKind::TwoPhase, PolicyKind::Altruistic] {
+        let mut adapter = build_adapter(&PolicyRegistry::new(), kind, &policy).unwrap();
+        let sim = run_sim(
+            &mut adapter,
+            &jobs,
+            &SimConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        let ctx = format!("{} / sim", kind.name());
+        assert!(!sim.timed_out, "{ctx}: retried until max_ticks");
+        assert_eq!(
+            (sim.rejected, sim.committed, sim.policy_aborts),
+            (1, 0, 0),
+            "{ctx}"
+        );
+        for grant_fast_path in [true, false] {
+            let config = RuntimeConfig {
+                grant_fast_path,
+                max_wall: Duration::from_millis(300),
+                ..RuntimeConfig::with_workers(1)
+            };
+            let report = Runtime::new(kind, &policy).unwrap().run(&jobs, &config);
+            let ctx = format!("{} / fast path {grant_fast_path}", kind.name());
+            assert!(!report.timed_out, "{ctx}: retried until the deadline");
+            assert_eq!(
+                (report.rejected, report.committed, report.policy_aborts),
+                (1, 0, 0),
+                "{ctx}"
+            );
+            assert!(report.accounting_balances(), "{ctx}");
+            assert!(report.lock_table_quiescent(), "{ctx}");
+        }
+    }
 }
