@@ -40,7 +40,6 @@
 use crate::altruistic::AltruisticViolation;
 use crate::ddag::DdagViolation;
 use crate::dtr::DtrViolation;
-use crate::tree::TreeLockViolation;
 use slp_core::{DataOp, EntityId, Step, TxId};
 use slp_graph::{DiGraph, DomIndex, Forest};
 use std::any::Any;
@@ -152,8 +151,6 @@ pub enum PolicyViolation {
     Altruistic(AltruisticViolation),
     /// A dynamic tree policy (DT0–DT3) violation.
     Dtr(DtrViolation),
-    /// A tree-locking violation (the \[SK80\] validator).
-    TreeLock(TreeLockViolation),
     /// Plan construction failed before the transaction touched the engine.
     Plan(PlanViolation),
     /// The transaction has no plan (it was never begun, or its plan was
@@ -199,7 +196,6 @@ impl fmt::Display for PolicyViolation {
             PolicyViolation::Ddag(v) => write!(f, "DDAG: {v}"),
             PolicyViolation::Altruistic(v) => write!(f, "altruistic: {v}"),
             PolicyViolation::Dtr(v) => write!(f, "DTR: {v}"),
-            PolicyViolation::TreeLock(v) => write!(f, "tree locking: {v}"),
             PolicyViolation::Plan(v) => write!(f, "plan: {v}"),
             PolicyViolation::NoPlan(tx) => write!(f, "{tx} has no plan"),
             PolicyViolation::OffPlan(tx, a) => {
@@ -217,12 +213,6 @@ impl std::error::Error for PolicyViolation {}
 impl From<PlanViolation> for PolicyViolation {
     fn from(v: PlanViolation) -> Self {
         PolicyViolation::Plan(v)
-    }
-}
-
-impl From<TreeLockViolation> for PolicyViolation {
-    fn from(v: TreeLockViolation) -> Self {
-        PolicyViolation::TreeLock(v)
     }
 }
 

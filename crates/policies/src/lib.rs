@@ -41,7 +41,8 @@
 //! plan a transaction follows: a [`Job`] says what a transaction wants,
 //! and the policy's [`ActionPlanner`] ([`planner_for`]) says how it locks
 //! for it. Both executors — the `slp-sim` simulator and the `slp-runtime`
-//! service — drive every job through these two halves.
+//! service — drive every job through these two halves, and pick deadlock
+//! victims with one [`WaitsFor`] table ([`waits`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,6 +56,7 @@ pub mod plan;
 pub mod registry;
 pub mod tree;
 pub mod two_phase;
+pub mod waits;
 
 pub use altruistic::{AltruisticConfig, AltruisticEngine, AltruisticViolation};
 pub use api::{
@@ -70,3 +72,4 @@ pub use plan::{
 pub use registry::{PolicyBuilder, PolicyConfig, PolicyKind, PolicyRegistry, RegistryError};
 pub use tree::{is_tree_locked, tree_lock_plan, PlanError, TreeLockViolation};
 pub use two_phase::TwoPhaseEngine;
+pub use waits::WaitsFor;

@@ -69,7 +69,7 @@
 //! attempt, and then drives it through one loop over one request
 //! primitive: each action is granted, refused, or conflicts; a conflict
 //! publishes a waits-for edge (requester-victim rule on a closed cycle,
-//! as in the simulator — over a graph sharded by waiter), parks on the
+//! in the simulator's [`slp_policies::WaitsFor`] table), parks on the
 //! contended entity's stripe against the generation read at the
 //! conflict, retracts the edge and re-requests the same action. The
 //! wall-clock guard is checked at attempt start and at every conflict.

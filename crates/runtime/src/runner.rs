@@ -760,9 +760,31 @@ fn backoff(attempt: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::Attempt;
     use slp_core::EntityId;
     use slp_durability::SharedMemStore;
-    use slp_policies::{AccessIntent, PolicyAction};
+    use slp_policies::AccessIntent;
+    use slp_policies::PolicyAction::{self, Access, Lock};
+
+    /// A 2PL service over `entities`, driven by hand: a word run iff
+    /// `words`.
+    fn two_phase(entities: &[EntityId], words: bool, wal: Option<Arc<Wal>>) -> LockService {
+        let engine = PolicyRegistry::new()
+            .build(PolicyKind::TwoPhase, &PolicyConfig::flat(entities.to_vec()))
+            .expect("2PL builds");
+        let words = words.then(|| LockWords::new(entities.len()));
+        LockService::new(engine, wal, CertifyMode::Off, None, words)
+    }
+
+    /// `tx`'s attempt over `plan`, opened and begun.
+    fn begun(service: &LockService, tx: TxId, plan: &[PolicyAction]) -> (Attempt, Recorder) {
+        let mut rec = Recorder::default();
+        let at = service
+            .attempt(tx, Some(plan), &mut rec.tally)
+            .expect("a plain plan");
+        service.begin(&at, &AccessIntent::empty()).expect("begin");
+        (at, rec)
+    }
 
     /// The pre-park hand-over, read off the log at the moment of the
     /// park, in a word run and in an engine run. A holder driven by hand
@@ -778,9 +800,6 @@ mod tests {
     fn a_worker_hands_its_steps_to_the_log_before_it_parks() {
         let (hot, cold) = (EntityId(0), EntityId(1));
         for words in [true, false] {
-            let engine = PolicyRegistry::new()
-                .build(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![hot, cold]))
-                .expect("2PL builds");
             let wal = Arc::new(
                 Wal::create(
                     Box::new(SharedMemStore::new()),
@@ -789,29 +808,16 @@ mod tests {
                 )
                 .expect("fresh store"),
             );
-            let service = LockService::new(
-                engine,
-                Some(Arc::clone(&wal)),
-                CertifyMode::Off,
-                None,
-                words.then(|| LockWords::new(2)),
-            );
+            let service = two_phase(&[hot, cold], words, Some(Arc::clone(&wal)));
             let config = RuntimeConfig {
                 park_timeout: Duration::from_secs(30),
                 ..RuntimeConfig::with_workers(1)
             };
             let deadline = Instant::now() + config.max_wall;
 
-            let holder_plan = [PolicyAction::Lock(hot), PolicyAction::Access(hot)];
-            let mut holder_rec = Recorder::default();
-            let mut holder = service
-                .attempt(TxId(1), Some(&holder_plan), &mut holder_rec.tally)
-                .expect("a plain plan");
-            service
-                .begin(&holder, &AccessIntent::empty())
-                .expect("begin");
+            let (mut holder, mut holder_rec) = begun(&service, TxId(1), &[Lock(hot), Access(hot)]);
             assert!(matches!(
-                service.request(&mut holder, holder_plan[0], &mut holder_rec),
+                service.request(&mut holder, Lock(hot), &mut holder_rec),
                 Outcome::Granted
             ));
 
@@ -845,7 +851,7 @@ mod tests {
                 );
 
                 assert!(matches!(
-                    service.request(&mut holder, holder_plan[1], &mut holder_rec),
+                    service.request(&mut holder, Access(hot), &mut holder_rec),
                     Outcome::Granted
                 ));
                 assert!(service
@@ -861,6 +867,46 @@ mod tests {
             );
             // Two commits of two frames each, and the one pre-park hand-over.
             assert_eq!(done.records, 1 + 2 + 2 + 1, "words {words}");
+        }
+    }
+
+    /// A deadlock driven by hand, in a word run and in an engine run: T1
+    /// holds `a` and T2 holds `b`, T1 asks for `b` and T2 for `a`. The
+    /// second request closes the cycle, so T2 — the requester — is the
+    /// victim, and once it has aborted and cleared its edge T1 gets `b`
+    /// and commits.
+    #[test]
+    fn the_request_that_closes_a_waits_for_cycle_is_the_victim() {
+        let (a, b) = (EntityId(0), EntityId(1));
+        for words in [true, false] {
+            let service = two_phase(&[a, b], words, None);
+            let (mut t1, mut r1) = begun(&service, TxId(1), &[Lock(a), Lock(b)]);
+            let (mut t2, mut r2) = begun(&service, TxId(2), &[Lock(b), Lock(a)]);
+            // The holder a request is blocked by, `None` once granted.
+            let blocked_by = |outcome| match outcome {
+                Outcome::Granted => None,
+                Outcome::Conflict { holder, .. } => Some(holder),
+                Outcome::Violation(v) => panic!("words {words}: {v}"),
+            };
+            assert_eq!(blocked_by(service.request(&mut t1, Lock(a), &mut r1)), None);
+            assert_eq!(blocked_by(service.request(&mut t2, Lock(b), &mut r2)), None);
+
+            let holder = blocked_by(service.request(&mut t1, Lock(b), &mut r1));
+            assert_eq!(holder, Some(TxId(2)), "words {words}");
+            assert!(!service.note_wait(TxId(1), TxId(2)), "words {words}");
+            let holder = blocked_by(service.request(&mut t2, Lock(a), &mut r2));
+            assert_eq!(holder, Some(TxId(1)), "words {words}");
+            assert!(
+                service.note_wait(TxId(2), TxId(1)),
+                "words {words}: T2 closes it"
+            );
+
+            service.clear_wait(TxId(2));
+            service.abort(&mut t2, &mut r2);
+            service.clear_wait(TxId(1));
+            assert_eq!(blocked_by(service.request(&mut t1, Lock(b), &mut r1)), None);
+            assert!(service.finish(&mut t1, &mut r1).expect("finish"));
+            assert!(service.words_quiescent(), "words {words}");
         }
     }
 }

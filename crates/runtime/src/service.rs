@@ -92,7 +92,7 @@
 //! lost-wakeup evidence.
 
 use crate::certifier::{IncrementalCertifier, VersionedRead};
-use crate::fastpath::{LockWords, WaitGraph};
+use crate::fastpath::LockWords;
 use crate::runner::CertifyMode;
 use crate::trace::{Stamped, TraceRun};
 use slp_core::{DataOp, EntityId, LockMode, Operation, ScheduledStep, Step, TxId};
@@ -100,14 +100,15 @@ use slp_durability::Wal;
 use slp_mvcc::{CommitPipeline, MvccStore, VisibilityRule};
 use slp_policies::{
     AccessIntent, ActionPlanner, Job, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation,
+    WaitsFor,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
 use std::time::Duration;
 
-/// Parking stripes, and waits-for shards. A constant rather than a knob
-/// — no caller ever set it — and bounded by the width of the bitmap the
-/// wake path dedupes released stripes in.
+/// Parking stripes. A constant rather than a knob — no caller ever set
+/// it — and bounded by the width of the bitmap the wake path dedupes
+/// released stripes in.
 const STRIPES: usize = 16;
 const _: () = assert!(STRIPES <= u64::BITS as usize);
 
@@ -296,7 +297,9 @@ pub(crate) struct MvccState {
 pub(crate) struct LockService {
     engine: RwLock<Box<dyn PolicyEngine>>,
     stripes: [Stripe; STRIPES],
-    waits_for: WaitGraph,
+    /// The run's waits-for table, behind one mutex so that a publish and
+    /// its walk are one critical section. Only a conflict touches it.
+    waits_for: Mutex<WaitsFor>,
     /// The per-entity atomic lock-word table of a word run
     /// ([`slp_policies::GrantScope::PerEntity`] engine and
     /// [`crate::RuntimeConfig::grant_fast_path`] on); `None` in an engine
@@ -409,7 +412,7 @@ impl LockService {
                 gen: Mutex::new(0),
                 cv: Condvar::new(),
             }),
-            waits_for: WaitGraph::new(STRIPES),
+            waits_for: Mutex::default(),
             words,
             seq: AtomicU64::new(0),
             wal,
@@ -975,33 +978,30 @@ impl LockService {
     /// closed — the requester aborts, as in the simulator).
     ///
     /// Detection is complete as long as every *parked* waiter's edge
-    /// points at the entity's current holder: insert + walk are atomic
-    /// under the map's mutex, so whichever transaction inserts the edge
-    /// that closes a cycle sees the whole cycle and aborts. The runtime
-    /// upholds that invariant by re-running `note_wait` with the fresh
-    /// holder at every conflict observation, before any park (the holder
-    /// can change across a re-request). The converse discipline matters
-    /// just as much: a worker retracts its edge
+    /// points at the entity's current holder: publish and walk are one
+    /// critical section under the table's mutex, so whichever transaction
+    /// publishes the edge that closes a cycle sees the whole cycle and
+    /// aborts. The runtime upholds that invariant by re-running
+    /// `note_wait` with the fresh holder at every conflict observation,
+    /// before any park (the holder can change across a re-request). The
+    /// converse discipline matters just as much: a worker retracts its edge
     /// ([`clear_wait`](LockService::clear_wait)) before re-requesting and
     /// before aborting, so walkers never chase a transaction that is no
     /// longer blocked — a stale edge through an awake transaction
     /// manufactures phantom cycles, and under contention the needless
     /// victims feed an abort storm.
-    ///
-    /// The graph is sharded by waiter ([`WaitGraph`]): the publish is
-    /// atomic per shard and the walk crosses shards lock by lock, so the
-    /// edge that closes a persistent cycle is still seen by whichever
-    /// member publishes last (every member re-publishes and re-walks at
-    /// each park timeout), and a detected cycle is confirmed by a second
-    /// walk before a victim is chosen.
     pub fn note_wait(&self, tx: TxId, holder: TxId) -> bool {
-        self.waits_for.note(tx, holder)
+        self.waits_for().note(tx, holder)
     }
 
     /// Clears `tx`'s waits-for edge (its blocked request was granted, or
     /// it aborted).
     pub fn clear_wait(&self, tx: TxId) {
-        self.waits_for.clear(tx);
+        self.waits_for().clear(tx);
+    }
+
+    fn waits_for(&self) -> MutexGuard<'_, WaitsFor> {
+        self.waits_for.lock().expect("waits-for table poisoned")
     }
 }
 

@@ -15,9 +15,8 @@
 //! post-hoc verification (legality, properness, serializability).
 
 use crate::adapters::EngineAdapter;
-use rustc_hash::FxHashMap;
 use slp_core::{Schedule, ScheduledStep, Step, TxId};
-use slp_policies::{Job, PolicyAction, PolicyResponse};
+use slp_policies::{Job, PolicyAction, PolicyResponse, WaitsFor};
 
 /// Tick costs of the simulated operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -161,11 +160,11 @@ fn requeue(retry_queue: &mut Vec<(u64, Queued)>, mut job: Queued, now: u64, conf
 /// the unlock steps, which it returns for waking their waiters.
 fn abort(
     adapter: &mut EngineAdapter,
-    waits_for: &mut FxHashMap<TxId, TxId>,
+    waits_for: &mut WaitsFor,
     schedule: &mut Schedule,
     tx: TxId,
 ) -> Vec<Step> {
-    waits_for.remove(&tx);
+    waits_for.clear(tx);
     let unlocks = adapter.engine.abort(tx);
     for s in &unlocks {
         schedule.push(ScheduledStep::new(tx, *s));
@@ -194,8 +193,8 @@ pub fn run_sim(adapter: &mut EngineAdapter, jobs: &[Job], config: &SimConfig) ->
     // Jobs whose attempt aborted, awaiting a restart not before the tick.
     let mut retry_queue: Vec<(u64, Queued)> = Vec::new();
     let mut workers: Vec<Option<Run>> = (0..config.workers).map(|_| None).collect();
-    // tx -> (blocked-on holder) for deadlock detection.
-    let mut waits_for: FxHashMap<TxId, TxId> = FxHashMap::default();
+    // Blocked transactions' edges, for deadlock detection.
+    let mut waits_for = WaitsFor::default();
     // FIFO park sequence counter (first parked, first woken).
     let mut park_seq = 0u64;
     let mut now = 0u64;
@@ -344,7 +343,7 @@ pub fn run_sim(adapter: &mut EngineAdapter, jobs: &[Job], config: &SimConfig) ->
         };
         let unlocks = match response {
             PolicyResponse::Granted(steps) => {
-                waits_for.remove(&tx);
+                waits_for.clear(tx);
                 for s in &steps {
                     report.schedule.push(ScheduledStep::new(tx, *s));
                 }
@@ -362,25 +361,9 @@ pub fn run_sim(adapter: &mut EngineAdapter, jobs: &[Job], config: &SimConfig) ->
             }
             PolicyResponse::Conflict { entity, holder } => {
                 report.lock_waits += 1;
-                waits_for.insert(tx, holder);
                 // Deadlock detection: does the waits-for chain from the
                 // holder lead back to this transaction?
-                let mut seen = vec![tx];
-                let mut cur = holder;
-                let deadlock = loop {
-                    if cur == tx {
-                        break true;
-                    }
-                    if seen.contains(&cur) {
-                        break false; // a cycle among others; they resolve it
-                    }
-                    seen.push(cur);
-                    match waits_for.get(&cur) {
-                        Some(&next) => cur = next,
-                        None => break false,
-                    }
-                };
-                if !deadlock {
+                if !waits_for.note(tx, holder) {
                     // Park until the entity is unlocked (FIFO).
                     run.parked_on = Some((entity, park_seq));
                     park_seq += 1;
