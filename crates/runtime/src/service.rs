@@ -56,10 +56,10 @@
 //!   schedule without any runtime coordination;
 //! * **the tail** after every recorded batch is one routine
 //!   ([`LockService::publish`]): free the words whose release was just
-//!   recorded, then bump and notify their stripes. It never touches the
-//!   log. When the attempt retires ([`LockService::retire`]) the tail goes
-//!   on: certify, hand the attempt to the log, resolve the commit
-//!   pipeline;
+//!   recorded, then bump their stripes, waking their sleepers. It never
+//!   touches the log. When the attempt retires ([`LockService::retire`])
+//!   the tail goes on: certify, hand the attempt to the log, resolve the
+//!   commit pipeline;
 //! * **the log** is fed once per attempt, after the words are free
 //!   ([`LockService::log`]): the attempt's steps and — only if it
 //!   committed — its commit record go to the write-ahead log in one
@@ -83,13 +83,19 @@
 //! recheck for a word conflict — and the worker parks only if that
 //! generation is still unchanged under the stripe lock. Any release that
 //! could invalidate the conflict frees its word first and bumps the
-//! generation second (under the stripe lock, before `notify_all`), so
-//! its bump strictly follows the read. Deadlock detection is complete because a
-//! waiter refreshes its waits-for edge to the current holder before every
-//! park (see [`LockService::note_wait`]), so with a generous timeout the
-//! park-timeout backstop never fires on a healthy run — firings are
-//! counted ([`Counters::park_timeouts`]) and surfaced in the report as
-//! lost-wakeup evidence.
+//! generation second, under the stripe lock, so its bump strictly
+//! follows the read. A release wakes only sleepers: a parker signs up in
+//! the stripe's sleeper count under that same lock, after its generation
+//! check and before its first wait, and a bump calls `notify_all` only
+//! when the count is nonzero. A bump that saw no sleeper therefore came
+//! before any later sign-up, and that parker's check sees the moved
+//! generation and falls through — so the common release, with nobody
+//! asleep, pays one mutex section and no futex wake. Deadlock detection
+//! is complete because a waiter refreshes its waits-for edge to the
+//! current holder before every park (see [`LockService::note_wait`]), so
+//! with a generous timeout the park-timeout backstop never fires on a
+//! healthy run — firings are counted ([`Counters::park_timeouts`]) and
+//! surfaced in the report as lost-wakeup evidence.
 
 use crate::certifier::{IncrementalCertifier, VersionedRead};
 use crate::fastpath::LockWords;
@@ -134,11 +140,29 @@ const CERT_WINDOW: usize = 128;
 /// against anything a caller can see.
 const CERT_NAP: Duration = Duration::from_micros(50);
 
-/// One parking stripe: a generation counter advanced on every unlock of an
-/// entity hashing here, plus the condvar parked workers wait on.
+/// One parking stripe: its state behind one mutex, plus the condvar
+/// parked workers wait on.
+#[derive(Default)]
 struct Stripe {
-    gen: Mutex<u64>,
+    state: Mutex<StripeState>,
     cv: Condvar,
+}
+
+/// What a stripe's mutex guards.
+#[derive(Default)]
+struct StripeState {
+    /// Advanced on every unlock of an entity hashing here.
+    gen: u64,
+    /// Workers inside [`LockService::park`]'s wait loop: signed up after
+    /// the fall-through check, signed off on a wakeup or a timeout. A
+    /// bump wakes the condvar only while this is nonzero.
+    sleepers: u32,
+}
+
+impl Stripe {
+    fn lock(&self) -> MutexGuard<'_, StripeState> {
+        self.state.lock().expect("stripe lock poisoned")
+    }
 }
 
 fn stripe_index(e: EntityId) -> usize {
@@ -408,10 +432,7 @@ impl LockService {
     ) -> Self {
         LockService {
             engine: RwLock::new(engine),
-            stripes: std::array::from_fn(|_| Stripe {
-                gen: Mutex::new(0),
-                cv: Condvar::new(),
-            }),
+            stripes: Default::default(),
             waits_for: Mutex::default(),
             words,
             seq: AtomicU64::new(0),
@@ -443,22 +464,25 @@ impl LockService {
 
     /// Parks until the entity's stripe generation moves past `seen` or the
     /// timeout elapses (spurious wakeups and timeouts are safe — callers
-    /// re-request in a loop).
+    /// re-request in a loop). A worker that waits is one of the stripe's
+    /// sleepers from before its first wait until it leaves, woken or timed
+    /// out; one that finds the generation already moved never signs up.
     pub fn park(&self, e: EntityId, seen: u64, timeout: Duration) {
         let stripe = self.stripe(e);
-        let mut gen = stripe.gen.lock().expect("stripe lock");
-        if *gen != seen {
+        let mut state = stripe.lock();
+        if state.gen != seen {
             // A release already moved the generation: fall through
             // without blocking (not a park, not a timeout).
             return;
         }
         self.counters.parks.fetch_add(1, Ordering::Relaxed);
-        while *gen == seen {
-            let (g, res) = stripe
+        state.sleepers += 1;
+        while state.gen == seen {
+            let (s, res) = stripe
                 .cv
-                .wait_timeout(gen, timeout)
+                .wait_timeout(state, timeout)
                 .expect("stripe lock poisoned");
-            gen = g;
+            state = s;
             if res.timed_out() {
                 // The backstop fired instead of a wakeup — but only a
                 // timeout with the generation still unmoved is evidence
@@ -467,34 +491,44 @@ impl LockService {
                 // the generation while we waited to reacquire the stripe
                 // lock; counting that race would flake the stress
                 // matrix's zero-timeouts assertion.
-                if *gen == seen {
+                if state.gen == seen {
                     self.counters.park_timeouts.fetch_add(1, Ordering::Relaxed);
                 }
                 break;
             }
         }
+        state.sleepers -= 1;
     }
 
-    /// Advances one stripe's generation and wakes its parked workers.
+    /// Advances one stripe's generation and wakes its parked workers, if
+    /// it has any: with no sleeper signed up under the stripe lock, a
+    /// parker that comes later finds the new generation and falls through,
+    /// so the wake would reach nobody.
     fn bump(&self, stripe: usize) {
         let stripe = &self.stripes[stripe];
-        *stripe.gen.lock().expect("stripe lock") += 1;
-        stripe.cv.notify_all();
+        let wake = {
+            let mut state = stripe.lock();
+            state.gen += 1;
+            state.sleepers > 0
+        };
+        if wake {
+            stripe.cv.notify_all();
+        }
     }
 
     /// The tail every call that recorded steps runs on them (`recorded`),
     /// after dropping the engine lock (so woken workers contend on the
     /// engine, not on us): free the lock word of every recorded unlock —
-    /// explicit, donated, or final — then bump and notify the released
-    /// entities' stripes. The order is the no-lost-wakeup protocol's
-    /// release half: every word is free before any generation moves,
-    /// because a woken waiter re-reads the word. An engine run has no
-    /// words, only stripes to wake. The log is not fed here: a grant in
+    /// explicit, donated, or final — then bump the released entities'
+    /// stripes, waking whoever sleeps there. The order is the
+    /// no-lost-wakeup protocol's release half: every word is free before
+    /// any generation moves, because a woken waiter re-reads the word. An
+    /// engine run has no words, only stripes to bump. The log is not fed here: a grant in
     /// the growing phase publishes while the transaction holds its words,
     /// and a wait for the log's mutex there is a wait every transaction
     /// queued on those words inherits.
     fn publish(&self, tx: TxId, recorded: &[Stamped]) {
-        // One bump + notify per stripe per batch.
+        // One bump per stripe per batch.
         let mut released = 0u64;
         for (_, s) in recorded {
             if s.step.is_unlock() {
@@ -694,7 +728,7 @@ impl LockService {
                 }
                 Err(_) => {}
             }
-            let gen = *self.stripe(e).gen.lock().expect("stripe lock");
+            let gen = self.stripe(e).lock().gen;
             if let Some(holder) = words.conflicting_holder(e) {
                 return Err((holder, gen));
             }
@@ -816,7 +850,7 @@ impl LockService {
                         // in a later section and bumps after it. (Nested
                         // stripe-lock acquisition is deadlock-free:
                         // stripe-lock holders never take the engine lock.)
-                        let gen = *self.stripe(entity).gen.lock().expect("stripe lock");
+                        let gen = self.stripe(entity).lock().gen;
                         Outcome::Conflict {
                             entity,
                             holder,
@@ -1182,9 +1216,11 @@ mod tests {
     /// the generation already moved — exactly a wakeup racing the
     /// timeout. (An implementation that reports the late notify as a
     /// wakeup instead re-checks the generation and exits without
-    /// counting, so the zero assertion is safe either way.)
+    /// counting, so the zero assertion is safe either way.) The parker is
+    /// the stripe's one sleeper while it waits, and none once it is out.
     fn race_timeout_against_wakeup(service: &LockService, timeout: Duration) {
-        let seen = *service.stripes[0].gen.lock().expect("stripe lock");
+        let stripe = &service.stripes[0];
+        let seen = stripe.lock().gen;
         let parks_before = service.counters.parks.load(Ordering::Relaxed);
         std::thread::scope(|s| {
             let parker = s.spawn(|| service.park(EntityId(0), seen, timeout));
@@ -1192,13 +1228,15 @@ mod tests {
                 std::thread::yield_now();
             }
             {
-                let mut gen = service.stripes[0].gen.lock().expect("stripe lock");
+                let mut state = stripe.lock();
+                assert_eq!(state.sleepers, 1, "signed up before its wait");
                 std::thread::sleep(timeout * 2); // outlive the parker's timeout
-                *gen += 1;
+                state.gen += 1;
             }
-            service.stripes[0].cv.notify_all();
+            stripe.cv.notify_all();
             parker.join().expect("parker panicked");
         });
+        assert_eq!(stripe.lock().sleepers, 0, "signed off on its way out");
     }
 
     /// Regression: a park timeout that races a wakeup must not be counted
@@ -1233,10 +1271,66 @@ mod tests {
     #[test]
     fn park_timeout_with_generation_unmoved_still_counts() {
         let service = service_over_e0(false);
-        let seen = *service.stripes[0].gen.lock().expect("stripe lock");
+        let seen = service.stripes[0].lock().gen;
         service.park(EntityId(0), seen, Duration::from_millis(5));
         assert_eq!(service.counters.park_timeouts.load(Ordering::Relaxed), 1);
         assert_eq!(service.counters.parks.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            service.stripes[0].lock().sleepers,
+            0,
+            "timed out, signed off"
+        );
+    }
+
+    /// The wake half of the sleeper rule, once per kind of run: a worker
+    /// parked on a held lock with a generous timeout is woken by the
+    /// holder's release on another thread — its bump sees the sleeper and
+    /// notifies — long before the timeout. A parker that never signed up,
+    /// or a bump that skipped the notify, would sleep the whole 10 s.
+    #[test]
+    fn a_release_wakes_a_parked_worker_long_before_its_timeout() {
+        let e = EntityId(0);
+        let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
+        let timeout = Duration::from_secs(10);
+        for words in [true, false] {
+            let service = service_over_e0(words);
+            let mut rec = Recorder::default();
+            let mut holder = service
+                .attempt(TxId(1), Some(&plan), &mut rec.tally)
+                .expect("a plain plan");
+            service
+                .begin(&holder, &AccessIntent::empty())
+                .expect("begin");
+            assert!(matches!(
+                service.request(&mut holder, plan[0], &mut rec),
+                Outcome::Granted
+            ));
+            let seen = service.stripes[0].lock().gen;
+            let slept = std::thread::scope(|s| {
+                let parker = s.spawn(|| {
+                    let start = std::time::Instant::now();
+                    service.park(e, seen, timeout);
+                    start.elapsed()
+                });
+                while service.counters.parks.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                // The parker counted its park and signed up in one
+                // stripe-lock section; the release's bump takes that lock
+                // after it, so it sees the sleeper.
+                assert!(service.finish(&mut holder, &mut rec).expect("finish"));
+                parker.join().expect("parker panicked")
+            });
+            assert!(
+                slept < timeout / 4,
+                "words {words}: woken after {slept:?}, not by the release"
+            );
+            let c = &service.counters;
+            assert_eq!(c.parks.load(Ordering::Relaxed), 1, "words {words}");
+            assert_eq!(c.park_timeouts.load(Ordering::Relaxed), 0, "words {words}");
+            assert_eq!(service.stripes[0].lock().sleepers, 0, "woken, signed off");
+            assert!(service.words_quiescent());
+        }
     }
 
     /// The no-lost-wakeup handshake, once per kind of run: tx1 holds `e`;
@@ -1282,6 +1376,7 @@ mod tests {
             let c = &service.counters;
             assert_eq!(c.parks.load(Ordering::Relaxed), 0, "fell through");
             assert_eq!(c.park_timeouts.load(Ordering::Relaxed), 0);
+            assert_eq!(service.stripes[0].lock().sleepers, 0, "never signed up");
 
             assert!(matches!(
                 service.request(&mut tx2, plan[0], &mut rec2),

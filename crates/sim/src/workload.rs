@@ -161,7 +161,7 @@ pub fn dag_mixed_jobs(
 /// uniformly from the whole pool. With a small hot set and high
 /// `hot_prob`, most jobs collide on the hot entities — the E9-style
 /// "many transactions, few hot objects" regime that stresses lock queues,
-/// wakes, and abort/restart paths.
+/// wakes, and abort/restart paths. `pool`'s entities must be distinct.
 pub fn hot_cold_jobs(
     pool: &[EntityId],
     count: usize,
@@ -172,31 +172,13 @@ pub fn hot_cold_jobs(
 ) -> Vec<Job> {
     assert!(hot >= 1 && hot <= pool.len(), "hot set must be within pool");
     let mut rng = StdRng::seed_from_u64(seed);
+    let k = per_job.min(pool.len());
+    let mut taken = Vec::with_capacity(k);
     (0..count)
         .map(|_| {
-            let k = per_job.min(pool.len());
-            let mut targets: Vec<EntityId> = Vec::with_capacity(k);
-            for _ in 0..k {
-                let from_hot = rng.random_bool(hot_prob);
-                let source = if from_hot { &pool[..hot] } else { pool };
-                let fresh: Vec<EntityId> = source
-                    .iter()
-                    .copied()
-                    .filter(|e| !targets.contains(e))
-                    .collect();
-                let fresh = if fresh.is_empty() {
-                    // Hot set exhausted: fall back to the whole pool so the
-                    // job still reaches `per_job` distinct targets.
-                    pool.iter()
-                        .copied()
-                        .filter(|e| !targets.contains(e))
-                        .collect()
-                } else {
-                    fresh
-                };
-                targets.push(fresh[rng.random_range(0..fresh.len())]);
-            }
-            Job::access(targets)
+            Job::access(hot_biased_targets(
+                &mut rng, pool, k, hot, hot_prob, &mut taken,
+            ))
         })
         .collect()
 }
@@ -208,7 +190,8 @@ pub fn hot_cold_jobs(
 /// workloads never delete, so snapshot reads stay proper; a runtime with
 /// MVCC snapshot reads enabled serves the read-only jobs without touching
 /// the lock service, while everywhere else they run as locked accesses —
-/// the same job list thus benchmarks both read paths.
+/// the same job list thus benchmarks both read paths. `pool`'s entities
+/// must be distinct.
 pub fn read_heavy_jobs(
     pool: &[EntityId],
     count: usize,
@@ -219,32 +202,12 @@ pub fn read_heavy_jobs(
 ) -> Vec<Job> {
     assert!(hot >= 1 && hot <= pool.len(), "hot set must be within pool");
     let mut rng = StdRng::seed_from_u64(seed);
+    let k = per_job.min(pool.len());
+    let mut taken = Vec::with_capacity(k);
     (0..count)
         .map(|_| {
             let read_only = rng.random_bool(read_prob);
-            let k = per_job.min(pool.len());
-            let mut targets: Vec<EntityId> = Vec::with_capacity(k);
-            for _ in 0..k {
-                let source = if rng.random_bool(0.9) {
-                    &pool[..hot]
-                } else {
-                    pool
-                };
-                let fresh: Vec<EntityId> = source
-                    .iter()
-                    .copied()
-                    .filter(|e| !targets.contains(e))
-                    .collect();
-                let fresh = if fresh.is_empty() {
-                    pool.iter()
-                        .copied()
-                        .filter(|e| !targets.contains(e))
-                        .collect()
-                } else {
-                    fresh
-                };
-                targets.push(fresh[rng.random_range(0..fresh.len())]);
-            }
+            let targets = hot_biased_targets(&mut rng, pool, k, hot, 0.9, &mut taken);
             if read_only {
                 Job::read(targets)
             } else {
@@ -252,6 +215,57 @@ pub fn read_heavy_jobs(
             }
         })
         .collect()
+}
+
+/// `k` distinct targets from `pool`: each drawn from the first `hot`
+/// entries with probability `hot_prob`, else from the whole pool, and
+/// from the whole pool whenever the hot set is used up. `taken` is the
+/// caller's scratch buffer for the picked pool indices, reused across
+/// jobs so the draw allocates nothing but the targets themselves.
+fn hot_biased_targets(
+    rng: &mut StdRng,
+    pool: &[EntityId],
+    k: usize,
+    hot: usize,
+    hot_prob: f64,
+    taken: &mut Vec<usize>,
+) -> Vec<EntityId> {
+    taken.clear();
+    (0..k)
+        .map(|_| {
+            let span = if rng.random_bool(hot_prob) {
+                hot
+            } else {
+                pool.len()
+            };
+            pool[draw_untaken(rng, span, pool.len(), taken)]
+        })
+        .collect()
+}
+
+/// Draws an index of `0..span` not in `taken` (sorted ascending) — of
+/// `0..len` if `span` has none left — and inserts it into `taken`. The
+/// pick is the `r`-th untaken index for `r = random_range(0..untaken)`:
+/// the same RNG call and the same entity as indexing a filtered copy of
+/// the span (the tests' oracle), so a seed's jobs do not depend on which
+/// of the two draws made them.
+fn draw_untaken(rng: &mut StdRng, span: usize, len: usize, taken: &mut Vec<usize>) -> usize {
+    let mut span = span;
+    let mut used = taken.partition_point(|&i| i < span);
+    if used == span {
+        span = len;
+        used = taken.len();
+    }
+    let mut pick = rng.random_range(0..span - used);
+    for &t in taken.iter() {
+        if t > pick {
+            break;
+        }
+        pick += 1;
+    }
+    let at = taken.partition_point(|&i| i < pick);
+    taken.insert(at, pick);
+    pick
 }
 
 /// Deep-traversal DAG jobs: every target is drawn from the *deepest* layer
@@ -387,6 +401,84 @@ mod tests {
             "hot-set bias ({hot_touches}/{total})"
         );
         assert_eq!(jobs, read_heavy_jobs(&pool, 200, 3, 4, 0.95, 13));
+    }
+
+    /// [`hot_biased_targets`] the slow way: a filtered copy of the span
+    /// for every target. The oracle the allocation-free draw must match
+    /// job for job.
+    fn hot_biased_targets_by_filter(
+        rng: &mut StdRng,
+        pool: &[EntityId],
+        k: usize,
+        hot: usize,
+        hot_prob: f64,
+    ) -> Vec<EntityId> {
+        let mut targets: Vec<EntityId> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let source = if rng.random_bool(hot_prob) {
+                &pool[..hot]
+            } else {
+                pool
+            };
+            let fresh: Vec<EntityId> = source
+                .iter()
+                .copied()
+                .filter(|e| !targets.contains(e))
+                .collect();
+            let fresh = if fresh.is_empty() {
+                pool.iter()
+                    .copied()
+                    .filter(|e| !targets.contains(e))
+                    .collect()
+            } else {
+                fresh
+            };
+            targets.push(fresh[rng.random_range(0..fresh.len())]);
+        }
+        targets
+    }
+
+    /// Both flat hot-set generators give the jobs the filter-and-collect
+    /// draw gave, over several seeds and shapes — including `per_job >
+    /// hot`, which falls back to the whole pool once the hot set is used
+    /// up, and a hot set as large as the pool.
+    #[test]
+    fn hot_set_generators_match_the_filtered_copy_draw() {
+        let pool: Vec<EntityId> = (0..40).map(|i| EntityId(3 * i + 1)).collect();
+        let shapes = [
+            (4, 16, 0.5),
+            (3, 4, 0.9),
+            (4, 1, 1.0),
+            (6, 3, 0.8),
+            (5, 40, 0.3),
+        ];
+        for seed in [1, 42, 101, 202] {
+            for (per_job, hot, p) in shapes {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let oracle: Vec<Job> = (0..300)
+                    .map(|_| {
+                        Job::access(hot_biased_targets_by_filter(
+                            &mut rng, &pool, per_job, hot, p,
+                        ))
+                    })
+                    .collect();
+                assert_eq!(hot_cold_jobs(&pool, 300, per_job, hot, p, seed), oracle);
+
+                let mut rng = StdRng::seed_from_u64(seed);
+                let oracle: Vec<Job> = (0..300)
+                    .map(|_| {
+                        let read_only = rng.random_bool(p);
+                        let t = hot_biased_targets_by_filter(&mut rng, &pool, per_job, hot, 0.9);
+                        if read_only {
+                            Job::read(t)
+                        } else {
+                            Job::access(t)
+                        }
+                    })
+                    .collect();
+                assert_eq!(read_heavy_jobs(&pool, 300, per_job, hot, p, seed), oracle);
+            }
+        }
     }
 
     #[test]
