@@ -1,6 +1,7 @@
-//! Crash/recovery conformance: a durable run's log, killed at *any* byte
-//! or record boundary, recovers to a certified prefix of the execution
-//! the runtime actually produced.
+//! Crash/recovery conformance: a durable run's log, killed at *any*
+//! byte, after *any* store call, or with a bit flipped in any frame
+//! header, recovers to a certified prefix of the execution the runtime
+//! actually produced.
 //!
 //! The contract under test (the durability subsystem's north star):
 //!
@@ -12,61 +13,62 @@
 //!    ([`Recovered::certify`]), because conflict-serializability is
 //!    prefix-closed;
 //! 3. **Graceful truncation** — torn frames, flipped bytes, and missing
-//!    segments truncate the log at the damage; no input panics recovery;
+//!    segments truncate the log at the damage; no input panics recovery,
+//!    and only damage inside the base checkpoint leaves nothing to
+//!    recover;
 //! 4. **Checkpoint fidelity** — seeding from the newest checkpoint lands
-//!    on the same state as replaying everything from the base checkpoint.
+//!    on the same state, locks and watermark as replaying everything from
+//!    the base checkpoint;
+//! 5. **Committed means whole** — every transaction recovered as
+//!    committed has its last step below the recovered watermark;
+//! 6. **A flushed run is durable** — a crash after the run's final flush
+//!    that drops every unsynced byte still recovers the whole run and
+//!    exactly its committed set.
 //!
-//! The crash-point property suite runs a seed matrix: two fixed seeds
-//! always, plus `SLP_DURABILITY_SEED` when set (CI's rolling seed — see
-//! `.github/workflows/ci.yml`).
+//! The crash grid enumerates; no crash point is sampled. Its cells are
+//! {2PL, altruistic} × workers {1, 2} × `segment_bytes` {256, 1024} ×
+//! `group_commit` {1, 3} × `checkpoint_every` {0, 8}, one durable run of
+//! 11 jobs each. Every cell's crash points are every byte cut of the
+//! final log, the store after every store call the log made (crashed
+//! once keeping and once dropping its unsynced bytes), and a bit flip in
+//! every segment-magic byte, every frame-header byte and every frame's
+//! kind byte. `--nocapture` prints each cell's counts.
 
 mod common;
 
 use common::check_run;
-use proptest::test_runner::TestRng;
 use slp_core::{is_serializable_with_aborts, Access, EntityId, StructuralState, TxId};
-use slp_durability::{FaultyStore, Recovered};
+use slp_durability::frame::{decode_frame, FrameOutcome};
+use slp_durability::{FaultyStore, Record, Recovered, SEGMENT_MAGIC};
 use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{
-    recover, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SharedMemStore, Store, Wal,
-    WalConfig,
+    recover, MemStore, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SharedMemStore, Store,
+    Wal, WalConfig, WalError,
 };
 use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs, uniform_jobs};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, Mutex};
 
-/// Runs `jobs` durably against a fresh in-memory store; returns the run
-/// report and the store handle (kept by the caller to simulate crashes).
+/// Runs `jobs` durably into `store` (the caller keeps a handle to crash
+/// it), held to `common::check_run`. Durable runs keep the default 1 ms
+/// park backstop, so that check does not assert `park_timeouts == 0`
+/// here.
 fn durable_run(
-    kind: PolicyKind,
-    config: &PolicyConfig,
-    jobs: &[Job],
-    workers: usize,
-    wal_config: WalConfig,
-) -> (RuntimeReport, SharedMemStore) {
-    let run = RuntimeConfig::with_workers(workers);
-    durable_run_with(kind, config, jobs, &run, wal_config)
-}
-
-/// [`durable_run`] under an arbitrary runtime configuration, held to
-/// `common::check_run`. Durable runs keep the default 1 ms park
-/// backstop, so that check does not assert `park_timeouts == 0` here.
-fn durable_run_with(
     kind: PolicyKind,
     config: &PolicyConfig,
     jobs: &[Job],
     run: &RuntimeConfig,
     wal_config: WalConfig,
-) -> (RuntimeReport, SharedMemStore) {
+    store: impl Store + 'static,
+) -> RuntimeReport {
     let mut rt = Runtime::new(kind, config).expect("buildable kind");
-    let handle = SharedMemStore::new();
     let wal = Arc::new(
-        rt.create_wal(Box::new(handle.clone()), wal_config)
+        rt.create_wal(Box::new(store), wal_config)
             .expect("fresh store"),
     );
     let report = rt.run_durable(jobs, run, wal);
     check_run(run, jobs, &report, &format!("durable {}", report.policy));
-    (report, handle)
+    report
 }
 
 /// The transactions the run committed: everyone in the trace who did not
@@ -106,214 +108,347 @@ fn assert_prefix_of_run(r: &Recovered, report: &RuntimeReport, ctx: &str) {
     }
 }
 
-#[test]
-fn durable_run_recovers_the_full_execution() {
-    let pool: Vec<EntityId> = (0..16).map(EntityId).collect();
-    let jobs = uniform_jobs(&pool, 20, 3, 7);
-    let wal_config = WalConfig {
-        group_commit: 4,
-        checkpoint_every: 64,
-        ..WalConfig::default()
-    };
-    let (report, handle) = durable_run(
-        PolicyKind::TwoPhase,
-        &PolicyConfig::flat(pool),
-        &jobs,
-        4,
-        wal_config,
-    );
-    let summary = report.wal.expect("durable run reports its log");
-    assert!(!summary.failed);
-    assert_eq!(
-        summary.watermark,
-        report.schedule.len() as u64,
-        "every recorded step reached the log"
-    );
-    assert!(summary.records > 0 && summary.syncs > 0);
-
-    // The flushed log replays to exactly the run the workers produced.
-    let store = handle.snapshot();
-    let r = recover(&store, RecoveryMode::Oldest).expect("clean log recovers");
-    assert_eq!(r.truncation, None);
-    assert_eq!(r.dropped_after_gap, 0);
-    assert_eq!(r.watermark, report.schedule.len() as u64);
-    assert_prefix_of_run(&r, &report, "full recovery");
-    assert_eq!(r.state, final_state(&report));
-    assert!(
-        r.locks.is_empty(),
-        "quiescent run leaves no in-flight locks"
-    );
-    assert_eq!(
-        r.committed.len(),
-        report.committed,
-        "every commit record is durable after flush"
-    );
-    r.certify().expect("full recovery certifies");
-
-    // Checkpoint fidelity: the fast path lands on the same state.
-    let fast = recover(&store, RecoveryMode::Newest).expect("newest-checkpoint recovery");
-    assert_eq!(fast.watermark, r.watermark);
-    assert_eq!(fast.state, r.state);
-    assert_eq!(fast.locks, r.locks);
+/// Every byte cut of `log`: the store a crash at each byte position of
+/// the concatenated segments leaves, from nothing to the whole log.
+fn cuts(log: &MemStore) -> impl Iterator<Item = (usize, MemStore)> + '_ {
+    (0..=log.total_bytes()).map(|cut| (cut, log.prefix(cut)))
 }
 
-#[test]
-fn every_sampled_byte_prefix_recovers_a_certified_prefix() {
-    let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
-    let jobs = uniform_jobs(&pool, 10, 2, 3);
-    let wal_config = WalConfig {
-        group_commit: 1,
-        checkpoint_every: 16,
-        segment_bytes: 2048,
-        ..WalConfig::default()
-    };
-    let (report, handle) = durable_run(
-        PolicyKind::TwoPhase,
-        &PolicyConfig::flat(pool),
-        &jobs,
-        2,
-        wal_config,
-    );
-    let full = handle.snapshot();
-    let total = full.total_bytes();
-    let mut watermarks = Vec::new();
-    let mut cut = 0;
-    while cut <= total {
-        let ctx = format!("cut at {cut}/{total}");
-        let store = full.prefix(cut);
-        match recover(&store, RecoveryMode::Oldest) {
-            Ok(r) => {
-                assert_prefix_of_run(&r, &report, &ctx);
-                r.certify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                assert!(r.committed.len() <= report.committed, "{ctx}");
-                // Checkpoint fidelity holds at every crash point, not
-                // just on the clean log.
-                let fast = recover(&store, RecoveryMode::Newest).expect("newest mode");
-                assert_eq!(fast.state, r.state, "{ctx}: Newest != Oldest state");
-                assert_eq!(fast.watermark, r.watermark, "{ctx}");
-                watermarks.push(r.watermark);
-            }
+/// Every byte a bit flip is aimed at, as offsets into the concatenated
+/// segments: each segment's magic, and each frame's eight header bytes
+/// and its kind byte. `log` is a clean log.
+fn flip_offsets(log: &MemStore) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut base = 0;
+    for index in log.list().expect("a memory store lists") {
+        let data = log.read(index).expect("a listed segment reads");
+        offsets.extend(base..base + SEGMENT_MAGIC.len());
+        let mut at = SEGMENT_MAGIC.len();
+        while let FrameOutcome::Record(_, rest) = decode_frame(&data[at..]) {
+            offsets.extend(base + at..=base + at + 8);
+            at = data.len() - rest.len();
+        }
+        base += data.len();
+    }
+    offsets
+}
+
+/// A store call, as far as the crash points it leaves need it.
+#[derive(Clone, Copy, Debug)]
+enum Call {
+    Open,
+    /// An append of this many whole frames (none for a segment magic),
+    /// the last of them a checkpoint or not.
+    Append {
+        frames: usize,
+        checkpoint: bool,
+    },
+    Sync,
+    Remove,
+}
+
+/// A [`SharedMemStore`] that snapshots the store after every call that
+/// changes it: each snapshot is a crash point.
+#[derive(Clone, Default)]
+struct RecordingStore {
+    store: SharedMemStore,
+    calls: Arc<Mutex<Vec<(Call, MemStore)>>>,
+}
+
+impl RecordingStore {
+    fn record(&self, call: Call, result: Result<(), WalError>) -> Result<(), WalError> {
+        let snapshot = self.store.snapshot();
+        self.calls.lock().expect("calls").push((call, snapshot));
+        result
+    }
+}
+
+impl Store for RecordingStore {
+    fn open_segment(&mut self, index: u64) -> Result<(), WalError> {
+        let result = self.store.open_segment(index);
+        self.record(Call::Open, result)
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+        let (mut frames, mut checkpoint, mut rest) = (0, false, bytes);
+        while let FrameOutcome::Record(record, tail) = decode_frame(rest) {
+            frames += 1;
+            checkpoint = matches!(record, Record::Checkpoint(_));
+            rest = tail;
+        }
+        let result = self.store.append(bytes);
+        self.record(Call::Append { frames, checkpoint }, result)
+    }
+
+    fn sync(&mut self) -> Result<(), WalError> {
+        let result = self.store.sync();
+        self.record(Call::Sync, result)
+    }
+
+    fn list(&self) -> Result<Vec<u64>, WalError> {
+        self.store.list()
+    }
+
+    fn read(&self, index: u64) -> Result<Vec<u8>, WalError> {
+        self.store.read(index)
+    }
+
+    fn remove(&mut self, index: u64) -> Result<(), WalError> {
+        let result = self.store.remove(index);
+        self.record(Call::Remove, result)
+    }
+}
+
+/// One cell of the crash grid: a durable run and every store call its
+/// log made.
+struct Cell {
+    ctx: String,
+    group_commit: usize,
+    report: RuntimeReport,
+    /// The store after each call, in call order; the last is the full log.
+    calls: Vec<(Call, MemStore)>,
+    /// How many of `calls` `Wal::create` made, and the bytes it left:
+    /// the calls up to the first sync, which makes the base checkpoint
+    /// durable.
+    create_calls: usize,
+    create_bytes: usize,
+    /// Each transaction's last position in the run's trace.
+    last_step: HashMap<TxId, u64>,
+}
+
+impl Cell {
+    fn run(kind: PolicyKind, workers: usize, wal_config: WalConfig) -> Cell {
+        let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
+        // An odd job count: at 10 jobs every cell ended on a full sync
+        // group, and a final flush that skipped its sync went unseen.
+        let jobs = uniform_jobs(&pool, 11, 2, 7);
+        let store = RecordingStore::default();
+        let run = RuntimeConfig::with_workers(workers);
+        let report = durable_run(
+            kind,
+            &PolicyConfig::flat(pool),
+            &jobs,
+            &run,
+            wal_config,
+            store.clone(),
+        );
+        let calls = std::mem::take(&mut *store.calls.lock().expect("calls"));
+        let create_calls = 1 + calls
+            .iter()
+            .position(|(call, _)| matches!(call, Call::Sync))
+            .expect("create syncs its base checkpoint");
+        let create_bytes = calls[create_calls - 1].1.total_bytes();
+        let last_step = report
+            .schedule
+            .steps()
+            .iter()
+            .enumerate()
+            .map(|(at, step)| (step.tx, at as u64))
+            .collect();
+        Cell {
+            ctx: format!(
+                "{} @ {workers}w, segment_bytes {}, group_commit {}, checkpoint_every {}",
+                report.policy,
+                wal_config.segment_bytes,
+                wal_config.group_commit,
+                wal_config.checkpoint_every
+            ),
+            group_commit: wal_config.group_commit,
+            report,
+            calls,
+            create_calls,
+            create_bytes,
+            last_step,
+        }
+    }
+
+    fn full_log(&self) -> &MemStore {
+        &self.calls.last().expect("the log made calls").1
+    }
+
+    /// Recovers `store`, a crash of this cell's log, and holds the result
+    /// to the contract. `None` where recovery failed, which only
+    /// `may_fail` — a crash inside the base checkpoint — allows.
+    fn check(&self, store: &MemStore, may_fail: bool, ctx: &str) -> Option<Recovered> {
+        let r = match recover(store, RecoveryMode::Oldest) {
+            Ok(r) => r,
             Err(e) => {
-                // Only a crash that beat the base checkpoint's first
-                // fsync has nothing to recover.
-                assert!(
-                    cut < 256,
-                    "{ctx}: lost the base checkpoint unexpectedly ({e})"
-                );
+                assert!(may_fail, "{ctx}: lost the base checkpoint ({e})");
+                return None;
             }
-        }
-        // Step 3 samples every frame header, length split, and payload
-        // region without sweeping hundreds of thousands of cuts.
-        cut += 3;
-    }
-    assert!(
-        watermarks.windows(2).all(|w| w[0] <= w[1]),
-        "longer surviving prefixes never recover less"
-    );
-    assert_eq!(
-        watermarks.last(),
-        Some(&(report.schedule.len() as u64)),
-        "the complete log recovers the complete run"
-    );
-}
-
-/// The crash-point property suite: randomized workloads, log tunings, and
-/// crash treatments, over the seed matrix.
-#[test]
-fn crash_point_property_suite() {
-    let mut seeds: Vec<u64> = vec![0xD00D_0001, 0xD00D_0002];
-    if let Some(extra) = env_seed() {
-        seeds.push(extra);
-    }
-    for seed in seeds {
-        let mut rng = TestRng::deterministic(&format!("crash-points/{seed:#x}"));
-        for case in 0..16u32 {
-            run_crash_case(seed, case, &mut rng);
-        }
-    }
-}
-
-/// `SLP_DURABILITY_SEED`: the rolling CI seed. Same contract as
-/// `SLP_RUNTIME_THREADS` — malformed panics — except empty counts as
-/// unset (a CI matrix passes "no seed" as an empty string).
-fn env_seed() -> Option<u64> {
-    std::env::var("SLP_DURABILITY_SEED")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map(|v| v.parse::<u64>().expect("SLP_DURABILITY_SEED must be a u64"))
-}
-
-fn run_crash_case(seed: u64, case: u32, rng: &mut TestRng) {
-    let pool_size = 6 + rng.below(10) as u32;
-    let pool: Vec<EntityId> = (0..pool_size).map(EntityId).collect();
-    let jobs = uniform_jobs(
-        &pool,
-        6 + rng.below(12) as usize,
-        2 + rng.below(2) as usize,
-        rng.next_u64(),
-    );
-    let wal_config = WalConfig {
-        segment_bytes: [256, 1024, 64 * 1024][rng.below(3) as usize],
-        group_commit: 1 + rng.below(8) as usize,
-        checkpoint_every: [0, 8, 32][rng.below(3) as usize],
-        ..WalConfig::default()
-    };
-    let workers = 1 + rng.below(4) as usize;
-    let kind = if rng.below(2) == 0 {
-        PolicyKind::TwoPhase
-    } else {
-        PolicyKind::Altruistic
-    };
-    let (report, handle) = durable_run(kind, &PolicyConfig::flat(pool), &jobs, workers, wal_config);
-    let full = handle.snapshot();
-    let total = full.total_bytes();
-    let ctx = format!(
-        "seed {seed:#x} case {case} ({} @ {workers}w)",
-        report.policy
-    );
-
-    // One random crash treatment per case.
-    let (store, treatment) = match rng.below(3) {
-        0 => {
-            let cut = rng.below(total as u64 + 1) as usize;
-            (full.prefix(cut), format!("prefix cut {cut}/{total}"))
-        }
-        1 => {
-            let keep = rng.below(2) == 1;
-            (full.crashed(keep), format!("crash keep_volatile={keep}"))
-        }
-        _ => {
-            let mut store = full.clone();
-            let offset = rng.below(total as u64) as usize;
-            let mask = 1u8 << rng.below(8);
-            store.corrupt(offset, mask);
-            (store, format!("flip {mask:#04x} at {offset}/{total}"))
-        }
-    };
-    let ctx = format!("{ctx} / {treatment}");
-
-    match recover(&store, RecoveryMode::Oldest) {
-        Ok(r) => {
-            // The unpruned log's oldest checkpoint is the base: every
-            // successful recovery is fully re-certifiable.
-            assert_eq!(r.base_stamp, 0, "{ctx}: unpruned log must seed from base");
-            assert_prefix_of_run(&r, &report, &ctx);
-            r.certify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert!(r.committed.len() <= report.committed, "{ctx}");
-            let fast = recover(&store, RecoveryMode::Newest).expect("newest mode");
-            assert_eq!(fast.state, r.state, "{ctx}: Newest != Oldest state");
-            assert_eq!(fast.watermark, r.watermark, "{ctx}");
-        }
-        Err(e) => {
-            // Legitimate only when the treatment destroyed the base
-            // checkpoint itself (an early cut or an early byte flip);
-            // a durable-only crash always keeps it (synced at create).
+        };
+        // The unpruned log's oldest checkpoint is the base: every
+        // successful recovery is fully re-certifiable.
+        assert_eq!(r.base_stamp, 0, "{ctx}: unpruned log must seed from base");
+        assert_prefix_of_run(&r, &self.report, ctx);
+        r.certify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert!(r.committed.len() <= self.report.committed, "{ctx}");
+        for tx in &r.committed {
             assert!(
-                !treatment.starts_with("crash"),
-                "{ctx}: base checkpoint should survive any post-sync crash ({e})"
+                self.last_step.get(tx).is_some_and(|&at| at < r.watermark),
+                "{ctx}: {tx:?} recovered as committed without its last step"
             );
         }
+        let fast = recover(store, RecoveryMode::Newest).expect("newest mode");
+        assert_eq!(fast.state, r.state, "{ctx}: Newest != Oldest state");
+        assert_eq!(fast.locks, r.locks, "{ctx}: Newest != Oldest locks");
+        assert_eq!(
+            fast.watermark, r.watermark,
+            "{ctx}: Newest != Oldest watermark"
+        );
+        Some(r)
     }
+
+    /// The full log recovers exactly the run the workers produced.
+    fn check_full_log(&self) {
+        let ctx = format!("{} / full log", self.ctx);
+        let len = self.report.schedule.len() as u64;
+        let summary = self.report.wal.expect("durable run reports its log");
+        assert!(!summary.failed, "{ctx}");
+        assert_eq!(
+            summary.watermark, len,
+            "{ctx}: a recorded step missed the log"
+        );
+        assert!(summary.records > 0 && summary.syncs > 0, "{ctx}");
+        let r = self.check(self.full_log(), false, &ctx).expect("clean log");
+        assert_eq!(r.truncation, None, "{ctx}");
+        assert_eq!(r.dropped_after_gap, 0, "{ctx}");
+        assert_eq!(
+            r.watermark, len,
+            "{ctx}: the full log recovers the full run"
+        );
+        assert_eq!(r.state, final_state(&self.report), "{ctx}");
+        assert!(r.locks.is_empty(), "{ctx}: a quiescent run holds no locks");
+        assert_eq!(r.committed.len(), self.report.committed, "{ctx}");
+    }
+
+    /// Every byte cut: watermarks never fall as the cut grows.
+    fn check_cuts(&self) -> usize {
+        let total = self.full_log().total_bytes();
+        let mut watermark = 0;
+        for (cut, store) in cuts(self.full_log()) {
+            let ctx = format!("{} / cut at {cut}/{total}", self.ctx);
+            if let Some(r) = self.check(&store, cut < self.create_bytes, &ctx) {
+                assert!(
+                    r.watermark >= watermark,
+                    "{ctx}: a longer log recovered less"
+                );
+                watermark = r.watermark;
+            }
+        }
+        total + 1
+    }
+
+    /// The store after every call, crashed with and without its unsynced
+    /// bytes. After the last call the final flush has returned, so
+    /// dropping what was never synced there loses nothing of the run.
+    fn check_store_calls(&self) -> usize {
+        for (i, (call, store)) in self.calls.iter().enumerate() {
+            for keep_volatile in [true, false] {
+                let ctx = format!(
+                    "{} / crash after call {i} ({call:?}), keep_volatile={keep_volatile}",
+                    self.ctx
+                );
+                self.check(&store.crashed(keep_volatile), i < self.create_calls, &ctx);
+            }
+        }
+        let ctx = format!("{} / crash after the final flush", self.ctx);
+        let r = self
+            .check(&self.full_log().crashed(false), false, &ctx)
+            .expect("a flushed log recovers");
+        assert_eq!(
+            r.watermark,
+            self.report.schedule.len() as u64,
+            "{ctx}: the flushed run lost steps"
+        );
+        let durable: BTreeSet<TxId> = r.committed.iter().copied().collect();
+        assert_eq!(durable, committed_set(&self.report), "{ctx}");
+        2 * self.calls.len()
+    }
+
+    /// A bit flip (bit `offset % 8`) in every segment-magic, frame-header
+    /// and frame-kind byte.
+    fn check_flips(&self) -> usize {
+        let offsets = flip_offsets(self.full_log());
+        for &offset in &offsets {
+            let ctx = format!("{} / flip at {offset}", self.ctx);
+            let mut store = self.full_log().clone();
+            store.corrupt(offset, 1 << (offset % 8));
+            self.check(&store, offset < self.create_bytes, &ctx);
+        }
+        offsets.len()
+    }
+
+    /// Whether the final flush synced frames no group boundary had: the
+    /// last call is a sync closing fewer frames than a group, none of
+    /// them a checkpoint (which syncs itself). Without such a cell the
+    /// flushed-run check could not see a flush that skips its sync.
+    fn flush_synced_a_short_group(&self) -> bool {
+        let Some(((Call::Sync, _), earlier)) = self.calls.split_last() else {
+            return false;
+        };
+        let group = earlier
+            .iter()
+            .rev()
+            .map(|(call, _)| *call)
+            .take_while(|call| !matches!(call, Call::Sync));
+        let (mut frames, mut checkpoint_last) = (0, None);
+        for call in group {
+            if let Call::Append {
+                frames: n @ 1..,
+                checkpoint,
+            } = call
+            {
+                frames += n;
+                checkpoint_last.get_or_insert(checkpoint);
+            }
+        }
+        frames < self.group_commit && checkpoint_last == Some(false)
+    }
+}
+
+/// Runs the crash grid's cells for `kind` and checks every crash point
+/// of each.
+fn crash_grid(kind: PolicyKind) {
+    let mut short_final_groups = 0;
+    for workers in [1, 2] {
+        for segment_bytes in [256, 1024] {
+            for group_commit in [1, 3] {
+                for checkpoint_every in [0, 8] {
+                    let wal_config = WalConfig {
+                        segment_bytes,
+                        group_commit,
+                        checkpoint_every,
+                        ..WalConfig::default()
+                    };
+                    let cell = Cell::run(kind, workers, wal_config);
+                    cell.check_full_log();
+                    let cuts = cell.check_cuts();
+                    let points = cell.check_store_calls();
+                    let flips = cell.check_flips();
+                    short_final_groups += cell.flush_synced_a_short_group() as usize;
+                    println!(
+                        "{}: {cuts} cuts, {points} crash points, {flips} flips",
+                        cell.ctx
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        short_final_groups > 0,
+        "no cell reached its final flush with unsynced frames"
+    );
+}
+
+#[test]
+fn every_crash_point_of_a_2pl_run_recovers() {
+    crash_grid(PolicyKind::TwoPhase);
+}
+
+#[test]
+fn every_crash_point_of_an_altruistic_run_recovers() {
+    crash_grid(PolicyKind::Altruistic);
 }
 
 #[test]
@@ -423,8 +558,15 @@ fn one_append_per_attempt_still_logs_every_step_and_every_commit() {
                 checkpoint_every: 64,
                 ..WalConfig::default()
             };
-            let (report, handle) =
-                durable_run(kind, &PolicyConfig::flat(pool), &jobs, workers, wal_config);
+            let handle = SharedMemStore::new();
+            let report = durable_run(
+                kind,
+                &PolicyConfig::flat(pool),
+                &jobs,
+                &RuntimeConfig::with_workers(workers),
+                wal_config,
+                handle.clone(),
+            );
             let ctx = format!("{} @ {workers}w", report.policy);
             let wal = report.wal.expect("durable run reports its log");
             assert!(!wal.failed, "{ctx}");
@@ -479,12 +621,14 @@ fn a_recovered_snapshot_read_never_observes_a_writer_the_log_lost() {
         segment_bytes: 2048,
         ..WalConfig::default()
     };
-    let (report, handle) = durable_run_with(
+    let handle = SharedMemStore::new();
+    let report = durable_run(
         PolicyKind::TwoPhase,
         &PolicyConfig::flat(pool),
         &jobs,
         &run,
         wal_config,
+        handle.clone(),
     );
     assert!(report.snapshot_reads > 0, "the mix has read-only jobs");
     let wal = report.wal.expect("durable run reports its log");
@@ -497,10 +641,9 @@ fn a_recovered_snapshot_read_never_observes_a_writer_the_log_lost() {
     let full = handle.snapshot();
     let total = full.total_bytes();
     let mut observed_writers = 0;
-    let mut cut = 0;
-    while cut <= total {
+    for (cut, store) in cuts(&full) {
         let ctx = format!("cut at {cut}/{total}");
-        if let Ok(r) = recover(&full.prefix(cut), RecoveryMode::Oldest) {
+        if let Ok(r) = recover(&store, RecoveryMode::Oldest) {
             assert_prefix_of_run(&r, &report, &ctx);
             let schedule = r.schedule().unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert!(schedule.is_legal(), "{ctx}");
@@ -525,7 +668,6 @@ fn a_recovered_snapshot_read_never_observes_a_writer_the_log_lost() {
                 }
             }
         }
-        cut += 5;
     }
     assert!(observed_writers > 0, "no read ever observed a writer");
 }
