@@ -32,7 +32,9 @@
 //! final log, the store after every store call the log made (crashed
 //! once keeping and once dropping its unsynced bytes), and a bit flip in
 //! every segment-magic byte, every frame-header byte and every frame's
-//! kind byte. `--nocapture` prints each cell's counts.
+//! kind byte. `--nocapture` prints each cell's counts. Two runs outside
+//! the grid are held to the same checks: a four-worker run at its full
+//! log and every store call, and a 2 KiB-segment log at every byte cut.
 
 mod common;
 
@@ -217,17 +219,29 @@ struct Cell {
 }
 
 impl Cell {
+    /// A grid cell: the grid's 11 jobs over 8 entities.
     fn run(kind: PolicyKind, workers: usize, wal_config: WalConfig) -> Cell {
         let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
         // An odd job count: at 10 jobs every cell ended on a full sync
         // group, and a final flush that skipped its sync went unseen.
         let jobs = uniform_jobs(&pool, 11, 2, 7);
+        Cell::run_jobs(kind, pool, &jobs, workers, wal_config)
+    }
+
+    /// `jobs` over the flat `pool`, run durably by `workers` workers.
+    fn run_jobs(
+        kind: PolicyKind,
+        pool: Vec<EntityId>,
+        jobs: &[Job],
+        workers: usize,
+        wal_config: WalConfig,
+    ) -> Cell {
         let store = RecordingStore::default();
         let run = RuntimeConfig::with_workers(workers);
         let report = durable_run(
             kind,
             &PolicyConfig::flat(pool),
-            &jobs,
+            jobs,
             &run,
             wal_config,
             store.clone(),
@@ -449,6 +463,42 @@ fn every_crash_point_of_a_2pl_run_recovers() {
 #[test]
 fn every_crash_point_of_an_altruistic_run_recovers() {
     crash_grid(PolicyKind::Altruistic);
+}
+
+/// A run wider than any grid cell — four workers, 20 jobs of three
+/// targets over 16 entities, `group_commit` 4 — recovers exactly the
+/// execution from its full log, and from every store call.
+#[test]
+fn durable_run_recovers_the_full_execution() {
+    let pool: Vec<EntityId> = (0..16).map(EntityId).collect();
+    let jobs = uniform_jobs(&pool, 20, 3, 7);
+    let wal_config = WalConfig {
+        group_commit: 4,
+        checkpoint_every: 64,
+        ..WalConfig::default()
+    };
+    let cell = Cell::run_jobs(PolicyKind::TwoPhase, pool, &jobs, 4, wal_config);
+    cell.check_full_log();
+    cell.check_store_calls();
+}
+
+/// Every byte cut of a two-worker 2PL log with 2 KiB segments and a
+/// checkpoint every 16 records, a shape outside the grid. The name is
+/// older than the grid: the cuts were once every third byte, and are
+/// every byte now.
+#[test]
+fn every_sampled_byte_prefix_recovers_a_certified_prefix() {
+    let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
+    let jobs = uniform_jobs(&pool, 10, 2, 3);
+    let wal_config = WalConfig {
+        group_commit: 1,
+        checkpoint_every: 16,
+        segment_bytes: 2048,
+        ..WalConfig::default()
+    };
+    let cell = Cell::run_jobs(PolicyKind::TwoPhase, pool, &jobs, 2, wal_config);
+    cell.check_full_log();
+    cell.check_cuts();
 }
 
 #[test]
