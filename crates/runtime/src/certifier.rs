@@ -144,7 +144,8 @@ pub struct VersionedRead {
 }
 
 /// One batch's stamp extremes for a single entity: `(entity, benign
-/// (min, max), strong (min, max))`.
+/// (min, max), strong (min, max), mutation (min, max))` — the last the
+/// version-installing subset of the strong steps (`W`/`I`/`D`).
 type EntityGroup = (u32, (u64, u64), (u64, u64), (u64, u64));
 
 /// Packs an ordered slot pair into the edge-set key.

@@ -66,17 +66,20 @@
 //! ## Architecture
 //!
 //! A worker plans a job under the engine's *read* lock, opens the
-//! attempt, and then drives it through one loop over one request
-//! primitive: each action is granted, refused, or conflicts; a conflict
-//! publishes a waits-for edge (requester-victim rule on a closed cycle,
-//! in the simulator's [`slp_policies::WaitsFor`] table), parks on the
-//! contended entity's stripe against the generation read at the
-//! conflict, retracts the edge and re-requests the same action. The
-//! wall-clock guard is checked at attempt start and at every conflict.
-//! Where granted steps come from is fixed for the whole run. In an
-//! *engine run* the engine rules under its write lock — the
+//! attempt, and then drives it through one loop over one entry point,
+//! `advance`: it grants the plan from the attempt's cursor until the
+//! attempt is over (committed or refused) or an action conflicts; a
+//! conflict publishes a waits-for edge (requester-victim rule on a closed
+//! cycle, in the simulator's [`slp_policies::WaitsFor`] table), parks on
+//! the contended entity's stripe against the generation read at the
+//! conflict, retracts the edge and advances again from the same action.
+//! The wall-clock guard is checked at attempt start and at every
+//! conflict. Where granted steps come from is fixed for the whole run.
+//! In an *engine run* the engine rules under its write lock — the
 //! serialization point for grants that read global policy state — one
-//! action per section. In a *word run* — per-entity policies
+//! section per wake-up of an attempt: begin, the grants up to the first
+//! conflict and finish share one acquisition (one engine call per
+//! section with [`RuntimeConfig::step_yield`] on). In a *word run* — per-entity policies
 //! ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL) with
 //! [`RuntimeConfig::grant_fast_path`] on (the default) — each grant is
 //! a CAS on the entity's own atomic lock word, the engine's write lock

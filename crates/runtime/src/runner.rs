@@ -2,8 +2,8 @@
 //! sharded lock service (`service.rs`).
 //!
 //! Each worker claims jobs off one atomic cursor, plans them with its own
-//! (thread-local) [`ActionPlanner`], and drives the plan action-by-action
-//! through the service. Conflicts park on the contended entity's stripe;
+//! (thread-local) [`ActionPlanner`], and advances the plan through the
+//! service until the attempt is over or must wait. Conflicts park on the contended entity's stripe;
 //! waits-for cycles abort the requester that closed the cycle (the
 //! simulator's victim rule) and restart the job as a fresh transaction
 //! after a growing backoff; policy violations abort and are classified by
@@ -15,7 +15,7 @@ use crate::fastpath::LockWords;
 use crate::metrics::Metrics;
 use crate::report::{Certification, LatencySummary, RuntimeReport};
 use crate::scheduler::{SchedMode, WaveDispatch, WavePlan};
-use crate::service::{LockService, MvccState, Outcome, Recorder, Tally};
+use crate::service::{LockService, MvccState, Progress, Recorder, Tally};
 use crate::trace::TraceRun;
 use slp_core::{Schedule, SequenceError, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
@@ -72,7 +72,13 @@ pub struct RuntimeConfig {
     pub max_wall: Duration,
     /// Yield the OS scheduler after each granted action. Costs throughput,
     /// buys interleaving diversity — on by default because the runtime's
-    /// first duty here is producing adversarial traces to verify.
+    /// first duty here is producing adversarial traces to verify. In an
+    /// engine run it also sets the section: with it on, every engine call
+    /// (begin, one action, finish, abort) takes the engine's write lock on
+    /// its own; with it off, an attempt holds one write section from
+    /// begin through its grants until it finishes or must wait — so an
+    /// attempt that meets no held lock runs whole, and one whose
+    /// transactions do no work between actions never waits at all.
     pub step_yield: bool,
     /// Online serializability certification ([`CertifyMode::Off`] by
     /// default).
@@ -93,7 +99,7 @@ pub struct RuntimeConfig {
     /// counted in [`RuntimeReport::fast_path_fallbacks`] and in
     /// [`RuntimeReport::rejected`]; run such planners with the knob off.
     /// Without a table the run is an *engine run*: the engine grants
-    /// everything and no word exists. Both go through the same request
+    /// everything and no word exists. Both go through the same attempt
     /// loop and park the same way. On by default — for
     /// [`GrantScope::Global`] engines it changes nothing. Off is the
     /// engine-only reference the word path is measured and checked
@@ -627,41 +633,37 @@ fn run_attempt(
         Ok(p) => p,
         Err(v) => return classify(&mut rec.tally, &v),
     };
-    let mut at = match service.attempt(tx, planned.as_deref(), &mut rec.tally) {
+    let mut at = match service.attempt(tx, planned, planner.intent(job), &mut rec.tally) {
         Ok(at) => at,
         Err(v) => return classify(&mut rec.tally, &v),
     };
-    let plan = match service.begin(&at, &planner.intent(job)) {
-        Ok(engine_plan) => match planned.or(engine_plan) {
-            Some(plan) => plan,
-            None => {
-                // Misconfigured pairing: retire the just-begun transaction
-                // so the engine holds no planless state (adapter rule).
-                service.abort(&mut at, rec);
-                aborted.push(tx);
-                return classify(&mut rec.tally, &PolicyViolation::NoPlan(tx));
-            }
-        },
-        Err(v) => return classify(&mut rec.tally, &v),
-    };
 
-    // One loop for both kinds of run: a granted action advances the
-    // cursor, a conflict parks and re-requests the same action.
-    let mut cursor = 0usize;
-    while cursor < plan.len() {
-        match service.request(&mut at, plan[cursor], rec) {
-            Outcome::Granted => {
-                cursor += 1;
-                if config.step_yield {
-                    std::thread::yield_now();
-                }
+    // One loop for both kinds of run: advance until the attempt is over,
+    // parking whenever it must wait; the next advance re-requests the
+    // action that waited.
+    loop {
+        match service.advance(&mut at, rec, config.step_yield) {
+            Progress::Granted => std::thread::yield_now(),
+            Progress::Done(true) => {
+                rec.tally.committed += 1;
+                return AttemptEnd::Committed;
             }
-            Outcome::Violation(violation) => {
-                service.abort(&mut at, rec);
+            Progress::Done(false) => {
+                // Strict certification aborted the commit: the locks are
+                // released, the service kept the commit record out of the
+                // log and marked the transaction aborted in the status
+                // table. The job restarts as a fresh transaction.
+                rec.tally.certification_aborts += 1;
                 aborted.push(tx);
+                return AttemptEnd::Retry;
+            }
+            Progress::Refused(violation) => {
+                if at.begun() {
+                    aborted.push(tx);
+                }
                 return classify(&mut rec.tally, &violation);
             }
-            Outcome::Conflict {
+            Progress::Wait {
                 entity,
                 holder,
                 gen,
@@ -710,26 +712,6 @@ fn run_attempt(
             }
         }
     }
-    match service.finish(&mut at, rec) {
-        Ok(true) => {
-            rec.tally.committed += 1;
-            AttemptEnd::Committed
-        }
-        Ok(false) => {
-            // Strict certification aborted the commit: the locks are
-            // released, the service kept the commit record out of the log
-            // and marked the transaction aborted in the status table. The
-            // job restarts as a fresh transaction.
-            rec.tally.certification_aborts += 1;
-            aborted.push(tx);
-            AttemptEnd::Retry
-        }
-        Err(v) => {
-            service.abort(&mut at, rec);
-            aborted.push(tx);
-            classify(&mut rec.tally, &v)
-        }
-    }
 }
 
 /// Applies the fatal/transient rule and bumps the matching tally.
@@ -760,11 +742,11 @@ fn backoff(attempt: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::tests::{opened, sections, stripe_gen};
     use crate::service::Attempt;
-    use slp_core::EntityId;
+    use slp_core::{EntityId, LockMode, Step};
     use slp_durability::SharedMemStore;
-    use slp_policies::AccessIntent;
-    use slp_policies::PolicyAction::{self, Access, Lock};
+    use slp_policies::PolicyAction::{Access, Lock};
 
     /// A 2PL service over `entities`, driven by hand: a word run iff
     /// `words`.
@@ -776,14 +758,9 @@ mod tests {
         LockService::new(engine, wal, CertifyMode::Off, None, words)
     }
 
-    /// `tx`'s attempt over `plan`, opened and begun.
-    fn begun(service: &LockService, tx: TxId, plan: &[PolicyAction]) -> (Attempt, Recorder) {
-        let mut rec = Recorder::default();
-        let at = service
-            .attempt(tx, Some(plan), &mut rec.tally)
-            .expect("a plain plan");
-        service.begin(&at, &AccessIntent::empty()).expect("begin");
-        (at, rec)
+    /// One one-call advance of `at`, which must grant an action.
+    fn grant(service: &LockService, at: &mut Attempt, rec: &mut Recorder) {
+        assert!(matches!(service.advance(at, rec, true), Progress::Granted));
     }
 
     /// The pre-park hand-over, read off the log at the moment of the
@@ -815,11 +792,8 @@ mod tests {
             };
             let deadline = Instant::now() + config.max_wall;
 
-            let (mut holder, mut holder_rec) = begun(&service, TxId(1), &[Lock(hot), Access(hot)]);
-            assert!(matches!(
-                service.request(&mut holder, Lock(hot), &mut holder_rec),
-                Outcome::Granted
-            ));
+            let (mut holder, mut holder_rec) = opened(&service, TxId(1), &[Lock(hot), Access(hot)]);
+            grant(&service, &mut holder, &mut holder_rec);
 
             std::thread::scope(|s| {
                 let waiter = s.spawn(|| {
@@ -850,13 +824,11 @@ mod tests {
                     "words {words}"
                 );
 
+                grant(&service, &mut holder, &mut holder_rec);
                 assert!(matches!(
-                    service.request(&mut holder, Access(hot), &mut holder_rec),
-                    Outcome::Granted
+                    service.advance(&mut holder, &mut holder_rec, true),
+                    Progress::Done(true)
                 ));
-                assert!(service
-                    .finish(&mut holder, &mut holder_rec)
-                    .expect("finish"));
                 waiter.join().expect("waiter panicked");
             });
             let done = wal.summary();
@@ -880,21 +852,22 @@ mod tests {
         let (a, b) = (EntityId(0), EntityId(1));
         for words in [true, false] {
             let service = two_phase(&[a, b], words, None);
-            let (mut t1, mut r1) = begun(&service, TxId(1), &[Lock(a), Lock(b)]);
-            let (mut t2, mut r2) = begun(&service, TxId(2), &[Lock(b), Lock(a)]);
-            // The holder a request is blocked by, `None` once granted.
-            let blocked_by = |outcome| match outcome {
-                Outcome::Granted => None,
-                Outcome::Conflict { holder, .. } => Some(holder),
-                Outcome::Violation(v) => panic!("words {words}: {v}"),
+            let (mut t1, mut r1) = opened(&service, TxId(1), &[Lock(a), Lock(b)]);
+            let (mut t2, mut r2) = opened(&service, TxId(2), &[Lock(b), Lock(a)]);
+            // The holder an advance is blocked by, `None` once granted.
+            let blocked_by = |progress| match progress {
+                Progress::Granted => None,
+                Progress::Wait { holder, .. } => Some(holder),
+                Progress::Done(_) => panic!("words {words}: done early"),
+                Progress::Refused(v) => panic!("words {words}: {v}"),
             };
-            assert_eq!(blocked_by(service.request(&mut t1, Lock(a), &mut r1)), None);
-            assert_eq!(blocked_by(service.request(&mut t2, Lock(b), &mut r2)), None);
+            assert_eq!(blocked_by(service.advance(&mut t1, &mut r1, true)), None);
+            assert_eq!(blocked_by(service.advance(&mut t2, &mut r2, true)), None);
 
-            let holder = blocked_by(service.request(&mut t1, Lock(b), &mut r1));
+            let holder = blocked_by(service.advance(&mut t1, &mut r1, true));
             assert_eq!(holder, Some(TxId(2)), "words {words}");
             assert!(!service.note_wait(TxId(1), TxId(2)), "words {words}");
-            let holder = blocked_by(service.request(&mut t2, Lock(a), &mut r2));
+            let holder = blocked_by(service.advance(&mut t2, &mut r2, true));
             assert_eq!(holder, Some(TxId(1)), "words {words}");
             assert!(
                 service.note_wait(TxId(2), TxId(1)),
@@ -904,9 +877,145 @@ mod tests {
             service.clear_wait(TxId(2));
             service.abort(&mut t2, &mut r2);
             service.clear_wait(TxId(1));
-            assert_eq!(blocked_by(service.request(&mut t1, Lock(b), &mut r1)), None);
-            assert!(service.finish(&mut t1, &mut r1).expect("finish"));
+            assert_eq!(blocked_by(service.advance(&mut t1, &mut r1, true)), None);
+            assert!(matches!(
+                service.advance(&mut t1, &mut r1, true),
+                Progress::Done(true)
+            ));
             assert!(service.words_quiescent(), "words {words}");
         }
+    }
+
+    /// Where an engine run's sections begin and end, pinned by hand with
+    /// whole sections (`one_call` off). An attempt whose action *k* meets
+    /// a held lock records exactly actions `0..k` in one section and
+    /// waits, naming the generation it read there; once the holder
+    /// finishes, one more section resumes at *k* and commits.
+    #[test]
+    fn an_engine_attempt_runs_whole_until_its_first_wait() {
+        let [a, b, c] = [EntityId(0), EntityId(1), EntityId(2)];
+        let service = two_phase(&[a, b, c], false, None);
+        let (mut holder, mut holder_rec) = opened(&service, TxId(1), &[Lock(c)]);
+        grant(&service, &mut holder, &mut holder_rec);
+
+        let plan = [Lock(a), Access(a), Lock(b), Access(b), Lock(c), Access(c)];
+        let (mut at, mut rec) = opened(&service, TxId(2), &plan);
+        let before = sections(&service);
+        let Progress::Wait {
+            entity,
+            holder: blocker,
+            gen,
+        } = service.advance(&mut at, &mut rec, false)
+        else {
+            panic!("action 4 meets the held lock");
+        };
+        assert_eq!(sections(&service) - before, 1, "begin and four grants");
+        assert_eq!((entity, blocker), (c, TxId(1)));
+        let steps =
+            |rec: &Recorder| -> Vec<Step> { rec.steps.iter().map(|(_, s)| s.step).collect() };
+        let x = LockMode::Exclusive;
+        assert_eq!(
+            steps(&rec),
+            [
+                Step::lock(x, a),
+                Step::read(a),
+                Step::write(a),
+                Step::lock(x, b),
+                Step::read(b),
+                Step::write(b),
+            ],
+            "exactly actions 0..4"
+        );
+        assert_eq!(
+            gen,
+            stripe_gen(&service, c),
+            "read in the section: no release since"
+        );
+
+        assert!(matches!(
+            service.advance(&mut holder, &mut holder_rec, true),
+            Progress::Done(true)
+        ));
+        assert!(
+            stripe_gen(&service, c) > gen,
+            "the release bumped after the read"
+        );
+        let before = sections(&service);
+        let from = rec.steps.len();
+        assert!(matches!(
+            service.advance(&mut at, &mut rec, false),
+            Progress::Done(true)
+        ));
+        assert_eq!(
+            sections(&service) - before,
+            1,
+            "resumed and finished in one section"
+        );
+        assert_eq!(
+            steps(&rec)[from..],
+            [
+                Step::lock(x, c),
+                Step::read(c),
+                Step::write(c),
+                Step::unlock(x, a),
+                Step::unlock(x, b),
+                Step::unlock(x, c),
+            ],
+            "resumed at action 4"
+        );
+        let stamps: Vec<u64> = rec.steps[from..].iter().map(|&(stamp, _)| stamp).collect();
+        assert!(stamps.windows(2).all(|w| w[1] == w[0] + 1), "{stamps:?}");
+    }
+
+    /// An empty plan begins and finishes in one engine section, with or
+    /// without one-call sections telling them apart: two sections then.
+    #[test]
+    fn an_empty_plan_begins_and_finishes_in_one_section() {
+        let service = two_phase(&[EntityId(0)], false, None);
+        for (tx, one_call, expected) in [(TxId(1), false, 1), (TxId(2), true, 2)] {
+            let (mut at, mut rec) = opened(&service, tx, &[]);
+            let before = sections(&service);
+            assert!(matches!(
+                service.advance(&mut at, &mut rec, one_call),
+                Progress::Done(true)
+            ));
+            assert_eq!(sections(&service) - before, expected, "one call {one_call}");
+            assert!(rec.steps.is_empty());
+        }
+    }
+
+    /// A refused action aborts in its own section: once `advance`
+    /// returns, the attempt holds nothing and the entity it locked goes
+    /// to the next transaction in one section.
+    #[test]
+    fn a_refused_action_leaves_no_lock_held() {
+        let a = EntityId(0);
+        let service = two_phase(&[a], false, None);
+        // A relock: 2PL refuses it, fatally.
+        let (mut at, mut rec) = opened(&service, TxId(1), &[Lock(a), Access(a), Lock(a)]);
+        let before = sections(&service);
+        let Progress::Refused(violation) = service.advance(&mut at, &mut rec, false) else {
+            panic!("a relock is refused");
+        };
+        assert!(violation.is_fatal(), "{violation}");
+        assert_eq!(
+            sections(&service) - before,
+            1,
+            "refused and aborted in one section"
+        );
+        let last = rec.steps.last().expect("steps recorded").1.step;
+        assert_eq!(
+            last,
+            Step::unlock(LockMode::Exclusive, a),
+            "the abort released it"
+        );
+
+        let (mut next, mut next_rec) = opened(&service, TxId(2), &[Lock(a), Access(a)]);
+        let before = sections(&service);
+        assert!(matches!(
+            service.advance(&mut next, &mut next_rec, false),
+            Progress::Done(true)
+        ));
+        assert_eq!(sections(&service) - before, 1);
     }
 }

@@ -1,17 +1,25 @@
 //! The lock service: one [`PolicyEngine`] serving many worker threads
-//! through **one request primitive**.
+//! through **one entry point**.
 //!
-//! An attempt is opened after planning ([`LockService::attempt`]), every
-//! action goes through [`LockService::request`], and the attempt ends in
-//! [`LockService::finish`] or [`LockService::abort`]. Where the granted
-//! *steps* come from is a property of the run, not of the attempt:
+//! An attempt is opened after planning ([`LockService::attempt`]) and
+//! owns its plan and a cursor into it. [`LockService::advance`] drives it
+//! from where it stands — begin, the plan's grants, finish — until it is
+//! over or must wait; a waiting attempt parks and advances again, or is
+//! cut short by [`LockService::abort`]. Where the granted *steps* come
+//! from is a property of the run, not of the attempt:
 //!
 //! * **an engine run** — a [`slp_policies::GrantScope::Global`] engine,
 //!   or any run with [`crate::RuntimeConfig::grant_fast_path`] off: the
 //!   engine rules on every action under its write lock and returns the
 //!   steps. Every grant/refuse decision of a policy that reads global
 //!   state (wakes, donations, the DDAG) mutates shared policy state, so
-//!   those decisions serialize there;
+//!   those decisions serialize there — and they do so once per wake-up
+//!   of an attempt, not once per action: one write section runs begin,
+//!   the plan from the cursor up to the first conflict, and finish (or
+//!   the abort a refusal calls for), so no lock an attempt took survives
+//!   outside a section unless the attempt waits. With
+//!   [`crate::RuntimeConfig::step_yield`] on, a section is exactly one
+//!   engine call instead;
 //! * **a word run** — a [`slp_policies::GrantScope::PerEntity`] engine
 //!   with the fast path on (see [`crate::fastpath`]): a plain lock/access
 //!   plan is decided by the entities' own atomic words alone, and the
@@ -54,10 +62,10 @@
 //!   [`slp_core::Schedule::from_sequenced_runs`] — linear, no sort, and
 //!   its own proof that no stamp is missing or doubled — are a faithful
 //!   schedule without any runtime coordination;
-//! * **the tail** after every recorded batch is one routine
+//! * **the tail** after every section that recorded steps is one routine
 //!   ([`LockService::publish`]): free the words whose release was just
 //!   recorded, then bump their stripes, waking their sleepers. It never
-//!   touches the log. When the attempt retires ([`LockService::retire`])
+//!   touches the log. When the attempt retires ([`LockService::settle`])
 //!   the tail goes on: certify, hand the attempt to the log, resolve the
 //!   commit pipeline;
 //! * **the log** is fed once per attempt, after the words are free
@@ -78,7 +86,7 @@
 //!
 //! Lost wakeups are impossible by construction: the stripe generation a
 //! worker will park on is read *after* the conflict was observed and
-//! before it is confirmed ([`Outcome::Conflict`]) — inside the engine
+//! before it is confirmed ([`Progress::Wait`]) — inside the engine
 //! section for an engine conflict, between the failed CAS and the word
 //! recheck for a word conflict — and the worker parks only if that
 //! generation is still unchanged under the stripe lock. Any release that
@@ -109,7 +117,7 @@ use slp_policies::{
     WaitsFor,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard, TryLockError};
 use std::time::Duration;
 
 /// Parking stripes. A constant rather than a knob — no caller ever set
@@ -169,24 +177,42 @@ fn stripe_index(e: EntityId) -> usize {
     e.0 as usize % STRIPES
 }
 
-/// The per-attempt state [`LockService::request`] / [`finish`] / [`abort`]
-/// work on, opened by [`LockService::attempt`].
-///
-/// [`finish`]: LockService::finish
-/// [`abort`]: LockService::abort
+/// One attempt's state across its sections, opened by
+/// [`LockService::attempt`] and driven by [`LockService::advance`] (or
+/// cut short by [`LockService::abort`]).
 pub(crate) struct Attempt {
     tx: TxId,
+    /// The actions to grant: the planner's plan, or — adopted at begin —
+    /// the engine's. `None` only before begin, in an engine run whose
+    /// planner supplied none.
+    plan: Option<Vec<PolicyAction>>,
+    /// The first action of `plan` not yet granted.
+    cursor: usize,
+    /// What begin declares to the engine.
+    intent: AccessIntent,
+    /// Whether the transaction has begun: the engine (or, in a word run,
+    /// the commit pipeline) knows it, and a refusal must retire it.
+    begun: bool,
     /// In a word run: the entities whose words `tx` holds, i.e. the
     /// unlock steps still owed (the engine tracks an engine run's).
     held: Vec<EntityId>,
 }
 
-/// The outcome of [`LockService::request`].
-pub(crate) enum Outcome {
-    /// The action was granted and its steps recorded.
+impl Attempt {
+    /// Whether the transaction has begun, so that ending it is an abort.
+    pub fn begun(&self) -> bool {
+        self.begun
+    }
+}
+
+/// Where [`LockService::advance`] left the attempt.
+pub(crate) enum Progress {
+    /// One-call sections only: an action was granted and its steps
+    /// recorded, and the plan goes on. The worker yields, then advances.
     Granted,
-    /// `entity` is held against the requester by `holder`.
-    Conflict {
+    /// `entity` is held against the attempt by `holder`. The attempt's
+    /// cursor stays on the action, and the next advance re-requests it.
+    Wait {
         entity: EntityId,
         holder: TxId,
         /// The entity's stripe generation, read after the conflict was
@@ -195,8 +221,36 @@ pub(crate) enum Outcome {
         /// this read, so parking on `gen` can never miss it.
         gen: u64,
     },
-    /// The policy refused the action outright; the requester aborts.
-    Violation(PolicyViolation),
+    /// The attempt is over: `true` if it committed, `false` if strict
+    /// certification turned its commit into an abort (no commit record,
+    /// no visibility flip — the caller retries the job as a fresh
+    /// transaction).
+    Done(bool),
+    /// The policy refused the attempt. It holds nothing any more: a
+    /// begun transaction was aborted before `advance` returned — in the
+    /// refused section, or in the next one with one-call sections.
+    Refused(PolicyViolation),
+}
+
+/// How an engine section ended ([`LockService::advance`]).
+enum SectionEnd {
+    /// One-call sections only: the call granted nothing (a begin, or a
+    /// refusal whose abort is owed), so the next call opens a section at
+    /// once, without a yield.
+    Next,
+    /// Hand this to the worker after the publish.
+    Yield(Progress),
+    /// The transaction retired in the section: finished, or aborted for
+    /// the violation.
+    Retired(Option<PolicyViolation>),
+}
+
+/// What one engine call did ([`LockService::engine_call`]).
+enum Call {
+    /// The attempt can go on with another call.
+    Made { granted: bool },
+    /// The section ends here.
+    Ends(SectionEnd),
 }
 
 /// The first action of `plan` a word run cannot grant, if any. A word
@@ -349,6 +403,9 @@ pub(crate) struct LockService {
     /// the MVCC paths cost nothing.
     mvcc: Option<MvccState>,
     pub counters: Counters,
+    /// Engine sections taken ([`LockService::write_engine`]).
+    #[cfg(test)]
+    sections: AtomicUsize,
 }
 
 /// The certifier graph and the feeders queued on it. Every feed waits
@@ -440,6 +497,8 @@ impl LockService {
             certifier: (certify == CertifyMode::Strict).then(CertChannel::new),
             mvcc,
             counters: Counters::default(),
+            #[cfg(test)]
+            sections: AtomicUsize::new(0),
         }
     }
 
@@ -516,7 +575,8 @@ impl LockService {
         }
     }
 
-    /// The tail every call that recorded steps runs on them (`recorded`),
+    /// The tail every section that recorded steps runs on them
+    /// (`recorded`) — once per section, however many calls it made —
     /// after dropping the engine lock (so woken workers contend on the
     /// engine, not on us): free the lock word of every recorded unlock —
     /// explicit, donated, or final — then bump the released entities'
@@ -555,7 +615,7 @@ impl LockService {
     /// the start).
     ///
     /// Called where a worker leaves the grant path: by
-    /// [`retire`](LockService::retire), the words already free, and by
+    /// [`settle`](LockService::settle), the words already free, and by
     /// the attempt loop just before it parks — an attempt asleep on a
     /// stripe with unlogged steps would hold the log's watermark, and with
     /// it every later commit's durability, for as long as it sleeps. A
@@ -745,19 +805,21 @@ impl LockService {
         planner.plan(&**engine, job)
     }
 
-    /// Opens `tx`'s attempt at `plan`. A word run refuses, before it
-    /// takes anything, a plan it cannot grant: `NoPlan` without one,
-    /// [`PolicyViolation::Unsupported`] naming the first action outside
-    /// the plain lock/access shape otherwise — both fatal, and counted in
-    /// [`Tally::fast_path_fallbacks`].
+    /// Opens `tx`'s attempt at `plan` (the planner's; `None` when it
+    /// supplied none) with the `intent` its begin declares. A word run
+    /// refuses, before it takes anything, a plan it cannot grant: `NoPlan`
+    /// without one, [`PolicyViolation::Unsupported`] naming the first
+    /// action outside the plain lock/access shape otherwise — both fatal,
+    /// and counted in [`Tally::fast_path_fallbacks`].
     pub fn attempt(
         &self,
         tx: TxId,
-        plan: Option<&[PolicyAction]>,
+        plan: Option<Vec<PolicyAction>>,
+        intent: AccessIntent,
         tally: &mut Tally,
     ) -> Result<Attempt, PolicyViolation> {
         if let Some(words) = &self.words {
-            let refusal = match plan {
+            let refusal = match &plan {
                 None => Some(PolicyViolation::NoPlan(tx)),
                 Some(plan) => fast_plan_mode(words, plan).map(|action| {
                     let engine = self.engine.read().expect("engine lock poisoned");
@@ -774,130 +836,245 @@ impl LockService {
         }
         Ok(Attempt {
             tx,
+            plan,
+            cursor: 0,
+            intent,
+            begun: false,
             held: Vec::new(),
         })
     }
 
-    /// Begins the attempt's transaction; returns the engine's precomputed
-    /// plan if any. In a word run the engine never learns that the
-    /// transaction exists — the words are the authority for everything
-    /// it touches. With MVCC enabled the transaction registers as a
-    /// writer with the commit pipeline (its status-table flip orders
-    /// behind lock-order predecessors).
-    pub fn begin(
-        &self,
-        at: &Attempt,
-        intent: &AccessIntent,
-    ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        let plan = match &self.words {
-            Some(_) => None,
-            None => {
-                let mut engine = self.engine.write().expect("engine lock poisoned");
-                engine.begin(at.tx, intent)?
-            }
-        };
-        if let Some(m) = &self.mvcc {
-            m.pipeline.begin_writer(at.tx);
+    /// Drives the attempt from where it stands — begin, the plan's
+    /// grants from its cursor on, finish — until it is over or must
+    /// wait, recording the granted steps into `rec`. The one way a run
+    /// reaches its grant authority.
+    ///
+    /// In an engine run all of it is one section under the engine's write
+    /// lock: every rule check runs there, and the lock changes hands once
+    /// per wake-up of the attempt, not once per action. A refusal aborts
+    /// in the same section, so no lock an attempt took survives outside a
+    /// section unless it is waiting. With `one_call` (the runner passes
+    /// [`crate::RuntimeConfig::step_yield`]) every section is exactly one
+    /// engine call instead, and the call returns [`Progress::Granted`]
+    /// after each grant so the worker can yield: the interleaving of one
+    /// lock acquisition per `begin`, `request`, `finish` and `abort`.
+    ///
+    /// A word run walks the same plan over the lock words: a word per
+    /// `Lock`, the engine's steps synthesized per `Access` (`read`+`write`,
+    /// whatever the job declares, so traces stay step-for-step comparable
+    /// across runs), the held words released in ascending order at the end
+    /// — the engine lock is never taken.
+    ///
+    /// After a section the recorded steps are published once; an attempt
+    /// that retired in it runs the retire tail ([`LockService::settle`]).
+    pub fn advance(&self, at: &mut Attempt, rec: &mut Recorder, one_call: bool) -> Progress {
+        if let Some(words) = &self.words {
+            return self.advance_words(words, at, rec, one_call);
         }
-        Ok(plan)
+        let mut owed = None;
+        loop {
+            let from = rec.steps.len();
+            let end = {
+                let mut engine = self.write_engine();
+                loop {
+                    match self.engine_call(&mut **engine, at, rec, &mut owed) {
+                        Call::Made { .. } if !one_call => {}
+                        Call::Made { granted: true } => break SectionEnd::Yield(Progress::Granted),
+                        Call::Made { granted: false } => break SectionEnd::Next,
+                        Call::Ends(end) => break end,
+                    }
+                }
+            };
+            self.publish(at.tx, &rec.steps[from..]);
+            match end {
+                SectionEnd::Next => {}
+                SectionEnd::Yield(progress) => return progress,
+                SectionEnd::Retired(None) => return Progress::Done(self.settle(at.tx, rec, false)),
+                SectionEnd::Retired(Some(violation)) => {
+                    self.settle(at.tx, rec, true);
+                    return Progress::Refused(violation);
+                }
+            }
+        }
     }
 
-    /// Decides one `action` of the attempt and records the granted steps
-    /// into `rec`. A word run takes the word for a `Lock` and synthesizes
-    /// exactly the steps the engine would emit (`lock`, then
-    /// `read`+`write` per access, whatever the job declares — so traces
-    /// stay step-for-step comparable across runs) without touching the
-    /// engine lock; an engine run asks the engine under its write lock,
-    /// one action per section.
-    pub fn request(&self, at: &mut Attempt, action: PolicyAction, rec: &mut Recorder) -> Outcome {
+    /// One engine call for the attempt, chosen by where it stands: the
+    /// abort a refusal left `owed`, `begin`, the cursor's action, or
+    /// `finish`. Called under the engine's write lock, which is what
+    /// makes stamping the granted steps here legal.
+    fn engine_call(
+        &self,
+        engine: &mut dyn PolicyEngine,
+        at: &mut Attempt,
+        rec: &mut Recorder,
+        owed: &mut Option<PolicyViolation>,
+    ) -> Call {
         let tx = at.tx;
-        let Recorder {
-            steps: trace,
-            tally,
-            ..
-        } = rec;
-        let from = trace.len();
-        let outcome = match &self.words {
-            Some(words) => match action {
+        if let Some(violation) = owed.take() {
+            self.record(tx, engine.abort(tx), &mut rec.steps);
+            return Call::Ends(SectionEnd::Retired(Some(violation)));
+        }
+        if !at.begun {
+            let engine_plan = match engine.begin(tx, &at.intent) {
+                Ok(plan) => plan,
+                // The engine never took the transaction on: nothing to retire.
+                Err(violation) => {
+                    return Call::Ends(SectionEnd::Yield(Progress::Refused(violation)))
+                }
+            };
+            at.begun = true;
+            if let Some(m) = &self.mvcc {
+                m.pipeline.begin_writer(tx);
+            }
+            // The planner's plan wins; a policy that plans at start (rule
+            // DT2) supplies one when the planner did not. With neither the
+            // pairing is misconfigured: retire the just-begun transaction
+            // so the engine holds no planless state.
+            if at.plan.is_none() {
+                at.plan = engine_plan;
+            }
+            if at.plan.is_none() {
+                *owed = Some(PolicyViolation::NoPlan(tx));
+            }
+            return Call::Made { granted: false };
+        }
+        let plan = at.plan.as_deref().expect("a begun attempt has a plan");
+        let Some(&action) = plan.get(at.cursor) else {
+            return match engine.finish(tx) {
+                Ok(steps) => {
+                    self.record(tx, steps, &mut rec.steps);
+                    Call::Ends(SectionEnd::Retired(None))
+                }
+                Err(violation) => {
+                    *owed = Some(violation);
+                    Call::Made { granted: false }
+                }
+            };
+        };
+        match engine.request(tx, action) {
+            PolicyResponse::Granted(steps) => {
+                self.record(tx, steps, &mut rec.steps);
+                rec.tally.grants += 1;
+                rec.tally.slow_path_grants += 1;
+                at.cursor += 1;
+                Call::Made { granted: true }
+            }
+            PolicyResponse::Conflict { entity, holder } => {
+                // Read inside the engine section that observed the
+                // conflict: every engine release is recorded in a later
+                // section and bumps after it. (Nested stripe-lock
+                // acquisition is deadlock-free: stripe-lock holders never
+                // take the engine lock.)
+                let gen = self.stripe(entity).lock().gen;
+                Call::Ends(SectionEnd::Yield(Progress::Wait {
+                    entity,
+                    holder,
+                    gen,
+                }))
+            }
+            PolicyResponse::Violation(violation) => {
+                *owed = Some(violation);
+                Call::Made { granted: false }
+            }
+        }
+    }
+
+    /// [`advance`](LockService::advance) in a word run. Nothing is
+    /// published until the final unlocks: a word grant never records one.
+    fn advance_words(
+        &self,
+        words: &LockWords,
+        at: &mut Attempt,
+        rec: &mut Recorder,
+        one_call: bool,
+    ) -> Progress {
+        let tx = at.tx;
+        if !at.begun {
+            // The engine never learns that the transaction exists — the
+            // words are the authority for everything it touches.
+            at.begun = true;
+            if let Some(m) = &self.mvcc {
+                m.pipeline.begin_writer(tx);
+            }
+        }
+        let plan = at
+            .plan
+            .as_deref()
+            .expect("a word run refuses a planless attempt");
+        while let Some(&action) = plan.get(at.cursor) {
+            match action {
                 PolicyAction::Lock(e) => match self.acquire_word(words, e, tx) {
                     Ok(()) => {
                         at.held.push(e);
-                        self.record(tx, [Step::lock(LockMode::Exclusive, e)], trace);
-                        Outcome::Granted
+                        self.record(tx, [Step::lock(LockMode::Exclusive, e)], &mut rec.steps);
                     }
-                    Err((holder, gen)) => Outcome::Conflict {
-                        entity: e,
-                        holder,
-                        gen,
-                    },
-                },
-                PolicyAction::Access(e) => {
-                    self.record(tx, [Step::read(e), Step::write(e)], trace);
-                    Outcome::Granted
-                }
-                _ => unreachable!("a word run admits only Lock/Access plans"),
-            },
-            None => {
-                let mut engine = self.engine.write().expect("engine lock poisoned");
-                match engine.request(tx, action) {
-                    PolicyResponse::Granted(steps) => {
-                        self.record(tx, steps, trace);
-                        Outcome::Granted
-                    }
-                    PolicyResponse::Conflict { entity, holder } => {
-                        // Read inside the engine section that observed
-                        // the conflict: every engine release is recorded
-                        // in a later section and bumps after it. (Nested
-                        // stripe-lock acquisition is deadlock-free:
-                        // stripe-lock holders never take the engine lock.)
-                        let gen = self.stripe(entity).lock().gen;
-                        Outcome::Conflict {
-                            entity,
+                    Err((holder, gen)) => {
+                        return Progress::Wait {
+                            entity: e,
                             holder,
                             gen,
                         }
                     }
-                    PolicyResponse::Violation(violation) => Outcome::Violation(violation),
+                },
+                PolicyAction::Access(e) => {
+                    self.record(tx, [Step::read(e), Step::write(e)], &mut rec.steps);
                 }
+                _ => unreachable!("a word run admits only Lock/Access plans"),
             }
-        };
-        if matches!(outcome, Outcome::Granted) {
-            tally.grants += 1;
-            match self.words {
-                Some(_) => tally.fast_path_grants += 1,
-                None => tally.slow_path_grants += 1,
+            rec.tally.grants += 1;
+            rec.tally.fast_path_grants += 1;
+            at.cursor += 1;
+            if one_call {
+                return Progress::Granted;
             }
         }
-        // An engine grant may have recorded unlocks (explicit releases,
-        // altruistic donations); a word grant never does.
-        self.publish(tx, &trace[from..]);
-        outcome
+        let from = rec.steps.len();
+        self.record_word_unlocks(at, &mut rec.steps);
+        self.publish(tx, &rec.steps[from..]);
+        Progress::Done(self.settle(tx, rec, false))
     }
 
-    /// Finishes the attempt's transaction, recording its final unlocks.
-    /// Returns `Ok(true)` on commit; `Ok(false)` when strict
-    /// certification recovered by aborting it instead (no commit record,
-    /// no visibility flip — the caller retries the job as a fresh
-    /// transaction).
-    pub fn finish(&self, at: &mut Attempt, rec: &mut Recorder) -> Result<bool, PolicyViolation> {
-        self.retire(at, rec, false)
-    }
-
-    /// Aborts the attempt's transaction, recording the unlocks it still
-    /// held.
+    /// Aborts a waiting attempt (a deadlock victim, or one cut short by
+    /// the deadline or a halt), recording the unlocks it still held, in
+    /// one section of its own, then runs the retire tail.
     pub fn abort(&self, at: &mut Attempt, rec: &mut Recorder) {
-        self.retire(at, rec, true)
-            .expect("an abort is never refused");
+        let tx = at.tx;
+        let from = rec.steps.len();
+        match &self.words {
+            Some(_) => self.record_word_unlocks(at, &mut rec.steps),
+            None => {
+                let mut engine = self.write_engine();
+                self.record(tx, engine.abort(tx), &mut rec.steps);
+            }
+        }
+        self.publish(tx, &rec.steps[from..]);
+        self.settle(tx, rec, true);
     }
 
-    /// The one way an attempt ends. The two kinds of run differ only in
-    /// where the unlock steps come from: the held set in ascending entity
-    /// order (matching the engine's emission) in a word run,
-    /// [`PolicyEngine::finish`] / [`PolicyEngine::abort`] under the write
-    /// lock in an engine run — stamped, either way, before
-    /// [`publish`](LockService::publish) frees the words, so the next
-    /// holder's acquire stamp lands strictly later. Then the shared tail:
-    /// publish — from here on `tx` holds nothing — certify the whole
+    /// Records a word-run attempt's final unlocks: its held words in
+    /// ascending entity order, matching the engine's emission — stamped
+    /// before [`publish`](LockService::publish) frees them, so the next
+    /// holder's acquire stamp lands strictly later.
+    fn record_word_unlocks(&self, at: &mut Attempt, out: &mut Vec<Stamped>) {
+        at.held.sort_unstable();
+        let unlocks = at.held.drain(..);
+        self.record(
+            at.tx,
+            unlocks.map(|e| Step::unlock(LockMode::Exclusive, e)),
+            out,
+        );
+    }
+
+    /// The engine's write lock: one section. In tests it also counts the
+    /// sections taken, which is how the section boundaries are pinned.
+    fn write_engine(&self) -> RwLockWriteGuard<'_, Box<dyn PolicyEngine>> {
+        #[cfg(test)]
+        self.sections.fetch_add(1, Ordering::Relaxed);
+        self.engine.write().expect("engine lock poisoned")
+    }
+
+    /// The retire tail, run once the attempt's last unlocks are recorded
+    /// and published — from here on `tx` holds nothing: certify the whole
     /// attempt (`rec.steps` is exactly its steps), hand it to the log,
     /// make the outcome visible. Returns whether `tx` committed —
     /// `aborting` never does, and neither does a commit that strict
@@ -911,37 +1088,8 @@ impl LockService {
     /// certifier as *aborted*: it takes no further steps (all truncation
     /// needs) and parked snapshot-read edges against its versions
     /// dissolve instead of materializing.
-    fn retire(
-        &self,
-        at: &mut Attempt,
-        rec: &mut Recorder,
-        aborting: bool,
-    ) -> Result<bool, PolicyViolation> {
-        let tx = at.tx;
-        let attempt = &mut rec.steps;
-        let from = attempt.len();
-        match &self.words {
-            Some(_) => {
-                at.held.sort_unstable();
-                let unlocks = at.held.drain(..);
-                self.record(
-                    tx,
-                    unlocks.map(|e| Step::unlock(LockMode::Exclusive, e)),
-                    attempt,
-                );
-            }
-            None => {
-                let mut engine = self.engine.write().expect("engine lock poisoned");
-                let steps = if aborting {
-                    engine.abort(tx)
-                } else {
-                    engine.finish(tx)?
-                };
-                self.record(tx, steps, attempt);
-            }
-        }
-        self.publish(tx, &attempt[from..]);
-        let certified_out = self.certify_strict(tx, attempt, None, aborting);
+    fn settle(&self, tx: TxId, rec: &mut Recorder, aborting: bool) -> bool {
+        let certified_out = self.certify_strict(tx, &rec.steps, None, aborting);
         let committed = !aborting && !certified_out;
         self.log(rec, committed.then_some(tx));
         if let Some(m) = &self.mvcc {
@@ -951,7 +1099,7 @@ impl LockService {
                 m.pipeline.abort(tx);
             }
         }
-        Ok(committed)
+        committed
     }
 
     /// Serves a read-only job from an MVCC snapshot: captures a read
@@ -1040,7 +1188,7 @@ impl LockService {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use slp_policies::{PolicyConfig, PolicyKind, PolicyRegistry};
 
@@ -1052,6 +1200,34 @@ mod tests {
             .expect("2PL builds");
         let words = words.then(|| LockWords::new(1));
         LockService::new(engine, None, CertifyMode::Off, None, words)
+    }
+
+    /// `tx`'s attempt over `plan`, opened with a fresh recorder.
+    pub(crate) fn opened(
+        service: &LockService,
+        tx: TxId,
+        plan: &[PolicyAction],
+    ) -> (Attempt, Recorder) {
+        let mut rec = Recorder::default();
+        let at = service
+            .attempt(
+                tx,
+                Some(plan.to_vec()),
+                AccessIntent::empty(),
+                &mut rec.tally,
+            )
+            .expect("a plain plan");
+        (at, rec)
+    }
+
+    /// The stripe generation `e` parks on.
+    pub(crate) fn stripe_gen(service: &LockService, e: EntityId) -> u64 {
+        service.stripe(e).lock().gen
+    }
+
+    /// How many engine sections `service` has taken so far.
+    pub(crate) fn sections(service: &LockService) -> usize {
+        service.sections.load(Ordering::Relaxed)
     }
 
     /// The make-way rule of [`CertChannel::wait_for_graph`]: once a
@@ -1162,22 +1338,21 @@ mod tests {
         }));
 
         let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
-        let mut rec = Recorder::default();
-        let mut at = service
-            .attempt(tx, Some(&plan), &mut rec.tally)
-            .expect("a plain plan");
-        service.begin(&at, &AccessIntent::empty()).expect("begin");
-        for action in plan {
+        let (mut at, mut rec) = opened(&service, tx, &plan);
+        for _ in plan {
             assert!(matches!(
-                service.request(&mut at, action, &mut rec),
-                Outcome::Granted
+                service.advance(&mut at, &mut rec, true),
+                Progress::Granted
             ));
         }
         assert!(
             seen.lock().expect("seen").is_empty(),
             "a grant logs nothing"
         );
-        assert!(service.finish(&mut at, &mut rec).expect("finish"));
+        assert!(matches!(
+            service.advance(&mut at, &mut rec, true),
+            Progress::Done(true)
+        ));
 
         // Nothing is left to hand over, and handing nothing over is not
         // an append.
@@ -1290,20 +1465,13 @@ mod tests {
     #[test]
     fn a_release_wakes_a_parked_worker_long_before_its_timeout() {
         let e = EntityId(0);
-        let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
         let timeout = Duration::from_secs(10);
         for words in [true, false] {
             let service = service_over_e0(words);
-            let mut rec = Recorder::default();
-            let mut holder = service
-                .attempt(TxId(1), Some(&plan), &mut rec.tally)
-                .expect("a plain plan");
-            service
-                .begin(&holder, &AccessIntent::empty())
-                .expect("begin");
+            let (mut holder, mut rec) = opened(&service, TxId(1), &[PolicyAction::Lock(e)]);
             assert!(matches!(
-                service.request(&mut holder, plan[0], &mut rec),
-                Outcome::Granted
+                service.advance(&mut holder, &mut rec, true),
+                Progress::Granted
             ));
             let seen = service.stripes[0].lock().gen;
             let slept = std::thread::scope(|s| {
@@ -1318,7 +1486,10 @@ mod tests {
                 // The parker counted its park and signed up in one
                 // stripe-lock section; the release's bump takes that lock
                 // after it, so it sees the sleeper.
-                assert!(service.finish(&mut holder, &mut rec).expect("finish"));
+                assert!(matches!(
+                    service.advance(&mut holder, &mut rec, true),
+                    Progress::Done(true)
+                ));
                 parker.join().expect("parker panicked")
             });
             assert!(
@@ -1334,41 +1505,37 @@ mod tests {
     }
 
     /// The no-lost-wakeup handshake, once per kind of run: tx1 holds `e`;
-    /// tx2's request conflicts and names tx1 and a generation; tx1
-    /// finishes (word freed or engine entry dropped, *then* generation
-    /// bumped); parking on the stale generation falls through at once;
-    /// the re-request is granted with a stamp above tx1's unlock.
+    /// tx2's advance waits and names tx1 and a generation; tx1 finishes
+    /// (word freed or engine entry dropped, *then* generation bumped);
+    /// parking on the stale generation falls through at once; the
+    /// re-request is granted with a stamp above tx1's unlock.
     #[test]
     fn a_conflict_generation_never_outlives_the_release() {
         let e = EntityId(0);
-        let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
+        let plan = [PolicyAction::Lock(e)];
         for words in [true, false] {
             let service = service_over_e0(words);
             // One recorder per attempt, as if two workers ran them.
-            let (mut rec1, mut rec2) = (Recorder::default(), Recorder::default());
-            let open = |tx, rec: &mut Recorder| {
-                let at = service
-                    .attempt(tx, Some(&plan), &mut rec.tally)
-                    .expect("a plain plan");
-                service.begin(&at, &AccessIntent::empty()).expect("begin");
-                at
-            };
-            let (mut tx1, mut tx2) = (open(TxId(1), &mut rec1), open(TxId(2), &mut rec2));
+            let (mut tx1, mut rec1) = opened(&service, TxId(1), &plan);
+            let (mut tx2, mut rec2) = opened(&service, TxId(2), &plan);
             assert!(matches!(
-                service.request(&mut tx1, plan[0], &mut rec1),
-                Outcome::Granted
+                service.advance(&mut tx1, &mut rec1, true),
+                Progress::Granted
             ));
-            let Outcome::Conflict {
+            let Progress::Wait {
                 entity,
                 holder,
                 gen,
-            } = service.request(&mut tx2, plan[0], &mut rec2)
+            } = service.advance(&mut tx2, &mut rec2, true)
             else {
                 panic!("words {words}: a held lock must conflict");
             };
             assert_eq!((entity, holder), (e, TxId(1)));
 
-            assert!(service.finish(&mut tx1, &mut rec1).expect("finish"));
+            assert!(matches!(
+                service.advance(&mut tx1, &mut rec1, true),
+                Progress::Done(true)
+            ));
             let (unlock_stamp, unlock) = *rec1.steps.last().expect("tx1 recorded steps");
             assert!(unlock.step.is_unlock());
 
@@ -1379,8 +1546,8 @@ mod tests {
             assert_eq!(service.stripes[0].lock().sleepers, 0, "never signed up");
 
             assert!(matches!(
-                service.request(&mut tx2, plan[0], &mut rec2),
-                Outcome::Granted
+                service.advance(&mut tx2, &mut rec2, true),
+                Progress::Granted
             ));
             let (lock_stamp, lock) = *rec2.steps.last().expect("tx2 recorded its lock");
             assert_eq!(
@@ -1391,7 +1558,10 @@ mod tests {
                 lock_stamp > unlock_stamp,
                 "acquire stamped after the release"
             );
-            assert!(service.finish(&mut tx2, &mut rec2).expect("finish"));
+            assert!(matches!(
+                service.advance(&mut tx2, &mut rec2, true),
+                Progress::Done(true)
+            ));
             assert!(service.words_quiescent());
             // Grants are tallied by the worker that was granted them, on
             // the run's one path.

@@ -5,7 +5,12 @@
 //!
 //! Per run: `common::check_run` under the generous park timeout, so
 //! `park_timeouts == 0` too. The flat-pool ladder sweeps the shared
-//! workload table × the grant fast path on and off. Across repeated runs
+//! workload table × the grant fast path on and off, and every engine run
+//! in it — and in the DDAG ladder — × `step_yield` on and off: with it
+//! off an engine attempt holds one write section from begin until it
+//! finishes or must wait, so no transaction holds a lock outside a
+//! section, nothing waits, and each attempt's steps are contiguous in the
+//! merged trace. At one worker the two settings emit the same bytes. Across repeated runs
 //! of the same seed at the same width: the deterministic accounting —
 //! job *outcomes* — is identical. Abort and wait *counts* are timing-dependent under real
 //! threads by design (two runs of the same seed interleave differently);
@@ -14,10 +19,12 @@
 
 mod common;
 
-use common::{check_run, conf, ddag_workloads, flat_workloads, pool, widths, FLAT_KINDS};
-use slp_policies::{Job, PolicyConfig, PolicyKind};
+use common::{check_run, conf, ddag_workloads, flat_workloads, pool, widths, Workload, FLAT_KINDS};
+use slp_core::TxId;
+use slp_policies::{GrantScope, Job, PolicyConfig, PolicyKind, PolicyRegistry};
 use slp_runtime::{Runtime, RuntimeConfig, RuntimeReport};
 use slp_sim::{hot_cold_jobs, uniform_jobs};
+use std::collections::HashMap;
 
 /// Runs `jobs` under `kind` at `workers` with the fast path `fast`, and
 /// holds the run to `common::check_run`.
@@ -37,24 +44,71 @@ fn run_once(kind: PolicyKind, jobs: &[Job], workers: usize, fast: bool) -> Runti
     report
 }
 
+/// Whether `kind` with the fast path `fast` is an engine run: no word
+/// table, every grant decided under the engine's write lock.
+fn engine_run(kind: PolicyKind, fast: bool) -> bool {
+    let engine = PolicyRegistry::new()
+        .build(kind, &PolicyConfig::flat(pool(1)))
+        .expect("buildable kind");
+    !fast || engine.grant_scope() == GrantScope::Global
+}
+
+/// Runs `w` under `kind` and `config` (held to `check_run`); with
+/// `step_yield` off in an engine run, also holds it to whole sections:
+/// an attempt that never meets a lock held outside a section never
+/// waits, so the run has no lock wait, and each transaction's steps sit
+/// in one unbroken stretch of the merged trace.
+fn run_cell(w: &Workload, kind: PolicyKind, config: &RuntimeConfig, ctx: &str) -> RuntimeReport {
+    let ctx = format!("{ctx} / step_yield {}", config.step_yield);
+    let report = w.run(kind, config, &ctx);
+    if !config.step_yield {
+        let ctx = format!("{} / {} / {ctx}", kind.name(), w.name);
+        assert_eq!(report.lock_waits, 0, "{ctx}: an attempt waited");
+        // Per transaction: its first position, last position and step count.
+        let mut spans: HashMap<TxId, (usize, usize, usize)> = HashMap::new();
+        for (i, s) in report.schedule.steps().iter().enumerate() {
+            let span = spans.entry(s.tx).or_insert((i, i, 0));
+            span.1 = i;
+            span.2 += 1;
+        }
+        for (tx, (first, last, steps)) in spans {
+            assert_eq!(
+                last + 1 - first,
+                steps,
+                "{ctx}: {tx:?}'s steps are interleaved with another's"
+            );
+        }
+    }
+    report
+}
+
 #[test]
 fn stress_ladder_holds_invariants_at_every_width() {
     // Both grant paths at every cell: the fast path is inert for
     // Global-scope engines, but 2PL genuinely bypasses the engine lock
-    // when it is on — and must, on every workload of the table.
+    // when it is on — and must, on every workload of the table. Every
+    // engine cell also runs with whole sections (`step_yield` off).
     for kind in FLAT_KINDS {
         for seed in [5u64, 11] {
             for w in flat_workloads(seed) {
                 for &width in &widths() {
                     for fast in [true, false] {
-                        let config = RuntimeConfig {
-                            grant_fast_path: fast,
-                            ..conf(width)
+                        let yields: &[bool] = if engine_run(kind, fast) {
+                            &[true, false]
+                        } else {
+                            &[true]
                         };
-                        let ctx = format!("seed {seed} / {width} workers / fast {fast}");
-                        let report = w.run(kind, &config, &ctx);
-                        if fast && kind == PolicyKind::TwoPhase {
-                            assert!(report.fast_path_grants > 0, "{ctx}: fast path inert");
+                        for &step_yield in yields {
+                            let config = RuntimeConfig {
+                                grant_fast_path: fast,
+                                step_yield,
+                                ..conf(width)
+                            };
+                            let ctx = format!("seed {seed} / {width} workers / fast {fast}");
+                            let report = run_cell(&w, kind, &config, &ctx);
+                            if fast && kind == PolicyKind::TwoPhase {
+                                assert!(report.fast_path_grants > 0, "{ctx}: fast path inert");
+                            }
                         }
                     }
                 }
@@ -68,12 +122,54 @@ fn ddag_stress_ladder_holds_invariants() {
     for seed in [3u64, 9] {
         for w in ddag_workloads(seed) {
             for &width in &widths() {
-                w.run(
-                    PolicyKind::Ddag,
-                    &conf(width),
-                    &format!("seed {seed} / {width} workers"),
-                );
+                for step_yield in [true, false] {
+                    let config = RuntimeConfig {
+                        step_yield,
+                        ..conf(width)
+                    };
+                    let ctx = format!("seed {seed} / {width} workers");
+                    run_cell(&w, PolicyKind::Ddag, &config, &ctx);
+                }
             }
+        }
+    }
+}
+
+#[test]
+fn width_one_schedules_are_identical_step_yield_on_and_off() {
+    // At one worker there is no interleaving, so how an engine run
+    // sections an attempt must not show: every safe kind, over its
+    // workload table, emits the same schedule — the same steps under the
+    // same stamps — and the same outcomes with `step_yield` on and off.
+    // 2PL runs both as a word run and as an engine run.
+    let cells = FLAT_KINDS
+        .into_iter()
+        .flat_map(|kind| [(kind, true), (kind, false)])
+        .map(|(kind, fast)| (kind, fast, flat_workloads(3)))
+        .chain([(PolicyKind::Ddag, true, ddag_workloads(3))]);
+    for (kind, fast, table) in cells {
+        for w in table {
+            let run_with = |step_yield: bool| {
+                let config = RuntimeConfig {
+                    grant_fast_path: fast,
+                    step_yield,
+                    ..conf(1)
+                };
+                w.run(
+                    kind,
+                    &config,
+                    &format!("fast {fast} / step_yield {step_yield}"),
+                )
+            };
+            let (on, off) = (run_with(true), run_with(false));
+            let ctx = format!("{} / {} / fast {fast}", kind.name(), w.name);
+            assert_eq!(
+                on.schedule, off.schedule,
+                "{ctx}: sectioning changed the schedule"
+            );
+            assert_eq!(on.outcome_fingerprint(), off.outcome_fingerprint(), "{ctx}");
+            assert_eq!(on.attempts, off.attempts, "{ctx}");
+            assert_eq!(on.grants, off.grants, "{ctx}");
         }
     }
 }
