@@ -49,11 +49,6 @@ impl LockWords {
         }
     }
 
-    /// The covered id range's end.
-    pub fn capacity(&self) -> usize {
-        self.words.len()
-    }
-
     /// Whether `e` has a lock word.
     pub fn covers(&self, e: EntityId) -> bool {
         (e.0 as usize) < self.words.len()

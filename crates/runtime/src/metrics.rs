@@ -131,8 +131,8 @@ pub struct Metrics {
     pub fast_path_grants: Counter,
     /// Actions granted under the engine write lock.
     pub slow_path_grants: Counter,
-    /// Attempts routed to the engine despite an active fast path (plan
-    /// shape outside plain lock/access).
+    /// Attempts a word run refused because their plan fell outside the
+    /// plain lock/access shape (each also counted in `rejected`).
     pub fast_path_fallbacks: Counter,
     /// Conflict observations (a request found its lock held).
     pub conflicts: Counter,

@@ -11,11 +11,10 @@
 //! drop the job, transient ones restart it. A wall-clock guard bounds
 //! mutant livelocks.
 
-use crate::fastpath::LockWords;
 use crate::metrics::Metrics;
 use crate::report::{Certification, LatencySummary, RuntimeReport};
 use crate::scheduler::{SchedMode, WaveDispatch, WavePlan};
-use crate::service::{LockService, MvccState, Progress, Recorder, Tally};
+use crate::service::{Grant, LockService, MvccState, Progress, Recorder, Tally};
 use crate::trace::TraceRun;
 use slp_core::{Schedule, SequenceError, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
@@ -73,12 +72,13 @@ pub struct RuntimeConfig {
     /// Yield the OS scheduler after each granted action. Costs throughput,
     /// buys interleaving diversity — on by default because the runtime's
     /// first duty here is producing adversarial traces to verify. In an
-    /// engine run it also sets the section: with it on, every engine call
-    /// (begin, one action, finish, abort) takes the engine's write lock on
-    /// its own; with it off, an attempt holds one write section from
-    /// begin through its grants until it finishes or must wait — so an
-    /// attempt that meets no held lock runs whole, and one whose
-    /// transactions do no work between actions never waits at all.
+    /// engine run it also sets the section: with it on, a write section
+    /// ends after every grant — begin shares its section with the first
+    /// grant, and a refusal with its abort; with it off, an attempt holds
+    /// one write section from begin through its grants until it finishes
+    /// or must wait — so an attempt that meets no held lock runs whole,
+    /// and one whose transactions do no work between actions never waits
+    /// at all.
     pub step_yield: bool,
     /// Online serializability certification ([`CertifyMode::Off`] by
     /// default).
@@ -291,21 +291,15 @@ impl Runtime {
         // whatever committed first), so the read path stays locked there.
         let snapshot_reads = config.snapshot_reads && config.scheduler != SchedMode::Deterministic;
         let mvcc = snapshot_reads.then(MvccState::default);
-        // The word table exists only when the knob is on AND the engine
-        // promises per-entity grants; it directly indexes the flat pool
+        // A word run only when the knob is on AND the engine promises
+        // per-entity grants; its table directly indexes the flat pool
         // (per-entity engines have a fixed universe).
-        let words = (config.grant_fast_path && scope == GrantScope::PerEntity)
-            .then(|| {
-                let capacity = self
-                    .pool
-                    .iter()
-                    .map(|e| e.0 as usize + 1)
-                    .max()
-                    .unwrap_or(0);
-                LockWords::new(capacity)
-            })
-            .filter(|words| words.capacity() > 0);
-        let service = LockService::new(engine, wal.clone(), config.certify_online, mvcc, words);
+        let word_capacity = (config.grant_fast_path && scope == GrantScope::PerEntity)
+            .then(|| self.pool.iter().map(|e| e.0 as usize + 1).max())
+            .flatten();
+        let word_run = word_capacity.is_some();
+        let grant = Grant::new(engine, word_capacity);
+        let service = LockService::new(grant, wal.clone(), config.certify_online, mvcc);
         // The batch scheduler: layer the whole admission batch into
         // conflict-free waves from the intents worker 0's planner
         // declares. In deterministic mode, global-scope engines (whose
@@ -425,8 +419,9 @@ impl Runtime {
             attempts: tally.attempts,
             lock_waits: tally.lock_waits,
             grants: tally.grants,
-            fast_path_grants: tally.fast_path_grants,
-            slow_path_grants: tally.slow_path_grants,
+            // A run has one grant authority, so its grants all went one way.
+            fast_path_grants: if word_run { tally.grants } else { 0 },
+            slow_path_grants: if word_run { 0 } else { tally.grants },
             fast_path_fallbacks: tally.fast_path_fallbacks,
             parks: c.parks.load(Ordering::Relaxed),
             park_timeouts: c.park_timeouts.load(Ordering::Relaxed),
@@ -742,26 +737,12 @@ fn backoff(attempt: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::tests::{opened, sections, stripe_gen};
+    use crate::service::tests::{commit, grant, opened, sections, stripe_gen, two_phase};
     use crate::service::Attempt;
     use slp_core::{EntityId, LockMode, Step};
-    use slp_durability::SharedMemStore;
+    use slp_durability::{recover, RecoveryMode, SharedMemStore};
+    use slp_policies::AccessIntent;
     use slp_policies::PolicyAction::{Access, Lock};
-
-    /// A 2PL service over `entities`, driven by hand: a word run iff
-    /// `words`.
-    fn two_phase(entities: &[EntityId], words: bool, wal: Option<Arc<Wal>>) -> LockService {
-        let engine = PolicyRegistry::new()
-            .build(PolicyKind::TwoPhase, &PolicyConfig::flat(entities.to_vec()))
-            .expect("2PL builds");
-        let words = words.then(|| LockWords::new(entities.len()));
-        LockService::new(engine, wal, CertifyMode::Off, None, words)
-    }
-
-    /// One one-call advance of `at`, which must grant an action.
-    fn grant(service: &LockService, at: &mut Attempt, rec: &mut Recorder) {
-        assert!(matches!(service.advance(at, rec, true), Progress::Granted));
-    }
 
     /// The pre-park hand-over, read off the log at the moment of the
     /// park, in a word run and in an engine run. A holder driven by hand
@@ -773,13 +754,18 @@ mod tests {
     /// hand-over the sleeper's steps would reach the log only after it
     /// woke, and every commit in between would wait on them to become
     /// durable.
+    ///
+    /// The holder's release wakes the waiter before the holder's own
+    /// append, so either commit can reach the log first; the recovered
+    /// log says which did, and the peak window is exact for each order.
     #[test]
     fn a_worker_hands_its_steps_to_the_log_before_it_parks() {
         let (hot, cold) = (EntityId(0), EntityId(1));
         for words in [true, false] {
+            let store = SharedMemStore::new();
             let wal = Arc::new(
                 Wal::create(
-                    Box::new(SharedMemStore::new()),
+                    Box::new(store.clone()),
                     WalConfig::default(),
                     &StructuralState::from_entities([hot, cold]),
                 )
@@ -825,17 +811,26 @@ mod tests {
                 );
 
                 grant(&service, &mut holder, &mut holder_rec);
-                assert!(matches!(
-                    service.advance(&mut holder, &mut holder_rec, true),
-                    Progress::Done(true)
-                ));
+                commit(&service, &mut holder, &mut holder_rec);
                 waiter.join().expect("waiter panicked");
             });
             let done = wal.summary();
             assert_eq!(done.watermark, service.stamps_drawn(), "words {words}");
+            // The commit records in append order, as the log holds them.
+            let commits = recover(&store.snapshot(), RecoveryMode::Oldest)
+                .expect("a clean log recovers")
+                .committed;
+            // Holder first: its stamps 0 and 4–6 fold the waiter's 1–3
+            // with them, and the waiter's 7–11 fold on arrival. Waiter
+            // first: its 7–11 join 1–3 above the holder's unlogged 0.
+            let peak = match commits[..] {
+                [TxId(1), TxId(2)] => 3,
+                [TxId(2), TxId(1)] => 3 + 5,
+                _ => panic!("words {words}: commits {commits:?}"),
+            };
             assert_eq!(
-                done.peak_window, 3,
-                "words {words}: the holder's steps folded straight through"
+                done.peak_window, peak,
+                "words {words}: commit order {commits:?}"
             );
             // Two commits of two frames each, and the one pre-park hand-over.
             assert_eq!(done.records, 1 + 2 + 2 + 1, "words {words}");
@@ -878,10 +873,7 @@ mod tests {
             service.abort(&mut t2, &mut r2);
             service.clear_wait(TxId(1));
             assert_eq!(blocked_by(service.advance(&mut t1, &mut r1, true)), None);
-            assert!(matches!(
-                service.advance(&mut t1, &mut r1, true),
-                Progress::Done(true)
-            ));
+            commit(&service, &mut t1, &mut r1);
             assert!(service.words_quiescent(), "words {words}");
         }
     }
@@ -932,10 +924,7 @@ mod tests {
             "read in the section: no release since"
         );
 
-        assert!(matches!(
-            service.advance(&mut holder, &mut holder_rec, true),
-            Progress::Done(true)
-        ));
+        commit(&service, &mut holder, &mut holder_rec);
         assert!(
             stripe_gen(&service, c) > gen,
             "the release bumped after the read"
@@ -967,55 +956,94 @@ mod tests {
         assert!(stamps.windows(2).all(|w| w[1] == w[0] + 1), "{stamps:?}");
     }
 
-    /// An empty plan begins and finishes in one engine section, with or
-    /// without one-call sections telling them apart: two sections then.
+    /// Advances `at` until it is no longer merely granted (more than once
+    /// only with `one_call`): where it ended, and how many engine
+    /// sections the last advance took.
+    fn drive(
+        service: &LockService,
+        at: &mut Attempt,
+        rec: &mut Recorder,
+        one_call: bool,
+    ) -> (Progress, usize) {
+        loop {
+            let before = sections(service);
+            match service.advance(at, rec, one_call) {
+                Progress::Granted => assert!(one_call, "a whole section never stops at a grant"),
+                progress => return (progress, sections(service) - before),
+            }
+        }
+    }
+
+    /// An empty plan begins and finishes in one engine section, in both
+    /// section modes: with one-call sections, begin shares its section
+    /// with the call after it.
     #[test]
     fn an_empty_plan_begins_and_finishes_in_one_section() {
         let service = two_phase(&[EntityId(0)], false, None);
-        for (tx, one_call, expected) in [(TxId(1), false, 1), (TxId(2), true, 2)] {
+        for (tx, one_call) in [(TxId(1), false), (TxId(2), true)] {
             let (mut at, mut rec) = opened(&service, tx, &[]);
-            let before = sections(&service);
-            assert!(matches!(
-                service.advance(&mut at, &mut rec, one_call),
-                Progress::Done(true)
-            ));
-            assert_eq!(sections(&service) - before, expected, "one call {one_call}");
+            let (progress, took) = drive(&service, &mut at, &mut rec, one_call);
+            assert!(
+                matches!(progress, Progress::Done(true)),
+                "one call {one_call}"
+            );
+            assert_eq!(took, 1, "one call {one_call}");
             assert!(rec.steps.is_empty());
         }
     }
 
-    /// A refused action aborts in its own section: once `advance`
-    /// returns, the attempt holds nothing and the entity it locked goes
-    /// to the next transaction in one section.
+    /// A refused action aborts in the section that met it, in both
+    /// section modes: once `advance` returns, the attempt holds nothing
+    /// and the entity it locked goes to the next transaction.
     #[test]
     fn a_refused_action_leaves_no_lock_held() {
         let a = EntityId(0);
-        let service = two_phase(&[a], false, None);
-        // A relock: 2PL refuses it, fatally.
-        let (mut at, mut rec) = opened(&service, TxId(1), &[Lock(a), Access(a), Lock(a)]);
-        let before = sections(&service);
-        let Progress::Refused(violation) = service.advance(&mut at, &mut rec, false) else {
-            panic!("a relock is refused");
-        };
-        assert!(violation.is_fatal(), "{violation}");
-        assert_eq!(
-            sections(&service) - before,
-            1,
-            "refused and aborted in one section"
-        );
-        let last = rec.steps.last().expect("steps recorded").1.step;
-        assert_eq!(
-            last,
-            Step::unlock(LockMode::Exclusive, a),
-            "the abort released it"
-        );
+        for one_call in [false, true] {
+            let service = two_phase(&[a], false, None);
+            // A relock: 2PL refuses it, fatally.
+            let (mut at, mut rec) = opened(&service, TxId(1), &[Lock(a), Access(a), Lock(a)]);
+            let (progress, took) = drive(&service, &mut at, &mut rec, one_call);
+            let Progress::Refused(violation) = progress else {
+                panic!("one call {one_call}: a relock is refused");
+            };
+            assert!(violation.is_fatal(), "{violation}");
+            assert_eq!(
+                took, 1,
+                "one call {one_call}: refused and aborted in one section"
+            );
+            let last = rec.steps.last().expect("steps recorded").1.step;
+            assert_eq!(
+                last,
+                Step::unlock(LockMode::Exclusive, a),
+                "one call {one_call}: the abort released it"
+            );
 
-        let (mut next, mut next_rec) = opened(&service, TxId(2), &[Lock(a), Access(a)]);
-        let before = sections(&service);
-        assert!(matches!(
-            service.advance(&mut next, &mut next_rec, false),
-            Progress::Done(true)
-        ));
-        assert_eq!(sections(&service) - before, 1);
+            let (mut next, mut next_rec) = opened(&service, TxId(2), &[Lock(a), Access(a)]);
+            let (progress, took) = drive(&service, &mut next, &mut next_rec, one_call);
+            assert!(matches!(progress, Progress::Done(true)));
+            assert_eq!(took, 1, "one call {one_call}");
+        }
+    }
+
+    /// An attempt with no plan, on an engine that plans nothing at begin,
+    /// is refused with `NoPlan` and retired in the section that began it,
+    /// in both section modes: the engine keeps no planless transaction.
+    #[test]
+    fn a_planless_attempt_is_retired_in_the_section_that_began_it() {
+        let service = two_phase(&[EntityId(0)], false, None);
+        for (tx, one_call) in [(TxId(1), false), (TxId(2), true)] {
+            let mut rec = Recorder::default();
+            let mut at = service
+                .attempt(tx, None, AccessIntent::empty(), &mut rec.tally)
+                .expect("an engine run opens a planless attempt");
+            let (progress, took) = drive(&service, &mut at, &mut rec, one_call);
+            assert!(
+                matches!(progress, Progress::Refused(PolicyViolation::NoPlan(t)) if t == tx),
+                "one call {one_call}"
+            );
+            assert_eq!(took, 1, "one call {one_call}");
+            assert!(at.begun(), "begun, then aborted");
+            assert!(rec.steps.is_empty());
+        }
     }
 }

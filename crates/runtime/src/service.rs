@@ -15,11 +15,13 @@
 //!   state (wakes, donations, the DDAG) mutates shared policy state, so
 //!   those decisions serialize there — and they do so once per wake-up
 //!   of an attempt, not once per action: one write section runs begin,
-//!   the plan from the cursor up to the first conflict, and finish (or
-//!   the abort a refusal calls for), so no lock an attempt took survives
-//!   outside a section unless the attempt waits. With
-//!   [`crate::RuntimeConfig::step_yield`] on, a section is exactly one
-//!   engine call instead;
+//!   the plan from the cursor up to the first conflict, and finish. A
+//!   refusal — a violation, a failed finish, no plan after begin — is
+//!   aborted by the engine call that met it, in the same section, so no
+//!   lock an attempt took survives outside a section unless the attempt
+//!   waits. With [`crate::RuntimeConfig::step_yield`] on, a section ends
+//!   after every grant instead: begin shares its section with the first
+//!   grant, and a refusal shares its section with its abort;
 //! * **a word run** — a [`slp_policies::GrantScope::PerEntity`] engine
 //!   with the fast path on (see [`crate::fastpath`]): a plain lock/access
 //!   plan is decided by the entities' own atomic words alone, and the
@@ -28,13 +30,16 @@
 //!   the same way in both kinds of run, read-only or not. A plan outside
 //!   that shape is refused before anything is taken.
 //!
-//! A word run never takes the engine's write lock: its words are the only
-//! lock table it has. An engine run never touches a word: the engine's
-//! lock table is the only one it has. Everything around the decision is
-//! shared by the two kinds of run, and sharded or lock-free:
+//! The kind of run is one value ([`Grant`]). A word run never locks its
+//! engine: nothing writes it, so it is held bare, read to plan and to name
+//! a refused plan, and its words are the only lock table the run has. An
+//! engine run never touches a word: the engine's lock table is the only
+//! one it has. Everything around the decision is shared by the two kinds
+//! of run, and sharded or lock-free:
 //!
-//! * **planning** takes the engine's read lock (planners only read, so
-//!   they run concurrently with each other). The window is short: the
+//! * **planning** reads the engine — in an engine run under its read lock
+//!   (planners only read, so they run concurrently with each other and
+//!   only a grant section excludes them). The window is short: the
 //!   DDAG planner lays a region out from the engine's
 //!   [`slp_graph::DomIndex`] in time proportional to the region — about
 //!   a microsecond, a fraction of the grants that follow — because the
@@ -227,30 +232,9 @@ pub(crate) enum Progress {
     /// transaction).
     Done(bool),
     /// The policy refused the attempt. It holds nothing any more: a
-    /// begun transaction was aborted before `advance` returned — in the
-    /// refused section, or in the next one with one-call sections.
+    /// begun transaction was aborted by the engine call that met the
+    /// refusal, in the same section.
     Refused(PolicyViolation),
-}
-
-/// How an engine section ended ([`LockService::advance`]).
-enum SectionEnd {
-    /// One-call sections only: the call granted nothing (a begin, or a
-    /// refusal whose abort is owed), so the next call opens a section at
-    /// once, without a yield.
-    Next,
-    /// Hand this to the worker after the publish.
-    Yield(Progress),
-    /// The transaction retired in the section: finished, or aborted for
-    /// the violation.
-    Retired(Option<PolicyViolation>),
-}
-
-/// What one engine call did ([`LockService::engine_call`]).
-enum Call {
-    /// The attempt can go on with another call.
-    Made { granted: bool },
-    /// The section ends here.
-    Ends(SectionEnd),
 }
 
 /// The first action of `plan` a word run cannot grant, if any. A word
@@ -288,13 +272,9 @@ pub(crate) struct Tally {
     /// cycle victim was retracted and its job retried).
     pub certification_aborts: usize,
     pub lock_waits: u64,
+    /// Grants, by the run's one authority: lock words in a word run, the
+    /// engine in an engine run (the report splits them by the run).
     pub grants: u64,
-    /// Grants decided by a per-entity lock-word CAS, bypassing the engine
-    /// lock entirely (subset of `grants`).
-    pub fast_path_grants: u64,
-    /// Grants decided under the engine write lock (subset of `grants`;
-    /// with the fast path off this equals `grants`).
-    pub slow_path_grants: u64,
     /// Attempts a word run refused because their plan fell outside the
     /// plain lock/access shape (each also counted in `rejected`).
     pub fast_path_fallbacks: u64,
@@ -314,8 +294,6 @@ impl Tally {
         self.certification_aborts += other.certification_aborts;
         self.lock_waits += other.lock_waits;
         self.grants += other.grants;
-        self.fast_path_grants += other.fast_path_grants;
-        self.slow_path_grants += other.slow_path_grants;
         self.fast_path_fallbacks += other.fast_path_fallbacks;
         self.snapshot_reads += other.snapshot_reads;
     }
@@ -371,18 +349,44 @@ pub(crate) struct MvccState {
     pub pipeline: CommitPipeline,
 }
 
+/// The run's one grant authority, and the engine beside it. The runner
+/// builds a word run only for a [`slp_policies::GrantScope::PerEntity`]
+/// engine.
+pub(crate) enum Grant {
+    /// A word run ([`slp_policies::GrantScope::PerEntity`] engine and
+    /// [`crate::RuntimeConfig::grant_fast_path`] on): the per-entity
+    /// atomic lock words grant everything, and the engine is only read —
+    /// to plan against and to name a refused plan — so it sits in no lock.
+    Words {
+        engine: Box<dyn PolicyEngine>,
+        words: LockWords,
+    },
+    /// An engine run: the engine grants everything under its write lock;
+    /// planners share its read lock.
+    Engine(RwLock<Box<dyn PolicyEngine>>),
+}
+
+impl Grant {
+    /// A word run over a table covering entity ids `0..capacity` if
+    /// `word_capacity` is given, else an engine run.
+    pub fn new(engine: Box<dyn PolicyEngine>, word_capacity: Option<usize>) -> Self {
+        match word_capacity {
+            Some(capacity) => Grant::Words {
+                engine,
+                words: LockWords::new(capacity),
+            },
+            None => Grant::Engine(RwLock::new(engine)),
+        }
+    }
+}
+
 /// The shared front-end the worker threads drive.
 pub(crate) struct LockService {
-    engine: RwLock<Box<dyn PolicyEngine>>,
+    grant: Grant,
     stripes: [Stripe; STRIPES],
     /// The run's waits-for table, behind one mutex so that a publish and
     /// its walk are one critical section. Only a conflict touches it.
     waits_for: Mutex<WaitsFor>,
-    /// The per-entity atomic lock-word table of a word run
-    /// ([`slp_policies::GrantScope::PerEntity`] engine and
-    /// [`crate::RuntimeConfig::grant_fast_path`] on); `None` in an engine
-    /// run. It selects the grant authority for the whole run.
-    words: Option<LockWords>,
     seq: AtomicU64,
     /// Write-ahead log, when the run is durable. An attempt is handed
     /// over when it retires, its words already free
@@ -475,23 +479,20 @@ impl CertChannel {
 }
 
 impl LockService {
-    /// `wal`, when present, receives every attempt's steps and every
-    /// commit. `certify` builds the online certifier
-    /// ([`CertifyMode::Off`] costs nothing on the hot path). `words`,
-    /// when present, makes this a word run (the runner builds the table
-    /// only for [`slp_policies::GrantScope::PerEntity`] engines).
+    /// A service granting through `grant`. `wal`, when present, receives
+    /// every attempt's steps and every commit. `certify` builds the
+    /// online certifier ([`CertifyMode::Off`] costs nothing on the hot
+    /// path).
     pub fn new(
-        engine: Box<dyn PolicyEngine>,
+        grant: Grant,
         wal: Option<Arc<Wal>>,
         certify: CertifyMode,
         mvcc: Option<MvccState>,
-        words: Option<LockWords>,
     ) -> Self {
         LockService {
-            engine: RwLock::new(engine),
+            grant,
             stripes: Default::default(),
             waits_for: Mutex::default(),
-            words,
             seq: AtomicU64::new(0),
             wal,
             certifier: (certify == CertifyMode::Strict).then(CertChannel::new),
@@ -510,8 +511,12 @@ impl LockService {
     /// Recovers the engine and the certifier after the run (all workers
     /// joined).
     pub fn into_parts(self) -> (Box<dyn PolicyEngine>, Option<IncrementalCertifier>) {
+        let engine = match self.grant {
+            Grant::Words { engine, .. } => engine,
+            Grant::Engine(engine) => engine.into_inner().expect("engine lock poisoned"),
+        };
         (
-            self.engine.into_inner().expect("engine lock poisoned"),
+            engine,
             self.certifier
                 .map(|ch| ch.graph.into_inner().expect("certifier lock poisoned")),
         )
@@ -592,7 +597,7 @@ impl LockService {
         let mut released = 0u64;
         for (_, s) in recorded {
             if s.step.is_unlock() {
-                if let Some(words) = &self.words {
+                if let Grant::Words { words, .. } = &self.grant {
                     words.release(s.step.entity, tx);
                 }
                 released |= 1 << stripe_index(s.step.entity);
@@ -795,14 +800,20 @@ impl LockService {
         }
     }
 
-    /// Plans `job` under the engine's *read* lock (planners only read).
+    /// Plans `job` against the engine: bare in a word run, which never
+    /// writes it, and under the *read* lock in an engine run (planners
+    /// only read).
     pub fn plan(
         &self,
         planner: &mut dyn ActionPlanner,
         job: &Job,
     ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        let engine = self.engine.read().expect("engine lock poisoned");
-        planner.plan(&**engine, job)
+        match &self.grant {
+            Grant::Words { engine, .. } => planner.plan(&**engine, job),
+            Grant::Engine(engine) => {
+                planner.plan(&**engine.read().expect("engine lock poisoned"), job)
+            }
+        }
     }
 
     /// Opens `tx`'s attempt at `plan` (the planner's; `None` when it
@@ -818,16 +829,15 @@ impl LockService {
         intent: AccessIntent,
         tally: &mut Tally,
     ) -> Result<Attempt, PolicyViolation> {
-        if let Some(words) = &self.words {
+        if let Grant::Words { engine, words } = &self.grant {
             let refusal = match &plan {
                 None => Some(PolicyViolation::NoPlan(tx)),
-                Some(plan) => fast_plan_mode(words, plan).map(|action| {
-                    let engine = self.engine.read().expect("engine lock poisoned");
-                    PolicyViolation::Unsupported {
+                Some(plan) => {
+                    fast_plan_mode(words, plan).map(|action| PolicyViolation::Unsupported {
                         policy: engine.name(),
                         action,
-                    }
-                }),
+                    })
+                }
             };
             if let Some(violation) = refusal {
                 tally.fast_path_fallbacks += 1;
@@ -852,75 +862,59 @@ impl LockService {
     /// In an engine run all of it is one section under the engine's write
     /// lock: every rule check runs there, and the lock changes hands once
     /// per wake-up of the attempt, not once per action. A refusal aborts
-    /// in the same section, so no lock an attempt took survives outside a
-    /// section unless it is waiting. With `one_call` (the runner passes
-    /// [`crate::RuntimeConfig::step_yield`]) every section is exactly one
-    /// engine call instead, and the call returns [`Progress::Granted`]
-    /// after each grant so the worker can yield: the interleaving of one
-    /// lock acquisition per `begin`, `request`, `finish` and `abort`.
+    /// in the engine call that met it, so no lock an attempt took survives
+    /// outside a section unless it is waiting. With `one_call` (the runner
+    /// passes [`crate::RuntimeConfig::step_yield`]) a section ends after
+    /// every grant instead, returning [`Progress::Granted`] so the worker
+    /// can yield: begin shares its section with the first grant, and a
+    /// refusal with its abort.
     ///
     /// A word run walks the same plan over the lock words: a word per
     /// `Lock`, the engine's steps synthesized per `Access` (`read`+`write`,
     /// whatever the job declares, so traces stay step-for-step comparable
     /// across runs), the held words released in ascending order at the end
-    /// — the engine lock is never taken.
+    /// — the engine is never locked.
     ///
     /// After a section the recorded steps are published once; an attempt
     /// that retired in it runs the retire tail ([`LockService::settle`]).
     pub fn advance(&self, at: &mut Attempt, rec: &mut Recorder, one_call: bool) -> Progress {
-        if let Some(words) = &self.words {
-            return self.advance_words(words, at, rec, one_call);
-        }
-        let mut owed = None;
-        loop {
-            let from = rec.steps.len();
-            let end = {
-                let mut engine = self.write_engine();
-                loop {
-                    match self.engine_call(&mut **engine, at, rec, &mut owed) {
-                        Call::Made { .. } if !one_call => {}
-                        Call::Made { granted: true } => break SectionEnd::Yield(Progress::Granted),
-                        Call::Made { granted: false } => break SectionEnd::Next,
-                        Call::Ends(end) => break end,
-                    }
-                }
-            };
-            self.publish(at.tx, &rec.steps[from..]);
-            match end {
-                SectionEnd::Next => {}
-                SectionEnd::Yield(progress) => return progress,
-                SectionEnd::Retired(None) => return Progress::Done(self.settle(at.tx, rec, false)),
-                SectionEnd::Retired(Some(violation)) => {
-                    self.settle(at.tx, rec, true);
-                    return Progress::Refused(violation);
-                }
+        let engine = match &self.grant {
+            Grant::Words { words, .. } => return self.advance_words(words, at, rec, one_call),
+            Grant::Engine(engine) => engine,
+        };
+        let from = rec.steps.len();
+        let progress = self.engine_section(&mut **self.write_engine(engine), at, rec, one_call);
+        self.publish(at.tx, &rec.steps[from..]);
+        match progress {
+            Progress::Done(_) => Progress::Done(self.settle(at.tx, rec, false)),
+            Progress::Refused(_) if at.begun => {
+                self.settle(at.tx, rec, true);
+                progress
             }
+            progress => progress,
         }
     }
 
-    /// One engine call for the attempt, chosen by where it stands: the
-    /// abort a refusal left `owed`, `begin`, the cursor's action, or
-    /// `finish`. Called under the engine's write lock, which is what
-    /// makes stamping the granted steps here legal.
-    fn engine_call(
+    /// One engine section of the attempt: `begin` if it has not begun,
+    /// then the cursor's actions and `finish` — one grant only with
+    /// `one_call`. Called under the engine's write lock, which is what
+    /// makes stamping the granted steps here legal. A refusal met after
+    /// begin is aborted by the same call. `Done` means `finish` retired
+    /// the transaction (whether it committed is the retire tail's to
+    /// say), and a `Refused` attempt that has begun was aborted here.
+    fn engine_section(
         &self,
         engine: &mut dyn PolicyEngine,
         at: &mut Attempt,
         rec: &mut Recorder,
-        owed: &mut Option<PolicyViolation>,
-    ) -> Call {
+        one_call: bool,
+    ) -> Progress {
         let tx = at.tx;
-        if let Some(violation) = owed.take() {
-            self.record(tx, engine.abort(tx), &mut rec.steps);
-            return Call::Ends(SectionEnd::Retired(Some(violation)));
-        }
         if !at.begun {
             let engine_plan = match engine.begin(tx, &at.intent) {
                 Ok(plan) => plan,
                 // The engine never took the transaction on: nothing to retire.
-                Err(violation) => {
-                    return Call::Ends(SectionEnd::Yield(Progress::Refused(violation)))
-                }
+                Err(violation) => return Progress::Refused(violation),
             };
             at.begun = true;
             if let Some(m) = &self.mvcc {
@@ -928,55 +922,50 @@ impl LockService {
             }
             // The planner's plan wins; a policy that plans at start (rule
             // DT2) supplies one when the planner did not. With neither the
-            // pairing is misconfigured: retire the just-begun transaction
-            // so the engine holds no planless state.
-            if at.plan.is_none() {
-                at.plan = engine_plan;
-            }
-            if at.plan.is_none() {
-                *owed = Some(PolicyViolation::NoPlan(tx));
-            }
-            return Call::Made { granted: false };
+            // pairing is misconfigured, and the just-begun transaction is
+            // retired below so the engine holds no planless state.
+            at.plan = at.plan.take().or(engine_plan);
         }
-        let plan = at.plan.as_deref().expect("a begun attempt has a plan");
-        let Some(&action) = plan.get(at.cursor) else {
-            return match engine.finish(tx) {
-                Ok(steps) => {
-                    self.record(tx, steps, &mut rec.steps);
-                    Call::Ends(SectionEnd::Retired(None))
-                }
-                Err(violation) => {
-                    *owed = Some(violation);
-                    Call::Made { granted: false }
+        let refusal = loop {
+            let Some(plan) = at.plan.as_deref() else {
+                break PolicyViolation::NoPlan(tx);
+            };
+            let Some(&action) = plan.get(at.cursor) else {
+                match engine.finish(tx) {
+                    Ok(steps) => {
+                        self.record(tx, steps, &mut rec.steps);
+                        return Progress::Done(true);
+                    }
+                    Err(violation) => break violation,
                 }
             };
+            match engine.request(tx, action) {
+                PolicyResponse::Granted(steps) => {
+                    self.record(tx, steps, &mut rec.steps);
+                    rec.tally.grants += 1;
+                    at.cursor += 1;
+                    if one_call {
+                        return Progress::Granted;
+                    }
+                }
+                PolicyResponse::Conflict { entity, holder } => {
+                    // Read inside the engine section that observed the
+                    // conflict: every engine release is recorded in a later
+                    // section and bumps after it. (Nested stripe-lock
+                    // acquisition is deadlock-free: stripe-lock holders never
+                    // take the engine lock.)
+                    let gen = self.stripe(entity).lock().gen;
+                    return Progress::Wait {
+                        entity,
+                        holder,
+                        gen,
+                    };
+                }
+                PolicyResponse::Violation(violation) => break violation,
+            }
         };
-        match engine.request(tx, action) {
-            PolicyResponse::Granted(steps) => {
-                self.record(tx, steps, &mut rec.steps);
-                rec.tally.grants += 1;
-                rec.tally.slow_path_grants += 1;
-                at.cursor += 1;
-                Call::Made { granted: true }
-            }
-            PolicyResponse::Conflict { entity, holder } => {
-                // Read inside the engine section that observed the
-                // conflict: every engine release is recorded in a later
-                // section and bumps after it. (Nested stripe-lock
-                // acquisition is deadlock-free: stripe-lock holders never
-                // take the engine lock.)
-                let gen = self.stripe(entity).lock().gen;
-                Call::Ends(SectionEnd::Yield(Progress::Wait {
-                    entity,
-                    holder,
-                    gen,
-                }))
-            }
-            PolicyResponse::Violation(violation) => {
-                *owed = Some(violation);
-                Call::Made { granted: false }
-            }
-        }
+        self.record(tx, engine.abort(tx), &mut rec.steps);
+        Progress::Refused(refusal)
     }
 
     /// [`advance`](LockService::advance) in a word run. Nothing is
@@ -1022,7 +1011,6 @@ impl LockService {
                 _ => unreachable!("a word run admits only Lock/Access plans"),
             }
             rec.tally.grants += 1;
-            rec.tally.fast_path_grants += 1;
             at.cursor += 1;
             if one_call {
                 return Progress::Granted;
@@ -1040,11 +1028,12 @@ impl LockService {
     pub fn abort(&self, at: &mut Attempt, rec: &mut Recorder) {
         let tx = at.tx;
         let from = rec.steps.len();
-        match &self.words {
-            Some(_) => self.record_word_unlocks(at, &mut rec.steps),
-            None => {
-                let mut engine = self.write_engine();
-                self.record(tx, engine.abort(tx), &mut rec.steps);
+        match &self.grant {
+            Grant::Words { .. } => self.record_word_unlocks(at, &mut rec.steps),
+            // The write guard lives until the statement ends: the abort's
+            // steps are stamped under it.
+            Grant::Engine(engine) => {
+                self.record(tx, self.write_engine(engine).abort(tx), &mut rec.steps)
             }
         }
         self.publish(tx, &rec.steps[from..]);
@@ -1065,12 +1054,16 @@ impl LockService {
         );
     }
 
-    /// The engine's write lock: one section. In tests it also counts the
-    /// sections taken, which is how the section boundaries are pinned.
-    fn write_engine(&self) -> RwLockWriteGuard<'_, Box<dyn PolicyEngine>> {
+    /// An engine run's write lock on `engine`: one section. In tests it
+    /// also counts the sections taken, which is how the section
+    /// boundaries are pinned.
+    fn write_engine<'a>(
+        &self,
+        engine: &'a RwLock<Box<dyn PolicyEngine>>,
+    ) -> RwLockWriteGuard<'a, Box<dyn PolicyEngine>> {
         #[cfg(test)]
         self.sections.fetch_add(1, Ordering::Relaxed);
-        self.engine.write().expect("engine lock poisoned")
+        engine.write().expect("engine lock poisoned")
     }
 
     /// The retire tail, run once the attempt's last unlocks are recorded
@@ -1152,7 +1145,10 @@ impl LockService {
     /// Whether every lock word is free (end-of-run quiescence — vacuously
     /// true without a word table).
     pub fn words_quiescent(&self) -> bool {
-        self.words.as_ref().is_none_or(LockWords::quiescent)
+        match &self.grant {
+            Grant::Words { words, .. } => words.quiescent(),
+            Grant::Engine(_) => true,
+        }
     }
 
     /// Records that `tx` waits for `holder` and walks the waits-for chain:
@@ -1192,14 +1188,36 @@ pub(crate) mod tests {
     use super::*;
     use slp_policies::{PolicyConfig, PolicyKind, PolicyRegistry};
 
-    /// A 2PL service over `EntityId(0)` alone — stripe 0 — with or
-    /// without a lock-word table.
-    fn service_over_e0(words: bool) -> LockService {
+    /// A 2PL service over `entities`, driven by hand: a word run iff
+    /// `words`.
+    pub(crate) fn two_phase(
+        entities: &[EntityId],
+        words: bool,
+        wal: Option<Arc<Wal>>,
+    ) -> LockService {
         let engine = PolicyRegistry::new()
-            .build(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![EntityId(0)]))
+            .build(PolicyKind::TwoPhase, &PolicyConfig::flat(entities.to_vec()))
             .expect("2PL builds");
-        let words = words.then(|| LockWords::new(1));
-        LockService::new(engine, None, CertifyMode::Off, None, words)
+        let grant = Grant::new(engine, words.then_some(entities.len()));
+        LockService::new(grant, wal, CertifyMode::Off, None)
+    }
+
+    /// A 2PL service over `EntityId(0)` alone — stripe 0.
+    fn service_over_e0(words: bool) -> LockService {
+        two_phase(&[EntityId(0)], words, None)
+    }
+
+    /// One one-call advance of `at`, which must grant an action.
+    pub(crate) fn grant(service: &LockService, at: &mut Attempt, rec: &mut Recorder) {
+        assert!(matches!(service.advance(at, rec, true), Progress::Granted));
+    }
+
+    /// One one-call advance of `at`, which must commit.
+    pub(crate) fn commit(service: &LockService, at: &mut Attempt, rec: &mut Recorder) {
+        assert!(matches!(
+            service.advance(at, rec, true),
+            Progress::Done(true)
+        ));
     }
 
     /// `tx`'s attempt over `plan`, opened with a fresh recorder.
@@ -1311,11 +1329,10 @@ pub(crate) mod tests {
         )
         .expect("fresh store");
         let service = Arc::new(LockService::new(
-            engine,
+            Grant::new(engine, Some(1)),
             Some(Arc::new(wal)),
             CertifyMode::Off,
             Some(MvccState::default()),
-            Some(LockWords::new(1)),
         ));
         // Per append: the records it carried, whether the words were all
         // free, and the writer's status.
@@ -1340,19 +1357,13 @@ pub(crate) mod tests {
         let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
         let (mut at, mut rec) = opened(&service, tx, &plan);
         for _ in plan {
-            assert!(matches!(
-                service.advance(&mut at, &mut rec, true),
-                Progress::Granted
-            ));
+            grant(&service, &mut at, &mut rec);
         }
         assert!(
             seen.lock().expect("seen").is_empty(),
             "a grant logs nothing"
         );
-        assert!(matches!(
-            service.advance(&mut at, &mut rec, true),
-            Progress::Done(true)
-        ));
+        commit(&service, &mut at, &mut rec);
 
         // Nothing is left to hand over, and handing nothing over is not
         // an append.
@@ -1384,61 +1395,80 @@ pub(crate) mod tests {
     /// timeout elapses while a generation bump waits on the stripe lock.
     /// The parks counter is bumped under the stripe lock just before the
     /// parker enters its wait, so spinning on it hands this thread the
-    /// very next lock acquisition — strictly after the wait began. We
-    /// then hold the lock past the parker's deadline and bump the
-    /// generation before releasing: `wait_timeout` must reacquire the
-    /// mutex before returning, so the parker observes `timed_out()` with
-    /// the generation already moved — exactly a wakeup racing the
-    /// timeout. (An implementation that reports the late notify as a
-    /// wakeup instead re-checks the generation and exits without
-    /// counting, so the zero assertion is safe either way.) The parker is
-    /// the stripe's one sleeper while it waits, and none once it is out.
-    fn race_timeout_against_wakeup(service: &LockService, timeout: Duration) {
+    /// next lock acquisition after the wait began. We then hold the lock
+    /// past the parker's deadline and bump the generation before
+    /// releasing: `wait_timeout` must reacquire the mutex before
+    /// returning, so the parker observes `timed_out()` with the
+    /// generation already moved — exactly a wakeup racing the timeout,
+    /// which must count no timeout. (An implementation that reports the
+    /// late notify as a wakeup instead re-checks the generation and exits
+    /// without counting, so the zero holds either way.) The parker is the
+    /// stripe's one sleeper while it waits, and none once it is out.
+    ///
+    /// Returns `false`, with nothing raced, when this thread was
+    /// descheduled long enough for the timeout to expire before it took
+    /// the stripe lock: the parker has then signed off (no sleeper on
+    /// entry) with the generation unmoved — a genuine timeout, which must
+    /// count exactly one.
+    fn race_timeout_against_wakeup(service: &LockService, timeout: Duration) -> bool {
         let stripe = &service.stripes[0];
         let seen = stripe.lock().gen;
         let parks_before = service.counters.parks.load(Ordering::Relaxed);
-        std::thread::scope(|s| {
+        let timeouts_before = service.counters.park_timeouts.load(Ordering::Relaxed);
+        let raced = std::thread::scope(|s| {
             let parker = s.spawn(|| service.park(EntityId(0), seen, timeout));
             while service.counters.parks.load(Ordering::Relaxed) == parks_before {
                 std::thread::yield_now();
             }
-            {
+            let raced = {
                 let mut state = stripe.lock();
-                assert_eq!(state.sleepers, 1, "signed up before its wait");
-                std::thread::sleep(timeout * 2); // outlive the parker's timeout
-                state.gen += 1;
-            }
+                let raced = state.sleepers == 1;
+                if raced {
+                    std::thread::sleep(timeout * 2); // outlive the parker's timeout
+                    state.gen += 1;
+                } else {
+                    // Not a parker that never signed up: it has come and
+                    // gone, its timeout already counted.
+                    let counted = service.counters.park_timeouts.load(Ordering::Relaxed);
+                    assert_eq!(counted, timeouts_before + 1, "signed up before its wait");
+                }
+                raced
+            };
             stripe.cv.notify_all();
             parker.join().expect("parker panicked");
+            raced
         });
         assert_eq!(stripe.lock().sleepers, 0, "signed off on its way out");
+        let counted = service.counters.park_timeouts.load(Ordering::Relaxed) - timeouts_before;
+        assert_eq!(counted, u64::from(!raced), "raced {raced}");
+        raced
     }
 
     /// Regression: a park timeout that races a wakeup must not be counted
     /// as lost-wakeup evidence (the counter used to bump on every
     /// timed-out `wait_timeout`, even with the generation already moved).
+    /// The race itself asserts the count.
     #[test]
     fn park_timeout_racing_a_wakeup_is_not_counted() {
         let service = service_over_e0(false);
-        race_timeout_against_wakeup(&service, Duration::from_millis(40));
-        assert_eq!(
-            service.counters.park_timeouts.load(Ordering::Relaxed),
-            0,
-            "a timeout whose generation already advanced is a wakeup, not a lost one"
-        );
+        while !race_timeout_against_wakeup(&service, Duration::from_millis(40)) {}
     }
 
-    /// The same race hammered on one stripe, park timeout
-    /// shorter than the hold time on every iteration: the counter must
-    /// stay exactly zero across all of them.
+    /// The same race hammered on one stripe, park timeout shorter than
+    /// the hold time on every iteration: 25 raced iterations, and not one
+    /// of them counts a timeout — only the genuine ones between them do.
     #[test]
     fn park_timeout_hammer_stays_clean() {
         let service = service_over_e0(false);
+        let mut genuine = 0;
         for _ in 0..25 {
-            race_timeout_against_wakeup(&service, Duration::from_millis(4));
+            while !race_timeout_against_wakeup(&service, Duration::from_millis(4)) {
+                genuine += 1;
+            }
         }
-        assert_eq!(service.counters.park_timeouts.load(Ordering::Relaxed), 0);
-        assert_eq!(service.counters.parks.load(Ordering::Relaxed), 25);
+        let c = &service.counters;
+        assert_eq!(c.park_timeouts.load(Ordering::Relaxed), genuine);
+        assert_eq!(c.parks.load(Ordering::Relaxed), 25 + genuine);
     }
 
     /// The genuine case still counts: a timeout with the generation
@@ -1469,10 +1499,7 @@ pub(crate) mod tests {
         for words in [true, false] {
             let service = service_over_e0(words);
             let (mut holder, mut rec) = opened(&service, TxId(1), &[PolicyAction::Lock(e)]);
-            assert!(matches!(
-                service.advance(&mut holder, &mut rec, true),
-                Progress::Granted
-            ));
+            grant(&service, &mut holder, &mut rec);
             let seen = service.stripes[0].lock().gen;
             let slept = std::thread::scope(|s| {
                 let parker = s.spawn(|| {
@@ -1486,10 +1513,7 @@ pub(crate) mod tests {
                 // The parker counted its park and signed up in one
                 // stripe-lock section; the release's bump takes that lock
                 // after it, so it sees the sleeper.
-                assert!(matches!(
-                    service.advance(&mut holder, &mut rec, true),
-                    Progress::Done(true)
-                ));
+                commit(&service, &mut holder, &mut rec);
                 parker.join().expect("parker panicked")
             });
             assert!(
@@ -1518,10 +1542,7 @@ pub(crate) mod tests {
             // One recorder per attempt, as if two workers ran them.
             let (mut tx1, mut rec1) = opened(&service, TxId(1), &plan);
             let (mut tx2, mut rec2) = opened(&service, TxId(2), &plan);
-            assert!(matches!(
-                service.advance(&mut tx1, &mut rec1, true),
-                Progress::Granted
-            ));
+            grant(&service, &mut tx1, &mut rec1);
             let Progress::Wait {
                 entity,
                 holder,
@@ -1532,10 +1553,7 @@ pub(crate) mod tests {
             };
             assert_eq!((entity, holder), (e, TxId(1)));
 
-            assert!(matches!(
-                service.advance(&mut tx1, &mut rec1, true),
-                Progress::Done(true)
-            ));
+            commit(&service, &mut tx1, &mut rec1);
             let (unlock_stamp, unlock) = *rec1.steps.last().expect("tx1 recorded steps");
             assert!(unlock.step.is_unlock());
 
@@ -1545,10 +1563,7 @@ pub(crate) mod tests {
             assert_eq!(c.park_timeouts.load(Ordering::Relaxed), 0);
             assert_eq!(service.stripes[0].lock().sleepers, 0, "never signed up");
 
-            assert!(matches!(
-                service.advance(&mut tx2, &mut rec2, true),
-                Progress::Granted
-            ));
+            grant(&service, &mut tx2, &mut rec2);
             let (lock_stamp, lock) = *rec2.steps.last().expect("tx2 recorded its lock");
             assert_eq!(
                 (lock.tx, lock.step),
@@ -1558,20 +1573,11 @@ pub(crate) mod tests {
                 lock_stamp > unlock_stamp,
                 "acquire stamped after the release"
             );
-            assert!(matches!(
-                service.advance(&mut tx2, &mut rec2, true),
-                Progress::Done(true)
-            ));
+            commit(&service, &mut tx2, &mut rec2);
             assert!(service.words_quiescent());
-            // Grants are tallied by the worker that was granted them, on
-            // the run's one path.
+            // Grants are tallied by the worker that was granted them.
             for tally in [rec1.tally, rec2.tally] {
-                let path = if words {
-                    (tally.fast_path_grants, tally.slow_path_grants)
-                } else {
-                    (tally.slow_path_grants, tally.fast_path_grants)
-                };
-                assert_eq!((tally.grants, path), (1, (1, 0)), "words {words}");
+                assert_eq!(tally.grants, 1, "words {words}");
                 assert_eq!(tally.fast_path_fallbacks, 0);
             }
         }

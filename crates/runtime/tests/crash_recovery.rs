@@ -44,8 +44,8 @@ use slp_durability::frame::{decode_frame, FrameOutcome};
 use slp_durability::{FaultyStore, Record, Recovered, SEGMENT_MAGIC};
 use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{
-    recover, MemStore, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SharedMemStore, Store,
-    Wal, WalConfig, WalError,
+    recover, MemStore, RecoveryMode, Runtime, RuntimeConfig, RuntimeReport, SchedMode,
+    SharedMemStore, Store, Wal, WalConfig, WalError,
 };
 use slp_sim::{dag_mixed_jobs, layered_dag, read_heavy_jobs, uniform_jobs};
 use std::collections::{BTreeSet, HashMap};
@@ -656,68 +656,83 @@ fn one_append_per_attempt_still_logs_every_step_and_every_commit() {
 /// observed a writer's version finds that writer durably committed. (A
 /// flip ahead of the append, or a commit record appended apart from the
 /// steps, leaves a cut where the read survives and the commit does not.)
+///
+/// The same jobs run twice: free-running, and under the wave scheduler.
+/// Whether a free-running reader meets a writer's version is up to
+/// timing; in waves, every reader admitted after a conflicting writer
+/// waits behind that writer's commit and flip, so the check that some
+/// read observed a writer is deterministic there.
 #[test]
 fn a_recovered_snapshot_read_never_observes_a_writer_the_log_lost() {
     let pool: Vec<EntityId> = (0..8).map(EntityId).collect();
     let jobs = read_heavy_jobs(&pool, 40, 2, 3, 0.5, 29);
     let read_only_jobs = jobs.iter().filter(|j| j.read_only).count() as u64;
-    let run = RuntimeConfig {
-        snapshot_reads: true,
-        ..RuntimeConfig::with_workers(3)
-    };
-    let wal_config = WalConfig {
-        group_commit: 1,
-        checkpoint_every: 32,
-        segment_bytes: 2048,
-        ..WalConfig::default()
-    };
-    let handle = SharedMemStore::new();
-    let report = durable_run(
-        PolicyKind::TwoPhase,
-        &PolicyConfig::flat(pool),
-        &jobs,
-        &run,
-        wal_config,
-        handle.clone(),
-    );
-    assert!(report.snapshot_reads > 0, "the mix has read-only jobs");
-    let wal = report.wal.expect("durable run reports its log");
-    let writer_attempts = report.attempts as u64 - read_only_jobs;
-    assert!(
-        wal.records <= 2 * writer_attempts + report.lock_waits + read_only_jobs + wal.checkpoints,
-        "a read-only job is one steps frame and no commit record"
-    );
+    for scheduler in [SchedMode::Off, SchedMode::Waves] {
+        let run = RuntimeConfig {
+            snapshot_reads: true,
+            scheduler,
+            ..RuntimeConfig::with_workers(3)
+        };
+        let wal_config = WalConfig {
+            group_commit: 1,
+            checkpoint_every: 32,
+            segment_bytes: 2048,
+            ..WalConfig::default()
+        };
+        let handle = SharedMemStore::new();
+        let report = durable_run(
+            PolicyKind::TwoPhase,
+            &PolicyConfig::flat(pool.clone()),
+            &jobs,
+            &run,
+            wal_config,
+            handle.clone(),
+        );
+        assert!(
+            report.snapshot_reads > 0,
+            "{scheduler:?}: the mix has read-only jobs"
+        );
+        let wal = report.wal.expect("durable run reports its log");
+        let writer_attempts = report.attempts as u64 - read_only_jobs;
+        assert!(
+            wal.records
+                <= 2 * writer_attempts + report.lock_waits + read_only_jobs + wal.checkpoints,
+            "{scheduler:?}: a read-only job is one steps frame and no commit record"
+        );
 
-    let full = handle.snapshot();
-    let total = full.total_bytes();
-    let mut observed_writers = 0;
-    for (cut, store) in cuts(&full) {
-        let ctx = format!("cut at {cut}/{total}");
-        if let Ok(r) = recover(&store, RecoveryMode::Oldest) {
-            assert_prefix_of_run(&r, &report, &ctx);
-            let schedule = r.schedule().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert!(schedule.is_legal(), "{ctx}");
-            assert!(schedule.is_proper(&r.base_state), "{ctx}");
-            // Aborted writers are phantoms to a snapshot reader: the
-            // mixed-run oracle, not `certify`'s plain one.
-            assert!(
-                is_serializable_with_aborts(&schedule, &report.aborted),
-                "{ctx}"
-            );
-            for (stamp, step) in &r.tail {
-                if let Access::Snapshot {
-                    observed: Some(writer),
-                } = step.via
-                {
-                    observed_writers += 1;
-                    assert!(
-                        r.committed.contains(&writer),
-                        "{ctx}: the read at stamp {stamp} observed {writer:?}, \
-                         whose commit record is not in the recovered prefix"
-                    );
+        let full = handle.snapshot();
+        let total = full.total_bytes();
+        let mut observed_writers = 0;
+        for (cut, store) in cuts(&full) {
+            let ctx = format!("{scheduler:?}, cut at {cut}/{total}");
+            if let Ok(r) = recover(&store, RecoveryMode::Oldest) {
+                assert_prefix_of_run(&r, &report, &ctx);
+                let schedule = r.schedule().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert!(schedule.is_legal(), "{ctx}");
+                assert!(schedule.is_proper(&r.base_state), "{ctx}");
+                // Aborted writers are phantoms to a snapshot reader: the
+                // mixed-run oracle, not `certify`'s plain one.
+                assert!(
+                    is_serializable_with_aborts(&schedule, &report.aborted),
+                    "{ctx}"
+                );
+                for (stamp, step) in &r.tail {
+                    if let Access::Snapshot {
+                        observed: Some(writer),
+                    } = step.via
+                    {
+                        observed_writers += 1;
+                        assert!(
+                            r.committed.contains(&writer),
+                            "{ctx}: the read at stamp {stamp} observed {writer:?}, \
+                             whose commit record is not in the recovered prefix"
+                        );
+                    }
                 }
             }
         }
+        if scheduler == SchedMode::Waves {
+            assert!(observed_writers > 0, "no read ever observed a writer");
+        }
     }
-    assert!(observed_writers > 0, "no read ever observed a writer");
 }
