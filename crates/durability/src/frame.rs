@@ -28,7 +28,7 @@ use crate::crc::crc32;
 use crate::wire::{
     get_lock_entry, get_stamped_step, get_state, get_u32, get_u64, put_lock_entry,
     put_stamped_step, put_state, put_u32, put_u64, LockEntry, LOCK_ENTRY_BYTES,
-    SNAPSHOT_STEP_BYTES,
+    SNAPSHOT_STEP_BYTES, STAMPED_STEP_BYTES,
 };
 use crate::WalError;
 use slp_core::{EntityId, LockMode, ScheduledStep, StructuralState, TxId};
@@ -273,7 +273,10 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
     match kind {
         KIND_STEPS => {
             let (count, mut body) = get_u32(body)?;
-            let mut entries = Vec::with_capacity(count as usize);
+            // The count is untrusted until its entries decode: reserve
+            // only what the body can hold.
+            let mut entries =
+                Vec::with_capacity((count as usize).min(body.len() / STAMPED_STEP_BYTES));
             for _ in 0..count {
                 let (entry, rest) = get_stamped_step(body)?;
                 entries.push(entry);
@@ -294,7 +297,7 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
             let (committed, body) = get_u64(body)?;
             let (state, body) = get_state(body)?;
             let (count, mut body) = get_u32(body)?;
-            let mut locks = Vec::with_capacity(count as usize);
+            let mut locks = Vec::with_capacity((count as usize).min(body.len() / LOCK_ENTRY_BYTES));
             for _ in 0..count {
                 let (entry, rest) = get_lock_entry(body)?;
                 locks.push(entry);
@@ -539,6 +542,59 @@ mod tests {
             decode_frame(&framed(&[99u8, 1, 2, 3])),
             FrameOutcome::Torn(TornReason::BadPayload)
         );
+    }
+
+    /// Corruption the checksum cannot see: every single-bit flip of a
+    /// payload, framed with a recomputed CRC, decodes to a record or to
+    /// `BadPayload` — and a count field claiming `u32::MAX` entries is
+    /// refused without reserving room for them.
+    #[test]
+    fn a_checksum_valid_corrupt_payload_is_a_record_or_bad_payload() {
+        let steps = Record::Steps(vec![
+            (
+                7,
+                ScheduledStep::new(TxId(1), Step::lock_exclusive(EntityId(3))),
+            ),
+            (
+                8,
+                ScheduledStep::snapshot_read(TxId(2), EntityId(3), Some(TxId(1))),
+            ),
+        ]);
+        let commit = Record::Commit {
+            tx: TxId(1),
+            required_watermark: 9,
+        };
+        for record in [steps, commit, checkpoint_record()] {
+            let mut buf = Vec::new();
+            encode_frame(&mut buf, &record);
+            let payload = buf.split_off(8);
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                match decode_frame(&framed(&flipped)) {
+                    FrameOutcome::Record(..) | FrameOutcome::Torn(TornReason::BadPayload) => {}
+                    other => panic!("{record:?}, bit {bit}: {other:?}"),
+                }
+            }
+        }
+
+        // The count field sits right after the kind byte of a `Steps`
+        // payload, and after watermark, committed and the state of a
+        // checkpoint's; the zero bytes behind it hold an entry or two.
+        let mut huge_steps = vec![KIND_STEPS];
+        put_u32(&mut huge_steps, u32::MAX);
+        let mut huge_locks = vec![KIND_CHECKPOINT];
+        put_u64(&mut huge_locks, 3);
+        put_u64(&mut huge_locks, 1);
+        put_state(&mut huge_locks, &StructuralState::empty());
+        put_u32(&mut huge_locks, u32::MAX);
+        for mut payload in [huge_steps, huge_locks] {
+            payload.resize(payload.len() + SNAPSHOT_STEP_BYTES, 0);
+            assert_eq!(
+                decode_frame(&framed(&payload)),
+                FrameOutcome::Torn(TornReason::BadPayload)
+            );
+        }
     }
 
     /// A bad tag inside a checksum-valid body ends the log like any other

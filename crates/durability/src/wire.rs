@@ -16,7 +16,7 @@ use slp_core::{
 /// Encoded size of one locked stamped step: stamp (8) + tx (4) + entity
 /// (4) + op (1). Snapshot reads are [`SNAPSHOT_STEP_BYTES`] instead; the
 /// step codec is streaming, so mixed batches decode without a fixed width.
-const STAMPED_STEP_BYTES: usize = 17;
+pub(crate) const STAMPED_STEP_BYTES: usize = 17;
 
 /// Encoded size of one stamped snapshot read: [`STAMPED_STEP_BYTES`] plus
 /// the observed writer (4).

@@ -57,9 +57,6 @@
 //!   replayable block-execution mode whose outcome fingerprint and
 //!   schedule are byte-identical across worker counts (see the
 //!   `scheduler` module docs);
-//! * [`Metrics`] — a lock-free registry (atomic counters + fixed-bucket
-//!   latency histograms) every run folds into, rendered as a text
-//!   snapshot by [`Metrics::render`] (see `examples/load_service.rs`);
 //! * [`probes`] — plan shapes that exercise the DDAG mutants' ablated
 //!   rules (the trace-replay conformance suite's negative controls).
 //!
@@ -105,13 +102,11 @@ mod fastpath;
 mod service;
 mod trace;
 
-pub mod metrics;
 pub mod probes;
 pub mod report;
 pub mod runner;
 pub mod scheduler;
 
-pub use metrics::{Counter, Histogram, Metrics};
 pub use probes::{CrawlProbePlanner, ShoulderProbePlanner};
 pub use report::{Certification, LatencySummary, RuntimeReport};
 pub use runner::{CertifyMode, PlannerFactory, Runtime, RuntimeConfig};

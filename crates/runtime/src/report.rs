@@ -140,13 +140,9 @@ pub struct RuntimeReport {
     /// never touch the lock service, so a pure-read workload with this
     /// nonzero shows `grants == 0` and `lock_waits == 0`.
     pub snapshot_reads: u64,
-    /// Waves the batch scheduler layered the job queue into (zero when
-    /// [`crate::SchedMode::Off`] — the whole queue is one unscheduled
-    /// pool).
-    pub waves: usize,
-    /// Jobs per wave, in wave order (empty when the scheduler is off);
-    /// the runtime folds these into the
-    /// [`wave_width`](crate::Metrics::wave_width) histogram.
+    /// Jobs per wave of the batch scheduler, in wave order: its length
+    /// is the number of waves (empty when [`crate::SchedMode::Off`] —
+    /// the whole queue is one unscheduled pool).
     pub wave_widths: Vec<u32>,
     /// Conflict edges the admission-stage DAG resolved by wave ordering
     /// — each one a conflict that would otherwise have surfaced at grant

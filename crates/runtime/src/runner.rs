@@ -11,7 +11,6 @@
 //! drop the job, transient ones restart it. A wall-clock guard bounds
 //! mutant livelocks.
 
-use crate::metrics::Metrics;
 use crate::report::{Certification, LatencySummary, RuntimeReport};
 use crate::scheduler::{SchedMode, WaveDispatch, WavePlan};
 use crate::service::{Grant, LockService, MvccState, Progress, Recorder, Tally};
@@ -186,7 +185,6 @@ pub struct Runtime {
     name: &'static str,
     pool: Vec<slp_core::EntityId>,
     planner_factory: PlannerFactory,
-    metrics: Metrics,
 }
 
 impl Runtime {
@@ -199,14 +197,7 @@ impl Runtime {
             engine: Some(engine),
             pool: config.pool.clone(),
             planner_factory: Arc::new(move |_worker| planner_for(kind)),
-            metrics: Metrics::new(),
         })
-    }
-
-    /// The metrics registry, accumulated across every run this runtime
-    /// has executed ([`Metrics::render`] for the text snapshot).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Replaces the planner factory (probe planners for the mutant
@@ -405,7 +396,6 @@ impl Runtime {
             steps.sort_by_key(|s| (s.tx.0 - 1) % n);
             schedule = Schedule::from_steps(steps);
         }
-        self.metrics.observe_latencies(&latencies);
         let c = &service.counters;
         let mut report = RuntimeReport {
             policy: self.name,
@@ -426,7 +416,6 @@ impl Runtime {
             parks: c.parks.load(Ordering::Relaxed),
             park_timeouts: c.park_timeouts.load(Ordering::Relaxed),
             snapshot_reads: tally.snapshot_reads,
-            waves: wave_plan.as_ref().map_or(0, |p| p.waves.len()),
             wave_widths: wave_plan.as_ref().map_or_else(Vec::new, |p| {
                 p.waves.iter().map(|w| w.len() as u32).collect()
             }),
@@ -446,7 +435,6 @@ impl Runtime {
             violation: cert.first_violation().cloned(),
             stats: cert.stats(),
         });
-        self.metrics.record_run(&report);
         report
     }
 }

@@ -1,7 +1,7 @@
 //! Open-loop load generator for the transaction runtime: a scenario
 //! catalog that drives `slp-runtime` at volume with the online
-//! serializability certifier enabled, then prints the lock-free
-//! [`Metrics`](safe_locking::runtime::Metrics) snapshot.
+//! serializability certifier enabled, and prints each run's counts from
+//! its [`RuntimeReport`].
 //!
 //! Scenarios:
 //!
@@ -114,6 +114,16 @@ fn describe(report: &RuntimeReport, name: &str) {
         report.latency.p50_us,
         report.latency.p99_us
     );
+    println!(
+        "  {name}: {} attempts, {} grants, {} lock waits, {} parks ({} timed out), \
+         {} snapshot reads",
+        report.attempts,
+        report.grants,
+        report.lock_waits,
+        report.parks,
+        report.park_timeouts,
+        report.snapshot_reads
+    );
     if let Some(cert) = &report.certification {
         println!(
             "  {name}: certified ONLINE — {} steps, {} edges, {} truncations, \
@@ -131,16 +141,7 @@ fn hot_key_storm(jobs: usize, workers: usize) -> bool {
     let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool)).expect("2PL builds");
     let report = rt.run(&work, &load_config(workers));
     describe(&report, "hot-key storm");
-    let ok = check_safe(&report, work.len(), "hot-key storm");
-    if ok {
-        // The metrics registry folds every run on this Runtime; one full
-        // snapshot shows the exposition format.
-        println!("\n  metrics snapshot (hot-key storm):");
-        for line in rt.metrics().render().lines() {
-            println!("    {line}");
-        }
-    }
-    ok
+    check_safe(&report, work.len(), "hot-key storm")
 }
 
 /// Scenario 2: long-lived transactions. The altruistic policy with one
@@ -240,18 +241,18 @@ fn wave_scheduled_storm(jobs: usize, workers: usize) -> bool {
     println!(
         "  wave-scheduled storm: {} waves (widest {}), {} conflict edges resolved at \
          admission, {} grant-time lock waits remained",
-        report.waves,
+        report.wave_widths.len(),
         report.wave_widths.iter().max().copied().unwrap_or(0),
         report.sched_parks_avoided,
         report.lock_waits
     );
     let mut ok = check_safe(&report, work.len(), "wave-scheduled storm");
     let widths: usize = report.wave_widths.iter().map(|&w| w as usize).sum();
-    if widths != work.len() || report.waves != report.wave_widths.len() {
+    if widths != work.len() {
         eprintln!(
             "  wave-scheduled storm: FAILED — {} waves / width sum {widths} do not \
              partition {} jobs",
-            report.waves,
+            report.wave_widths.len(),
             work.len()
         );
         ok = false;
