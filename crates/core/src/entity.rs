@@ -16,6 +16,12 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityId(pub u32);
 
+/// The bound on entity ids: every id a run may name is below it. It is
+/// the capacity of the MVCC store's per-entity tables, and the log's
+/// decoder refuses an id at or above it as a corrupt payload (so a flipped
+/// bit cannot make recovery size a state by a huge id).
+pub const MAX_ENTITIES: u32 = 1 << 22;
+
 impl EntityId {
     /// The id as a usable index.
     #[inline]

@@ -69,7 +69,7 @@ pub mod transform;
 pub mod txn;
 
 pub use canonical::{CanonicalViolation, CanonicalWitness};
-pub use entity::{EntityId, Universe};
+pub use entity::{EntityId, Universe, MAX_ENTITIES};
 pub use explain::{explain, explain_nonserializable, Explanation};
 pub use interaction::InteractionGraph;
 pub use ops::{DataOp, LockMode, Operation};

@@ -595,6 +595,31 @@ mod tests {
                 FrameOutcome::Torn(TornReason::BadPayload)
             );
         }
+
+        // An entity id at bit 31, past the bound any run names: as a
+        // checkpoint's state entry (written by hand — the state would
+        // take 256 MiB to build) and as an `Insert` step.
+        let far = 1 << 31;
+        let mut far_state = vec![KIND_CHECKPOINT];
+        put_u64(&mut far_state, 3);
+        put_u64(&mut far_state, 1);
+        put_u32(&mut far_state, 1);
+        put_u32(&mut far_state, far);
+        put_u32(&mut far_state, 0);
+        let mut far_insert = Vec::new();
+        encode_frame(
+            &mut far_insert,
+            &Record::Steps(vec![(
+                0,
+                ScheduledStep::new(TxId(1), Step::insert(EntityId(far))),
+            )]),
+        );
+        for payload in [far_state, far_insert.split_off(8)] {
+            assert_eq!(
+                decode_frame(&framed(&payload)),
+                FrameOutcome::Torn(TornReason::BadPayload)
+            );
+        }
     }
 
     /// A bad tag inside a checksum-valid body ends the log like any other

@@ -11,6 +11,7 @@
 
 use slp_core::{
     Access, DataOp, EntityId, LockMode, Operation, ScheduledStep, Step, StructuralState, TxId,
+    MAX_ENTITIES,
 };
 
 /// Encoded size of one locked stamped step: stamp (8) + tx (4) + entity
@@ -59,6 +60,13 @@ pub(crate) fn get_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
 pub(crate) fn get_u64(buf: &[u8]) -> Option<(u64, &[u8])> {
     let (head, rest) = buf.split_first_chunk()?;
     Some((u64::from_le_bytes(*head), rest))
+}
+
+/// Decodes an entity id, refusing one at or above [`MAX_ENTITIES`]: no
+/// run names it, and a state sized by it would take up to 512 MiB.
+fn get_entity(buf: &[u8]) -> Option<(EntityId, &[u8])> {
+    let (id, buf) = get_u32(buf)?;
+    (id < MAX_ENTITIES).then_some((EntityId(id), buf))
 }
 
 /// The one-byte operation tag (stable across versions; new operations get
@@ -110,7 +118,7 @@ pub(crate) fn put_stamped_step(out: &mut Vec<u8>, stamp: u64, s: &ScheduledStep)
 pub(crate) fn get_stamped_step(buf: &[u8]) -> Option<((u64, ScheduledStep), &[u8])> {
     let (stamp, buf) = get_u64(buf)?;
     let (tx, buf) = get_u32(buf)?;
-    let (entity, buf) = get_u32(buf)?;
+    let (entity, buf) = get_entity(buf)?;
     let (&tag, buf) = buf.split_first()?;
     if tag == SNAPSHOT_READ_TAG {
         let (observed, buf) = get_u32(buf)?;
@@ -118,17 +126,14 @@ pub(crate) fn get_stamped_step(buf: &[u8]) -> Option<((u64, ScheduledStep), &[u8
         return Some((
             (
                 stamp,
-                ScheduledStep::snapshot_read(TxId(tx), EntityId(entity), observed),
+                ScheduledStep::snapshot_read(TxId(tx), entity, observed),
             ),
             buf,
         ));
     }
     let op = op_from_tag(tag)?;
     Some((
-        (
-            stamp,
-            ScheduledStep::new(TxId(tx), Step::new(op, EntityId(entity))),
-        ),
+        (stamp, ScheduledStep::new(TxId(tx), Step::new(op, entity))),
         buf,
     ))
 }
@@ -148,8 +153,8 @@ pub(crate) fn get_state(buf: &[u8]) -> Option<(StructuralState, &[u8])> {
     let (count, mut buf) = get_u32(buf)?;
     let mut state = StructuralState::empty();
     for _ in 0..count {
-        let (id, rest) = get_u32(buf)?;
-        state.insert(EntityId(id));
+        let (id, rest) = get_entity(buf)?;
+        state.insert(id);
         buf = rest;
     }
     Some((state, buf))
@@ -215,7 +220,10 @@ mod tests {
         let cases = [
             (0u64, ScheduledStep::new(t(1), Step::lock_exclusive(e(0)))),
             (u64::MAX, ScheduledStep::new(t(u32::MAX), Step::read(e(7)))),
-            (42, ScheduledStep::new(t(9), Step::insert(e(u32::MAX)))),
+            (
+                42,
+                ScheduledStep::new(t(9), Step::insert(e(MAX_ENTITIES - 1))),
+            ),
         ];
         for (stamp, step) in cases {
             let mut out = Vec::new();
@@ -225,6 +233,11 @@ mod tests {
             assert_eq!((s2, step2), (stamp, step));
             assert!(rest.is_empty());
         }
+        // One past the largest id a run may name is a corrupt payload.
+        let mut out = Vec::new();
+        let beyond = ScheduledStep::new(t(9), Step::insert(e(MAX_ENTITIES)));
+        put_stamped_step(&mut out, 42, &beyond);
+        assert_eq!(get_stamped_step(&out), None);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   installing write) at lock-grant time; a delete sets the newest
 //!   version's `xmax`. Versions of aborted writers are never rolled
 //!   back — the status table makes them permanently invisible.
-//! * [`Snapshot`] — `read_stamp` plus the writers in progress at capture.
-//!   A version is visible iff its `xmin` committed at or below
-//!   `read_stamp` and its `xmax` (if any) did not
-//!   ([`MvccStore::read`]).
+//! * [`Snapshot`] — `read_stamp`, the published commit clock at capture,
+//!   and `base_stamp`, the first trace stamp of its reads. A version is
+//!   visible iff its `xmin` committed at or below `read_stamp` and its
+//!   `xmax` (if any) did not ([`MvccStore::read`]).
 //! * [`CommitPipeline`] — issues commit stamps and defers a writer's flip
 //!   until every lock-order predecessor has resolved, cascading deferred
 //!   flips when their predecessors land. Early lock release (altruistic
@@ -25,6 +25,8 @@
 //!   conflict order; the pipeline restores the invariant snapshots need:
 //!   **the flipped set at any capture is a downward-closed prefix of the
 //!   serialization order**, so every snapshot reads a consistent cut.
+//!   A capture takes no lock, and a writer takes the pipeline's one mutex
+//!   only to flip or to wait on an unresolved predecessor.
 //!
 //! The [`VisibilityRule::Broken`] mutant deliberately lets snapshots see
 //! in-progress writers — the scripted negative control that the online
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod pipeline;
+mod spine;
 mod store;
 mod tst;
 

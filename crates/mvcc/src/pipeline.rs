@@ -1,17 +1,20 @@
 //! Commit stamping, snapshot capture, and flip ordering.
 
-use crate::tst::TxStatusTable;
+use crate::spine::Spine;
+use crate::tst::{TxStatus, TxStatusTable};
 use rustc_hash::FxHashMap;
-use slp_core::{EntityId, TxId};
-use std::sync::Mutex;
+use slp_core::{EntityId, TxId, MAX_ENTITIES};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// A consistent read view captured by a read-only job: every writer whose
 /// commit stamp is at or below `read_stamp` is visible, everything else is
-/// not. Nothing else is needed, because commit stamps are issued
-/// monotonically under the same gate captures run under.
+/// not. Nothing else is needed, because the clock a capture reads is
+/// published only at the end of a resolve cascade, after every flip it
+/// covers.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    /// The commit clock at capture.
+    /// The published commit clock at capture.
     pub read_stamp: u64,
     /// First trace stamp claimed for this snapshot's read steps (the
     /// steps occupy a dense block starting here, keeping the recorded
@@ -32,30 +35,22 @@ pub enum CommitOutcome {
     Deferred,
 }
 
+/// A writer with a registered dependency, on either side of it.
 #[derive(Default)]
 struct Pending {
     /// Unresolved lock-order predecessors this writer's flip waits on.
     waiting_on: Vec<TxId>,
     /// Writers whose flips wait on this one.
     dependents: Vec<TxId>,
-    /// `Some(true)` committed, `Some(false)` aborted, `None` still
-    /// running.
-    decided: Option<bool>,
+    /// Committed, its flip deferred. (An abort never waits.)
+    committed: bool,
 }
 
 #[derive(Default)]
 struct Gate {
-    /// Last issued commit stamp; snapshots capture it as `read_stamp`.
+    /// Last issued commit stamp.
     commit_clock: u64,
     pending: FxHashMap<TxId, Pending>,
-}
-
-#[derive(Default)]
-struct Lockers {
-    /// Unresolved writers that locked each entity, in grant order.
-    by_entity: FxHashMap<u32, Vec<TxId>>,
-    /// Reverse index for purging on resolution.
-    footprint: FxHashMap<TxId, Vec<u32>>,
 }
 
 /// Orders status-table flips so that **the flipped set at any snapshot
@@ -75,15 +70,29 @@ struct Lockers {
 /// writers stay durably committed, invisible to snapshots, and the run
 /// completes.)
 ///
-/// Flips and captures share one gate mutex, so a capture never observes a
-/// half-applied cascade. The gate's `commit_clock` is distinct from the
-/// trace sequence counter: trace stamps must stay dense for the recorded
-/// schedule, while commit stamps only order flips.
+/// Each entity keeps its own list of lockers. A locker is unresolved iff
+/// its status-table slot still reads `InProgress`, so a list is purged
+/// lazily, at the next lock of its entity, and nothing is purged at
+/// resolution. Flips happen only under one gate mutex, taken by commit,
+/// by abort and by a lock that found an unresolved predecessor (which is
+/// checked again there, since it may have resolved meanwhile); a writer
+/// that never meets one appears in the gate only to flip. A capture takes
+/// no lock: it reads the *published* commit clock, which every cascade
+/// stores after its last flip, so it never sees a half-applied cascade.
+/// The commit clock is distinct from the trace sequence counter: trace
+/// stamps must stay dense for the recorded schedule, while commit stamps
+/// only order flips.
 #[derive(Default)]
 pub struct CommitPipeline {
     tst: TxStatusTable,
     gate: Mutex<Gate>,
-    lockers: Mutex<Lockers>,
+    /// The commit clock as of the last finished cascade: stored with
+    /// `Release` under the gate after the cascade's flips, loaded with
+    /// `Acquire` by `capture`, so every flip at or below it is visible to
+    /// the capturer.
+    published: AtomicU64,
+    /// Each entity's lockers in grant order, resolved ones not yet purged.
+    lockers: Spine<Mutex<Vec<TxId>>, { MAX_ENTITIES as usize }>,
 }
 
 impl CommitPipeline {
@@ -98,47 +107,37 @@ impl CommitPipeline {
         &self.tst
     }
 
-    /// Registers a writer. Must precede its `note_lock` calls.
-    pub fn begin_writer(&self, tx: TxId) {
-        let mut gate = self.gate.lock().expect("gate poisoned");
-        gate.pending.insert(tx, Pending::default());
-    }
-
     /// Records that `tx` was granted a lock on `entity`. The flip of `tx`
     /// will wait on every unresolved prior locker of `entity`.
     pub fn note_lock(&self, tx: TxId, entity: EntityId) {
         let deps: Vec<TxId> = {
-            let mut lockers = self.lockers.lock().expect("lockers poisoned");
-            let list = lockers.by_entity.entry(entity.0).or_default();
+            let mut list = self
+                .lockers
+                .slot(entity.index())
+                .lock()
+                .expect("lockers poisoned");
+            list.retain(|&t| self.unresolved(t));
             let deps = list.iter().copied().filter(|&prior| prior != tx).collect();
             if !list.contains(&tx) {
                 list.push(tx);
-                lockers.footprint.entry(tx).or_default().push(entity.0);
             }
             deps
         };
         if deps.is_empty() {
             return;
         }
-        let mut gate = self.gate.lock().expect("gate poisoned");
+        let mut gate = self.gate();
         for d in deps {
-            // A predecessor that resolved between the two locks needs no
-            // dependency — its flip already happened.
-            if !gate.pending.contains_key(&d) {
+            // A predecessor that resolved since the list was read needs
+            // no dependency — its flip already happened. Under the gate
+            // the answer is final: every flip happens there.
+            if !self.unresolved(d) {
                 continue;
             }
-            let waiting = &mut gate
-                .pending
-                .get_mut(&tx)
-                .expect("begin_writer precedes note_lock")
-                .waiting_on;
+            let waiting = &mut gate.pending.entry(tx).or_default().waiting_on;
             if !waiting.contains(&d) {
                 waiting.push(d);
-                gate.pending
-                    .get_mut(&d)
-                    .expect("checked present")
-                    .dependents
-                    .push(tx);
+                gate.pending.entry(d).or_default().dependents.push(tx);
             }
         }
     }
@@ -146,110 +145,79 @@ impl CommitPipeline {
     /// Commits `tx`: flips its status now if every lock-order predecessor
     /// has resolved, otherwise defers the flip to the cascade.
     pub fn commit(&self, tx: TxId) -> CommitOutcome {
-        let mut resolved = Vec::new();
-        let outcome = {
-            let mut gate = self.gate.lock().expect("gate poisoned");
-            let p = gate
-                .pending
-                .get_mut(&tx)
-                .expect("commit of an unregistered writer");
-            p.decided = Some(true);
-            if p.waiting_on.is_empty() {
-                Self::resolve(&mut gate, &self.tst, tx, &mut resolved);
-                CommitOutcome::Flipped
-            } else {
-                CommitOutcome::Deferred
+        let mut gate = self.gate();
+        if let Some(p) = gate.pending.get_mut(&tx) {
+            if !p.waiting_on.is_empty() {
+                p.committed = true;
+                return CommitOutcome::Deferred;
             }
-        };
-        self.purge_lockers(&resolved);
-        outcome
+        }
+        self.resolve(&mut gate, tx, true);
+        CommitOutcome::Flipped
     }
 
     /// Aborts `tx`. Aborts never wait: flipping to `Aborted` makes
     /// nothing visible, so it is always safe immediately — and it
     /// releases any dependents waiting on `tx`.
     pub fn abort(&self, tx: TxId) {
-        let mut resolved = Vec::new();
-        {
-            let mut gate = self.gate.lock().expect("gate poisoned");
-            if let Some(p) = gate.pending.get_mut(&tx) {
-                p.decided = Some(false);
-                Self::resolve(&mut gate, &self.tst, tx, &mut resolved);
-            }
-        }
-        self.purge_lockers(&resolved);
+        self.resolve(&mut self.gate(), tx, false);
     }
 
-    /// Captures a snapshot: the commit clock, read under the gate, plus a dense block of trace stamps for the
-    /// snapshot's read steps claimed via `claim` (called with the gate
-    /// held, so the capture point is well-defined against every flip).
+    /// Captures a snapshot without taking a lock: the published commit
+    /// clock, then a dense block of trace stamps for the snapshot's read
+    /// steps claimed via `claim`. Every writer visible at that clock drew
+    /// its stamps before it flipped, so before the block.
     pub fn capture(&self, reads: usize, claim: impl FnOnce(usize) -> u64) -> Snapshot {
-        let gate = self.gate.lock().expect("gate poisoned");
         Snapshot {
-            read_stamp: gate.commit_clock,
+            read_stamp: self.published.load(Ordering::Acquire),
             base_stamp: claim(reads),
         }
     }
 
-    /// Writers decided but still unflipped (waiting on unresolved
+    /// Writers committed but still unflipped (waiting on unresolved
     /// predecessors). Nonzero at quiescence only under unsafe mutants.
     pub fn stranded(&self) -> usize {
-        let gate = self.gate.lock().expect("gate poisoned");
-        gate.pending
-            .values()
-            .filter(|p| p.decided.is_some())
-            .count()
+        self.gate().pending.values().filter(|p| p.committed).count()
     }
 
-    /// Resolves `tx` (and every dependent the resolution unblocks) inside
-    /// the gate. `resolved` collects them for locker purging outside.
-    fn resolve(gate: &mut Gate, tst: &TxStatusTable, tx: TxId, resolved: &mut Vec<TxId>) {
-        let mut work = vec![tx];
-        while let Some(t) = work.pop() {
+    fn gate(&self) -> MutexGuard<'_, Gate> {
+        self.gate.lock().expect("gate poisoned")
+    }
+
+    fn unresolved(&self, tx: TxId) -> bool {
+        self.tst.status(tx) == TxStatus::InProgress
+    }
+
+    /// Flips `tx` (and every deferred dependent the flip unblocks) inside
+    /// the gate, then publishes the commit clock.
+    fn resolve(&self, gate: &mut Gate, tx: TxId, commit: bool) {
+        let mut work = vec![(tx, commit)];
+        while let Some((t, commit)) = work.pop() {
+            if commit {
+                gate.commit_clock += 1;
+                self.tst.commit(t, gate.commit_clock);
+            } else {
+                self.tst.abort(t);
+            }
             let Some(p) = gate.pending.remove(&t) else {
                 continue;
             };
-            let commit = p.decided.expect("resolve only runs on decided writers");
-            if commit {
-                gate.commit_clock += 1;
-                tst.commit(t, gate.commit_clock);
-            } else {
-                tst.abort(t);
-            }
-            resolved.push(t);
             for dep in p.dependents {
                 if let Some(q) = gate.pending.get_mut(&dep) {
                     q.waiting_on.retain(|&w| w != t);
-                    if q.waiting_on.is_empty() && q.decided.is_some() {
-                        work.push(dep);
+                    if q.waiting_on.is_empty() && q.committed {
+                        work.push((dep, true));
                     }
                 }
             }
         }
-    }
-
-    fn purge_lockers(&self, resolved: &[TxId]) {
-        if resolved.is_empty() {
-            return;
-        }
-        let mut lockers = self.lockers.lock().expect("lockers poisoned");
-        for tx in resolved {
-            let Some(fp) = lockers.footprint.remove(tx) else {
-                continue;
-            };
-            for e in fp {
-                if let Some(list) = lockers.by_entity.get_mut(&e) {
-                    list.retain(|t| t != tx);
-                }
-            }
-        }
+        self.published.store(gate.commit_clock, Ordering::Release);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tst::TxStatus;
 
     fn e(i: u32) -> EntityId {
         EntityId(i)
@@ -262,8 +230,6 @@ mod tests {
     #[test]
     fn flip_defers_until_lock_order_predecessor_resolves() {
         let p = CommitPipeline::new();
-        p.begin_writer(t(1));
-        p.begin_writer(t(2));
         p.note_lock(t(1), e(0));
         // t2 locked e0 after t1 (early release let it in) — its flip
         // must wait for t1 even though it commits first.
@@ -282,8 +248,6 @@ mod tests {
     #[test]
     fn abort_resolves_immediately_and_releases_dependents() {
         let p = CommitPipeline::new();
-        p.begin_writer(t(1));
-        p.begin_writer(t(2));
         p.note_lock(t(1), e(0));
         p.note_lock(t(2), e(0));
         assert_eq!(p.commit(t(2)), CommitOutcome::Deferred);
@@ -294,6 +258,52 @@ mod tests {
             TxStatus::Committed(1),
             "the abort unblocked the deferred flip"
         );
+    }
+
+    /// One "last locker" word per entity would hold only t2 once t1 and
+    /// t2 had locked `e`, and t2's abort would leave t3 no predecessor:
+    /// t3 would flip before t1.
+    #[test]
+    fn an_aborted_locker_does_not_hide_an_earlier_unresolved_one() {
+        let p = CommitPipeline::new();
+        p.note_lock(t(1), e(0));
+        p.note_lock(t(2), e(0));
+        p.abort(t(2));
+        p.note_lock(t(3), e(0));
+        assert_eq!(p.commit(t(3)), CommitOutcome::Deferred);
+        assert_eq!(p.status_table().status(t(3)), TxStatus::InProgress);
+        assert_eq!(p.capture(0, |_| 0).read_stamp, 0);
+        assert_eq!(p.commit(t(1)), CommitOutcome::Flipped);
+        assert_eq!(p.status_table().status(t(1)), TxStatus::Committed(1));
+        assert_eq!(p.status_table().status(t(3)), TxStatus::Committed(2));
+        assert_eq!(p.stranded(), 0);
+    }
+
+    /// The list of `e1` is purged at t3's lock: t0 flipped and goes, but
+    /// t2 committed with its flip deferred behind t1, so its slot still
+    /// reads `InProgress` and t3 must wait on it.
+    #[test]
+    fn a_purged_list_keeps_a_committed_but_deferred_locker() {
+        let p = CommitPipeline::new();
+        p.note_lock(t(10), e(1));
+        assert_eq!(p.commit(t(10)), CommitOutcome::Flipped);
+        p.note_lock(t(1), e(0));
+        p.note_lock(t(2), e(0));
+        p.note_lock(t(2), e(1));
+        assert_eq!(p.commit(t(2)), CommitOutcome::Deferred);
+        p.note_lock(t(3), e(1));
+        assert_eq!(p.commit(t(3)), CommitOutcome::Deferred);
+        assert_eq!(p.stranded(), 2);
+        assert_eq!(p.capture(0, |_| 0).read_stamp, 1);
+        assert_eq!(p.commit(t(1)), CommitOutcome::Flipped);
+        let tst = p.status_table();
+        assert_eq!(
+            [t(1), t(2), t(3)].map(|x| tst.status(x)),
+            [2, 3, 4].map(TxStatus::Committed),
+            "the cascade flips in lock order"
+        );
+        assert_eq!(p.stranded(), 0);
+        assert_eq!(p.capture(0, |_| 0).read_stamp, 4);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Per-entity version chains and the snapshot visibility rule.
 
 use crate::pipeline::Snapshot;
+use crate::spine::Spine;
 use crate::tst::{TxStatus, TxStatusTable};
-use slp_core::{EntityId, TxId};
+use slp_core::{EntityId, TxId, MAX_ENTITIES};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 /// One installed version of an entity.
 ///
@@ -94,13 +95,14 @@ impl ObservedRead {
 }
 
 /// The versioned entity store. Writers install versions at lock-grant
-/// time (serialized by the engine lock they already hold); snapshot
-/// readers scan chains lock-free apart from the per-chain `RwLock`
-/// (readers share it — a reader never blocks a reader, and writers touch
-/// it only for the push itself).
+/// time (serialized by the entity lock they already hold). Each entity's
+/// chain sits behind its own `RwLock` in a fixed spine of lazily
+/// allocated chunks ([`MAX_ENTITIES`] slots), so finding a chain takes no
+/// run-wide lock and writes nothing shared: readers share the chain's
+/// lock, and writers take it only for the push itself.
 #[derive(Default)]
 pub struct MvccStore {
-    chains: RwLock<Vec<Arc<RwLock<Vec<Version>>>>>,
+    chains: Spine<RwLock<Vec<Version>>, { MAX_ENTITIES as usize }>,
 }
 
 impl MvccStore {
@@ -109,30 +111,15 @@ impl MvccStore {
         Self::default()
     }
 
-    fn chain(&self, entity: EntityId, create: bool) -> Option<Arc<RwLock<Vec<Version>>>> {
-        let idx = entity.0 as usize;
-        {
-            let chains = self.chains.read().expect("chain spine poisoned");
-            if let Some(c) = chains.get(idx) {
-                return Some(Arc::clone(c));
-            }
-        }
-        if !create {
-            return None;
-        }
-        let mut chains = self.chains.write().expect("chain spine poisoned");
-        if chains.len() <= idx {
-            chains.resize_with(idx + 1, Arc::default);
-        }
-        Some(Arc::clone(&chains[idx]))
+    fn chain(&self, entity: EntityId) -> &RwLock<Vec<Version>> {
+        self.chains.slot(entity.index())
     }
 
     /// Installs a new version of `entity` written by `tx` at trace stamp
     /// `stamp` (insert and write are both installs — the first install of
     /// an entity is its insert).
     pub fn install(&self, entity: EntityId, tx: TxId, stamp: u64) {
-        let chain = self.chain(entity, true).expect("create=true");
-        chain
+        self.chain(entity)
             .write()
             .expect("version chain poisoned")
             .push(Version::new(tx, stamp));
@@ -143,8 +130,7 @@ impl MvccStore {
     /// tombstone, so snapshots that see the deleter committed see the
     /// entity gone while older snapshots still see the initial state.
     pub fn delete(&self, entity: EntityId, tx: TxId, stamp: u64) {
-        let chain = self.chain(entity, true).expect("create=true");
-        let mut chain = chain.write().expect("version chain poisoned");
+        let mut chain = self.chain(entity).write().expect("version chain poisoned");
         if chain.is_empty() {
             chain.push(Version::new(tx, stamp));
         }
@@ -162,7 +148,7 @@ impl MvccStore {
         tst: &TxStatusTable,
         rule: VisibilityRule,
     ) -> ObservedRead {
-        let Some(chain) = self.chain(entity, false) else {
+        let Some(chain) = self.chains.peek(entity.index()) else {
             return ObservedRead::INITIAL;
         };
         let chain = chain.read().expect("version chain poisoned");

@@ -1,8 +1,8 @@
 //! The transaction status table: one atomic word per transaction id.
 
+use crate::spine::Spine;
 use slp_core::TxId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// A transaction's lifecycle state as recorded in the status table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -23,11 +23,9 @@ const TAG_IN_PROGRESS: u64 = 0b00; // the default (zeroed) state
 const TAG_COMMITTED: u64 = 0b01;
 const TAG_ABORTED: u64 = 0b10;
 
-/// Slots per lazily-allocated chunk.
-const CHUNK: usize = 1 << 12;
-/// Maximum chunks — caps the table at ~16M transaction ids, far above any
-/// run this workspace performs.
-const CHUNKS: usize = 1 << 12;
+/// The table's capacity: ~16M transaction ids, far above any run this
+/// workspace performs.
+const TX_SLOTS: usize = 1 << 24;
 
 /// The **sole commit authority** for snapshot visibility: a lock-free
 /// table with one atomic `u64` per transaction id, `InProgress` (the
@@ -36,44 +34,29 @@ const CHUNKS: usize = 1 << 12;
 /// revisit their versions at commit — the flip makes every version the
 /// writer installed visible (or permanently invisible) atomically.
 ///
-/// Storage is chunked: a fixed spine of [`OnceLock`] chunks, each
-/// allocated on first touch, so the table grows lock-free without moving
-/// existing slots (no `unsafe`, no RCU).
+/// Storage is a chunked spine whose chunks are allocated on first touch,
+/// so the table grows lock-free without moving existing slots.
+#[derive(Default)]
 pub struct TxStatusTable {
-    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
-}
-
-impl Default for TxStatusTable {
-    fn default() -> Self {
-        Self::new()
-    }
+    slots: Spine<AtomicU64, TX_SLOTS>,
 }
 
 impl TxStatusTable {
     /// An empty table: every id reads `InProgress`.
     pub fn new() -> Self {
-        let mut spine = Vec::with_capacity(CHUNKS);
-        spine.resize_with(CHUNKS, OnceLock::new);
-        TxStatusTable {
-            chunks: spine.into_boxed_slice(),
-        }
+        Self::default()
     }
 
     fn slot(&self, tx: TxId) -> &AtomicU64 {
-        let idx = tx.0 as usize;
-        let chunk = idx / CHUNK;
-        assert!(chunk < CHUNKS, "transaction id {tx} beyond status table");
-        let slab = self.chunks[chunk].get_or_init(|| {
-            let mut v = Vec::with_capacity(CHUNK);
-            v.resize_with(CHUNK, AtomicU64::default);
-            v.into_boxed_slice()
-        });
-        &slab[idx % CHUNK]
+        self.slots.slot(tx.index())
     }
 
     /// The transaction's current status.
     pub fn status(&self, tx: TxId) -> TxStatus {
-        let w = self.slot(tx).load(Ordering::Acquire);
+        let w = self
+            .slots
+            .peek(tx.index())
+            .map_or(TAG_IN_PROGRESS, |slot| slot.load(Ordering::Acquire));
         match w & TAG_MASK {
             TAG_COMMITTED => TxStatus::Committed(w >> 2),
             TAG_ABORTED => TxStatus::Aborted,
@@ -114,6 +97,7 @@ impl TxStatusTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spine::CHUNK;
 
     #[test]
     fn default_is_in_progress_and_flips_are_final() {

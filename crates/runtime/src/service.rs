@@ -195,8 +195,8 @@ pub(crate) struct Attempt {
     cursor: usize,
     /// What begin declares to the engine.
     intent: AccessIntent,
-    /// Whether the transaction has begun: the engine (or, in a word run,
-    /// the commit pipeline) knows it, and a refusal must retire it.
+    /// Whether the transaction has begun: the engine knows it (in a word
+    /// run, `advance` has run), and a refusal must retire it.
     begun: bool,
     /// In a word run: the entities whose words `tx` holds, i.e. the
     /// unlock steps still owed (the engine tracks an engine run's).
@@ -917,9 +917,6 @@ impl LockService {
                 Err(violation) => return Progress::Refused(violation),
             };
             at.begun = true;
-            if let Some(m) = &self.mvcc {
-                m.pipeline.begin_writer(tx);
-            }
             // The planner's plan wins; a policy that plans at start (rule
             // DT2) supplies one when the planner did not. With neither the
             // pairing is misconfigured, and the just-begun transaction is
@@ -978,14 +975,9 @@ impl LockService {
         one_call: bool,
     ) -> Progress {
         let tx = at.tx;
-        if !at.begun {
-            // The engine never learns that the transaction exists — the
-            // words are the authority for everything it touches.
-            at.begun = true;
-            if let Some(m) = &self.mvcc {
-                m.pipeline.begin_writer(tx);
-            }
-        }
+        // The engine never learns that the transaction exists — the words
+        // are the authority for everything it touches.
+        at.begun = true;
         let plan = at
             .plan
             .as_deref()
@@ -1096,13 +1088,14 @@ impl LockService {
     }
 
     /// Serves a read-only job from an MVCC snapshot: captures a read
-    /// view under the commit-pipeline gate (claiming a dense block of
-    /// trace stamps for the reads), scans version chains for the visible
-    /// version of each target, and records the observations as stamped
-    /// snapshot-read steps — **without ever touching the policy engine,
-    /// the lock table, or a parking stripe**. Returns `false` when strict
-    /// certification recovered by retracting the reader (the caller
-    /// retries with a fresh snapshot).
+    /// view from the commit pipeline's published clock without a lock
+    /// (claiming a dense block of trace stamps for the reads), scans
+    /// version chains for the visible version of each target, and
+    /// records the observations as stamped snapshot-read steps —
+    /// **without ever touching the policy engine, the lock table, or a
+    /// parking stripe**. Returns `false` when strict certification
+    /// recovered by retracting the reader (the caller retries with a
+    /// fresh snapshot).
     pub fn snapshot_read(&self, tx: TxId, targets: &[EntityId], rec: &mut Recorder) -> bool {
         let m = self
             .mvcc

@@ -129,7 +129,6 @@ fn certify_dirty_read_script(rule: VisibilityRule) -> IncrementalCertifier {
     let (w, r) = (TxId(1), TxId(2));
     let pipeline = CommitPipeline::new();
     let store = MvccStore::new();
-    pipeline.begin_writer(w);
     store.install(e1, w, 0);
     // Trace stamps: W writes e1 @0, the snapshot's reads claim @1..=2,
     // W writes e0 @3.
