@@ -132,6 +132,23 @@ impl StructuralState {
         self.len == 0
     }
 
+    /// The bitset: bit `i % 64` of word `i / 64` is set iff entity `i`
+    /// exists. Canonical — the last word, if any, is nonzero — so equal
+    /// states have equal words.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The state whose bitset is `words` (see [`words`](Self::words));
+    /// `None` if the last word is zero, which no state has.
+    pub fn from_words(words: Vec<u64>) -> Option<Self> {
+        if words.last() == Some(&0) {
+            return None;
+        }
+        let len = words.iter().map(|w| w.count_ones() as usize).sum();
+        Some(StructuralState { words, len })
+    }
+
     /// Iterates over existing entities in id order.
     pub fn iter(&self) -> impl Iterator<Item = EntityId> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
@@ -297,6 +314,20 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash(&a), hash(&b));
+    }
+
+    #[test]
+    fn words_round_trip_and_only_canonical_bitsets_are_states() {
+        let g = StructuralState::from_entities([e(64), e(3), e(0), e(127)]);
+        assert_eq!(g.words(), [0b1001, 1 | 1 << 63]);
+        assert_eq!(StructuralState::from_words(g.words().to_vec()), Some(g));
+        assert_eq!(
+            StructuralState::from_words(Vec::new()),
+            Some(StructuralState::empty())
+        );
+        assert_eq!(StructuralState::from_words(vec![u64::MAX, 0]), None);
+        let dense = StructuralState::from_words(vec![u64::MAX; 3]).unwrap();
+        assert_eq!(dense.len(), 192);
     }
 
     #[test]

@@ -21,13 +21,25 @@
 //! buffer. A worker encodes and checksums its attempt's frames
 //! ([`encode_steps`], [`encode_commit`]) *before* it takes the log's
 //! mutex; only a checkpoint ([`encode_checkpoint`]) is encoded under it,
-//! because it is the log's own replica that is being written. The writer
-//! never emits a frame the decoder would refuse: see [`MAX_FRAME_BYTES`].
+//! because it is the log's own replica that is being written. That frame
+//! carries the structural state as its bitset, 8 bytes per 64 ids — 128
+//! bytes for a 1 024-entity universe — so a checkpoint costs the log
+//! about what one attempt's frames do. The writer never emits a frame the
+//! decoder would refuse: see [`MAX_FRAME_BYTES`].
+//!
+//! Kind bytes: 1 `Steps`, 2 `Commit`, 4 `Checkpoint`. Kind 3 was the
+//! checkpoint of the first format, which listed the state's entities at 4
+//! bytes each; it is retired and never reused, and the decoder refuses it
+//! as [`TornReason::BadPayload`], so an old checkpoint can never be
+//! misread as a new one: a log with kind-3 checkpoints ends, for
+//! recovery, at its base checkpoint, and recovers to
+//! [`RecoverError::NoCheckpoint`](crate::RecoverError::NoCheckpoint).
+//! Step and commit frames are byte for byte the first writer's.
 
 use crate::crc::crc32;
 use crate::wire::{
     get_lock_entry, get_stamped_step, get_state, get_u32, get_u64, put_lock_entry,
-    put_stamped_step, put_state, put_u32, put_u64, LockEntry, LOCK_ENTRY_BYTES,
+    put_stamped_step, put_state, put_u32, put_u64, LockEntry, LOCK_ENTRY_BYTES, MAX_STATE_WORDS,
     SNAPSHOT_STEP_BYTES, STAMPED_STEP_BYTES,
 };
 use crate::WalError;
@@ -44,7 +56,8 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"SLPWAL1\n";
 /// bound — a frame it wrote and recovery refused would silently end the
 /// log there: a step batch of any length is split into frames of at most
 /// [`MAX_FRAME_STEPS`] steps ([`encode_steps`]), and a checkpoint that
-/// would not fit is a typed error ([`encode_checkpoint`]), never a frame.
+/// would not fit, or whose state the decoder would refuse, is a typed
+/// error ([`encode_checkpoint`]), never a frame.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Most steps one `Steps` frame carries. A batch is a whole attempt (or
@@ -72,7 +85,10 @@ pub enum Record {
     },
     /// A fuzzy checkpoint: the replayed state at a contiguous-stamp
     /// watermark. Recovery restarts from the newest surviving checkpoint
-    /// and replays only the stamped tail past it.
+    /// and replays only the stamped tail past it. On the wire (kind 4):
+    /// `[watermark u64][committed u64][word count u32][words u64 × n]
+    /// [lock count u32][lock entries]`, the words being the state's
+    /// canonical bitset ([`StructuralState::words`]).
     Checkpoint(Checkpoint),
 }
 
@@ -130,7 +146,8 @@ impl fmt::Display for TornReason {
 
 const KIND_STEPS: u8 = 1;
 const KIND_COMMIT: u8 = 2;
-const KIND_CHECKPOINT: u8 = 3;
+/// Kind 3, the entity-list checkpoint, is retired (see the module docs).
+const KIND_CHECKPOINT: u8 = 4;
 
 /// Opens a frame of `kind` at the end of `out`: the header is reserved
 /// and filled in by [`close_frame`], so the payload is encoded in place.
@@ -179,9 +196,10 @@ pub fn encode_commit(out: &mut Vec<u8>, tx: TxId, required_watermark: u64) {
 }
 
 /// Appends a `Checkpoint` frame to `out` from the parts of a
-/// [`Checkpoint`], borrowed. A state too large for one frame
-/// (> ~262 k entities) is [`WalError::OversizeCheckpoint`] and writes
-/// nothing.
+/// [`Checkpoint`], borrowed. A checkpoint the decoder would refuse — one
+/// past [`MAX_FRAME_BYTES`] (about 116 k lock entries), or a state naming
+/// an id at or above [`MAX_ENTITIES`](slp_core::MAX_ENTITIES) — is
+/// [`WalError::OversizeCheckpoint`] and writes nothing.
 pub fn encode_checkpoint(
     out: &mut Vec<u8>,
     watermark: u64,
@@ -189,8 +207,9 @@ pub fn encode_checkpoint(
     state: &StructuralState,
     locks: &[LockEntry],
 ) -> Result<(), WalError> {
-    let payload = 1 + 8 + 8 + 4 + 4 * state.len() + 4 + LOCK_ENTRY_BYTES * locks.len();
-    if payload > MAX_FRAME_BYTES {
+    let words = state.words().len();
+    let payload = 1 + 8 + 8 + 4 + 8 * words + 4 + LOCK_ENTRY_BYTES * locks.len();
+    if payload > MAX_FRAME_BYTES || words > MAX_STATE_WORDS {
         return Err(WalError::OversizeCheckpoint(payload));
     }
     out.reserve(8 + payload);
@@ -317,7 +336,7 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slp_core::Step;
+    use slp_core::{Step, MAX_ENTITIES};
 
     fn steps_record() -> Record {
         Record::Steps(vec![
@@ -372,12 +391,14 @@ mod tests {
         assert_eq!(decoded, records);
     }
 
-    /// The wire format, pinned byte for byte: these are the frames the
-    /// log's first writer (one payload `Vec` per record, bytewise CRC)
-    /// produced for a steps batch with a snapshot read in it, a commit
-    /// and a checkpoint. Today's encoders must write exactly them and
-    /// today's decoder must read them back, so a log written before the
-    /// in-place encoders recovers after them and the other way round.
+    /// The wire format, pinned byte for byte. `FIXTURE` is what the log's
+    /// first writer (one payload `Vec` per record, bytewise CRC) produced
+    /// for a steps batch with a snapshot read in it, a commit and a kind-3
+    /// checkpoint; `CHECKPOINT_FIXTURE` is the same checkpoint in kind 4,
+    /// written by hand: state {3, 9} is one word, `0x208`. Steps and
+    /// commit frames are byte for byte the first writer's, so those frames
+    /// of a log written by any revision decode today and the other way
+    /// round; the kind-3 checkpoint is refused, never misread.
     #[test]
     fn the_wire_format_is_byte_for_byte_the_first_writers() {
         const FIXTURE: &str = "3c000000cd28e92001030000000700000000000000010000000300000005\
@@ -385,9 +406,22 @@ mod tests {
             0d0000006ea34d6502010000000a00000000000000\
             2a0000000961fbc2030a00000000000000010000000000000002000000030000000900000001\
             000000090000000400000000";
-        let fixture: Vec<u8> = (0..FIXTURE.len() / 2)
-            .map(|i| u8::from_str_radix(&FIXTURE[2 * i..2 * i + 2], 16).expect("hex"))
-            .collect();
+        // Header, kind, watermark, committed, word count, the word, lock
+        // count, the lock entry.
+        const CHECKPOINT_FIXTURE: &str = "2a000000963cccd3\
+            04\
+            0a00000000000000\
+            0100000000000000\
+            01000000\
+            0802000000000000\
+            01000000\
+            090000000400000000";
+        let hex = |s: &str| -> Vec<u8> {
+            (0..s.len() / 2)
+                .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("hex"))
+                .collect()
+        };
+        let (fixture, checkpoint_fixture) = (hex(FIXTURE), hex(CHECKPOINT_FIXTURE));
         let steps = vec![
             (
                 7,
@@ -411,8 +445,11 @@ mod tests {
         let mut buf = Vec::new();
         assert_eq!(encode_steps(&mut buf, &steps), 1);
         encode_commit(&mut buf, TxId(1), 10);
+        let (old_frames, old_checkpoint) = fixture.split_at(buf.len());
+        assert_eq!(buf, old_frames);
+        buf.clear();
         encode_checkpoint(&mut buf, 10, 1, &checkpoint.state, &checkpoint.locks).unwrap();
-        assert_eq!(buf, fixture);
+        assert_eq!(buf, checkpoint_fixture);
 
         let mut rest: &[u8] = &fixture;
         let mut decoded = Vec::new();
@@ -420,7 +457,16 @@ mod tests {
             decoded.push(r);
             rest = tail;
         }
-        assert!(rest.is_empty());
+        assert_eq!(rest, old_checkpoint);
+        assert_eq!(
+            decode_frame(old_checkpoint),
+            FrameOutcome::Torn(TornReason::BadPayload),
+            "a retired kind-3 checkpoint is refused"
+        );
+        decoded.push(match decode_frame(&checkpoint_fixture) {
+            FrameOutcome::Record(r, []) => r,
+            other => panic!("{other:?}"),
+        });
         assert_eq!(
             decoded,
             [
@@ -455,16 +501,37 @@ mod tests {
 
     #[test]
     fn a_checkpoint_past_the_frame_bound_is_an_error_not_a_frame() {
-        // 4 bytes an entity: the bound falls between these two states.
-        let fits = StructuralState::from_entities((0..262_000).map(EntityId));
-        let too_big = StructuralState::from_entities((0..263_000).map(EntityId));
+        // 9 bytes a lock entry: the bound falls between these two tables.
+        let locks = |n: u32| -> Vec<LockEntry> {
+            (0..n)
+                .map(|i| (EntityId(i), TxId(1), LockMode::Exclusive))
+                .collect()
+        };
+        let state = StructuralState::from_entities((0..1024).map(EntityId));
         let mut buf = Vec::new();
-        encode_checkpoint(&mut buf, 0, 0, &fits, &[]).unwrap();
+        encode_checkpoint(&mut buf, 0, 0, &state, &locks(116_000)).unwrap();
         assert!(matches!(decode_frame(&buf), FrameOutcome::Record(_, [])));
         let len = buf.len();
         assert!(matches!(
-            encode_checkpoint(&mut buf, 0, 0, &too_big, &[]),
+            encode_checkpoint(&mut buf, 0, 0, &state, &locks(117_000)),
             Err(WalError::OversizeCheckpoint(bytes)) if bytes > MAX_FRAME_BYTES
+        ));
+        assert_eq!(buf.len(), len, "a refused checkpoint writes nothing");
+    }
+
+    /// A state naming an id the decoder refuses is refused by the writer
+    /// too: its frame would be small, but recovery could not read it.
+    #[test]
+    fn a_checkpoint_naming_an_id_past_max_entities_is_an_error_not_a_frame() {
+        let last = StructuralState::from_entities([EntityId(MAX_ENTITIES - 1)]);
+        let past = StructuralState::from_entities([EntityId(MAX_ENTITIES)]);
+        let mut buf = Vec::new();
+        encode_checkpoint(&mut buf, 0, 0, &last, &[]).unwrap();
+        assert!(matches!(decode_frame(&buf), FrameOutcome::Record(_, [])));
+        let len = buf.len();
+        assert!(matches!(
+            encode_checkpoint(&mut buf, 0, 0, &past, &[]),
+            Err(WalError::OversizeCheckpoint(_))
         ));
         assert_eq!(buf.len(), len, "a refused checkpoint writes nothing");
     }
@@ -596,16 +663,29 @@ mod tests {
             );
         }
 
-        // An entity id at bit 31, past the bound any run names: as a
-        // checkpoint's state entry (written by hand — the state would
-        // take 256 MiB to build) and as an `Insert` step.
+        // A state past the bound any run names, written by hand: a word
+        // count of 2^25 (an id near bit 31) and a bitset with a trailing
+        // zero word, which no state has. Both are refused before any word
+        // is read into a state.
+        let checkpoint_with = |count: u32, words: &[u64]| {
+            let mut payload = vec![KIND_CHECKPOINT];
+            put_u64(&mut payload, 3);
+            put_u64(&mut payload, 1);
+            put_u32(&mut payload, count);
+            for &w in words {
+                put_u64(&mut payload, w);
+            }
+            put_u32(&mut payload, 0);
+            payload
+        };
+        let far_state = checkpoint_with(1 << 25, &[1]);
+        let zero_tail = checkpoint_with(2, &[0x208, 0]);
+        assert!(matches!(
+            decode_frame(&framed(&checkpoint_with(2, &[0x208, 1]))),
+            FrameOutcome::Record(..)
+        ));
+        // An entity id at bit 31 as an `Insert` step.
         let far = 1 << 31;
-        let mut far_state = vec![KIND_CHECKPOINT];
-        put_u64(&mut far_state, 3);
-        put_u64(&mut far_state, 1);
-        put_u32(&mut far_state, 1);
-        put_u32(&mut far_state, far);
-        put_u32(&mut far_state, 0);
         let mut far_insert = Vec::new();
         encode_frame(
             &mut far_insert,
@@ -614,7 +694,7 @@ mod tests {
                 ScheduledStep::new(TxId(1), Step::insert(EntityId(far))),
             )]),
         );
-        for payload in [far_state, far_insert.split_off(8)] {
+        for payload in [far_state, zero_tail, far_insert.split_off(8)] {
             assert_eq!(
                 decode_frame(&framed(&payload)),
                 FrameOutcome::Torn(TornReason::BadPayload)

@@ -64,9 +64,11 @@ pub enum WalError {
     /// [`Wal::create`] was given a store that already holds segments; a
     /// log is created exactly once per run (recover from it instead).
     LogNotEmpty,
-    /// The checkpoint replica outgrew one frame: its payload would be
-    /// this many bytes, past [`frame::MAX_FRAME_BYTES`], and recovery
-    /// refuses such a frame — so it is not written and logging stops.
+    /// The checkpoint replica is one recovery would refuse: its payload
+    /// would be this many bytes, past [`frame::MAX_FRAME_BYTES`], or its
+    /// state names an entity id at or above
+    /// [`MAX_ENTITIES`](slp_core::MAX_ENTITIES) — so it is not written
+    /// and logging stops.
     OversizeCheckpoint(usize),
     /// A step's stamp lies this far past the watermark — further than
     /// any run's out-of-order overhang, so the stamps are not the dense

@@ -18,12 +18,15 @@
 //!
 //! The log maintains its own replica of the replayed state. Stamps are
 //! dense and unique, but workers append out of stamp order, so steps at
-//! or above the contiguous watermark wait in a dense window indexed by
-//! `stamp − watermark`; once the watermark advances past them they are
+//! or above the contiguous watermark wait in a ring indexed by
+//! `stamp & (len − 1)`; once the watermark advances past them they are
 //! folded into an in-log [`StructuralState`] + held-locks replica. When
 //! [`WalConfig::checkpoint_every`] steps have been folded since the last
 //! checkpoint, the log emits a [`Checkpoint`](crate::Checkpoint) record
-//! by itself — callers never compute checkpoint state.
+//! by itself — callers never compute checkpoint state. The checkpoint
+//! carries the state as its bitset, so the work under the mutex is the
+//! attempt's bytes, its slot stores and the fold of what became
+//! contiguous, plus now and then a frame of a few hundred bytes.
 //!
 //! Any error marks the log failed: every later call returns
 //! [`WalError::Crashed`] without touching the store, and the runtime
@@ -78,8 +81,9 @@ pub struct WalConfig {
     /// the segments anchored by the newest `n` checkpoints and remove
     /// everything older (the log-size bound for long runs). `0` — the
     /// default — never removes anything. With `n ≥ 1` recovery from
-    /// any retained checkpoint still works: segments at or after the
-    /// oldest retained checkpoint's segment are never touched.
+    /// any retained checkpoint still works: only a prefix of segments
+    /// goes, none at or after the oldest retained checkpoint's segment
+    /// and none holding a step at or above its watermark.
     pub keep_checkpoints: usize,
 }
 
@@ -128,17 +132,23 @@ pub struct WalSummary {
 }
 
 /// The out-of-order overhang: appended steps at or above the contiguous
-/// watermark, slot `i` holding stamp `base + i`.
+/// watermark, in a ring whose slot `stamp & (len − 1)` holds `stamp`.
 ///
 /// Workers hand their attempts over after dropping their locks, so the
 /// byte order of batches across workers is arbitrary even though stamps
 /// are dense and unique. The watermark (`base`) is the first stamp not
 /// yet seen: everything below it is in the log with no gaps, and has been
-/// folded, in stamp order, by [`admit`](Window::admit).
+/// folded, in stamp order, by [`admit`](Window::admit). Every held stamp
+/// lies in `base..base + len`, so no two share a slot; `len` is zero or a
+/// power of two, and grows to the next power of two past an overhang
+/// that reaches it, re-placing what is held. Admitting a step is one
+/// slot store, and folding walks the slots from `base` while they are
+/// occupied: outside a growth, an append costs its own steps and the
+/// ones it makes contiguous, never the width of the ring.
 #[derive(Default)]
 struct Window {
     base: u64,
-    slots: VecDeque<Option<ScheduledStep>>,
+    slots: Vec<Option<ScheduledStep>>,
     /// Occupied slots.
     held: usize,
 }
@@ -160,23 +170,43 @@ impl Window {
             if ahead >= MAX_WINDOW {
                 return Err(WalError::StampGap(ahead));
             }
-            let slot = ahead as usize;
-            if slot >= self.slots.len() {
-                self.slots.resize(slot + 1, None);
+            if ahead >= self.slots.len() as u64 {
+                self.grow(ahead as usize + 1);
             }
+            let slot = self.slot(stamp);
             if self.slots[slot].replace(step).is_none() {
                 self.held += 1;
             }
         }
         let before = self.base;
-        while let Some(Some(step)) = self.slots.front() {
-            fold(step);
-            self.slots.pop_front();
+        while self.held > 0 {
+            let slot = self.slot(self.base);
+            let Some(step) = self.slots[slot].take() else {
+                break;
+            };
+            fold(&step);
             self.base += 1;
+            self.held -= 1;
         }
-        let folded = self.base - before;
-        self.held -= folded as usize;
-        Ok(folded)
+        Ok(self.base - before)
+    }
+
+    /// The ring slot of `stamp`; the ring is not empty.
+    fn slot(&self, stamp: u64) -> usize {
+        (stamp & (self.slots.len() as u64 - 1)) as usize
+    }
+
+    /// Widens the ring to hold `base..base + need`, moving each held step
+    /// to its slot in the wider ring.
+    fn grow(&mut self, need: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![None; need.next_power_of_two()]);
+        let old_len = old.len() as u64;
+        for stamp in self.base..self.base + old_len {
+            if let Some(step) = old[(stamp & (old_len - 1)) as usize] {
+                let slot = self.slot(stamp);
+                self.slots[slot] = Some(step);
+            }
+        }
     }
 }
 
@@ -196,10 +226,15 @@ struct WalCore {
     /// Commit records durable at the current watermark.
     durable_commits: u64,
     steps_since_checkpoint: u64,
-    /// Segments holding the newest checkpoints, oldest first (bounded to
-    /// [`WalConfig::keep_checkpoints`] when retention is on; the
-    /// retention boundary is the front).
-    checkpoint_segments: VecDeque<u64>,
+    /// The newest checkpoints as (segment holding it, its watermark),
+    /// oldest first (bounded to [`WalConfig::keep_checkpoints`] when
+    /// retention is on; the retention anchor is the front).
+    checkpoint_segments: VecDeque<(u64, u64)>,
+    /// The segments in the store, oldest first, each with one past the
+    /// largest stamp its frames name (a step's stamp, a commit's last
+    /// step): recovery from a checkpoint at watermark `w` needs every
+    /// segment whose reach is above `w`.
+    live_segments: VecDeque<(u64, u64)>,
     /// The checkpoint frame's encode buffer, reused.
     scratch: Vec<u8>,
     stats: WalSummary,
@@ -237,6 +272,7 @@ impl Wal {
             durable_commits: 0,
             steps_since_checkpoint: 0,
             checkpoint_segments: VecDeque::new(),
+            live_segments: VecDeque::from([(0, 0)]),
             scratch: Vec::new(),
             stats: WalSummary::default(),
         };
@@ -376,6 +412,14 @@ impl WalCore {
         steps: &[(u64, ScheduledStep)],
         commit: Option<(TxId, u64)>,
     ) -> Result<(), WalError> {
+        let reach = steps
+            .iter()
+            .map(|&(stamp, _)| stamp.saturating_add(1))
+            .chain(commit.map(|(_, required)| required))
+            .max()
+            .unwrap_or(0);
+        let current = self.live_segments.back_mut().expect("a segment is open");
+        current.1 = current.1.max(reach);
         self.append_bytes(bytes, frames)?;
         let (state, locks) = (&mut self.state, &mut self.locks);
         self.steps_since_checkpoint += self
@@ -408,6 +452,7 @@ impl WalCore {
         self.sync()?;
         self.current_segment += 1;
         self.store.open_segment(self.current_segment)?;
+        self.live_segments.push_back((self.current_segment, 0));
         self.stats.segments += 1;
         self.store.append(SEGMENT_MAGIC)?;
         self.current_len = SEGMENT_MAGIC.len();
@@ -470,15 +515,17 @@ impl WalCore {
         self.stats.checkpoints += 1;
         self.steps_since_checkpoint = 0;
         self.checkpoint_segments
-            .push_back(segment_holding_checkpoint);
+            .push_back((segment_holding_checkpoint, self.window.base));
         self.retain()
     }
 
     /// Automatic retention ([`WalConfig::keep_checkpoints`]): forget
-    /// checkpoint anchors beyond the newest `n` and remove every segment
-    /// wholly before the oldest retained one. Consecutive checkpoints can
-    /// share a segment, so the boundary only advances when the oldest
-    /// retained anchor moves to a later segment.
+    /// checkpoint anchors beyond the newest `n`, then remove the oldest
+    /// segments while each lies before the oldest retained anchor's
+    /// segment and names no stamp at or above its watermark — a step that
+    /// arrived out of order, ahead of that checkpoint, is still needed to
+    /// replay past it. Only a prefix goes: recovery reads the segments as
+    /// one sequence, and a hole ends it.
     fn retain(&mut self) -> Result<(), WalError> {
         let keep = self.config.keep_checkpoints;
         if keep == 0 {
@@ -487,14 +534,16 @@ impl WalCore {
         while self.checkpoint_segments.len() > keep {
             self.checkpoint_segments.pop_front();
         }
-        let boundary = *self
+        let &(anchor, watermark) = self
             .checkpoint_segments
             .front()
             .expect("a checkpoint was just pushed");
-        for index in self.store.list()? {
-            if index < boundary {
-                self.store.remove(index)?;
+        while let Some(&(index, reach)) = self.live_segments.front() {
+            if index >= anchor || reach > watermark {
+                break;
             }
+            self.store.remove(index)?;
+            self.live_segments.pop_front();
         }
         Ok(())
     }
@@ -507,11 +556,11 @@ mod tests {
     use crate::store::{FaultyStore, MemStore, SharedMemStore};
     use crate::{recover, RecoveryMode};
     use proptest::test_runner::TestRng;
-    use slp_core::Step;
+    use slp_core::{Step, MAX_ENTITIES};
     use std::collections::BTreeMap;
 
     /// The log's first watermark tracker — a min-heap of the stamps seen
-    /// at or above the watermark — kept as the oracle the dense
+    /// at or above the watermark — kept as the oracle the ring
     /// [`Window`] is checked against. One repair: it used to pop only a
     /// top *equal* to the watermark, so a stamp recorded twice sat on top
     /// of the heap for good and the watermark never moved again.
@@ -903,6 +952,62 @@ mod tests {
         assert!(segment_has_checkpoint(&store, remaining[0]));
     }
 
+    /// Retention must not remove a segment holding steps that arrived
+    /// ahead of the anchor checkpoint's watermark: stamps 10–13 land in
+    /// a segment older than the checkpoint at watermark 8, and recovering
+    /// from that checkpoint needs them to reach T2's commit.
+    #[test]
+    fn retention_keeps_steps_held_above_the_anchor_watermark() {
+        let handle = SharedMemStore::new();
+        let config = WalConfig {
+            segment_bytes: 96,
+            group_commit: 1,
+            checkpoint_every: 8,
+            ..WalConfig::default()
+        }
+        .retain_checkpoints(1);
+        let wal = Wal::create(Box::new(handle.clone()), config, &StructuralState::empty()).unwrap();
+        let insert = |stamp: u64| (stamp, step(1, Step::insert(e(stamp as u32))));
+        for stamp in 0..4 {
+            wal.append_steps(&[insert(stamp)]).unwrap();
+        }
+        let ahead: Vec<_> = (10..14).map(insert).collect();
+        wal.append_steps(&ahead).unwrap();
+        for stamp in 4..10 {
+            wal.append_steps(&[insert(stamp)]).unwrap();
+        }
+        wal.append_commit(t(2), 14).unwrap();
+        wal.flush().unwrap();
+        assert_eq!(wal.watermark(), 14);
+
+        let store = handle.snapshot();
+        let r = recover(&store, RecoveryMode::Newest).unwrap();
+        assert_eq!((r.base_stamp, r.watermark), (8, 14));
+        assert_eq!(r.committed, vec![t(2)]);
+        let segments = store.list().unwrap();
+        assert!(segments[0] > 0, "retention removed a segment");
+        let holding = |wanted: &dyn Fn(&Record) -> bool| {
+            segments
+                .iter()
+                .copied()
+                .find(|&index| {
+                    let data = store.read(index).unwrap();
+                    let mut rest = &data[8..];
+                    while let FrameOutcome::Record(r, tail) = decode_frame(rest) {
+                        if wanted(&r) {
+                            return true;
+                        }
+                        rest = tail;
+                    }
+                    false
+                })
+                .expect("a segment holds it")
+        };
+        let ahead_segment = holding(&|r| matches!(r, Record::Steps(s) if s[0].0 == 10));
+        let anchor = holding(&|r| matches!(r, Record::Checkpoint(c) if c.watermark == 8));
+        assert!(ahead_segment < anchor, "the case is not vacuous");
+    }
+
     fn segment_has_checkpoint(store: &MemStore, index: u64) -> bool {
         let data = store.read(index).unwrap();
         let mut rest = &data[8..];
@@ -1000,7 +1105,7 @@ mod tests {
         batches
     }
 
-    /// The dense window against the heap-and-`BTreeMap` tracker it
+    /// The ring window against the heap-and-`BTreeMap` tracker it
     /// replaced, from a zero and a checkpoint-like non-zero base: after
     /// every batch the same watermark, the same steps folded in the same
     /// order, the same number still held.
@@ -1031,7 +1136,8 @@ mod tests {
                 assert_eq!(window.held, oracle.retained.len(), "{ctx}");
             }
             assert_eq!(window.base, base + n, "case {case}: every stamp arrived");
-            assert!(window.slots.is_empty() && window.held == 0);
+            assert_eq!(window.held, 0);
+            assert!(window.slots.iter().all(Option::is_none));
         }
     }
 
@@ -1109,20 +1215,19 @@ mod tests {
 
     #[test]
     fn an_oversize_checkpoint_is_a_typed_latched_error_and_the_log_still_recovers() {
-        // 262 000 entities fit one checkpoint frame; a few hundred more
-        // do not (see `frame::encode_checkpoint`).
-        let g0 = StructuralState::from_entities((0..262_000).map(EntityId));
+        // 116 000 lock entries fit one checkpoint frame; 117 000 do not
+        // (see `frame::encode_checkpoint`).
         let handle = SharedMemStore::new();
         let config = WalConfig {
             checkpoint_every: 64,
             ..WalConfig::default()
         };
-        let wal = Wal::create(Box::new(handle.clone()), config, &g0).unwrap();
-        let inserts: Vec<(u64, ScheduledStep)> = (0..400u64)
-            .map(|i| (i, step(1, Step::insert(e(300_000 + i as u32)))))
+        let wal = Wal::create(Box::new(handle.clone()), config, &StructuralState::empty()).unwrap();
+        let locks: Vec<(u64, ScheduledStep)> = (0..117_000u64)
+            .map(|i| (i, step(1, Step::lock_exclusive(e(i as u32)))))
             .collect();
         assert!(matches!(
-            wal.append_steps(&inserts),
+            wal.append_steps(&locks),
             Err(WalError::OversizeCheckpoint(_))
         ));
         assert!(wal.is_failed() && wal.summary().failed);
@@ -1131,13 +1236,83 @@ mod tests {
         // The steps went in before the checkpoint was refused, and no
         // unreadable frame followed them.
         let r = recover(&handle.snapshot(), RecoveryMode::Oldest).unwrap();
-        assert_eq!((r.truncation, r.watermark), (None, 400));
+        assert_eq!((r.truncation, r.watermark), (None, 117_000));
+        assert_eq!(r.locks.len(), 117_000);
 
-        let too_big = StructuralState::from_entities((0..263_000).map(EntityId));
+        let past = StructuralState::from_entities([EntityId(MAX_ENTITIES)]);
         assert!(matches!(
-            Wal::create(Box::new(MemStore::new()), WalConfig::default(), &too_big),
+            Wal::create(Box::new(MemStore::new()), WalConfig::default(), &past),
             Err(WalError::OversizeCheckpoint(_))
         ));
+    }
+
+    /// The log never writes a checkpoint its decoder refuses: a state
+    /// naming an id at or above `MAX_ENTITIES` is a typed error, at
+    /// creation and when an automatic checkpoint would name it — not a
+    /// log that recovers to `NoCheckpoint`.
+    #[test]
+    fn a_state_naming_an_id_past_max_entities_is_never_checkpointed() {
+        let handle = SharedMemStore::new();
+        let g0 = StructuralState::from_entities([e(1), e(MAX_ENTITIES)]);
+        assert!(matches!(
+            Wal::create(Box::new(handle.clone()), WalConfig::default(), &g0),
+            Err(WalError::OversizeCheckpoint(_))
+        ));
+        assert_eq!(
+            recover(&handle.snapshot(), RecoveryMode::Newest).err(),
+            Some(crate::RecoverError::NoCheckpoint),
+            "a refused base checkpoint leaves no log to recover"
+        );
+
+        let config = WalConfig {
+            checkpoint_every: 1,
+            ..WalConfig::default()
+        };
+        let wal =
+            Wal::create(Box::new(MemStore::new()), config, &StructuralState::empty()).unwrap();
+        let last = MAX_ENTITIES - 1;
+        wal.append_steps(&[(0, step(1, Step::insert(e(last))))])
+            .unwrap();
+        assert!(matches!(
+            wal.append_steps(&[(1, step(1, Step::insert(e(last + 1))))]),
+            Err(WalError::OversizeCheckpoint(_))
+        ));
+        assert!(wal.is_failed());
+    }
+
+    /// A ring that grows while its held steps straddle the wrap point:
+    /// from base 6 in a ring of 4, stamps 7 and 9 sit in slots 3 and 1;
+    /// stamp 20 needs a ring of 16, and the held steps move to slots 7
+    /// and 9 before the gap closes and everything folds in stamp order.
+    #[test]
+    fn the_ring_grows_with_held_steps_straddling_its_wrap_point() {
+        let read = |stamp: u64| (stamp, step(stamp as u32, Step::read(e(0))));
+        let mut window = Window {
+            base: 6,
+            ..Window::default()
+        };
+        let mut folded = Vec::new();
+        assert_eq!(
+            window.admit(&[read(7), read(9)], |s| folded.push(*s)),
+            Ok(0)
+        );
+        assert_eq!((window.slots.len(), window.held), (4, 2));
+        assert_eq!(window.slots[3], Some(read(7).1));
+        assert_eq!(window.slots[1], Some(read(9).1));
+        assert_eq!(window.admit(&[read(20)], |s| folded.push(*s)), Ok(0));
+        assert_eq!((window.slots.len(), window.held), (16, 3));
+        assert_eq!(window.slots[7], Some(read(7).1));
+        assert_eq!(window.slots[9], Some(read(9).1));
+        assert_eq!(window.slots[4], Some(read(20).1));
+        let rest: Vec<_> = [6, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+            .into_iter()
+            .map(read)
+            .collect();
+        assert_eq!(window.admit(&rest, |s| folded.push(*s)), Ok(15));
+        let expected: Vec<_> = (6..21).map(|stamp| read(stamp).1).collect();
+        assert_eq!(folded, expected);
+        assert_eq!((window.base, window.held), (21, 0));
+        assert!(window.slots.iter().all(Option::is_none));
     }
 
     #[test]

@@ -138,26 +138,36 @@ pub(crate) fn get_stamped_step(buf: &[u8]) -> Option<((u64, ScheduledStep), &[u8
     ))
 }
 
-/// Encodes a structural state as an id-sorted entity list (count + ids).
-/// The sorted order makes the encoding canonical: equal states encode to
-/// equal bytes, which is what lets recovery compare snapshots bitwise.
+/// Most words a state's bitset may have: one per 64 ids below
+/// [`MAX_ENTITIES`]. A state with more names an id no run names.
+pub(crate) const MAX_STATE_WORDS: usize = MAX_ENTITIES as usize / 64;
+
+/// Encodes a structural state as its bitset: the word count, then the
+/// words ([`StructuralState::words`]). The bitset is canonical, so equal
+/// states encode to equal bytes, which is what lets recovery compare
+/// snapshots bitwise. The caller bounds the count by [`MAX_STATE_WORDS`].
 pub(crate) fn put_state(out: &mut Vec<u8>, state: &StructuralState) {
-    put_u32(out, state.len() as u32);
-    for e in state.iter() {
-        put_u32(out, e.0);
+    let words = state.words();
+    put_u32(out, words.len() as u32);
+    for &word in words {
+        put_u64(out, word);
     }
 }
 
-/// Decodes a structural state.
+/// Decodes a structural state, refusing a word count past
+/// [`MAX_STATE_WORDS`] and a bitset no state has (a trailing zero word).
 pub(crate) fn get_state(buf: &[u8]) -> Option<(StructuralState, &[u8])> {
-    let (count, mut buf) = get_u32(buf)?;
-    let mut state = StructuralState::empty();
-    for _ in 0..count {
-        let (id, rest) = get_entity(buf)?;
-        state.insert(id);
-        buf = rest;
+    let (count, buf) = get_u32(buf)?;
+    let count = count as usize;
+    if count > MAX_STATE_WORDS {
+        return None;
     }
-    Some((state, buf))
+    let (body, rest) = buf.split_at_checked(count * 8)?;
+    let words = body
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")))
+        .collect();
+    Some((StructuralState::from_words(words)?, rest))
 }
 
 /// Encodes one lock-table entry ([`LOCK_ENTRY_BYTES`]).
@@ -318,6 +328,49 @@ mod tests {
         put_state(&mut empty, &StructuralState::empty());
         assert_eq!(empty, vec![0, 0, 0, 0]);
         assert_eq!(get_state(&empty).unwrap().0, StructuralState::empty());
+    }
+
+    /// Random states — empty, dense, and sparse with ids up to
+    /// `MAX_ENTITIES − 1` — round-trip at 4 + 8 bytes a word, and every
+    /// truncation of one decodes to `None`.
+    #[test]
+    fn random_states_round_trip_and_every_truncation_is_refused() {
+        let mut rng = proptest::test_runner::TestRng::deterministic("wire/state-codec");
+        let mut states = vec![
+            StructuralState::empty(),
+            StructuralState::from_entities((0..1024).map(e)),
+            StructuralState::from_entities([e(MAX_ENTITIES - 1)]),
+        ];
+        for _ in 0..40 {
+            let dense = (0..1 + rng.below(300)).map(|_| e(rng.below(512) as u32));
+            states.push(dense.collect());
+            let sparse = (0..rng.below(20)).map(|_| e(rng.below(MAX_ENTITIES as u64) as u32));
+            states.push(sparse.collect());
+        }
+        for state in states {
+            let mut out = Vec::new();
+            put_state(&mut out, &state);
+            assert_eq!(out.len(), 4 + 8 * state.words().len());
+            let (decoded, rest) = get_state(&out).unwrap();
+            assert_eq!(decoded, state);
+            assert!(rest.is_empty());
+            for cut in 0..out.len() {
+                assert!(get_state(&out[..cut]).is_none(), "{cut} of {}", out.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_state_past_the_bound_or_with_a_trailing_zero_word_is_refused() {
+        let mut past = Vec::new();
+        put_u32(&mut past, MAX_STATE_WORDS as u32 + 1);
+        past.resize(4 + 8 * (MAX_STATE_WORDS + 1), 0xff);
+        assert!(get_state(&past).is_none());
+        let mut zero_tail = Vec::new();
+        put_u32(&mut zero_tail, 2);
+        put_u64(&mut zero_tail, 1);
+        put_u64(&mut zero_tail, 0);
+        assert!(get_state(&zero_tail).is_none());
     }
 
     #[test]

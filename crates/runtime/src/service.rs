@@ -1106,7 +1106,11 @@ impl LockService {
             self.seq.fetch_add(n as u64, Ordering::Relaxed)
         });
         let tst = m.pipeline.status_table();
-        let mut reads = Vec::with_capacity(targets.len());
+        // Only the certifier reads the versioned reads.
+        let mut reads = self
+            .certifier
+            .is_some()
+            .then(|| Vec::with_capacity(targets.len()));
         for (i, &entity) in targets.iter().enumerate() {
             let obs = m.store.read(entity, &snap, tst, VisibilityRule::Correct);
             let stamp = snap.base_stamp + i as u64;
@@ -1114,19 +1118,21 @@ impl LockService {
                 stamp,
                 ScheduledStep::snapshot_read(tx, entity, obs.observed),
             ));
-            reads.push(VersionedRead {
-                stamp,
-                tx,
-                entity,
-                observed: obs.observed,
-                pivot: obs.pivot,
-            });
+            if let Some(reads) = &mut reads {
+                reads.push(VersionedRead {
+                    stamp,
+                    tx,
+                    entity,
+                    observed: obs.observed,
+                    pivot: obs.pivot,
+                });
+            }
         }
         rec.tally.snapshot_reads += targets.len() as u64;
         // Reader steps are logged (the recovered trace must stay dense)
         // but a read-only transaction needs no commit record.
         self.log(rec, None);
-        !self.certify_strict(tx, &rec.steps, Some(&reads), false)
+        !self.certify_strict(tx, &rec.steps, reads.as_deref(), false)
     }
 
     /// How many stamps the run has drawn: the number of steps its workers
