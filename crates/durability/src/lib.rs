@@ -70,6 +70,11 @@ pub enum WalError {
     /// [`MAX_ENTITIES`](slp_core::MAX_ENTITIES) — so it is not written
     /// and logging stops.
     OversizeCheckpoint(usize),
+    /// An appended step names this entity, at or above
+    /// [`MAX_ENTITIES`](slp_core::MAX_ENTITIES): recovery would refuse
+    /// its frame and stop there, so the batch is not written and logging
+    /// stops.
+    EntityOutOfRange(slp_core::EntityId),
     /// A step's stamp lies this far past the watermark — further than
     /// any run's out-of-order overhang, so the stamps are not the dense
     /// sequence the log is a replica of.
@@ -85,6 +90,7 @@ impl fmt::Display for WalError {
             WalError::OversizeCheckpoint(bytes) => {
                 write!(f, "checkpoint of {bytes} bytes exceeds one frame")
             }
+            WalError::EntityOutOfRange(e) => write!(f, "step names {e}, past MAX_ENTITIES"),
             WalError::StampGap(gap) => write!(f, "stamp {gap} past the watermark: not dense"),
         }
     }

@@ -36,7 +36,7 @@ use crate::frame::{encode_checkpoint, encode_commit, encode_steps};
 use crate::recover::replay_step;
 use crate::store::Store;
 use crate::{WalError, SEGMENT_MAGIC};
-use slp_core::{EntityId, LockMode, ScheduledStep, StructuralState, TxId};
+use slp_core::{EntityId, LockMode, ScheduledStep, StructuralState, TxId, MAX_ENTITIES};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -318,7 +318,9 @@ impl Wal {
     /// checksums are done into it before the log's mutex is taken.
     /// Newly contiguous steps are folded into the checkpoint replica and
     /// an automatic checkpoint is written when one is due. Nothing to
-    /// hand over is not a call on the log at all.
+    /// hand over is not a call on the log at all; a step naming an entity
+    /// the decoder refuses fails the log before anything is written
+    /// ([`WalError::EntityOutOfRange`]).
     pub fn append_attempt(
         &self,
         buf: &mut Vec<u8>,
@@ -330,6 +332,10 @@ impl Wal {
         }
         if self.is_failed() {
             return Err(WalError::Crashed);
+        }
+        if let Some((_, s)) = steps.iter().find(|(_, s)| s.step.entity.0 >= MAX_ENTITIES) {
+            self.failed.store(true, Ordering::Relaxed);
+            return Err(WalError::EntityOutOfRange(s.step.entity));
         }
         buf.clear();
         let mut frames = encode_steps(buf, steps);
@@ -1275,9 +1281,37 @@ mod tests {
             .unwrap();
         assert!(matches!(
             wal.append_steps(&[(1, step(1, Step::insert(e(last + 1))))]),
-            Err(WalError::OversizeCheckpoint(_))
+            Err(WalError::EntityOutOfRange(_))
         ));
         assert!(wal.is_failed());
+    }
+
+    /// The log never writes a step frame its decoder refuses: a batch
+    /// naming an entity id at or above `MAX_ENTITIES` is a typed, latched
+    /// error and writes nothing, so what recovers is exactly what the
+    /// log's watermark says it holds.
+    #[test]
+    fn a_step_naming_an_id_past_max_entities_is_refused_whole() {
+        let handle = SharedMemStore::new();
+        let wal = Wal::create(
+            Box::new(handle.clone()),
+            WalConfig::default(),
+            &StructuralState::empty(),
+        )
+        .unwrap();
+        let batch = [
+            (0, step(1, Step::read(e(0)))),
+            (1, step(1, Step::lock_exclusive(e(MAX_ENTITIES)))),
+            (2, step(1, Step::read(e(0)))),
+        ];
+        assert_eq!(
+            wal.append_steps(&batch),
+            Err(WalError::EntityOutOfRange(e(MAX_ENTITIES)))
+        );
+        assert_eq!(wal.flush(), Err(WalError::Crashed));
+        assert!(wal.summary().failed);
+        let r = recover(&handle.snapshot(), RecoveryMode::Oldest).unwrap();
+        assert_eq!((r.truncation, r.watermark), (None, wal.watermark()));
     }
 
     /// A ring that grows while its held steps straddle the wrap point:

@@ -16,7 +16,7 @@ use crate::api::PolicyEngine;
 use crate::ddag::{DdagConfig, DdagEngine};
 use crate::dtr::DtrEngine;
 use crate::two_phase::TwoPhaseEngine;
-use slp_core::{EntityId, Universe};
+use slp_core::{EntityId, Universe, MAX_ENTITIES};
 use slp_graph::DiGraph;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -171,6 +171,10 @@ pub enum RegistryError {
     UnknownPolicy(String),
     /// The kind needs an initial DAG but [`PolicyConfig::dag`] is `None`.
     NeedsGraph(PolicyKind),
+    /// [`PolicyConfig::pool`] names this entity, at or above
+    /// [`MAX_ENTITIES`]: past what any table sized by entity ids (a run's
+    /// lock words, its MVCC spines, the log's decoder) holds.
+    EntityOutOfRange(EntityId),
 }
 
 impl fmt::Display for RegistryError {
@@ -179,6 +183,12 @@ impl fmt::Display for RegistryError {
             RegistryError::UnknownPolicy(name) => write!(f, "unknown policy {name:?}"),
             RegistryError::NeedsGraph(kind) => {
                 write!(f, "policy {kind} needs an initial DAG in PolicyConfig::dag")
+            }
+            RegistryError::EntityOutOfRange(e) => {
+                write!(
+                    f,
+                    "pool entity {e} is at or above MAX_ENTITIES ({MAX_ENTITIES})"
+                )
             }
         }
     }
@@ -226,12 +236,14 @@ impl PolicyRegistry {
         self.custom.insert(name.into(), Box::new(builder));
     }
 
-    /// Builds an engine for a builtin kind.
+    /// Builds an engine for a builtin kind. A pool entity at or above
+    /// [`MAX_ENTITIES`] is refused.
     pub fn build(
         &self,
         kind: PolicyKind,
         config: &PolicyConfig,
     ) -> Result<Box<dyn PolicyEngine>, RegistryError> {
+        check_pool(config)?;
         let dag = |cfg: &PolicyConfig| cfg.dag.clone().ok_or(RegistryError::NeedsGraph(kind));
         Ok(match kind {
             PolicyKind::TwoPhase => Box::new(TwoPhaseEngine::new()),
@@ -264,12 +276,14 @@ impl PolicyRegistry {
     }
 
     /// Builds an engine by name: custom builders take precedence, then
-    /// builtin kinds (case-insensitive).
+    /// builtin kinds (case-insensitive). A pool entity at or above
+    /// [`MAX_ENTITIES`] is refused before any builder runs.
     pub fn build_named(
         &self,
         name: &str,
         config: &PolicyConfig,
     ) -> Result<Box<dyn PolicyEngine>, RegistryError> {
+        check_pool(config)?;
         if let Some(builder) = self.custom.get(name) {
             return builder(config);
         }
@@ -277,6 +291,14 @@ impl PolicyRegistry {
             Some(kind) => self.build(kind, config),
             None => Err(RegistryError::UnknownPolicy(name.to_owned())),
         }
+    }
+}
+
+/// Refuses a pool naming an entity at or above [`MAX_ENTITIES`].
+fn check_pool(config: &PolicyConfig) -> Result<(), RegistryError> {
+    match config.pool.iter().find(|e| e.0 >= MAX_ENTITIES) {
+        Some(&e) => Err(RegistryError::EntityOutOfRange(e)),
+        None => Ok(()),
     }
 }
 
@@ -348,6 +370,20 @@ mod tests {
             .unwrap();
         assert_eq!(err, RegistryError::NeedsGraph(PolicyKind::Ddag));
         assert!(err.to_string().contains("DDAG"));
+    }
+
+    /// A pool is bounded by `MAX_ENTITIES`, checked before any engine or
+    /// table is built: the last id in range is accepted, the first past
+    /// it refused, by kind and by name.
+    #[test]
+    fn pool_ids_at_or_above_max_entities_are_rejected() {
+        let registry = PolicyRegistry::new();
+        let last = PolicyConfig::flat(vec![EntityId(0), EntityId(MAX_ENTITIES - 1)]);
+        assert!(registry.build(PolicyKind::TwoPhase, &last).is_ok());
+        let past = PolicyConfig::flat(vec![EntityId(0), EntityId(MAX_ENTITIES)]);
+        let refused = Some(RegistryError::EntityOutOfRange(EntityId(MAX_ENTITIES)));
+        assert_eq!(registry.build(PolicyKind::TwoPhase, &past).err(), refused);
+        assert_eq!(registry.build_named("2PL", &past).err(), refused);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!
 //! "Fast path" names a *kind of run*, not a second API: this module holds
 //! only the data structures. A run with a word table is a word run: the
-//! service's one entry point (`LockService::advance`) takes the
-//! entity's word for every `Lock` through one acquire routine, the word
-//! is the whole decision, and the engine is never asked for a lock. A
-//! run without one is an engine run and never touches a word.
+//! service's one grant path (`LockService::poll`, through its private
+//! `advance`) takes the entity's word for every `Lock` through one
+//! acquire routine, the word is the whole decision, and the engine is
+//! never asked for a lock. A run without one is an engine run and never
+//! touches a word.
 //!
 //! # The lock word
 //!

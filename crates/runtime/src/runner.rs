@@ -1,25 +1,26 @@
 //! The runtime proper: worker threads draining a job queue through the
 //! sharded lock service (`service.rs`).
 //!
-//! Each worker claims jobs off one atomic cursor, plans them with its own
-//! (thread-local) [`ActionPlanner`], and advances the plan through the
-//! service until the attempt is over or must wait. Conflicts park on the contended entity's stripe;
-//! waits-for cycles abort the requester that closed the cycle (the
-//! simulator's victim rule) and restart the job as a fresh transaction
-//! after a growing backoff; policy violations abort and are classified by
-//! [`PolicyViolation::is_fatal`], as in the simulator — fatal violations
-//! drop the job, transient ones restart it. A wall-clock guard bounds
-//! mutant livelocks.
+//! A worker is a thread driver. It claims a job, starts an attempt with
+//! its own (thread-local) [`ActionPlanner`], and polls the attempt: it
+//! yields when the service says yield, parks on the contended entity's
+//! stripe when it says park, and seals the attempt's steps into its trace
+//! when it is over. The service decides the rest — the waits-for victim
+//! rule (the simulator's), the fatal/transient split of a violation
+//! ([`slp_policies::PolicyViolation::is_fatal`]), the wall-clock guard
+//! that bounds mutant livelocks, and every tally. An aborted job restarts
+//! as a fresh transaction after a growing backoff; a dropped or abandoned
+//! one is done.
 
 use crate::report::{Certification, LatencySummary, RuntimeReport};
 use crate::scheduler::{SchedMode, WaveDispatch, WavePlan};
-use crate::service::{Grant, LockService, MvccState, Progress, Recorder, Tally};
+use crate::service::{AttemptEnd, Grant, LockService, MvccState, Poll, Recorder, Tally};
 use crate::trace::TraceRun;
 use slp_core::{Schedule, SequenceError, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
 use slp_policies::{
     initial_state, planner_for, ActionPlanner, GrantScope, Job, PolicyConfig, PolicyEngine,
-    PolicyKind, PolicyRegistry, PolicyViolation, RegistryError,
+    PolicyKind, PolicyRegistry, RegistryError,
 };
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -300,39 +301,28 @@ impl Runtime {
         // set, so waves are genuinely conflict-free.
         let wave_plan = (config.scheduler != SchedMode::Off)
             .then(|| WavePlan::build(jobs, (self.planner_factory)(0).as_ref()));
-        let dispatch = wave_plan.as_ref().map(|plan| {
+        let waves = wave_plan.as_ref().map(|plan| {
             let serial =
                 config.scheduler == SchedMode::Deterministic && scope == GrantScope::Global;
             WaveDispatch::new(plan.waves.clone(), serial)
         });
-        // Deterministic mode derives transaction ids from the admission
-        // index instead of the racing shared counter: attempt `a` of job
-        // `i` is `1 + i + a·|jobs|`, unique and worker-count-independent.
-        let det_jobs = (config.scheduler == SchedMode::Deterministic).then_some(jobs.len() as u32);
-        let next_job = AtomicUsize::new(0);
-        let next_tx = AtomicU32::new(1);
         let start = Instant::now();
-        let deadline = start + config.max_wall;
         let workers = config.workers.max(1);
-
+        let run = Run {
+            service: &service,
+            jobs,
+            config,
+            deadline: start + config.max_wall,
+            planners: &self.planner_factory,
+            cursor: AtomicUsize::new(0),
+            waves,
+            next_tx: AtomicU32::new(1),
+            det_jobs: (config.scheduler == SchedMode::Deterministic).then_some(jobs.len() as u32),
+        };
         let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
+            let run = &run;
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let service = &service;
-                    let source = JobSource {
-                        cursor: &next_job,
-                        waves: dispatch.as_ref(),
-                        total: jobs.len(),
-                    };
-                    let txs = TxSource {
-                        shared: &next_tx,
-                        det_jobs,
-                    };
-                    let factory = Arc::clone(&self.planner_factory);
-                    scope.spawn(move || {
-                        worker_loop(w, service, jobs, source, txs, config, deadline, factory)
-                    })
-                })
+                .map(|w| scope.spawn(move || worker_loop(run, w)))
                 .collect();
             handles
                 .into_iter()
@@ -383,7 +373,7 @@ impl Runtime {
             service.stamps_drawn(),
             "every step a worker recorded must reach the schedule"
         );
-        if let Some(n) = det_jobs.filter(|&n| n > 0) {
+        if let Some(n) = run.det_jobs.filter(|&n| n > 0) {
             // Deterministic renumbering: regroup the trace per job in
             // admission order (the deterministic tx ids encode the job
             // index), each job's steps staying in stamp order — the sort
@@ -450,98 +440,85 @@ struct WorkerOutput {
     tally: Tally,
 }
 
-/// How one attempt ended (the worker decides what happens to the job).
-enum AttemptEnd {
-    Committed,
-    Retry,
-    Dropped,
-    Abandoned,
+/// What every worker of one run borrows: the service, the jobs and how
+/// they are claimed, how transaction ids are minted, and the run's
+/// config, deadline and planners.
+struct Run<'a> {
+    service: &'a LockService,
+    jobs: &'a [Job],
+    config: &'a RuntimeConfig,
+    deadline: Instant,
+    planners: &'a PlannerFactory,
+    /// The next unclaimed job, when no wave dispatcher hands them out.
+    cursor: AtomicUsize,
+    /// The wave dispatcher, which blocks claimers at wave fences.
+    waves: Option<WaveDispatch>,
+    /// The racing shared transaction counter.
+    next_tx: AtomicU32,
+    /// `Some(|jobs|)` in deterministic mode, where a transaction id is a
+    /// function of the admission index, so ids (and the renumbered
+    /// trace) are worker-count-independent.
+    det_jobs: Option<u32>,
 }
 
-/// Where a worker claims its next job: the shared atomic cursor (the
-/// unscheduled default) or the wave dispatcher, which blocks claimers at
-/// wave fences.
-#[derive(Clone, Copy)]
-struct JobSource<'a> {
-    cursor: &'a AtomicUsize,
-    waves: Option<&'a WaveDispatch>,
-    total: usize,
-}
-
-impl JobSource<'_> {
+impl Run<'_> {
+    /// The index of the next job to run, `None` once all are claimed.
     fn claim(&self) -> Option<usize> {
-        match self.waves {
+        match &self.waves {
             Some(dispatch) => dispatch.claim(),
             None => {
                 let ji = self.cursor.fetch_add(1, Ordering::Relaxed);
-                (ji < self.total).then_some(ji)
+                (ji < self.jobs.len()).then_some(ji)
             }
         }
     }
 
+    /// Counts a claimed job done, whatever its outcome (the wave fence).
     fn complete(&self) {
-        if let Some(dispatch) = self.waves {
+        if let Some(dispatch) = &self.waves {
             dispatch.complete();
         }
     }
-}
 
-/// How a worker mints transaction ids: the racing shared counter, or —
-/// in deterministic mode — a pure function of the admission index, so
-/// ids (and thus the renumbered trace) are worker-count-independent.
-#[derive(Clone, Copy)]
-struct TxSource<'a> {
-    shared: &'a AtomicU32,
-    /// `Some(|jobs|)` in deterministic mode.
-    det_jobs: Option<u32>,
-}
-
-impl TxSource<'_> {
-    /// The id for attempt `attempt` (1-based) of job `ji`.
+    /// The id for attempt `attempt` (1-based) of job `ji`: in
+    /// deterministic mode `1 + ji + (attempt − 1)·|jobs|`, unique across
+    /// (job, attempt) pairs and never drawn from the shared counter.
     fn mint(&self, ji: usize, attempt: u32) -> TxId {
         match self.det_jobs {
-            // Unique across (job, attempt) pairs; collision with the
-            // shared counter is impossible because deterministic runs
-            // never touch it.
             Some(n) => TxId(1 + ji as u32 + (attempt - 1).wrapping_mul(n)),
-            None => TxId(self.shared.fetch_add(1, Ordering::Relaxed)),
+            None => TxId(self.next_tx.fetch_add(1, Ordering::Relaxed)),
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    worker: usize,
-    service: &LockService,
-    jobs: &[Job],
-    source: JobSource<'_>,
-    txs: TxSource<'_>,
-    config: &RuntimeConfig,
-    deadline: Instant,
-    factory: PlannerFactory,
-) -> WorkerOutput {
-    let mut planner = factory(worker);
+/// One worker: claim a job, start an attempt, poll it — yielding and
+/// parking as the service says — until it is over, seal it, and back off
+/// and retry or move on.
+fn worker_loop(run: &Run<'_>, worker: usize) -> WorkerOutput {
+    let service = run.service;
+    let mut planner = (run.planners)(worker);
     let mut rec = Recorder::default();
     let mut trace = TraceRun::default();
     let mut latencies_us = Vec::new();
-    let mut aborted = Vec::new();
-    while let Some(ji) = source.claim() {
-        let job = &jobs[ji];
+    while let Some(ji) = run.claim() {
+        let job = &run.jobs[ji];
         let dispatched = Instant::now();
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let tx = txs.mint(ji, attempt);
-            let end = run_attempt(
-                service,
-                planner.as_mut(),
-                job,
-                tx,
-                config,
-                deadline,
-                &mut rec,
-                &mut aborted,
-            );
+        for attempt in 1u32.. {
+            let tx = run.mint(ji, attempt);
+            let one_call = run.config.step_yield;
+            let end =
+                match service.start(planner.as_mut(), job, tx, one_call, run.deadline, &mut rec) {
+                    Err(end) => end,
+                    Ok(mut at) => loop {
+                        match service.poll(&mut at, &mut rec) {
+                            Poll::Yield => std::thread::yield_now(),
+                            Poll::Park { entity, gen } => {
+                                service.park(entity, gen, run.config.park_timeout)
+                            }
+                            Poll::Over(end) => break end,
+                        }
+                    },
+                };
             // The one place an attempt's steps leave the recorder, so no
             // exit path can skip it.
             rec.seal(&mut trace);
@@ -550,161 +527,17 @@ fn worker_loop(
                     latencies_us.push(dispatched.elapsed().as_micros() as u64);
                     break;
                 }
-                AttemptEnd::Dropped => break,
-                AttemptEnd::Abandoned => {
-                    // An attempt abandons on the wall-clock guard or a
-                    // strict-mode certification halt; only the former is
-                    // a timeout.
-                    if Instant::now() > deadline {
-                        service.counters.timed_out.store(true, Ordering::Relaxed);
-                    }
-                    rec.tally.abandoned += 1;
-                    break;
-                }
+                AttemptEnd::Dropped | AttemptEnd::Abandoned => break,
                 AttemptEnd::Retry => backoff(attempt),
             }
         }
-        // Whatever the outcome, the wave fence counts this job done.
-        source.complete();
+        run.complete();
     }
     WorkerOutput {
         trace,
         latencies_us,
-        aborted,
+        aborted: rec.aborted,
         tally: rec.tally,
-    }
-}
-
-/// One fresh-transaction attempt at `job`, recorded into `rec` (empty on
-/// entry; the caller seals it whichever way the attempt ends). Exactly
-/// one accounting tally is bumped per call (the invariant behind
-/// [`RuntimeReport::accounting_balances`]); `Abandoned` is the exception —
-/// its tally is bumped by the caller, which also flags the timeout.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    service: &LockService,
-    planner: &mut dyn ActionPlanner,
-    job: &Job,
-    tx: TxId,
-    config: &RuntimeConfig,
-    deadline: Instant,
-    rec: &mut Recorder,
-    aborted: &mut Vec<TxId>,
-) -> AttemptEnd {
-    // Count the attempt before anything can cut it short, so every exit
-    // path (commit, abort, reject, abandon) balances against it.
-    rec.tally.attempts += 1;
-    let halted = || service.counters.halted.load(Ordering::Relaxed);
-    if Instant::now() > deadline || halted() {
-        return AttemptEnd::Abandoned;
-    }
-    if job.read_only && service.snapshot_reads_enabled() {
-        // The MVCC read path: capture a snapshot and read versions — no
-        // lock service, no engine lock, no waits-for edges. The only way
-        // this fails is a strict-mode certification abort.
-        return if service.snapshot_read(tx, &job.targets, rec) {
-            rec.tally.committed += 1;
-            AttemptEnd::Committed
-        } else {
-            rec.tally.certification_aborts += 1;
-            aborted.push(tx);
-            AttemptEnd::Retry
-        };
-    }
-    // Plan under the read lock; a malformed job must not touch the engine.
-    let planned = match service.plan(planner, job) {
-        Ok(p) => p,
-        Err(v) => return classify(&mut rec.tally, &v),
-    };
-    let mut at = match service.attempt(tx, planned, planner.intent(job), &mut rec.tally) {
-        Ok(at) => at,
-        Err(v) => return classify(&mut rec.tally, &v),
-    };
-
-    // One loop for both kinds of run: advance until the attempt is over,
-    // parking whenever it must wait; the next advance re-requests the
-    // action that waited.
-    loop {
-        match service.advance(&mut at, rec, config.step_yield) {
-            Progress::Granted => std::thread::yield_now(),
-            Progress::Done(true) => {
-                rec.tally.committed += 1;
-                return AttemptEnd::Committed;
-            }
-            Progress::Done(false) => {
-                // Strict certification aborted the commit: the locks are
-                // released, the service kept the commit record out of the
-                // log and marked the transaction aborted in the status
-                // table. The job restarts as a fresh transaction.
-                rec.tally.certification_aborts += 1;
-                aborted.push(tx);
-                return AttemptEnd::Retry;
-            }
-            Progress::Refused(violation) => {
-                if at.begun() {
-                    aborted.push(tx);
-                }
-                return classify(&mut rec.tally, &violation);
-            }
-            Progress::Wait {
-                entity,
-                holder,
-                gen,
-            } => {
-                // Waits-for edge discipline: publish the edge (and walk
-                // for a cycle) at every conflict *observation*, retract
-                // it before every re-request. The edge is live exactly
-                // while this worker may be parked — a published edge
-                // through a transaction that is awake (its request was
-                // granted, or it is mid-abort with its locks already
-                // released) manufactures phantom cycles for every other
-                // walker, and each needless victim feeds the churn that
-                // creates the next one. Publishing before every park
-                // with the *current* holder keeps detection complete:
-                // whichever transaction inserts the edge that closes a
-                // real cycle sees it.
-                rec.tally.lock_waits += 1;
-                if service.note_wait(tx, holder) {
-                    // This request closed a waits-for cycle: the
-                    // requester is the victim (simulator rule).
-                    service.clear_wait(tx);
-                    service.abort(&mut at, rec);
-                    aborted.push(tx);
-                    rec.tally.deadlock_aborts += 1;
-                    return AttemptEnd::Retry;
-                }
-                // The one deadline/halt rule: the clock is read at
-                // attempt start and here, at every conflict observation.
-                // Plans are finite, so that bounds every unbounded wait.
-                if Instant::now() > deadline || halted() {
-                    service.clear_wait(tx);
-                    service.abort(&mut at, rec);
-                    aborted.push(tx);
-                    return AttemptEnd::Abandoned;
-                }
-                // `gen` was read when the conflict was observed, so any
-                // release that could have invalidated it bumps the
-                // generation after that read and the park falls through
-                // — equally when a re-request moves the contention to a
-                // *new* entity. Whatever this attempt has recorded goes to
-                // the log first: asleep, its unlogged stamps would hold the
-                // log's watermark where they are.
-                service.log(rec, None);
-                service.park(entity, gen, config.park_timeout);
-                service.clear_wait(tx);
-            }
-        }
-    }
-}
-
-/// Applies the fatal/transient rule and bumps the matching tally.
-fn classify(tally: &mut Tally, v: &PolicyViolation) -> AttemptEnd {
-    if v.is_fatal() {
-        tally.rejected += 1;
-        AttemptEnd::Dropped
-    } else {
-        tally.policy_aborts += 1;
-        AttemptEnd::Retry
     }
 }
 
@@ -725,27 +558,43 @@ fn backoff(attempt: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::tests::{commit, grant, opened, sections, stripe_gen, two_phase};
+    use crate::service::tests::{
+        commit, grant, opened, sections, started, stripe_gen, two_phase, Scripted,
+    };
     use crate::service::Attempt;
     use slp_core::{EntityId, LockMode, Step};
     use slp_durability::{recover, RecoveryMode, SharedMemStore};
-    use slp_policies::AccessIntent;
     use slp_policies::PolicyAction::{Access, Lock};
 
+    /// Polls `at` past its grants (more than once only with one-call
+    /// sections): where it stopped, and how many engine sections the last
+    /// poll took.
+    fn drive(
+        service: &LockService,
+        at: &mut Attempt,
+        rec: &mut Recorder,
+        one_call: bool,
+    ) -> (Poll, usize) {
+        loop {
+            let before = sections(service);
+            match service.poll(at, rec) {
+                Poll::Yield => assert!(one_call, "a whole section never stops at a grant"),
+                poll => return (poll, sections(service) - before),
+            }
+        }
+    }
+
     /// The pre-park hand-over, read off the log at the moment of the
-    /// park, in a word run and in an engine run. A holder driven by hand
-    /// sits on the hot entity with its lock step unlogged; a worker runs
-    /// the real attempt loop over *cold, hot*: three steps on cold, then
-    /// the conflict. Once it is parked the log already has those three
-    /// steps — above the watermark, which the holder's unlogged stamp 0
-    /// holds — and when the holder retires everything folds. Without the
-    /// hand-over the sleeper's steps would reach the log only after it
-    /// woke, and every commit in between would wait on them to become
-    /// durable.
-    ///
-    /// The holder's release wakes the waiter before the holder's own
-    /// append, so either commit can reach the log first; the recovered
-    /// log says which did, and the peak window is exact for each order.
+    /// park, in a word run and in an engine run. A holder sits on the hot
+    /// entity with its lock step unlogged; the waiter's attempt over
+    /// *cold, hot* takes three steps on cold, then meets the conflict.
+    /// When its poll says park, the log already has those three steps —
+    /// above the watermark, which the holder's unlogged stamp 0 holds.
+    /// Without the hand-over the sleeper's steps would reach the log only
+    /// after it woke, and every commit in between would wait on them to
+    /// become durable. The holder then commits — its stamps 0 and 4–6
+    /// fold the waiter's 1–3 with them — and the waiter's 7–11 fold on
+    /// arrival, so the window never holds more than those three.
     #[test]
     fn a_worker_hands_its_steps_to_the_log_before_it_parks() {
         let (hot, cold) = (EntityId(0), EntityId(1));
@@ -760,137 +609,106 @@ mod tests {
                 .expect("fresh store"),
             );
             let service = two_phase(&[hot, cold], words, Some(Arc::clone(&wal)));
-            let config = RuntimeConfig {
-                park_timeout: Duration::from_secs(30),
-                ..RuntimeConfig::with_workers(1)
-            };
-            let deadline = Instant::now() + config.max_wall;
-
-            let (mut holder, mut holder_rec) = opened(&service, TxId(1), &[Lock(hot), Access(hot)]);
+            let (mut holder, mut holder_rec) =
+                opened(&service, TxId(1), &[Lock(hot), Access(hot)], true);
             grant(&service, &mut holder, &mut holder_rec);
 
-            std::thread::scope(|s| {
-                let waiter = s.spawn(|| {
-                    let mut rec = Recorder::default();
-                    let end = run_attempt(
-                        &service,
-                        planner_for(PolicyKind::TwoPhase).as_mut(),
-                        &Job::access(vec![cold, hot]),
-                        TxId(2),
-                        &config,
-                        deadline,
-                        &mut rec,
-                        &mut Vec::new(),
-                    );
-                    assert!(matches!(end, AttemptEnd::Committed), "words {words}");
-                });
-                while service.counters.parks.load(Ordering::Relaxed) == 0 {
-                    std::thread::yield_now();
-                }
-                let parked = wal.summary();
-                assert_eq!(
-                    parked.records, 2,
-                    "words {words}: base checkpoint + the waiter's steps"
-                );
-                assert_eq!(
-                    (parked.watermark, parked.peak_window),
-                    (0, 3),
-                    "words {words}"
-                );
+            let mut rec = Recorder::default();
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let job = Job::access(vec![cold, hot]);
+            let mut planner = planner_for(PolicyKind::TwoPhase);
+            let Ok(mut waiter) =
+                service.start(planner.as_mut(), &job, TxId(2), true, deadline, &mut rec)
+            else {
+                panic!("words {words}: a plain job opens");
+            };
+            let Poll::Park { entity, gen } = drive(&service, &mut waiter, &mut rec, true).0 else {
+                panic!("words {words}: the hot entity is held");
+            };
+            assert_eq!(entity, hot);
+            let parked = wal.summary();
+            assert_eq!(
+                parked.records, 2,
+                "words {words}: base checkpoint + the waiter's steps"
+            );
+            assert_eq!(
+                (parked.watermark, parked.peak_window),
+                (0, 3),
+                "words {words}"
+            );
 
-                grant(&service, &mut holder, &mut holder_rec);
-                commit(&service, &mut holder, &mut holder_rec);
-                waiter.join().expect("waiter panicked");
-            });
+            grant(&service, &mut holder, &mut holder_rec);
+            commit(&service, &mut holder, &mut holder_rec);
+            // The release moved the generation, so the park falls through.
+            service.park(entity, gen, Duration::from_secs(30));
+            let (end, _) = drive(&service, &mut waiter, &mut rec, true);
+            assert_eq!(end, Poll::Over(AttemptEnd::Committed), "words {words}");
+            assert_eq!(service.counters.parks.load(Ordering::Relaxed), 0);
+
             let done = wal.summary();
             assert_eq!(done.watermark, service.stamps_drawn(), "words {words}");
-            // The commit records in append order, as the log holds them.
             let commits = recover(&store.snapshot(), RecoveryMode::Oldest)
                 .expect("a clean log recovers")
                 .committed;
-            // Holder first: its stamps 0 and 4–6 fold the waiter's 1–3
-            // with them, and the waiter's 7–11 fold on arrival. Waiter
-            // first: its 7–11 join 1–3 above the holder's unlogged 0.
-            let peak = match commits[..] {
-                [TxId(1), TxId(2)] => 3,
-                [TxId(2), TxId(1)] => 3 + 5,
-                _ => panic!("words {words}: commits {commits:?}"),
-            };
-            assert_eq!(
-                done.peak_window, peak,
-                "words {words}: commit order {commits:?}"
-            );
+            assert_eq!(commits, [TxId(1), TxId(2)], "words {words}");
+            assert_eq!(done.peak_window, 3, "words {words}");
             // Two commits of two frames each, and the one pre-park hand-over.
             assert_eq!(done.records, 1 + 2 + 2 + 1, "words {words}");
         }
     }
 
-    /// A deadlock driven by hand, in a word run and in an engine run: T1
-    /// holds `a` and T2 holds `b`, T1 asks for `b` and T2 for `a`. The
-    /// second request closes the cycle, so T2 — the requester — is the
-    /// victim, and once it has aborted and cleared its edge T1 gets `b`
-    /// and commits.
+    /// A deadlock on one thread, in a word run and in an engine run: T1
+    /// holds `a` and T2 holds `b`; T1 asks for `b` and is told to park,
+    /// T2 asks for `a` and closes the cycle, so T2 — the requester — is
+    /// the victim: counted, aborted, its lock released. T1's next poll
+    /// retracts its edge, takes `b` and commits.
     #[test]
     fn the_request_that_closes_a_waits_for_cycle_is_the_victim() {
         let (a, b) = (EntityId(0), EntityId(1));
         for words in [true, false] {
             let service = two_phase(&[a, b], words, None);
-            let (mut t1, mut r1) = opened(&service, TxId(1), &[Lock(a), Lock(b)]);
-            let (mut t2, mut r2) = opened(&service, TxId(2), &[Lock(b), Lock(a)]);
-            // The holder an advance is blocked by, `None` once granted.
-            let blocked_by = |progress| match progress {
-                Progress::Granted => None,
-                Progress::Wait { holder, .. } => Some(holder),
-                Progress::Done(_) => panic!("words {words}: done early"),
-                Progress::Refused(v) => panic!("words {words}: {v}"),
-            };
-            assert_eq!(blocked_by(service.advance(&mut t1, &mut r1, true)), None);
-            assert_eq!(blocked_by(service.advance(&mut t2, &mut r2, true)), None);
+            let (mut t1, mut r1) = opened(&service, TxId(1), &[Lock(a), Lock(b)], true);
+            let (mut t2, mut r2) = opened(&service, TxId(2), &[Lock(b), Lock(a)], true);
+            grant(&service, &mut t1, &mut r1);
+            grant(&service, &mut t2, &mut r2);
 
-            let holder = blocked_by(service.advance(&mut t1, &mut r1, true));
-            assert_eq!(holder, Some(TxId(2)), "words {words}");
-            assert!(!service.note_wait(TxId(1), TxId(2)), "words {words}");
-            let holder = blocked_by(service.advance(&mut t2, &mut r2, true));
-            assert_eq!(holder, Some(TxId(1)), "words {words}");
+            let parked = service.poll(&mut t1, &mut r1);
             assert!(
-                service.note_wait(TxId(2), TxId(1)),
-                "words {words}: T2 closes it"
+                matches!(parked, Poll::Park { entity, .. } if entity == b),
+                "words {words}: {parked:?}"
             );
+            let victim = service.poll(&mut t2, &mut r2);
+            assert_eq!(victim, Poll::Over(AttemptEnd::Retry), "words {words}");
+            assert_eq!(r2.tally.deadlock_aborts, 1, "words {words}");
+            assert_eq!(r2.aborted, [TxId(2)], "words {words}");
 
-            service.clear_wait(TxId(2));
-            service.abort(&mut t2, &mut r2);
-            service.clear_wait(TxId(1));
-            assert_eq!(blocked_by(service.advance(&mut t1, &mut r1, true)), None);
+            grant(&service, &mut t1, &mut r1);
             commit(&service, &mut t1, &mut r1);
+            assert_eq!((r1.tally.deadlock_aborts, r1.tally.lock_waits), (0, 1));
+            assert!(r1.aborted.is_empty(), "words {words}");
             assert!(service.words_quiescent(), "words {words}");
         }
     }
 
-    /// Where an engine run's sections begin and end, pinned by hand with
-    /// whole sections (`one_call` off). An attempt whose action *k* meets
-    /// a held lock records exactly actions `0..k` in one section and
-    /// waits, naming the generation it read there; once the holder
-    /// finishes, one more section resumes at *k* and commits.
+    /// Where an engine run's sections begin and end, pinned with whole
+    /// sections (`one_call` off). An attempt whose action *k* meets a
+    /// held lock records exactly actions `0..k` in one section and parks,
+    /// naming the generation it read there; once the holder finishes, one
+    /// more section resumes at *k* and commits.
     #[test]
     fn an_engine_attempt_runs_whole_until_its_first_wait() {
         let [a, b, c] = [EntityId(0), EntityId(1), EntityId(2)];
         let service = two_phase(&[a, b, c], false, None);
-        let (mut holder, mut holder_rec) = opened(&service, TxId(1), &[Lock(c)]);
+        let (mut holder, mut holder_rec) = opened(&service, TxId(1), &[Lock(c)], true);
         grant(&service, &mut holder, &mut holder_rec);
 
         let plan = [Lock(a), Access(a), Lock(b), Access(b), Lock(c), Access(c)];
-        let (mut at, mut rec) = opened(&service, TxId(2), &plan);
-        let before = sections(&service);
-        let Progress::Wait {
-            entity,
-            holder: blocker,
-            gen,
-        } = service.advance(&mut at, &mut rec, false)
-        else {
+        let (mut at, mut rec) = opened(&service, TxId(2), &plan, false);
+        let (Poll::Park { entity, gen }, took) = drive(&service, &mut at, &mut rec, false) else {
             panic!("action 4 meets the held lock");
         };
-        assert_eq!(sections(&service) - before, 1, "begin and four grants");
-        assert_eq!((entity, blocker), (c, TxId(1)));
+        assert_eq!(took, 1, "begin and four grants");
+        assert_eq!(entity, c);
         let steps =
             |rec: &Recorder| -> Vec<Step> { rec.steps.iter().map(|(_, s)| s.step).collect() };
         let x = LockMode::Exclusive;
@@ -917,17 +735,10 @@ mod tests {
             stripe_gen(&service, c) > gen,
             "the release bumped after the read"
         );
-        let before = sections(&service);
         let from = rec.steps.len();
-        assert!(matches!(
-            service.advance(&mut at, &mut rec, false),
-            Progress::Done(true)
-        ));
-        assert_eq!(
-            sections(&service) - before,
-            1,
-            "resumed and finished in one section"
-        );
+        let (end, took) = drive(&service, &mut at, &mut rec, false);
+        assert_eq!(end, Poll::Over(AttemptEnd::Committed));
+        assert_eq!(took, 1, "resumed and finished in one section");
         assert_eq!(
             steps(&rec)[from..],
             [
@@ -944,24 +755,6 @@ mod tests {
         assert!(stamps.windows(2).all(|w| w[1] == w[0] + 1), "{stamps:?}");
     }
 
-    /// Advances `at` until it is no longer merely granted (more than once
-    /// only with `one_call`): where it ended, and how many engine
-    /// sections the last advance took.
-    fn drive(
-        service: &LockService,
-        at: &mut Attempt,
-        rec: &mut Recorder,
-        one_call: bool,
-    ) -> (Progress, usize) {
-        loop {
-            let before = sections(service);
-            match service.advance(at, rec, one_call) {
-                Progress::Granted => assert!(one_call, "a whole section never stops at a grant"),
-                progress => return (progress, sections(service) - before),
-            }
-        }
-    }
-
     /// An empty plan begins and finishes in one engine section, in both
     /// section modes: with one-call sections, begin shares its section
     /// with the call after it.
@@ -969,10 +762,11 @@ mod tests {
     fn an_empty_plan_begins_and_finishes_in_one_section() {
         let service = two_phase(&[EntityId(0)], false, None);
         for (tx, one_call) in [(TxId(1), false), (TxId(2), true)] {
-            let (mut at, mut rec) = opened(&service, tx, &[]);
-            let (progress, took) = drive(&service, &mut at, &mut rec, one_call);
-            assert!(
-                matches!(progress, Progress::Done(true)),
+            let (mut at, mut rec) = opened(&service, tx, &[], one_call);
+            let (end, took) = drive(&service, &mut at, &mut rec, one_call);
+            assert_eq!(
+                end,
+                Poll::Over(AttemptEnd::Committed),
                 "one call {one_call}"
             );
             assert_eq!(took, 1, "one call {one_call}");
@@ -981,7 +775,7 @@ mod tests {
     }
 
     /// A refused action aborts in the section that met it, in both
-    /// section modes: once `advance` returns, the attempt holds nothing
+    /// section modes: once the poll returns, the attempt holds nothing
     /// and the entity it locked goes to the next transaction.
     #[test]
     fn a_refused_action_leaves_no_lock_held() {
@@ -989,12 +783,11 @@ mod tests {
         for one_call in [false, true] {
             let service = two_phase(&[a], false, None);
             // A relock: 2PL refuses it, fatally.
-            let (mut at, mut rec) = opened(&service, TxId(1), &[Lock(a), Access(a), Lock(a)]);
-            let (progress, took) = drive(&service, &mut at, &mut rec, one_call);
-            let Progress::Refused(violation) = progress else {
-                panic!("one call {one_call}: a relock is refused");
-            };
-            assert!(violation.is_fatal(), "{violation}");
+            let plan = [Lock(a), Access(a), Lock(a)];
+            let (mut at, mut rec) = opened(&service, TxId(1), &plan, one_call);
+            let (end, took) = drive(&service, &mut at, &mut rec, one_call);
+            assert_eq!(end, Poll::Over(AttemptEnd::Dropped), "one call {one_call}");
+            assert_eq!((rec.tally.rejected, &rec.aborted[..]), (1, &[TxId(1)][..]));
             assert_eq!(
                 took, 1,
                 "one call {one_call}: refused and aborted in one section"
@@ -1006,31 +799,26 @@ mod tests {
                 "one call {one_call}: the abort released it"
             );
 
-            let (mut next, mut next_rec) = opened(&service, TxId(2), &[Lock(a), Access(a)]);
-            let (progress, took) = drive(&service, &mut next, &mut next_rec, one_call);
-            assert!(matches!(progress, Progress::Done(true)));
+            let (mut next, mut next_rec) = opened(&service, TxId(2), &plan[..2], one_call);
+            let (end, took) = drive(&service, &mut next, &mut next_rec, one_call);
+            assert_eq!(end, Poll::Over(AttemptEnd::Committed));
             assert_eq!(took, 1, "one call {one_call}");
         }
     }
 
     /// An attempt with no plan, on an engine that plans nothing at begin,
-    /// is refused with `NoPlan` and retired in the section that began it,
-    /// in both section modes: the engine keeps no planless transaction.
+    /// is refused with `NoPlan` — fatal — and retired in the section that
+    /// began it, in both section modes: the engine keeps no planless
+    /// transaction.
     #[test]
     fn a_planless_attempt_is_retired_in_the_section_that_began_it() {
         let service = two_phase(&[EntityId(0)], false, None);
         for (tx, one_call) in [(TxId(1), false), (TxId(2), true)] {
-            let mut rec = Recorder::default();
-            let mut at = service
-                .attempt(tx, None, AccessIntent::empty(), &mut rec.tally)
-                .expect("an engine run opens a planless attempt");
-            let (progress, took) = drive(&service, &mut at, &mut rec, one_call);
-            assert!(
-                matches!(progress, Progress::Refused(PolicyViolation::NoPlan(t)) if t == tx),
-                "one call {one_call}"
-            );
+            let (mut at, mut rec) = started(&service, tx, &mut Scripted(None), one_call);
+            let (end, took) = drive(&service, &mut at, &mut rec, one_call);
+            assert_eq!(end, Poll::Over(AttemptEnd::Dropped), "one call {one_call}");
             assert_eq!(took, 1, "one call {one_call}");
-            assert!(at.begun(), "begun, then aborted");
+            assert_eq!(rec.aborted, [tx], "begun, then aborted");
             assert!(rec.steps.is_empty());
         }
     }

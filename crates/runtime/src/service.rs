@@ -1,12 +1,18 @@
-//! The lock service: one [`PolicyEngine`] serving many worker threads
-//! through **one entry point**.
+//! The lock service: one [`PolicyEngine`] serving many worker threads,
+//! and the one owner of every attempt's lifecycle.
 //!
-//! An attempt is opened after planning ([`LockService::attempt`]) and
-//! owns its plan and a cursor into it. [`LockService::advance`] drives it
-//! from where it stands — begin, the plan's grants, finish — until it is
-//! over or must wait; a waiting attempt parks and advances again, or is
-//! cut short by [`LockService::abort`]. Where the granted *steps* come
-//! from is a property of the run, not of the attempt:
+//! [`LockService::start`] counts an attempt, applies the deadline/halt
+//! rule, serves a read-only job from a snapshot when the run has MVCC,
+//! and otherwise plans the job and opens an [`Attempt`] that owns its
+//! plan and a cursor into it. [`LockService::poll`] drives the attempt
+//! from where it stands — begin, the plan's grants, finish — and tells
+//! its driver what to do next: yield ([`Poll::Yield`]), park
+//! ([`Poll::Park`]) or stop ([`Poll::Over`]). The waits-for discipline,
+//! the victim rule, the deadline rule, the hand-over to the log before a
+//! park and every per-attempt tally are the service's, so a driver — a
+//! worker thread, or a test on one thread — only yields, parks and
+//! seals. Where the granted *steps* come from is a property of the run,
+//! not of the attempt:
 //!
 //! * **an engine run** — a [`slp_policies::GrantScope::Global`] engine,
 //!   or any run with [`crate::RuntimeConfig::grant_fast_path`] off: the
@@ -105,7 +111,7 @@
 //! generation and falls through — so the common release, with nobody
 //! asleep, pays one mutex section and no futex wake. Deadlock detection
 //! is complete because a waiter refreshes its waits-for edge to the
-//! current holder before every park (see [`LockService::note_wait`]), so
+//! current holder before every park (see [`LockService::poll`]), so
 //! with a generous timeout the park-timeout backstop never fires on a
 //! healthy run — firings are counted ([`Counters::park_timeouts`]) and
 //! surfaced in the report as lost-wakeup evidence.
@@ -123,7 +129,7 @@ use slp_policies::{
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard, TryLockError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Parking stripes. A constant rather than a knob — no caller ever set
 /// it — and bounded by the width of the bitmap the wake path dedupes
@@ -183,8 +189,7 @@ fn stripe_index(e: EntityId) -> usize {
 }
 
 /// One attempt's state across its sections, opened by
-/// [`LockService::attempt`] and driven by [`LockService::advance`] (or
-/// cut short by [`LockService::abort`]).
+/// [`LockService::start`] and driven by [`LockService::poll`].
 pub(crate) struct Attempt {
     tx: TxId,
     /// The actions to grant: the planner's plan, or — adopted at begin —
@@ -201,19 +206,49 @@ pub(crate) struct Attempt {
     /// In a word run: the entities whose words `tx` holds, i.e. the
     /// unlock steps still owed (the engine tracks an engine run's).
     held: Vec<EntityId>,
+    /// One-call sections ([`crate::RuntimeConfig::step_yield`]): a
+    /// section ends after every grant, and the driver yields.
+    one_call: bool,
+    /// Past this instant the attempt is abandoned at its next conflict.
+    deadline: Instant,
+    /// Whether `tx`'s waits-for edge is published: by the last
+    /// [`Poll::Park`], until the next poll retracts it.
+    waiting: bool,
 }
 
-impl Attempt {
-    /// Whether the transaction has begun, so that ending it is an abort.
-    pub fn begun(&self) -> bool {
-        self.begun
-    }
+/// How an attempt ended, its tally already bumped. The driver decides
+/// what happens to the job.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum AttemptEnd {
+    /// Committed.
+    Committed,
+    /// Aborted — a deadlock victim, a transient violation, or a commit
+    /// strict certification refused: the job restarts as a fresh
+    /// transaction after a backoff.
+    Retry,
+    /// Refused by a fatal violation: the job is dropped.
+    Dropped,
+    /// Cut short by the deadline or a halt: the job is dropped.
+    Abandoned,
+}
+
+/// What a driver does next with an attempt ([`LockService::poll`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Poll {
+    /// One-call sections only: an action was granted. Yield, then poll.
+    Yield,
+    /// The attempt waits for `entity`, its waits-for edge published and
+    /// its steps so far handed to the log: park on `entity`'s stripe at
+    /// generation `gen` ([`LockService::park`]), then poll.
+    Park { entity: EntityId, gen: u64 },
+    /// The attempt is over.
+    Over(AttemptEnd),
 }
 
 /// Where [`LockService::advance`] left the attempt.
-pub(crate) enum Progress {
+enum Progress {
     /// One-call sections only: an action was granted and its steps
-    /// recorded, and the plan goes on. The worker yields, then advances.
+    /// recorded, and the plan goes on.
     Granted,
     /// `entity` is held against the attempt by `holder`. The attempt's
     /// cursor stays on the action, and the next advance re-requests it.
@@ -228,8 +263,7 @@ pub(crate) enum Progress {
     },
     /// The attempt is over: `true` if it committed, `false` if strict
     /// certification turned its commit into an abort (no commit record,
-    /// no visibility flip — the caller retries the job as a fresh
-    /// transaction).
+    /// no visibility flip).
     Done(bool),
     /// The policy refused the attempt. It holds nothing any more: a
     /// begun transaction was aborted by the engine call that met the
@@ -255,6 +289,18 @@ fn fast_plan_mode(words: &LockWords, plan: &[PolicyAction]) -> Option<PolicyActi
         PolicyAction::Access(e) => !locked.contains(&e),
         _ => true,
     })
+}
+
+/// Applies the fatal/transient rule to a refused attempt and bumps the
+/// matching tally.
+fn classify(tally: &mut Tally, v: &PolicyViolation) -> AttemptEnd {
+    if v.is_fatal() {
+        tally.rejected += 1;
+        AttemptEnd::Dropped
+    } else {
+        tally.policy_aborts += 1;
+        AttemptEnd::Retry
+    }
 }
 
 /// One worker's accounting: plain integers only it touches, summed
@@ -300,10 +346,10 @@ impl Tally {
 }
 
 /// What a worker hands the service with every call: the stamped steps of
-/// the attempt it is running, and its tallies. `steps` holds one attempt
-/// at a time — the worker seals it into its trace run
-/// ([`crate::trace::TraceRun::seal`]) whichever way the attempt ends —
-/// so the whole buffer is the attempt's certifier batch and its last
+/// the attempt it is running, its tallies and the transactions it
+/// aborted. `steps` holds one attempt at a time — the worker seals it
+/// into its trace run ([`crate::trace::TraceRun::seal`]) whichever way
+/// the attempt ends — so the whole buffer is the attempt's certifier batch and its last
 /// entry the attempt's newest stamp.
 #[derive(Default)]
 pub(crate) struct Recorder {
@@ -315,6 +361,9 @@ pub(crate) struct Recorder {
     /// the log's mutex is taken; reused.
     frames: Vec<u8>,
     pub tally: Tally,
+    /// Every transaction this worker aborted (the report's input to
+    /// [`slp_core::is_serializable_with_aborts`]).
+    pub aborted: Vec<TxId>,
 }
 
 impl Recorder {
@@ -503,11 +552,6 @@ impl LockService {
         }
     }
 
-    /// Whether this run serves read-only jobs from MVCC snapshots.
-    pub fn snapshot_reads_enabled(&self) -> bool {
-        self.mvcc.is_some()
-    }
-
     /// Recovers the engine and the certifier after the run (all workers
     /// joined).
     pub fn into_parts(self) -> (Box<dyn PolicyEngine>, Option<IncrementalCertifier>) {
@@ -621,13 +665,14 @@ impl LockService {
     ///
     /// Called where a worker leaves the grant path: by
     /// [`settle`](LockService::settle), the words already free, and by
-    /// the attempt loop just before it parks — an attempt asleep on a
-    /// stripe with unlogged steps would hold the log's watermark, and with
-    /// it every later commit's durability, for as long as it sleeps. A
+    /// [`poll`](LockService::poll) just before its driver parks — an
+    /// attempt asleep on a stripe with unlogged steps would hold the log's
+    /// watermark, and with it every later commit's durability, for as
+    /// long as it sleeps. A
     /// failed log refuses the call at once and the error is dropped here
     /// — the run completes in memory and the failure surfaces in the
     /// report's [`slp_durability::WalSummary`].
-    pub fn log(&self, rec: &mut Recorder, commit: Option<TxId>) {
+    fn log(&self, rec: &mut Recorder, commit: Option<TxId>) {
         let Some(wal) = &self.wal else {
             return;
         };
@@ -800,35 +845,51 @@ impl LockService {
         }
     }
 
-    /// Plans `job` against the engine: bare in a word run, which never
-    /// writes it, and under the *read* lock in an engine run (planners
-    /// only read).
-    pub fn plan(
+    /// Starts `tx`'s attempt at `job`: the one way a driver opens one.
+    /// The attempt is counted before anything can cut it short, so every
+    /// way it ends balances against it; past `deadline`, or with the run
+    /// halted, it is abandoned at once. A read-only job in a run with MVCC is served whole from a
+    /// snapshot here. Otherwise the job is planned — bare in a word run,
+    /// which never writes its engine, and under the engine's *read* lock
+    /// in an engine run — and the attempt opened with `one_call`
+    /// sections ([`crate::RuntimeConfig::step_yield`]). A word run
+    /// refuses, before it takes anything, a plan it cannot grant:
+    /// `NoPlan` without one, [`PolicyViolation::Unsupported`] naming the
+    /// first action outside the plain lock/access shape otherwise — both
+    /// fatal, and counted in [`Tally::fast_path_fallbacks`]. `Err` is the
+    /// attempt's end, its tally bumped.
+    pub fn start(
         &self,
         planner: &mut dyn ActionPlanner,
         job: &Job,
-    ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        match &self.grant {
+        tx: TxId,
+        one_call: bool,
+        deadline: Instant,
+        rec: &mut Recorder,
+    ) -> Result<Attempt, AttemptEnd> {
+        rec.tally.attempts += 1;
+        if self.cut_short(deadline) {
+            return Err(self.abandon(deadline, &mut rec.tally));
+        }
+        if job.read_only && self.mvcc.is_some() {
+            // No lock, no engine, no waits-for edge: only a strict
+            // certification abort fails a snapshot read.
+            return Err(if self.snapshot_read(tx, &job.targets, rec) {
+                rec.tally.committed += 1;
+                AttemptEnd::Committed
+            } else {
+                rec.tally.certification_aborts += 1;
+                rec.aborted.push(tx);
+                AttemptEnd::Retry
+            });
+        }
+        let planned = match &self.grant {
             Grant::Words { engine, .. } => planner.plan(&**engine, job),
             Grant::Engine(engine) => {
                 planner.plan(&**engine.read().expect("engine lock poisoned"), job)
             }
-        }
-    }
-
-    /// Opens `tx`'s attempt at `plan` (the planner's; `None` when it
-    /// supplied none) with the `intent` its begin declares. A word run
-    /// refuses, before it takes anything, a plan it cannot grant: `NoPlan`
-    /// without one, [`PolicyViolation::Unsupported`] naming the first
-    /// action outside the plain lock/access shape otherwise — both fatal,
-    /// and counted in [`Tally::fast_path_fallbacks`].
-    pub fn attempt(
-        &self,
-        tx: TxId,
-        plan: Option<Vec<PolicyAction>>,
-        intent: AccessIntent,
-        tally: &mut Tally,
-    ) -> Result<Attempt, PolicyViolation> {
+        };
+        let plan = planned.map_err(|v| classify(&mut rec.tally, &v))?;
         if let Grant::Words { engine, words } = &self.grant {
             let refusal = match &plan {
                 None => Some(PolicyViolation::NoPlan(tx)),
@@ -840,34 +901,126 @@ impl LockService {
                 }
             };
             if let Some(violation) = refusal {
-                tally.fast_path_fallbacks += 1;
-                return Err(violation);
+                rec.tally.fast_path_fallbacks += 1;
+                return Err(classify(&mut rec.tally, &violation));
             }
         }
         Ok(Attempt {
             tx,
             plan,
             cursor: 0,
-            intent,
+            intent: planner.intent(job),
             begun: false,
             held: Vec::new(),
+            one_call,
+            deadline,
+            waiting: false,
         })
+    }
+
+    /// Drives the attempt one step of its driver's loop: retracts the
+    /// waits-for edge the last [`Poll::Park`] published, advances
+    /// ([`advance`](LockService::advance)), and settles what that means.
+    /// Every end bumps exactly one tally (the invariant behind
+    /// [`crate::RuntimeReport::accounting_balances`]) and puts an aborted
+    /// transaction in [`Recorder::aborted`].
+    ///
+    /// A conflict is the waits-for discipline: count the wait, publish
+    /// the edge to the current holder and walk for a cycle — at every
+    /// conflict *observation*, retracted before every re-request, so the
+    /// edge is live exactly while the driver may be parked. A published
+    /// edge through a transaction that is awake (granted, or mid-abort
+    /// with its locks released) manufactures phantom cycles for every
+    /// other walker, and each needless victim feeds the churn that
+    /// creates the next one; publishing before every park with the
+    /// current holder keeps detection complete, because whichever
+    /// transaction inserts the edge that closes a real cycle sees it.
+    /// That requester is the victim (the simulator's rule). Past the
+    /// deadline, or with the run halted, the attempt is abandoned — the
+    /// clock is read at start and at every conflict, and plans are
+    /// finite, so that bounds every wait. Otherwise the steps recorded so
+    /// far go to the log — asleep, unlogged stamps would hold the log's
+    /// watermark where they are — and the driver parks.
+    pub fn poll(&self, at: &mut Attempt, rec: &mut Recorder) -> Poll {
+        let tx = at.tx;
+        if at.waiting {
+            at.waiting = false;
+            self.clear_wait(tx);
+        }
+        let (entity, holder, gen) = match self.advance(at, rec) {
+            Progress::Granted => return Poll::Yield,
+            Progress::Wait {
+                entity,
+                holder,
+                gen,
+            } => (entity, holder, gen),
+            Progress::Done(true) => {
+                rec.tally.committed += 1;
+                return Poll::Over(AttemptEnd::Committed);
+            }
+            Progress::Done(false) => {
+                // Strict certification refused the commit: the locks are
+                // free, the commit record stayed out of the log and the
+                // status table says aborted.
+                rec.tally.certification_aborts += 1;
+                rec.aborted.push(tx);
+                return Poll::Over(AttemptEnd::Retry);
+            }
+            Progress::Refused(violation) => {
+                if at.begun {
+                    rec.aborted.push(tx);
+                }
+                return Poll::Over(classify(&mut rec.tally, &violation));
+            }
+        };
+        rec.tally.lock_waits += 1;
+        let victim = self.note_wait(tx, holder);
+        if victim || self.cut_short(at.deadline) {
+            self.clear_wait(tx);
+            self.abort(at, rec);
+            rec.aborted.push(tx);
+            return Poll::Over(if victim {
+                rec.tally.deadlock_aborts += 1;
+                AttemptEnd::Retry
+            } else {
+                self.abandon(at.deadline, &mut rec.tally)
+            });
+        }
+        self.log(rec, None);
+        at.waiting = true;
+        Poll::Park { entity, gen }
+    }
+
+    /// Whether an attempt stops here: its deadline has passed, or strict
+    /// certification halted the run.
+    fn cut_short(&self, deadline: Instant) -> bool {
+        Instant::now() > deadline || self.counters.halted.load(Ordering::Relaxed)
+    }
+
+    /// The end of an attempt [`cut_short`](LockService::cut_short): only
+    /// a passed deadline marks the run timed out, not a halt.
+    fn abandon(&self, deadline: Instant, tally: &mut Tally) -> AttemptEnd {
+        if Instant::now() > deadline {
+            self.counters.timed_out.store(true, Ordering::Relaxed);
+        }
+        tally.abandoned += 1;
+        AttemptEnd::Abandoned
     }
 
     /// Drives the attempt from where it stands — begin, the plan's
     /// grants from its cursor on, finish — until it is over or must
     /// wait, recording the granted steps into `rec`. The one way a run
-    /// reaches its grant authority.
+    /// reaches its grant authority, and only [`poll`](LockService::poll)
+    /// calls it.
     ///
     /// In an engine run all of it is one section under the engine's write
     /// lock: every rule check runs there, and the lock changes hands once
     /// per wake-up of the attempt, not once per action. A refusal aborts
     /// in the engine call that met it, so no lock an attempt took survives
-    /// outside a section unless it is waiting. With `one_call` (the runner
-    /// passes [`crate::RuntimeConfig::step_yield`]) a section ends after
-    /// every grant instead, returning [`Progress::Granted`] so the worker
-    /// can yield: begin shares its section with the first grant, and a
-    /// refusal with its abort.
+    /// outside a section unless it is waiting. With one-call sections a
+    /// section ends after every grant instead, returning
+    /// [`Progress::Granted`] so the driver can yield: begin shares its
+    /// section with the first grant, and a refusal with its abort.
     ///
     /// A word run walks the same plan over the lock words: a word per
     /// `Lock`, the engine's steps synthesized per `Access` (`read`+`write`,
@@ -877,13 +1030,13 @@ impl LockService {
     ///
     /// After a section the recorded steps are published once; an attempt
     /// that retired in it runs the retire tail ([`LockService::settle`]).
-    pub fn advance(&self, at: &mut Attempt, rec: &mut Recorder, one_call: bool) -> Progress {
+    fn advance(&self, at: &mut Attempt, rec: &mut Recorder) -> Progress {
         let engine = match &self.grant {
-            Grant::Words { words, .. } => return self.advance_words(words, at, rec, one_call),
+            Grant::Words { words, .. } => return self.advance_words(words, at, rec),
             Grant::Engine(engine) => engine,
         };
         let from = rec.steps.len();
-        let progress = self.engine_section(&mut **self.write_engine(engine), at, rec, one_call);
+        let progress = self.engine_section(&mut **self.write_engine(engine), at, rec);
         self.publish(at.tx, &rec.steps[from..]);
         match progress {
             Progress::Done(_) => Progress::Done(self.settle(at.tx, rec, false)),
@@ -897,7 +1050,7 @@ impl LockService {
 
     /// One engine section of the attempt: `begin` if it has not begun,
     /// then the cursor's actions and `finish` — one grant only with
-    /// `one_call`. Called under the engine's write lock, which is what
+    /// one-call sections. Called under the engine's write lock, which is what
     /// makes stamping the granted steps here legal. A refusal met after
     /// begin is aborted by the same call. `Done` means `finish` retired
     /// the transaction (whether it committed is the retire tail's to
@@ -907,7 +1060,6 @@ impl LockService {
         engine: &mut dyn PolicyEngine,
         at: &mut Attempt,
         rec: &mut Recorder,
-        one_call: bool,
     ) -> Progress {
         let tx = at.tx;
         if !at.begun {
@@ -941,7 +1093,7 @@ impl LockService {
                     self.record(tx, steps, &mut rec.steps);
                     rec.tally.grants += 1;
                     at.cursor += 1;
-                    if one_call {
+                    if at.one_call {
                         return Progress::Granted;
                     }
                 }
@@ -967,13 +1119,7 @@ impl LockService {
 
     /// [`advance`](LockService::advance) in a word run. Nothing is
     /// published until the final unlocks: a word grant never records one.
-    fn advance_words(
-        &self,
-        words: &LockWords,
-        at: &mut Attempt,
-        rec: &mut Recorder,
-        one_call: bool,
-    ) -> Progress {
+    fn advance_words(&self, words: &LockWords, at: &mut Attempt, rec: &mut Recorder) -> Progress {
         let tx = at.tx;
         // The engine never learns that the transaction exists — the words
         // are the authority for everything it touches.
@@ -1004,7 +1150,7 @@ impl LockService {
             }
             rec.tally.grants += 1;
             at.cursor += 1;
-            if one_call {
+            if at.one_call {
                 return Progress::Granted;
             }
         }
@@ -1017,7 +1163,7 @@ impl LockService {
     /// Aborts a waiting attempt (a deadlock victim, or one cut short by
     /// the deadline or a halt), recording the unlocks it still held, in
     /// one section of its own, then runs the retire tail.
-    pub fn abort(&self, at: &mut Attempt, rec: &mut Recorder) {
+    fn abort(&self, at: &mut Attempt, rec: &mut Recorder) {
         let tx = at.tx;
         let from = rec.steps.len();
         match &self.grant {
@@ -1096,7 +1242,7 @@ impl LockService {
     /// parking stripe**. Returns `false` when strict certification
     /// recovered by retracting the reader (the caller retries with a
     /// fresh snapshot).
-    pub fn snapshot_read(&self, tx: TxId, targets: &[EntityId], rec: &mut Recorder) -> bool {
+    fn snapshot_read(&self, tx: TxId, targets: &[EntityId], rec: &mut Recorder) -> bool {
         let m = self
             .mvcc
             .as_ref()
@@ -1167,13 +1313,13 @@ impl LockService {
     /// longer blocked — a stale edge through an awake transaction
     /// manufactures phantom cycles, and under contention the needless
     /// victims feed an abort storm.
-    pub fn note_wait(&self, tx: TxId, holder: TxId) -> bool {
+    fn note_wait(&self, tx: TxId, holder: TxId) -> bool {
         self.waits_for().note(tx, holder)
     }
 
     /// Clears `tx`'s waits-for edge (its blocked request was granted, or
     /// it aborted).
-    pub fn clear_wait(&self, tx: TxId) {
+    fn clear_wait(&self, tx: TxId) {
         self.waits_for().clear(tx);
     }
 
@@ -1206,35 +1352,57 @@ pub(crate) mod tests {
         two_phase(&[EntityId(0)], words, None)
     }
 
-    /// One one-call advance of `at`, which must grant an action.
-    pub(crate) fn grant(service: &LockService, at: &mut Attempt, rec: &mut Recorder) {
-        assert!(matches!(service.advance(at, rec, true), Progress::Granted));
+    /// A planner that hands out one fixed plan (`None`: no plan).
+    pub(crate) struct Scripted(pub Option<Vec<PolicyAction>>);
+
+    impl ActionPlanner for Scripted {
+        fn intent(&self, _: &Job) -> AccessIntent {
+            AccessIntent::empty()
+        }
+        fn plan(
+            &mut self,
+            _: &dyn PolicyEngine,
+            _: &Job,
+        ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
+            Ok(self.0.clone())
+        }
     }
 
-    /// One one-call advance of `at`, which must commit.
-    pub(crate) fn commit(service: &LockService, at: &mut Attempt, rec: &mut Recorder) {
-        assert!(matches!(
-            service.advance(at, rec, true),
-            Progress::Done(true)
-        ));
+    /// `tx`'s attempt at `planner`'s plan, started with a fresh recorder
+    /// and a deadline a minute away.
+    pub(crate) fn started(
+        service: &LockService,
+        tx: TxId,
+        planner: &mut dyn ActionPlanner,
+        one_call: bool,
+    ) -> (Attempt, Recorder) {
+        let mut rec = Recorder::default();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let job = Job::access(Vec::new());
+        match service.start(planner, &job, tx, one_call, deadline, &mut rec) {
+            Ok(at) => (at, rec),
+            Err(end) => panic!("{tx:?} ended at start: {end:?}"),
+        }
     }
 
-    /// `tx`'s attempt over `plan`, opened with a fresh recorder.
+    /// `tx`'s attempt over `plan`, started with a fresh recorder.
     pub(crate) fn opened(
         service: &LockService,
         tx: TxId,
         plan: &[PolicyAction],
+        one_call: bool,
     ) -> (Attempt, Recorder) {
-        let mut rec = Recorder::default();
-        let at = service
-            .attempt(
-                tx,
-                Some(plan.to_vec()),
-                AccessIntent::empty(),
-                &mut rec.tally,
-            )
-            .expect("a plain plan");
-        (at, rec)
+        started(service, tx, &mut Scripted(Some(plan.to_vec())), one_call)
+    }
+
+    /// One poll of `at`, which must grant an action.
+    pub(crate) fn grant(service: &LockService, at: &mut Attempt, rec: &mut Recorder) {
+        assert_eq!(service.poll(at, rec), Poll::Yield);
+    }
+
+    /// One poll of `at`, which must commit.
+    pub(crate) fn commit(service: &LockService, at: &mut Attempt, rec: &mut Recorder) {
+        assert_eq!(service.poll(at, rec), Poll::Over(AttemptEnd::Committed));
     }
 
     /// The stripe generation `e` parks on.
@@ -1354,7 +1522,7 @@ pub(crate) mod tests {
         }));
 
         let plan = [PolicyAction::Lock(e), PolicyAction::Access(e)];
-        let (mut at, mut rec) = opened(&service, tx, &plan);
+        let (mut at, mut rec) = opened(&service, tx, &plan, true);
         for _ in plan {
             grant(&service, &mut at, &mut rec);
         }
@@ -1497,7 +1665,7 @@ pub(crate) mod tests {
         let timeout = Duration::from_secs(10);
         for words in [true, false] {
             let service = service_over_e0(words);
-            let (mut holder, mut rec) = opened(&service, TxId(1), &[PolicyAction::Lock(e)]);
+            let (mut holder, mut rec) = opened(&service, TxId(1), &[PolicyAction::Lock(e)], true);
             grant(&service, &mut holder, &mut rec);
             let seen = service.stripes[0].lock().gen;
             let slept = std::thread::scope(|s| {
@@ -1527,6 +1695,41 @@ pub(crate) mod tests {
         }
     }
 
+    /// The deadline rule at a conflict, once per kind of run: an attempt
+    /// whose deadline has passed runs until it meets a held lock, and is
+    /// abandoned there — counted, aborted, the run marked timed out —
+    /// holding nothing: the next transaction takes its entity and
+    /// commits.
+    #[test]
+    fn an_attempt_past_its_deadline_is_abandoned_at_its_first_conflict() {
+        let (a, b) = (EntityId(0), EntityId(1));
+        for words in [true, false] {
+            let service = two_phase(&[a, b], words, None);
+            let (mut holder, mut holder_rec) =
+                opened(&service, TxId(1), &[PolicyAction::Lock(b)], true);
+            grant(&service, &mut holder, &mut holder_rec);
+
+            let plan = [PolicyAction::Lock(a), PolicyAction::Lock(b)];
+            let (mut late, mut rec) = opened(&service, TxId(2), &plan, true);
+            late.deadline = Instant::now() - Duration::from_millis(1);
+            grant(&service, &mut late, &mut rec);
+            assert_eq!(
+                service.poll(&mut late, &mut rec),
+                Poll::Over(AttemptEnd::Abandoned),
+                "words {words}"
+            );
+            assert_eq!((rec.tally.abandoned, rec.tally.lock_waits), (1, 1));
+            assert_eq!(rec.aborted, [TxId(2)], "words {words}");
+            assert!(service.counters.timed_out.load(Ordering::Relaxed));
+
+            let (mut next, mut next_rec) = opened(&service, TxId(3), &plan[..1], true);
+            grant(&service, &mut next, &mut next_rec);
+            commit(&service, &mut next, &mut next_rec);
+            commit(&service, &mut holder, &mut holder_rec);
+            assert!(service.words_quiescent(), "words {words}");
+        }
+    }
+
     /// The no-lost-wakeup handshake, once per kind of run: tx1 holds `e`;
     /// tx2's advance waits and names tx1 and a generation; tx1 finishes
     /// (word freed or engine entry dropped, *then* generation bumped);
@@ -1539,14 +1742,14 @@ pub(crate) mod tests {
         for words in [true, false] {
             let service = service_over_e0(words);
             // One recorder per attempt, as if two workers ran them.
-            let (mut tx1, mut rec1) = opened(&service, TxId(1), &plan);
-            let (mut tx2, mut rec2) = opened(&service, TxId(2), &plan);
+            let (mut tx1, mut rec1) = opened(&service, TxId(1), &plan, true);
+            let (mut tx2, mut rec2) = opened(&service, TxId(2), &plan, true);
             grant(&service, &mut tx1, &mut rec1);
             let Progress::Wait {
                 entity,
                 holder,
                 gen,
-            } = service.advance(&mut tx2, &mut rec2, true)
+            } = service.advance(&mut tx2, &mut rec2)
             else {
                 panic!("words {words}: a held lock must conflict");
             };
