@@ -4,8 +4,8 @@
 //! prints: the reports of `experiments::ALL` in order, separated by a rule
 //! of `=`. Every experiment is seeded and runs on the calling thread, so
 //! the output is the same in debug and release and at any
-//! `SLP_VERIFIER_THREADS` / `SLP_RUNTIME_THREADS`. A change that moves a
-//! table on purpose regenerates the file with
+//! `SLP_RUNTIME_THREADS`. A change that moves a table on purpose
+//! regenerates the file with
 //!
 //! ```text
 //! cargo run --release -p slp-bench --bin paper-experiments -- all \

@@ -143,12 +143,11 @@ impl RuntimeConfig {
     }
 
     /// The worker count the environment requests, if any:
-    /// `SLP_RUNTIME_THREADS` (the CI matrix convention, mirroring
-    /// `SLP_VERIFIER_THREADS`). `None` when unset; panics on a value that
-    /// is not a positive integer — a typo'd override must not silently
-    /// fall back. This is the single definition of the override's
-    /// parse/validate rule (the runtime suites' width ladders key off
-    /// set-vs-unset).
+    /// `SLP_RUNTIME_THREADS` (the CI matrix's pool-width axis). `None`
+    /// when unset; panics on a value that is not a positive integer — a
+    /// typo'd override must not silently fall back. This is the single
+    /// definition of the override's parse/validate rule (the runtime
+    /// suites' width ladders key off set-vs-unset).
     pub fn env_workers() -> Option<usize> {
         std::env::var("SLP_RUNTIME_THREADS").ok().map(|v| {
             v.parse::<usize>()

@@ -1,5 +1,4 @@
-//! Runtime stress/determinism matrix (à la
-//! `verifier/tests/parallel_agreement.rs`): seeded workloads at 1/2/4/8
+//! Runtime stress/determinism matrix: seeded workloads at 1/2/4/8
 //! workers, with the `SLP_RUNTIME_THREADS` override collapsing the ladder
 //! to one width (the CI matrix convention).
 //!

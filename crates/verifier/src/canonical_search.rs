@@ -99,38 +99,51 @@ impl CanonicalOutcome {
     }
 }
 
-/// All permutations of `items` (small inputs only).
-fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
-    if items.is_empty() {
-        return vec![vec![]];
-    }
-    let mut out = Vec::new();
-    for i in 0..items.len() {
-        let mut rest = items.to_vec();
-        let x = rest.remove(i);
-        for mut p in permutations(&rest) {
-            p.insert(0, x.clone());
-            out.push(p);
-        }
-    }
-    out
+/// The orders of `items`, one at a time, in lexicographic order of their
+/// indices (the first element varies slowest).
+fn permutations<T: Clone>(items: &[T]) -> impl Iterator<Item = Vec<T>> + '_ {
+    let mut next = Some((0..items.len()).collect::<Vec<_>>());
+    std::iter::from_fn(move || {
+        let order = next.take()?;
+        let out = order.iter().map(|&i| items[i].clone()).collect();
+        next = next_permutation(order);
+        Some(out)
+    })
 }
 
-/// Enumerates subsets of `items` in order of increasing size (excluding the
-/// empty set handled by the caller as needed).
-fn subsets<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
-    let mut out: Vec<Vec<T>> = (0..(1usize << items.len()))
-        .map(|mask| {
-            items
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| mask & (1 << i) != 0)
-                .map(|(_, x)| x.clone())
-                .collect()
+/// The lexicographic successor of the index order `p`, if any.
+fn next_permutation(mut p: Vec<usize>) -> Option<Vec<usize>> {
+    let i = p.windows(2).rposition(|w| w[0] < w[1])?;
+    let j = p.iter().rposition(|&x| x > p[i])?;
+    p.swap(i, j);
+    p[i + 1..].reverse();
+    Some(p)
+}
+
+/// The subsets of `items`, one at a time: by size, then by ascending
+/// bitmask (bit `i` for `items[i]`) within a size. Nothing is built ahead
+/// of the caller, so a wide system costs only the subsets it reaches.
+fn subsets<T: Clone>(items: &[T]) -> impl Iterator<Item = Vec<T>> + '_ {
+    (0..=items.len()).flat_map(move |size| {
+        let mut next = Some((0..size).collect::<Vec<_>>());
+        std::iter::from_fn(move || {
+            let chosen = next.take()?;
+            let out = chosen.iter().map(|&i| items[i].clone()).collect();
+            next = next_combination(chosen, items.len());
+            Some(out)
         })
-        .collect();
-    out.sort_by_key(Vec::len);
-    out
+    })
+}
+
+/// The ascending index set after `c` over `0..n`: the next larger bitmask
+/// with as many bits set, if any.
+fn next_combination(mut c: Vec<usize>, n: usize) -> Option<Vec<usize>> {
+    let j = (0..c.len()).find(|&j| c[j] + 1 < c.get(j + 1).copied().unwrap_or(n))?;
+    c[j] += 1;
+    for (i, x) in c[..j].iter_mut().enumerate() {
+        *x = i;
+    }
+    Some(c)
 }
 
 /// Searches for a canonical nonserializable schedule of `system`.
@@ -394,11 +407,35 @@ mod tests {
 
     #[test]
     fn permutation_and_subset_helpers() {
-        assert_eq!(permutations(&[1, 2, 3]).len(), 6);
-        assert_eq!(permutations::<u32>(&[]).len(), 1);
-        let subs = subsets(&[1, 2]);
-        assert_eq!(subs.len(), 4);
-        assert_eq!(subs[0], Vec::<i32>::new());
-        assert_eq!(subs.last().unwrap().len(), 2);
+        let perms: Vec<_> = permutations(&[1, 2, 3]).collect();
+        assert_eq!(
+            perms,
+            [
+                [1, 2, 3],
+                [1, 3, 2],
+                [2, 1, 3],
+                [2, 3, 1],
+                [3, 1, 2],
+                [3, 2, 1]
+            ]
+        );
+        assert_eq!(permutations::<u32>(&[]).count(), 1);
+        // By size, then by ascending bitmask within a size.
+        for n in 0..8u32 {
+            let items: Vec<u32> = (0..n).collect();
+            let mut masks: Vec<u32> = (0..1 << n).collect();
+            masks.sort_by_key(|m| m.count_ones());
+            let expected: Vec<Vec<u32>> = masks
+                .iter()
+                .map(|m| {
+                    items
+                        .iter()
+                        .copied()
+                        .filter(|i| m & (1 << i) != 0)
+                        .collect()
+                })
+                .collect();
+            assert_eq!(subsets(&items).collect::<Vec<_>>(), expected, "n = {n}");
+        }
     }
 }

@@ -46,20 +46,13 @@
 //! oracle (`verifier/tests/reference/`, used by `verifier/tests/agreement.rs`);
 //! `bench-report`'s `verifier.seq_s` row times this search.
 //!
-//! # One search, two drivers
+//! # One search
 //!
-//! The crate has one DFS, in this module. It takes a driver that supplies
-//! what only a parallel run needs: a cancel poll, a share of a state
-//! budget counted across workers, and donation of sibling subtrees to
-//! idle workers. The sequential driver is a zero-sized no-op;
-//! [`crate::parallel`]'s pool workers run the same DFS with the pool
-//! driver. The budget rule and the rule that turns a finished search into
-//! a [`Verdict`] are the same for both. One prefix replay
-//! starts every search: the empty prefix for [`verify_safety`], the
-//! caller's partial schedule for [`complete_schedule`], and a donated
-//! subtree's prefix for a pool worker. `verifier/tests/parallel_agreement.rs`
-//! pins a one-worker pool to [`verify_safety`]'s verdict, witness and
-//! statistics.
+//! The crate has one DFS, in this module. One prefix replay starts every
+//! search: the empty prefix for [`verify_safety`] and the caller's partial
+//! schedule for [`complete_schedule`]. The budget rule refuses a node once
+//! `max_states` states have been visited, so a budget equal to a search's
+//! state count still completes it.
 //!
 //! The randomized corpus-generation mode ([`complete_schedule_randomized`])
 //! shuffles the candidate order at each node, which allocates the shuffled
@@ -155,17 +148,6 @@ impl Verdict {
             Verdict::Safe(s) | Verdict::Exhausted(s) | Verdict::Unsafe { stats: s, .. } => *s,
         }
     }
-
-    /// How every driver turns a finished run into a verdict: a witness
-    /// makes the system unsafe; without one, a run the budget rule
-    /// stopped is exhausted and any other run is safe.
-    pub(crate) fn decide(witness: Option<Schedule>, exhausted: bool, stats: SearchStats) -> Self {
-        match witness {
-            Some(witness) => Verdict::Unsafe { witness, stats },
-            None if exhausted => Verdict::Exhausted(stats),
-            None => Verdict::Safe(stats),
-        }
-    }
 }
 
 /// Incrementally maintained per-position bookkeeping:
@@ -201,13 +183,6 @@ impl PositionBook {
         }
     }
 
-    /// Back to the all-zero-positions state.
-    fn reset(&mut self) {
-        self.packed = 0;
-        self.started = 0;
-        self.finished = 0;
-    }
-
     /// Advances dense transaction `i` by one step: positions, the packed
     /// word, and the started/finished counters, all O(1).
     fn take(&mut self, positions: &mut [u16], i: usize) {
@@ -238,87 +213,21 @@ impl PositionBook {
     }
 }
 
-/// What a caller adds to the one DFS. Every hook defaults to the
-/// sequential search's behaviour, so [`Sequential`] is an empty impl.
-///
-/// The DFS takes its driver as `&mut dyn Driver`: a DFS generic over the
-/// driver, instantiated once per driver, stopped inlining the simulator
-/// and edge-set calls into the loop and ran ~3% slower sequentially on the
-/// `verifier_sweep` catalog, while the sequential driver's empty virtual
-/// calls measured no cost.
-pub(crate) trait Driver {
-    /// Nodes a search may visit between two calls of
-    /// [`visited`](Driver::visited): all of them when it runs alone.
-    fn chunk(&self) -> usize {
-        usize::MAX
-    }
-
-    /// Whether the run was stopped from outside; polled once per node.
-    fn cancelled(&self) -> bool {
-        false
-    }
-
-    /// States the whole run has visited, given that this search has
-    /// visited `mine`.
-    fn visited(&mut self, mine: usize) -> usize {
-        mine
-    }
-
-    /// Whether another worker waits for work, i.e. whether donating a
-    /// subtree is worth its replay; asked after each locally explored
-    /// child.
-    fn wants_work(&self) -> bool {
-        false
-    }
-
-    /// Hands the subtree below `prefix` to another worker.
-    fn donate(&mut self, _prefix: Schedule) {}
-
-    /// Publishes donations held back for batching; called before a local
-    /// descent and at node end when the node has donated since.
-    fn flush(&mut self) {}
-}
-
-/// The sequential explorer's driver: nothing cancels it, nobody takes its
-/// work, and the whole budget is its own.
-pub(crate) struct Sequential;
-
-impl Driver for Sequential {}
-
 /// Outcome of exploring one node.
-pub(crate) enum Dfs {
+enum Dfs {
     /// An accepted schedule (the search is back at the node).
     Found(Schedule),
     /// Fully explored, nothing accepted below: memoizable.
     NotFound,
-    /// Nothing accepted here, but some children were donated, so the
-    /// node is not fully explored by this search and may not be memoized.
-    Donated,
-    /// Unwound early (budget or cancel): nothing may be memoized.
-    Stopped,
-}
-
-impl Dfs {
-    /// The accepted schedule, if one was found.
-    pub(crate) fn found(self) -> Option<Schedule> {
-        match self {
-            Dfs::Found(schedule) => Some(schedule),
-            _ => None,
-        }
-    }
+    /// Unwound early by the budget rule: nothing may be memoized.
+    Exhausted,
 }
 
 /// One search over one system: the fixed per-system tables, the memo and
-/// statistics (kept across [`explore`](Search::explore) calls), and the
-/// current node, mutated in place by apply/undo.
-pub(crate) struct Search<'a> {
-    system: &'a TransactionSystem,
+/// statistics, and the current node, mutated in place by apply/undo.
+struct Search<'a> {
     budget: SearchBudget,
-    pub(crate) stats: SearchStats,
-    /// `stats.states` at which the budget rule runs next.
-    limit: usize,
-    /// Set when the budget rule refused a node.
-    pub(crate) exhausted: bool,
+    stats: SearchStats,
     /// Transactions in dense-index order (index `i` ↔ `ids[i]`).
     ids: Vec<TxId>,
     txs: Vec<&'a LockedTransaction>,
@@ -348,11 +257,7 @@ pub(crate) struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    pub(crate) fn new(
-        system: &'a TransactionSystem,
-        budget: SearchBudget,
-        want_cycle: bool,
-    ) -> Self {
+    fn new(system: &'a TransactionSystem, budget: SearchBudget, want_cycle: bool) -> Self {
         let ids = system.ids();
         let txs: Vec<_> = ids
             .iter()
@@ -369,11 +274,8 @@ impl<'a> Search<'a> {
         let memo = Memo::for_system(book.packable, small_edges);
         let index = want_cycle.then(|| ConflictIndex::new(k));
         Search {
-            system,
             budget,
             stats: SearchStats::default(),
-            limit: 0,
-            exhausted: false,
             ids,
             txs,
             memo,
@@ -390,14 +292,10 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Searches below `prefix`: back to the empty schedule, replay
-    /// `prefix` (`None` if it is not a legal & proper partial schedule of
-    /// the system), then the DFS. A non-empty prefix's node is probed and
-    /// memoized like any child.
-    pub(crate) fn explore(&mut self, prefix: &Schedule, driver: &mut dyn Driver) -> Option<Dfs> {
-        if !self.schedule.is_empty() {
-            self.rewind();
-        }
+    /// Replays `prefix` from the empty schedule (`None` if it is not a
+    /// legal & proper partial schedule of the system), then searches below
+    /// it.
+    fn explore(&mut self, prefix: &Schedule) -> Option<Dfs> {
         for s in prefix.steps() {
             let i = self.ids.iter().position(|&t| t == s.tx)?;
             if self.txs[i].steps.get(self.positions[i] as usize) != Some(&s.step) {
@@ -417,58 +315,14 @@ impl<'a> Search<'a> {
             !self.book.packable || Some(self.book.packed) == crate::pack_positions(&self.positions),
             "incrementally maintained packed key diverged from pack_positions"
         );
-        if prefix.is_empty() {
-            return Some(self.dfs(driver));
-        }
-        if self
-            .memo
-            .contains(self.book.packed, &self.positions, &self.edges)
-        {
-            self.stats.memo_hits += 1;
-            return Some(Dfs::NotFound);
-        }
-        let result = self.dfs(driver);
-        if let Dfs::NotFound = result {
-            self.memo
-                .insert(self.book.packed, &self.positions, &self.edges);
-        }
-        Some(result)
+        Some(self.dfs())
     }
 
-    /// Back to the empty schedule; the memo and the statistics stay.
-    fn rewind(&mut self) {
-        self.positions.fill(0);
-        self.book.reset();
-        self.sim = ScheduleSimulator::new(self.system.initial_state().clone());
-        self.schedule = Schedule::empty();
-        if let Some(index) = &mut self.index {
-            *index = ConflictIndex::new(self.ids.len());
-        }
-        self.edges = EdgeSet::empty(self.edges.width());
-    }
-
-    /// The budget rule, the same for every driver: a node may be visited
-    /// only while the whole run has visited fewer than `max_states`
-    /// states. The run-wide count is asked for once per
-    /// [`chunk`](Driver::chunk) nodes, so a count shared across workers
-    /// never stops a run that fits its budget; the price is that each
-    /// worker may overshoot by a chunk.
-    fn admit(&mut self, driver: &mut dyn Driver) -> bool {
-        if self.stats.states < self.limit {
-            return true;
-        }
-        let visited = driver.visited(self.stats.states);
-        if visited >= self.budget.max_states {
-            self.exhausted = true;
-            return false;
-        }
-        self.limit = self.stats.states + driver.chunk().min(self.budget.max_states - visited);
-        true
-    }
-
-    fn dfs(&mut self, driver: &mut dyn Driver) -> Dfs {
-        if driver.cancelled() || !self.admit(driver) {
-            return Dfs::Stopped;
+    fn dfs(&mut self) -> Dfs {
+        // The budget rule: refuse a node once `max_states` states have
+        // been visited.
+        if self.stats.states >= self.budget.max_states {
+            return Dfs::Exhausted;
         }
         self.stats.states += 1;
 
@@ -496,11 +350,6 @@ impl<'a> Search<'a> {
             order.shuffle(rng);
             order
         });
-        // `hand_off`: whether viable siblings go to idle workers, asked
-        // after each locally explored child; `unflushed`: whether this
-        // node holds donations the driver has not published.
-        let (mut hand_off, mut unflushed) = (false, false);
-        let (mut donated, mut stopped) = (false, false);
         for idx in 0..k {
             let i = shuffled.as_ref().map_or(idx, |order| order[idx]);
             let id = self.ids[i];
@@ -527,27 +376,15 @@ impl<'a> Search<'a> {
                 .contains(self.book.packed, &self.positions, &self.edges)
             {
                 self.stats.memo_hits += 1;
-                None
-            } else if hand_off && self.sim.check(id, &step).is_ok() {
-                let mut prefix = self.schedule.clone();
-                prefix.push(ScheduledStep::new(id, step));
-                driver.donate(prefix);
-                (donated, unflushed) = (true, true);
-                None
+                Dfs::NotFound
             } else if let Ok(token) = self.sim.apply_undoable(id, &step) {
                 // Legality + properness gate and application in one pass
                 // (apply_undoable checks, then mutates only on success).
-                // Donated siblings must reach the queue before the descent,
-                // or idle workers would starve for its whole length.
-                if unflushed {
-                    driver.flush();
-                    unflushed = false;
-                }
                 self.schedule.push(ScheduledStep::new(id, step));
                 if let Some(index) = &mut self.index {
                     index.push(i, step);
                 }
-                let result = self.dfs(driver);
+                let result = self.dfs();
                 if let Some(index) = &mut self.index {
                     index.pop();
                 }
@@ -559,35 +396,19 @@ impl<'a> Search<'a> {
                     self.memo
                         .insert(self.book.packed, &self.positions, &self.edges);
                 }
-                Some(result)
+                result
             } else {
-                None
+                Dfs::NotFound
             };
             self.book.untake(&mut self.positions, i);
             if let Some(a) = &added {
                 self.edges.undo(a);
             }
-            match result {
-                Some(Dfs::Found(s)) => return Dfs::Found(s),
-                Some(Dfs::NotFound) => hand_off = driver.wants_work(),
-                Some(Dfs::Donated) => (hand_off, donated) = (driver.wants_work(), true),
-                Some(Dfs::Stopped) => {
-                    stopped = true;
-                    break;
-                }
-                None => {}
+            if !matches!(result, Dfs::NotFound) {
+                return result;
             }
         }
-        if unflushed {
-            driver.flush();
-        }
-        if stopped {
-            Dfs::Stopped
-        } else if donated {
-            Dfs::Donated
-        } else {
-            Dfs::NotFound
-        }
+        Dfs::NotFound
     }
 }
 
@@ -595,10 +416,37 @@ impl<'a> Search<'a> {
 /// (over the started subset), legal, proper, nonserializable schedule.
 pub fn verify_safety(system: &TransactionSystem, budget: SearchBudget) -> Verdict {
     let mut search = Search::new(system, budget, true);
-    let witness = search
-        .explore(&Schedule::empty(), &mut Sequential)
-        .and_then(Dfs::found);
-    Verdict::decide(witness, search.exhausted, search.stats)
+    let outcome = search
+        .explore(&Schedule::empty())
+        .expect("the empty prefix replays");
+    let stats = search.stats;
+    match outcome {
+        Dfs::Found(witness) => Verdict::Unsafe { witness, stats },
+        Dfs::NotFound => Verdict::Safe(stats),
+        Dfs::Exhausted => Verdict::Exhausted(stats),
+    }
+}
+
+/// [`verify_safety`] under the name of the deleted work-stealing parallel
+/// verifier.
+///
+/// `bench_report`'s `verifier_sweep` workload still calls
+/// `ParallelVerifier::new(threads).verify(..)` for its traced
+/// `verifier.par_*` rows and its verdict cross-check, so until the
+/// benchmark revision that re-points those rows at [`verify_safety`]
+/// deletes this name (ROADMAP item 1), they time the sequential search.
+pub struct ParallelVerifier;
+
+impl ParallelVerifier {
+    /// The verifier; the thread count is ignored.
+    pub fn new(_threads: usize) -> Self {
+        ParallelVerifier
+    }
+
+    /// Exactly [`verify_safety`].
+    pub fn verify(&self, system: &TransactionSystem, budget: SearchBudget) -> Verdict {
+        verify_safety(system, budget)
+    }
 }
 
 /// Extends a legal & proper partial schedule `prefix` of `system` to any
@@ -635,7 +483,10 @@ fn complete_with(
     let mut search = Search::new(system, budget, false);
     search.rng = seed.map(StdRng::seed_from_u64);
     search.require_all = seed.is_some();
-    search.explore(prefix, &mut Sequential)?.found()
+    match search.explore(prefix)? {
+        Dfs::Found(schedule) => Some(schedule),
+        Dfs::NotFound | Dfs::Exhausted => None,
+    }
 }
 
 #[cfg(test)]
@@ -751,6 +602,24 @@ mod tests {
     fn budget_exhaustion_is_reported() {
         let verdict = verify_safety(&two_phase_system(), SearchBudget { max_states: 3 });
         assert!(matches!(verdict, Verdict::Exhausted(_)));
+    }
+
+    #[test]
+    fn a_budget_of_exactly_the_state_count_completes_and_one_less_exhausts() {
+        let system = two_phase_system();
+        let states = verify_safety(&system, SearchBudget::default())
+            .stats()
+            .states;
+        let exact = verify_safety(&system, SearchBudget { max_states: states });
+        assert!(exact.is_safe(), "{exact:?}");
+        assert_eq!(exact.stats().states, states);
+        let short = verify_safety(
+            &system,
+            SearchBudget {
+                max_states: states - 1,
+            },
+        );
+        assert!(matches!(short, Verdict::Exhausted(_)), "{short:?}");
     }
 
     #[test]

@@ -13,17 +13,12 @@
 //!   the paper's main theorem; experiment E6 cross-validates the two
 //!   deciders on randomized systems.
 //!
-//! The exhaustive decider also runs **in parallel**:
-//! [`parallel::ParallelVerifier`] runs the explorer's one DFS on a
-//! work-stealing thread pool, each worker with its own memo (the
-//! sequential explorer's), with batched work donation, a state budget
-//! counted across workers, and early cancellation;
-//! `verifier/tests/parallel_agreement.rs` pins its verdicts to the
-//! sequential explorer's differentially, and a one-worker pool to its
-//! exact result.
+//! The exhaustive decider is one sequential search; [`ParallelVerifier`]
+//! is only another name for [`explorer::verify_safety`], kept while the
+//! benchmark calls it.
 //!
-//! The search state both exhaustive modes share lives in [`edges`]: the
-//! `D(S)` edge sets ([`EdgeSet`], with a `u128` fast path and a words
+//! The exhaustive search's state lives in [`edges`]: the `D(S)` edge
+//! sets ([`EdgeSet`], with a `u128` fast path and a words
 //! fallback for any transaction count), the per-entity [`ConflictIndex`]
 //! that yields each step's edge delta, and the packed memo key
 //! ([`pack_positions`]). The batch graph they are tested against is
@@ -43,14 +38,12 @@ pub mod explorer;
 pub mod gen;
 mod memo;
 pub mod minimize;
-pub mod parallel;
 
 pub use canonical_search::{find_canonical_witness, CanonicalBudget, CanonicalOutcome};
 pub use edges::{mask_has_cycle, pack_positions, ConflictIndex, EdgeSet};
 pub use explorer::{
-    complete_schedule, complete_schedule_randomized, verify_safety, SearchBudget, SearchStats,
-    Verdict,
+    complete_schedule, complete_schedule_randomized, verify_safety, ParallelVerifier, SearchBudget,
+    SearchStats, Verdict,
 };
 pub use gen::{random_system, GenParams};
 pub use minimize::minimize_witness;
-pub use parallel::ParallelVerifier;

@@ -6,8 +6,8 @@
 //! two wide ones intern their key halves through one [`Interner`], so
 //! hit-heavy memo traffic compares small `(u128, u32)` set keys, not
 //! 100+-byte word strings — an all-flat-words memo was tried and measured
-//! ~25% slower on the wide k = 13 bench. Each parallel pool worker keeps
-//! its own `Memo`, so there is no synchronization here.
+//! ~25% slower on the wide k = 13 bench. A `Memo` belongs to one search
+//! and is never shared, so there is no synchronization here.
 
 use crate::edges::EdgeSet;
 use rustc_hash::{FxHashMap, FxHashSet};

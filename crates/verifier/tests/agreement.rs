@@ -9,7 +9,8 @@ mod reference;
 
 use reference::verify_safety_reference;
 use slp_verifier::{
-    find_canonical_witness, random_system, verify_safety, CanonicalBudget, GenParams, SearchBudget,
+    complete_schedule, find_canonical_witness, random_system, verify_safety, CanonicalBudget,
+    GenParams, SearchBudget, Verdict,
 };
 
 fn check_agreement(params: GenParams, seeds: std::ops::Range<u64>) -> (usize, usize) {
@@ -238,5 +239,153 @@ fn all_two_phase_systems_are_safe() {
         );
         let verdict = verify_safety(&system, SearchBudget::default());
         assert!(verdict.is_safe(), "seed {seed}: 2PL system must be safe");
+    }
+}
+
+/// Runs [`verify_safety`] on `system` and checks its witness, if any:
+/// legal, proper, nonserializable, complete over its participants, and
+/// accepted by [`complete_schedule`]'s replay as a complete schedule of
+/// the system. Returns whether the system is unsafe.
+fn verify_checked(system: &slp_core::TransactionSystem, label: &str) -> bool {
+    let budget = SearchBudget::default();
+    let verdict = verify_safety(system, budget);
+    assert!(
+        !matches!(verdict, Verdict::Exhausted(_)),
+        "{label}: search exhausted its budget"
+    );
+    let Some(witness) = verdict.witness() else {
+        return false;
+    };
+    assert!(witness.is_legal(), "{label}: witness illegal");
+    assert!(
+        witness.is_proper(system.initial_state()),
+        "{label}: witness improper"
+    );
+    assert!(
+        !slp_core::is_serializable(witness),
+        "{label}: witness serializable"
+    );
+    let parts: Vec<_> = witness
+        .participants()
+        .iter()
+        .map(|&id| system.get(id).expect("participant").clone())
+        .collect();
+    assert!(
+        witness.is_complete_schedule_of(&parts),
+        "{label}: witness incomplete over its participants"
+    );
+    let replayed = complete_schedule(system, witness, budget)
+        .unwrap_or_else(|| panic!("{label}: witness failed prefix replay"));
+    assert_eq!(
+        &replayed, witness,
+        "{label}: replay extended a complete witness"
+    );
+    true
+}
+
+/// Past the reference oracle's 11-transaction cap: padding draws no
+/// randomness, so a padded system has the same core as the unpadded one
+/// of the same seed, and [`verify_safety`] on the padded system (words
+/// edge sets, interned memo keys) must reach the oracle's verdict on the
+/// core.
+fn check_wide_corpus(core: GenParams, padding_txs: usize, seeds: std::ops::Range<u64>) {
+    let padded = GenParams {
+        padding_txs,
+        ..core
+    };
+    for seed in seeds {
+        let label = format!("k = {}, seed {seed}", core.transactions + padding_txs);
+        let system = random_system(padded, seed);
+        assert!(
+            system.ids().len() > 11,
+            "{label}: not past the oracle's cap"
+        );
+        let expected = verify_safety_reference(&random_system(core, seed), SearchBudget::default());
+        assert_eq!(
+            verify_checked(&system, &label),
+            expected.is_unsafe(),
+            "{label}: verdict differs from the core's"
+        );
+    }
+}
+
+// Every core of these corpora is safe: the `k = 13` and `k = 16` ones by
+// construction (a one-session transaction is two-phase), the `k = 12`
+// ones at these seeds. The unsafe direction at these widths is
+// `fixed_wide_systems_verify_both_ways`.
+
+#[test]
+fn wide_k12_and_k16_systems_keep_the_reference_verdict_of_their_core() {
+    let core = GenParams {
+        transactions: 2,
+        sessions_per_tx: 2,
+        ..GenParams::default()
+    };
+    check_wide_corpus(core, 10, 900..920);
+    let core = GenParams {
+        sessions_per_tx: 1,
+        ..core
+    };
+    check_wide_corpus(core, 14, 7..8);
+}
+
+#[test]
+fn wide_k13_systems_keep_the_reference_verdict_of_their_core() {
+    let core = GenParams {
+        transactions: 3,
+        sessions_per_tx: 1,
+        ..GenParams::default()
+    };
+    check_wide_corpus(core, 10, 1000..1015);
+}
+
+/// A two-transaction core plus single-step `LX` padding contending on one
+/// entity, so the state space stays tiny at any width: a 2PL pair (safe)
+/// or the short-lock pair (unsafe).
+fn padded_pair(two_phase: bool, k: u32) -> slp_core::TransactionSystem {
+    let mut b = slp_core::SystemBuilder::new();
+    b.exists("x");
+    b.exists("y");
+    for t in 1..=2 {
+        let tx = b.tx(t).lx("x").write("x");
+        if two_phase {
+            tx.lx("y").write("y").ux("x").ux("y").finish();
+        } else {
+            tx.ux("x").lx("y").write("y").ux("y").finish();
+        }
+    }
+    for t in 3..=k {
+        b.tx(t).lx("q").finish();
+    }
+    b.build()
+}
+
+/// `k = 16` (words edge sets, packed positions) in both verdicts, and
+/// `k = 17`, past the position-packing bound too (interned position
+/// keys).
+#[test]
+fn fixed_wide_systems_verify_both_ways() {
+    for (two_phase, k) in [(true, 16), (false, 16), (false, 17)] {
+        let system = padded_pair(two_phase, k);
+        assert_eq!(system.ids().len(), k as usize);
+        let label = format!("k = {k}, 2PL = {two_phase}");
+        assert_eq!(verify_checked(&system, &label), !two_phase, "{label}");
+    }
+}
+
+/// Theorem 1's search enumerates subsets and orders lazily, so a system
+/// with more transactions than a machine word has bits reaches the same
+/// witness after the same candidates as a narrow one (subsets used to be
+/// built up front with `1 << k`, which overflowed past 64 others).
+#[test]
+fn a_wide_system_finds_the_narrow_canonical_witness_after_as_many_candidates() {
+    for k in [4, 65] {
+        let system = padded_pair(false, k);
+        let outcome = find_canonical_witness(&system, CanonicalBudget::default());
+        let witness = outcome
+            .witness()
+            .unwrap_or_else(|| panic!("k = {k}: {outcome:?}"));
+        assert_eq!(witness.verify(&system), Ok(()));
+        assert_eq!(outcome.stats().candidates, 12, "k = {k}");
     }
 }

@@ -144,8 +144,8 @@ fn schedule_pop(s: &mut Schedule) {
 /// transactions: the oracle is kept byte-for-byte at its pre-`EdgeSet`
 /// state, so its raw `u128` edge masks still carry the old hard cap that
 /// the production explorers have since lifted. Wide-`k` cross-checks use
-/// the sequential [`verify_safety`](slp_verifier::verify_safety)
-/// instead (see `verifier/tests/parallel_agreement.rs`).
+/// [`verify_safety`](slp_verifier::verify_safety) on a padded system
+/// against this oracle on its unpadded core (see `tests/agreement.rs`).
 pub fn verify_safety_reference(system: &TransactionSystem, budget: SearchBudget) -> Verdict {
     assert!(
         system.ids().len() <= EdgeSet::MAX_SMALL_TXS,
