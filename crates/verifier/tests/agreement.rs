@@ -312,7 +312,8 @@ fn check_wide_corpus(core: GenParams, padding_txs: usize, seeds: std::ops::Range
 // Every core of these corpora is safe: the `k = 13` and `k = 16` ones by
 // construction (a one-session transaction is two-phase), the `k = 12`
 // ones at these seeds. The unsafe direction at these widths is
-// `fixed_wide_systems_verify_both_ways`.
+// `fixed_k16_systems_verify_both_ways` and
+// `fixed_k17_short_lock_system_is_unsafe_with_interned_positions`.
 
 #[test]
 fn wide_k12_and_k16_systems_keep_the_reference_verdict_of_their_core() {
@@ -360,17 +361,27 @@ fn padded_pair(two_phase: bool, k: u32) -> slp_core::TransactionSystem {
     b.build()
 }
 
-/// `k = 16` (words edge sets, packed positions) in both verdicts, and
+/// Checks that [`padded_pair`] at width `k` has `k` transactions and that
+/// [`verify_safety`] finds it unsafe exactly when it is not two-phase.
+fn check_padded_pair(two_phase: bool, k: u32) {
+    let system = padded_pair(two_phase, k);
+    assert_eq!(system.ids().len(), k as usize);
+    let label = format!("k = {k}, 2PL = {two_phase}");
+    assert_eq!(verify_checked(&system, &label), !two_phase, "{label}");
+}
+
+/// `k = 16` (words edge sets, packed positions) in both verdicts.
+#[test]
+fn fixed_k16_systems_verify_both_ways() {
+    check_padded_pair(true, 16);
+    check_padded_pair(false, 16);
+}
+
 /// `k = 17`, past the position-packing bound too (interned position
 /// keys).
 #[test]
-fn fixed_wide_systems_verify_both_ways() {
-    for (two_phase, k) in [(true, 16), (false, 16), (false, 17)] {
-        let system = padded_pair(two_phase, k);
-        assert_eq!(system.ids().len(), k as usize);
-        let label = format!("k = {k}, 2PL = {two_phase}");
-        assert_eq!(verify_checked(&system, &label), !two_phase, "{label}");
-    }
+fn fixed_k17_short_lock_system_is_unsafe_with_interned_positions() {
+    check_padded_pair(false, 17);
 }
 
 /// Theorem 1's search enumerates subsets and orders lazily, so a system
