@@ -8,7 +8,6 @@
 //! paper's transactions are themselves responsible for maintaining them.
 
 use slp_core::EntityId;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Errors from graph mutations.
@@ -40,12 +39,67 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// A directed graph with deterministic iteration order (BTree-backed).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// A directed graph with deterministic iteration order, stored flat by
+/// entity id: a node flag per id plus each node's successors and
+/// predecessors as sorted `Vec`s.
+///
+/// Every query is an index into those vectors, so the tables are as long
+/// as the largest id the graph has held — ids are expected to be interned
+/// by a [`slp_core::Universe`] (dense). The adjacency vectors grow only
+/// when an edge needs them, so a node with a large id costs one flag per
+/// id below it. Equality compares nodes and edges, not storage.
+#[derive(Clone, Default)]
 pub struct DiGraph {
-    nodes: BTreeSet<EntityId>,
-    succ: BTreeMap<EntityId, BTreeSet<EntityId>>,
-    pred: BTreeMap<EntityId, BTreeSet<EntityId>>,
+    /// `is_node[i]`: whether `EntityId(i)` is a node. Never ends in
+    /// `false`, so its length is one more than the largest node id.
+    is_node: Vec<bool>,
+    /// Sorted successors per id; ids past the end have none.
+    succ: Vec<Vec<EntityId>>,
+    /// Sorted predecessors per id, mirroring `succ`.
+    pred: Vec<Vec<EntityId>>,
+    node_count: usize,
+    edge_count: usize,
+}
+
+impl PartialEq for DiGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.is_node == other.is_node
+            && self.edge_count == other.edge_count
+            && self.nodes().all(|n| self.succ_of(n) == other.succ_of(n))
+    }
+}
+
+impl Eq for DiGraph {}
+
+impl fmt::Debug for DiGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DiGraph")
+            .field("nodes", &self.nodes().collect::<Vec<_>>())
+            .field("edges", &self.edges().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// Inserts `x` into the sorted `v`; `false` if it was already there.
+fn insert_sorted(v: &mut Vec<EntityId>, x: EntityId) -> bool {
+    match v.binary_search(&x) {
+        Ok(_) => false,
+        Err(i) => {
+            v.insert(i, x);
+            true
+        }
+    }
+}
+
+/// Removes `x` from the sorted `v`; `false` if it was not there.
+fn remove_sorted(v: &mut Vec<EntityId>, x: EntityId) -> bool {
+    match v.binary_search(&x) {
+        Ok(i) => {
+            v.remove(i);
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 impl DiGraph {
@@ -73,111 +127,137 @@ impl DiGraph {
         g
     }
 
+    fn succ_of(&self, n: EntityId) -> &[EntityId] {
+        self.succ.get(n.index()).map_or(&[], Vec::as_slice)
+    }
+
+    fn pred_of(&self, n: EntityId) -> &[EntityId] {
+        self.pred.get(n.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// One more than the largest node id (0 for an empty graph): the
+    /// length a per-entity table needs to cover every node.
+    pub(crate) fn id_bound(&self) -> usize {
+        self.is_node.len()
+    }
+
     /// Adds a node.
     pub fn add_node(&mut self, n: EntityId) -> Result<(), GraphError> {
-        if !self.nodes.insert(n) {
+        if self.has_node(n) {
             return Err(GraphError::NodeExists(n));
         }
+        if n.index() >= self.is_node.len() {
+            self.is_node.resize(n.index() + 1, false);
+        }
+        self.is_node[n.index()] = true;
+        self.node_count += 1;
         Ok(())
     }
 
     /// Removes a node; all incident edges must have been removed first.
     pub fn remove_node(&mut self, n: EntityId) -> Result<(), GraphError> {
-        if !self.nodes.contains(&n) {
+        if !self.has_node(n) {
             return Err(GraphError::NoSuchNode(n));
         }
-        let has_edges = self.succ.get(&n).is_some_and(|s| !s.is_empty())
-            || self.pred.get(&n).is_some_and(|p| !p.is_empty());
-        if has_edges {
+        if !self.succ_of(n).is_empty() || !self.pred_of(n).is_empty() {
             return Err(GraphError::NodeHasEdges(n));
         }
-        self.nodes.remove(&n);
-        self.succ.remove(&n);
-        self.pred.remove(&n);
+        self.is_node[n.index()] = false;
+        while self.is_node.last() == Some(&false) {
+            self.is_node.pop();
+        }
+        self.node_count -= 1;
         Ok(())
     }
 
     /// Adds the edge `(a, b)`.
     pub fn add_edge(&mut self, a: EntityId, b: EntityId) -> Result<(), GraphError> {
-        if !self.nodes.contains(&a) {
+        if !self.has_node(a) {
             return Err(GraphError::NoSuchNode(a));
         }
-        if !self.nodes.contains(&b) {
+        if !self.has_node(b) {
             return Err(GraphError::NoSuchNode(b));
         }
-        if !self.succ.entry(a).or_default().insert(b) {
+        let reach = a.index().max(b.index()) + 1;
+        if self.succ.len() < reach {
+            self.succ.resize_with(reach, Vec::new);
+            self.pred.resize_with(reach, Vec::new);
+        }
+        if !insert_sorted(&mut self.succ[a.index()], b) {
             return Err(GraphError::EdgeExists(a, b));
         }
-        self.pred.entry(b).or_default().insert(a);
+        insert_sorted(&mut self.pred[b.index()], a);
+        self.edge_count += 1;
         Ok(())
     }
 
     /// Removes the edge `(a, b)`.
     pub fn remove_edge(&mut self, a: EntityId, b: EntityId) -> Result<(), GraphError> {
-        let present = self.succ.get_mut(&a).is_some_and(|s| s.remove(&b));
+        let present = self
+            .succ
+            .get_mut(a.index())
+            .is_some_and(|s| remove_sorted(s, b));
         if !present {
             return Err(GraphError::NoSuchEdge(a, b));
         }
-        self.pred.get_mut(&b).expect("pred mirrors succ").remove(&a);
+        remove_sorted(&mut self.pred[b.index()], a);
+        self.edge_count -= 1;
         Ok(())
     }
 
     /// Whether node `n` exists.
     pub fn has_node(&self, n: EntityId) -> bool {
-        self.nodes.contains(&n)
+        self.is_node.get(n.index()) == Some(&true)
     }
 
     /// Whether edge `(a, b)` exists.
     pub fn has_edge(&self, a: EntityId, b: EntityId) -> bool {
-        self.succ.get(&a).is_some_and(|s| s.contains(&b))
+        self.succ_of(a).binary_search(&b).is_ok()
     }
 
     /// The nodes, in id order.
     pub fn nodes(&self) -> impl Iterator<Item = EntityId> + '_ {
-        self.nodes.iter().copied()
+        self.is_node
+            .iter()
+            .enumerate()
+            .filter(|&(_, &is)| is)
+            .map(|(i, _)| EntityId(i as u32))
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.node_count
     }
 
     /// All edges, in id order.
     pub fn edges(&self) -> impl Iterator<Item = (EntityId, EntityId)> + '_ {
-        self.succ
-            .iter()
-            .flat_map(|(&a, succs)| succs.iter().map(move |&b| (a, b)))
+        self.nodes()
+            .flat_map(|a| self.succ_of(a).iter().map(move |&b| (a, b)))
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.succ.values().map(BTreeSet::len).sum()
+        self.edge_count
     }
 
-    /// Successors of `n` (empty if absent).
+    /// Successors of `n`, in id order (empty if absent).
     pub fn successors(&self, n: EntityId) -> impl Iterator<Item = EntityId> + '_ {
-        self.succ
-            .get(&n)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        self.succ_of(n).iter().copied()
     }
 
-    /// Predecessors of `n` (empty if absent).
+    /// Predecessors of `n`, in id order (empty if absent).
     pub fn predecessors(&self, n: EntityId) -> impl Iterator<Item = EntityId> + '_ {
-        self.pred
-            .get(&n)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        self.pred_of(n).iter().copied()
     }
 
     /// In-degree of `n`.
     pub fn in_degree(&self, n: EntityId) -> usize {
-        self.pred.get(&n).map_or(0, BTreeSet::len)
+        self.pred_of(n).len()
     }
 
     /// Out-degree of `n`.
     pub fn out_degree(&self, n: EntityId) -> usize {
-        self.succ.get(&n).map_or(0, BTreeSet::len)
+        self.succ_of(n).len()
     }
 }
 

@@ -89,7 +89,7 @@ impl DomIndex {
     /// The rank half of the index alone — no dominator tree, `why` as the
     /// root verdict — and the topological order it was ranked by.
     fn ranked(g: &DiGraph, why: Unrooted) -> (DomIndex, Option<Vec<EntityId>>) {
-        let bound = g.nodes().last().map_or(0, |n| n.index() + 1);
+        let bound = g.id_bound();
         let mut rank = vec![NONE; bound];
         let order = dag::topological_sort(g);
         for (i, n) in order.iter().flatten().enumerate() {

@@ -5,8 +5,11 @@
 //! maintains a *database forest*. This crate provides both structures and
 //! the queries the policies and their correctness arguments need:
 //!
-//! * [`DiGraph`] — mutable digraph with deterministic iteration;
-//! * [`dag`] — acyclicity, topological sort, cycle-prevention checks;
+//! * [`DiGraph`] — mutable digraph stored flat by entity id (a node flag
+//!   and sorted successor / predecessor `Vec`s per id), iterated in id
+//!   order;
+//! * [`dag`] — acyclicity, topological sort (the order a [`DomIndex`]
+//!   ranks by), cycle-prevention checks;
 //! * [`reach`] — ancestors/descendants/path queries;
 //! * [`rooted`] — the paper's rootedness definition (unique root reaching
 //!   every node);

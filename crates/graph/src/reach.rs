@@ -44,9 +44,27 @@ pub fn ancestors(g: &DiGraph, n: EntityId) -> BTreeSet<EntityId> {
     seen
 }
 
-/// Whether there is a (possibly empty) path from `a` to `b`.
+/// Whether there is a (possibly empty) path from `a` to `b`. The search
+/// stops at the first sight of `b`.
 pub fn has_path(g: &DiGraph, a: EntityId, b: EntityId) -> bool {
-    reachable_from(g, a).contains(&b)
+    if !g.has_node(a) {
+        return false;
+    }
+    let mut seen = vec![false; g.id_bound()];
+    seen[a.index()] = true;
+    let mut stack = vec![a];
+    while let Some(n) = stack.pop() {
+        if n == b {
+            return true;
+        }
+        for m in g.successors(n) {
+            if !seen[m.index()] {
+                seen[m.index()] = true;
+                stack.push(m);
+            }
+        }
+    }
+    false
 }
 
 /// Whether `a` is a *proper* ancestor of `b` (a ≠ b and a path exists).

@@ -173,16 +173,19 @@ impl PolicyViolation {
     /// Whether retrying the whole transaction can never succeed: the
     /// failure is in the request's *shape* (malformed job, action outside
     /// the policy's vocabulary, plan deviation, a plan that locks one
-    /// entity twice — every retry replans it the same way), not in
-    /// transient lock-table or rule state. Schedulers should drop fatal
-    /// jobs instead of abort-and-retrying them forever.
+    /// entity twice or names one past `MAX_ENTITIES` — every retry
+    /// replans it the same way), not in transient lock-table or rule
+    /// state. Schedulers should drop fatal jobs instead of
+    /// abort-and-retrying them forever.
     pub fn is_fatal(&self) -> bool {
         match self {
             PolicyViolation::NoPlan(_)
             | PolicyViolation::OffPlan(..)
             | PolicyViolation::Unsupported { .. }
             | PolicyViolation::Altruistic(AltruisticViolation::Relock(..))
-            | PolicyViolation::Ddag(DdagViolation::Relock(..))
+            | PolicyViolation::Ddag(
+                DdagViolation::Relock(..) | DdagViolation::EntityOutOfRange(_),
+            )
             | PolicyViolation::Dtr(DtrViolation::Plan(_)) => true,
             PolicyViolation::Plan(p) => p.is_fatal(),
             _ => false,

@@ -34,9 +34,9 @@
 //! locks: two transactions can touch the same edge only strictly ordered by
 //! their exclusive endpoint locks.
 
-use slp_core::{EntityId, LockMode, LockTable, Step, TxId, Universe};
+use slp_core::{EntityId, LockMode, LockTable, Step, TxId, Universe, MAX_ENTITIES};
 use slp_graph::{dag, DiGraph, DomIndex};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A violation of the DDAG rules (or of basic lock/graph discipline).
@@ -75,6 +75,9 @@ pub enum DdagViolation {
     WouldCreateCycle(EntityId, EntityId),
     /// Deleting a node that still has incident edges.
     NodeHasEdges(EntityId),
+    /// The entity id is at or above [`MAX_ENTITIES`], past what the
+    /// engine's and the runtime's per-entity tables hold.
+    EntityOutOfRange(EntityId),
 }
 
 impl fmt::Display for DdagViolation {
@@ -99,6 +102,7 @@ impl fmt::Display for DdagViolation {
             EdgeExists(a, b) => write!(f, "edge ({a}, {b}) already exists"),
             WouldCreateCycle(a, b) => write!(f, "edge ({a}, {b}) would create a cycle"),
             NodeHasEdges(e) => write!(f, "node {e} still has incident edges"),
+            EntityOutOfRange(e) => write!(f, "{e} is at or above MAX_ENTITIES ({MAX_ENTITIES})"),
         }
     }
 }
@@ -147,13 +151,31 @@ impl DdagConfig {
     }
 }
 
-#[derive(Clone, Debug, Default)]
+/// One active transaction's rule state. A transaction locks a region,
+/// not the graph, so its sets are short unsorted `Vec`s searched linearly;
+/// whatever hands them out sorts them first.
+#[derive(Clone, Debug)]
 struct DdagTx {
-    first: Option<EntityId>,
-    locked_past: BTreeSet<EntityId>,
-    holding: BTreeSet<EntityId>,
-    /// Edge entities locked by this transaction (released at finish).
+    tx: TxId,
+    /// Every node locked so far, in lock order (L3, L4 and L5's first
+    /// clause).
+    locked_past: Vec<EntityId>,
+    /// The nodes held now (L5's second clause).
+    holding: Vec<EntityId>,
+    /// Edge entities locked by this transaction, in lock order (released
+    /// at finish).
     edge_locks: Vec<EntityId>,
+}
+
+impl DdagTx {
+    fn new(tx: TxId) -> Self {
+        DdagTx {
+            tx,
+            locked_past: Vec::new(),
+            holding: Vec::new(),
+            edge_locks: Vec::new(),
+        }
+    }
 }
 
 /// The DDAG policy engine: shared graph + lock table + per-transaction rule
@@ -166,8 +188,10 @@ pub struct DdagEngine {
     /// mutations, under the same `&mut self` that changed the graph.
     index: DomIndex,
     table: LockTable,
-    txs: BTreeMap<TxId, DdagTx>,
-    deleted: BTreeSet<EntityId>,
+    /// The active transactions, in begin order (a handful at a time).
+    txs: Vec<DdagTx>,
+    /// `deleted[i]`: `EntityId(i)` was deleted and may not come back.
+    deleted: Vec<bool>,
     config: DdagConfig,
     edge_entities: BTreeMap<(EntityId, EntityId), EntityId>,
     edge_seq: u64,
@@ -184,8 +208,8 @@ impl DdagEngine {
             index: DomIndex::build(&graph),
             graph,
             table: LockTable::new(),
-            txs: BTreeMap::new(),
-            deleted: BTreeSet::new(),
+            txs: Vec::new(),
+            deleted: Vec::new(),
             config: DdagConfig::default(),
             edge_entities: BTreeMap::new(),
             edge_seq: 0,
@@ -236,26 +260,50 @@ impl DdagEngine {
         self.table.holders(n).first().map(|&(t, _)| t)
     }
 
-    /// Entities currently held by `tx` (nodes only).
+    /// Entities currently held by `tx` (nodes only), in id order.
     pub fn holding(&self, tx: TxId) -> Vec<EntityId> {
-        self.txs
-            .get(&tx)
-            .map_or_else(Vec::new, |s| s.holding.iter().copied().collect())
+        let mut held = self
+            .state(tx)
+            .map(|s| s.holding.clone())
+            .unwrap_or_default();
+        held.sort_unstable();
+        held
     }
 
     /// Registers a new transaction.
     pub fn begin(&mut self, tx: TxId) -> Result<(), DdagViolation> {
-        if self.txs.contains_key(&tx) {
+        if self.state(tx).is_ok() {
             return Err(DdagViolation::AlreadyBegun(tx));
         }
-        self.txs.insert(tx, DdagTx::default());
+        self.txs.push(DdagTx::new(tx));
         Ok(())
     }
 
-    fn state(&self, tx: TxId) -> Result<&DdagTx, DdagViolation> {
+    fn slot(&self, tx: TxId) -> Result<usize, DdagViolation> {
         self.txs
-            .get(&tx)
+            .iter()
+            .position(|s| s.tx == tx)
             .ok_or(DdagViolation::UnknownTransaction(tx))
+    }
+
+    fn state(&self, tx: TxId) -> Result<&DdagTx, DdagViolation> {
+        Ok(&self.txs[self.slot(tx)?])
+    }
+
+    fn state_mut(&mut self, tx: TxId) -> Result<&mut DdagTx, DdagViolation> {
+        let i = self.slot(tx)?;
+        Ok(&mut self.txs[i])
+    }
+
+    fn was_deleted(&self, n: EntityId) -> bool {
+        self.deleted.get(n.index()) == Some(&true)
+    }
+
+    fn mark_deleted(&mut self, n: EntityId) {
+        if n.index() >= self.deleted.len() {
+            self.deleted.resize(n.index() + 1, false);
+        }
+        self.deleted[n.index()] = true;
     }
 
     /// Checks whether `tx` may lock node `n` *right now* without acquiring
@@ -263,12 +311,15 @@ impl DdagEngine {
     /// (wait) so a scheduler can queue rather than abort.
     pub fn check_lock(&self, tx: TxId, n: EntityId) -> Result<(), DdagViolation> {
         let st = self.state(tx)?;
+        if n.0 >= MAX_ENTITIES {
+            return Err(DdagViolation::EntityOutOfRange(n));
+        }
         if st.locked_past.contains(&n) {
             return Err(DdagViolation::Relock(tx, n));
         }
         if self.graph.has_node(n) {
             // L4: the first lock may be any node; afterwards L5 applies.
-            if st.first.is_some() {
+            if !st.locked_past.is_empty() {
                 let preds = || self.graph.predecessors(n);
                 if self.config.require_all_predecessors
                     && !preds().all(|p| st.locked_past.contains(&p))
@@ -283,7 +334,7 @@ impl DdagEngine {
         } else {
             // L2: a node being inserted can be locked at any time — but a
             // deleted entity may not come back.
-            if self.deleted.contains(&n) {
+            if self.was_deleted(n) {
                 return Err(DdagViolation::ReinsertionForbidden(n));
             }
         }
@@ -296,23 +347,20 @@ impl DdagEngine {
     /// Locks node `n` for `tx` (exclusive). Emits the `(LX n)` step.
     pub fn lock(&mut self, tx: TxId, n: EntityId) -> Result<Step, DdagViolation> {
         self.check_lock(tx, n)?;
-        let st = self.txs.get_mut(&tx).expect("checked by check_lock");
-        st.first.get_or_insert(n);
-        st.locked_past.insert(n);
-        st.holding.insert(n);
+        let st = self.state_mut(tx).expect("checked by check_lock");
+        st.locked_past.push(n);
+        st.holding.push(n);
         self.table.grant(tx, n, LockMode::Exclusive);
         Ok(Step::lock_exclusive(n))
     }
 
     /// Unlocks node `n`. Emits `(UX n)`.
     pub fn unlock(&mut self, tx: TxId, n: EntityId) -> Result<Step, DdagViolation> {
-        let st = self
-            .txs
-            .get_mut(&tx)
-            .ok_or(DdagViolation::UnknownTransaction(tx))?;
-        if !st.holding.remove(&n) {
+        let st = self.state_mut(tx)?;
+        let Some(i) = st.holding.iter().position(|&h| h == n) else {
             return Err(DdagViolation::NotHolding(tx, n));
-        }
+        };
+        st.holding.swap_remove(i);
         self.table.release(tx, n, LockMode::Exclusive);
         Ok(Step::unlock_exclusive(n))
     }
@@ -339,7 +387,7 @@ impl DdagEngine {
         if self.graph.has_node(n) {
             return Err(DdagViolation::NodeExists(n));
         }
-        if self.deleted.contains(&n) {
+        if self.was_deleted(n) {
             return Err(DdagViolation::ReinsertionForbidden(n));
         }
         self.graph.add_node(n).expect("checked absent");
@@ -365,7 +413,7 @@ impl DdagEngine {
             Err(_) => unreachable!("existence checked"),
         }
         self.reindex();
-        self.deleted.insert(n);
+        self.mark_deleted(n);
         Ok(vec![Step::delete(n)])
     }
 
@@ -406,8 +454,7 @@ impl DdagEngine {
         self.reindex();
         let e = self.fresh_edge_entity(a, b);
         self.edge_entities.insert((a, b), e);
-        let st = self.txs.get_mut(&tx).expect("active");
-        st.edge_locks.push(e);
+        self.state_mut(tx).expect("active").edge_locks.push(e);
         self.table.grant(tx, e, LockMode::Exclusive);
         Ok(vec![Step::lock_exclusive(e), Step::insert(e)])
     }
@@ -432,31 +479,30 @@ impl DdagEngine {
             return Err(DdagViolation::NoSuchEdge(a, b));
         };
         let mut steps = Vec::with_capacity(2);
-        let already_holding = self.txs.get(&tx).expect("active").edge_locks.contains(&e);
+        let already_holding = st.edge_locks.contains(&e);
         if !already_holding {
             if let Some(holder) = self.table.conflicting_holder(tx, e, LockMode::Exclusive) {
                 return Err(DdagViolation::LockConflict(e, holder));
             }
             self.table.grant(tx, e, LockMode::Exclusive);
-            self.txs.get_mut(&tx).expect("active").edge_locks.push(e);
+            self.state_mut(tx).expect("active").edge_locks.push(e);
             steps.push(Step::lock_exclusive(e));
         }
         self.graph.remove_edge(a, b).expect("edge tracked");
         self.reindex();
         self.edge_entities.remove(&(a, b));
-        self.deleted.insert(e);
+        self.mark_deleted(e);
         steps.push(Step::delete(e));
         Ok(steps)
     }
 
-    /// Finishes `tx`: releases every lock it still holds (nodes, then edge
-    /// entities) and retires it. Emits the unlock steps.
+    /// Finishes `tx`: releases every lock it still holds (nodes in id
+    /// order, then edge entities in lock order) and retires it. Emits the
+    /// unlock steps.
     pub fn finish(&mut self, tx: TxId) -> Result<Vec<Step>, DdagViolation> {
-        let st = self
-            .txs
-            .remove(&tx)
-            .ok_or(DdagViolation::UnknownTransaction(tx))?;
-        let mut steps = Vec::new();
+        let mut st = self.txs.remove(self.slot(tx)?);
+        st.holding.sort_unstable();
+        let mut steps = Vec::with_capacity(st.holding.len() + st.edge_locks.len());
         for n in st.holding {
             self.table.release(tx, n, LockMode::Exclusive);
             steps.push(Step::unlock_exclusive(n));
@@ -882,6 +928,65 @@ mod tests {
             steps.len(),
             1,
             "no relock of the edge entity it already holds"
+        );
+    }
+
+    /// The rule state is unsorted, but every way out of it is in id
+    /// order: `holding()`, and the unlocks `finish` and `abort` emit
+    /// (nodes ascending, then edge entities in lock order).
+    #[test]
+    fn held_nodes_leave_in_ascending_id_order() {
+        // Ids run against the edges: a (3) -> b (2) -> c (1) -> d (0).
+        let mut u = Universe::new();
+        let [d, c, b, a] = u.entities(["d", "c", "b", "a"])[..] else {
+            unreachable!()
+        };
+        let g = DiGraph::from_parts([a, b, c, d], [(a, b), (b, c), (c, d)]);
+        let mut eng = DdagEngine::new(u, g);
+        eng.begin(t(1)).unwrap();
+        for n in [a, b, c] {
+            eng.lock(t(1), n).unwrap();
+        }
+        let edge = eng.insert_edge(t(1), a, c).unwrap()[0].entity;
+        eng.unlock(t(1), b).unwrap();
+        eng.lock(t(1), d).unwrap();
+        assert_eq!(eng.holding(t(1)), vec![d, c, a]);
+        assert_eq!(
+            eng.finish(t(1)).unwrap(),
+            [d, c, a, edge].map(Step::unlock_exclusive).to_vec()
+        );
+        eng.begin(t(2)).unwrap();
+        for n in [a, b, c] {
+            eng.lock(t(2), n).unwrap();
+        }
+        eng.unlock(t(2), b).unwrap();
+        assert_eq!(eng.holding(t(2)), vec![c, a]);
+        assert_eq!(eng.abort(t(2)), [c, a].map(Step::unlock_exclusive).to_vec());
+        assert!(eng.holding(t(2)).is_empty());
+    }
+
+    /// An id at or above `MAX_ENTITIES` is refused, fatally, before any
+    /// table is sized by it — also as a node being inserted (L2), which
+    /// may otherwise be locked at any time.
+    #[test]
+    fn a_lock_past_max_entities_is_a_fatal_violation() {
+        let (mut eng, ids) = fig3_engine();
+        let past = EntityId(MAX_ENTITIES);
+        let tx = t(1);
+        PolicyEngine::begin(&mut eng, tx, &AccessIntent::empty()).unwrap();
+        assert!(matches!(
+            eng.request(tx, PolicyAction::Lock(ids[1])),
+            PolicyResponse::Granted(_)
+        ));
+        match eng.request(tx, PolicyAction::Lock(past)) {
+            PolicyResponse::Violation(v) => assert!(v.is_fatal(), "{v}"),
+            other => panic!("a lock on {past} was not refused: {other:?}"),
+        }
+        assert_eq!(eng.lock_holder(past), None);
+        assert_eq!(eng.holding(tx), vec![ids[1]]);
+        assert_eq!(
+            eng.check_lock(tx, past),
+            Err(DdagViolation::EntityOutOfRange(past))
         );
     }
 

@@ -171,9 +171,10 @@ pub enum RegistryError {
     UnknownPolicy(String),
     /// The kind needs an initial DAG but [`PolicyConfig::dag`] is `None`.
     NeedsGraph(PolicyKind),
-    /// [`PolicyConfig::pool`] names this entity, at or above
-    /// [`MAX_ENTITIES`]: past what any table sized by entity ids (a run's
-    /// lock words, its MVCC spines, the log's decoder) holds.
+    /// [`PolicyConfig::pool`] or the initial DAG names this entity, at or
+    /// above [`MAX_ENTITIES`]: past what any table sized by entity ids (a
+    /// run's lock words, its MVCC spines, the log's decoder, the DDAG
+    /// engine's graph, index and lock table) holds.
     EntityOutOfRange(EntityId),
 }
 
@@ -185,10 +186,7 @@ impl fmt::Display for RegistryError {
                 write!(f, "policy {kind} needs an initial DAG in PolicyConfig::dag")
             }
             RegistryError::EntityOutOfRange(e) => {
-                write!(
-                    f,
-                    "pool entity {e} is at or above MAX_ENTITIES ({MAX_ENTITIES})"
-                )
+                write!(f, "entity {e} is at or above MAX_ENTITIES ({MAX_ENTITIES})")
             }
         }
     }
@@ -236,14 +234,14 @@ impl PolicyRegistry {
         self.custom.insert(name.into(), Box::new(builder));
     }
 
-    /// Builds an engine for a builtin kind. A pool entity at or above
-    /// [`MAX_ENTITIES`] is refused.
+    /// Builds an engine for a builtin kind. A pool entity or DAG node at
+    /// or above [`MAX_ENTITIES`] is refused.
     pub fn build(
         &self,
         kind: PolicyKind,
         config: &PolicyConfig,
     ) -> Result<Box<dyn PolicyEngine>, RegistryError> {
-        check_pool(config)?;
+        check_ids(config)?;
         let dag = |cfg: &PolicyConfig| cfg.dag.clone().ok_or(RegistryError::NeedsGraph(kind));
         Ok(match kind {
             PolicyKind::TwoPhase => Box::new(TwoPhaseEngine::new()),
@@ -276,14 +274,14 @@ impl PolicyRegistry {
     }
 
     /// Builds an engine by name: custom builders take precedence, then
-    /// builtin kinds (case-insensitive). A pool entity at or above
-    /// [`MAX_ENTITIES`] is refused before any builder runs.
+    /// builtin kinds (case-insensitive). A pool entity or DAG node at or
+    /// above [`MAX_ENTITIES`] is refused before any builder runs.
     pub fn build_named(
         &self,
         name: &str,
         config: &PolicyConfig,
     ) -> Result<Box<dyn PolicyEngine>, RegistryError> {
-        check_pool(config)?;
+        check_ids(config)?;
         if let Some(builder) = self.custom.get(name) {
             return builder(config);
         }
@@ -294,10 +292,12 @@ impl PolicyRegistry {
     }
 }
 
-/// Refuses a pool naming an entity at or above [`MAX_ENTITIES`].
-fn check_pool(config: &PolicyConfig) -> Result<(), RegistryError> {
-    match config.pool.iter().find(|e| e.0 >= MAX_ENTITIES) {
-        Some(&e) => Err(RegistryError::EntityOutOfRange(e)),
+/// Refuses a pool or a DAG naming an entity at or above [`MAX_ENTITIES`].
+fn check_ids(config: &PolicyConfig) -> Result<(), RegistryError> {
+    let dag_nodes = config.dag.iter().flat_map(|(_, g)| g.nodes());
+    let mut ids = config.pool.iter().copied().chain(dag_nodes);
+    match ids.find(|e| e.0 >= MAX_ENTITIES) {
+        Some(e) => Err(RegistryError::EntityOutOfRange(e)),
         None => Ok(()),
     }
 }
@@ -384,6 +384,25 @@ mod tests {
         let refused = Some(RegistryError::EntityOutOfRange(EntityId(MAX_ENTITIES)));
         assert_eq!(registry.build(PolicyKind::TwoPhase, &past).err(), refused);
         assert_eq!(registry.build_named("2PL", &past).err(), refused);
+    }
+
+    /// A DAG node is bounded the same way: a DDAG engine over a node at
+    /// `MAX_ENTITIES` would size its index and lock table by it.
+    #[test]
+    fn dag_nodes_at_or_above_max_entities_are_rejected() {
+        let registry = PolicyRegistry::new();
+        let (u, mut g) = diamond();
+        g.add_node(EntityId(MAX_ENTITIES)).unwrap();
+        let config = PolicyConfig::dag(u, g);
+        for kind in [PolicyKind::Ddag, PolicyKind::DdagNoAllPredecessors] {
+            let err = registry.build(kind, &config).err();
+            assert_eq!(
+                err,
+                Some(RegistryError::EntityOutOfRange(EntityId(MAX_ENTITIES)))
+            );
+            assert!(!err.unwrap().to_string().contains("pool"));
+        }
+        assert!(registry.build_named("DDAG", &config).is_err());
     }
 
     #[test]

@@ -47,11 +47,12 @@
 //!   (planners only read, so they run concurrently with each other and
 //!   only a grant section excludes them). The window is short: the
 //!   DDAG planner lays a region out from the engine's
-//!   [`slp_graph::DomIndex`] in time proportional to the region — about
-//!   a microsecond, a fraction of the grants that follow — because the
-//!   whole-graph work (dominator tree, topological ranks, root) is done
-//!   once per structural mutation, under the write lock that mutation
-//!   already holds;
+//!   [`slp_graph::DomIndex`] over its flat, id-indexed graph in time
+//!   proportional to the region — under a microsecond on `ddag_churn`'s
+//!   DAG, a fraction of the grants that follow — because the whole-graph
+//!   work (dominator tree, topological ranks, root) is done once per
+//!   structural mutation, under the write lock that mutation already
+//!   holds;
 //! * **parking** is entity-striped: a conflicting transaction parks on the
 //!   stripe of the contended entity and only unlocks of entities hashing
 //!   to that stripe wake it — uncontended stripes never touch a parked

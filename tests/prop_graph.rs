@@ -1,10 +1,130 @@
-//! Property-based tests for the graph substrate: dominators against the
+//! Property-based tests for the graph substrate: the dense `DiGraph`
+//! against a BTree reference model, dominators against the
 //! path-enumeration definition, reachability duality, forest invariants.
 
 use proptest::prelude::*;
 use safe_locking::core::EntityId;
-use safe_locking::graph::{dag, dominators, forest::Forest, reach, rooted, DiGraph};
-use std::collections::BTreeSet;
+use safe_locking::graph::{dag, dominators, forest::Forest, reach, rooted, DiGraph, GraphError};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// The reference digraph: a node set and successor / predecessor sets in
+/// BTrees, with `DiGraph`'s error rules.
+#[derive(Default)]
+struct Model {
+    nodes: BTreeSet<EntityId>,
+    succ: BTreeMap<EntityId, BTreeSet<EntityId>>,
+    pred: BTreeMap<EntityId, BTreeSet<EntityId>>,
+}
+
+impl Model {
+    fn succ(&self, n: EntityId) -> Vec<EntityId> {
+        self.succ.get(&n).into_iter().flatten().copied().collect()
+    }
+
+    fn pred(&self, n: EntityId) -> Vec<EntityId> {
+        self.pred.get(&n).into_iter().flatten().copied().collect()
+    }
+
+    fn edges(&self) -> Vec<(EntityId, EntityId)> {
+        let pairs = self
+            .succ
+            .iter()
+            .flat_map(|(&a, s)| s.iter().map(move |&b| (a, b)));
+        pairs.collect()
+    }
+
+    fn add_node(&mut self, n: EntityId) -> Result<(), GraphError> {
+        self.nodes
+            .insert(n)
+            .then_some(())
+            .ok_or(GraphError::NodeExists(n))
+    }
+
+    fn remove_node(&mut self, n: EntityId) -> Result<(), GraphError> {
+        if !self.nodes.contains(&n) {
+            return Err(GraphError::NoSuchNode(n));
+        }
+        if !self.succ(n).is_empty() || !self.pred(n).is_empty() {
+            return Err(GraphError::NodeHasEdges(n));
+        }
+        self.nodes.remove(&n);
+        Ok(())
+    }
+
+    fn add_edge(&mut self, a: EntityId, b: EntityId) -> Result<(), GraphError> {
+        for n in [a, b] {
+            if !self.nodes.contains(&n) {
+                return Err(GraphError::NoSuchNode(n));
+            }
+        }
+        if !self.succ.entry(a).or_default().insert(b) {
+            return Err(GraphError::EdgeExists(a, b));
+        }
+        self.pred.entry(b).or_default().insert(a);
+        Ok(())
+    }
+
+    fn remove_edge(&mut self, a: EntityId, b: EntityId) -> Result<(), GraphError> {
+        if !self.succ.get_mut(&a).is_some_and(|s| s.remove(&b)) {
+            return Err(GraphError::NoSuchEdge(a, b));
+        }
+        self.pred.get_mut(&b).unwrap().remove(&a);
+        Ok(())
+    }
+
+    /// Kahn's algorithm over a BTree in-degree map: sources pushed in id
+    /// order, the last pushed ready node taken next.
+    fn topological_sort(&self) -> Option<Vec<EntityId>> {
+        let mut indegree: BTreeMap<EntityId, usize> = self
+            .nodes
+            .iter()
+            .map(|&n| (n, self.pred(n).len()))
+            .collect();
+        let mut ready: Vec<EntityId> = indegree
+            .iter()
+            .filter(|&(_, &d)| d == 0)
+            .map(|(&n, _)| n)
+            .collect();
+        let mut order = Vec::new();
+        while let Some(n) = ready.pop() {
+            order.push(n);
+            for m in self.succ(n) {
+                let d = indegree.get_mut(&m).unwrap();
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(m);
+                }
+            }
+        }
+        (order.len() == self.nodes.len()).then_some(order)
+    }
+}
+
+/// Ids the model test draws from: eleven small ones and one far away, so
+/// the dense tables grow past nodes that are later removed.
+const MODEL_IDS: [u32; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 40];
+
+/// Every observation of `g` equals the model's.
+fn assert_matches_model(g: &DiGraph, m: &Model) {
+    prop_assert_eq!(
+        g.nodes().collect::<Vec<_>>(),
+        m.nodes.iter().copied().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(g.edges().collect::<Vec<_>>(), m.edges());
+    prop_assert_eq!(g.node_count(), m.nodes.len());
+    prop_assert_eq!(g.edge_count(), m.edges().len());
+    for a in MODEL_IDS.map(EntityId) {
+        prop_assert_eq!(g.has_node(a), m.nodes.contains(&a));
+        prop_assert_eq!(g.successors(a).collect::<Vec<_>>(), m.succ(a));
+        prop_assert_eq!(g.predecessors(a).collect::<Vec<_>>(), m.pred(a));
+        prop_assert_eq!(g.out_degree(a), m.succ(a).len());
+        prop_assert_eq!(g.in_degree(a), m.pred(a).len());
+        for b in MODEL_IDS.map(EntityId) {
+            prop_assert_eq!(g.has_edge(a, b), m.succ(a).contains(&b));
+        }
+    }
+    prop_assert_eq!(dag::topological_sort(g), m.topological_sort());
+}
 
 /// Generates a random *layered* DAG description: `widths[i]` nodes in
 /// layer i, and for each non-root node a nonempty set of parents drawn
@@ -129,6 +249,34 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random add/remove node/edge sequences on the dense graph and the
+    /// BTree model: the same result for every mutation, the same answer
+    /// to every query after it, and equality by content — a graph rebuilt
+    /// from scratch (another history, other storage) compares equal, and
+    /// a mutation compares unequal exactly when it succeeded.
+    #[test]
+    fn dense_digraph_matches_the_btree_model(
+        ops in prop::collection::vec((0u8..4, 0usize..12, 0usize..12), 0..80)
+    ) {
+        let (mut g, mut m) = (DiGraph::new(), Model::default());
+        for (kind, a, b) in ops {
+            let (a, b) = (EntityId(MODEL_IDS[a]), EntityId(MODEL_IDS[b]));
+            let before = g.clone();
+            let (dense, model) = match kind {
+                0 => (g.add_node(a), m.add_node(a)),
+                1 => (g.remove_node(a), m.remove_node(a)),
+                2 => (g.add_edge(a, b), m.add_edge(a, b)),
+                _ => (g.remove_edge(a, b), m.remove_edge(a, b)),
+            };
+            prop_assert_eq!(dense, model);
+            prop_assert_eq!(before == g, dense.is_err());
+            assert_matches_model(&g, &m);
+        }
+        let rebuilt = DiGraph::from_parts(m.nodes.iter().rev().copied(), m.edges().into_iter().rev());
+        prop_assert_eq!(&rebuilt, &g);
+        prop_assert_eq!(format!("{rebuilt:?}"), format!("{g:?}"));
+    }
 
     /// Arbitrary digraphs — cycles, self-loops, several roots, nodes the
     /// start does not reach — from an arbitrary start node: the
