@@ -42,6 +42,7 @@ use std::fmt;
 
 mod crc;
 pub mod frame;
+pub mod handover;
 pub mod recover;
 pub mod store;
 pub mod wal;
@@ -49,6 +50,7 @@ mod wire;
 
 pub use crc::crc32;
 pub use frame::{Checkpoint, Record, TornReason, SEGMENT_MAGIC};
+pub use handover::Handover;
 pub use recover::{recover, RecoverError, Recovered, RecoveryMode, Truncation};
 pub use store::{DirStore, FaultyStore, MemStore, SharedMemStore, Store};
 pub use wal::{Wal, WalConfig, WalSummary};

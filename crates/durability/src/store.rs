@@ -14,6 +14,16 @@
 //! - [`SharedMemStore`] — a cloneable handle over a [`MemStore`] so a test
 //!   harness keeps inspection access after the log consumes the store;
 //! - [`FaultyStore`] — a wrapper that kills writes at scripted points.
+//!
+//! [`MemStore`]'s model holds of real files too: in it a segment exists
+//! durably once opened, a removal is final once done, and only a
+//! segment's bytes wait for [`Store::sync`]. [`DirStore`] makes that
+//! true of the directory by syncing it after every create and every
+//! unlink, so a crash can neither lose a synced segment's name nor bring
+//! a removed one back. Retention removes oldest-first, so the segments
+//! that survive any crash are a suffix — and the crash grid's verdicts,
+//! reached on [`MemStore`], carry over to [`DirStore`] with no second
+//! store model.
 
 use crate::WalError;
 use std::collections::BTreeMap;
@@ -251,19 +261,41 @@ impl Store for SharedMemStore {
 // DirStore
 
 /// A store over real files: segment `n` is `wal-<n:08>.seg` in the
-/// directory, synced with `File::sync_data`.
+/// directory, synced with `File::sync_data`. The directory itself is
+/// synced once opened and after every segment it creates or removes.
 #[derive(Debug)]
 pub struct DirStore {
     dir: PathBuf,
     current: Option<(u64, fs::File)>,
+    /// Directory syncs done ([`DirStore::sync_dir`]).
+    #[cfg(test)]
+    dir_syncs: usize,
 }
 
 impl DirStore {
-    /// Opens (creating if absent) the segment directory at `dir`.
+    /// Opens (creating if absent) the segment directory at `dir`, and
+    /// syncs it. Its own name in its parent is not synced here.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, WalError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(DirStore { dir, current: None })
+        let mut store = DirStore {
+            dir,
+            current: None,
+            #[cfg(test)]
+            dir_syncs: 0,
+        };
+        store.sync_dir()?;
+        Ok(store)
+    }
+
+    /// Makes the directory's entries — the segments' names — durable.
+    fn sync_dir(&mut self) -> Result<(), WalError> {
+        fs::File::open(&self.dir)?.sync_all()?;
+        #[cfg(test)]
+        {
+            self.dir_syncs += 1;
+        }
+        Ok(())
     }
 
     fn path(&self, index: u64) -> PathBuf {
@@ -278,7 +310,7 @@ impl Store for DirStore {
             .create_new(true)
             .open(self.path(index))?;
         self.current = Some((index, file));
-        Ok(())
+        self.sync_dir()
     }
 
     fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
@@ -325,7 +357,7 @@ impl Store for DirStore {
 
     fn remove(&mut self, index: u64) -> Result<(), WalError> {
         fs::remove_file(self.path(index))?;
-        Ok(())
+        self.sync_dir()
     }
 }
 
@@ -505,6 +537,26 @@ mod tests {
         let mut store = reopened;
         store.remove(0).unwrap();
         assert_eq!(store.list().unwrap(), vec![1]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A segment's name is durable once it is created and its removal
+    /// once it is done: the directory is synced once on open, once per
+    /// create and once per remove.
+    #[test]
+    fn dir_store_syncs_its_directory_on_every_create_and_remove() {
+        let dir =
+            std::env::temp_dir().join(format!("slp-durability-dir-sync-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = DirStore::open(&dir).unwrap();
+        assert_eq!(store.dir_syncs, 1, "open");
+        filled(&mut store);
+        assert_eq!(store.dir_syncs, 3, "two creates");
+        store.append(b"dd").unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.dir_syncs, 3, "appends and data syncs leave it");
+        store.remove(0).unwrap();
+        assert_eq!(store.dir_syncs, 4, "one remove");
         fs::remove_dir_all(&dir).unwrap();
     }
 

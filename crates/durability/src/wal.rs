@@ -8,9 +8,11 @@
 //! the not-yet-logged part of an attempt just before its worker parks, so
 //! a sleeping waiter never holds the watermark back). The frames and
 //! their checksums are encoded into a buffer the caller owns and reuses,
-//! *before* the log's one mutex is taken; under it the log only appends
-//! those bytes to the current segment, updates its replica, and applies
-//! the sync / rotate / checkpoint policy. [`Store::sync`] is called every
+//! *before* the log's core is taken — through a [`Handover`], the one
+//! poll / queue / make-way lock the run's serial tail shares with the
+//! online certifier; under it the log only appends those bytes to the
+//! current segment, updates its replica, and applies the sync / rotate /
+//! checkpoint policy. [`Store::sync`] is called every
 //! [`WalConfig::group_commit`] frames (and on [`Wal::flush`]), so the
 //! fsync cost is amortised across a group. Before rotating to a new
 //! segment the old one is synced — the *sync-before-rotate* invariant —
@@ -24,7 +26,7 @@
 //! [`WalConfig::checkpoint_every`] steps have been folded since the last
 //! checkpoint, the log emits a [`Checkpoint`](crate::Checkpoint) record
 //! by itself — callers never compute checkpoint state. The checkpoint
-//! carries the state as its bitset, so the work under the mutex is the
+//! carries the state as its bitset, so the work under the lock is the
 //! attempt's bytes, its slot stores and the fold of what became
 //! contiguous, plus now and then a frame of a few hundred bytes.
 //!
@@ -33,6 +35,7 @@
 //! finishes the run in memory, reporting the failure in its summary.
 
 use crate::frame::{encode_checkpoint, encode_commit, encode_steps};
+use crate::handover::Handover;
 use crate::recover::replay_step;
 use crate::store::Store;
 use crate::{WalError, SEGMENT_MAGIC};
@@ -40,22 +43,6 @@ use slp_core::{EntityId, LockMode, ScheduledStep, StructuralState, TxId, MAX_ENT
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
-
-/// `try_lock` polls an appender spends on the log's mutex before it
-/// queues on it ([`Wal::lock_core`]). A critical section is a memcpy and
-/// a fold, a few microseconds when it also writes a checkpoint: a
-/// neighbour's section ends within the burst, and the appender does not
-/// pay a futex sleep and wake for it. A holder that is off-CPU, or inside
-/// a real `fsync`, outlasts any burst, and then polling on would only
-/// burn the time slice it needs — so the burst is bounded. A constant,
-/// not a knob, chosen on `bench-report`'s `twopl_durable` (two workers,
-/// two cores, k jobs/s alone / on one core / beside a busy neighbour):
-/// 0 polls 200 / 475 / 470, 32 polls 255 / 450 / 445, 128 polls 260 / 445
-/// / 430, 512 polls 340 / 460 / 430, 4096 polls 360–400 / 455 / 460 —
-/// 512 is where two free cores stop paying for sleeps, at an eighth of
-/// the spinning 4096 does beside a descheduled holder.
-const LOCK_POLL_BURST: u32 = 512;
 
 /// The widest out-of-order overhang the window accepts
 /// ([`WalError::StampGap`] past it): a bound on memory against a stamp
@@ -241,11 +228,11 @@ struct WalCore {
 }
 
 /// A live write-ahead log. Shared across worker threads by reference;
-/// all appends serialise on an internal mutex, which a worker takes once
-/// per attempt, with its frames already encoded and its locks already
-/// free.
+/// all appends serialise on its core, which a worker takes once per
+/// attempt through a [`Handover`], with its frames already encoded and
+/// its locks already free.
 pub struct Wal {
-    core: Mutex<WalCore>,
+    core: Handover<WalCore>,
     failed: AtomicBool,
 }
 
@@ -285,7 +272,7 @@ impl Wal {
         core.current_len = SEGMENT_MAGIC.len();
         core.write_checkpoint()?;
         Ok(Wal {
-            core: Mutex::new(core),
+            core: Handover::new(core),
             failed: AtomicBool::new(false),
         })
     }
@@ -297,12 +284,12 @@ impl Wal {
 
     /// The contiguous-stamp watermark: every step below it is appended.
     pub fn watermark(&self) -> u64 {
-        self.lock_core().window.base
+        self.core.lock().window.base
     }
 
     /// Counters for the run report (watermark and failure flag included).
     pub fn summary(&self) -> WalSummary {
-        let core = self.lock_core();
+        let core = self.core.lock();
         let mut s = core.stats;
         s.watermark = core.window.base;
         s.failed = self.is_failed();
@@ -315,7 +302,7 @@ impl Wal {
     /// watermark at which it is durable — as `Steps` frames followed by
     /// the `Commit` frame, in one critical section. `buf` is the
     /// caller's reusable encode buffer (overwritten): framing and
-    /// checksums are done into it before the log's mutex is taken.
+    /// checksums are done into it before the log's core is taken.
     /// Newly contiguous steps are folded into the checkpoint replica and
     /// an automatic checkpoint is written when one is due. Nothing to
     /// hand over is not a call on the log at all; a step naming an entity
@@ -378,19 +365,6 @@ impl Wal {
         self.with_core(|core| core.write_checkpoint())
     }
 
-    /// Takes the log's mutex: a bounded burst of polls, then the queue
-    /// (see [`LOCK_POLL_BURST`]).
-    fn lock_core(&self) -> MutexGuard<'_, WalCore> {
-        for _ in 0..LOCK_POLL_BURST {
-            match self.core.try_lock() {
-                Ok(core) => return core,
-                Err(TryLockError::WouldBlock) => std::hint::spin_loop(),
-                Err(TryLockError::Poisoned(_)) => break,
-            }
-        }
-        self.core.lock().expect("wal lock poisoned")
-    }
-
     fn with_core<R>(
         &self,
         f: impl FnOnce(&mut WalCore) -> Result<R, WalError>,
@@ -398,7 +372,7 @@ impl Wal {
         if self.is_failed() {
             return Err(WalError::Crashed);
         }
-        let mut core = self.lock_core();
+        let mut core = self.core.lock();
         let result = f(&mut core);
         if result.is_err() {
             self.failed.store(true, Ordering::Relaxed);

@@ -75,8 +75,10 @@ pub enum DdagViolation {
     WouldCreateCycle(EntityId, EntityId),
     /// Deleting a node that still has incident edges.
     NodeHasEdges(EntityId),
-    /// The entity id is at or above [`MAX_ENTITIES`], past what the
-    /// engine's and the runtime's per-entity tables hold.
+    /// The entity id names no entity: it is at or above [`MAX_ENTITIES`],
+    /// past what the engine's and the runtime's per-entity tables hold,
+    /// or it is not a node and the universe never interned it, so no
+    /// edge entity could be named after it.
     EntityOutOfRange(EntityId),
 }
 
@@ -102,7 +104,10 @@ impl fmt::Display for DdagViolation {
             EdgeExists(a, b) => write!(f, "edge ({a}, {b}) already exists"),
             WouldCreateCycle(a, b) => write!(f, "edge ({a}, {b}) would create a cycle"),
             NodeHasEdges(e) => write!(f, "node {e} still has incident edges"),
-            EntityOutOfRange(e) => write!(f, "{e} is at or above MAX_ENTITIES ({MAX_ENTITIES})"),
+            EntityOutOfRange(e) => write!(
+                f,
+                "{e} names no entity (never interned, or at or above MAX_ENTITIES ({MAX_ENTITIES}))"
+            ),
         }
     }
 }
@@ -333,7 +338,11 @@ impl DdagEngine {
             }
         } else {
             // L2: a node being inserted can be locked at any time — but a
-            // deleted entity may not come back.
+            // deleted entity may not come back, and one the universe never
+            // interned has no name to build an edge entity from.
+            if n.index() >= self.universe.len() {
+                return Err(DdagViolation::EntityOutOfRange(n));
+            }
             if self.was_deleted(n) {
                 return Err(DdagViolation::ReinsertionForbidden(n));
             }
@@ -988,6 +997,31 @@ mod tests {
             eng.check_lock(tx, past),
             Err(DdagViolation::EntityOutOfRange(past))
         );
+    }
+
+    /// A node being inserted must still be an interned entity: an id
+    /// past the universe is refused at its lock, fatally, before any edge
+    /// entity is named after it.
+    #[test]
+    fn a_lock_on_an_id_the_universe_never_interned_is_a_fatal_violation() {
+        let (mut eng, ids) = fig3_engine();
+        let stray = EntityId(eng.universe().len() as u32);
+        let tx = t(1);
+        PolicyEngine::begin(&mut eng, tx, &AccessIntent::empty()).unwrap();
+        assert!(matches!(
+            eng.request(tx, PolicyAction::Lock(ids[1])),
+            PolicyResponse::Granted(_)
+        ));
+        assert_eq!(
+            eng.check_lock(tx, stray),
+            Err(DdagViolation::EntityOutOfRange(stray))
+        );
+        match eng.request(tx, PolicyAction::Lock(stray)) {
+            PolicyResponse::Violation(v) => assert!(v.is_fatal(), "{v}"),
+            other => panic!("a lock on {stray} was not refused: {other:?}"),
+        }
+        assert_eq!(eng.lock_holder(stray), None);
+        assert_eq!(eng.holding(tx), vec![ids[1]]);
     }
 
     #[test]

@@ -122,14 +122,15 @@ use crate::fastpath::LockWords;
 use crate::runner::CertifyMode;
 use crate::trace::{Stamped, TraceRun};
 use slp_core::{DataOp, EntityId, LockMode, Operation, ScheduledStep, Step, TxId};
+use slp_durability::handover::{self, Handover};
 use slp_durability::Wal;
 use slp_mvcc::{CommitPipeline, MvccStore, VisibilityRule};
 use slp_policies::{
     AccessIntent, ActionPlanner, Job, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation,
     WaitsFor,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard, TryLockError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Parking stripes. A constant rather than a knob — no caller ever set
@@ -144,21 +145,12 @@ const _: () = assert!(STRIPES <= u64::BITS as usize);
 /// word run's transaction holds a word for.
 const WORD_POLLS: u32 = 256;
 
-/// How a strict feeder waits for the certifier graph
-/// ([`CertChannel::wait_for_graph`]): this many `try_lock` polls — far
-/// longer than a feed holds the graph while its window is healthy —
-/// before it queues.
-const CERT_POLL_BURST: u32 = 4096;
 /// The certifier window (resident nodes) at every multiple of which a
-/// strict feeder stands aside for the workers behind it
-/// ([`LockService::certify_strict`]): several times the tens a healthy
-/// run keeps resident, far below the thousands one descheduled worker
-/// used to leave.
+/// strict feeder stands aside for the workers behind it, for one
+/// [`handover::NAP`] ([`LockService::certify_strict`]): several times the
+/// tens a healthy run keeps resident, far below the thousands one
+/// descheduled worker used to leave.
 const CERT_WINDOW: usize = 128;
-/// How long a strict feeder stands aside — for a queued feeder, or for
-/// the window: long enough for the scheduler to run someone else, short
-/// against anything a caller can see.
-const CERT_NAP: Duration = Duration::from_micros(50);
 
 /// One parking stripe: its state behind one mutex, plus the condvar
 /// parked workers wait on.
@@ -448,10 +440,14 @@ pub(crate) struct LockService {
     /// ([`CertifyMode::Strict`]). Fed once per retiring attempt, after
     /// its words are free and the engine lock is dropped: the stamps
     /// taken at grant time already fix the edge directions, so the
-    /// certifier tolerates out-of-order arrival and its mutex never sits
+    /// certifier tolerates out-of-order arrival and its lock never sits
     /// on a serialization point. Each feed is certified before the
-    /// attempt takes effect ([`certify_strict`](LockService::certify_strict)).
-    certifier: Option<CertChannel>,
+    /// attempt takes effect ([`certify_strict`](LockService::certify_strict)),
+    /// under a [`Handover`] — the latch-and-recover step must be atomic
+    /// with the feed — the one lock the run's serial tail shares with the
+    /// log's core. Edges are ordered by stamps, not arrival, so the order
+    /// in which workers get the graph never changes the verdict.
+    certifier: Option<Handover<IncrementalCertifier>>,
     /// Versioned store + commit pipeline when the run serves snapshot
     /// reads ([`crate::RuntimeConfig::snapshot_reads`]), else `None` and
     /// the MVCC paths cost nothing.
@@ -459,73 +455,7 @@ pub(crate) struct LockService {
     pub counters: Counters,
     /// Engine sections taken ([`LockService::write_engine`]).
     #[cfg(test)]
-    sections: AtomicUsize,
-}
-
-/// The certifier graph and the feeders queued on it. Every feed waits
-/// for the graph ([`CertChannel::wait_for_graph`]): the latch-and-recover
-/// step of [`LockService::certify_strict`] must be atomic with the feed.
-/// Edges are ordered by stamps, not arrival, so the order in which
-/// workers get the graph never changes the verdict.
-struct CertChannel {
-    graph: Mutex<IncrementalCertifier>,
-    /// Strict feeders asleep on `graph` ([`CertChannel::wait_for_graph`]).
-    queued: AtomicUsize,
-}
-
-impl CertChannel {
-    fn new() -> Self {
-        CertChannel {
-            graph: Mutex::new(IncrementalCertifier::new()),
-            queued: AtomicUsize::new(0),
-        }
-    }
-
-    /// A strict feeder's acquisition of the graph: poll, then queue, and
-    /// never overtake a queued feeder.
-    ///
-    /// A feeder that waits has stamped steps the certifier has not seen,
-    /// and those pin the truncation watermark: while it waits the graph
-    /// grows by a node per rival commit and every feed holds the graph
-    /// longer. So the wait must be short on every machine, and three
-    /// rules make it so. *Poll first*: a feed holds the graph for about a
-    /// microsecond, and a poller is awake when it lets go — whereas a
-    /// feeder asleep on the unfair `Mutex` has lost it again by the time
-    /// it wakes, to a rival that re-takes it at once. *Queue when the
-    /// burst is spent*: by then the holder is off-CPU (fewer free cores
-    /// than workers), and polling on — even with a yield, which need not
-    /// switch — burns the very time slice the holder needs; asleep on
-    /// the mutex, the feeder is woken by the release itself. *Make way
-    /// for the queue*: a feeder that finds one queued naps instead of
-    /// taking the graph, so the woken sleeper finds it free.
-    ///
-    /// Measured on 10 k-job strict runs, 2 workers: a plain `lock()` has
-    /// taken 48 s for one run (a sleeper losing every race); an endless
-    /// `try_lock` + `yield_now` poll takes 3–17 s for *every* run once a
-    /// third busy thread shares the two cores, against 15 ms alone;
-    /// polling and queueing without making way still leaves a run in a
-    /// thousand over 0.3 s. With all three the run takes 15–18 ms on two
-    /// free cores and 23 ms on one or beside a busy neighbour, none of
-    /// 3 000 over 0.1 s.
-    fn wait_for_graph(&self) -> MutexGuard<'_, IncrementalCertifier> {
-        let mut polls = 0;
-        while polls < CERT_POLL_BURST {
-            if self.queued.load(Ordering::Relaxed) > 0 {
-                std::thread::sleep(CERT_NAP);
-                continue;
-            }
-            match self.graph.try_lock() {
-                Ok(cert) => return cert,
-                Err(TryLockError::WouldBlock) => std::hint::spin_loop(),
-                Err(TryLockError::Poisoned(_)) => panic!("certifier lock poisoned"),
-            }
-            polls += 1;
-        }
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        let cert = self.graph.lock().expect("certifier lock poisoned");
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-        cert
-    }
+    sections: std::sync::atomic::AtomicUsize,
 }
 
 impl LockService {
@@ -545,11 +475,12 @@ impl LockService {
             waits_for: Mutex::default(),
             seq: AtomicU64::new(0),
             wal,
-            certifier: (certify == CertifyMode::Strict).then(CertChannel::new),
+            certifier: (certify == CertifyMode::Strict)
+                .then(|| Handover::new(IncrementalCertifier::new())),
             mvcc,
             counters: Counters::default(),
             #[cfg(test)]
-            sections: AtomicUsize::new(0),
+            sections: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 
@@ -560,11 +491,7 @@ impl LockService {
             Grant::Words { engine, .. } => engine,
             Grant::Engine(engine) => engine.into_inner().expect("engine lock poisoned"),
         };
-        (
-            engine,
-            self.certifier
-                .map(|ch| ch.graph.into_inner().expect("certifier lock poisoned")),
-        )
+        (engine, self.certifier.map(Handover::into_inner))
     }
 
     fn stripe(&self, e: EntityId) -> &Stripe {
@@ -713,10 +640,10 @@ impl LockService {
         reads: Option<&[VersionedRead]>,
         aborted: bool,
     ) -> bool {
-        let Some(ch) = &self.certifier else {
+        let Some(graph) = &self.certifier else {
             return false;
         };
-        let mut cert = ch.wait_for_graph();
+        let mut cert = graph.lock();
         match reads {
             Some(r) => cert.observe_snapshot_reads(r),
             None => cert.observe_trace(attempt),
@@ -753,7 +680,7 @@ impl LockService {
         let live = cert.stats().live_nodes;
         drop(cert);
         if live >= CERT_WINDOW && live % CERT_WINDOW == 0 {
-            std::thread::sleep(CERT_NAP);
+            std::thread::sleep(handover::NAP);
         }
         certified_out
     }
@@ -1416,32 +1343,32 @@ pub(crate) mod tests {
         service.sections.load(Ordering::Relaxed)
     }
 
-    /// The make-way rule of [`CertChannel::wait_for_graph`]: once a
-    /// feeder has spent its polls and queued on the graph, a later
-    /// arrival stands aside until the queued one has been through — it
-    /// never takes the graph the sleeper was just woken for.
+    /// The make-way rule on the certifier graph ([`Handover::lock`]):
+    /// once a strict feeder has spent its polls and queued on the graph,
+    /// a later arrival stands aside until the queued one has been
+    /// through — it never takes the graph the sleeper was just woken for.
     #[test]
     fn a_strict_feeder_never_overtakes_a_queued_one() {
-        let ch = CertChannel::new();
+        let graph = Handover::new(IncrementalCertifier::new());
         let order = Mutex::new(Vec::new());
         let enter = |name: &'static str| {
-            let _cert = ch.wait_for_graph();
+            let _cert = graph.lock();
             order.lock().expect("order").push(name);
         };
         std::thread::scope(|s| {
-            let held = ch.graph.lock().expect("graph");
+            let held = graph.lock();
             s.spawn(|| enter("queued"));
-            while ch.queued.load(Ordering::Relaxed) == 0 {
+            while graph.queued() == 0 {
                 std::thread::yield_now();
             }
             s.spawn(|| enter("late"));
             // Give the late arrival every chance to barge: it is polling
             // (or napping) by now, and the graph is about to come free.
-            std::thread::sleep(CERT_NAP * 20);
+            std::thread::sleep(handover::NAP * 20);
             drop(held);
         });
         assert_eq!(*order.lock().expect("order"), ["queued", "late"]);
-        assert_eq!(ch.queued.load(Ordering::Relaxed), 0);
+        assert_eq!(graph.queued(), 0);
     }
 
     /// A store that shows each append to a probe before it forwards it:

@@ -238,42 +238,46 @@ fn a_job_naming_a_target_twice_is_rejected_not_retried() {
     }
 }
 
-/// A DDAG job inserting a node at `MAX_ENTITIES` is refused, fatally, at
-/// its first lock on that id: rejected once, never committed, in the
-/// simulator and in the runtime — no lock table is grown to that id.
+/// A DDAG job inserting a node at `MAX_ENTITIES`, or at an id the
+/// universe never interned, is refused, fatally, at its first lock on
+/// that id: rejected once, never committed, in the simulator and in the
+/// runtime — no lock table is grown to that id, and no edge entity is
+/// named after it.
 #[test]
 fn a_ddag_insert_past_max_entities_is_rejected_not_committed() {
-    let mut u = safe_locking::core::Universe::new();
-    let ids = u.entities(["a", "b"]);
-    let g = DiGraph::from_parts(ids.clone(), [(ids[0], ids[1])]);
-    let policy = PolicyConfig::dag(u, g);
-    let jobs = vec![Job::insert(ids[0], EntityId(MAX_ENTITIES))];
-    let kind = PolicyKind::Ddag;
-    let mut adapter = build_adapter(&PolicyRegistry::new(), kind, &policy).unwrap();
-    let sim = run_sim(
-        &mut adapter,
-        &jobs,
-        &SimConfig {
-            workers: 1,
-            ..Default::default()
-        },
-    );
-    assert_eq!(
-        (sim.rejected, sim.committed, sim.policy_aborts),
-        (1, 0, 0),
-        "sim"
-    );
-    let config = RuntimeConfig {
-        max_wall: Duration::from_millis(300),
-        ..RuntimeConfig::with_workers(1)
-    };
-    let report = Runtime::new(kind, &policy).unwrap().run(&jobs, &config);
-    assert!(!report.timed_out, "retried until the deadline");
-    assert_eq!(
-        (report.rejected, report.committed, report.policy_aborts),
-        (1, 0, 0),
-        "runtime"
-    );
-    assert!(report.accounting_balances());
-    assert!(report.lock_table_quiescent());
+    for past in [EntityId(MAX_ENTITIES), EntityId(1000)] {
+        let mut u = safe_locking::core::Universe::new();
+        let ids = u.entities(["a", "b"]);
+        let g = DiGraph::from_parts(ids.clone(), [(ids[0], ids[1])]);
+        let policy = PolicyConfig::dag(u, g);
+        let jobs = vec![Job::insert(ids[0], past)];
+        let kind = PolicyKind::Ddag;
+        let mut adapter = build_adapter(&PolicyRegistry::new(), kind, &policy).unwrap();
+        let sim = run_sim(
+            &mut adapter,
+            &jobs,
+            &SimConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        assert_eq!(
+            (sim.rejected, sim.committed, sim.policy_aborts),
+            (1, 0, 0),
+            "sim, {past}"
+        );
+        let config = RuntimeConfig {
+            max_wall: Duration::from_millis(300),
+            ..RuntimeConfig::with_workers(1)
+        };
+        let report = Runtime::new(kind, &policy).unwrap().run(&jobs, &config);
+        assert!(!report.timed_out, "retried until the deadline, {past}");
+        assert_eq!(
+            (report.rejected, report.committed, report.policy_aborts),
+            (1, 0, 0),
+            "runtime, {past}"
+        );
+        assert!(report.accounting_balances(), "{past}");
+        assert!(report.lock_table_quiescent(), "{past}");
+    }
 }
