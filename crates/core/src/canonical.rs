@@ -194,15 +194,7 @@ impl CanonicalWitness {
                 .find(|&&(id, _)| id == sink)
                 .map(|&(_, len)| len)
                 .expect("sink is in order");
-            let prefix = &t.steps[..plen];
-            let locked_conflicting = prefix.iter().any(|s| {
-                matches!(s.op, Operation::Lock(m) if s.entity == self.a_star && !m.compatible_with(lock_mode))
-            });
-            let unlocked = prefix
-                .iter()
-                .any(|s| s.is_unlock() && s.entity == self.a_star);
-            let still_held = t.holds_lock_at(plen, self.a_star).is_some();
-            if !(locked_conflicting && unlocked && !still_held) {
+            if !t.released_conflicting_lock_by(plen, self.a_star, lock_mode) {
                 return Err(CanonicalViolation::SinkDoesNotReleaseAStar { sink });
             }
         }

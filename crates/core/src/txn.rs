@@ -264,6 +264,23 @@ impl LockedTransaction {
             .collect()
     }
 
+    /// Condition (2a)'s rule for a sink of `D(S')`: within its first
+    /// `prefix_len` steps the transaction locked `entity` in a mode that
+    /// conflicts with `mode`, unlocked it, and no longer holds it.
+    pub fn released_conflicting_lock_by(
+        &self,
+        prefix_len: usize,
+        entity: EntityId,
+        mode: LockMode,
+    ) -> bool {
+        let prefix = &self.steps[..prefix_len.min(self.steps.len())];
+        let locked_conflicting = prefix.iter().any(|s| {
+            matches!(s.op, Operation::Lock(m) if s.entity == entity && !m.compatible_with(mode))
+        });
+        let unlocked = prefix.iter().any(|s| s.is_unlock() && s.entity == entity);
+        locked_conflicting && unlocked && self.holds_lock_at(prefix_len, entity).is_none()
+    }
+
     /// Whether the prefix of length `prefix_len` contains an unlock step.
     pub fn unlocked_anything_by(&self, prefix_len: usize) -> bool {
         self.steps[..prefix_len.min(self.steps.len())]

@@ -19,17 +19,17 @@
 //! durably once opened, a removal is final once done, and only a
 //! segment's bytes wait for [`Store::sync`]. [`DirStore`] makes that
 //! true of the directory by syncing it after every create and every
-//! unlink, so a crash can neither lose a synced segment's name nor bring
-//! a removed one back. Retention removes oldest-first, so the segments
-//! that survive any crash are a suffix — and the crash grid's verdicts,
-//! reached on [`MemStore`], carry over to [`DirStore`] with no second
-//! store model.
+//! unlink, and its parent when it creates the directory, so a crash can
+//! neither lose a synced segment's name nor bring a removed one back.
+//! Retention removes oldest-first, so the segments that survive any
+//! crash are a suffix — and the crash grid's verdicts, reached on
+//! [`MemStore`], carry over to [`DirStore`] with no second store model.
 
 use crate::WalError;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Read as _, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// An append-only segment store. Object-safe and [`Send`] so the log can
@@ -262,7 +262,8 @@ impl Store for SharedMemStore {
 
 /// A store over real files: segment `n` is `wal-<n:08>.seg` in the
 /// directory, synced with `File::sync_data`. The directory itself is
-/// synced once opened and after every segment it creates or removes.
+/// synced once opened and after every segment it creates or removes, and
+/// its parent once when opening creates it.
 #[derive(Debug)]
 pub struct DirStore {
     dir: PathBuf,
@@ -270,20 +271,37 @@ pub struct DirStore {
     /// Directory syncs done ([`DirStore::sync_dir`]).
     #[cfg(test)]
     dir_syncs: usize,
+    /// Parent-directory syncs done ([`DirStore::open`]).
+    #[cfg(test)]
+    parent_syncs: usize,
 }
 
 impl DirStore {
     /// Opens (creating if absent) the segment directory at `dir`, and
-    /// syncs it. Its own name in its parent is not synced here.
+    /// syncs it. When it creates the directory it also syncs the parent,
+    /// which holds the new directory's name: without that a crash could
+    /// lose the name, and with it every synced segment inside.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, WalError> {
         let dir = dir.into();
+        let created = !dir.is_dir();
         fs::create_dir_all(&dir)?;
         let mut store = DirStore {
             dir,
             current: None,
             #[cfg(test)]
             dir_syncs: 0,
+            #[cfg(test)]
+            parent_syncs: 0,
         };
+        if created {
+            // A bare relative name's parent is the empty path.
+            let parent = store.dir.parent().filter(|p| !p.as_os_str().is_empty());
+            fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
+            #[cfg(test)]
+            {
+                store.parent_syncs += 1;
+            }
+        }
         store.sync_dir()?;
         Ok(store)
     }
@@ -557,6 +575,26 @@ mod tests {
         assert_eq!(store.dir_syncs, 3, "appends and data syncs leave it");
         store.remove(0).unwrap();
         assert_eq!(store.dir_syncs, 4, "one remove");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The directory's own name is durable once `open` created it: a
+    /// fresh open syncs the parent, and a reopen finds the directory and
+    /// leaves the parent alone.
+    #[test]
+    fn a_fresh_dir_store_syncs_its_name_into_its_parent() {
+        let dir =
+            std::env::temp_dir().join(format!("slp-durability-parent-sync-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = DirStore::open(&dir).unwrap();
+        assert_eq!((store.parent_syncs, store.dir_syncs), (1, 1), "fresh open");
+        drop(store);
+        let reopened = DirStore::open(&dir).unwrap();
+        assert_eq!(
+            (reopened.parent_syncs, reopened.dir_syncs),
+            (0, 1),
+            "reopen"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,6 +12,7 @@
 //! | [`altruistic`] | altruistic locking engine (rules AL1–AL3) \[SGMS94\] | Section 5 |
 //! | [`dtr`] | dynamic tree policy engine (rules DT0–DT3) \[CM86\] | Section 6 |
 //! | [`mutants`] | deliberately unsafe lockers (negative controls) | — |
+//! | [`probes`] | planners whose plans exercise the DDAG mutants' ablated rules | — |
 //! | [`plan`] | jobs and the per-policy planners that turn them into action plans | Sections 4–6 |
 //!
 //! The engines share one shape, made explicit by the [`api`] module: they
@@ -53,6 +54,7 @@ pub mod ddag;
 pub mod dtr;
 pub mod mutants;
 pub mod plan;
+pub mod probes;
 pub mod registry;
 pub mod tree;
 pub mod two_phase;
@@ -69,6 +71,7 @@ pub use plan::{
     initial_state, planner_for, ActionPlanner, AltruisticPlanner, DdagPlanner, DtrPlanner,
     InsertUnder, Job, TwoPhasePlanner,
 };
+pub use probes::{CrawlProbePlanner, ShoulderProbePlanner};
 pub use registry::{PolicyBuilder, PolicyConfig, PolicyKind, PolicyRegistry, RegistryError};
 pub use tree::{is_tree_locked, tree_lock_plan, PlanError, TreeLockViolation};
 pub use two_phase::TwoPhaseEngine;

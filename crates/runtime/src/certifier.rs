@@ -7,7 +7,7 @@
 //! incremental cycle check and committed-prefix truncation.
 
 use rustc_hash::{FxHashMap, FxHashSet};
-use slp_core::{Access, EntityId, Schedule, ScheduledStep, TxId};
+use slp_core::{Access, Schedule, ScheduledStep, TxId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -120,29 +120,6 @@ struct SnapReader {
     stamp: u64,
 }
 
-/// One snapshot read for the online certifier's explicit feed path
-/// ([`IncrementalCertifier::observe_snapshot_reads`]). Workers publish
-/// batches out of order, so the certifier cannot reconstruct which
-/// version a read observed from arrival state — but the MVCC store knows
-/// exactly, and supplies the observed writer and the version's install
-/// stamp alongside the read.
-#[derive(Clone, Copy, Debug)]
-pub struct VersionedRead {
-    /// The read step's globally dense stamp.
-    pub stamp: u64,
-    /// The reading transaction.
-    pub tx: TxId,
-    /// The entity read.
-    pub entity: EntityId,
-    /// The writer of the version observed; `None` when the read saw the
-    /// initial (pre-run) version.
-    pub observed: Option<TxId>,
-    /// The observed version's install stamp; `None` for the initial
-    /// version, which orders the reader before *every* writer of the
-    /// entity.
-    pub pivot: Option<u64>,
-}
-
 /// One batch's stamp extremes for a single entity: `(entity, benign
 /// (min, max), strong (min, max), mutation (min, max))` — the last the
 /// version-installing subset of the strong steps (`W`/`I`/`D`).
@@ -228,6 +205,14 @@ impl CertNode {
 ///   stamp comparison against each prior accessor of the entity, not by
 ///   arrival order, so the maintained graph is exactly `D(S)` of the
 ///   stamp-ordered schedule at every point.
+/// * **Snapshot reads are steps.** A read-only job's reads arrive in the
+///   same batches as everything else
+///   ([`ScheduledStep::snapshot_read`]), naming only the writer they
+///   observed; the certifier derives the version from that writer's
+///   steps. The premise is that an observed writer is fed before its
+///   reader: the runtime certifies a writer before it makes its versions
+///   visible, all of them at once, and a snapshot sees only visible
+///   writers (replay feeds in stamp order, which implies it).
 /// * **Incremental cycle check.** Nodes carry topological levels (every
 ///   edge strictly increases level, maintained Pearce–Kelly style), so an
 ///   edge landing forward in level order — the common case under
@@ -347,7 +332,9 @@ impl IncrementalCertifier {
     /// collapsed to per-(entity, class) stamp extremes before it touches
     /// the graph: serialization edges are pairwise stamp comparisons, so
     /// the extremes derive exactly the edge set per-step feeding would, at
-    /// a fraction of the accessor scans.
+    /// a fraction of the accessor scans. A snapshot read is one of the
+    /// batch's steps ([`ScheduledStep::snapshot_read`]); its observed
+    /// writer must already have been fed whole (see the type docs).
     pub fn observe_trace(&mut self, batch: &[(u64, ScheduledStep)]) {
         self.record_stamps(batch.iter().map(|&(s, _)| s));
         if self.violation.is_some() {
@@ -376,11 +363,18 @@ impl IncrementalCertifier {
                     // Versioned read: ordered against the entity's writers
                     // by the version it observed, never by stamp order —
                     // it must not enter the benign accessor ranges. The
-                    // pivot (observed version's install stamp) is derived
-                    // from the observed writer's current strong extreme,
-                    // which is exact under in-stamp-order feeding (replay);
-                    // the runtime's out-of-order feed supplies it
-                    // explicitly via `observe_snapshot_reads`.
+                    // pivot (observed version's install stamp) is the
+                    // observed writer's newest mutation stamp on the
+                    // entity: a read returns that writer's newest version,
+                    // and every feed has all of the writer's steps by the
+                    // time a read can observe it — replay feeds in stamp
+                    // order, and the runtime certifies a writer before it
+                    // flips, all of its versions at once, while a snapshot
+                    // sees only flipped writers. A retired writer yields
+                    // no pivot, which orders the reader before every
+                    // resident writer of the entity: each of them has
+                    // stamps only above the retired one's (one below would
+                    // be an edge into it, and it would not have retired).
                     let pivot = observed.and_then(|x| self.live_slot(x)).and_then(|xs| {
                         self.accessors.get(entity as usize).and_then(|l| {
                             l.iter()
@@ -431,29 +425,6 @@ impl IncrementalCertifier {
         }
     }
 
-    /// Feeds a batch of snapshot reads with **explicit pivots** — the
-    /// runtime's feed path for read-only jobs. Workers publish batches
-    /// out of order, so the certifier cannot reconstruct which version a
-    /// read observed from arrival state; the MVCC store knows exactly,
-    /// and passes the observed version's install stamp along. Stamps must
-    /// be ascending within the batch (the read path claims a dense stamp
-    /// block at snapshot capture).
-    pub fn observe_snapshot_reads(&mut self, reads: &[VersionedRead]) {
-        self.record_stamps(reads.iter().map(|r| r.stamp));
-        if self.violation.is_some() {
-            return; // latched: keep the graph frozen for the autopsy
-        }
-        for r in reads {
-            let to = self.slot_of(r.tx);
-            let node = &mut self.slots[to as usize];
-            node.last_stamp = node.last_stamp.max(r.stamp);
-            self.observe_versioned_read(r.stamp, to, r.entity.0, r.observed, r.pivot);
-            if self.violation.is_some() {
-                return;
-            }
-        }
-    }
-
     /// Counts a batch's stamps (strictly ascending) as observed steps and
     /// records them as maximal consecutive ranges pending contiguity, one
     /// heap entry per range.
@@ -480,10 +451,11 @@ impl IncrementalCertifier {
     /// [`observe_access`](Self::observe_access). A snapshot read is
     /// ordered by the *version* it observed, never by stamp order:
     ///
-    /// * `X → R` for the observed writer `X` (wr-dependency). An unseen
-    ///   `X` gets a node now — its steps arrive at its commit; a
+    /// * `X → R` for the observed writer `X` (wr-dependency). A
     ///   *truncated* `X` needs no edge, because truncation guarantees no
-    ///   live accessor of the entity predates it.
+    ///   live accessor of the entity predates it. An unseen `X` gets a
+    ///   node now; only a hand-fed trace can have one, since a runtime
+    ///   writer is fed before any snapshot can observe it.
     /// * `R → W` for every writer whose *mutation* stamps lie above
     ///   `pivot` (the observed version's install stamp): its version is
     ///   one the snapshot missed, so the reader serializes before it —
@@ -590,6 +562,12 @@ impl IncrementalCertifier {
             Some(s) if s != NO_SLOT && s != RETIRED_SLOT => Some(s),
             _ => None,
         }
+    }
+
+    /// Whether `tx` has been fed, resident or retired — the premise a
+    /// snapshot read's observed writer must meet (see the type docs).
+    pub(crate) fn knows(&self, tx: TxId) -> bool {
+        self.by_tx.get(tx.0 as usize).is_some_and(|&s| s != NO_SLOT)
     }
 
     /// Graph maintenance for one transaction's access summary on one
@@ -1037,7 +1015,7 @@ impl IncrementalCertifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slp_core::{is_serializable, Step};
+    use slp_core::{is_serializable, EntityId, Step};
 
     fn e(i: u32) -> EntityId {
         EntityId(i)
@@ -1179,8 +1157,9 @@ mod tests {
         assert_eq!(stats.live_nodes, 1);
     }
 
-    /// Online explicit-pivot feed, arriving out of order: the reader's
-    /// snapshot is fed before the writers' steps, as the runtime does.
+    /// A snapshot read fed as a step, ahead of a later writer's steps:
+    /// the pivot comes from the observed writer, fed (and here already
+    /// retired) before the read, as the runtime feeds.
     #[test]
     fn certifier_versioned_reads_with_explicit_pivots() {
         let mut cert = IncrementalCertifier::new();
@@ -1188,13 +1167,7 @@ mod tests {
         cert.observe_trace(&[(0, ScheduledStep::new(t(1), Step::write(e(0))))]);
         cert.seal_with(t(1), false);
         // R's snapshot observed W1's version (install stamp 0).
-        cert.observe_snapshot_reads(&[VersionedRead {
-            stamp: 1,
-            tx: t(3),
-            entity: e(0),
-            observed: Some(t(1)),
-            pivot: Some(0),
-        }]);
+        cert.observe_trace(&[(1, ScheduledStep::snapshot_read(t(3), e(0), Some(t(1))))]);
         cert.seal_with(t(3), false);
         // W2 writes e0 after the capture: R -> W2 parks, then lands at
         // W2's commit. All acyclic; everything truncates away.
@@ -1211,21 +1184,10 @@ mod tests {
     #[test]
     fn certifier_catches_broken_visibility_and_recovers_by_retraction() {
         let mut cert = IncrementalCertifier::new();
-        cert.observe_snapshot_reads(&[
-            VersionedRead {
-                stamp: 0,
-                tx: t(2),
-                entity: e(0),
-                observed: None,
-                pivot: None,
-            },
-            VersionedRead {
-                stamp: 1,
-                tx: t(2),
-                entity: e(1),
-                observed: Some(t(1)), // in-progress: a dirty read
-                pivot: Some(3),
-            },
+        cert.observe_trace(&[
+            (0, ScheduledStep::snapshot_read(t(2), e(0), None)),
+            // In-progress: a dirty read.
+            (1, ScheduledStep::snapshot_read(t(2), e(1), Some(t(1)))),
         ]);
         cert.seal_with(t(2), false);
         cert.observe_trace(&[
@@ -1254,21 +1216,9 @@ mod tests {
     #[test]
     fn certifier_parked_edge_dissolves_when_writer_aborts() {
         let mut cert = IncrementalCertifier::new();
-        cert.observe_snapshot_reads(&[
-            VersionedRead {
-                stamp: 0,
-                tx: t(2),
-                entity: e(0),
-                observed: None,
-                pivot: None,
-            },
-            VersionedRead {
-                stamp: 1,
-                tx: t(2),
-                entity: e(1),
-                observed: Some(t(1)),
-                pivot: Some(3),
-            },
+        cert.observe_trace(&[
+            (0, ScheduledStep::snapshot_read(t(2), e(0), None)),
+            (1, ScheduledStep::snapshot_read(t(2), e(1), Some(t(1)))),
         ]);
         cert.seal_with(t(2), false);
         cert.observe_trace(&[
@@ -1286,15 +1236,8 @@ mod tests {
     /// retired id, a free slot, and the live count one lower.
     #[test]
     fn retracted_and_truncated_nodes_leave_the_same_residue() {
-        let read = |stamp, tx, entity| {
-            [VersionedRead {
-                stamp,
-                tx: t(tx),
-                entity: e(entity),
-                observed: None,
-                pivot: None,
-            }]
-        };
+        let read =
+            |stamp, tx, entity| [(stamp, ScheduledStep::snapshot_read(t(tx), e(entity), None))];
         let write =
             |stamp, tx, entity| [(stamp, ScheduledStep::new(t(tx), Step::write(e(entity))))];
         // Tears T1 down through `detach` and checks what is left.
@@ -1322,7 +1265,7 @@ mod tests {
         // accessor entry). Truncated: sealed below the watermark with no
         // predecessor, and one successor, T2, which overwrote e1.
         let mut cert = IncrementalCertifier::new();
-        cert.observe_snapshot_reads(&read(0, 1, 0));
+        cert.observe_trace(&read(0, 1, 0));
         cert.observe_trace(&write(1, 1, 1));
         cert.observe_trace(&write(2, 2, 1));
         check(cert, |c| {
@@ -1335,8 +1278,8 @@ mod tests {
         // overwrote the e0 version T1 read).
         let mut cert = IncrementalCertifier::new();
         cert.observe_trace(&write(0, 4, 1));
-        cert.observe_snapshot_reads(&read(1, 3, 1));
-        cert.observe_snapshot_reads(&read(2, 1, 0));
+        cert.observe_trace(&read(1, 3, 1));
+        cert.observe_trace(&read(2, 1, 0));
         cert.observe_trace(&write(3, 1, 1));
         cert.observe_trace(&write(4, 2, 0));
         cert.observe_trace(&write(5, 5, 1));

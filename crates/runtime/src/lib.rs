@@ -56,9 +56,7 @@
 //!   transaction ids and the merged trace to admission order — a
 //!   replayable block-execution mode whose outcome fingerprint and
 //!   schedule are byte-identical across worker counts (see the
-//!   `scheduler` module docs);
-//! * [`probes`] — plan shapes that exercise the DDAG mutants' ablated
-//!   rules (the trace-replay conformance suite's negative controls).
+//!   `scheduler` module docs).
 //!
 //! ## Architecture
 //!
@@ -102,17 +100,15 @@ mod fastpath;
 mod service;
 mod trace;
 
-pub mod probes;
 pub mod report;
 pub mod runner;
 pub mod scheduler;
 
-pub use probes::{CrawlProbePlanner, ShoulderProbePlanner};
 pub use report::{Certification, LatencySummary, RuntimeReport};
 pub use runner::{CertifyMode, PlannerFactory, Runtime, RuntimeConfig};
 pub use scheduler::SchedMode;
 
-pub use certifier::{CertStats, CertViolation, IncrementalCertifier, VersionedRead};
+pub use certifier::{CertStats, CertViolation, IncrementalCertifier};
 
 // The MVCC surface a snapshot-read run touches (the store internals stay
 // in `slp_mvcc`).

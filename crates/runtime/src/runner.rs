@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 /// Builds one worker's planner. Workers construct their planner inside
 /// their own thread, so the planner itself need not be `Send`; the factory
 /// is shared and must be. The worker index parameter lets probe planners
-/// decorrelate their choices across workers (see [`crate::probes`]).
+/// decorrelate their choices across workers (see [`slp_policies::probes`]).
 pub type PlannerFactory = Arc<dyn Fn(usize) -> Box<dyn ActionPlanner> + Send + Sync>;
 
 /// Online serializability certification mode

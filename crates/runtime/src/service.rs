@@ -117,11 +117,11 @@
 //! healthy run — firings are counted ([`Counters::park_timeouts`]) and
 //! surfaced in the report as lost-wakeup evidence.
 
-use crate::certifier::{IncrementalCertifier, VersionedRead};
+use crate::certifier::IncrementalCertifier;
 use crate::fastpath::LockWords;
 use crate::runner::CertifyMode;
 use crate::trace::{Stamped, TraceRun};
-use slp_core::{DataOp, EntityId, LockMode, Operation, ScheduledStep, Step, TxId};
+use slp_core::{Access, DataOp, EntityId, LockMode, Operation, ScheduledStep, Step, TxId};
 use slp_durability::handover::{self, Handover};
 use slp_durability::Wal;
 use slp_mvcc::{CommitPipeline, MvccStore, VisibilityRule};
@@ -437,8 +437,9 @@ pub(crate) struct LockService {
     /// words were held — arbitrate the cross-worker byte order on replay.
     wal: Option<Arc<Wal>>,
     /// Online serialization-graph certifier, when the run certifies
-    /// ([`CertifyMode::Strict`]). Fed once per retiring attempt, after
-    /// its words are free and the engine lock is dropped: the stamps
+    /// ([`CertifyMode::Strict`]). Fed once per retiring attempt — a
+    /// read-only job's snapshot reads included, as steps of its trace —
+    /// after its words are free and the engine lock is dropped: the stamps
     /// taken at grant time already fix the edge directions, so the
     /// certifier tolerates out-of-order arrival and its lock never sits
     /// on a serialization point. Each feed is certified before the
@@ -612,15 +613,16 @@ impl LockService {
 
     /// Certification of one finished attempt, when the run certifies
     /// (`false` at once when it does not). The batch is a retired
-    /// attempt's recorded steps, or a read-only job's snapshot reads (the
-    /// explicit-pivot feed: workers publish out of order, so the
-    /// certifier cannot reconstruct observed versions from arrival
-    /// state); either way the transaction is sealed after it — commit or
-    /// abort, it takes no further steps, which is what makes it
-    /// truncatable. One graph acquisition per attempt keeps the certifier
-    /// off the grant path, and the certifier orders edges by stamp, so
-    /// feeding late and in any order across workers never changes the
-    /// verdict.
+    /// attempt's recorded steps, or a read-only job's snapshot-read
+    /// steps, fed the same way; either way the transaction is sealed
+    /// after it — commit or abort, it takes no further steps, which is
+    /// what makes it truncatable. A snapshot read names the writer it
+    /// observed, and that writer was certified here before it became
+    /// visible, so the certifier already knows it (checked in debug
+    /// builds) and derives the version read from its steps. One graph
+    /// acquisition per attempt keeps the certifier off the grant path,
+    /// and the certifier orders edges by stamp, so feeding late and in
+    /// any order across workers never changes the verdict.
     ///
     /// Feed + seal happen under a **waited-for** graph acquisition — the
     /// latch-and-recover step must be atomic with the feed — and a
@@ -633,21 +635,19 @@ impl LockService {
     /// *committing* `tx` was certification-aborted (the caller must not
     /// make it durable or visible); for an already-aborting `tx` the
     /// retraction is just cleanup and the return is `false`.
-    fn certify_strict(
-        &self,
-        tx: TxId,
-        attempt: &[Stamped],
-        reads: Option<&[VersionedRead]>,
-        aborted: bool,
-    ) -> bool {
+    fn certify_strict(&self, tx: TxId, steps: &[Stamped], aborted: bool) -> bool {
         let Some(graph) = &self.certifier else {
             return false;
         };
         let mut cert = graph.lock();
-        match reads {
-            Some(r) => cert.observe_snapshot_reads(r),
-            None => cert.observe_trace(attempt),
-        }
+        debug_assert!(
+            steps.iter().all(|(_, s)| match s.via {
+                Access::Snapshot { observed: Some(x) } => cert.knows(x),
+                _ => true,
+            }),
+            "{tx} read a snapshot of a writer the certifier has not seen"
+        );
+        cert.observe_trace(steps);
         if cert.violation().is_none() {
             cert.seal_with(tx, aborted);
         }
@@ -1148,7 +1148,7 @@ impl LockService {
     /// needs) and parked snapshot-read edges against its versions
     /// dissolve instead of materializing.
     fn settle(&self, tx: TxId, rec: &mut Recorder, aborting: bool) -> bool {
-        let certified_out = self.certify_strict(tx, &rec.steps, None, aborting);
+        let certified_out = self.certify_strict(tx, &rec.steps, aborting);
         let committed = !aborting && !certified_out;
         self.log(rec, committed.then_some(tx));
         if let Some(m) = &self.mvcc {
@@ -1161,13 +1161,14 @@ impl LockService {
         committed
     }
 
-    /// Serves a read-only job from an MVCC snapshot: captures a read
-    /// view from the commit pipeline's published clock without a lock
+    /// Serves a read-only job from an MVCC snapshot: captures a read view
+    /// from the commit pipeline's published clock without a lock
     /// (claiming a dense block of trace stamps for the reads), scans
-    /// version chains for the visible version of each target, and
-    /// records the observations as stamped snapshot-read steps —
-    /// **without ever touching the policy engine, the lock table, or a
-    /// parking stripe**. Returns `false` when strict certification
+    /// version chains for the visible version of each target, and records
+    /// the observations as stamped snapshot-read steps — **without ever
+    /// touching the policy engine, the lock table, or a parking stripe**.
+    /// Those steps are the read's only record: the log and the certifier
+    /// both take them. Returns `false` when strict certification
     /// recovered by retracting the reader (the caller retries with a
     /// fresh snapshot).
     fn snapshot_read(&self, tx: TxId, targets: &[EntityId], rec: &mut Recorder) -> bool {
@@ -1180,33 +1181,18 @@ impl LockService {
             self.seq.fetch_add(n as u64, Ordering::Relaxed)
         });
         let tst = m.pipeline.status_table();
-        // Only the certifier reads the versioned reads.
-        let mut reads = self
-            .certifier
-            .is_some()
-            .then(|| Vec::with_capacity(targets.len()));
         for (i, &entity) in targets.iter().enumerate() {
             let obs = m.store.read(entity, &snap, tst, VisibilityRule::Correct);
-            let stamp = snap.base_stamp + i as u64;
             trace.push((
-                stamp,
+                snap.base_stamp + i as u64,
                 ScheduledStep::snapshot_read(tx, entity, obs.observed),
             ));
-            if let Some(reads) = &mut reads {
-                reads.push(VersionedRead {
-                    stamp,
-                    tx,
-                    entity,
-                    observed: obs.observed,
-                    pivot: obs.pivot,
-                });
-            }
         }
         rec.tally.snapshot_reads += targets.len() as u64;
         // Reader steps are logged (the recovered trace must stay dense)
         // but a read-only transaction needs no commit record.
         self.log(rec, None);
-        !self.certify_strict(tx, &rec.steps, reads.as_deref(), false)
+        !self.certify_strict(tx, &rec.steps, false)
     }
 
     /// How many stamps the run has drawn: the number of steps its workers

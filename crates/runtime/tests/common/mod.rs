@@ -10,10 +10,11 @@
 #![allow(dead_code)]
 
 use slp_core::{is_serializable, is_serializable_with_aborts, EntityId, Schedule, ScheduledStep};
-use slp_policies::{Job, PolicyConfig, PolicyKind, PolicyRegistry};
+use slp_policies::{
+    CrawlProbePlanner, Job, PolicyConfig, PolicyKind, PolicyRegistry, ShoulderProbePlanner,
+};
 use slp_runtime::{
-    CertifyMode, CrawlProbePlanner, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport,
-    SchedMode, ShoulderProbePlanner,
+    CertifyMode, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport, SchedMode,
 };
 use slp_sim::{
     dag_access_jobs, dag_mixed_jobs, deep_dag_jobs, hot_cold_jobs, layered_dag, long_short_jobs,

@@ -22,9 +22,7 @@ use common::{check_run, ddag_workloads, pool, workers, FLAT_KINDS};
 use slp_core::{EntityId, ScheduledStep, Step, TxId};
 use slp_mvcc::{CommitPipeline, MvccStore, ObservedRead, VisibilityRule};
 use slp_policies::{Job, PolicyConfig, PolicyKind};
-use slp_runtime::{
-    CertifyMode, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport, VersionedRead,
-};
+use slp_runtime::{CertifyMode, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport};
 use slp_sim::read_heavy_jobs;
 
 /// Runs `jobs` on `rt` with snapshot reads and strict certification on,
@@ -157,21 +155,9 @@ fn certify_dirty_read_script(rule: VisibilityRule) -> IncrementalCertifier {
 
     let mut cert = IncrementalCertifier::new();
     cert.observe_trace(&[(0, ScheduledStep::new(w, Step::write(e1)))]);
-    cert.observe_snapshot_reads(&[
-        VersionedRead {
-            stamp: 1,
-            tx: r,
-            entity: e1,
-            observed: got_e1.observed,
-            pivot: got_e1.pivot,
-        },
-        VersionedRead {
-            stamp: 2,
-            tx: r,
-            entity: e0,
-            observed: got_e0.observed,
-            pivot: got_e0.pivot,
-        },
+    cert.observe_trace(&[
+        (1, ScheduledStep::snapshot_read(r, e1, got_e1.observed)),
+        (2, ScheduledStep::snapshot_read(r, e0, got_e0.observed)),
     ]);
     cert.seal_with(r, false);
     cert.observe_trace(&[(3, ScheduledStep::new(w, Step::write(e0)))]);

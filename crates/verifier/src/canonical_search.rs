@@ -276,13 +276,7 @@ fn try_candidate(
     for sink in sinks {
         let (_, plen) = order.iter().find(|&&(id, _)| id == sink)?;
         let t = system.get(sink).expect("listed");
-        let prefix = &t.steps[..*plen];
-        let locked_conflicting = prefix.iter().any(|s| {
-            matches!(s.op, Operation::Lock(m) if s.entity == a_star && !m.compatible_with(tc_mode))
-        });
-        let unlocked = prefix.iter().any(|s| s.is_unlock() && s.entity == a_star);
-        let still_held = t.holds_lock_at(*plen, a_star).is_some();
-        if !(locked_conflicting && unlocked && !still_held) {
+        if !t.released_conflicting_lock_by(*plen, a_star, tc_mode) {
             return None;
         }
     }
