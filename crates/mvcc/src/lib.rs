@@ -42,4 +42,4 @@ mod tst;
 
 pub use pipeline::{CommitOutcome, CommitPipeline, Snapshot};
 pub use store::{MvccStore, ObservedRead, Version, VisibilityRule};
-pub use tst::{TxStatus, TxStatusTable};
+pub use tst::{TxStatus, TxStatusTable, TX_SLOTS};

@@ -23,9 +23,10 @@ const TAG_IN_PROGRESS: u64 = 0b00; // the default (zeroed) state
 const TAG_COMMITTED: u64 = 0b01;
 const TAG_ABORTED: u64 = 0b10;
 
-/// The table's capacity: ~16M transaction ids, far above any run this
-/// workspace performs.
-const TX_SLOTS: usize = 1 << 24;
+/// The table's capacity: ids `0..TX_SLOTS` (~16.8M) have a slot, and
+/// flipping an id at or above it panics. A runtime with snapshot reads
+/// mints no such id.
+pub const TX_SLOTS: usize = 1 << 24;
 
 /// The **sole commit authority** for snapshot visibility: a lock-free
 /// table with one atomic `u64` per transaction id, `InProgress` (the

@@ -12,10 +12,9 @@
 //!
 //! * [`Runtime`] — build a service for any [`slp_policies::PolicyKind`]
 //!   and [`Runtime::run`] a job queue;
-//! * [`RuntimeConfig`] — worker count (test harnesses read
-//!   `SLP_RUNTIME_THREADS` through [`RuntimeConfig::workers_from_env`]),
-//!   park timeout, per-step yield, the mode switches described below,
-//!   wall-clock guard;
+//! * [`RuntimeConfig`] — worker count, park timeout, per-step yield,
+//!   the mode switches described below, wall-clock guard — set in code
+//!   only;
 //! * **durability** — [`Runtime::run_durable`] mirrors every granted step
 //!   and commit into a `slp-durability` write-ahead log (group-committed,
 //!   checkpointed), handed over one attempt at a time once the attempt

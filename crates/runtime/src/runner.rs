@@ -22,7 +22,7 @@ use slp_policies::{
     initial_state, planner_for, ActionPlanner, GrantScope, Job, PolicyConfig, PolicyEngine,
     PolicyKind, PolicyRegistry, RegistryError,
 };
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,7 +67,8 @@ pub struct RuntimeConfig {
     pub park_timeout: Duration,
     /// Wall-clock guard: past this deadline workers abandon their jobs and
     /// drain (guards against livelock in mutant policies, the threaded
-    /// analogue of the simulator's `max_ticks`).
+    /// analogue of the simulator's `max_ticks`). A guard no [`Instant`]
+    /// can reach, such as [`Duration::MAX`], is no deadline.
     pub max_wall: Duration,
     /// Yield the OS scheduler after each granted action. Costs throughput,
     /// buys interleaving diversity — on by default because the runtime's
@@ -141,26 +142,6 @@ impl RuntimeConfig {
             ..Default::default()
         }
     }
-
-    /// The worker count the environment requests, if any:
-    /// `SLP_RUNTIME_THREADS` (the CI matrix's pool-width axis). `None`
-    /// when unset; panics on a value that is not a positive integer — a
-    /// typo'd override must not silently fall back. This is the single
-    /// definition of the override's parse/validate rule (the runtime
-    /// suites' width ladders key off set-vs-unset).
-    pub fn env_workers() -> Option<usize> {
-        std::env::var("SLP_RUNTIME_THREADS").ok().map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .expect("SLP_RUNTIME_THREADS must be a positive integer")
-        })
-    }
-
-    /// [`env_workers`](RuntimeConfig::env_workers) with a fallback.
-    pub fn workers_from_env(default: usize) -> usize {
-        Self::env_workers().unwrap_or(default)
-    }
 }
 
 /// A concurrent transaction service over one policy engine.
@@ -231,7 +212,7 @@ impl Runtime {
     /// the report with the merged, totally ordered trace (the workers'
     /// stamp-ordered runs, merged — not sorted — after the join).
     pub fn run(&mut self, jobs: &[Job], config: &RuntimeConfig) -> RuntimeReport {
-        self.run_inner(jobs, config, None)
+        self.run_inner(jobs, config, None, 1)
     }
 
     /// A write-ahead log over `store` seeded with this runtime's current
@@ -265,14 +246,17 @@ impl Runtime {
         config: &RuntimeConfig,
         wal: Arc<Wal>,
     ) -> RuntimeReport {
-        self.run_inner(jobs, config, Some(wal))
+        self.run_inner(jobs, config, Some(wal), 1)
     }
 
+    /// The run, its shared transaction counter starting at `first_tx`
+    /// (1; the id-bound tests start it next to the bound).
     fn run_inner(
         &mut self,
         jobs: &[Job],
         config: &RuntimeConfig,
         wal: Option<Arc<Wal>>,
+        first_tx: u64,
     ) -> RuntimeReport {
         let initial = self.initial_state();
         let engine = self.engine.take().expect("engine present between runs");
@@ -282,6 +266,14 @@ impl Runtime {
         // whatever committed first), so the read path stays locked there.
         let snapshot_reads = config.snapshot_reads && config.scheduler != SchedMode::Deterministic;
         let mvcc = snapshot_reads.then(MvccState::default);
+        // Every minted id must fit what the run keeps per transaction: a
+        // slot of the MVCC status table when the run has one, and
+        // otherwise a lock word's `u32`, where 0 means free.
+        let tx_bound = if snapshot_reads {
+            slp_mvcc::TX_SLOTS as u64
+        } else {
+            u64::from(u32::MAX)
+        };
         // A word run only when the knob is on AND the engine promises
         // per-entity grants; its table directly indexes the flat pool
         // (per-entity engines have a fixed universe).
@@ -311,11 +303,13 @@ impl Runtime {
             service: &service,
             jobs,
             config,
-            deadline: start + config.max_wall,
+            // A deadline `Instant` cannot hold is no deadline.
+            deadline: start.checked_add(config.max_wall),
             planners: &self.planner_factory,
             cursor: AtomicUsize::new(0),
             waves,
-            next_tx: AtomicU32::new(1),
+            next_tx: AtomicU64::new(first_tx),
+            tx_bound,
             det_jobs: (config.scheduler == SchedMode::Deterministic).then_some(jobs.len() as u32),
         };
         let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
@@ -446,14 +440,19 @@ struct Run<'a> {
     service: &'a LockService,
     jobs: &'a [Job],
     config: &'a RuntimeConfig,
-    deadline: Instant,
+    /// `None` when `max_wall` reaches past what an [`Instant`] can hold.
+    deadline: Option<Instant>,
     planners: &'a PlannerFactory,
     /// The next unclaimed job, when no wave dispatcher hands them out.
     cursor: AtomicUsize,
     /// The wave dispatcher, which blocks claimers at wave fences.
     waves: Option<WaveDispatch>,
-    /// The racing shared transaction counter.
-    next_tx: AtomicU32,
+    /// The racing shared transaction counter. It is wider than an id, so
+    /// it cannot wrap before the bound stops it.
+    next_tx: AtomicU64,
+    /// Every minted id is below this: the status table's capacity in a
+    /// run with MVCC, `u32::MAX` otherwise.
+    tx_bound: u64,
     /// `Some(|jobs|)` in deterministic mode, where a transaction id is a
     /// function of the admission index, so ids (and the renumbered
     /// trace) are worker-count-independent.
@@ -482,11 +481,13 @@ impl Run<'_> {
     /// The id for attempt `attempt` (1-based) of job `ji`: in
     /// deterministic mode `1 + ji + (attempt − 1)·|jobs|`, unique across
     /// (job, attempt) pairs and never drawn from the shared counter.
-    fn mint(&self, ji: usize, attempt: u32) -> TxId {
-        match self.det_jobs {
-            Some(n) => TxId(1 + ji as u32 + (attempt - 1).wrapping_mul(n)),
-            None => TxId(self.next_tx.fetch_add(1, Ordering::Relaxed)),
-        }
+    /// `None` once the id would reach the run's bound.
+    fn mint(&self, ji: usize, attempt: u32) -> Option<TxId> {
+        let id = match self.det_jobs {
+            Some(n) => 1 + ji as u64 + u64::from(attempt - 1) * u64::from(n),
+            None => self.next_tx.fetch_add(1, Ordering::Relaxed),
+        };
+        (id < self.tx_bound).then_some(TxId(id as u32))
     }
 }
 
@@ -503,21 +504,25 @@ fn worker_loop(run: &Run<'_>, worker: usize) -> WorkerOutput {
         let job = &run.jobs[ji];
         let dispatched = Instant::now();
         for attempt in 1u32.. {
-            let tx = run.mint(ji, attempt);
             let one_call = run.config.step_yield;
-            let end =
-                match service.start(planner.as_mut(), job, tx, one_call, run.deadline, &mut rec) {
-                    Err(end) => end,
-                    Ok(mut at) => loop {
-                        match service.poll(&mut at, &mut rec) {
-                            Poll::Yield => std::thread::yield_now(),
-                            Poll::Park { entity, gen } => {
-                                service.park(entity, gen, run.config.park_timeout)
-                            }
-                            Poll::Over(end) => break end,
+            let started = match run.mint(ji, attempt) {
+                Some(tx) => {
+                    service.start(planner.as_mut(), job, tx, one_call, run.deadline, &mut rec)
+                }
+                None => Err(service.out_of_ids(&mut rec)),
+            };
+            let end = match started {
+                Err(end) => end,
+                Ok(mut at) => loop {
+                    match service.poll(&mut at, &mut rec) {
+                        Poll::Yield => std::thread::yield_now(),
+                        Poll::Park { entity, gen } => {
+                            service.park(entity, gen, run.config.park_timeout)
                         }
-                    },
-                };
+                        Poll::Over(end) => break end,
+                    }
+                },
+            };
             // The one place an attempt's steps leave the recorder, so no
             // exit path can skip it.
             rec.seal(&mut trace);
@@ -613,7 +618,7 @@ mod tests {
             grant(&service, &mut holder, &mut holder_rec);
 
             let mut rec = Recorder::default();
-            let deadline = Instant::now() + Duration::from_secs(60);
+            let deadline = Some(Instant::now() + Duration::from_secs(60));
             let job = Job::access(vec![cold, hot]);
             let mut planner = planner_for(PolicyKind::TwoPhase);
             let Ok(mut waiter) =
@@ -820,5 +825,50 @@ mod tests {
             assert_eq!(rec.aborted, [tx], "begun, then aborted");
             assert!(rec.steps.is_empty());
         }
+    }
+
+    /// Six one-entity 2PL jobs on one worker, the shared counter started
+    /// two ids below the run's id bound. The two jobs numbered there
+    /// commit; the first attempt left without an id halts the run, and it
+    /// and every later one is abandoned — no thread panics, no id is 0 or
+    /// repeats, and the attempts balance. (One worker, because with two a
+    /// numbered attempt may start after the other worker's halt, and is
+    /// abandoned too.)
+    fn run_up_to_the_id_bound(snapshot_reads: bool, bound: u64) {
+        let pool: Vec<EntityId> = (0..4).map(EntityId).collect();
+        let jobs: Vec<Job> = (0..6).map(|i| Job::access(vec![pool[i % 4]])).collect();
+        let mut rt =
+            Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool)).expect("2PL builds");
+        let config = RuntimeConfig {
+            snapshot_reads,
+            ..RuntimeConfig::with_workers(1)
+        };
+        let report = rt.run_inner(&jobs, &config, None, bound - 2);
+        let ctx = format!("snapshot reads {snapshot_reads}");
+        assert!(report.accounting_balances(), "{ctx}");
+        assert_eq!(
+            (report.attempts, report.committed, report.abandoned),
+            (6, 2, 4),
+            "{ctx}"
+        );
+        assert!(!report.timed_out, "{ctx}: a halt is not a timeout");
+        let txs: std::collections::BTreeSet<TxId> =
+            report.schedule.steps().iter().map(|s| s.tx).collect();
+        let numbered = [TxId(bound as u32 - 2), TxId(bound as u32 - 1)];
+        assert_eq!(txs, numbered.into(), "{ctx}");
+    }
+
+    /// With snapshot reads on, every id indexes the MVCC status table, so
+    /// the bound is the table's capacity.
+    #[test]
+    fn a_run_with_mvcc_mints_no_id_past_the_status_table() {
+        run_up_to_the_id_bound(true, slp_mvcc::TX_SLOTS as u64);
+    }
+
+    /// Without MVCC the bound is `u32::MAX`: the counter never wraps to
+    /// id 0, which a lock word reads as free.
+    #[test]
+    fn a_run_without_mvcc_mints_no_id_that_wraps_to_zero() {
+        run_up_to_the_id_bound(false, u64::from(u32::MAX));
     }
 }

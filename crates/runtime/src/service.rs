@@ -181,6 +181,11 @@ fn stripe_index(e: EntityId) -> usize {
     e.0 as usize % STRIPES
 }
 
+/// Whether `deadline` has passed; `None` never does.
+fn past(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() > d)
+}
+
 /// One attempt's state across its sections, opened by
 /// [`LockService::start`] and driven by [`LockService::poll`].
 pub(crate) struct Attempt {
@@ -202,8 +207,9 @@ pub(crate) struct Attempt {
     /// One-call sections ([`crate::RuntimeConfig::step_yield`]): a
     /// section ends after every grant, and the driver yields.
     one_call: bool,
-    /// Past this instant the attempt is abandoned at its next conflict.
-    deadline: Instant,
+    /// Past this instant the attempt is abandoned at its next conflict;
+    /// `None` is no deadline.
+    deadline: Option<Instant>,
     /// Whether `tx`'s waits-for edge is published: by the last
     /// [`Poll::Park`], until the next poll retracts it.
     waiting: bool,
@@ -376,8 +382,10 @@ pub(crate) struct Counters {
     pub timed_out: AtomicBool,
     /// Backstop only: set when strict certification latches a cycle it
     /// cannot recover from by retracting the feeding transaction (which
-    /// should be impossible — every edge a feed adds touches the feeder).
-    /// Workers treat it like an expired deadline and drain.
+    /// should be impossible — every edge a feed adds touches the feeder),
+    /// or when the run has no transaction id left to mint
+    /// ([`LockService::out_of_ids`]). Workers treat it like an expired
+    /// deadline and drain.
     pub halted: AtomicBool,
 }
 
@@ -792,7 +800,7 @@ impl LockService {
         job: &Job,
         tx: TxId,
         one_call: bool,
-        deadline: Instant,
+        deadline: Option<Instant>,
         rec: &mut Recorder,
     ) -> Result<Attempt, AttemptEnd> {
         rec.tally.attempts += 1;
@@ -919,16 +927,25 @@ impl LockService {
         Poll::Park { entity, gen }
     }
 
-    /// Whether an attempt stops here: its deadline has passed, or strict
-    /// certification halted the run.
-    fn cut_short(&self, deadline: Instant) -> bool {
-        Instant::now() > deadline || self.counters.halted.load(Ordering::Relaxed)
+    /// The attempt the run could mint no id for: counted, and abandoned
+    /// with the run halted, as strict certification's backstop halts it —
+    /// no later attempt could be numbered either.
+    pub fn out_of_ids(&self, rec: &mut Recorder) -> AttemptEnd {
+        rec.tally.attempts += 1;
+        self.counters.halted.store(true, Ordering::Relaxed);
+        self.abandon(None, &mut rec.tally)
+    }
+
+    /// Whether an attempt stops here: its deadline has passed, or the run
+    /// is halted.
+    fn cut_short(&self, deadline: Option<Instant>) -> bool {
+        past(deadline) || self.counters.halted.load(Ordering::Relaxed)
     }
 
     /// The end of an attempt [`cut_short`](LockService::cut_short): only
     /// a passed deadline marks the run timed out, not a halt.
-    fn abandon(&self, deadline: Instant, tally: &mut Tally) -> AttemptEnd {
-        if Instant::now() > deadline {
+    fn abandon(&self, deadline: Option<Instant>, tally: &mut Tally) -> AttemptEnd {
+        if past(deadline) {
             self.counters.timed_out.store(true, Ordering::Relaxed);
         }
         tally.abandoned += 1;
@@ -1291,7 +1308,7 @@ pub(crate) mod tests {
         one_call: bool,
     ) -> (Attempt, Recorder) {
         let mut rec = Recorder::default();
-        let deadline = Instant::now() + Duration::from_secs(60);
+        let deadline = Some(Instant::now() + Duration::from_secs(60));
         let job = Job::access(Vec::new());
         match service.start(planner, &job, tx, one_call, deadline, &mut rec) {
             Ok(at) => (at, rec),
@@ -1625,7 +1642,7 @@ pub(crate) mod tests {
 
             let plan = [PolicyAction::Lock(a), PolicyAction::Lock(b)];
             let (mut late, mut rec) = opened(&service, TxId(2), &plan, true);
-            late.deadline = Instant::now() - Duration::from_millis(1);
+            late.deadline = Some(Instant::now() - Duration::from_millis(1));
             grant(&service, &mut late, &mut rec);
             assert_eq!(
                 service.poll(&mut late, &mut rec),

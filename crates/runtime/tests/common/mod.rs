@@ -37,22 +37,17 @@ pub const FLAT_KINDS: [PolicyKind; 3] = [
     PolicyKind::Dtr,
 ];
 
-/// The width of a one-width sweep: `SLP_RUNTIME_THREADS`, else 4.
-pub fn workers() -> usize {
-    RuntimeConfig::workers_from_env(4)
-}
+/// The widths of a safe sweep: 1, where a run is serial, and 4, where
+/// workers race.
+pub const SWEEP_WIDTHS: [usize; 2] = [1, 4];
 
-/// The widths a ladder sweeps: the env-pinned width, else 1/2/4/8.
-pub fn widths() -> Vec<usize> {
-    RuntimeConfig::env_workers().map_or_else(|| vec![1, 2, 4, 8], |w| vec![w])
-}
+/// The widths a ladder sweeps.
+pub const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// The width of a mutant sweep. A nonserializable interleaving needs
 /// real concurrency: at width 1 every run is serial and trivially
 /// serializable, so the negative control would be vacuous, not failed.
-pub fn mutant_workers() -> usize {
-    workers().max(4)
-}
+pub const MUTANT_WORKERS: usize = 4;
 
 /// The base config: `workers` threads under the generous park timeout.
 pub fn conf(workers: usize) -> RuntimeConfig {
@@ -248,8 +243,8 @@ fn closing_edge(schedule: &Schedule) -> u64 {
 pub fn sweep_mutant(mutant: PolicyKind, certify: CertifyMode) {
     const RUNS_PER_SEED: usize = 3;
     let (seeds, workers) = match mutant {
-        PolicyKind::DdagNoAllPredecessors => (0..60u64, mutant_workers().max(8)),
-        _ => (0..80u64, mutant_workers()),
+        PolicyKind::DdagNoAllPredecessors => (0..60u64, 8),
+        _ => (0..80u64, MUTANT_WORKERS),
     };
     let config = RuntimeConfig {
         certify_online: certify,

@@ -61,6 +61,22 @@ fn an_expired_deadline_abandons_every_job_and_still_balances() {
     }
 }
 
+/// The guard's other end: a `max_wall` past what an `Instant` can hold
+/// is no deadline, not an overflow.
+#[test]
+fn an_unreachable_deadline_is_no_deadline() {
+    let pool = pool(6);
+    let jobs = uniform_jobs(&pool, 8, 3, 11);
+    let config = RuntimeConfig {
+        max_wall: Duration::MAX,
+        ..RuntimeConfig::with_workers(2)
+    };
+    let report = twopl(&pool).run(&jobs, &config);
+    check_run(&config, &jobs, &report, "unreachable deadline");
+    assert!(!report.timed_out, "no deadline, no timeout");
+    assert_eq!(report.committed, jobs.len(), "every job commits");
+}
+
 /// The guard firing *mid-run*: whichever attempts it catches — before
 /// their first request, or parked on a conflict with locks already held
 /// and steps already recorded — the trace keeps their steps and their

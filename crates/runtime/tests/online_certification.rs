@@ -2,9 +2,10 @@
 //! offline serializability checker.
 //!
 //! * **Safe agreement** — every safe kind × the shared workload tables
-//!   runs with the certifier in strict mode: the live verdict must be
-//!   "no cycle" and the offline replay (`is_serializable`) must agree,
-//!   with the certifier having observed every recorded step.
+//!   × 1 and 4 workers runs with the certifier in strict mode: the live
+//!   verdict must be "no cycle" and the offline replay
+//!   (`is_serializable`) must agree, with the certifier having observed
+//!   every recorded step.
 //! * **Mutant agreement** — the repo's negative controls, through
 //!   `common::sweep_mutant` under strict certification (with it off, the
 //!   same sweep is `trace_conformance.rs`'s): each unsafe mutant, driven
@@ -26,8 +27,8 @@
 mod common;
 
 use common::{
-    check_run, ddag_workloads, flat_workloads, mutant_run, mutant_workers, pool, sweep_mutant,
-    workers, FLAT_KINDS,
+    check_run, ddag_workloads, flat_workloads, mutant_run, pool, sweep_mutant, FLAT_KINDS,
+    MUTANT_WORKERS, SWEEP_WIDTHS,
 };
 use proptest::test_runner::TestRng;
 use slp_core::{
@@ -61,7 +62,13 @@ fn safe_kinds_certify_live_and_agree_with_offline_replay() {
     for kind in FLAT_KINDS {
         for seed in 0..6u64 {
             for w in flat_workloads(seed) {
-                w.run(kind, &strict(workers()), &format!("seed {seed}"));
+                for width in SWEEP_WIDTHS {
+                    w.run(
+                        kind,
+                        &strict(width),
+                        &format!("width {width} / seed {seed}"),
+                    );
+                }
             }
         }
     }
@@ -71,11 +78,10 @@ fn safe_kinds_certify_live_and_agree_with_offline_replay() {
 fn ddag_certifies_live_across_traversal_workloads() {
     for seed in 0..6u64 {
         for w in ddag_workloads(seed) {
-            w.run(
-                PolicyKind::Ddag,
-                &strict(workers()),
-                &format!("seed {seed}"),
-            );
+            for width in SWEEP_WIDTHS {
+                let ctx = format!("width {width} / seed {seed}");
+                w.run(PolicyKind::Ddag, &strict(width), &ctx);
+            }
         }
     }
 }
@@ -100,7 +106,7 @@ fn strict_mode_recovers_by_aborting_the_cycle_victim_and_running_on() {
     // Recovery means the run *finishes*: `check_run` holds every run to
     // no halt, no timeout, balanced accounting (certification aborts
     // included), every job committed, and a serializable committed set.
-    let config = mutant_conf(mutant_workers());
+    let config = mutant_conf(MUTANT_WORKERS);
     for seed in 0..80u64 {
         for _ in 0..3 {
             let (mut rt, jobs) = mutant_run(PolicyKind::AltruisticNoWake, seed);

@@ -17,11 +17,11 @@
 //!   `sched_parks_avoided`, and strictly fewer grant-time lock waits
 //!   than the unscheduled runtime accumulates over the same seeds.
 //!
-//! Worker count honors `SLP_RUNTIME_THREADS` (CI matrix convention).
+//! The widths are set in code (`common::WIDTHS`).
 
 mod common;
 
-use common::{ddag_workloads, flat_workloads, pool, widths, workers, FLAT_KINDS};
+use common::{ddag_workloads, flat_workloads, pool, FLAT_KINDS, WIDTHS};
 use slp_policies::{PolicyConfig, PolicyKind};
 use slp_runtime::{Runtime, RuntimeConfig, RuntimeReport, SchedMode};
 use slp_sim::hot_cold_jobs;
@@ -40,7 +40,7 @@ fn scheduled_runs_conform_across_policies_modes_and_widths() {
     // Both tables: the DDAG rows run under a global-scope engine, and the
     // insert mix's structural jobs must fence waves.
     for sched in [SchedMode::Off, SchedMode::Waves, SchedMode::Deterministic] {
-        for &width in &widths() {
+        for width in WIDTHS {
             for seed in 0..3u64 {
                 let ctx = format!("{sched:?} / width {width} / seed {seed}");
                 for w in flat_workloads(seed) {
@@ -71,7 +71,7 @@ fn deterministic_mode_is_byte_identical_across_widths_and_repeats() {
             .map(|w| (PolicyKind::Ddag, w));
         for (kind, w) in flat.chain(ddag) {
             let mut baseline: Option<RuntimeReport> = None;
-            for &width in &widths() {
+            for width in WIDTHS {
                 for repeat in 0..2 {
                     let ctx = format!("det / width {width} / repeat {repeat} / seed {seed}");
                     let report = w.run(kind, &conf(width, SchedMode::Deterministic), &ctx);
@@ -108,7 +108,7 @@ fn waves_resolve_hot_cold_conflicts_ahead_of_the_lock_service() {
     // lucky), so the comparison aggregates over a seed sweep; the
     // scheduler's own counters are asserted per run.
     let pool = pool(24);
-    let width = workers().max(4);
+    let width = 4;
     let mut off_waits = 0u64;
     let mut waves_waits = 0u64;
     for seed in 0..8u64 {

@@ -5,7 +5,7 @@
 //!
 //! * **Mixed sweep** — read-heavy hot-set workloads on every safe
 //!   flat-pool kind, and the shared DDAG insert mix with concurrent
-//!   readers: snapshot reads enter the trace as stamped steps, the online
+//!   readers, at 1 and 4 workers: snapshot reads enter the trace as stamped steps, the online
 //!   certifier sees them, and the offline replay (aborted transactions
 //!   excised) agrees — all checked by `common::check_run`.
 //! * **Reader isolation** — a pure-read workload records zero grants and
@@ -18,26 +18,34 @@
 
 mod common;
 
-use common::{check_run, ddag_workloads, pool, workers, FLAT_KINDS};
+use common::{check_run, ddag_workloads, pool, FLAT_KINDS, SWEEP_WIDTHS};
 use slp_core::{EntityId, ScheduledStep, Step, TxId};
 use slp_mvcc::{CommitPipeline, MvccStore, ObservedRead, VisibilityRule};
 use slp_policies::{Job, PolicyConfig, PolicyKind};
 use slp_runtime::{CertifyMode, IncrementalCertifier, Runtime, RuntimeConfig, RuntimeReport};
 use slp_sim::read_heavy_jobs;
 
-/// Runs `jobs` on `rt` with snapshot reads and strict certification on,
-/// and holds the run to `common::check_run`: for this config that is
-/// the exact snapshot-read count, a clean online verdict, and offline
-/// serializability with the aborted set excised.
-fn run_mixed(rt: &mut Runtime, jobs: &[Job], ctx: &str) -> RuntimeReport {
-    let config = RuntimeConfig {
-        snapshot_reads: true,
-        certify_online: CertifyMode::Strict,
-        ..common::conf(workers())
-    };
-    let report = rt.run(jobs, &config);
-    check_run(&config, jobs, &report, ctx);
-    report
+/// Runs `jobs` at 1 and at 4 workers, each on a fresh runtime from
+/// `rt`, with snapshot reads and strict certification on, and holds
+/// every run to `common::check_run`: for this config that is the exact
+/// snapshot-read count, a clean online verdict, and offline
+/// serializability with the aborted set excised. Returns the reports,
+/// one per width, with their context.
+fn run_mixed(rt: impl Fn() -> Runtime, jobs: &[Job], ctx: &str) -> Vec<(String, RuntimeReport)> {
+    SWEEP_WIDTHS
+        .into_iter()
+        .map(|width| {
+            let config = RuntimeConfig {
+                snapshot_reads: true,
+                certify_online: CertifyMode::Strict,
+                ..common::conf(width)
+            };
+            let report = rt().run(jobs, &config);
+            let ctx = format!("{ctx} / width {width}");
+            check_run(&config, jobs, &report, &ctx);
+            (ctx, report)
+        })
+        .collect()
 }
 
 fn flat_runtime(kind: PolicyKind) -> Runtime {
@@ -50,11 +58,12 @@ fn read_heavy_mixes_conform_across_safe_flat_pool_policies() {
         for seed in 0..8u64 {
             let jobs = read_heavy_jobs(&pool(20), 28, 3, 4, 0.95, seed);
             let ctx = format!("{} / read-heavy / seed {seed}", kind.name());
-            let report = run_mixed(&mut flat_runtime(kind), &jobs, &ctx);
-            assert!(
-                report.snapshot_reads > 0,
-                "{ctx}: 95% read probability produced no snapshot reads"
-            );
+            for (ctx, report) in run_mixed(|| flat_runtime(kind), &jobs, &ctx) {
+                assert!(
+                    report.snapshot_reads > 0,
+                    "{ctx}: 95% read probability produced no snapshot reads"
+                );
+            }
         }
     }
 }
@@ -64,11 +73,12 @@ fn strict_certification_never_aborts_a_safe_mixed_run() {
     for seed in 0..4u64 {
         let jobs = read_heavy_jobs(&pool(20), 24, 3, 4, 0.9, seed);
         let ctx = format!("2PL strict / read-heavy / seed {seed}");
-        let report = run_mixed(&mut flat_runtime(PolicyKind::TwoPhase), &jobs, &ctx);
-        assert_eq!(
-            report.certification_aborts, 0,
-            "{ctx}: strict mode aborted a correctly-visible snapshot run"
-        );
+        for (ctx, report) in run_mixed(|| flat_runtime(PolicyKind::TwoPhase), &jobs, &ctx) {
+            assert_eq!(
+                report.certification_aborts, 0,
+                "{ctx}: strict mode aborted a correctly-visible snapshot run"
+            );
+        }
     }
 }
 
@@ -87,8 +97,9 @@ fn ddag_insert_mix_with_concurrent_readers_conforms() {
         let mut jobs = mix.jobs.clone();
         jobs.extend(read_heavy_jobs(&base, 14, 2, 4, 1.0, seed.wrapping_add(99)));
         let ctx = format!("DDAG / insert-mix + readers / seed {seed}");
-        let report = run_mixed(&mut mix.runtime(PolicyKind::Ddag), &jobs, &ctx);
-        assert!(report.snapshot_reads > 0, "{ctx}: readers never ran");
+        for (ctx, report) in run_mixed(|| mix.runtime(PolicyKind::Ddag), &jobs, &ctx) {
+            assert!(report.snapshot_reads > 0, "{ctx}: readers never ran");
+        }
     }
 }
 
@@ -99,12 +110,16 @@ fn pure_read_workload_never_touches_the_lock_service() {
         jobs.iter().all(|j| j.read_only),
         "read_prob 1.0 is all reads"
     );
-    let report = run_mixed(&mut flat_runtime(PolicyKind::TwoPhase), &jobs, "pure-read");
-    assert_eq!(report.snapshot_reads, 40 * 3, "three reads per job");
-    // The headline claim: the read path performs zero lock-service work.
-    assert_eq!(report.grants, 0, "snapshot reads requested locks");
-    assert_eq!(report.lock_waits, 0, "snapshot reads waited on locks");
-    assert_eq!(report.parks, 0, "snapshot reads parked");
+    for (ctx, report) in run_mixed(|| flat_runtime(PolicyKind::TwoPhase), &jobs, "pure-read") {
+        assert_eq!(report.snapshot_reads, 40 * 3, "{ctx}: three reads per job");
+        // The headline claim: the read path performs zero lock-service work.
+        assert_eq!(report.grants, 0, "{ctx}: snapshot reads requested locks");
+        assert_eq!(
+            report.lock_waits, 0,
+            "{ctx}: snapshot reads waited on locks"
+        );
+        assert_eq!(report.parks, 0, "{ctx}: snapshot reads parked");
+    }
 }
 
 // ---------------------------------------------------------------------

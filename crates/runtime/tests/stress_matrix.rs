@@ -1,6 +1,5 @@
 //! Runtime stress/determinism matrix: seeded workloads at 1/2/4/8
-//! workers, with the `SLP_RUNTIME_THREADS` override collapsing the ladder
-//! to one width (the CI matrix convention).
+//! workers, every width on every run of the suite (`common::WIDTHS`).
 //!
 //! Per run: `common::check_run` under the generous park timeout, so
 //! `park_timeouts == 0` too. The flat-pool ladder sweeps the shared
@@ -18,7 +17,7 @@
 
 mod common;
 
-use common::{check_run, conf, ddag_workloads, flat_workloads, pool, widths, Workload, FLAT_KINDS};
+use common::{check_run, conf, ddag_workloads, flat_workloads, pool, Workload, FLAT_KINDS, WIDTHS};
 use slp_core::TxId;
 use slp_policies::{GrantScope, Job, PolicyConfig, PolicyKind, PolicyRegistry};
 use slp_runtime::{Runtime, RuntimeConfig, RuntimeReport};
@@ -90,7 +89,7 @@ fn stress_ladder_holds_invariants_at_every_width() {
     for kind in FLAT_KINDS {
         for seed in [5u64, 11] {
             for w in flat_workloads(seed) {
-                for &width in &widths() {
+                for width in WIDTHS {
                     for fast in [true, false] {
                         let yields: &[bool] = if engine_run(kind, fast) {
                             &[true, false]
@@ -120,7 +119,7 @@ fn stress_ladder_holds_invariants_at_every_width() {
 fn ddag_stress_ladder_holds_invariants() {
     for seed in [3u64, 9] {
         for w in ddag_workloads(seed) {
-            for &width in &widths() {
+            for width in WIDTHS {
                 for step_yield in [true, false] {
                     let config = RuntimeConfig {
                         step_yield,
@@ -177,7 +176,7 @@ fn width_one_schedules_are_identical_step_yield_on_and_off() {
 fn outcome_accounting_is_identical_across_repeated_runs() {
     for seed in [2u64, 7] {
         let jobs = uniform_jobs(&pool(16), 20, 3, seed);
-        for &w in &widths() {
+        for w in WIDTHS {
             let runs: Vec<RuntimeReport> = (0..3)
                 .map(|_| run_once(PolicyKind::TwoPhase, &jobs, w, true))
                 .collect();

@@ -4,7 +4,7 @@
 //! * **Safe sweep** — every safe [`PolicyKind`] × 51 seeded workloads
 //!   (the shared flat-pool table — uniform, long/short, hot/cold — and
 //!   the DDAG table — traversals, deep-layer dominator traversals, the
-//!   insert mix): each run must pass `common::check_run`, so its trace is
+//!   insert mix) × 1 and 4 workers: each run must pass `common::check_run`, so its trace is
 //!   legal, proper for the run's initial structural state, and
 //!   serializable, with no lost jobs and a quiescent lock table.
 //! * **Fast-path sweep** — 2PL, the one kind whose grants bypass the
@@ -18,11 +18,14 @@
 //!   verdict pipeline can see unsafety on its own. (`online_certification.rs`
 //!   runs the same sweep under strict certification.)
 //!
-//! The worker count honors `SLP_RUNTIME_THREADS` (CI matrix convention).
+//! Every width is set in code (`common::SWEEP_WIDTHS`, `common::WIDTHS`,
+//! `common::MUTANT_WORKERS`).
 
 mod common;
 
-use common::{conf, ddag_workloads, flat_workloads, sweep_mutant, widths, workers, FLAT_KINDS};
+use common::{
+    conf, ddag_workloads, flat_workloads, sweep_mutant, FLAT_KINDS, SWEEP_WIDTHS, WIDTHS,
+};
 use slp_policies::PolicyKind;
 use slp_runtime::{CertifyMode, RuntimeConfig};
 
@@ -31,7 +34,9 @@ fn flat_pool_policies_emit_serializable_traces_across_the_seed_sweep() {
     for kind in FLAT_KINDS {
         for seed in 0..17u64 {
             for w in flat_workloads(seed) {
-                w.run(kind, &conf(workers()), &format!("seed {seed}"));
+                for width in SWEEP_WIDTHS {
+                    w.run(kind, &conf(width), &format!("width {width} / seed {seed}"));
+                }
             }
         }
     }
@@ -40,7 +45,7 @@ fn flat_pool_policies_emit_serializable_traces_across_the_seed_sweep() {
 #[test]
 fn fast_path_on_and_off_conform_at_every_width() {
     for fast in [true, false] {
-        for &width in &widths() {
+        for width in WIDTHS {
             for seed in 0..5u64 {
                 for w in flat_workloads(seed) {
                     let config = RuntimeConfig {
@@ -62,7 +67,10 @@ fn fast_path_on_and_off_conform_at_every_width() {
 fn ddag_emits_serializable_traces_across_the_seed_sweep() {
     for seed in 0..17u64 {
         for w in ddag_workloads(seed) {
-            w.run(PolicyKind::Ddag, &conf(workers()), &format!("seed {seed}"));
+            for width in SWEEP_WIDTHS {
+                let ctx = format!("width {width} / seed {seed}");
+                w.run(PolicyKind::Ddag, &conf(width), &ctx);
+            }
         }
     }
 }

@@ -46,7 +46,7 @@ fn main() {
         )
         .expect("fresh store"),
     );
-    let config = RuntimeConfig::with_workers(RuntimeConfig::workers_from_env(4));
+    let config = RuntimeConfig::with_workers(4);
     let report = rt.run_durable(&jobs, &config, wal);
     let summary = report.wal.expect("durable run reports its log");
     println!(

@@ -24,7 +24,8 @@
 //!   must replay nonserializable and the committed projection (the
 //!   aborted transactions' steps removed) serializable.
 //!
-//! Every scenario runs with strict online certification. Safe scenarios
+//! Every scenario runs with strict online certification. The safe
+//! scenarios run at 1 and at 4 workers, the probe at 4. Safe scenarios
 //! must certify with **zero** violations and balanced accounting; the
 //! probe must be *caught* and recover. Any miss exits
 //! nonzero, so the generator doubles as a CI smoke check.
@@ -43,6 +44,13 @@ use safe_locking::sim::{
 const DEFAULT_JOBS: usize = 2_000;
 /// Jobs per safe scenario under `--smoke` (the CI configuration).
 const SMOKE_JOBS: usize = 10_000;
+/// The worker counts every safe scenario runs at: one worker, where the
+/// snapshot read path runs single-threaded, and four, where readers race
+/// writers' commit flips.
+const WIDTHS: [usize; 2] = [1, 4];
+/// The mutant probe's worker count: a single worker cannot interleave,
+/// so the mutant could not misbehave.
+const PROBE_WORKERS: usize = 4;
 
 /// A throughput-oriented config with strict online certification: no
 /// per-step yield (the generator measures volume, not interleaving
@@ -228,8 +236,8 @@ fn read_heavy(jobs: usize, workers: usize) -> bool {
 fn wave_scheduled_storm(jobs: usize, workers: usize) -> bool {
     let pool: Vec<EntityId> = (0..64).map(EntityId).collect();
     let work = hot_cold_jobs(&pool, jobs, 3, 4, 0.9, 0xB0A7);
-    // The scenario *is* the batch scheduler (the CI matrix still varies
-    // workers underneath it).
+    // The scenario *is* the batch scheduler (run at every width of
+    // `WIDTHS` underneath it).
     let mut config = RuntimeConfig {
         scheduler: SchedMode::Waves,
         ..load_config(workers)
@@ -306,14 +314,12 @@ fn wave_scheduled_storm(jobs: usize, workers: usize) -> bool {
 /// its queue. Offline, the raw schedule (the victims' steps included)
 /// must replay nonserializable and the committed projection serializable
 /// (the differential check is cheap — the probe's runs are small).
-fn mutant_probe(workers: usize) -> bool {
+fn mutant_probe() -> bool {
     let pool: Vec<EntityId> = (0..12).map(EntityId).collect();
-    // Strict certification (the recovery is the point), and ≥ 4 workers —
-    // a single worker cannot interleave, so the mutant cannot misbehave
-    // when the CI matrix pins SLP_RUNTIME_THREADS=1.
+    // Strict certification: the recovery is the point.
     let config = RuntimeConfig {
         certify_online: CertifyMode::Strict,
-        ..RuntimeConfig::with_workers(workers.max(4))
+        ..RuntimeConfig::with_workers(PROBE_WORKERS)
     };
     for seed in 0..80u64 {
         let work = long_short_jobs(&pool, 8, 30, 2, seed);
@@ -390,23 +396,24 @@ fn main() {
         }
     }
 
-    let workers = RuntimeConfig::workers_from_env(4);
-    println!("== slp-runtime load generator: {jobs} jobs/scenario, {workers} workers ==\n");
+    println!("== slp-runtime load generator: {jobs} jobs/scenario at {WIDTHS:?} workers ==\n");
 
     let mut all_ok = true;
-    for (name, run) in [
-        ("hot-key storm", hot_key_storm as fn(usize, usize) -> bool),
-        ("long-lived transactions", long_lived),
-        ("structural churn", structural_churn),
-        ("read-heavy (snapshot reads)", read_heavy),
-        ("wave-scheduled storm", wave_scheduled_storm),
-    ] {
-        println!("scenario: {name}");
-        all_ok &= run(jobs, workers);
-        println!();
+    for workers in WIDTHS {
+        for (name, run) in [
+            ("hot-key storm", hot_key_storm as fn(usize, usize) -> bool),
+            ("long-lived transactions", long_lived),
+            ("structural churn", structural_churn),
+            ("read-heavy (snapshot reads)", read_heavy),
+            ("wave-scheduled storm", wave_scheduled_storm),
+        ] {
+            println!("scenario: {name}, {workers} workers");
+            all_ok &= run(jobs, workers);
+            println!();
+        }
     }
-    println!("scenario: mutant probe (strict certification)");
-    all_ok &= mutant_probe(workers);
+    println!("scenario: mutant probe (strict certification), {PROBE_WORKERS} workers");
+    all_ok &= mutant_probe();
 
     if !all_ok {
         eprintln!("\nFAILED: a scenario missed its certification or accounting target.");

@@ -64,8 +64,7 @@ fn main() {
     for workers in [1usize, 4] {
         let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone()))
             .expect("2PL builds");
-        let config = RuntimeConfig::with_workers(RuntimeConfig::workers_from_env(workers));
-        let report = rt.run(&jobs, &config);
+        let report = rt.run(&jobs, &RuntimeConfig::with_workers(workers));
         all_certified &= describe(&report);
     }
 
@@ -77,10 +76,7 @@ fn main() {
     println!("\ndeep dominator traversals, {} jobs:", dag_jobs.len());
     let config = PolicyConfig::dag(dag.universe.clone(), dag.graph.clone());
     let mut rt = Runtime::new(PolicyKind::Ddag, &config).expect("DDAG builds");
-    let report = rt.run(
-        &dag_jobs,
-        &RuntimeConfig::with_workers(RuntimeConfig::workers_from_env(4)),
-    );
+    let report = rt.run(&dag_jobs, &RuntimeConfig::with_workers(4));
     all_certified &= describe(&report);
 
     if !all_certified {
