@@ -63,9 +63,10 @@ rule 14 -nE 'note_wait|clear_wait|\.abort\(|tally\.[a-z_]+ \+=' crates/runtime/s
 # 15. The verifier has one search and no thread pool.
 rule 15 -rnE 'trait Driver|DonationQueue|ThreadPool|fn donate' crates/verifier/src
 rule 15 -rn SLP_VERIFIER_THREADS crates tests examples
-# 16. The DDAG engine's graph and rule state are stored flat by entity id.
+# 16. The DDAG graph is stored flat by entity id, and every global-scope
+# engine keeps its per-transaction rule state in the flat TxTable.
 rule 16 -n BTree crates/graph/src/digraph.rs crates/graph/src/dag.rs
-rule 16 -n 'BTreeSet<EntityId>' crates/policies/src/ddag.rs
+rule 16 -nE 'BTreeSet<EntityId>|BTreeMap<TxId' crates/policies/src/ddag.rs crates/policies/src/altruistic.rs crates/policies/src/dtr.rs
 # 17. One hand-over for the tail's serial structures.
 rule 17 -rnE 'struct CertChannel|fn wait_for_graph|fn lock_core|LOCK_POLL_BURST|CERT_POLL_BURST|CERT_NAP' crates/runtime/src crates/durability/src
 # 18. The online certifier reads only the trace, and the runtime ships no

@@ -18,9 +18,16 @@
 //! [`AltruisticEngine::finish`]. The mutant switch
 //! [`AltruisticConfig::without_wake_rule`] disables AL2 for the E7
 //! ablation.
+//!
+//! A transaction's locked-past and held sets live in the crate's
+//! per-transaction table (short `Vec`s in a slot found by binary search);
+//! its donated set is what it locked and no longer holds. The AL2 scan
+//! walks the active transactions in id order and reports the smallest
+//! item outside the wake, and held items leave in id order. An entity id
+//! at or above [`MAX_ENTITIES`] is refused at its lock, fatally.
 
-use slp_core::{DataOp, EntityId, LockMode, LockTable, Step, TxId};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::txtable::{violation_from_tx_error, TxSlot, TxTable};
+use slp_core::{DataOp, EntityId, Step, TxId, MAX_ENTITIES};
 use std::fmt;
 
 /// A violation of the altruistic locking rules.
@@ -48,6 +55,9 @@ pub enum AltruisticViolation {
     NotHolding(TxId, EntityId),
     /// Locking after the declared locked point.
     PastLockedPoint(TxId),
+    /// The entity id is at or above [`MAX_ENTITIES`], past what the
+    /// engine's and the runtime's per-entity tables hold.
+    EntityOutOfRange(EntityId),
 }
 
 impl fmt::Display for AltruisticViolation {
@@ -64,11 +74,14 @@ impl fmt::Display for AltruisticViolation {
             LockConflict(e, holder) => write!(f, "{e} is locked by {holder}"),
             NotHolding(t, e) => write!(f, "AL1: {t} does not hold a lock on {e}"),
             PastLockedPoint(t) => write!(f, "{t} tried to lock after its locked point"),
+            EntityOutOfRange(e) => write!(f, "{e} is at or above MAX_ENTITIES ({MAX_ENTITIES})"),
         }
     }
 }
 
 impl std::error::Error for AltruisticViolation {}
+
+violation_from_tx_error!(AltruisticViolation);
 
 /// Rule switches for ablation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,19 +112,23 @@ impl AltruisticConfig {
     }
 }
 
+/// The altruistic part of a transaction's rule state. Its donated set is
+/// not stored: an item leaves `holding` only by an unlock, so what it
+/// donated is what it locked in the past and holds no more.
 #[derive(Clone, Debug, Default)]
 struct AltTx {
-    locked_past: BTreeSet<EntityId>,
-    holding: BTreeSet<EntityId>,
-    donated: BTreeSet<EntityId>,
     at_locked_point: bool,
+}
+
+/// Whether `tj` has donated (unlocked) `item`.
+fn donated(tj: &TxSlot<AltTx>, item: EntityId) -> bool {
+    tj.locked_past.contains(&item) && !tj.holding.contains(&item)
 }
 
 /// The altruistic locking engine (exclusive locks only).
 #[derive(Clone, Debug, Default)]
 pub struct AltruisticEngine {
-    table: LockTable,
-    txs: BTreeMap<TxId, AltTx>,
+    txs: TxTable<AltTx>,
     config: AltruisticConfig,
 }
 
@@ -131,32 +148,22 @@ impl AltruisticEngine {
 
     /// Registers a transaction.
     pub fn begin(&mut self, tx: TxId) -> Result<(), AltruisticViolation> {
-        if self.txs.contains_key(&tx) {
-            return Err(AltruisticViolation::AlreadyBegun(tx));
-        }
-        self.txs.insert(tx, AltTx::default());
-        Ok(())
-    }
-
-    fn state(&self, tx: TxId) -> Result<&AltTx, AltruisticViolation> {
-        self.txs
-            .get(&tx)
-            .ok_or(AltruisticViolation::UnknownTransaction(tx))
+        self.txs.begin(tx, || Ok(AltTx::default())).map(|_| ())
     }
 
     /// Whether `tx` is currently in the wake of `other`.
     pub fn in_wake_of(&self, tx: TxId, other: TxId) -> bool {
-        let (Some(ti), Some(tj)) = (self.txs.get(&tx), self.txs.get(&other)) else {
+        let (Ok(ti), Ok(tj)) = (self.txs.get(tx), self.txs.get(other)) else {
             return false;
         };
-        !tj.at_locked_point && ti.locked_past.intersection(&tj.donated).next().is_some()
+        !tj.rule.at_locked_point && ti.locked_past.iter().any(|&i| donated(tj, i))
     }
 
     /// Checks whether `tx` may lock `item` right now; distinguishes policy
     /// violations (abort) from lock conflicts (wait).
     pub fn check_lock(&self, tx: TxId, item: EntityId) -> Result<(), AltruisticViolation> {
-        let st = self.state(tx)?;
-        if st.at_locked_point {
+        let st = self.txs.lockable(tx, item)?;
+        if st.rule.at_locked_point {
             return Err(AltruisticViolation::PastLockedPoint(tx));
         }
         if st.locked_past.contains(&item) {
@@ -164,60 +171,45 @@ impl AltruisticEngine {
         }
         if self.config.enforce_wake_rule {
             // Hypothetically extend the locked set with `item`, then check
-            // AL2 against every active transaction before its locked point.
-            for (&other, tj) in &self.txs {
-                if other == tx || tj.at_locked_point {
+            // AL2 against every active transaction before its locked point,
+            // in id order.
+            for tj in self.txs.iter() {
+                if tj.tx == tx || tj.rule.at_locked_point {
                     continue;
                 }
-                let entering_wake = tj.donated.contains(&item)
-                    || st.locked_past.intersection(&tj.donated).next().is_some();
+                let entering_wake =
+                    donated(tj, item) || st.locked_past.iter().any(|&i| donated(tj, i));
                 if !entering_wake {
                     continue;
                 }
-                // All items locked so far (including `item`) must be donated.
-                if let Some(&outside) = st
-                    .locked_past
-                    .iter()
-                    .chain(std::iter::once(&item))
-                    .find(|i| !tj.donated.contains(i))
-                {
+                // All items locked so far (including `item`) must be
+                // donated; the smallest one that is not is reported.
+                let outside = st.locked_past.iter().copied().filter(|&i| !donated(tj, i));
+                if let Some(outside) = outside.min().or((!donated(tj, item)).then_some(item)) {
                     return Err(AltruisticViolation::OutsideWake {
                         tx,
-                        wake_of: other,
+                        wake_of: tj.tx,
                         item: outside,
                     });
                 }
             }
         }
-        if let Some(holder) = self.table.conflicting_holder(tx, item, LockMode::Exclusive) {
-            return Err(AltruisticViolation::LockConflict(item, holder));
-        }
-        Ok(())
+        self.txs.free(tx, item, AltruisticViolation::LockConflict)
     }
 
     /// Locks `item` for `tx`. Emits `(LX item)`.
     pub fn lock(&mut self, tx: TxId, item: EntityId) -> Result<Step, AltruisticViolation> {
         self.check_lock(tx, item)?;
-        let st = self.txs.get_mut(&tx).expect("checked");
-        st.locked_past.insert(item);
-        st.holding.insert(item);
-        self.table.grant(tx, item, LockMode::Exclusive);
-        Ok(Step::lock_exclusive(item))
+        Ok(self.txs.lock(tx, item))
     }
 
     /// Unlocks (donates) `item`. Emits `(UX item)`. Before the locked
     /// point this is a *donation*: other transactions locking it enter the
     /// wake of `tx`.
     pub fn unlock(&mut self, tx: TxId, item: EntityId) -> Result<Step, AltruisticViolation> {
-        let st = self
-            .txs
-            .get_mut(&tx)
-            .ok_or(AltruisticViolation::UnknownTransaction(tx))?;
-        if !st.holding.remove(&item) {
+        if !self.txs.unlock(tx, item)? {
             return Err(AltruisticViolation::NotHolding(tx, item));
         }
-        st.donated.insert(item);
-        self.table.release(tx, item, LockMode::Exclusive);
         Ok(Step::unlock_exclusive(item))
     }
 
@@ -229,45 +221,31 @@ impl AltruisticEngine {
         op: DataOp,
         item: EntityId,
     ) -> Result<Vec<Step>, AltruisticViolation> {
-        let st = self.state(tx)?;
-        if !st.holding.contains(&item) {
-            return Err(AltruisticViolation::NotHolding(tx, item));
-        }
+        self.txs
+            .get(tx)?
+            .holds(item, AltruisticViolation::NotHolding)?;
         Ok(vec![Step::new(op, item)])
     }
 
     /// `ACCESS`: read immediately followed by write.
     pub fn access(&mut self, tx: TxId, item: EntityId) -> Result<Vec<Step>, AltruisticViolation> {
-        let st = self.state(tx)?;
-        if !st.holding.contains(&item) {
-            return Err(AltruisticViolation::NotHolding(tx, item));
-        }
+        self.txs
+            .get(tx)?
+            .holds(item, AltruisticViolation::NotHolding)?;
         Ok(vec![Step::read(item), Step::write(item)])
     }
 
     /// Declares that `tx` has acquired its last lock. From this instant
     /// transactions holding its donated items are no longer "in its wake".
     pub fn declare_locked_point(&mut self, tx: TxId) -> Result<(), AltruisticViolation> {
-        let st = self
-            .txs
-            .get_mut(&tx)
-            .ok_or(AltruisticViolation::UnknownTransaction(tx))?;
-        st.at_locked_point = true;
+        self.txs.get_mut(tx)?.rule.at_locked_point = true;
         Ok(())
     }
 
-    /// Finishes `tx`: releases remaining locks, retires it. Emits unlocks.
+    /// Finishes `tx`: releases remaining locks in id order, retires it.
+    /// Emits unlocks.
     pub fn finish(&mut self, tx: TxId) -> Result<Vec<Step>, AltruisticViolation> {
-        let st = self
-            .txs
-            .remove(&tx)
-            .ok_or(AltruisticViolation::UnknownTransaction(tx))?;
-        let mut steps = Vec::new();
-        for item in st.holding {
-            self.table.release(tx, item, LockMode::Exclusive);
-            steps.push(Step::unlock_exclusive(item));
-        }
-        Ok(steps)
+        Ok(self.txs.retire(tx)?.1)
     }
 
     /// Aborts `tx` (releases everything, no undo — as in the paper's
@@ -276,11 +254,9 @@ impl AltruisticEngine {
         self.finish(tx).unwrap_or_default()
     }
 
-    /// Items currently held by `tx`.
+    /// Items currently held by `tx`, in id order.
     pub fn holding(&self, tx: TxId) -> Vec<EntityId> {
-        self.txs
-            .get(&tx)
-            .map_or_else(Vec::new, |s| s.holding.iter().copied().collect())
+        self.txs.holding(tx)
     }
 
     /// The rule switches this engine enforces.
@@ -293,19 +269,9 @@ impl AltruisticEngine {
 // The unified policy API
 // ---------------------------------------------------------------------
 
-use crate::api::{AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation};
-
-/// Folds an engine result into a [`PolicyResponse`], routing lock
-/// conflicts to the wait channel and rule violations to the abort channel.
-fn respond(result: Result<Vec<Step>, AltruisticViolation>) -> PolicyResponse {
-    match result {
-        Ok(steps) => PolicyResponse::Granted(steps),
-        Err(AltruisticViolation::LockConflict(entity, holder)) => {
-            PolicyResponse::Conflict { entity, holder }
-        }
-        Err(v) => PolicyResponse::Violation(PolicyViolation::Altruistic(v)),
-    }
-}
+use crate::api::{
+    respond, AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation,
+};
 
 impl PolicyEngine for AltruisticEngine {
     fn name(&self) -> &'static str {
@@ -327,9 +293,7 @@ impl PolicyEngine for AltruisticEngine {
 
     fn request(&mut self, tx: TxId, action: PolicyAction) -> PolicyResponse {
         let result = match action {
-            PolicyAction::Lock(e) => self
-                .check_lock(tx, e)
-                .map(|()| vec![self.lock(tx, e).expect("checked")]),
+            PolicyAction::Lock(e) => self.lock(tx, e).map(|s| vec![s]),
             PolicyAction::Unlock(e) => self.unlock(tx, e).map(|s| vec![s]),
             PolicyAction::Access(e) => self.access(tx, e),
             PolicyAction::Read(e) => self.data(tx, DataOp::Read, e),
@@ -342,7 +306,7 @@ impl PolicyEngine for AltruisticEngine {
                 })
             }
         };
-        respond(result)
+        respond(result.map_err(PolicyViolation::Altruistic))
     }
 
     fn finish(&mut self, tx: TxId) -> Result<Vec<Step>, PolicyViolation> {

@@ -182,11 +182,15 @@ impl PolicyViolation {
             PolicyViolation::NoPlan(_)
             | PolicyViolation::OffPlan(..)
             | PolicyViolation::Unsupported { .. }
-            | PolicyViolation::Altruistic(AltruisticViolation::Relock(..))
+            | PolicyViolation::Altruistic(
+                AltruisticViolation::Relock(..) | AltruisticViolation::EntityOutOfRange(_),
+            )
             | PolicyViolation::Ddag(
                 DdagViolation::Relock(..) | DdagViolation::EntityOutOfRange(_),
             )
-            | PolicyViolation::Dtr(DtrViolation::Plan(_)) => true,
+            | PolicyViolation::Dtr(DtrViolation::Plan(_) | DtrViolation::EntityOutOfRange(_)) => {
+                true
+            }
             PolicyViolation::Plan(p) => p.is_fatal(),
             _ => false,
         }
@@ -261,6 +265,21 @@ pub enum PolicyResponse {
     },
     /// The policy forbids the action: the transaction must abort.
     Violation(PolicyViolation),
+}
+
+/// Folds an engine result into a [`PolicyResponse`], routing lock
+/// conflicts to the wait channel and rule violations to the abort channel.
+pub(crate) fn respond(result: Result<Vec<Step>, PolicyViolation>) -> PolicyResponse {
+    use PolicyViolation::{Altruistic, Ddag, Dtr};
+    match result {
+        Ok(steps) => PolicyResponse::Granted(steps),
+        Err(
+            Ddag(DdagViolation::LockConflict(entity, holder))
+            | Altruistic(AltruisticViolation::LockConflict(entity, holder))
+            | Dtr(DtrViolation::LockConflict(entity, holder)),
+        ) => PolicyResponse::Conflict { entity, holder },
+        Err(v) => PolicyResponse::Violation(v),
+    }
 }
 
 impl PolicyResponse {

@@ -18,8 +18,9 @@
 //! Additionally, a deleted entity may never be reinserted.
 //!
 //! [`DdagEngine`] is an online rule enforcer: it maintains the shared
-//! graph, a lock table, and per-transaction lock history, and rejects any
-//! action violating the rules. The mutant switches
+//! graph, a lock table, and per-transaction lock history (the crate's
+//! per-transaction table, with the edge entities each transaction locked
+//! as its DDAG part), and rejects any action violating the rules. The mutant switches
 //! ([`DdagConfig::without_held_predecessor_rule`], …) disable individual
 //! clauses of L5 so the benchmark harness can demonstrate that each clause
 //! is load-bearing (experiment E7).
@@ -34,7 +35,8 @@
 //! locks: two transactions can touch the same edge only strictly ordered by
 //! their exclusive endpoint locks.
 
-use slp_core::{EntityId, LockMode, LockTable, Step, TxId, Universe, MAX_ENTITIES};
+use crate::txtable::{violation_from_tx_error, TxTable};
+use slp_core::{EntityId, LockMode, Step, TxId, Universe, MAX_ENTITIES};
 use slp_graph::{dag, DiGraph, DomIndex};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -114,6 +116,8 @@ impl fmt::Display for DdagViolation {
 
 impl std::error::Error for DdagViolation {}
 
+violation_from_tx_error!(DdagViolation);
+
 /// Rule switches for ablation (experiment E7). The default enables all
 /// rules — the policy the paper proves safe.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -156,31 +160,14 @@ impl DdagConfig {
     }
 }
 
-/// One active transaction's rule state. A transaction locks a region,
-/// not the graph, so its sets are short unsorted `Vec`s searched linearly;
-/// whatever hands them out sorts them first.
-#[derive(Clone, Debug)]
+/// The DDAG part of a transaction's rule state; the table's
+/// `locked_past` serves L3, L4 and L5's first clause, `holding` L5's
+/// second.
+#[derive(Clone, Debug, Default)]
 struct DdagTx {
-    tx: TxId,
-    /// Every node locked so far, in lock order (L3, L4 and L5's first
-    /// clause).
-    locked_past: Vec<EntityId>,
-    /// The nodes held now (L5's second clause).
-    holding: Vec<EntityId>,
     /// Edge entities locked by this transaction, in lock order (released
     /// at finish).
     edge_locks: Vec<EntityId>,
-}
-
-impl DdagTx {
-    fn new(tx: TxId) -> Self {
-        DdagTx {
-            tx,
-            locked_past: Vec::new(),
-            holding: Vec::new(),
-            edge_locks: Vec::new(),
-        }
-    }
 }
 
 /// The DDAG policy engine: shared graph + lock table + per-transaction rule
@@ -192,9 +179,7 @@ pub struct DdagEngine {
     /// Always `DomIndex::build(&graph)`: rebuilt by the four structural
     /// mutations, under the same `&mut self` that changed the graph.
     index: DomIndex,
-    table: LockTable,
-    /// The active transactions, in begin order (a handful at a time).
-    txs: Vec<DdagTx>,
+    txs: TxTable<DdagTx>,
     /// `deleted[i]`: `EntityId(i)` was deleted and may not come back.
     deleted: Vec<bool>,
     config: DdagConfig,
@@ -212,8 +197,7 @@ impl DdagEngine {
             universe,
             index: DomIndex::build(&graph),
             graph,
-            table: LockTable::new(),
-            txs: Vec::new(),
+            txs: TxTable::default(),
             deleted: Vec::new(),
             config: DdagConfig::default(),
             edge_entities: BTreeMap::new(),
@@ -262,42 +246,17 @@ impl DdagEngine {
 
     /// The holder of a lock on `n`, if any.
     pub fn lock_holder(&self, n: EntityId) -> Option<TxId> {
-        self.table.holders(n).first().map(|&(t, _)| t)
+        self.txs.locks.holders(n).first().map(|&(t, _)| t)
     }
 
     /// Entities currently held by `tx` (nodes only), in id order.
     pub fn holding(&self, tx: TxId) -> Vec<EntityId> {
-        let mut held = self
-            .state(tx)
-            .map(|s| s.holding.clone())
-            .unwrap_or_default();
-        held.sort_unstable();
-        held
+        self.txs.holding(tx)
     }
 
     /// Registers a new transaction.
     pub fn begin(&mut self, tx: TxId) -> Result<(), DdagViolation> {
-        if self.state(tx).is_ok() {
-            return Err(DdagViolation::AlreadyBegun(tx));
-        }
-        self.txs.push(DdagTx::new(tx));
-        Ok(())
-    }
-
-    fn slot(&self, tx: TxId) -> Result<usize, DdagViolation> {
-        self.txs
-            .iter()
-            .position(|s| s.tx == tx)
-            .ok_or(DdagViolation::UnknownTransaction(tx))
-    }
-
-    fn state(&self, tx: TxId) -> Result<&DdagTx, DdagViolation> {
-        Ok(&self.txs[self.slot(tx)?])
-    }
-
-    fn state_mut(&mut self, tx: TxId) -> Result<&mut DdagTx, DdagViolation> {
-        let i = self.slot(tx)?;
-        Ok(&mut self.txs[i])
+        self.txs.begin(tx, || Ok(DdagTx::default())).map(|_| ())
     }
 
     fn was_deleted(&self, n: EntityId) -> bool {
@@ -315,10 +274,7 @@ impl DdagEngine {
     /// it. Distinguishes policy violations (abort) from lock conflicts
     /// (wait) so a scheduler can queue rather than abort.
     pub fn check_lock(&self, tx: TxId, n: EntityId) -> Result<(), DdagViolation> {
-        let st = self.state(tx)?;
-        if n.0 >= MAX_ENTITIES {
-            return Err(DdagViolation::EntityOutOfRange(n));
-        }
+        let st = self.txs.lockable(tx, n)?;
         if st.locked_past.contains(&n) {
             return Err(DdagViolation::Relock(tx, n));
         }
@@ -347,40 +303,27 @@ impl DdagEngine {
                 return Err(DdagViolation::ReinsertionForbidden(n));
             }
         }
-        if let Some(holder) = self.table.conflicting_holder(tx, n, LockMode::Exclusive) {
-            return Err(DdagViolation::LockConflict(n, holder));
-        }
-        Ok(())
+        self.txs.free(tx, n, DdagViolation::LockConflict)
     }
 
     /// Locks node `n` for `tx` (exclusive). Emits the `(LX n)` step.
     pub fn lock(&mut self, tx: TxId, n: EntityId) -> Result<Step, DdagViolation> {
         self.check_lock(tx, n)?;
-        let st = self.state_mut(tx).expect("checked by check_lock");
-        st.locked_past.push(n);
-        st.holding.push(n);
-        self.table.grant(tx, n, LockMode::Exclusive);
-        Ok(Step::lock_exclusive(n))
+        Ok(self.txs.lock(tx, n))
     }
 
     /// Unlocks node `n`. Emits `(UX n)`.
     pub fn unlock(&mut self, tx: TxId, n: EntityId) -> Result<Step, DdagViolation> {
-        let st = self.state_mut(tx)?;
-        let Some(i) = st.holding.iter().position(|&h| h == n) else {
+        if !self.txs.unlock(tx, n)? {
             return Err(DdagViolation::NotHolding(tx, n));
-        };
-        st.holding.swap_remove(i);
-        self.table.release(tx, n, LockMode::Exclusive);
+        }
         Ok(Step::unlock_exclusive(n))
     }
 
     /// `ACCESS` node `n`: a read immediately followed by a write (under the
     /// held lock, per L1). Emits `(R n)(W n)`.
     pub fn access(&mut self, tx: TxId, n: EntityId) -> Result<Vec<Step>, DdagViolation> {
-        let st = self.state(tx)?;
-        if !st.holding.contains(&n) {
-            return Err(DdagViolation::NotHolding(tx, n));
-        }
+        self.txs.get(tx)?.holds(n, DdagViolation::NotHolding)?;
         if !self.graph.has_node(n) {
             return Err(DdagViolation::NoSuchNode(n));
         }
@@ -389,10 +332,7 @@ impl DdagEngine {
 
     /// `INSERT` node `n` (under the held lock). Emits `(I n)`.
     pub fn insert_node(&mut self, tx: TxId, n: EntityId) -> Result<Vec<Step>, DdagViolation> {
-        let st = self.state(tx)?;
-        if !st.holding.contains(&n) {
-            return Err(DdagViolation::NotHolding(tx, n));
-        }
+        self.txs.get(tx)?.holds(n, DdagViolation::NotHolding)?;
         if self.graph.has_node(n) {
             return Err(DdagViolation::NodeExists(n));
         }
@@ -407,10 +347,7 @@ impl DdagEngine {
     /// `DELETE` node `n` (under the held lock; all incident edges must have
     /// been deleted first). Emits `(D n)`.
     pub fn delete_node(&mut self, tx: TxId, n: EntityId) -> Result<Vec<Step>, DdagViolation> {
-        let st = self.state(tx)?;
-        if !st.holding.contains(&n) {
-            return Err(DdagViolation::NotHolding(tx, n));
-        }
+        self.txs.get(tx)?.holds(n, DdagViolation::NotHolding)?;
         if !self.graph.has_node(n) {
             return Err(DdagViolation::NoSuchNode(n));
         }
@@ -440,13 +377,9 @@ impl DdagEngine {
         a: EntityId,
         b: EntityId,
     ) -> Result<Vec<Step>, DdagViolation> {
-        let st = self.state(tx)?;
-        if !st.holding.contains(&a) {
-            return Err(DdagViolation::NotHolding(tx, a));
-        }
-        if !st.holding.contains(&b) {
-            return Err(DdagViolation::NotHolding(tx, b));
-        }
+        let st = self.txs.get(tx)?;
+        st.holds(a, DdagViolation::NotHolding)?;
+        st.holds(b, DdagViolation::NotHolding)?;
         if !self.graph.has_node(a) {
             return Err(DdagViolation::NoSuchNode(a));
         }
@@ -463,8 +396,8 @@ impl DdagEngine {
         self.reindex();
         let e = self.fresh_edge_entity(a, b);
         self.edge_entities.insert((a, b), e);
-        self.state_mut(tx).expect("active").edge_locks.push(e);
-        self.table.grant(tx, e, LockMode::Exclusive);
+        self.txs.get_mut(tx)?.rule.edge_locks.push(e);
+        self.txs.locks.grant(tx, e, LockMode::Exclusive);
         Ok(vec![Step::lock_exclusive(e), Step::insert(e)])
     }
 
@@ -477,24 +410,18 @@ impl DdagEngine {
         a: EntityId,
         b: EntityId,
     ) -> Result<Vec<Step>, DdagViolation> {
-        let st = self.state(tx)?;
-        if !st.holding.contains(&a) {
-            return Err(DdagViolation::NotHolding(tx, a));
-        }
-        if !st.holding.contains(&b) {
-            return Err(DdagViolation::NotHolding(tx, b));
-        }
+        let st = self.txs.get(tx)?;
+        st.holds(a, DdagViolation::NotHolding)?;
+        st.holds(b, DdagViolation::NotHolding)?;
         let Some(e) = self.edge_entities.get(&(a, b)).copied() else {
             return Err(DdagViolation::NoSuchEdge(a, b));
         };
         let mut steps = Vec::with_capacity(2);
-        let already_holding = st.edge_locks.contains(&e);
+        let already_holding = st.rule.edge_locks.contains(&e);
         if !already_holding {
-            if let Some(holder) = self.table.conflicting_holder(tx, e, LockMode::Exclusive) {
-                return Err(DdagViolation::LockConflict(e, holder));
-            }
-            self.table.grant(tx, e, LockMode::Exclusive);
-            self.state_mut(tx).expect("active").edge_locks.push(e);
+            self.txs.free(tx, e, DdagViolation::LockConflict)?;
+            self.txs.locks.grant(tx, e, LockMode::Exclusive);
+            self.txs.get_mut(tx)?.rule.edge_locks.push(e);
             steps.push(Step::lock_exclusive(e));
         }
         self.graph.remove_edge(a, b).expect("edge tracked");
@@ -509,15 +436,9 @@ impl DdagEngine {
     /// order, then edge entities in lock order) and retires it. Emits the
     /// unlock steps.
     pub fn finish(&mut self, tx: TxId) -> Result<Vec<Step>, DdagViolation> {
-        let mut st = self.txs.remove(self.slot(tx)?);
-        st.holding.sort_unstable();
-        let mut steps = Vec::with_capacity(st.holding.len() + st.edge_locks.len());
-        for n in st.holding {
-            self.table.release(tx, n, LockMode::Exclusive);
-            steps.push(Step::unlock_exclusive(n));
-        }
+        let (st, mut steps) = self.txs.retire(tx)?;
         for e in st.edge_locks {
-            self.table.release(tx, e, LockMode::Exclusive);
+            self.txs.locks.release(tx, e, LockMode::Exclusive);
             steps.push(Step::unlock_exclusive(e));
         }
         Ok(steps)
@@ -555,19 +476,9 @@ impl DdagEngine {
 // The unified policy API
 // ---------------------------------------------------------------------
 
-use crate::api::{AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation};
-
-/// Folds an engine result into a [`PolicyResponse`], routing lock
-/// conflicts to the wait channel and rule violations to the abort channel.
-fn respond(result: Result<Vec<Step>, DdagViolation>) -> PolicyResponse {
-    match result {
-        Ok(steps) => PolicyResponse::Granted(steps),
-        Err(DdagViolation::LockConflict(entity, holder)) => {
-            PolicyResponse::Conflict { entity, holder }
-        }
-        Err(v) => PolicyResponse::Violation(PolicyViolation::Ddag(v)),
-    }
-}
+use crate::api::{
+    respond, AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation,
+};
 
 impl PolicyEngine for DdagEngine {
     fn name(&self) -> &'static str {
@@ -607,7 +518,7 @@ impl PolicyEngine for DdagEngine {
                 })
             }
         };
-        respond(result)
+        respond(result.map_err(PolicyViolation::Ddag))
     }
 
     fn finish(&mut self, tx: TxId) -> Result<Vec<Step>, PolicyViolation> {

@@ -22,11 +22,18 @@
 //! can interleave transactions and wait on lock conflicts), and implements
 //! the DT3 garbage-collection check with the
 //! [`crate::tree::is_tree_locked`] validator.
+//!
+//! Each transaction's plan, cursor and held set live in the crate's
+//! per-transaction table, which DT3 walks in id order, so the transaction
+//! a refused deletion names is the smallest one it would break. An access
+//! set naming an id at or above [`MAX_ENTITIES`] is refused at `begin`,
+//! before DT1 touches the forest.
 
 use crate::tree::{is_tree_locked, tree_lock_plan, PlanError};
-use slp_core::{DataOp, EntityId, LockMode, LockTable, Operation, Step, TxId};
+use crate::txtable::{in_range, violation_from_tx_error, TxTable};
+use slp_core::{DataOp, EntityId, Operation, Step, TxId, MAX_ENTITIES};
 use slp_graph::Forest;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A violation of the DTR rules (or execution-order errors).
@@ -51,6 +58,9 @@ pub enum DtrViolation {
     NotInForest(EntityId),
     /// DT3: deleting the node would leave `tx` not tree-locked.
     WouldBreakTreeLocking(TxId),
+    /// The access set names an entity id at or above [`MAX_ENTITIES`],
+    /// past what the engine's and the runtime's per-entity tables hold.
+    EntityOutOfRange(EntityId),
 }
 
 impl fmt::Display for DtrViolation {
@@ -68,26 +78,28 @@ impl fmt::Display for DtrViolation {
             WouldBreakTreeLocking(t) => {
                 write!(f, "DT3: deletion would leave {t} not tree-locked")
             }
+            EntityOutOfRange(e) => write!(f, "{e} is at or above MAX_ENTITIES ({MAX_ENTITIES})"),
         }
     }
 }
 
 impl std::error::Error for DtrViolation {}
 
-#[derive(Clone, Debug)]
+violation_from_tx_error!(DtrViolation);
+
+/// The DTR part of a transaction's rule state: its precomputed plan and
+/// how far it has run.
+#[derive(Clone, Debug, Default)]
 struct DtrTx {
     plan: Vec<Step>,
     cursor: usize,
-    holding: BTreeSet<EntityId>,
-    locked_any: bool,
 }
 
 /// The dynamic tree policy engine.
 #[derive(Clone, Debug, Default)]
 pub struct DtrEngine {
     forest: Forest,
-    table: LockTable,
-    txs: BTreeMap<TxId, DtrTx>,
+    txs: TxTable<DtrTx>,
 }
 
 impl DtrEngine {
@@ -104,74 +116,67 @@ impl DtrEngine {
     /// DT2: starts transaction `tx` with access set `ops` (entity →
     /// data operations to perform there). Joins/extends the forest as
     /// needed, precomputes the tree-locked plan, and returns a copy of it.
+    /// An entity id at or above [`MAX_ENTITIES`] is refused before the
+    /// forest changes.
     pub fn begin(
         &mut self,
         tx: TxId,
         ops: &BTreeMap<EntityId, Vec<DataOp>>,
     ) -> Result<Vec<Step>, DtrViolation> {
-        if self.txs.contains_key(&tx) {
-            return Err(DtrViolation::AlreadyBegun(tx));
-        }
-        // Split the access set into entities already in the forest and new
-        // ones; collect the distinct roots of the existing ones.
-        let mut roots: Vec<EntityId> = Vec::new();
-        let mut fresh: Vec<EntityId> = Vec::new();
-        for &e in ops.keys() {
-            match self.forest.root_of(e) {
-                Some(r) => {
-                    if !roots.contains(&r) {
-                        roots.push(r);
+        let forest = &mut self.forest;
+        let st = self.txs.begin(tx, || -> Result<DtrTx, DtrViolation> {
+            // Split the access set into entities already in the forest and
+            // new ones; collect the distinct roots of the existing ones.
+            let mut roots: Vec<EntityId> = Vec::new();
+            let mut fresh: Vec<EntityId> = Vec::new();
+            for &e in ops.keys() {
+                in_range(e)?;
+                match forest.root_of(e) {
+                    Some(r) => {
+                        if !roots.contains(&r) {
+                            roots.push(r);
+                        }
                     }
+                    None => fresh.push(e),
                 }
-                None => fresh.push(e),
             }
-        }
-        // DT1: connect the fresh entities into a tree (a star rooted at the
-        // first), then join everything under one root.
-        let mut all_roots = roots;
-        if let Some((&star_root, rest)) = fresh.split_first() {
-            self.forest.add_root(star_root).expect("fresh");
-            for &e in rest {
-                self.forest.add_child(star_root, e).expect("fresh");
+            // DT1: connect the fresh entities into a tree (a star rooted at
+            // the first), then join everything under one root.
+            let mut all_roots = roots;
+            if let Some((&star_root, rest)) = fresh.split_first() {
+                forest.add_root(star_root).expect("fresh");
+                for &e in rest {
+                    forest.add_child(star_root, e).expect("fresh");
+                }
+                all_roots.push(star_root);
             }
-            all_roots.push(star_root);
-        }
-        if let Some((&primary, others)) = all_roots.split_first() {
-            for &r in others {
-                self.forest.join(primary, r).expect("roots are distinct");
+            if let Some((&primary, others)) = all_roots.split_first() {
+                for &r in others {
+                    forest.join(primary, r).expect("roots are distinct");
+                }
             }
-        }
-        let plan = tree_lock_plan(&self.forest, ops).map_err(DtrViolation::Plan)?;
-        self.txs.insert(
-            tx,
-            DtrTx {
-                plan: plan.clone(),
-                cursor: 0,
-                holding: BTreeSet::new(),
-                locked_any: false,
-            },
-        );
-        Ok(plan)
+            let plan = tree_lock_plan(forest, ops).map_err(DtrViolation::Plan)?;
+            Ok(DtrTx { plan, cursor: 0 })
+        })?;
+        Ok(st.rule.plan.clone())
     }
 
     /// The next step `tx` will execute, if any.
     pub fn peek(&self, tx: TxId) -> Option<&Step> {
-        self.txs.get(&tx).and_then(|st| st.plan.get(st.cursor))
+        let st = self.txs.get(tx).ok()?;
+        st.rule.plan.get(st.rule.cursor)
     }
 
     /// Whether `tx`'s next step can run right now. Distinguishes lock
     /// conflicts (wait) from rule violations.
     pub fn check_step(&self, tx: TxId) -> Result<(), DtrViolation> {
-        let st = self
-            .txs
-            .get(&tx)
-            .ok_or(DtrViolation::UnknownTransaction(tx))?;
-        let Some(step) = st.plan.get(st.cursor) else {
+        let st = self.txs.get(tx)?;
+        let Some(step) = st.rule.plan.get(st.rule.cursor) else {
             return Err(DtrViolation::PlanExhausted(tx));
         };
-        if let Operation::Lock(mode) = step.op {
+        if step.is_lock() {
             // Tree-locking: non-first locks need the parent held.
-            if st.locked_any {
+            if !st.locked_past.is_empty() {
                 let parent_held = self
                     .forest
                     .parent(step.entity)
@@ -180,30 +185,22 @@ impl DtrEngine {
                     return Err(DtrViolation::ParentNotHeld(tx, step.entity));
                 }
             }
-            if let Some(holder) = self.table.conflicting_holder(tx, step.entity, mode) {
-                return Err(DtrViolation::LockConflict(step.entity, holder));
-            }
+            self.txs.free(tx, step.entity, DtrViolation::LockConflict)?;
         }
         Ok(())
     }
 
-    /// Executes `tx`'s next plan step and returns it.
+    /// Executes `tx`'s next plan step and returns it. Plans lock
+    /// exclusively ([`tree_lock_plan`]).
     pub fn step(&mut self, tx: TxId) -> Result<Step, DtrViolation> {
         self.check_step(tx)?;
-        let st = self.txs.get_mut(&tx).expect("checked");
+        let st = &mut self.txs.get_mut(tx)?.rule;
         let step = st.plan[st.cursor];
         st.cursor += 1;
-        match step.op {
-            Operation::Lock(mode) => {
-                st.locked_any = true;
-                st.holding.insert(step.entity);
-                self.table.grant(tx, step.entity, mode);
-            }
-            Operation::Unlock(mode) => {
-                st.holding.remove(&step.entity);
-                self.table.release(tx, step.entity, mode);
-            }
-            Operation::Data(_) => {}
+        if step.is_lock() {
+            self.txs.lock(tx, step.entity);
+        } else if step.is_unlock() {
+            self.txs.unlock(tx, step.entity)?;
         }
         Ok(step)
     }
@@ -214,8 +211,8 @@ impl DtrEngine {
         let mut steps = Vec::new();
         while self
             .txs
-            .get(&tx)
-            .is_some_and(|st| st.cursor < st.plan.len())
+            .get(tx)
+            .is_ok_and(|st| st.rule.cursor < st.rule.plan.len())
         {
             steps.push(self.step(tx)?);
         }
@@ -225,23 +222,14 @@ impl DtrEngine {
     /// Whether `tx` has executed its whole plan.
     pub fn is_done(&self, tx: TxId) -> bool {
         self.txs
-            .get(&tx)
-            .is_some_and(|st| st.cursor == st.plan.len())
+            .get(tx)
+            .is_ok_and(|st| st.rule.cursor == st.rule.plan.len())
     }
 
     /// Finishes `tx`: releases any locks still held (normally none — the
-    /// plan unlocks everything) and retires it.
+    /// plan unlocks everything) in id order and retires it.
     pub fn finish(&mut self, tx: TxId) -> Result<Vec<Step>, DtrViolation> {
-        let st = self
-            .txs
-            .remove(&tx)
-            .ok_or(DtrViolation::UnknownTransaction(tx))?;
-        let mut steps = Vec::new();
-        for e in st.holding {
-            self.table.release(tx, e, LockMode::Exclusive);
-            steps.push(Step::unlock_exclusive(e));
-        }
-        Ok(steps)
+        Ok(self.txs.retire(tx)?.1)
     }
 
     /// DT3: whether node `n` may be deleted from the database forest right
@@ -251,14 +239,14 @@ impl DtrEngine {
         if !self.forest.contains(n) {
             return Err(DtrViolation::NotInForest(n));
         }
-        if self.table.is_locked(n) {
+        if self.txs.locks.is_locked(n) {
             return Err(DtrViolation::NodeLocked(n));
         }
         let mut reduced = self.forest.clone();
         reduced.remove(n).expect("checked present");
-        for (&tx, st) in &self.txs {
-            if is_tree_locked(&st.plan, &reduced).is_err() {
-                return Err(DtrViolation::WouldBreakTreeLocking(tx));
+        for st in self.txs.iter() {
+            if is_tree_locked(&st.rule.plan, &reduced).is_err() {
+                return Err(DtrViolation::WouldBreakTreeLocking(st.tx));
             }
         }
         Ok(())
@@ -276,7 +264,9 @@ impl DtrEngine {
 // The unified policy API
 // ---------------------------------------------------------------------
 
-use crate::api::{AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation};
+use crate::api::{
+    respond, AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, PolicyViolation,
+};
 
 /// The [`PolicyAction`] realizing one plan [`Step`] (plans contain no
 /// structural steps; data steps map to their read/write/insert/delete
@@ -310,28 +300,12 @@ impl PolicyEngine for DtrEngine {
     }
 
     fn request(&mut self, tx: TxId, action: PolicyAction) -> PolicyResponse {
-        match self.peek(tx) {
-            Some(step) if action_of(step) == action => {}
-            Some(_) => return PolicyResponse::Violation(PolicyViolation::OffPlan(tx, action)),
-            None => {
-                let v = if self.txs.contains_key(&tx) {
-                    DtrViolation::PlanExhausted(tx)
-                } else {
-                    DtrViolation::UnknownTransaction(tx)
-                };
-                return PolicyResponse::Violation(PolicyViolation::Dtr(v));
-            }
+        // Without a next step, `step` names the cause: an unknown
+        // transaction or an exhausted plan.
+        if self.peek(tx).is_some_and(|step| action_of(step) != action) {
+            return PolicyResponse::Violation(PolicyViolation::OffPlan(tx, action));
         }
-        match self.check_step(tx) {
-            Ok(()) => match self.step(tx) {
-                Ok(step) => PolicyResponse::Granted(vec![step]),
-                Err(v) => PolicyResponse::Violation(PolicyViolation::Dtr(v)),
-            },
-            Err(DtrViolation::LockConflict(entity, holder)) => {
-                PolicyResponse::Conflict { entity, holder }
-            }
-            Err(v) => PolicyResponse::Violation(PolicyViolation::Dtr(v)),
-        }
+        respond(self.step(tx).map(|s| vec![s]).map_err(PolicyViolation::Dtr))
     }
 
     fn finish(&mut self, tx: TxId) -> Result<Vec<Step>, PolicyViolation> {

@@ -20,9 +20,19 @@
 //! every rule *online*, emit the [`slp_core::Step`]s realizing each
 //! action, and distinguish **rule violations** (the transaction must
 //! abort) from **lock conflicts** (the transaction may wait) so a
-//! scheduler can queue. Every engine implements the object-safe
-//! [`PolicyEngine`] trait, and [`PolicyRegistry`] builds any of them —
-//! mutants included — from a [`PolicyKind`] or a name:
+//! scheduler can queue. The three global-scope engines (DDAG, altruistic,
+//! DTR — and 2PL, which runs on the altruistic engine) keep their
+//! per-transaction rule state in one crate-private table: a slot per
+//! active transaction in a `Vec` sorted by [`slp_core::TxId`], holding
+//! what it locked in the past and what it holds now as short `Vec`s plus
+//! one engine-specific part, beside the engine's lock table. It owns
+//! `begin`, slot lookup, the lock path (which refuses an id at or above
+//! [`slp_core::MAX_ENTITIES`]) and retirement; it iterates by id and
+//! hands held entities out in id order.
+//!
+//! Every engine implements the object-safe [`PolicyEngine`] trait, and
+//! [`PolicyRegistry`] builds any of them — mutants included — from a
+//! [`PolicyKind`] or a name:
 //!
 //! ```
 //! use slp_policies::{AccessIntent, PolicyAction, PolicyConfig, PolicyKind, PolicyRegistry};
@@ -58,6 +68,7 @@ pub mod probes;
 pub mod registry;
 pub mod tree;
 pub mod two_phase;
+mod txtable;
 pub mod waits;
 
 pub use altruistic::{AltruisticConfig, AltruisticEngine, AltruisticViolation};

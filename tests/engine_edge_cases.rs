@@ -281,3 +281,53 @@ fn a_ddag_insert_past_max_entities_is_rejected_not_committed() {
         assert!(report.lock_table_quiescent(), "{past}");
     }
 }
+
+/// A flat job naming an id at `MAX_ENTITIES` is refused, fatally, before
+/// any lock table is sized by it: 2PL and altruistic at that id's lock,
+/// DTR at `begin`, before DT1 adds it to the forest. Rejected once, never
+/// committed, in the simulator and in the runtime, with the fast path on
+/// and off.
+#[test]
+fn a_flat_job_past_max_entities_is_rejected_not_committed() {
+    let (a, b) = (EntityId(0), EntityId(1));
+    let jobs = vec![Job::access(vec![a, EntityId(MAX_ENTITIES)])];
+    let policy = PolicyConfig::flat(vec![a, b]);
+    for kind in [
+        PolicyKind::TwoPhase,
+        PolicyKind::Altruistic,
+        PolicyKind::Dtr,
+    ] {
+        let mut adapter = build_adapter(&PolicyRegistry::new(), kind, &policy).unwrap();
+        let sim = run_sim(
+            &mut adapter,
+            &jobs,
+            &SimConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        let ctx = format!("{} / sim", kind.name());
+        assert_eq!(
+            (sim.rejected, sim.committed, sim.policy_aborts),
+            (1, 0, 0),
+            "{ctx}"
+        );
+        for grant_fast_path in [true, false] {
+            let config = RuntimeConfig {
+                grant_fast_path,
+                max_wall: Duration::from_millis(300),
+                ..RuntimeConfig::with_workers(1)
+            };
+            let report = Runtime::new(kind, &policy).unwrap().run(&jobs, &config);
+            let ctx = format!("{} / fast path {grant_fast_path}", kind.name());
+            assert!(!report.timed_out, "{ctx}: retried until the deadline");
+            assert_eq!(
+                (report.rejected, report.committed, report.policy_aborts),
+                (1, 0, 0),
+                "{ctx}"
+            );
+            assert!(report.accounting_balances(), "{ctx}");
+            assert!(report.lock_table_quiescent(), "{ctx}");
+        }
+    }
+}
