@@ -14,9 +14,9 @@ use std::fmt::Write;
 pub fn run() -> String {
     let mut out = String::new();
     writeln!(out, "E4 — Fig. 4: altruistic locking (exclusive locks)\n").unwrap();
-    let mut eng = AltruisticEngine::new();
-    let (t1, t2) = (TxId(1), TxId(2));
     let items: Vec<EntityId> = (1..=4).map(EntityId).collect();
+    let mut eng = AltruisticEngine::new(items.iter().copied());
+    let (t1, t2) = (TxId(1), TxId(2));
     let (i1, i2, i3, i4) = (items[0], items[1], items[2], items[3]);
     // Align entity ids 0..=4 with names so the rendering reads like Fig. 4.
     let mut universe = slp_core::Universe::new();

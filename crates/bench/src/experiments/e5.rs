@@ -42,8 +42,8 @@ pub fn run() -> String {
         "E5 — Fig. 5: the database forest under the dynamic tree policy\n"
     )
     .unwrap();
-    let mut eng = DtrEngine::new();
     let (e1, e2, e3, e4) = (EntityId(1), EntityId(2), EntityId(3), EntityId(4));
+    let mut eng = DtrEngine::new([e1, e2, e3, e4]);
 
     writeln!(out, "DT0 — initially the database forest is empty:").unwrap();
     writeln!(out, "{}", render_forest(eng.forest())).unwrap();
@@ -107,7 +107,7 @@ pub fn run() -> String {
     assert!(!eng.forest().contains(e4));
 
     // A third transaction spanning two separate trees triggers a join.
-    let mut eng2 = DtrEngine::new();
+    let mut eng2 = DtrEngine::new([e1, e2]);
     eng2.begin(TxId(10), &BTreeMap::from([(e1, access())]))
         .unwrap();
     eng2.run_to_end(TxId(10)).unwrap();

@@ -219,11 +219,14 @@ pub fn ddag_no_all_predecessors_scenario() -> Schedule {
 /// Mutant scenario 3: altruistic locking without AL2 (the wake rule). `T2`
 /// locks a donated item, then escapes the wake and overtakes `T1`.
 pub fn altruistic_no_wake_scenario() -> Schedule {
+    let (x, y) = (EntityId(0), EntityId(1));
     let mut eng = PolicyRegistry::new()
-        .build(PolicyKind::AltruisticNoWake, &PolicyConfig::default())
+        .build(
+            PolicyKind::AltruisticNoWake,
+            &PolicyConfig::flat(vec![x, y]),
+        )
         .expect("flat kind");
     let (t1, t2) = (TxId(1), TxId(2));
-    let (x, y) = (EntityId(0), EntityId(1));
     let mut trace = Schedule::empty();
     eng.begin(t1, &AccessIntent::empty()).unwrap();
     eng.begin(t2, &AccessIntent::empty()).unwrap();

@@ -23,11 +23,12 @@
 //! per-transaction table (short `Vec`s in a slot found by binary search);
 //! its donated set is what it locked and no longer holds. The AL2 scan
 //! walks the active transactions in id order and reports the smallest
-//! item outside the wake, and held items leave in id order. An entity id
-//! at or above [`MAX_ENTITIES`] is refused at its lock, fatally.
+//! item outside the wake, and held items leave in id order. The entities
+//! that exist are the pool the engine is built over; a lock on any other
+//! id is refused at its lock, fatally.
 
 use crate::txtable::{violation_from_tx_error, TxSlot, TxTable};
-use slp_core::{DataOp, EntityId, Step, TxId, MAX_ENTITIES};
+use slp_core::{DataOp, EntityId, Step, StructuralState, TxId};
 use std::fmt;
 
 /// A violation of the altruistic locking rules.
@@ -55,8 +56,8 @@ pub enum AltruisticViolation {
     NotHolding(TxId, EntityId),
     /// Locking after the declared locked point.
     PastLockedPoint(TxId),
-    /// The entity id is at or above [`MAX_ENTITIES`], past what the
-    /// engine's and the runtime's per-entity tables hold.
+    /// The entity is not in the engine's pool: it does not exist (an id
+    /// at or above [`slp_core::MAX_ENTITIES`] never does).
     EntityOutOfRange(EntityId),
 }
 
@@ -74,7 +75,7 @@ impl fmt::Display for AltruisticViolation {
             LockConflict(e, holder) => write!(f, "{e} is locked by {holder}"),
             NotHolding(t, e) => write!(f, "AL1: {t} does not hold a lock on {e}"),
             PastLockedPoint(t) => write!(f, "{t} tried to lock after its locked point"),
-            EntityOutOfRange(e) => write!(f, "{e} is at or above MAX_ENTITIES ({MAX_ENTITIES})"),
+            EntityOutOfRange(e) => write!(f, "{e} is not in the pool"),
         }
     }
 }
@@ -125,24 +126,27 @@ fn donated(tj: &TxSlot<AltTx>, item: EntityId) -> bool {
     tj.locked_past.contains(&item) && !tj.holding.contains(&item)
 }
 
-/// The altruistic locking engine (exclusive locks only).
-#[derive(Clone, Debug, Default)]
+/// The altruistic locking engine (exclusive locks only) over a fixed
+/// pool of existing entities.
+#[derive(Clone, Debug)]
 pub struct AltruisticEngine {
     txs: TxTable<AltTx>,
+    pool: StructuralState,
     config: AltruisticConfig,
 }
 
 impl AltruisticEngine {
-    /// An engine with the full rule set.
-    pub fn new() -> Self {
-        Self::default()
+    /// An engine with the full rule set over `pool`.
+    pub fn new(pool: impl IntoIterator<Item = EntityId>) -> Self {
+        Self::with_config(pool, AltruisticConfig::default())
     }
 
-    /// An engine with explicit rule switches.
-    pub fn with_config(config: AltruisticConfig) -> Self {
+    /// An engine with explicit rule switches over `pool`.
+    pub fn with_config(pool: impl IntoIterator<Item = EntityId>, config: AltruisticConfig) -> Self {
         AltruisticEngine {
+            txs: TxTable::default(),
+            pool: StructuralState::from_entities(pool),
             config,
-            ..Self::default()
         }
     }
 
@@ -160,9 +164,13 @@ impl AltruisticEngine {
     }
 
     /// Checks whether `tx` may lock `item` right now; distinguishes policy
-    /// violations (abort) from lock conflicts (wait).
+    /// violations (abort) from lock conflicts (wait). An item outside the
+    /// pool is refused first.
     pub fn check_lock(&self, tx: TxId, item: EntityId) -> Result<(), AltruisticViolation> {
-        let st = self.txs.lockable(tx, item)?;
+        let st = self.txs.get(tx)?;
+        if !self.pool.contains(item) {
+            return Err(AltruisticViolation::EntityOutOfRange(item));
+        }
         if st.rule.at_locked_point {
             return Err(AltruisticViolation::PastLockedPoint(tx));
         }
@@ -258,11 +266,6 @@ impl AltruisticEngine {
     pub fn holding(&self, tx: TxId) -> Vec<EntityId> {
         self.txs.holding(tx)
     }
-
-    /// The rule switches this engine enforces.
-    pub fn config(&self) -> AltruisticConfig {
-        self.config
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -317,6 +320,10 @@ impl PolicyEngine for AltruisticEngine {
         AltruisticEngine::abort(self, tx)
     }
 
+    fn structural_state(&self) -> StructuralState {
+        self.pool.clone()
+    }
+
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -344,7 +351,7 @@ mod tests {
     /// T1's locked point T2 is free.
     #[test]
     fn fig4_wake_walkthrough() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         eng.begin(t(2)).unwrap();
         eng.lock(t(1), e(1)).unwrap();
@@ -376,7 +383,7 @@ mod tests {
 
     #[test]
     fn wake_rule_checked_on_entry_too() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         eng.begin(t(2)).unwrap();
         eng.lock(t(1), e(1)).unwrap();
@@ -396,7 +403,7 @@ mod tests {
 
     #[test]
     fn finished_transactions_produce_no_wake() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         eng.lock(t(1), e(1)).unwrap();
         eng.unlock(t(1), e(1)).unwrap();
@@ -409,7 +416,7 @@ mod tests {
 
     #[test]
     fn al3_relock_rejected() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         eng.lock(t(1), e(1)).unwrap();
         eng.unlock(t(1), e(1)).unwrap();
@@ -421,7 +428,7 @@ mod tests {
 
     #[test]
     fn al1_data_requires_lock() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         assert_eq!(
             eng.data(t(1), DataOp::Write, e(1)),
@@ -436,7 +443,7 @@ mod tests {
 
     #[test]
     fn lock_conflicts_reported_for_waiting() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         eng.begin(t(2)).unwrap();
         eng.lock(t(1), e(1)).unwrap();
@@ -448,7 +455,7 @@ mod tests {
 
     #[test]
     fn locking_after_locked_point_rejected() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         eng.lock(t(1), e(1)).unwrap();
         eng.declare_locked_point(t(1)).unwrap();
@@ -460,7 +467,10 @@ mod tests {
 
     #[test]
     fn mutant_allows_wake_escape() {
-        let mut eng = AltruisticEngine::with_config(AltruisticConfig::without_wake_rule());
+        let mut eng = AltruisticEngine::with_config(
+            (0..10).map(EntityId),
+            AltruisticConfig::without_wake_rule(),
+        );
         eng.begin(t(1)).unwrap();
         eng.begin(t(2)).unwrap();
         eng.lock(t(1), e(1)).unwrap();
@@ -473,7 +483,7 @@ mod tests {
 
     #[test]
     fn two_wakes_simultaneously() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         eng.begin(t(2)).unwrap();
         eng.begin(t(3)).unwrap();
@@ -497,7 +507,7 @@ mod tests {
 
     #[test]
     fn finish_releases_remaining_locks() {
-        let mut eng = AltruisticEngine::new();
+        let mut eng = AltruisticEngine::new((0..10).map(EntityId));
         eng.begin(t(1)).unwrap();
         eng.lock(t(1), e(1)).unwrap();
         eng.lock(t(1), e(2)).unwrap();

@@ -40,7 +40,7 @@
 use crate::altruistic::AltruisticViolation;
 use crate::ddag::DdagViolation;
 use crate::dtr::DtrViolation;
-use slp_core::{DataOp, EntityId, Step, TxId};
+use slp_core::{DataOp, EntityId, Step, StructuralState, TxId};
 use slp_graph::{DiGraph, DomIndex, Forest};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -173,7 +173,7 @@ impl PolicyViolation {
     /// Whether retrying the whole transaction can never succeed: the
     /// failure is in the request's *shape* (malformed job, action outside
     /// the policy's vocabulary, plan deviation, a plan that locks one
-    /// entity twice or names one past `MAX_ENTITIES` — every retry
+    /// entity twice or names one that does not exist — every retry
     /// replans it the same way), not in transient lock-table or rule
     /// state. Schedulers should drop fatal jobs instead of
     /// abort-and-retrying them forever.
@@ -361,6 +361,13 @@ impl AccessIntent {
 /// the policy precomputes the transaction's whole action sequence (DTR);
 /// callers then drive `request` with exactly those actions in order.
 ///
+/// The engine is the one authority on what exists
+/// ([`PolicyEngine::structural_state`]). A flat-pool engine (2PL,
+/// altruistic, DTR) is built over its pool, which is what exists, and
+/// refuses, fatally, a lock on any other entity; the DDAG's entities are
+/// its graph's nodes and edge entities. So no executor grants a step on
+/// an absent entity.
+///
 /// `Send + Sync` is a supertrait so one engine can sit behind a lock and
 /// serve requests from many worker threads (the `slp-runtime` service).
 /// Engines have no interior mutability — all mutation goes through `&mut
@@ -418,13 +425,10 @@ pub trait PolicyEngine: Send + Sync {
         None
     }
 
-    /// The entities that currently exist according to the policy's shared
-    /// structure (DDAG: nodes and edge entities), for seeding the initial
-    /// [`slp_core::StructuralState`] of a properness check. `None` if the
-    /// policy does not track existence (flat-pool policies).
-    fn structural_entities(&self) -> Option<Vec<EntityId>> {
-        None
-    }
+    /// The entities that exist now: a flat-pool policy's pool, or the
+    /// DDAG's graph nodes and edge entities. Taken before a run, it is the
+    /// initial state the run's schedule must be proper against.
+    fn structural_state(&self) -> StructuralState;
 
     /// How much shared state this engine's grant decisions read — see
     /// [`GrantScope`]. Defaults to [`GrantScope::Global`] (every request

@@ -36,7 +36,7 @@
 //! their exclusive endpoint locks.
 
 use crate::txtable::{violation_from_tx_error, TxTable};
-use slp_core::{EntityId, LockMode, Step, TxId, Universe, MAX_ENTITIES};
+use slp_core::{EntityId, LockMode, Step, StructuralState, TxId, Universe, MAX_ENTITIES};
 use slp_graph::{dag, DiGraph, DomIndex};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -541,10 +541,9 @@ impl PolicyEngine for DdagEngine {
         Some(self.universe.entity(name))
     }
 
-    fn structural_entities(&self) -> Option<Vec<EntityId>> {
-        let mut entities: Vec<EntityId> = self.graph.nodes().collect();
-        entities.extend(self.edge_entities.values().copied());
-        Some(entities)
+    fn structural_state(&self) -> StructuralState {
+        let edges = self.edge_entities.values().copied();
+        StructuralState::from_entities(self.graph.nodes().chain(edges))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -25,13 +25,14 @@
 //!
 //! Each transaction's plan, cursor and held set live in the crate's
 //! per-transaction table, which DT3 walks in id order, so the transaction
-//! a refused deletion names is the smallest one it would break. An access
-//! set naming an id at or above [`MAX_ENTITIES`] is refused at `begin`,
-//! before DT1 touches the forest.
+//! a refused deletion names is the smallest one it would break. The
+//! entities that exist are the pool the engine is built over; an access
+//! set naming any other id is refused at `begin`, before DT1 touches the
+//! forest.
 
 use crate::tree::{is_tree_locked, tree_lock_plan, PlanError};
-use crate::txtable::{in_range, violation_from_tx_error, TxTable};
-use slp_core::{DataOp, EntityId, Operation, Step, TxId, MAX_ENTITIES};
+use crate::txtable::{violation_from_tx_error, TxTable};
+use slp_core::{DataOp, EntityId, Operation, Step, StructuralState, TxId};
 use slp_graph::Forest;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -58,8 +59,8 @@ pub enum DtrViolation {
     NotInForest(EntityId),
     /// DT3: deleting the node would leave `tx` not tree-locked.
     WouldBreakTreeLocking(TxId),
-    /// The access set names an entity id at or above [`MAX_ENTITIES`],
-    /// past what the engine's and the runtime's per-entity tables hold.
+    /// The access set names an entity outside the engine's pool: it does
+    /// not exist (an id at or above [`slp_core::MAX_ENTITIES`] never does).
     EntityOutOfRange(EntityId),
 }
 
@@ -78,7 +79,7 @@ impl fmt::Display for DtrViolation {
             WouldBreakTreeLocking(t) => {
                 write!(f, "DT3: deletion would leave {t} not tree-locked")
             }
-            EntityOutOfRange(e) => write!(f, "{e} is at or above MAX_ENTITIES ({MAX_ENTITIES})"),
+            EntityOutOfRange(e) => write!(f, "{e} is not in the pool"),
         }
     }
 }
@@ -95,17 +96,22 @@ struct DtrTx {
     cursor: usize,
 }
 
-/// The dynamic tree policy engine.
-#[derive(Clone, Debug, Default)]
+/// The dynamic tree policy engine over a fixed pool of existing entities.
+#[derive(Clone, Debug)]
 pub struct DtrEngine {
     forest: Forest,
     txs: TxTable<DtrTx>,
+    pool: StructuralState,
 }
 
 impl DtrEngine {
-    /// An engine with an empty database forest (DT0).
-    pub fn new() -> Self {
-        Self::default()
+    /// An engine over `pool` with an empty database forest (DT0).
+    pub fn new(pool: impl IntoIterator<Item = EntityId>) -> Self {
+        DtrEngine {
+            forest: Forest::default(),
+            txs: TxTable::default(),
+            pool: StructuralState::from_entities(pool),
+        }
     }
 
     /// The current database forest.
@@ -116,22 +122,21 @@ impl DtrEngine {
     /// DT2: starts transaction `tx` with access set `ops` (entity →
     /// data operations to perform there). Joins/extends the forest as
     /// needed, precomputes the tree-locked plan, and returns a copy of it.
-    /// An entity id at or above [`MAX_ENTITIES`] is refused before the
-    /// forest changes.
+    /// An entity outside the pool is refused before the forest changes.
     pub fn begin(
         &mut self,
         tx: TxId,
         ops: &BTreeMap<EntityId, Vec<DataOp>>,
     ) -> Result<Vec<Step>, DtrViolation> {
-        let forest = &mut self.forest;
+        let (forest, pool) = (&mut self.forest, &self.pool);
         let st = self.txs.begin(tx, || -> Result<DtrTx, DtrViolation> {
             // Split the access set into entities already in the forest and
             // new ones; collect the distinct roots of the existing ones.
             let mut roots: Vec<EntityId> = Vec::new();
             let mut fresh: Vec<EntityId> = Vec::new();
             for &e in ops.keys() {
-                in_range(e)?;
                 match forest.root_of(e) {
+                    _ if !pool.contains(e) => return Err(DtrViolation::EntityOutOfRange(e)),
                     Some(r) => {
                         if !roots.contains(&r) {
                             roots.push(r);
@@ -320,6 +325,10 @@ impl PolicyEngine for DtrEngine {
         Some(&self.forest)
     }
 
+    fn structural_state(&self) -> StructuralState {
+        self.pool.clone()
+    }
+
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -351,7 +360,7 @@ mod tests {
     /// node 4 can be deleted because T1 stays tree-locked w.r.t. G(4).
     #[test]
     fn fig5_walkthrough() {
-        let mut eng = DtrEngine::new();
+        let mut eng = DtrEngine::new((0..10).map(EntityId));
         assert!(eng.forest().is_empty()); // DT0
         let ops1 = BTreeMap::from([(e(1), access()), (e(2), access()), (e(3), access())]);
         let plan1 = eng.begin(t(1), &ops1).unwrap();
@@ -388,7 +397,7 @@ mod tests {
 
     #[test]
     fn plans_are_valid_locked_transactions() {
-        let mut eng = DtrEngine::new();
+        let mut eng = DtrEngine::new((0..10).map(EntityId));
         let ops = BTreeMap::from([(e(1), access()), (e(2), access())]);
         let plan = eng.begin(t(1), &ops).unwrap();
         let lt = slp_core::LockedTransaction::new(t(1), plan);
@@ -398,7 +407,7 @@ mod tests {
 
     #[test]
     fn lock_conflicts_surface_for_waiting() {
-        let mut eng = DtrEngine::new();
+        let mut eng = DtrEngine::new((0..10).map(EntityId));
         let ops = BTreeMap::from([(e(1), access())]);
         eng.begin(t(1), &ops).unwrap();
         eng.step(t(1)).unwrap(); // T1 locks 1
@@ -416,7 +425,7 @@ mod tests {
 
     #[test]
     fn dt3_rejects_locked_nodes() {
-        let mut eng = DtrEngine::new();
+        let mut eng = DtrEngine::new((0..10).map(EntityId));
         let ops = BTreeMap::from([(e(1), access())]);
         eng.begin(t(1), &ops).unwrap();
         eng.step(t(1)).unwrap(); // lock 1
@@ -425,7 +434,7 @@ mod tests {
 
     #[test]
     fn dt3_rejects_absent_nodes() {
-        let eng = DtrEngine::new();
+        let eng = DtrEngine::new((0..10).map(EntityId));
         assert_eq!(eng.check_delete(e(9)), Err(DtrViolation::NotInForest(e(9))));
     }
 
@@ -433,7 +442,7 @@ mod tests {
     fn joining_preserves_active_plans() {
         // T1 plans over tree {1, 2}; T2 arrives with {1, 9}: 9 is joined
         // under the existing root. T1's plan must still execute fine.
-        let mut eng = DtrEngine::new();
+        let mut eng = DtrEngine::new((0..10).map(EntityId));
         let ops1 = BTreeMap::from([(e(1), access()), (e(2), access())]);
         eng.begin(t(1), &ops1).unwrap();
         let ops2 = BTreeMap::from([(e(9), access())]);
@@ -446,7 +455,7 @@ mod tests {
 
     #[test]
     fn two_separate_trees_joined_on_demand() {
-        let mut eng = DtrEngine::new();
+        let mut eng = DtrEngine::new((0..10).map(EntityId));
         // T1 creates tree {1}; T2 creates tree {2}; T3 spans both.
         eng.begin(t(1), &BTreeMap::from([(e(1), access())]))
             .unwrap();
@@ -466,7 +475,7 @@ mod tests {
 
     #[test]
     fn begin_twice_fails() {
-        let mut eng = DtrEngine::new();
+        let mut eng = DtrEngine::new((0..10).map(EntityId));
         eng.begin(t(1), &BTreeMap::from([(e(1), access())]))
             .unwrap();
         assert_eq!(
@@ -477,7 +486,7 @@ mod tests {
 
     #[test]
     fn plan_exhaustion_reported() {
-        let mut eng = DtrEngine::new();
+        let mut eng = DtrEngine::new((0..10).map(EntityId));
         eng.begin(t(1), &BTreeMap::from([(e(1), access())]))
             .unwrap();
         eng.run_to_end(t(1)).unwrap();

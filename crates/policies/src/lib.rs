@@ -26,9 +26,10 @@
 //! active transaction in a `Vec` sorted by [`slp_core::TxId`], holding
 //! what it locked in the past and what it holds now as short `Vec`s plus
 //! one engine-specific part, beside the engine's lock table. It owns
-//! `begin`, slot lookup, the lock path (which refuses an id at or above
-//! [`slp_core::MAX_ENTITIES`]) and retirement; it iterates by id and
-//! hands held entities out in id order.
+//! `begin`, slot lookup, the lock path and retirement; it iterates by id
+//! and hands held entities out in id order. Each engine is the one
+//! authority on what exists ([`PolicyEngine::structural_state`]): a flat
+//! engine refuses a lock outside the pool it was built over.
 //!
 //! Every engine implements the object-safe [`PolicyEngine`] trait, and
 //! [`PolicyRegistry`] builds any of them — mutants included — from a
@@ -79,8 +80,8 @@ pub use api::{
 pub use ddag::{DdagConfig, DdagEngine, DdagViolation};
 pub use dtr::{DtrEngine, DtrViolation};
 pub use plan::{
-    initial_state, planner_for, ActionPlanner, AltruisticPlanner, DdagPlanner, DtrPlanner,
-    InsertUnder, Job, TwoPhasePlanner,
+    planner_for, ActionPlanner, AltruisticPlanner, DdagPlanner, DtrPlanner, InsertUnder, Job,
+    TwoPhasePlanner,
 };
 pub use probes::{CrawlProbePlanner, ShoulderProbePlanner};
 pub use registry::{PolicyBuilder, PolicyConfig, PolicyKind, PolicyRegistry, RegistryError};

@@ -39,7 +39,7 @@
 
 use crate::api::{AccessIntent, PlanViolation, PolicyAction, PolicyEngine, PolicyViolation};
 use crate::registry::PolicyKind;
-use slp_core::{EntityId, StructuralState};
+use slp_core::EntityId;
 use slp_graph::{DiGraph, DomIndex, RegionScratch};
 
 /// A unit of work for one transaction.
@@ -140,16 +140,6 @@ pub fn planner_for(kind: PolicyKind) -> Box<dyn ActionPlanner> {
         PolicyKind::Ddag => Box::new(DdagPlanner::default()),
         PolicyKind::Dtr => Box::new(DtrPlanner),
         mutant => unreachable!("PolicyKind::base returns safe kinds, got {mutant}"),
-    }
-}
-
-/// The structural state a run starts from, for properness replay: the
-/// engine's own existence tracking when it has one (DDAG: nodes and edge
-/// entities), else the flat `pool`. Capture it before running jobs.
-pub fn initial_state(engine: &dyn PolicyEngine, pool: &[EntityId]) -> StructuralState {
-    match engine.structural_entities() {
-        Some(entities) => StructuralState::from_entities(entities),
-        None => StructuralState::from_entities(pool.iter().copied()),
     }
 }
 
@@ -380,7 +370,7 @@ impl ActionPlanner for DdagPlanner {
 mod tests {
     use super::*;
     use crate::registry::{PolicyConfig, PolicyRegistry};
-    use slp_core::Universe;
+    use slp_core::{StructuralState, Universe};
 
     fn e(i: u32) -> EntityId {
         EntityId(i)
@@ -460,12 +450,13 @@ mod tests {
         assert_eq!(DtrPlanner.intent(&job), AccessIntent::access([e(2), e(0)]));
     }
 
+    /// The engine answers what exists: a flat kind its pool, the DDAG its
+    /// nodes and edge entities.
     #[test]
     fn initial_state_prefers_the_engines_own_existence_tracking() {
-        let flat = flat_engine(PolicyKind::TwoPhase);
         assert_eq!(
-            initial_state(flat.as_ref(), &[e(0), e(1)]),
-            StructuralState::from_entities([e(0), e(1)])
+            flat_engine(PolicyKind::TwoPhase).structural_state(),
+            StructuralState::from_entities((0..4).map(EntityId))
         );
         let mut u = Universe::new();
         let ids = u.entities(["r", "a"]);
@@ -476,7 +467,7 @@ mod tests {
         let ddag = PolicyRegistry::new()
             .build(PolicyKind::Ddag, &PolicyConfig::dag(u, g))
             .unwrap();
-        let state = initial_state(ddag.as_ref(), &[]);
+        let state = ddag.structural_state();
         assert!(state.contains(ids[0]) && state.contains(ids[1]));
         assert!(state.len() > 2, "the edge entity exists too");
     }

@@ -135,14 +135,16 @@ impl fmt::Display for PolicyKind {
 
 /// The shared world a policy engine is built over.
 ///
-/// Flat-pool policies (2PL, altruistic, DTR) operate on [`pool`]; the DDAG
-/// policies additionally need the initial rooted DAG in [`dag`].
+/// Flat-pool policies (2PL, altruistic, DTR) are built over [`pool`],
+/// which is what exists for them: they refuse a lock on any other entity.
+/// The DDAG policies need the initial rooted DAG in [`dag`] instead.
 ///
 /// [`pool`]: PolicyConfig::pool
 /// [`dag`]: PolicyConfig::dag
 #[derive(Clone, Debug, Default)]
 pub struct PolicyConfig {
-    /// The initially existing entities (flat-pool policies).
+    /// The entities that exist (flat-pool policies): the engine refuses,
+    /// fatally, a lock on any entity outside it.
     pub pool: Vec<EntityId>,
     /// The initial rooted DAG and the universe naming its nodes (DDAG).
     pub dag: Option<(Universe, DiGraph)>,
@@ -244,9 +246,10 @@ impl PolicyRegistry {
         check_ids(config)?;
         let dag = |cfg: &PolicyConfig| cfg.dag.clone().ok_or(RegistryError::NeedsGraph(kind));
         Ok(match kind {
-            PolicyKind::TwoPhase => Box::new(TwoPhaseEngine::new()),
-            PolicyKind::Altruistic => Box::new(AltruisticEngine::new()),
+            PolicyKind::TwoPhase => Box::new(TwoPhaseEngine::new(config.pool.clone())),
+            PolicyKind::Altruistic => Box::new(AltruisticEngine::new(config.pool.clone())),
             PolicyKind::AltruisticNoWake => Box::new(AltruisticEngine::with_config(
+                config.pool.clone(),
                 AltruisticConfig::without_wake_rule(),
             )),
             PolicyKind::Ddag => {
@@ -269,7 +272,7 @@ impl PolicyRegistry {
                     DdagConfig::without_all_predecessors_rule(),
                 ))
             }
-            PolicyKind::Dtr => Box::new(DtrEngine::new()),
+            PolicyKind::Dtr => Box::new(DtrEngine::new(config.pool.clone())),
         })
     }
 
@@ -418,10 +421,12 @@ mod tests {
     #[test]
     fn custom_builders_resolve_by_name() {
         let mut registry = PolicyRegistry::new();
-        registry.register("my-2pl", |_config| Ok(Box::new(TwoPhaseEngine::new())));
+        registry.register("my-2pl", |c| {
+            Ok(Box::new(TwoPhaseEngine::new(c.pool.clone())))
+        });
         assert!(registry.names().contains(&"my-2pl".to_owned()));
         let mut engine = registry
-            .build_named("my-2pl", &PolicyConfig::default())
+            .build_named("my-2pl", &PolicyConfig::flat(vec![EntityId(0)]))
             .unwrap();
         engine.begin(TxId(1), &AccessIntent::empty()).unwrap();
         let r = engine.request(TxId(1), PolicyAction::Lock(EntityId(0)));

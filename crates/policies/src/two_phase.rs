@@ -88,15 +88,19 @@ use slp_core::TxId;
 /// serves as a plain exclusive lock manager with at-most-once
 /// bookkeeping. The newtype exists so the registry and reports can tell
 /// the two policies apart — the *planner* is what makes 2PL two-phase.
-#[derive(Clone, Debug, Default)]
+/// Like it, the engine exists over a fixed pool and refuses a lock on
+/// any other entity.
+#[derive(Clone, Debug)]
 pub struct TwoPhaseEngine {
     inner: AltruisticEngine,
 }
 
 impl TwoPhaseEngine {
-    /// A fresh lock manager.
-    pub fn new() -> Self {
-        Self::default()
+    /// A fresh lock manager over `pool`.
+    pub fn new(pool: impl IntoIterator<Item = slp_core::EntityId>) -> Self {
+        TwoPhaseEngine {
+            inner: AltruisticEngine::new(pool),
+        }
     }
 }
 
@@ -131,6 +135,10 @@ impl PolicyEngine for TwoPhaseEngine {
 
     fn abort(&mut self, tx: TxId) -> Vec<slp_core::Step> {
         PolicyEngine::abort(&mut self.inner, tx)
+    }
+
+    fn structural_state(&self) -> slp_core::StructuralState {
+        self.inner.structural_state()
     }
 
     /// 2PL grants from nothing but the entity's holder set: the inner

@@ -6,9 +6,12 @@
 //! active transaction in a `Vec` ordered by [`TxId`] and found by binary
 //! search, each slot holding short unsorted `Vec`s (a transaction locks a
 //! region, not the database) and one engine-specific part. The table also
-//! owns the engine's [`LockTable`], so the lock path — the entity-range
-//! check, the grant, the release and the release of everything at retire
-//! — is written once and keeps both views of a lock in step.
+//! owns the engine's [`LockTable`], so the lock path — the grant, the
+//! release and the release of everything at retire — is written once and
+//! keeps both views of a lock in step. What exists is each engine's own
+//! answer: the flat engines check their pool, and [`TxTable::lockable`]
+//! gives the DDAG, whose interned but absent ids stay lockable for an
+//! insert, its range check.
 //!
 //! Whatever leaves the table leaves in a fixed order: [`TxTable::iter`]
 //! walks slots by `TxId`, and [`TxTable::holding`] / [`TxTable::retire`]
@@ -79,15 +82,6 @@ pub(crate) struct TxTable<R> {
     pub(crate) locks: LockTable,
 }
 
-/// The lock path's range check: an id at or above [`MAX_ENTITIES`] names
-/// no entity any per-entity table holds.
-pub(crate) fn in_range(e: EntityId) -> Result<(), TxError> {
-    if e.0 >= MAX_ENTITIES {
-        return Err(TxError::OutOfRange(e));
-    }
-    Ok(())
-}
-
 impl<R> TxTable<R> {
     fn index(&self, tx: TxId) -> Result<usize, TxError> {
         self.slots
@@ -136,10 +130,13 @@ impl<R> TxTable<R> {
         held
     }
 
-    /// The first check of every lock: `tx`'s slot, and `e` in range.
+    /// The DDAG's first check of every lock: `tx`'s slot, and `e` below
+    /// [`MAX_ENTITIES`], past which no per-entity table holds an id.
     pub(crate) fn lockable(&self, tx: TxId, e: EntityId) -> Result<&TxSlot<R>, TxError> {
         let slot = self.get(tx)?;
-        in_range(e)?;
+        if e.0 >= MAX_ENTITIES {
+            return Err(TxError::OutOfRange(e));
+        }
         Ok(slot)
     }
 

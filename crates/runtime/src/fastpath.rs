@@ -32,27 +32,32 @@
 //! CAS still takes a free word, and only the holder moves a held word, so
 //! a release's expectation `tx` is met exactly while `tx` holds it.
 
-use slp_core::{EntityId, TxId};
+use slp_core::{EntityId, StructuralState, TxId};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The per-entity atomic lock-word table. Entity ids index the table
-/// directly; ids at or past the capacity are simply not covered (a word
-/// run refuses a plan that names one).
+/// directly, up to the largest entity that exists; only an entity that
+/// exists is covered, so an absent id — in a gap or past the largest —
+/// is not (a word run refuses a plan that names one).
 pub(crate) struct LockWords {
     words: Vec<AtomicU32>,
+    /// What exists, as the engine said when the run began.
+    present: StructuralState,
 }
 
 impl LockWords {
-    /// A table covering entity ids `0..capacity`.
-    pub fn new(capacity: usize) -> Self {
+    /// A table covering exactly the entities of `present`.
+    pub fn new(present: StructuralState) -> Self {
+        let capacity = present.iter().last().map_or(0, |e| e.index() + 1);
         LockWords {
             words: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
+            present,
         }
     }
 
-    /// Whether `e` has a lock word.
+    /// Whether `e` has a lock word: whether it exists.
     pub fn covers(&self, e: EntityId) -> bool {
-        (e.0 as usize) < self.words.len()
+        self.present.contains(e)
     }
 
     fn word(&self, e: EntityId) -> &AtomicU32 {
@@ -78,8 +83,8 @@ impl LockWords {
     /// Releases `tx`'s hold on `e`: the CAS `tx → 0`. Returns `true` iff
     /// `tx` held the word (the caller wakes that entity's stripe). A word
     /// `tx` does not hold is left untouched (the service releases by
-    /// scanning recorded unlock steps, which may cover entities past the
-    /// table's capacity).
+    /// scanning recorded unlock steps, which may name entities the table
+    /// does not cover).
     pub fn release(&self, e: EntityId, tx: TxId) -> bool {
         self.covers(e)
             && self
@@ -117,7 +122,7 @@ mod tests {
 
     #[test]
     fn exclusive_acquire_conflicts_and_releases() {
-        let words = LockWords::new(4);
+        let words = LockWords::new(StructuralState::from_entities((0..4).map(EntityId)));
         assert_eq!(words.try_acquire(e(1), t(1)), Ok(()));
         assert_eq!(words.conflicting_holder(e(1)), Some(t(1)));
         // Conflicts name the holder; a self-relock names the requester.
@@ -134,9 +139,10 @@ mod tests {
 
     #[test]
     fn release_of_unheld_words_is_a_tolerated_noop() {
-        let words = LockWords::new(2);
+        let words = LockWords::new(StructuralState::from_entities([e(0), e(2)]));
         assert!(!words.release(e(0), t(1)), "free word");
         assert!(!words.release(e(9), t(1)), "past capacity");
+        assert!(!words.covers(e(1)) && !words.release(e(1), t(1)), "a gap");
         assert_eq!(words.try_acquire(e(0), t(1)), Ok(()));
         assert!(!words.release(e(0), t(2)), "wrong holder");
         assert_eq!(words.conflicting_holder(e(0)), Some(t(1)));

@@ -19,8 +19,8 @@ use crate::trace::TraceRun;
 use slp_core::{Schedule, SequenceError, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
 use slp_policies::{
-    initial_state, planner_for, ActionPlanner, GrantScope, Job, PolicyConfig, PolicyEngine,
-    PolicyKind, PolicyRegistry, RegistryError,
+    planner_for, ActionPlanner, GrantScope, Job, PolicyConfig, PolicyEngine, PolicyKind,
+    PolicyRegistry, RegistryError,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -96,7 +96,8 @@ pub struct RuntimeConfig {
     /// *word run*: each grant is a CAS on the entity's own atomic word
     /// and the engine write lock is never taken. A plan outside the plain
     /// lock/access shape (donations, locked points, structural ops,
-    /// relocks, uncovered entities) is refused as a fatal violation,
+    /// relocks, entities that do not exist — the table covers only what
+    /// the engine says exists) is refused as a fatal violation,
     /// counted in [`RuntimeReport::fast_path_fallbacks`] and in
     /// [`RuntimeReport::rejected`]; run such planners with the knob off.
     /// Without a table the run is an *engine run*: the engine grants
@@ -164,7 +165,6 @@ impl RuntimeConfig {
 pub struct Runtime {
     engine: Option<Box<dyn PolicyEngine>>,
     name: &'static str,
-    pool: Vec<slp_core::EntityId>,
     planner_factory: PlannerFactory,
 }
 
@@ -176,7 +176,6 @@ impl Runtime {
         Ok(Runtime {
             name: engine.name(),
             engine: Some(engine),
-            pool: config.pool.clone(),
             planner_factory: Arc::new(move |_worker| planner_for(kind)),
         })
     }
@@ -201,11 +200,11 @@ impl Runtime {
             .intern_entity(name)
     }
 
-    /// The initial structural state for properness replay
-    /// ([`slp_policies::initial_state`]). Captured automatically at the
-    /// start of every [`run`](Runtime::run).
+    /// The initial structural state for properness replay: what the
+    /// engine says exists ([`PolicyEngine::structural_state`]). Captured
+    /// automatically at the start of every [`run`](Runtime::run).
     pub fn initial_state(&self) -> StructuralState {
-        initial_state(self.engine(), &self.pool)
+        self.engine().structural_state()
     }
 
     /// Runs `jobs` to completion on `config.workers` threads and returns
@@ -258,14 +257,17 @@ impl Runtime {
         wal: Option<Arc<Wal>>,
         first_tx: u64,
     ) -> RuntimeReport {
-        let initial = self.initial_state();
         let engine = self.engine.take().expect("engine present between runs");
+        let initial = engine.structural_state();
         let scope = engine.grant_scope();
         // Deterministic mode pins the trace to admission order; snapshot
         // contents are timing-dependent by design (a reader observes
         // whatever committed first), so the read path stays locked there.
         let snapshot_reads = config.snapshot_reads && config.scheduler != SchedMode::Deterministic;
-        let mvcc = snapshot_reads.then(MvccState::default);
+        let mvcc = snapshot_reads.then(|| MvccState {
+            initial: initial.clone(),
+            ..MvccState::default()
+        });
         // Every minted id must fit what the run keeps per transaction: a
         // slot of the MVCC status table when the run has one, and
         // otherwise a lock word's `u32`, where 0 means free.
@@ -275,13 +277,10 @@ impl Runtime {
             u64::from(u32::MAX)
         };
         // A word run only when the knob is on AND the engine promises
-        // per-entity grants; its table directly indexes the flat pool
+        // per-entity grants; its table covers what the engine says exists
         // (per-entity engines have a fixed universe).
-        let word_capacity = (config.grant_fast_path && scope == GrantScope::PerEntity)
-            .then(|| self.pool.iter().map(|e| e.0 as usize + 1).max())
-            .flatten();
-        let word_run = word_capacity.is_some();
-        let grant = Grant::new(engine, word_capacity);
+        let word_run = config.grant_fast_path && scope == GrantScope::PerEntity;
+        let grant = Grant::new(engine, word_run);
         let service = LockService::new(grant, wal.clone(), config.certify_online, mvcc);
         // The batch scheduler: layer the whole admission batch into
         // conflict-free waves from the intents worker 0's planner

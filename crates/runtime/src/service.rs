@@ -275,9 +275,9 @@ enum Progress {
 /// over word-covered entities, each entity locked at most once and every
 /// access after its lock — the shape
 /// [`slp_policies::GrantScope::PerEntity`] promises the engine decides
-/// from per-entity state alone. Anything else (a relock, an uncovered
-/// entity, an unlock, a locked point, a donation, a structural op) is the
-/// answer.
+/// from per-entity state alone. Anything else (a relock, an entity that
+/// does not exist and so has no word, an unlock, a locked point, a
+/// donation, a structural op) is the answer.
 fn fast_plan_mode(words: &LockWords, plan: &[PolicyAction]) -> Option<PolicyAction> {
     let mut locked: Vec<EntityId> = Vec::with_capacity(plan.len() / 2 + 1);
     plan.iter().copied().find(|&action| match action {
@@ -397,6 +397,9 @@ pub(crate) struct Counters {
 pub(crate) struct MvccState {
     pub store: MvccStore,
     pub pipeline: CommitPipeline,
+    /// What existed when the run began: a snapshot serves only a job all
+    /// of whose targets are in it.
+    pub initial: slp_core::StructuralState,
 }
 
 /// The run's one grant authority, and the engine beside it. The runner
@@ -417,15 +420,14 @@ pub(crate) enum Grant {
 }
 
 impl Grant {
-    /// A word run over a table covering entity ids `0..capacity` if
-    /// `word_capacity` is given, else an engine run.
-    pub fn new(engine: Box<dyn PolicyEngine>, word_capacity: Option<usize>) -> Self {
-        match word_capacity {
-            Some(capacity) => Grant::Words {
-                engine,
-                words: LockWords::new(capacity),
-            },
-            None => Grant::Engine(RwLock::new(engine)),
+    /// A word run if `words`, over a table covering what the engine says
+    /// exists; else an engine run.
+    pub fn new(engine: Box<dyn PolicyEngine>, words: bool) -> Self {
+        if words {
+            let words = LockWords::new(engine.structural_state());
+            Grant::Words { engine, words }
+        } else {
+            Grant::Engine(RwLock::new(engine))
         }
     }
 }
@@ -807,9 +809,12 @@ impl LockService {
         if self.cut_short(deadline) {
             return Err(self.abandon(deadline, &mut rec.tally));
         }
-        if job.read_only && self.mvcc.is_some() {
+        let existed = |m: &MvccState| job.targets.iter().all(|&e| m.initial.contains(e));
+        if job.read_only && self.mvcc.as_ref().is_some_and(existed) {
             // No lock, no engine, no waits-for edge: only a strict
-            // certification abort fails a snapshot read.
+            // certification abort fails a snapshot read. A target that
+            // did not exist when the run began sends the job down the
+            // locked path, where the planner and the engine decide.
             return Err(if self.snapshot_read(tx, &job.targets, rec) {
                 rec.tally.committed += 1;
                 AttemptEnd::Committed
@@ -1274,7 +1279,7 @@ pub(crate) mod tests {
         let engine = PolicyRegistry::new()
             .build(PolicyKind::TwoPhase, &PolicyConfig::flat(entities.to_vec()))
             .expect("2PL builds");
-        let grant = Grant::new(engine, words.then_some(entities.len()));
+        let grant = Grant::new(engine, words);
         LockService::new(grant, wal, CertifyMode::Off, None)
     }
 
@@ -1427,7 +1432,7 @@ pub(crate) mod tests {
         )
         .expect("fresh store");
         let service = Arc::new(LockService::new(
-            Grant::new(engine, Some(1)),
+            Grant::new(engine, true),
             Some(Arc::new(wal)),
             CertifyMode::Off,
             Some(MvccState::default()),

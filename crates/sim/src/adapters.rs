@@ -1,7 +1,6 @@
 //! The simulator's view of a policy: [`EngineAdapter`] pairs any
 //! [`PolicyEngine`] with the policy's [`ActionPlanner`] (from
-//! [`slp_policies::plan`]) and the initial entity pool, and
-//! [`run_sim`](crate::run_sim) drives it.
+//! [`slp_policies::plan`]), and [`run_sim`](crate::run_sim) drives it.
 //!
 //! Use [`build_adapter`] to construct the adapter for any
 //! [`PolicyKind`] through a [`PolicyRegistry`]:
@@ -22,48 +21,31 @@
 
 use slp_core::{EntityId, StructuralState, TxId};
 use slp_policies::{
-    initial_state, planner_for, ActionPlanner, Job, PolicyAction, PolicyConfig, PolicyEngine,
-    PolicyKind, PolicyRegistry, PolicyViolation, RegistryError,
+    planner_for, ActionPlanner, Job, PolicyAction, PolicyConfig, PolicyEngine, PolicyKind,
+    PolicyRegistry, PolicyViolation, RegistryError,
 };
 
-/// A policy engine, the planner matching it, and the entities that exist
-/// before the run (for policies that do not track existence themselves).
+/// A policy engine and the planner matching it.
 pub struct EngineAdapter {
     pub(crate) engine: Box<dyn PolicyEngine>,
     planner: Box<dyn ActionPlanner>,
-    pool: Vec<EntityId>,
 }
 
 /// Builds the simulator adapter for `kind` through `registry`: the engine
-/// from the registry, the matching planner, and the initial pool from
-/// `config` (for the initial structural state of flat-pool policies).
+/// from the registry and the matching planner.
 pub fn build_adapter(
     registry: &PolicyRegistry,
     kind: PolicyKind,
     config: &PolicyConfig,
 ) -> Result<EngineAdapter, RegistryError> {
     let engine = registry.build(kind, config)?;
-    Ok(EngineAdapter::new(
-        engine,
-        planner_for(kind),
-        config.pool.clone(),
-    ))
+    Ok(EngineAdapter::new(engine, planner_for(kind)))
 }
 
 impl EngineAdapter {
-    /// An adapter over `engine` driven by `planner`. `pool` is the set of
-    /// initially existing entities for policies that do not track
-    /// existence themselves (see [`EngineAdapter::initial_state`]).
-    pub fn new(
-        engine: Box<dyn PolicyEngine>,
-        planner: Box<dyn ActionPlanner>,
-        pool: Vec<EntityId>,
-    ) -> Self {
-        EngineAdapter {
-            engine,
-            planner,
-            pool,
-        }
+    /// An adapter over `engine` driven by `planner`.
+    pub fn new(engine: Box<dyn PolicyEngine>, planner: Box<dyn ActionPlanner>) -> Self {
+        EngineAdapter { engine, planner }
     }
 
     /// The wrapped engine.
@@ -77,10 +59,11 @@ impl EngineAdapter {
         self.engine.intern_entity(name)
     }
 
-    /// The initial structural state for properness checks
-    /// ([`slp_policies::initial_state`]). Capture *before* running jobs.
+    /// The initial structural state for properness checks: what the
+    /// engine says exists ([`PolicyEngine::structural_state`]). Capture
+    /// *before* running jobs.
     pub fn initial_state(&self) -> StructuralState {
-        initial_state(self.engine(), &self.pool)
+        self.engine.structural_state()
     }
 
     /// Plans `job` and begins `tx` for it; returns the plan to run — the

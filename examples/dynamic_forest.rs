@@ -55,14 +55,15 @@ fn main() {
     // 1. The Fig. 5 walkthrough.
     // ------------------------------------------------------------------
     println!("== Fig. 5: the database forest under DT0–DT3 ==\n");
+    // The pool is what exists; the forest starts empty all the same.
+    let (e1, e2, e3, e4) = (EntityId(1), EntityId(2), EntityId(3), EntityId(4));
     let mut eng = registry
-        .build(PolicyKind::Dtr, &PolicyConfig::default())
+        .build(PolicyKind::Dtr, &PolicyConfig::flat(vec![e1, e2, e3, e4]))
         .expect("flat kind");
     println!("DT0: the forest starts empty");
     show_forest(eng.forest().expect("DTR maintains a forest"));
 
     // T1 arrives accessing {1, 2, 3}: they are connected into one tree.
-    let (e1, e2, e3, e4) = (EntityId(1), EntityId(2), EntityId(3), EntityId(4));
     let plan1 = eng
         .begin(TxId(1), &AccessIntent::access([e1, e2, e3]))
         .unwrap()

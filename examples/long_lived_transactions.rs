@@ -25,11 +25,13 @@ fn main() {
     // 1. The Fig. 4 walkthrough.
     // ------------------------------------------------------------------
     println!("== Fig. 4: entering and leaving a wake ==\n");
+    let (i1, i2, i3, i4) = (EntityId(1), EntityId(2), EntityId(3), EntityId(4));
+    // The pool is what exists: the engine refuses a lock outside it.
+    let items = PolicyConfig::flat(vec![i1, i2, i3, i4]);
     let mut eng = registry
-        .build(PolicyKind::Altruistic, &PolicyConfig::default())
+        .build(PolicyKind::Altruistic, &items)
         .expect("flat kind");
     let (t1, t2) = (TxId(1), TxId(2));
-    let (i1, i2, i3, i4) = (EntityId(1), EntityId(2), EntityId(3), EntityId(4));
     // Wake membership is altruistic-specific introspection: reach the
     // concrete engine through the trait's downcast hatch.
     let in_wake = |eng: &dyn safe_locking::policies::PolicyEngine, ti: TxId, tj: TxId| {

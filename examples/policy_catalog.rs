@@ -79,14 +79,14 @@ fn main() {
     // ------------------------------------------------------------------
     println!("\n== custom policy via PolicyRegistry::register ==\n");
     let mut registry = PolicyRegistry::new();
-    registry.register("my-lock-manager", |_config| {
-        Ok(Box::new(TwoPhaseEngine::new()))
+    registry.register("my-lock-manager", |config| {
+        Ok(Box::new(TwoPhaseEngine::new(config.pool.iter().copied())))
     });
     let engine = registry
-        .build_named("my-lock-manager", &PolicyConfig::default())
+        .build_named("my-lock-manager", &PolicyConfig::flat(pool.clone()))
         .expect("just registered");
     // Any engine drops into the generic adapter with a planner of choice.
-    let mut adapter = EngineAdapter::new(engine, planner_for(PolicyKind::TwoPhase), pool.clone());
+    let mut adapter = EngineAdapter::new(engine, planner_for(PolicyKind::TwoPhase));
     let report = run_sim(&mut adapter, &jobs, &config);
     println!(
         "custom '{}' committed {} jobs, trace serializable: {}",

@@ -273,7 +273,9 @@ fn policy_engine_api_surface() {
 
     // Custom builders extend the registry by name.
     let mut registry = PolicyRegistry::new();
-    registry.register("custom", |_| Ok(Box::new(TwoPhaseEngine::new())));
+    registry.register("custom", |config| {
+        Ok(Box::new(TwoPhaseEngine::new(config.pool.iter().copied())))
+    });
     assert!(registry.build_named("custom", &flat).is_ok());
     assert!(matches!(
         registry.build_named("missing", &flat).err(),

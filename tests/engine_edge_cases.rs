@@ -113,9 +113,13 @@ fn ddag_edge_errors() {
     assert!(eng.edge_entity(ids[1], ids[0]).is_none());
 }
 
+fn pool(n: u32) -> Vec<EntityId> {
+    (0..n).map(EntityId).collect()
+}
+
 #[test]
 fn altruistic_unknown_transaction_and_double_begin() {
-    let mut eng = AltruisticEngine::new();
+    let mut eng = AltruisticEngine::new(pool(1));
     assert_eq!(
         eng.check_lock(TxId(1), EntityId(0)),
         Err(AltruisticViolation::UnknownTransaction(TxId(1)))
@@ -135,7 +139,7 @@ fn altruistic_unknown_transaction_and_double_begin() {
 #[test]
 fn altruistic_wake_is_per_pair() {
     // T3 in T1's wake is unaffected by unrelated T2's donations.
-    let mut eng = AltruisticEngine::new();
+    let mut eng = AltruisticEngine::new(pool(6));
     for t in 1..=3 {
         eng.begin(TxId(t)).unwrap();
     }
@@ -156,7 +160,7 @@ fn altruistic_wake_is_per_pair() {
 
 #[test]
 fn dtr_lifecycle_errors() {
-    let mut eng = DtrEngine::new();
+    let mut eng = DtrEngine::new(pool(1));
     assert_eq!(
         eng.check_step(TxId(1)),
         Err(DtrViolation::UnknownTransaction(TxId(1)))
@@ -174,14 +178,14 @@ fn dtr_lifecycle_errors() {
 
 #[test]
 fn dtr_empty_access_set_is_rejected() {
-    let mut eng = DtrEngine::new();
+    let mut eng = DtrEngine::new(pool(1));
     let err = eng.begin(TxId(1), &BTreeMap::new()).unwrap_err();
     assert!(matches!(err, DtrViolation::Plan(_)));
 }
 
 #[test]
 fn dtr_abort_midway_releases_locks() {
-    let mut eng = DtrEngine::new();
+    let mut eng = DtrEngine::new(pool(2));
     let ops = BTreeMap::from([(EntityId(0), access()), (EntityId(1), access())]);
     eng.begin(TxId(1), &ops).unwrap();
     eng.step(TxId(1)).unwrap(); // first lock
@@ -282,52 +286,70 @@ fn a_ddag_insert_past_max_entities_is_rejected_not_committed() {
     }
 }
 
-/// A flat job naming an id at `MAX_ENTITIES` is refused, fatally, before
-/// any lock table is sized by it: 2PL and altruistic at that id's lock,
-/// DTR at `begin`, before DT1 adds it to the forest. Rejected once, never
-/// committed, in the simulator and in the runtime, with the fast path on
-/// and off.
+/// A flat job naming an entity that does not exist is refused, fatally,
+/// by the engine that owns the pool: 2PL and altruistic at that entity's
+/// lock, DTR at `begin`, before DT1 adds it to the forest. The absent id
+/// is at `MAX_ENTITIES`, beyond the pool, in a gap of it, or any id of an
+/// empty pool; the job is an access, or a read with snapshot reads on.
+/// Every executor rejects it once and commits nothing: the simulator, and
+/// the runtime with the fast path on and off. No schedule names it, so
+/// each is proper against the run's initial state.
 #[test]
 fn a_flat_job_past_max_entities_is_rejected_not_committed() {
-    let (a, b) = (EntityId(0), EntityId(1));
-    let jobs = vec![Job::access(vec![a, EntityId(MAX_ENTITIES)])];
-    let policy = PolicyConfig::flat(vec![a, b]);
-    for kind in [
-        PolicyKind::TwoPhase,
-        PolicyKind::Altruistic,
-        PolicyKind::Dtr,
-    ] {
-        let mut adapter = build_adapter(&PolicyRegistry::new(), kind, &policy).unwrap();
-        let sim = run_sim(
-            &mut adapter,
-            &jobs,
-            &SimConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        let ctx = format!("{} / sim", kind.name());
-        assert_eq!(
-            (sim.rejected, sim.committed, sim.policy_aborts),
-            (1, 0, 0),
-            "{ctx}"
-        );
-        for grant_fast_path in [true, false] {
-            let config = RuntimeConfig {
-                grant_fast_path,
-                max_wall: Duration::from_millis(300),
-                ..RuntimeConfig::with_workers(1)
-            };
-            let report = Runtime::new(kind, &policy).unwrap().run(&jobs, &config);
-            let ctx = format!("{} / fast path {grant_fast_path}", kind.name());
-            assert!(!report.timed_out, "{ctx}: retried until the deadline");
-            assert_eq!(
-                (report.rejected, report.committed, report.policy_aborts),
-                (1, 0, 0),
-                "{ctx}"
-            );
-            assert!(report.accounting_balances(), "{ctx}");
-            assert!(report.lock_table_quiescent(), "{ctx}");
+    let (e0, e1, e2) = (EntityId(0), EntityId(1), EntityId(2));
+    let rows = [
+        ("past MAX_ENTITIES", vec![e0, e1], EntityId(MAX_ENTITIES)),
+        ("beyond the pool", vec![e0, e2], EntityId(1000)),
+        ("in a gap of the pool", vec![e0, e2], e1),
+        ("in an empty pool", vec![], e1),
+    ];
+    for (row, pool, absent) in rows {
+        let policy = PolicyConfig::flat(pool);
+        for read in [false, true] {
+            let job = if read { Job::read } else { Job::access };
+            let jobs = vec![job(vec![e0, absent])];
+            for kind in [
+                PolicyKind::TwoPhase,
+                PolicyKind::Altruistic,
+                PolicyKind::Dtr,
+            ] {
+                let ctx = format!("{} / {row} / read {read}", kind.name());
+                let mut adapter = build_adapter(&PolicyRegistry::new(), kind, &policy).unwrap();
+                let initial = adapter.initial_state();
+                let sim = run_sim(
+                    &mut adapter,
+                    &jobs,
+                    &SimConfig {
+                        workers: 1,
+                        ..Default::default()
+                    },
+                );
+                assert_eq!(
+                    (sim.rejected, sim.committed, sim.policy_aborts),
+                    (1, 0, 0),
+                    "{ctx} / sim"
+                );
+                assert!(sim.schedule.is_proper(&initial), "{ctx} / sim");
+                for grant_fast_path in [true, false] {
+                    let config = RuntimeConfig {
+                        grant_fast_path,
+                        snapshot_reads: read,
+                        max_wall: Duration::from_millis(300),
+                        ..RuntimeConfig::with_workers(1)
+                    };
+                    let report = Runtime::new(kind, &policy).unwrap().run(&jobs, &config);
+                    let ctx = format!("{ctx} / fast path {grant_fast_path}");
+                    assert!(!report.timed_out, "{ctx}: retried until the deadline");
+                    assert_eq!(
+                        (report.rejected, report.committed, report.policy_aborts),
+                        (1, 0, 0),
+                        "{ctx}"
+                    );
+                    assert!(report.accounting_balances(), "{ctx}");
+                    assert!(report.lock_table_quiescent(), "{ctx}");
+                    assert!(report.schedule.is_proper(&report.initial), "{ctx}");
+                }
+            }
         }
     }
 }

@@ -197,7 +197,7 @@ fn mutant_no_held_predecessor_admits_what_safe_ddag_refuses() {
     }
     finished(&mut eng, t1, &mut trace);
     finished(&mut eng, t2, &mut trace);
-    let initial: StructuralState = eng.structural_entities().unwrap().into_iter().collect();
+    let initial = eng.structural_state();
     assert!(trace.is_legal());
     assert!(trace.is_proper(&initial));
     assert!(
@@ -259,7 +259,7 @@ fn mutant_no_all_predecessors_admits_what_safe_ddag_refuses() {
     granted(&mut eng, t1, PolicyAction::Access(j), &mut trace);
     finished(&mut eng, t1, &mut trace);
     finished(&mut eng, t2, &mut trace);
-    let initial: StructuralState = eng.structural_entities().unwrap().into_iter().collect();
+    let initial = eng.structural_state();
     assert!(trace.is_legal());
     assert!(trace.is_proper(&initial));
     assert!(

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use safe_locking::core::{
     is_serializable, DataOp, EntityId, LockedTransaction, Operation, Schedule, ScheduledStep, Step,
-    Transaction, TxId,
+    StructuralState, Transaction, TxId,
 };
 use safe_locking::graph::Forest;
 use safe_locking::policies::altruistic::{AltruisticConfig, AltruisticEngine, AltruisticViolation};
@@ -223,10 +223,20 @@ proptest! {
 // Flat rule state against the BTree model
 // ---------------------------------------------------------------------
 
+/// The pool the flat engines and their models are built over: the ids
+/// 0–5 the generated operations name, but for `ABSENT`, which does not
+/// exist.
+const ABSENT: EntityId = EntityId(3);
+
+fn model_pool() -> BTreeSet<EntityId> {
+    (0..6).map(EntityId).filter(|&e| e != ABSENT).collect()
+}
+
 /// The altruistic engine's rule state as sorted sets in a map by id: the
 /// model the flat engine must answer exactly like.
 #[derive(Default)]
 struct AltModel {
+    pool: BTreeSet<EntityId>,
     wake_rule: bool,
     txs: BTreeMap<TxId, AltModelTx>,
     holder: BTreeMap<EntityId, TxId>,
@@ -246,6 +256,9 @@ impl AltModel {
             .txs
             .get(&tx)
             .ok_or(AltruisticViolation::UnknownTransaction(tx))?;
+        if !self.pool.contains(&item) {
+            return Err(AltruisticViolation::EntityOutOfRange(item));
+        }
         if st.at_locked_point {
             return Err(AltruisticViolation::PastLockedPoint(tx));
         }
@@ -347,6 +360,7 @@ impl AltModel {
 /// like.
 #[derive(Default)]
 struct DtrModel {
+    pool: BTreeSet<EntityId>,
     forest: Forest,
     txs: BTreeMap<TxId, DtrModelTx>,
     holder: BTreeMap<EntityId, TxId>,
@@ -367,6 +381,9 @@ impl DtrModel {
     ) -> Result<Vec<Step>, DtrViolation> {
         if self.txs.contains_key(&tx) {
             return Err(DtrViolation::AlreadyBegun(tx));
+        }
+        if let Some(&e) = ops.keys().find(|e| !self.pool.contains(e)) {
+            return Err(DtrViolation::EntityOutOfRange(e));
         }
         let mut roots: Vec<EntityId> = Vec::new();
         let mut fresh: Vec<EntityId> = Vec::new();
@@ -505,7 +522,8 @@ fn action_of(step: &Step) -> PolicyAction {
 }
 
 /// One random operation: a kind, a transaction (ids 1–4, begun in any
-/// order), an entity (0–5) and an access-set mask for a DTR begin.
+/// order), an entity (0–5, `ABSENT` among them) and an access-set mask
+/// for a DTR begin.
 type RawOp = (u32, u32, u32, u32);
 
 fn arb_ops() -> impl Strategy<Value = Vec<RawOp>> {
@@ -515,11 +533,14 @@ fn arb_ops() -> impl Strategy<Value = Vec<RawOp>> {
 /// Drives the altruistic engine (AL2 on or off) and its model through
 /// `ops`; every answer, the held sets and the wake relation must agree.
 fn check_altruistic(config: AltruisticConfig, ops: &[RawOp]) {
-    let mut eng = AltruisticEngine::with_config(config);
+    let mut eng = AltruisticEngine::with_config(model_pool(), config);
     let mut model = AltModel {
+        pool: model_pool(),
         wake_rule: config.enforce_wake_rule,
         ..AltModel::default()
     };
+    let pool = StructuralState::from_entities(model_pool());
+    assert_eq!(PolicyEngine::structural_state(&eng), pool);
     for (i, &(kind, t, e, _)) in ops.iter().enumerate() {
         let (tx, e) = (TxId(t), EntityId(e));
         // A request for a transaction that is not active mostly begins it.
@@ -593,8 +614,15 @@ fn check_altruistic(config: AltruisticConfig, ops: &[RawOp]) {
 /// Drives the DTR engine and its model through `ops`; every plan, answer,
 /// deletion verdict and the forest must agree.
 fn check_dtr(ops: &[RawOp]) {
-    let mut eng = DtrEngine::new();
-    let mut model = DtrModel::default();
+    let mut eng = DtrEngine::new(model_pool());
+    let mut model = DtrModel {
+        pool: model_pool(),
+        ..DtrModel::default()
+    };
+    assert_eq!(
+        eng.structural_state(),
+        StructuralState::from_entities(model_pool())
+    );
     for (i, &(kind, t, e, mask)) in ops.iter().enumerate() {
         let (tx, e) = (TxId(t), EntityId(e));
         match kind {
@@ -655,8 +683,9 @@ proptest! {
     /// The altruistic engine (and its AL2 mutant) and the DTR engine keep
     /// their rule state in flat `Vec`s; a `BTreeMap` / `BTreeSet` model
     /// of the same rules must answer every request alike — the reported
-    /// `wake_of` and `WouldBreakTreeLocking` transaction, the held sets
-    /// and the unlocks `finish` / `abort` emit included.
+    /// `wake_of` and `WouldBreakTreeLocking` transaction, the held sets,
+    /// the unlocks `finish` / `abort` emit and the refusal of the id the
+    /// pool leaves out included.
     #[test]
     fn flat_altruistic_and_dtr_match_the_btree_model(ops in arb_ops()) {
         check_altruistic(AltruisticConfig::strict(), &ops);
